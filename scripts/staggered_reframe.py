@@ -14,9 +14,8 @@ import sys
 
 import numpy as np
 
-from bittide_sim import (IntegratorSettings, build_closed_loop, build_incidence,
-                         generate_topology, init_state, make_system_params,
-                         metzler_eigenvector, run_staggered)
+from bittide_sim import (IntegratorSettings, ReframeSchedule, generate_topology,
+                         make_system_params, prepare, run)
 
 
 def report(spread: float, seed: int = 7):
@@ -25,17 +24,17 @@ def report(spread: float, seed: int = 7):
     rng = np.random.default_rng(seed)
     params = make_system_params(topology, k=0.2,
                                 omega_u=rng.uniform(0.95, 1.05, topology.n))
-    inc = build_incidence(topology)
-    _, mat = init_state(inc, params, 0.0)
-    sd = metzler_eigenvector(build_closed_loop(inc, mat))
-    base = sd.horizon()
+    system = prepare(topology, params, 0.0)
+    base = system.sd.horizon()
     reframe_times = base + spread * np.arange(topology.n)
-    trace = run_staggered(topology, params, reframe_times,
-                          IntegratorSettings(horizon=base,
-                                             sample_interval=base / 20))
+    trace = run(system,
+                schedule=ReframeSchedule(mode="fixed-time", T1=reframe_times),
+                settings=IntegratorSettings(horizon=float(reframe_times.max()),
+                                            post_horizon=base,
+                                            sample_interval=base / 20))
     omega_end = trace.omega[-1]
-    gap = np.abs(trace.occupancy[-1] - mat.beta_off).max()
-    consensus_shift = omega_end[0] - float(sd.z @ params.omega_u)
+    gap = np.abs(trace.occupancy[-1] - system.params.beta_off).max()
+    consensus_shift = omega_end[0] - float(system.sd.z @ params.omega_u)
     print(f"spread {spread:10.3g}: omega spread {np.ptp(omega_end):.2e}, "
           f"consensus shift {consensus_shift:+.3e}, "
           f"max |beta - beta_off| {gap:.3e}")

@@ -5,9 +5,8 @@ from .graph import (Topology, IncidenceSet, TopologyError, build_incidence,
 from .spectral import (ClosedLoopMatrix, SpectralData, SpectralError,
                        build_closed_loop, matrix_exponential, metzler_eigenvector,
                        predict_beta_ss, predict_omega_ss, steady_state_correction)
-from .dynamics import (IntegratorSettings, SimState, SimTrace, SystemParams,
-                       init_state, make_system_params, observe, run, run_staggered,
-                       step)
+from .dynamics import (IntegratorSettings, SimState, SimTrace, System, SystemParams,
+                       init_state, make_system_params, observe, prepare, run, step)
 from .controller import (NodeView, ReframeSchedule, ReframeError, NodeControllerState,
                          auto_reframe_trigger, node_views, proportional_correction,
                          reframe)
@@ -18,8 +17,8 @@ __all__ = [
     "ClosedLoopMatrix", "SpectralData", "SpectralError", "build_closed_loop",
     "matrix_exponential", "metzler_eigenvector", "predict_beta_ss",
     "predict_omega_ss", "steady_state_correction",
-    "IntegratorSettings", "SimState", "SimTrace", "SystemParams", "init_state",
-    "make_system_params", "observe", "run", "run_staggered", "step",
+    "IntegratorSettings", "SimState", "SimTrace", "System", "SystemParams",
+    "init_state", "make_system_params", "observe", "prepare", "run", "step",
     "NodeView", "ReframeSchedule", "ReframeError", "NodeControllerState",
     "auto_reframe_trigger", "node_views", "proportional_correction", "reframe",
 ]

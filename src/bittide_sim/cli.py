@@ -16,11 +16,10 @@ import numpy as np
 
 from . import verify as verify_mod
 from .config import ConfigError, config_to_dict, parse_config
-from .dynamics import init_state, run
+from .dynamics import run
 from .framesim import fault_report, run_discrete
-from .graph import TopologyError, build_incidence, generate_topology
-from .spectral import (SpectralError, build_closed_loop, metzler_eigenvector,
-                       predict_beta_ss, predict_omega_ss)
+from .graph import TopologyError, generate_topology
+from .spectral import SpectralError, predict_beta_ss, predict_omega_ss
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -78,34 +77,26 @@ def read_trace_csv(path):
             np.array(corr).reshape(shape), np.array(beta).reshape(bshape))
 
 
-def _analysis(cfg):
-    topology = cfg.topology()
-    inc = build_incidence(topology)
-    _, params = init_state(inc, cfg.system_params(), np.array(cfg.theta0))
-    clm = build_closed_loop(inc, params)
-    sd = metzler_eigenvector(clm)
-    return topology, inc, params, clm, sd
-
-
 def cmd_run(cfg, out_dir: Path) -> int:
     discrete = cfg.discrete.enabled
     summary = {"mode": "discrete" if discrete else "continuous",
                "config": config_to_dict(cfg)}
     try:
-        topology, inc, params, clm, sd = _analysis(cfg)
-        summary["predicted"] = {
-            "omega_ss": [float(v) for v in predict_omega_ss(sd, params)],
-            "beta_ss_pre_reframe": [float(v) for v in
-                                    predict_beta_ss(sd, clm, params)],
-            "beta_ss_post_reframe": [float(v) for v in params.beta_off]
-            if cfg.controller == "reframing" else None,
-        }
+        system = cfg.system()
     except SpectralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    params = system.params
+    summary["predicted"] = {
+        "omega_ss": [float(v) for v in predict_omega_ss(system.sd, params)],
+        "beta_ss_pre_reframe": [float(v) for v in
+                                predict_beta_ss(system.sd, system.clm, params)],
+        "beta_ss_post_reframe": [float(v) for v in params.beta_off]
+        if cfg.controller == "reframing" else None,
+    }
 
     if discrete:
-        trace = run_discrete(cfg.discrete_scenario())
+        trace = run_discrete(cfg.discrete_scenario(system))
         csv_text = trace_csv(trace.times, trace.mode, trace.omega,
                              trace.correction, trace.occupancy)
         faults = [asdict(f) for f in fault_report(trace)]
@@ -116,8 +107,8 @@ def cmd_run(cfg, out_dir: Path) -> int:
             for f in faults]
         _write(out_dir / "faults.csv", "\n".join(fault_lines) + "\n")
     else:
-        trace = run(topology, cfg.system_params(), cfg.schedule(),
-                    cfg.integrator_settings(), theta0=np.array(cfg.theta0))
+        trace = run(system, schedule=cfg.schedule(),
+                    settings=cfg.integrator_settings())
         csv_text = trace_csv(trace.times, trace.mode, trace.omega,
                              trace.correction, trace.occupancy)
 
@@ -138,14 +129,15 @@ def cmd_run(cfg, out_dir: Path) -> int:
 
 def cmd_analyze(cfg, out_dir: Path) -> int:
     try:
-        topology, inc, params, clm, sd = _analysis(cfg)
+        system = cfg.system()
     except SpectralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    params, clm, sd = system.params, system.clm, system.sd
     eigs = sorted(sd.eigenvalues, key=lambda v: (v.real, v.imag))
     report = {
-        "n": topology.n,
-        "m": topology.m,
+        "n": system.topology.n,
+        "m": system.topology.m,
         "z": [float(v) for v in sd.z],
         "eigenvalues": [{"re": float(v.real), "im": float(v.imag)}
                         for v in eigs],
@@ -187,12 +179,12 @@ def cmd_plotdata(trace_path, quantity: str, cfg, out_path: Path | None) -> int:
             print("error: beta-rel needs --config to recover beta_off",
                   file=sys.stderr)
             return EXIT_BAD_INPUT
-        _, _, params, _, _ = _analysis(cfg)
-        if occupancy.shape[1] != len(params.beta_off):
+        beta_off = cfg.system().params.beta_off
+        if occupancy.shape[1] != len(beta_off):
             print("error: trace and config disagree on edge count",
                   file=sys.stderr)
             return EXIT_BAD_INPUT
-        series, label = occupancy - params.beta_off, "beta-rel edge"
+        series, label = occupancy - beta_off, "beta-rel edge"
     for j in range(series.shape[1]):
         lines = [f"# {label}={j + 1}"]
         lines += [f"{_fmt(times[i])} {_fmt(series[i, j])}"

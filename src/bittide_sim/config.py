@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .controller import ReframeSchedule
-from .dynamics import IntegratorSettings, SystemParams, make_system_params
+from .dynamics import (IntegratorSettings, System, SystemParams,
+                       make_system_params, prepare)
 from .framesim import DiscreteScenario
 from .graph import (TOPOLOGY_KINDS, Topology, TopologyError, generate_topology,
-                    is_strongly_connected)
+                    reachable_from_node1)
 
 FEASIBLE = "feasible"
 
@@ -85,6 +86,10 @@ class ScenarioConfig:
                                   lam=np.array(self.lam), beta_off=beta_off,
                                   q=np.array(self.q))
 
+    def system(self) -> System:
+        """The configured scenario, prepared once for every command to share."""
+        return prepare(self.topology(), self.system_params(), np.array(self.theta0))
+
     def schedule(self) -> ReframeSchedule | None:
         if self.controller != "reframing":
             return None
@@ -98,32 +103,22 @@ class ScenarioConfig:
                                   sample_interval=s.sample_interval,
                                   horizon=s.horizon, post_horizon=s.post_horizon)
 
-    def discrete_scenario(self) -> DiscreteScenario:
+    def discrete_scenario(self, system: System) -> DiscreteScenario:
+        """The discrete-mode run of `system`, this config's prepared system."""
         d = self.discrete
         horizon = self.integrator.horizon
         if horizon is None:
             # same 50-e-fold rule the continuous runner applies, doubled to
             # leave room for the post-reframe phase
-            from .graph import build_incidence
-            from .spectral import build_closed_loop, metzler_eigenvector
-            from .dynamics import init_state
-
-            inc = build_incidence(self.topology())
-            _, params = init_state(inc, self.system_params(),
-                                   np.array(self.theta0))
-            sd = metzler_eigenvector(build_closed_loop(inc, params))
-            horizon = sd.horizon() * (2.0 if self.controller == "reframing"
-                                      else 1.0)
+            horizon = system.sd.horizon() * (2.0 if self.controller == "reframing"
+                                             else 1.0)
         elif (self.controller == "reframing" and self.reframe.mode == "fixed-time"
                 and self.reframe.T1 is not None
                 and self.integrator.post_horizon is not None):
             # horizon is the total run length; stretch it only when an explicit
             # post-reframe span would not fit
             horizon = max(horizon, self.reframe.T1 + self.integrator.post_horizon)
-        return DiscreteScenario(topology=self.topology(),
-                                params=self.system_params(),
-                                theta0=np.array(self.theta0),
-                                capacity=d.capacity,
+        return DiscreteScenario(system=system, capacity=d.capacity,
                                 control_period=d.control_period,
                                 quantization=d.quantization,
                                 dt=self.integrator.dt, horizon=horizon,
@@ -220,31 +215,13 @@ def _parse_topology(raw: dict, strict: bool):
 
 
 def _require_strongly_connected(topology: Topology):
-    if is_strongly_connected(topology):
-        return
-    fwd = _reach_set(topology, reverse=False)
-    rev = _reach_set(topology, reverse=True)
-    stranded = sorted(set(range(1, topology.n + 1)) - (fwd & rev))
-    raise ConfigError(
-        f"config.topology: not strongly connected; node {stranded[0]} is "
-        "unreachable from or cannot reach node 1")
-
-
-def _reach_set(topology: Topology, reverse: bool):
-    adj = {i: [] for i in range(1, topology.n + 1)}
-    for s, d in topology.edges:
-        if reverse:
-            adj[d].append(s)
-        else:
-            adj[s].append(d)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for v in adj[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+    both = (reachable_from_node1(topology)
+            & reachable_from_node1(topology, reverse=True))
+    stranded = sorted(set(range(1, topology.n + 1)) - both)
+    if stranded:
+        raise ConfigError(
+            f"config.topology: not strongly connected; node {stranded[0]} is "
+            "unreachable from or cannot reach node 1")
 
 
 _TOP_KEYS = {"topology", "n", "topology_seed", "extra_edge_fraction", "k",

@@ -86,13 +86,14 @@ def auto_reframe_trigger(times: np.ndarray, corrections: np.ndarray,
 class ReframeSchedule:
     """When the single reframe fires.
 
-    fixed-time: at T1.  auto: at the first sample where the correction has
-    been epsilon-stable for a full window.  Defaults follow the correction
+    fixed-time: at T1, one time for all nodes or one per node.  auto: at the
+    first sample where the correction has been epsilon-stable for a full
+    window.  Defaults follow the correction
     scale: epsilon = 1e-9 * ||omega_u||_inf, window = 10/(k * max in-degree).
     """
 
     mode: str = "auto"            # fixed-time | auto
-    T1: float | None = None
+    T1: float | np.ndarray | None = None
     epsilon: float | None = None
     window: float | None = None
 

@@ -13,8 +13,10 @@ import numpy as np
 import scipy.linalg as la
 
 from .controller import ReframeSchedule, auto_reframe_trigger
-from .graph import IncidenceSet, Topology, build_incidence, is_strongly_connected
-from .spectral import ClosedLoopMatrix, build_closed_loop, metzler_eigenvector
+from .graph import (IncidenceSet, Topology, TopologyError, build_incidence,
+                    is_strongly_connected)
+from .spectral import (ClosedLoopMatrix, SpectralData, build_closed_loop,
+                       metzler_eigenvector)
 
 PRE_REFRAME = "pre-reframe"
 POST_REFRAME = "post-reframe"
@@ -122,6 +124,38 @@ def init_state(inc: IncidenceSet, params: SystemParams,
     return SimState(t=0.0, theta=theta0, mode=PRE_REFRAME), params
 
 
+@dataclass(frozen=True)
+class System:
+    """One scenario's closed loop, built once by `prepare` and passed along.
+
+    params carries the materialized beta_off and theta0 is broadcast to n
+    nodes.  clm and sd are None for k == 0, a disabled controller that only
+    the discrete mode can run.
+    """
+
+    topology: Topology
+    inc: IncidenceSet
+    params: SystemParams
+    theta0: np.ndarray
+    clm: ClosedLoopMatrix | None
+    sd: SpectralData | None
+
+
+def prepare(topology: Topology, params: SystemParams, theta0=0.0) -> System:
+    """Check strong connectivity, then build incidence, the initial offsets,
+    the closed loop and its spectral data, once."""
+    if not is_strongly_connected(topology):
+        raise TopologyError("topology is not strongly connected")
+    inc = build_incidence(topology)
+    state, params = init_state(inc, params, theta0)
+    clm = sd = None
+    if params.k > 0:
+        clm = build_closed_loop(inc, params)
+        sd = metzler_eigenvector(clm)
+    return System(topology=topology, inc=inc, params=params, theta0=state.theta,
+                  clm=clm, sd=sd)
+
+
 def _drift(clm: ClosedLoopMatrix, params: SystemParams) -> np.ndarray:
     return params.omega_u + params.q + clm.r
 
@@ -214,35 +248,45 @@ class _Stepper:
         return state
 
 
-def run(topology: Topology, params: SystemParams, schedule: ReframeSchedule | None,
-        settings: IntegratorSettings = IntegratorSettings(),
-        theta0=0.0) -> SimTrace:
-    """Simulate the configured scenario and sample the observables.
+def run(system: System, *, schedule: ReframeSchedule | None = None,
+        settings: IntegratorSettings = IntegratorSettings()) -> SimTrace:
+    """Simulate the prepared system and sample the observables.
 
     schedule None runs the plain proportional controller for the whole
-    horizon; otherwise exactly one reframe fires, either at the scheduled
-    time or when the auto trigger sees a stable correction.
+    horizon.  A fixed-time schedule freezes each node's correction into its
+    q at that node's T1 (one time for all nodes, or one per node); an auto
+    schedule freezes every node at once when the trigger sees a stable
+    correction.  The run ends post_horizon after the last node has reframed,
+    or at horizon + post_horizon if some node has not reframed by then.
+    Per-node times are an experiment: distributed nodes cannot share a common
+    T1, so no convergence guarantee is claimed or checked for them.
     """
-    if not is_strongly_connected(topology):
-        raise ValueError("topology is not strongly connected")
-    inc = build_incidence(topology)
-    state, params = init_state(inc, params, theta0)
-    clm = build_closed_loop(inc, params)
-    sd = metzler_eigenvector(clm)
+    if system.sd is None:
+        raise ValueError(
+            f"gain k must be positive for the closed loop, got {system.params.k}")
+    inc, params, clm = system.inc, system.params, system.clm
+    n = inc.n
 
-    horizon = settings.horizon if settings.horizon is not None else sd.horizon()
+    horizon = settings.horizon if settings.horizon is not None else system.sd.horizon()
     post_horizon = settings.post_horizon if settings.post_horizon is not None else horizon
     sample_dt = settings.sample_interval or horizon / 200.0
 
+    events, auto = [], False
     if schedule is not None:
         schedule = schedule.resolved(params, inc, default_T1=horizon)
-    reframe_at = schedule.T1 if schedule is not None and schedule.mode == "fixed-time" else None
+        auto = schedule.mode == "auto"
+        if not auto:
+            reframe_at = np.broadcast_to(np.asarray(schedule.T1, dtype=float),
+                                         (n,))
+            events = sorted({float(t) for t in reframe_at})
 
     stepper = _Stepper(clm, settings.method, settings.dt)
 
     times, thetas, omegas, cs, betas, modes = [], [], [], [], [], []
+    done = np.zeros(n, dtype=bool)
     reframe_time = None
     reframe_payload = None
+    t_end = horizon + (post_horizon if schedule is not None else 0.0)
 
     def record(st: SimState):
         om, c, beta = observe(st, params, clm)
@@ -253,39 +297,42 @@ def run(topology: Topology, params: SystemParams, schedule: ReframeSchedule | No
         betas.append(beta)
         modes.append(st.mode)
 
-    def do_reframe(st: SimState, record_pre: bool = True) -> SimState:
-        nonlocal params, reframe_time, reframe_payload
-        _, payload, _ = observe(st, params, clm)
+    def do_reframe(st: SimState, firing: np.ndarray, record_pre: bool = True) -> SimState:
+        nonlocal params, reframe_time, reframe_payload, t_end
+        _, c, _ = observe(st, params, clm)
         if record_pre:
             record(st)  # pre-mode row at the reframe instant
-        params = replace(params, q=payload)
-        reframe_time = st.t
-        reframe_payload = payload
-        post = SimState(t=st.t, theta=st.theta, mode=POST_REFRAME)
+        q = params.q.copy()
+        q[firing] = c[firing]
+        params = replace(params, q=q)
+        done[firing] = True
+        if done.all():
+            mode = POST_REFRAME
+            reframe_time, reframe_payload = st.t, q
+            t_end = st.t + post_horizon
+        else:
+            mode = f"staggered-{int(done.sum())}/{n}"
+        post = SimState(t=st.t, theta=st.theta, mode=mode)
         record(post)
         return post
 
+    state = SimState(t=0.0, theta=system.theta0, mode=PRE_REFRAME)
     record(state)
-    reframed = False
-    t_end = horizon + (post_horizon if schedule is not None else 0.0)
     while state.t < t_end - 1e-12:
         t_next = min(state.t + sample_dt, t_end)
-        if not reframed and reframe_at is not None and reframe_at <= t_next + 1e-12:
-            if reframe_at > state.t + 1e-12:
-                state = stepper.advance(state, params, reframe_at - state.t)
-            state = do_reframe(state)
-            reframed = True
-            t_end = state.t + post_horizon
+        if events and events[0] <= t_next + 1e-12:
+            t_ev = events.pop(0)
+            if t_ev > state.t + 1e-12:
+                state = stepper.advance(state, params, t_ev - state.t)
+            state = do_reframe(state, ~done & (np.abs(reframe_at - t_ev) <= 1e-12))
             continue
         state = stepper.advance(state, params, t_next - state.t)
         record(state)
-        if (not reframed and schedule is not None and schedule.mode == "auto"
+        if (auto and not done.all()
                 and auto_reframe_trigger(np.array(times), np.array(cs),
                                          schedule.epsilon, schedule.window)):
             # the pre-mode row at this instant was just recorded above
-            state = do_reframe(state, record_pre=False)
-            reframed = True
-            t_end = state.t + post_horizon
+            state = do_reframe(state, ~done, record_pre=False)
 
     return SimTrace(
         times=np.array(times),
@@ -296,71 +343,4 @@ def run(topology: Topology, params: SystemParams, schedule: ReframeSchedule | No
         mode=modes,
         reframe_time=reframe_time,
         reframe_payload=reframe_payload,
-    )
-
-
-def run_staggered(topology: Topology, params: SystemParams, reframe_times,
-                  settings: IntegratorSettings = IntegratorSettings(),
-                  theta0=0.0) -> SimTrace:
-    """Experimental variant: each node freezes its own correction at its own
-    time.  Distributed nodes cannot share a common T1, so this reports what
-    desynchronized resets do; no convergence guarantee is claimed or checked.
-    """
-    if not is_strongly_connected(topology):
-        raise ValueError("topology is not strongly connected")
-    inc = build_incidence(topology)
-    state, params = init_state(inc, params, theta0)
-    clm = build_closed_loop(inc, params)
-    sd = metzler_eigenvector(clm)
-
-    reframe_times = np.broadcast_to(np.asarray(reframe_times, dtype=float),
-                                    (inc.n,)).copy()
-    horizon = settings.horizon if settings.horizon is not None else sd.horizon()
-    t_end = float(reframe_times.max()) + horizon
-    sample_dt = settings.sample_interval or horizon / 200.0
-    stepper = _Stepper(clm, settings.method, settings.dt)
-
-    events = sorted({float(t) for t in reframe_times})
-    times, thetas, omegas, cs, betas, modes = [], [], [], [], [], []
-    done = np.zeros(inc.n, dtype=bool)
-
-    def record(st: SimState):
-        om, c, beta = observe(st, params, clm)
-        times.append(st.t)
-        thetas.append(st.theta.copy())
-        omegas.append(om)
-        cs.append(c)
-        betas.append(beta)
-        modes.append(st.mode)
-
-    record(state)
-    while state.t < t_end - 1e-12:
-        t_next = min(state.t + sample_dt, t_end)
-        if events and events[0] <= t_next + 1e-12:
-            t_ev = events.pop(0)
-            if t_ev > state.t + 1e-12:
-                state = stepper.advance(state, params, t_ev - state.t)
-            _, c_now, _ = observe(state, params, clm)
-            record(state)
-            firing = (~done) & (np.abs(reframe_times - t_ev) <= 1e-12)
-            q = params.q.copy()
-            q[firing] = c_now[firing]
-            done |= firing
-            params = replace(params, q=q)
-            mode = POST_REFRAME if done.all() else f"staggered-{int(done.sum())}/{inc.n}"
-            state = SimState(t=state.t, theta=state.theta, mode=mode)
-            record(state)
-            continue
-        state = stepper.advance(state, params, t_next - state.t)
-        record(state)
-
-    return SimTrace(
-        times=np.array(times),
-        theta=np.vstack(thetas),
-        omega=np.vstack(omegas),
-        correction=np.vstack(cs),
-        occupancy=np.vstack(betas) if inc.m else np.empty((len(times), 0)),
-        mode=modes,
-        reframe_time=float(reframe_times.max()),
-        reframe_payload=None,
     )

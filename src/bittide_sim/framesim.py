@@ -19,8 +19,8 @@ import numpy as np
 
 from .controller import ReframeSchedule, auto_reframe_trigger, node_views, \
     proportional_correction
-from .dynamics import SystemParams
-from .graph import Topology, build_incidence, is_strongly_connected
+from .dynamics import System
+from .spectral import predict_beta_ss
 
 
 @dataclass(frozen=True)
@@ -42,25 +42,10 @@ class OverflowFault(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ElasticBuffer:
-    edge: int
-    write_count: int
-    read_count: int
-    capacity: int
-    virtual: bool
-
-    @property
-    def occupancy(self) -> int:
-        return self.write_count - self.read_count
-
-
-@dataclass(frozen=True)
 class DiscreteScenario:
     """Discrete-mode configuration; k = 0 models a disabled controller."""
 
-    topology: Topology
-    params: SystemParams
-    theta0: np.ndarray
+    system: System
     capacity: int
     control_period: float = 1.0    # local clock cycles between controller updates
     quantization: int = 1          # measurement granularity in frames
@@ -78,7 +63,7 @@ class DiscreteScenario:
             raise ValueError("quantization unit must be at least one frame")
 
     def step_size(self) -> float:
-        bound = 1.0 / (4.0 * float(self.params.omega_u.max()))
+        bound = 1.0 / (4.0 * float(self.system.params.omega_u.max()))
         if self.dt is None:
             return bound
         if self.dt > bound:
@@ -102,12 +87,6 @@ class DiscreteState:
     def occupancy(self) -> np.ndarray:
         return self.write - self.read
 
-    def buffers(self, capacity: int) -> list:
-        return [ElasticBuffer(edge=e + 1, write_count=int(self.write[e]),
-                              read_count=int(self.read[e]), capacity=capacity,
-                              virtual=self.virtual)
-                for e in range(len(self.write))]
-
 
 @dataclass
 class DiscreteTrace:
@@ -119,16 +98,6 @@ class DiscreteTrace:
     faults: list
     reframe_time: float | None = None
     aborted: bool = False
-
-
-def _materialize(scenario: DiscreteScenario):
-    inc = build_incidence(scenario.topology)
-    theta0 = np.broadcast_to(np.asarray(scenario.theta0, dtype=float),
-                             (inc.n,)).copy()
-    params = scenario.params
-    if params.beta_off is None:
-        params = replace(params, beta_off=inc.B.T @ theta0 + params.lam)
-    return inc, params, theta0
 
 
 def _counters(inc, params, theta):
@@ -146,40 +115,44 @@ def _quantize(occ: np.ndarray, unit: int) -> np.ndarray:
 
 
 def _fire_controllers(state: DiscreteState, scenario: DiscreteScenario,
-                      inc, params, which: np.ndarray):
+                      params, which: np.ndarray):
     occ_meas = _quantize(state.occupancy(), scenario.quantization).astype(float)
-    views = node_views(scenario.topology, occ_meas, params.beta_off, params.q)
+    views = node_views(scenario.system.topology, occ_meas, params.beta_off,
+                       params.q)
     for i in np.flatnonzero(which):
         state.correction[i] = proportional_correction(views[i], params.k)
 
 
 def init_discrete(scenario: DiscreteScenario) -> DiscreteState:
-    inc, params, theta0 = _materialize(scenario)
-    write, read = _counters(inc, params, theta0)
+    system = scenario.system
+    theta0 = system.theta0
+    write, read = _counters(system.inc, system.params, theta0)
     state = DiscreteState(t=0.0, theta=theta0,
-                          correction=np.zeros(inc.n),
+                          correction=np.zeros(system.inc.n),
                           next_fire=theta0 + scenario.control_period,
                           write=write, read=read, virtual=True)
-    _fire_controllers(state, scenario, inc, params, np.ones(inc.n, dtype=bool))
+    _fire_controllers(state, scenario, system.params,
+                      np.ones(system.inc.n, dtype=bool))
     return state
 
 
 def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
-                  inc, params, dt: float) -> DiscreteState:
+                  params, dt: float) -> DiscreteState:
     """Advance one step: phases move at the held frequency, counters follow,
     bounds are policed in physical mode, controllers fire on their own clocks."""
     omega = params.omega_u + state.correction
     new_theta = state.theta + omega * dt
     t = state.t + dt
+    inc, theta0 = scenario.system.inc, scenario.system.theta0
     write, read = _counters(inc, params, new_theta)
 
     # no frame is created or lost: pointers only advance, in lockstep with
     # whole cycles of the source and destination clocks
     assert (write >= state.write).all() and (read >= state.read).all()
     src = inc.S.argmax(axis=0)
-    emitted = write - np.floor(params.lam + scenario.theta0[src]).astype(np.int64)
+    emitted = write - np.floor(params.lam + theta0[src]).astype(np.int64)
     source_cycles = np.floor(new_theta[src]).astype(np.int64) - \
-        np.floor(scenario.theta0[src]).astype(np.int64)
+        np.floor(theta0[src]).astype(np.int64)
     assert np.abs(emitted - source_cycles).max() <= 1
 
     state = DiscreteState(t=t, theta=new_theta, correction=state.correction.copy(),
@@ -197,7 +170,7 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
 
     due = state.theta >= state.next_fire - 1e-12
     if due.any():
-        _fire_controllers(state, scenario, inc, params, due)
+        _fire_controllers(state, scenario, params, due)
         while True:
             pending = state.theta >= state.next_fire - 1e-12
             if not pending.any():
@@ -209,11 +182,8 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
 def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
     """Run the discrete scenario; a bound violation stops the run (and is
     reported) unless continue_on_fault is set."""
-    if not is_strongly_connected(scenario.topology):
-        raise ValueError("topology is not strongly connected")
-    inc, params, theta0 = _materialize(scenario)
-    scenario = replace(scenario, params=params, theta0=theta0)
-    _capacity_advisory(scenario, inc, params)
+    inc, params = scenario.system.inc, scenario.system.params
+    _capacity_advisory(scenario)
 
     dt = scenario.step_size()
     schedule = scenario.reframe
@@ -239,7 +209,7 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
     steps = int(math.ceil(horizon / dt - 1e-9))
     for _ in range(steps):
         try:
-            state = discrete_step(state, scenario, inc, params, dt)
+            state = discrete_step(state, scenario, params, dt)
         except OverflowFault:
             # the fault is already in the shared fault list; the last good
             # sample stays the final trace row
@@ -254,7 +224,7 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
                 record(state)  # pre-mode row at the reframe instant
                 params = replace(params, q=state.correction.copy())
                 state.virtual = False
-                _fire_controllers(state, scenario, inc, params,
+                _fire_controllers(state, scenario, params,
                                   np.ones(inc.n, dtype=bool))
                 reframe_time = state.t
                 reframed = True
@@ -266,17 +236,12 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
                          reframe_time=reframe_time, aborted=aborted)
 
 
-def _capacity_advisory(scenario: DiscreteScenario, inc, params):
-    if params.k <= 0:
+def _capacity_advisory(scenario: DiscreteScenario):
+    system = scenario.system
+    if system.sd is None:  # k = 0: no closed loop, no predicted swing
         return
-    from .spectral import build_closed_loop, metzler_eigenvector, predict_beta_ss
-
-    try:
-        clm = build_closed_loop(inc, params)
-        sd = metzler_eigenvector(clm)
-        swing = float(np.abs(predict_beta_ss(sd, clm, params) - params.beta_off).max())
-    except Exception:
-        return
+    swing = float(np.abs(predict_beta_ss(system.sd, system.clm, system.params)
+                         - system.params.beta_off).max())
     if scenario.capacity < 2.0 * swing:
         warnings.warn(
             f"capacity {scenario.capacity} is below twice the predicted "

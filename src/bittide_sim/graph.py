@@ -14,7 +14,8 @@ TOPOLOGY_KINDS = ("ring", "bidirectional-ring", "complete", "random-strong")
 
 
 class TopologyError(ValueError):
-    """Raised for malformed topologies (bad index, self-loop, n < 2)."""
+    """Raised for malformed topologies (bad index, self-loop, n < 2) and for
+    a closed loop built on one that is not strongly connected."""
 
 
 @dataclass(frozen=True)
@@ -82,29 +83,22 @@ def build_incidence(topology: Topology) -> IncidenceSet:
     return IncidenceSet(S=S, D=D, B=S - D)
 
 
-def _adjacency(topology: Topology, reverse: bool = False):
-    adj = [[] for _ in range(topology.n)]
+def reachable_from_node1(topology: Topology, reverse: bool = False) -> set:
+    """1-indexed nodes reachable from node 1; with reverse, those that reach it."""
+    adj = {i: [] for i in range(1, topology.n + 1)}
     for src, dst in topology.edges:
         if reverse:
-            adj[dst - 1].append(src - 1)
+            adj[dst].append(src)
         else:
-            adj[src - 1].append(dst - 1)
-    return adj
-
-
-def _reachable_from_zero(adj) -> int:
-    seen = [False] * len(adj)
-    seen[0] = True
-    stack = [0]
-    count = 1
+            adj[src].append(dst)
+    seen = {1}
+    stack = [1]
     while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
                 stack.append(v)
-    return count
+    return seen
 
 
 def is_strongly_connected(topology: Topology) -> bool:
@@ -113,12 +107,8 @@ def is_strongly_connected(topology: Topology) -> bool:
     Two reachability passes from node 1, one on the graph and one on its
     reverse; both must cover all n nodes.
     """
-    if topology.n == 1:
-        return True
-    return (
-        _reachable_from_zero(_adjacency(topology)) == topology.n
-        and _reachable_from_zero(_adjacency(topology, reverse=True)) == topology.n
-    )
+    return (len(reachable_from_node1(topology)) == topology.n
+            and len(reachable_from_node1(topology, reverse=True)) == topology.n)
 
 
 def generate_topology(kind: str, n: int, seed: int = 0,

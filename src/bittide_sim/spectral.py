@@ -49,10 +49,6 @@ class SpectralData:
     z            positive left null vector, normalized so 1^T z = 1
     W            spectral projector 1 z^T (W^2 = W, WA = AW = 0)
     eigenvalues  full spectrum of A (zero plus the stable part)
-    stable_T2, stable_Lam, stable_V2
-                 similarity A = T2 Lam V2^T on the complement of span(1);
-                 Lam is quasi-triangular from a real Schur form, so repeated
-                 or defective stable eigenvalues are handled
     group_inverse
                  the unique G with GA = AG = I - W and GW = WG = 0
     """
@@ -60,11 +56,7 @@ class SpectralData:
     z: np.ndarray
     W: np.ndarray
     eigenvalues: np.ndarray
-    stable_T2: np.ndarray
-    stable_Lam: np.ndarray
-    stable_V2: np.ndarray
     group_inverse: np.ndarray
-    metzler_eigenvalue: float = 0.0
 
     @property
     def n(self) -> int:
@@ -107,13 +99,13 @@ def build_closed_loop(inc: IncidenceSet, params) -> ClosedLoopMatrix:
 
 
 def metzler_eigenvector(clm: ClosedLoopMatrix) -> SpectralData:
-    """Compute z, W, the stable-part factors and the group inverse of A.
+    """Compute z, W and the group inverse of A.
 
-    z comes from the null space of A^T (smallest singular triplet); the
-    stable part from a sorted real Schur form, which block-separates the
-    zero eigenvalue without assuming A is diagonalizable.  The group inverse
-    is solved from the bordered system [[A, 1], [z^T, 0]], which is
-    nonsingular exactly when the zero eigenvalue is simple.
+    z comes from the null space of A^T (smallest singular triplet).  A sorted
+    real Schur form confirms that exactly n - 1 eigenvalues are stable, without
+    assuming A is diagonalizable.  The group inverse is solved from the
+    bordered system [[A, 1], [z^T, 0]], which is nonsingular exactly when the
+    zero eigenvalue is simple.
     """
     A = clm.A
     n = A.shape[0]
@@ -137,20 +129,12 @@ def metzler_eigenvector(clm: ClosedLoopMatrix) -> SpectralData:
     eigenvalues = np.linalg.eigvals(A)
 
     if n == 1:
-        T2 = np.zeros((1, 0))
-        Lam = np.zeros((0, 0))
-        V2 = np.zeros((1, 0))
         G = np.zeros((1, 1))
     else:
-        # Schur vectors of the selected (stable) eigenvalues span an
-        # A-invariant subspace complementary to span(1)
-        T, Q, sdim = la.schur(A, output="real", sort=lambda re, im: re < -_NULL_TOL * scale)
+        # the stable eigenvalues, sorted first, must number n - 1
+        _, _, sdim = la.schur(A, output="real", sort=lambda re, im: re < -_NULL_TOL * scale)
         if sdim != n - 1:
             raise SpectralError("graph not strongly connected")
-        T2 = Q[:, : n - 1]
-        Lam = T[: n - 1, : n - 1]
-        M = np.column_stack([np.ones(n), T2])
-        V2 = np.linalg.inv(M)[1:, :].T
 
         bordered = np.zeros((n + 1, n + 1))
         bordered[:n, :n] = A
@@ -159,9 +143,7 @@ def metzler_eigenvector(clm: ClosedLoopMatrix) -> SpectralData:
         rhs = np.vstack([np.eye(n) - W, np.zeros((1, n))])
         G = np.linalg.solve(bordered, rhs)[:n, :]
 
-    return SpectralData(z=z, W=W, eigenvalues=eigenvalues,
-                        stable_T2=T2, stable_Lam=Lam, stable_V2=V2,
-                        group_inverse=G)
+    return SpectralData(z=z, W=W, eigenvalues=eigenvalues, group_inverse=G)
 
 
 def predict_omega_ss(sd: SpectralData, params, r: np.ndarray | None = None) -> np.ndarray:

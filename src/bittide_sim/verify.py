@@ -11,17 +11,16 @@ and the suite shows that condition is load-bearing.
 
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .controller import ReframeSchedule
-from .dynamics import (IntegratorSettings, SystemParams, init_state,
-                       make_system_params, run)
-from .graph import Topology, build_incidence, generate_topology, \
-    is_strongly_connected
-from .spectral import (SpectralError, build_closed_loop, matrix_exponential,
-                       metzler_eigenvector, predict_beta_ss, predict_omega_ss,
-                       steady_state_correction)
+from .dynamics import (IntegratorSettings, System, SystemParams,
+                       make_system_params, prepare, run)
+from .graph import Topology, TopologyError, build_incidence, generate_topology
+from .spectral import (SpectralError, matrix_exponential, predict_beta_ss,
+                       predict_omega_ss, steady_state_correction)
 
 E_FOLDS = 50.0
 TOL_ALGEBRA = 1e-10       # exact identities
@@ -47,6 +46,15 @@ class Scenario:
         return {"seed": self.seed, "n": self.topology.n, "m": self.topology.m,
                 "k": self.params.k, "label": self.label}
 
+    @cached_property
+    def system(self) -> System:
+        """Prepared on first use and shared by every check of this scenario."""
+        return prepare(self.topology, self.params, self.theta0)
+
+
+# errors of prepare that make a scenario invalid for the closed-loop checks
+_INVALID = (SpectralError, TopologyError)
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -61,25 +69,11 @@ class Verdict:
         return self.status in (PASS, NOT_APPLICABLE)
 
 
-def _setup(scenario: Scenario):
-    inc = build_incidence(scenario.topology)
-    _, params = init_state(inc, scenario.params, scenario.theta0)
-    clm = build_closed_loop(inc, params)
-    sd = metzler_eigenvector(clm)
-    return inc, params, clm, sd
-
-
-def _simulate(scenario: Scenario, schedule=None, q=None, samples=8):
-    inc = build_incidence(scenario.topology)
-    _, params = init_state(inc, scenario.params, scenario.theta0)
-    if q is not None:
-        params = replace(params, q=np.asarray(q, dtype=float))
-    sd = metzler_eigenvector(build_closed_loop(inc, params))
-    horizon = sd.horizon(E_FOLDS)
+def _simulate(system: System, schedule=None, samples=8):
+    horizon = system.sd.horizon(E_FOLDS)
     settings = IntegratorSettings(horizon=horizon, post_horizon=horizon,
                                   sample_interval=horizon / samples)
-    return run(scenario.topology, params, schedule, settings,
-               theta0=scenario.theta0)
+    return run(system, schedule=schedule, settings=settings)
 
 
 def check_feasible_residual(scenario: Scenario) -> Verdict:
@@ -87,9 +81,10 @@ def check_feasible_residual(scenario: Scenario) -> Verdict:
     name = "feasible-residual-in-range"
     explicit = scenario.params.beta_off is not None
     try:
-        _, params, clm, _ = _setup(scenario)
-    except SpectralError as exc:
+        system = scenario.system
+    except _INVALID as exc:
         return Verdict(name, INVALID, detail=str(exc))
+    clm = system.clm
     scale = max(1.0, float(np.abs(clm.r).max()))
     x, *_ = np.linalg.lstsq(clm.A, -clm.r, rcond=None)
     misfit = float(np.abs(clm.A @ x + clm.r).max())
@@ -105,9 +100,10 @@ def check_projector_limit(scenario: Scenario, horizon: float | None = None) -> V
     """e^{At} approaches the rank-one projector 1 z^T."""
     name = "projector-limit"
     try:
-        _, _, clm, sd = _setup(scenario)
-    except SpectralError as exc:
+        system = scenario.system
+    except _INVALID as exc:
         return Verdict(name, INVALID, detail=str(exc))
+    clm, sd = system.clm, system.sd
     h = horizon if horizon is not None else sd.horizon(E_FOLDS)
     gap = float(np.abs(matrix_exponential(clm, h) - sd.W).max())
     return Verdict(name, PASS if gap <= TOL_LIMIT else FAIL, gap, TOL_LIMIT,
@@ -119,16 +115,18 @@ def check_correction_limit(scenario: Scenario, n_random_q: int = 3) -> Verdict:
     a few random offsets."""
     name = "correction-limit"
     try:
-        _, params, clm, sd = _setup(scenario)
-    except SpectralError as exc:
+        system = scenario.system
+    except _INVALID as exc:
         return Verdict(name, INVALID, detail=str(exc))
+    params, clm, sd = system.params, system.clm, system.sd
     tol = TOL_LIMIT * float(np.abs(params.omega_u).max())
     rng = np.random.default_rng(abs(scenario.seed or 0))
     qs = [np.zeros(clm.n)] + [rng.normal(scale=0.01, size=clm.n)
                               for _ in range(n_random_q)]
     worst = 0.0
     for q in qs:
-        trace = _simulate(scenario, schedule=None, q=q)
+        # neither clm nor sd reads q, so one solve serves every offset
+        trace = _simulate(replace(system, params=replace(params, q=q)))
         predicted = steady_state_correction(sd, clm, params, q)
         worst = max(worst, float(np.abs(trace.correction[-1] - predicted).max()))
     return Verdict(name, PASS if worst <= tol else FAIL, worst, tol)
@@ -138,22 +136,18 @@ def check_occupancy_limit(scenario: Scenario) -> Verdict:
     """Pre-reframe occupancies converge to the group-inverse prediction."""
     name = "occupancy-limit-pre"
     try:
-        _, params, clm, sd = _setup(scenario)
-    except SpectralError as exc:
+        system = scenario.system
+    except _INVALID as exc:
         return Verdict(name, INVALID, detail=str(exc))
-    trace = _simulate(scenario, schedule=None)
-    predicted = predict_beta_ss(sd, clm, params)
+    trace = _simulate(system)
+    predicted = predict_beta_ss(system.sd, system.clm, system.params)
     gap = float(np.abs(trace.occupancy[-1] - predicted).max())
     return Verdict(name, PASS if gap <= TOL_LIMIT else FAIL, gap, TOL_LIMIT)
 
 
-def _reframed_trace(scenario: Scenario, sd):
-    horizon = sd.horizon(E_FOLDS)
-    schedule = ReframeSchedule(mode="fixed-time", T1=horizon)
-    settings = IntegratorSettings(horizon=horizon, post_horizon=horizon,
-                                  sample_interval=horizon / 8)
-    return run(scenario.topology, scenario.params, schedule, settings,
-               theta0=scenario.theta0)
+def _reframed_trace(system: System):
+    horizon = system.sd.horizon(E_FOLDS)
+    return _simulate(system, ReframeSchedule(mode="fixed-time", T1=horizon))
 
 
 def check_reframe_frequency(scenario: Scenario) -> Verdict:
@@ -161,12 +155,12 @@ def check_reframe_frequency(scenario: Scenario) -> Verdict:
     after a jump whose sign the settling transient undoes."""
     name = "reframe-frequency"
     try:
-        _, params, clm, sd = _setup(scenario)
-    except SpectralError as exc:
+        system = scenario.system
+    except _INVALID as exc:
         return Verdict(name, INVALID, detail=str(exc))
-    tol = TOL_LIMIT * float(np.abs(params.omega_u).max())
-    trace = _reframed_trace(scenario, sd)
-    consensus = predict_omega_ss(sd, params)
+    tol = TOL_LIMIT * float(np.abs(system.params.omega_u).max())
+    trace = _reframed_trace(system)
+    consensus = predict_omega_ss(system.sd, system.params)
     i = trace.mode.index("post-reframe")
     pre_terminal = trace.omega[i - 1]
     post_terminal = trace.omega[-1]
@@ -186,11 +180,11 @@ def check_reframe_centering(scenario: Scenario) -> Verdict:
     """Post-reframe occupancies land back on the offsets (needs feasibility)."""
     name = "reframe-centering"
     try:
-        _, params, clm, sd = _setup(scenario)
-    except SpectralError as exc:
+        system = scenario.system
+    except _INVALID as exc:
         return Verdict(name, INVALID, detail=str(exc))
-    trace = _reframed_trace(scenario, sd)
-    gap = float(np.abs(trace.occupancy[-1] - params.beta_off).max())
+    trace = _reframed_trace(system)
+    gap = float(np.abs(trace.occupancy[-1] - system.params.beta_off).max())
     return Verdict(name, PASS if gap <= TOL_CENTERING else FAIL, gap,
                    TOL_CENTERING)
 
@@ -200,9 +194,10 @@ def check_spectral_identities(scenario: Scenario,
     """z^T A = 0, W^2 = W, WA = AW = 0, and e^{At} row-stochastic."""
     name = "spectral-identities"
     try:
-        _, _, clm, sd = _setup(scenario)
-    except SpectralError as exc:
+        system = scenario.system
+    except _INVALID as exc:
         return Verdict(name, INVALID, detail=str(exc))
+    clm, sd = system.clm, system.sd
     A, z, W = clm.A, sd.z, sd.W
     scale = max(1.0, float(np.abs(A).max()))
     worst = max(
@@ -302,10 +297,9 @@ def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
             if v.residual is not None:
                 worst[v.check] = max(worst.get(v.check, 0.0), v.residual)
         try:
-            _, _, clm, _ = _setup(sc)
-            if not _is_diagonalizable(clm.A):
+            if not _is_diagonalizable(sc.system.clm.A):
                 non_diag = sc.fingerprint()
-        except SpectralError:
+        except _INVALID:
             pass
 
     if infeasible_count is None:

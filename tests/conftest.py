@@ -1,8 +1,9 @@
-import numpy as np
+import sys
+
 import pytest
 
-from bittide_sim import (Topology, build_closed_loop, build_incidence,
-                         make_system_params, metzler_eigenvector)
+from bittide_sim import Topology, make_system_params, prepare, spectral
+from bittide_sim.verify import make_random_scenario
 
 
 @pytest.fixture
@@ -27,38 +28,38 @@ def e1(two_cycle):
     feasible offsets at theta0 = 0 (so beta_off = (10, 10) and r = 0)."""
     params = make_system_params(two_cycle, k=0.1, omega_u=[1.00, 1.02],
                                 lam=10.0, beta_off=10.0)
-    inc = build_incidence(two_cycle)
-    clm = build_closed_loop(inc, params)
-    sd = metzler_eigenvector(clm)
-    return two_cycle, inc, params, clm, sd
+    s = prepare(two_cycle, params)
+    return two_cycle, s.inc, s.params, s.clm, s.sd
 
 
 def spectral_setup(topology, k, omega_u, lam=10.0, beta_off=None, theta0=0.0, q=0.0):
     """Build (inc, params-with-materialized-offsets, clm, sd) for a scenario."""
-    from bittide_sim import init_state
-
-    inc = build_incidence(topology)
     params = make_system_params(topology, k=k, omega_u=omega_u, lam=lam,
                                 beta_off=beta_off, q=q)
-    _, params = init_state(inc, params, theta0)
-    clm = build_closed_loop(inc, params)
-    sd = metzler_eigenvector(clm)
-    return inc, params, clm, sd
+    s = prepare(topology, params, theta0)
+    return s.inc, s.params, s.clm, s.sd
 
 
 def random_scenario(seed, n_range=(2, 8), k_range=(0.05, 1.0),
                     omega_range=(0.95, 1.05), extra_max=0.5):
     """Random strongly connected scenario with feasible offsets, q = 0."""
-    from bittide_sim import generate_topology
+    sc = make_random_scenario(seed, n_range, k_range, omega_range, extra_max)
+    return sc.topology, sc.params, sc.theta0
 
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(n_range[0], n_range[1] + 1))
-    frac = float(rng.uniform(0.0, extra_max))
-    topology = generate_topology("random-strong", n, seed=seed,
-                                 extra_edge_fraction=frac)
-    k = float(rng.uniform(*k_range))
-    omega_u = rng.uniform(*omega_range, size=n)
-    lam = rng.uniform(8.0, 12.0, size=topology.m)
-    theta0 = rng.uniform(-1.0, 1.0, size=n)
-    params = make_system_params(topology, k=k, omega_u=omega_u, lam=lam)
-    return topology, params, theta0
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Records one entry per metzler_eigenvector call, counted at every
+    module binding of the function, so calls through any import are seen."""
+    original = spectral.metzler_eigenvector
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "bittide_sim"
+                and getattr(module, "metzler_eigenvector", None) is original):
+            monkeypatch.setattr(module, "metzler_eigenvector", counting)
+    return calls

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from bittide_sim import (IntegratorSettings, ReframeSchedule, Topology,
-                         build_closed_loop, build_incidence, init_state,
                          make_system_params, matrix_exponential,
-                         metzler_eigenvector, predict_beta_ss, predict_omega_ss,
-                         run, steady_state_correction)
+                         predict_beta_ss, predict_omega_ss, prepare, run,
+                         steady_state_correction)
 from bittide_sim.cli import main as cli_main
 from bittide_sim.framesim import fault_report, run_discrete
 from bittide_sim.verify import make_infeasible_scenario, make_random_scenario
@@ -50,16 +49,13 @@ def battery():
     entries = []
     for i in range(BATTERY_SIZE):
         sc = make_random_scenario(i)
-        inc = build_incidence(sc.topology)
-        _, params = init_state(inc, sc.params, sc.theta0)
-        clm = build_closed_loop(inc, params)
-        sd = metzler_eigenvector(clm)
+        system = prepare(sc.topology, sc.params, sc.theta0)
+        params, clm, sd = system.params, system.clm, system.sd
         horizon = sd.horizon(E_FOLDS)
-        trace = run(sc.topology, sc.params,
-                    ReframeSchedule(mode="fixed-time", T1=horizon),
-                    IntegratorSettings(horizon=horizon, post_horizon=horizon,
-                                       sample_interval=horizon / 8),
-                    theta0=sc.theta0)
+        trace = run(system,
+                    schedule=ReframeSchedule(mode="fixed-time", T1=horizon),
+                    settings=IntegratorSettings(horizon=horizon, post_horizon=horizon,
+                                                sample_interval=horizon / 8))
         j = trace.mode.index("post-reframe")
         entries.append(BatteryEntry(
             scenario=sc, params=params, clm=clm, sd=sd,
@@ -115,15 +111,13 @@ def test_criterion_4_buffer_centering(battery):
     uncentered = 0
     for i in range(100):
         sc = make_infeasible_scenario(5000 + i)
-        inc = build_incidence(sc.topology)
-        _, params = init_state(inc, sc.params, sc.theta0)
-        sd = metzler_eigenvector(build_closed_loop(inc, params))
+        system = prepare(sc.topology, sc.params, sc.theta0)
+        params, sd = system.params, system.sd
         horizon = sd.horizon(E_FOLDS)
-        trace = run(sc.topology, sc.params,
-                    ReframeSchedule(mode="fixed-time", T1=horizon),
-                    IntegratorSettings(horizon=horizon, post_horizon=horizon,
-                                       sample_interval=horizon / 4),
-                    theta0=sc.theta0)
+        trace = run(system,
+                    schedule=ReframeSchedule(mode="fixed-time", T1=horizon),
+                    settings=IntegratorSettings(horizon=horizon, post_horizon=horizon,
+                                                sample_interval=horizon / 4))
         if np.abs(trace.occupancy[-1] - params.beta_off).max() > 1e-3:
             uncentered += 1
     criterion(4, "buffer centering", worst <= 1e-6 and uncentered >= 90,
@@ -157,9 +151,10 @@ def test_criterion_5_spectral_identities(battery):
 def test_criterion_6_hand_oracle_e1():
     topology = Topology(n=2, edges=[(1, 2), (2, 1)])
     params = make_system_params(topology, k=0.1, omega_u=[1.00, 1.02], lam=10.0)
-    trace = run(topology, params, ReframeSchedule(mode="fixed-time", T1=250.0),
-                IntegratorSettings(horizon=250.0, post_horizon=250.0,
-                                   sample_interval=25.0), theta0=0.0)
+    trace = run(prepare(topology, params, 0.0),
+                schedule=ReframeSchedule(mode="fixed-time", T1=250.0),
+                settings=IntegratorSettings(horizon=250.0, post_horizon=250.0,
+                                            sample_interval=25.0))
     j = trace.mode.index("post-reframe")
     checks = {
         "omega_ss": np.abs(trace.omega[j - 1] - 1.01).max() <= 1e-9,
@@ -241,15 +236,15 @@ def test_criterion_8_discrete_mode():
 
     cfg = parse_config(Path(__file__).resolve().parent.parent
                        / "configs" / "e1_discrete.json")
-    scenario = cfg.discrete_scenario()
+    scenario = cfg.discrete_scenario(cfg.system())
     trace = run_discrete(scenario)
     no_faults = fault_report(trace) == [] and not trace.aborted
     terminal_ok = np.abs(trace.occupancy[-1] - 10.0).max() <= 2.0  # 1 + 1 frames
 
-    cont = run(scenario.topology, scenario.params,
-               ReframeSchedule(mode="fixed-time", T1=250.0),
-               IntegratorSettings(horizon=250.0, post_horizon=250.0,
-                                  sample_interval=scenario.step_size()))
+    cont = run(scenario.system,
+               schedule=ReframeSchedule(mode="fixed-time", T1=250.0),
+               settings=IntegratorSettings(horizon=250.0, post_horizon=250.0,
+                                           sample_interval=scenario.step_size()))
     worst_gap = 0.0
     for phase in ("pre-reframe", "post-reframe"):
         di = [i for i, m in enumerate(trace.mode) if m == phase]

@@ -196,3 +196,10 @@ def test_run_seed_override_changes_generated_topology(tmp_path):
     assert a["config"]["topology_seed"] == 1
     assert a["config"] == c["config"]
     assert a["config"] != b["config"]
+
+
+@pytest.mark.parametrize("mode", [[], ["--discrete"]])
+def test_run_solves_once(tmp_path, solve_calls, mode):
+    assert run_cli("run", "--config", CONFIG_DIR / "e1.json",
+                   "--out", tmp_path, *mode) == 0
+    assert len(solve_calls) == 1

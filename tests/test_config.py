@@ -47,6 +47,19 @@ def test_dangling_node_named_in_error():
         parse_config_dict(raw)
 
 
+@pytest.mark.parametrize("edges, node", [
+    ([[1, 2], [2, 1], [2, 3]], 3),          # node 3 cannot reach node 1
+    ([[1, 2], [2, 1], [3, 1], [4, 3]], 3),  # nodes 3, 4 unreachable from node 1
+])
+def test_not_strongly_connected_error_text(edges, node):
+    raw = {"topology": {"edges": edges}, "k": 1.0, "omega_u": 1.0}
+    with pytest.raises(ConfigError) as info:
+        parse_config_dict(raw)
+    assert str(info.value) == (
+        f"config.topology: not strongly connected; node {node} is "
+        "unreachable from or cannot reach node 1")
+
+
 def test_missing_required_keys():
     with pytest.raises(ConfigError, match="missing required key 'k'"):
         parse_config_dict({"topology": "ring", "n": 3, "omega_u": 1.0})
@@ -122,7 +135,7 @@ def test_config_builds_runtime_objects():
     assert settings.horizon == 250.0
 
     dcfg = parse_config(CONFIG_DIR / "e1_discrete.json")
-    scen = dcfg.discrete_scenario()
+    scen = dcfg.discrete_scenario(dcfg.system())
     assert scen.capacity == 20 and scen.dt == 0.2
     assert scen.horizon == 500.0
 

@@ -4,7 +4,7 @@ import pytest
 from bittide_sim import (IntegratorSettings, NodeControllerState, NodeView,
                          ReframeError, ReframeSchedule, auto_reframe_trigger,
                          build_incidence, make_system_params, node_views,
-                         proportional_correction, reframe, run)
+                         prepare, proportional_correction, reframe, run)
 from conftest import random_scenario, spectral_setup
 
 
@@ -88,8 +88,9 @@ def test_reframe_at_centered_buffers_keeps_dynamics(e1):
     # if beta == beta_off at T1 the frozen correction is the previous q (zero)
     topology, _, params, _, _ = e1
     uniform = make_system_params(topology, k=0.1, omega_u=1.0)
-    trace = run(topology, uniform, ReframeSchedule(mode="fixed-time", T1=50.0),
-                IntegratorSettings(horizon=50.0, sample_interval=5.0))
+    trace = run(prepare(topology, uniform),
+                schedule=ReframeSchedule(mode="fixed-time", T1=50.0),
+                settings=IntegratorSettings(horizon=50.0, sample_interval=5.0))
     np.testing.assert_allclose(trace.reframe_payload, np.zeros(2), atol=1e-12)
     np.testing.assert_allclose(trace.occupancy[-1], uniform.lam, atol=1e-10)
 
@@ -98,8 +99,9 @@ def test_reframe_payload_matches_spectral_fixed_point(e1):
     from bittide_sim import steady_state_correction
 
     topology, _, params, clm, sd = e1
-    trace = run(topology, params, ReframeSchedule(mode="fixed-time", T1=250.0),
-                IntegratorSettings(horizon=250.0, sample_interval=25.0))
+    trace = run(prepare(topology, params),
+                schedule=ReframeSchedule(mode="fixed-time", T1=250.0),
+                settings=IntegratorSettings(horizon=250.0, sample_interval=25.0))
     f0 = steady_state_correction(sd, clm, params, q=np.zeros(2))
     np.testing.assert_allclose(trace.reframe_payload, f0, atol=1e-9)
     # post-reframe the correction settles back to the frozen value
@@ -128,8 +130,8 @@ def test_trigger_false_for_oscillation_above_epsilon():
 def test_auto_reframe_fires_after_transient_and_outcome_holds(e1):
     topology, _, params, _, sd = e1
     schedule = ReframeSchedule(mode="auto")  # eps = 1e-9 * 1.02, window = 100
-    trace = run(topology, params, schedule,
-                IntegratorSettings(horizon=400.0, sample_interval=2.0))
+    trace = run(prepare(topology, params), schedule=schedule,
+                settings=IntegratorSettings(horizon=400.0, sample_interval=2.0))
     assert trace.reframe_time is not None
     # stability needs the transient (rate 0.2) to decay below epsilon across
     # a full window: strictly after it, well before the horizon
@@ -154,12 +156,10 @@ def test_schedule_resolution_defaults(two_cycle):
 
 
 def test_staggered_reframe_reports_without_guarantees(e1):
-    from bittide_sim import run_staggered
-
     topology, _, params, _, _ = e1
-    trace = run_staggered(topology, params, reframe_times=[250.0, 260.0],
-                          settings=IntegratorSettings(horizon=250.0,
-                                                      sample_interval=10.0))
+    trace = run(prepare(topology, params),
+                schedule=ReframeSchedule(mode="fixed-time", T1=[250.0, 260.0]),
+                settings=IntegratorSettings(horizon=250.0, sample_interval=10.0))
     # all nodes eventually reframed and the run completed; terminal values are
     # reported, not asserted against the common-T1 guarantees
     assert trace.mode[-1] == "post-reframe"

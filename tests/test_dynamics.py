@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bittide_sim import (IntegratorSettings, ReframeSchedule, SimState,
                          build_closed_loop, build_incidence, init_state,
                          make_system_params, observe, predict_beta_ss,
-                         predict_omega_ss, run, step)
+                         predict_omega_ss, prepare, run, step)
 from bittide_sim.dynamics import POST_REFRAME, PRE_REFRAME, stability_bound
 from conftest import random_scenario, spectral_setup
 
@@ -121,8 +121,8 @@ def test_observe_per_node_form_matches_matrix_form():
 @given(seed=st.integers(0, 10**6))
 def test_consensus_conservation_and_cycle_invariant(seed):
     topology, params, theta0 = random_scenario(seed)
-    trace = run(topology, params, schedule=None,
-                settings=IntegratorSettings(sample_interval=None), theta0=theta0)
+    trace = run(prepare(topology, params, theta0), schedule=None,
+                settings=IntegratorSettings(sample_interval=None))
     inc, params2, clm, sd = spectral_setup(topology, params.k, params.omega_u,
                                            lam=params.lam, theta0=theta0)
     drift = float(sd.z @ (params2.omega_u + params2.q + clm.r))
@@ -144,7 +144,7 @@ def test_bidirectional_pairs_conserve_occupancy():
     params = make_system_params(topology, k=0.3,
                                 omega_u=rng.uniform(0.95, 1.05, 4),
                                 lam=rng.uniform(5.0, 15.0, topology.m))
-    trace = run(topology, params, schedule=None, theta0=rng.uniform(-1, 1, 4))
+    trace = run(prepare(topology, params, rng.uniform(-1, 1, 4)), schedule=None)
     rel = trace.occupancy - params.lam
     pairs = {tuple(e): i for i, e in enumerate(topology.edges)}
     for (s, d), i in pairs.items():
@@ -156,7 +156,7 @@ def test_run_converges_to_spectral_predictions():
     topology, params, theta0 = random_scenario(23)
     inc, params2, clm, sd = spectral_setup(topology, params.k, params.omega_u,
                                            lam=params.lam, theta0=theta0)
-    trace = run(topology, params, schedule=None, theta0=theta0)
+    trace = run(prepare(topology, params, theta0), schedule=None)
     omega_end, _, beta_end = trace.terminal()
     w_pred = predict_omega_ss(sd, params2)
     assert np.abs(omega_end - w_pred).max() <= 1e-6 * np.abs(params.omega_u).max()
@@ -165,14 +165,14 @@ def test_run_converges_to_spectral_predictions():
 
 def test_uniform_clocks_flat_traces(ring3):
     params = make_system_params(ring3, k=0.2, omega_u=1.0)
-    trace = run(ring3, params, schedule=None, theta0=0.0)
+    trace = run(prepare(ring3, params, 0.0), schedule=None)
     assert np.abs(trace.correction).max() <= 1e-12
     assert np.ptp(trace.omega, axis=1).max() <= 1e-12
 
 
 def test_zero_horizon_single_sample(two_cycle):
     params = make_system_params(two_cycle, k=0.1, omega_u=[1.0, 1.02])
-    trace = run(two_cycle, params, schedule=None,
+    trace = run(prepare(two_cycle, params), schedule=None,
                 settings=IntegratorSettings(horizon=0.0, sample_interval=1.0))
     assert len(trace) == 1
     assert trace.mode == [PRE_REFRAME]
@@ -181,8 +181,8 @@ def test_zero_horizon_single_sample(two_cycle):
 def test_run_records_reframe_sample_twice(e1):
     topology, _, params, _, _ = e1
     schedule = ReframeSchedule(mode="fixed-time", T1=250.0)
-    trace = run(topology, params, schedule,
-                IntegratorSettings(horizon=250.0, sample_interval=12.5))
+    trace = run(prepare(topology, params), schedule=schedule,
+                settings=IntegratorSettings(horizon=250.0, sample_interval=12.5))
     assert trace.reframe_time == pytest.approx(250.0)
     i = trace.mode.index(POST_REFRAME)
     assert trace.times[i] == trace.times[i - 1]
@@ -195,8 +195,8 @@ def test_run_records_reframe_sample_twice(e1):
 def test_run_reframing_restores_frequency_and_centers_buffers(e1):
     topology, _, params, clm, sd = e1
     schedule = ReframeSchedule(mode="fixed-time", T1=250.0)
-    trace = run(topology, params, schedule,
-                IntegratorSettings(horizon=250.0, sample_interval=25.0))
+    trace = run(prepare(topology, params), schedule=schedule,
+                settings=IntegratorSettings(horizon=250.0, sample_interval=25.0))
     omega_end, c_end, beta_end = trace.terminal()
     np.testing.assert_allclose(omega_end, [1.01, 1.01], atol=1e-9)
     np.testing.assert_allclose(beta_end, [10.0, 10.0], atol=1e-6)
@@ -208,17 +208,25 @@ def test_run_rejects_reducible_topology():
     topo = Topology(n=2, edges=[(1, 2)])
     params = make_system_params(topo, k=0.1, omega_u=1.0)
     with pytest.raises(ValueError, match="not strongly connected"):
-        run(topo, params, schedule=None)
+        run(prepare(topo, params), schedule=None)
 
 
 def test_trace_deterministic_across_runs():
     topology, params, theta0 = random_scenario(31)
     kwargs = dict(schedule=ReframeSchedule(mode="auto"),
-                  settings=IntegratorSettings(sample_interval=None),
-                  theta0=theta0)
-    a = run(topology, params, **kwargs)
-    b = run(topology, params, **kwargs)
+                  settings=IntegratorSettings(sample_interval=None))
+    a = run(prepare(topology, params, theta0), **kwargs)
+    b = run(prepare(topology, params, theta0), **kwargs)
     np.testing.assert_array_equal(a.times, b.times)
     np.testing.assert_array_equal(a.omega, b.omega)
     np.testing.assert_array_equal(a.occupancy, b.occupancy)
     assert a.mode == b.mode
+
+
+def test_disabled_controller_has_no_closed_loop(two_cycle):
+    # k = 0 is valid for the discrete mode only; the continuous run refuses it
+    params = make_system_params(two_cycle, k=0.0, omega_u=1.0)
+    system = prepare(two_cycle, params)
+    assert system.clm is None and system.sd is None
+    with pytest.raises(ValueError, match="k must be positive"):
+        run(system)

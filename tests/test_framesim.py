@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bittide_sim import (IntegratorSettings, ReframeSchedule, Topology,
-                         make_system_params, run)
+                         make_system_params, prepare, run)
 from bittide_sim.framesim import (DiscreteScenario, fault_report, init_discrete,
                                   run_discrete)
 
@@ -12,7 +12,7 @@ def e1_discrete(capacity=20, k=0.1, dt=0.2, horizon=500.0, T1=250.0,
     topology = Topology(n=2, edges=[(1, 2), (2, 1)])
     params = make_system_params(topology, k=k, omega_u=[1.00, 1.02], lam=lam)
     reframe = ReframeSchedule(mode="fixed-time", T1=T1) if T1 is not None else None
-    return DiscreteScenario(topology=topology, params=params, theta0=0.0,
+    return DiscreteScenario(system=prepare(topology, params, 0.0),
                             capacity=capacity, dt=dt, horizon=horizon,
                             reframe=reframe, continue_on_fault=continue_on_fault)
 
@@ -20,7 +20,7 @@ def e1_discrete(capacity=20, k=0.1, dt=0.2, horizon=500.0, T1=250.0,
 def test_identical_clocks_hold_offset_exactly():
     topology = Topology(n=2, edges=[(1, 2), (2, 1)])
     params = make_system_params(topology, k=0.1, omega_u=1.0, lam=10.0)
-    scenario = DiscreteScenario(topology=topology, params=params, theta0=0.0,
+    scenario = DiscreteScenario(system=prepare(topology, params, 0.0),
                                 capacity=20, horizon=200.0,
                                 reframe=ReframeSchedule(mode="fixed-time", T1=50.0))
     trace = run_discrete(scenario)
@@ -32,9 +32,7 @@ def test_identical_clocks_hold_offset_exactly():
 def test_initial_counters_match_feasible_offsets():
     state = init_discrete(e1_discrete())
     np.testing.assert_array_equal(state.occupancy(), [10, 10])
-    bufs = state.buffers(capacity=20)
-    assert all(b.virtual for b in bufs)
-    assert [b.occupancy for b in bufs] == [10, 10]
+    assert state.virtual
 
 
 def test_e1_discrete_settles_and_recenters_without_faults():
@@ -56,16 +54,17 @@ def test_fractional_link_constants_stay_in_band():
     topology = Topology(n=2, edges=[(1, 2), (2, 1)])
     params = make_system_params(topology, k=0.1, omega_u=[1.00, 1.02],
                                 lam=[10.7, 9.3])
-    scenario = DiscreteScenario(topology=topology, params=params,
-                                theta0=[0.25, -0.4], capacity=22, dt=0.2,
+    scenario = DiscreteScenario(system=prepare(topology, params, [0.25, -0.4]),
+                                capacity=22, dt=0.2,
                                 horizon=300.0,
                                 reframe=ReframeSchedule(mode="fixed-time",
                                                         T1=150.0))
     trace = run_discrete(scenario)
     assert trace.faults == []
-    cont = run(topology, params, ReframeSchedule(mode="fixed-time", T1=150.0),
-               IntegratorSettings(horizon=150.0, post_horizon=150.0,
-                                  sample_interval=0.2), theta0=[0.25, -0.4])
+    cont = run(prepare(topology, params, [0.25, -0.4]),
+               schedule=ReframeSchedule(mode="fixed-time", T1=150.0),
+               settings=IntegratorSettings(horizon=150.0, post_horizon=150.0,
+                                           sample_interval=0.2))
     for phase in ("pre-reframe", "post-reframe"):
         di = [i for i, m in enumerate(trace.mode) if m == phase]
         ci = [i for i, m in enumerate(cont.mode) if m == phase]
@@ -77,10 +76,10 @@ def test_fractional_link_constants_stay_in_band():
 def test_discrete_tracks_continuous_model_within_two_frames():
     scenario = e1_discrete()
     trace = run_discrete(scenario)
-    cont = run(scenario.topology, scenario.params,
-               ReframeSchedule(mode="fixed-time", T1=250.0),
-               IntegratorSettings(horizon=250.0, post_horizon=250.0,
-                                  sample_interval=scenario.step_size()))
+    cont = run(scenario.system,
+               schedule=ReframeSchedule(mode="fixed-time", T1=250.0),
+               settings=IntegratorSettings(horizon=250.0, post_horizon=250.0,
+                                           sample_interval=scenario.step_size()))
     # same reframe time; compare per phase on the discrete grid
     for phase in ("pre-reframe", "post-reframe"):
         di = [i for i, m in enumerate(trace.mode) if m == phase]
@@ -127,8 +126,8 @@ def test_capacity_advisory_warns():
         topology = Topology(n=2, edges=[(1, 2), (2, 1)])
         params = make_system_params(topology, k=0.001, omega_u=[1.0, 1.05],
                                     lam=100.0)
-        run_discrete(DiscreteScenario(topology=topology, params=params,
-                                      theta0=0.0, capacity=10, horizon=1.0))
+        run_discrete(DiscreteScenario(system=prepare(topology, params, 0.0),
+                                      capacity=10, horizon=1.0))
 
 
 def test_dt_bound_enforced():
@@ -138,8 +137,7 @@ def test_dt_bound_enforced():
 
 def test_quantization_unit_coarsens_measurement():
     trace1 = run_discrete(e1_discrete())
-    scenario4 = DiscreteScenario(topology=e1_discrete().topology,
-                                 params=e1_discrete().params, theta0=0.0,
+    scenario4 = DiscreteScenario(system=e1_discrete().system,
                                  capacity=40, quantization=4, dt=0.2,
                                  horizon=100.0, reframe=None)
     trace4 = run_discrete(scenario4)
@@ -150,8 +148,6 @@ def test_quantization_unit_coarsens_measurement():
 def test_scenario_validation():
     base = e1_discrete()
     with pytest.raises(ValueError, match="control period"):
-        DiscreteScenario(topology=base.topology, params=base.params, theta0=0.0,
-                         capacity=20, control_period=0.5)
+        DiscreteScenario(system=base.system, capacity=20, control_period=0.5)
     with pytest.raises(ValueError, match="capacity"):
-        DiscreteScenario(topology=base.topology, params=base.params, theta0=0.0,
-                         capacity=0)
+        DiscreteScenario(system=base.system, capacity=0)

@@ -129,8 +129,12 @@ def test_spectral_identities_on_random_graphs(seed):
     assert np.abs(A @ G - (I - W)).max() <= 1e-9
     assert np.abs(G @ W).max() <= 1e-9
     assert np.abs(W @ G).max() <= 1e-9
-    # stable part reproduces A and its inverse route reproduces G
-    T2, Lam, V2 = sd.stable_T2, sd.stable_Lam, sd.stable_V2
+    # stable part reproduces A and its inverse route reproduces G; the
+    # sorted real Schur form is an oracle independent of the bordered solve
+    T, Q, _ = la.schur(A, output="real",
+                       sort=lambda re, im: re < -1e-9 * max(scale, 1.0))
+    T2, Lam = Q[:, : n - 1], T[: n - 1, : n - 1]
+    V2 = np.linalg.inv(np.column_stack([np.ones(n), T2]))[1:, :].T
     assert np.abs(T2 @ Lam @ V2.T - A).max() <= 1e-10 * max(scale, 1.0)
     G_schur = T2 @ np.linalg.solve(Lam, V2.T)
     assert np.abs(G - G_schur).max() <= 1e-9

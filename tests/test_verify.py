@@ -113,13 +113,13 @@ def test_battery_small_run_passes_and_serializes():
 
 
 def test_battery_exercises_non_diagonalizable_matrix():
-    from bittide_sim.verify import _defective_scenario, _is_diagonalizable, _setup
+    from bittide_sim.verify import _defective_scenario, _is_diagonalizable
 
     report = run_battery(count=1, seed=0, infeasible_count=0)
     fp = report["summary"]["non_diagonalizable"]
     assert fp != "not exercised"
     # the pinned scenario guarantees the case even if no random draw hits one
-    _, _, clm, _ = _setup(_defective_scenario())
+    clm = _defective_scenario().system.clm
     assert not _is_diagonalizable(clm.A)
     labels = [row["scenario"]["label"] for row in report["scenarios"]]
     assert "defective-stable-part" in labels
@@ -137,3 +137,10 @@ def test_battery_deterministic():
     a["summary"].pop("elapsed_seconds")
     b["summary"].pop("elapsed_seconds")
     assert a == b
+
+
+def test_battery_solves_once_per_scenario(solve_calls):
+    report = run_battery(count=3, seed=0, infeasible_count=2)
+    # 3 random scenarios, the pinned defective one, and 2 negative controls
+    assert len(report["scenarios"]) + len(report["negative_controls"]) == 6
+    assert len(solve_calls) == 6
