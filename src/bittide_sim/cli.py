@@ -46,13 +46,14 @@ def trace_csv(times, modes, omega, correction, occupancy) -> str:
               + [f"omega_{i}" for i in range(1, n + 1)]
               + [f"c_{i}" for i in range(1, n + 1)]
               + [f"beta_{j}" for j in range(1, m + 1)])
+    # "%.17g" formats exactly as _fmt does; one template per trace, and one
+    # row at a time turned into Python floats, keeps memory at one row
+    template = ",".join(["%.17g", "%s"] + ["%.17g"] * (2 * n + m))
     lines = [",".join(header)]
     for i in range(len(times)):
-        row = [_fmt(times[i]), modes[i]]
-        row += [_fmt(v) for v in omega[i]]
-        row += [_fmt(v) for v in correction[i]]
-        row += [_fmt(v) for v in occupancy[i]]
-        lines.append(",".join(row))
+        lines.append(template % (float(times[i]), modes[i],
+                                 *omega[i].tolist(), *correction[i].tolist(),
+                                 *occupancy[i].tolist()))
     return "\n".join(lines) + "\n"
 
 

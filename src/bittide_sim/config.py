@@ -79,16 +79,19 @@ class ScenarioConfig:
                                  seed=self.topology_seed,
                                  extra_edge_fraction=self.extra_edge_fraction)
 
-    def system_params(self) -> SystemParams:
+    def system_params(self, topology: Topology) -> SystemParams:
+        """Params broadcast over `topology`, this config's topology."""
         beta_off = None if self.beta_off == FEASIBLE else np.array(self.beta_off)
-        return make_system_params(self.topology(), k=self.k,
+        return make_system_params(topology, k=self.k,
                                   omega_u=np.array(self.omega_u),
                                   lam=np.array(self.lam), beta_off=beta_off,
                                   q=np.array(self.q))
 
     def system(self) -> System:
         """The configured scenario, prepared once for every command to share."""
-        return prepare(self.topology(), self.system_params(), np.array(self.theta0))
+        topology = self.topology()
+        return prepare(topology, self.system_params(topology),
+                       np.array(self.theta0))
 
     def schedule(self) -> ReframeSchedule | None:
         if self.controller != "reframing":

@@ -73,13 +73,50 @@ def auto_reframe_trigger(times: np.ndarray, corrections: np.ndarray,
 
     Stability means max over the window of ||c(t) - c(t_end)||_inf <= epsilon.
     Returns False while less than a full window of samples has elapsed.
+    times must be non-decreasing: the window's first row is found by binary
+    search, so a step reads only the window, not the whole history.
     """
     if len(times) == 0 or times[-1] - times[0] < window:
         return False
     t_lo = times[-1] - window
-    in_window = times >= t_lo - 1e-12
-    dev = np.abs(corrections[in_window] - corrections[-1]).max()
+    start = np.searchsorted(times, t_lo - 1e-12, side="left")
+    dev = np.abs(corrections[start:] - corrections[-1]).max()
     return bool(dev <= epsilon)
+
+
+class CorrectionHistory:
+    """The run's (t, c) rows in preallocated arrays that double when full.
+
+    Appending is amortized O(n), and `times`/`corrections` are views of the
+    filled prefix, so the auto trigger reads the history without a copy.
+    """
+
+    def __init__(self, n: int):
+        self._t = np.empty(64)
+        self._c = np.empty((64, n))
+        self._len = 0
+
+    def __len__(self):
+        return self._len
+
+    def append(self, t: float, c: np.ndarray):
+        if self._len == len(self._t):
+            grown_t = np.empty(2 * self._len)
+            grown_c = np.empty((2 * self._len, self._c.shape[1]))
+            grown_t[:self._len] = self._t
+            grown_c[:self._len] = self._c
+            self._t, self._c = grown_t, grown_c
+        self._t[self._len] = t
+        self._c[self._len] = c
+        self._len += 1
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._t[:self._len]
+
+    @property
+    def corrections(self) -> np.ndarray:
+        return self._c[:self._len]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg as la
 
-from .controller import ReframeSchedule, auto_reframe_trigger
+from .controller import CorrectionHistory, ReframeSchedule, auto_reframe_trigger
 from .graph import (IncidenceSet, Topology, TopologyError, build_incidence,
                     is_strongly_connected)
 from .spectral import (ClosedLoopMatrix, SpectralData, build_closed_loop,
@@ -108,6 +108,13 @@ class IntegratorSettings:
     post_horizon: float | None = None  # time simulated after the reframe; None = horizon
 
 
+def feasible_offsets(src: np.ndarray, dst: np.ndarray, theta0: np.ndarray,
+                     lam: np.ndarray) -> np.ndarray:
+    """B^T theta0 + lambda, the offsets that are feasible at t = 0, from the
+    0-indexed edge endpoints."""
+    return theta0[src] - theta0[dst] + lam
+
+
 def init_state(inc: IncidenceSet, params: SystemParams,
                theta0) -> tuple[SimState, SystemParams]:
     """Materialize feasible offsets at t = 0 and build the initial state.
@@ -116,7 +123,7 @@ def init_state(inc: IncidenceSet, params: SystemParams,
     """
     theta0 = np.broadcast_to(np.asarray(theta0, dtype=float), (inc.n,)).copy()
     if params.beta_off is None:
-        beta_off = inc.B.T @ theta0 + params.lam
+        beta_off = feasible_offsets(inc.src, inc.dst, theta0, params.lam)
         params = replace(params, beta_off=beta_off)
     elif np.any(params.beta_off < 0):
         warnings.warn("explicit beta_off has negative entries; physically suspect",
@@ -282,7 +289,8 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
 
     stepper = _Stepper(clm, settings.method, settings.dt)
 
-    times, thetas, omegas, cs, betas, modes = [], [], [], [], [], []
+    history = CorrectionHistory(n)
+    thetas, omegas, betas, modes = [], [], [], []
     done = np.zeros(n, dtype=bool)
     reframe_time = None
     reframe_payload = None
@@ -290,10 +298,9 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
 
     def record(st: SimState):
         om, c, beta = observe(st, params, clm)
-        times.append(st.t)
+        history.append(st.t, c)
         thetas.append(st.theta.copy())
         omegas.append(om)
-        cs.append(c)
         betas.append(beta)
         modes.append(st.mode)
 
@@ -329,17 +336,17 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         state = stepper.advance(state, params, t_next - state.t)
         record(state)
         if (auto and not done.all()
-                and auto_reframe_trigger(np.array(times), np.array(cs),
+                and auto_reframe_trigger(history.times, history.corrections,
                                          schedule.epsilon, schedule.window)):
             # the pre-mode row at this instant was just recorded above
             state = do_reframe(state, ~done, record_pre=False)
 
     return SimTrace(
-        times=np.array(times),
+        times=history.times.copy(),
         theta=np.vstack(thetas),
         omega=np.vstack(omegas),
-        correction=np.vstack(cs),
-        occupancy=np.vstack(betas) if inc.m else np.empty((len(times), 0)),
+        correction=history.corrections.copy(),
+        occupancy=np.vstack(betas) if inc.m else np.empty((len(history), 0)),
         mode=modes,
         reframe_time=reframe_time,
         reframe_payload=reframe_payload,

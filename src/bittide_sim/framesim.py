@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controller import ReframeSchedule, auto_reframe_trigger, node_views, \
-    proportional_correction
+from .controller import CorrectionHistory, ReframeSchedule, \
+    auto_reframe_trigger, node_views, proportional_correction
 from .dynamics import System
 from .spectral import predict_beta_ss
 
@@ -27,12 +27,15 @@ from .spectral import predict_beta_ss
 class Fault:
     edge: int          # 1-indexed, config order
     t: float
-    direction: str     # "overflow" | "underflow"
+    # "overflow" | "underflow", or the broken counter invariant:
+    # "pointer-monotonicity" | "frame-conservation"
+    direction: str
     occupancy: int
 
 
-class OverflowFault(RuntimeError):
-    """A physical buffer left [0, capacity]."""
+class DiscreteFault(RuntimeError):
+    """A recorded fault that ends the run: a physical buffer left
+    [0, capacity], or the frame counters broke an invariant."""
 
     def __init__(self, fault: Fault):
         self.fault = fault
@@ -103,11 +106,21 @@ class DiscreteTrace:
 def _counters(inc, params, theta):
     # the write pointer leads the read pointer by the frames in flight on the
     # link, so occupancy = floor(theta_src + lambda) - floor(theta_dst)
-    src = inc.S.argmax(axis=0)
-    dst = inc.D.argmax(axis=0)
-    write = np.floor(theta[src] + params.lam).astype(np.int64)
-    read = np.floor(theta[dst]).astype(np.int64)
+    write = np.floor(theta[inc.src] + params.lam).astype(np.int64)
+    read = np.floor(theta[inc.dst]).astype(np.int64)
     return write, read
+
+
+def _check_invariant(state: DiscreteState, broken: np.ndarray,
+                     occ: np.ndarray, t: float, invariant: str):
+    """Record a fault on every edge in `broken` and abort the run; the
+    counters mean nothing afterwards, so continue_on_fault does not apply."""
+    if not broken.any():
+        return
+    faults = [Fault(edge=int(e) + 1, t=t, direction=invariant,
+                    occupancy=int(occ[e])) for e in np.flatnonzero(broken)]
+    state.faults.extend(faults)
+    raise DiscreteFault(faults[0])
 
 
 def _quantize(occ: np.ndarray, unit: int) -> np.ndarray:
@@ -148,25 +161,27 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
 
     # no frame is created or lost: pointers only advance, in lockstep with
     # whole cycles of the source and destination clocks
-    assert (write >= state.write).all() and (read >= state.read).all()
-    src = inc.S.argmax(axis=0)
+    occ = write - read
+    _check_invariant(state, (write < state.write) | (read < state.read), occ,
+                     t, "pointer-monotonicity")
+    src = inc.src
     emitted = write - np.floor(params.lam + theta0[src]).astype(np.int64)
     source_cycles = np.floor(new_theta[src]).astype(np.int64) - \
         np.floor(theta0[src]).astype(np.int64)
-    assert np.abs(emitted - source_cycles).max() <= 1
+    _check_invariant(state, np.abs(emitted - source_cycles) > 1, occ, t,
+                     "frame-conservation")
 
     state = DiscreteState(t=t, theta=new_theta, correction=state.correction.copy(),
                           next_fire=state.next_fire.copy(), write=write, read=read,
                           virtual=state.virtual, faults=state.faults)
     if not state.virtual:
-        occ = state.occupancy()
         for e in np.flatnonzero((occ < 0) | (occ > scenario.capacity)):
             fault = Fault(edge=int(e) + 1, t=t,
                           direction="underflow" if occ[e] < 0 else "overflow",
                           occupancy=int(occ[e]))
             state.faults.append(fault)
             if not scenario.continue_on_fault:
-                raise OverflowFault(fault)
+                raise DiscreteFault(fault)
 
     due = state.theta >= state.next_fire - 1e-12
     if due.any():
@@ -181,7 +196,8 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
 
 def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
     """Run the discrete scenario; a bound violation stops the run (and is
-    reported) unless continue_on_fault is set."""
+    reported) unless continue_on_fault is set, and a broken counter invariant
+    always stops it."""
     inc, params = scenario.system.inc, scenario.system.params
     _capacity_advisory(scenario)
 
@@ -193,14 +209,14 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
     horizon = scenario.horizon
 
     state = init_discrete(scenario)
-    times, omegas, cs, occs, modes = [], [], [], [], []
+    history = CorrectionHistory(inc.n)
+    omegas, occs, modes = [], [], []
     faults: list = state.faults
     reframe_time = None
     aborted = False
 
     def record(st: DiscreteState):
-        times.append(st.t)
-        cs.append(st.correction.copy())
+        history.append(st.t, st.correction)
         omegas.append(params.omega_u + st.correction)
         occs.append(_quantize(st.occupancy(), scenario.quantization).astype(float))
         modes.append("pre-reframe" if st.virtual else "post-reframe")
@@ -210,15 +226,15 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
     for _ in range(steps):
         try:
             state = discrete_step(state, scenario, params, dt)
-        except OverflowFault:
+        except DiscreteFault:
             # the fault is already in the shared fault list; the last good
             # sample stays the final trace row
             aborted = True
             break
         if not reframed:
             fire = (schedule.mode == "fixed-time" and state.t >= schedule.T1 - 1e-12)
-            if schedule.mode == "auto" and len(times) > 2:
-                fire = auto_reframe_trigger(np.array(times), np.array(cs),
+            if schedule.mode == "auto" and len(history) > 2:
+                fire = auto_reframe_trigger(history.times, history.corrections,
                                             schedule.epsilon, schedule.window)
             if fire:
                 record(state)  # pre-mode row at the reframe instant
@@ -230,8 +246,9 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
                 reframed = True
         record(state)
 
-    return DiscreteTrace(times=np.array(times), omega=np.vstack(omegas),
-                         correction=np.vstack(cs), occupancy=np.vstack(occs),
+    return DiscreteTrace(times=history.times.copy(), omega=np.vstack(omegas),
+                         correction=history.corrections.copy(),
+                         occupancy=np.vstack(occs),
                          mode=modes, faults=list(faults),
                          reframe_time=reframe_time, aborted=aborted)
 

@@ -47,11 +47,14 @@ class Topology:
 
 @dataclass(frozen=True)
 class IncidenceSet:
-    """Source (S), destination (D) and signed (B = S - D) incidence matrices."""
+    """Source (S), destination (D) and signed (B = S - D) incidence matrices,
+    and the 0-indexed source and destination node of every edge."""
 
     S: np.ndarray
     D: np.ndarray
     B: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
 
     @property
     def n(self) -> int:
@@ -68,6 +71,12 @@ class IncidenceSet:
         return int(self.D.sum(axis=1).max()) if self.m else 0
 
 
+def edge_endpoints(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """0-indexed source and destination node of every edge, in edge order."""
+    ends = np.array(topology.edges, dtype=np.intp).reshape(topology.m, 2) - 1
+    return ends[:, 0].copy(), ends[:, 1].copy()
+
+
 def build_incidence(topology: Topology) -> IncidenceSet:
     """Build S, D and B = S - D from the edge list.
 
@@ -75,12 +84,12 @@ def build_incidence(topology: Topology) -> IncidenceSet:
     row of edge e, so columns of B sum to zero by construction.
     """
     n, m = topology.n, topology.m
+    src, dst = edge_endpoints(topology)
     S = np.zeros((n, m))
     D = np.zeros((n, m))
-    for e, (src, dst) in enumerate(topology.edges):
-        S[src - 1, e] = 1.0
-        D[dst - 1, e] = 1.0
-    return IncidenceSet(S=S, D=D, B=S - D)
+    S[src, np.arange(m)] = 1.0
+    D[dst, np.arange(m)] = 1.0
+    return IncidenceSet(S=S, D=D, B=S - D, src=src, dst=dst)
 
 
 def reachable_from_node1(topology: Topology, reverse: bool = False) -> set:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .controller import ReframeSchedule
 from .dynamics import (IntegratorSettings, System, SystemParams,
-                       make_system_params, prepare, run)
-from .graph import Topology, TopologyError, build_incidence, generate_topology
+                       feasible_offsets, make_system_params, prepare, run)
+from .graph import Topology, TopologyError, edge_endpoints, generate_topology
 from .spectral import (SpectralError, matrix_exponential, predict_beta_ss,
                        predict_omega_ss, steady_state_correction)
 
@@ -245,8 +245,8 @@ def make_infeasible_scenario(seed: int, **kwargs) -> Scenario:
     """Same distribution, but beta_off is held one frame off a feasible value
     on the first edge, so r leaves the range of A."""
     base = make_random_scenario(seed, **kwargs)
-    inc = build_incidence(base.topology)
-    feasible = inc.B.T @ base.theta0 + base.params.lam
+    feasible = feasible_offsets(*edge_endpoints(base.topology), base.theta0,
+                                base.params.lam)
     bump = np.zeros(base.topology.m)
     bump[0] = 1.0
     params = replace(base.params, beta_off=feasible + bump)

@@ -47,11 +47,9 @@ def random_scenario(seed, n_range=(2, 8), k_range=(0.05, 1.0),
     return sc.topology, sc.params, sc.theta0
 
 
-@pytest.fixture
-def solve_calls(monkeypatch):
-    """Records one entry per metzler_eigenvector call, counted at every
-    module binding of the function, so calls through any import are seen."""
-    original = spectral.metzler_eigenvector
+def count_calls(monkeypatch, original) -> list:
+    """Records one entry per call of `original`, counted at every module
+    binding of the function, so calls through any import are seen."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -60,6 +58,12 @@ def solve_calls(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "bittide_sim"
-                and getattr(module, "metzler_eigenvector", None) is original):
-            monkeypatch.setattr(module, "metzler_eigenvector", counting)
+                and getattr(module, original.__name__, None) is original):
+            monkeypatch.setattr(module, original.__name__, counting)
     return calls
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """One entry per metzler_eigenvector call."""
+    return count_calls(monkeypatch, spectral.metzler_eigenvector)

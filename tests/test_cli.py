@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bittide_sim.cli import main, read_trace_csv
+from bittide_sim.cli import _fmt, main, read_trace_csv, trace_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -203,3 +203,35 @@ def test_run_solves_once(tmp_path, solve_calls, mode):
     assert run_cli("run", "--config", CONFIG_DIR / "e1.json",
                    "--out", tmp_path, *mode) == 0
     assert len(solve_calls) == 1
+
+
+@pytest.mark.parametrize("mode", [[], ["--discrete"]])
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_every_config_runs_to_an_exit_code(tmp_path, config, mode):
+    assert run_cli("run", "--config", CONFIG_DIR / config,
+                   "--out", tmp_path, *mode) in (0, 1)
+    assert (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("mode", [[], ["--continue-on-fault"]])
+def test_backward_clock_writes_fault_record(tmp_path, mode):
+    # eight_node's node 5 (in-degree 7, k = 0.2) runs its clock backward in
+    # discrete mode; the run aborts with a typed fault, not a traceback
+    assert run_cli("run", "--config", CONFIG_DIR / "eight_node.json",
+                   "--discrete", "--out", tmp_path, *mode) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["aborted"]
+    assert {f["direction"] for f in summary["faults"]} == {"pointer-monotonicity"}
+    faults = (tmp_path / "faults.csv").read_text().splitlines()
+    assert faults[0] == "edge,t,direction,occupancy"
+    assert len(faults) == len(summary["faults"]) + 1
+
+
+def test_trace_csv_rows_format_like_fmt():
+    values = np.array([[-0.0, np.inf, -np.inf, np.nan, 1e-300, 0.1, 1 / 3,
+                        -2.5e17, 5e-324]])
+    omega, correction, occupancy = values[:, :3], values[:, 3:6], values[:, 6:]
+    text = trace_csv(np.array([0.2]), ["pre-reframe"], omega, correction,
+                     occupancy)
+    row = ",".join([_fmt(0.2), "pre-reframe"] + [_fmt(v) for v in values[0]])
+    assert text.splitlines()[1] == row

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bittide_sim import graph
 from bittide_sim.config import (ConfigError, emit_config, parse_config,
                                 parse_config_dict)
+from conftest import count_calls
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -126,7 +128,7 @@ def test_round_trip_preserves_explicit_edges(tmp_path):
 
 def test_config_builds_runtime_objects():
     cfg = parse_config(CONFIG_DIR / "e1.json")
-    params = cfg.system_params()
+    params = cfg.system_params(cfg.topology())
     np.testing.assert_array_equal(params.omega_u, [1.00, 1.02])
     assert params.beta_off is None  # feasible tag materializes at init
     sched = cfg.schedule()
@@ -138,6 +140,16 @@ def test_config_builds_runtime_objects():
     scen = dcfg.discrete_scenario(dcfg.system())
     assert scen.capacity == 20 and scen.dt == 0.2
     assert scen.horizon == 500.0
+
+
+def test_system_generates_topology_once(monkeypatch):
+    cfg = parse_config_dict({"topology": "random-strong", "n": 6,
+                             "extra_edge_fraction": 0.4, "k": 0.2,
+                             "omega_u": 1.0})
+    calls = count_calls(monkeypatch, graph.generate_topology)
+    system = cfg.system()
+    assert len(calls) == 1
+    assert system.topology == cfg.topology()
 
 
 def test_not_json_is_config_error(tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bittide_sim import (IntegratorSettings, NodeControllerState, NodeView,
                          ReframeError, ReframeSchedule, auto_reframe_trigger,
                          build_incidence, make_system_params, node_views,
                          prepare, proportional_correction, reframe, run)
+from bittide_sim.controller import CorrectionHistory
 from conftest import random_scenario, spectral_setup
 
 
@@ -125,6 +128,48 @@ def test_trigger_false_for_oscillation_above_epsilon():
     times = np.linspace(0.0, 50.0, 501)
     c = np.column_stack([np.sin(times), np.cos(times)])
     assert not auto_reframe_trigger(times, c, epsilon=0.5, window=10.0)
+
+
+def _mask_trigger(times, corrections, epsilon, window):
+    # the trigger's former whole-history formula, kept as the reference
+    if len(times) == 0 or times[-1] - times[0] < window:
+        return False
+    t_lo = times[-1] - window
+    in_window = times >= t_lo - 1e-12
+    dev = np.abs(corrections[in_window] - corrections[-1]).max()
+    return bool(dev <= epsilon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.sampled_from([0.0, 1e-13, 0.1, 0.25, 1.0, 3.0]),
+                      min_size=1, max_size=60),
+       n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       window=st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5, 10.0]),
+       epsilon=st.sampled_from([0.0, 1e-3, 0.05, 0.5, 2.0]))
+def test_trigger_matches_whole_history_mask(steps, n, seed, window, epsilon):
+    # non-decreasing times with repeats, as the run loops produce them
+    times = np.cumsum(steps)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(scale=0.5, size=(len(times), n))
+    c[rng.random(len(times)) < 0.5] = c[-1]  # some rows settle on the last
+    assert (auto_reframe_trigger(times, c, epsilon, window)
+            == _mask_trigger(times, c, epsilon, window))
+
+
+def test_correction_history_views_grow_in_place():
+    history = CorrectionHistory(2)
+    rows = np.arange(300.0).reshape(150, 2)
+    for i, row in enumerate(rows):
+        history.append(0.5 * i, row)
+    assert len(history) == 150
+    np.testing.assert_array_equal(history.times, 0.5 * np.arange(150))
+    np.testing.assert_array_equal(history.corrections, rows)
+    before = history.corrections
+    history.append(75.0, [-1.0, -2.0])
+    # the buffer has room for the row: the old view shares it, unchanged
+    assert np.shares_memory(before, history.corrections)
+    np.testing.assert_array_equal(before, rows)
+    np.testing.assert_array_equal(history.corrections[-1], [-1.0, -2.0])
 
 
 def test_auto_reframe_fires_after_transient_and_outcome_holds(e1):

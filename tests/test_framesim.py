@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bittide_sim import (IntegratorSettings, ReframeSchedule, Topology,
                          make_system_params, prepare, run)
+from bittide_sim import framesim
 from bittide_sim.framesim import (DiscreteScenario, fault_report, init_discrete,
                                   run_discrete)
 
@@ -151,3 +154,51 @@ def test_scenario_validation():
         DiscreteScenario(system=base.system, capacity=20, control_period=0.5)
     with pytest.raises(ValueError, match="capacity"):
         DiscreteScenario(system=base.system, capacity=0)
+
+
+def test_auto_trigger_reads_history_without_copy(monkeypatch):
+    # consecutive trigger calls see views of one growing buffer; only the
+    # few doublings of that buffer move it, so no step copies the history
+    calls = []
+    original = framesim.auto_reframe_trigger
+
+    def recording(times, corrections, epsilon, window):
+        calls.append((times, corrections))
+        return original(times, corrections, epsilon, window)
+
+    monkeypatch.setattr(framesim, "auto_reframe_trigger", recording)
+    scenario = replace(e1_discrete(horizon=100.0),
+                       reframe=ReframeSchedule(mode="auto"))
+    run_discrete(scenario)
+    assert len(calls) > 400
+    moved = [i for i in range(1, len(calls))
+             if not (np.shares_memory(calls[i - 1][0], calls[i][0])
+                     and np.shares_memory(calls[i - 1][1], calls[i][1]))]
+    assert len(moved) <= int(np.log2(len(calls))) + 1
+
+
+def test_backward_clock_is_an_invariant_fault():
+    # at k = 1.5 a one-frame swing moves a correction by 1.5 and drives a
+    # frequency negative, so a pointer runs backward: the fault is recorded
+    # and the run stops, even with continue_on_fault
+    scenario = e1_discrete(k=1.5, T1=None, horizon=50.0, continue_on_fault=True)
+    trace = run_discrete(scenario)
+    assert trace.aborted
+    assert trace.faults
+    assert {f.direction for f in trace.faults} == {"pointer-monotonicity"}
+    assert trace.times[-1] < 50.0
+
+
+def test_created_frames_are_an_invariant_fault(monkeypatch):
+    # write pointers 3 frames ahead of their source clocks' whole cycles
+    counters = framesim._counters
+
+    def ahead(inc, params, theta):
+        write, read = counters(inc, params, theta)
+        return write + 3, read
+
+    monkeypatch.setattr(framesim, "_counters", ahead)
+    trace = run_discrete(e1_discrete(T1=None, horizon=10.0,
+                                     continue_on_fault=True))
+    assert trace.aborted and len(trace.times) == 1
+    assert [f.direction for f in trace.faults] == ["frame-conservation"] * 2

@@ -27,6 +27,14 @@ def test_incidence_column_structure():
     np.testing.assert_array_equal(inc.B, inc.S - inc.D)
 
 
+def test_incidence_edge_index_arrays():
+    topo = generate_topology("random-strong", 6, seed=3, extra_edge_fraction=0.4)
+    inc = build_incidence(topo)
+    np.testing.assert_array_equal(inc.src, inc.S.argmax(axis=0))
+    np.testing.assert_array_equal(inc.dst, inc.D.argmax(axis=0))
+    np.testing.assert_array_equal(inc.src + 1, [s for s, _ in topo.edges])
+
+
 def test_self_loop_rejected_names_edge():
     with pytest.raises(TopologyError, match=r"edge 2 .*self-loop"):
         Topology(n=3, edges=[(1, 2), (2, 2)])

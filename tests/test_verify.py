@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bittide_sim import Topology, make_system_params
+from bittide_sim import Topology, build_incidence, graph, make_system_params
 from bittide_sim.verify import (Scenario, check_correction_limit,
                                 check_feasible_residual, check_occupancy_limit,
                                 check_projector_limit, check_reframe_centering,
@@ -11,6 +11,7 @@ from bittide_sim.verify import (Scenario, check_correction_limit,
                                 check_spectral_identities,
                                 make_infeasible_scenario, make_random_scenario,
                                 run_battery)
+from conftest import count_calls
 
 
 @pytest.fixture
@@ -84,6 +85,17 @@ def test_occupancy_limit(e1_scenario):
 def test_reframe_checks(e1_scenario):
     assert check_reframe_frequency(e1_scenario).status == "pass"
     assert check_reframe_centering(e1_scenario).status == "pass"
+
+
+def test_infeasible_scenario_builds_no_incidence(monkeypatch):
+    calls = count_calls(monkeypatch, graph.build_incidence)
+    sc = make_infeasible_scenario(17)
+    assert calls == []
+    inc = build_incidence(sc.topology)
+    bump = np.zeros(sc.topology.m)
+    bump[0] = 1.0
+    np.testing.assert_array_equal(
+        sc.params.beta_off, inc.B.T @ sc.theta0 + sc.params.lam + bump)
 
 
 def test_centering_fails_without_feasibility():
