@@ -108,8 +108,7 @@ def cmd_run(cfg, out_dir: Path) -> int:
             for f in faults]
         _write(out_dir / "faults.csv", "\n".join(fault_lines) + "\n")
     else:
-        trace = run(system, schedule=cfg.schedule(),
-                    settings=cfg.integrator_settings())
+        trace = run(system, schedule=cfg.schedule(), settings=cfg.integrator)
         csv_text = trace_csv(trace.times, trace.mode, trace.omega,
                              trace.correction, trace.occupancy)
 
@@ -125,6 +124,8 @@ def cmd_run(cfg, out_dir: Path) -> int:
     _write(out_dir / "trace.csv", csv_text)
     _write(out_dir / "summary.json", _json_text(summary))
     print(f"wrote {out_dir / 'trace.csv'} ({len(trace.times)} samples)")
+    if discrete and (summary["faults"] or trace.aborted):
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 

@@ -28,23 +28,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ReframeSpec:
-    mode: str = "auto"               # fixed-time | auto
-    T1: float | None = None
-    epsilon: float | None = None
-    window: float | None = None
-
-
-@dataclass(frozen=True)
-class IntegratorSpec:
-    method: str = "exact"            # exact | rk4 | euler
-    dt: float | None = None
-    sample_interval: float | None = None
-    horizon: float | None = None
-    post_horizon: float | None = None
-
-
-@dataclass(frozen=True)
 class DiscreteSpec:
     enabled: bool = False
     control_period: float = 1.0
@@ -67,8 +50,8 @@ class ScenarioConfig:
     q: tuple = ()
     theta0: tuple = ()
     controller: str = "reframing"        # reframing | proportional
-    reframe: ReframeSpec = field(default_factory=ReframeSpec)
-    integrator: IntegratorSpec = field(default_factory=IntegratorSpec)
+    reframe: ReframeSchedule = field(default_factory=ReframeSchedule)
+    integrator: IntegratorSettings = field(default_factory=IntegratorSettings)
     discrete: DiscreteSpec = field(default_factory=DiscreteSpec)
     seed: int = 0
 
@@ -94,17 +77,7 @@ class ScenarioConfig:
                        np.array(self.theta0))
 
     def schedule(self) -> ReframeSchedule | None:
-        if self.controller != "reframing":
-            return None
-        r = self.reframe
-        return ReframeSchedule(mode=r.mode, T1=r.T1, epsilon=r.epsilon,
-                               window=r.window)
-
-    def integrator_settings(self) -> IntegratorSettings:
-        s = self.integrator
-        return IntegratorSettings(method=s.method, dt=s.dt,
-                                  sample_interval=s.sample_interval,
-                                  horizon=s.horizon, post_horizon=s.post_horizon)
+        return self.reframe if self.controller == "reframing" else None
 
     def discrete_scenario(self, system: System) -> DiscreteScenario:
         """The discrete-mode run of `system`, this config's prepared system."""
@@ -268,7 +241,7 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
     if mode not in ("fixed-time", "auto"):
         raise ConfigError(f"config.reframe.mode: expected 'fixed-time' or "
                           f"'auto', got {mode!r}")
-    reframe = ReframeSpec(
+    reframe = ReframeSchedule(
         mode=mode,
         T1=_optional_number(rraw, "T1", "config.reframe"),
         epsilon=_optional_number(rraw, "epsilon", "config.reframe"),
@@ -281,7 +254,7 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
     if method not in ("exact", "rk4", "euler"):
         raise ConfigError(f"config.integrator.method: expected 'exact', 'rk4' "
                           f"or 'euler', got {method!r}")
-    integrator = IntegratorSpec(
+    integrator = IntegratorSettings(
         method=method,
         dt=_optional_number(iraw, "dt", "config.integrator"),
         sample_interval=_optional_number(iraw, "sample_interval",

@@ -29,18 +29,21 @@ class NodeView:
 
 
 def node_views(topology: Topology, beta: np.ndarray, beta_off: np.ndarray,
-               q: np.ndarray) -> list[NodeView]:
-    """Partition a global occupancy vector into per-node views."""
+               q: np.ndarray, nodes=None) -> list[NodeView]:
+    """Partition a global occupancy vector into per-node views, one for each
+    of the 0-indexed `nodes` in order (default: every node)."""
     incoming: list[list[int]] = [[] for _ in range(topology.n)]
     for e, (_, dst) in enumerate(topology.edges):
         incoming[dst - 1].append(e)
+    if nodes is None:
+        nodes = range(topology.n)
     return [
-        NodeView(node=i + 1,
-                 in_edges=tuple(e + 1 for e in edges),
-                 occupancies=np.array([beta[e] for e in edges]),
-                 offsets=np.array([beta_off[e] for e in edges]),
+        NodeView(node=int(i) + 1,
+                 in_edges=tuple(e + 1 for e in incoming[i]),
+                 occupancies=np.array([beta[e] for e in incoming[i]]),
+                 offsets=np.array([beta_off[e] for e in incoming[i]]),
                  q=float(q[i]))
-        for i, edges in enumerate(incoming)
+        for i in nodes
     ]
 
 

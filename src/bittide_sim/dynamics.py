@@ -94,10 +94,6 @@ class SimTrace:
     def __len__(self):
         return len(self.times)
 
-    def terminal(self):
-        """(omega, correction, occupancy) at the final sample."""
-        return self.omega[-1], self.correction[-1], self.occupancy[-1]
-
 
 @dataclass(frozen=True)
 class IntegratorSettings:
@@ -178,7 +174,7 @@ def observe(state: SimState, params: SystemParams,
     """(omega, correction, occupancy) at the current state."""
     centered = state.theta - state.theta.mean()
     c = _apply_A(clm.A, state.theta) + params.q + clm.r
-    beta = clm.inc.B.T @ centered + params.lam
+    beta = clm.inc.edge_diff(centered) + params.lam
     return params.omega_u + c, c, beta
 
 

@@ -130,10 +130,9 @@ def _quantize(occ: np.ndarray, unit: int) -> np.ndarray:
 def _fire_controllers(state: DiscreteState, scenario: DiscreteScenario,
                       params, which: np.ndarray):
     occ_meas = _quantize(state.occupancy(), scenario.quantization).astype(float)
-    views = node_views(scenario.system.topology, occ_meas, params.beta_off,
-                       params.q)
-    for i in np.flatnonzero(which):
-        state.correction[i] = proportional_correction(views[i], params.k)
+    for view in node_views(scenario.system.topology, occ_meas, params.beta_off,
+                           params.q, nodes=np.flatnonzero(which)):
+        state.correction[view.node - 1] = proportional_correction(view, params.k)
 
 
 def init_discrete(scenario: DiscreteScenario) -> DiscreteState:

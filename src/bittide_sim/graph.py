@@ -1,4 +1,4 @@
-"""Directed network topologies and their incidence matrices.
+"""Directed network topologies and their incidence operators.
 
 A topology is a directed multigraph: n nodes (1-indexed everywhere a human
 sees them) and an ordered edge list whose order fixes the column indices of
@@ -47,28 +47,58 @@ class Topology:
 
 @dataclass(frozen=True)
 class IncidenceSet:
-    """Source (S), destination (D) and signed (B = S - D) incidence matrices,
-    and the 0-indexed source and destination node of every edge."""
+    """The 0-indexed source and destination node of every edge, and the
+    incidence operators built on them.
 
-    S: np.ndarray
-    D: np.ndarray
-    B: np.ndarray
+    S, D and B = S - D are the dense n x m source, destination and signed
+    incidence matrices, built on demand: they define the operators, which
+    never form them.
+    """
+
+    n: int
     src: np.ndarray
     dst: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.S.shape[0]
-
-    @property
     def m(self) -> int:
-        return self.S.shape[1]
+        return len(self.src)
 
-    def in_degrees(self) -> np.ndarray:
-        return self.D.sum(axis=1)
+    def edge_diff(self, x: np.ndarray) -> np.ndarray:
+        """B^T x: x at each edge's source minus x at its destination."""
+        return x[self.src] - x[self.dst]
+
+    def in_sum(self, y: np.ndarray) -> np.ndarray:
+        """D y: the sum of y over each node's incoming edges."""
+        return np.bincount(self.dst, y, self.n)
+
+    def rate_matrix(self) -> np.ndarray:
+        """D B^T, the closed loop's rate matrix at unit gain: one per edge
+        from j into i, minus i's in-degree on the diagonal.  Parallel edges
+        each count, and every entry is an integer."""
+        M = np.zeros((self.n, self.n))
+        np.add.at(M, (self.dst, self.src), 1.0)
+        np.add.at(M, (self.dst, self.dst), -1.0)
+        return M
 
     def max_in_degree(self) -> int:
-        return int(self.D.sum(axis=1).max()) if self.m else 0
+        return int(np.bincount(self.dst).max()) if self.m else 0
+
+    def _dense(self, nodes: np.ndarray) -> np.ndarray:
+        M = np.zeros((self.n, self.m))
+        M[nodes, np.arange(self.m)] = 1.0
+        return M
+
+    @property
+    def S(self) -> np.ndarray:
+        return self._dense(self.src)
+
+    @property
+    def D(self) -> np.ndarray:
+        return self._dense(self.dst)
+
+    @property
+    def B(self) -> np.ndarray:
+        return self.S - self.D
 
 
 def edge_endpoints(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
@@ -78,18 +108,9 @@ def edge_endpoints(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_incidence(topology: Topology) -> IncidenceSet:
-    """Build S, D and B = S - D from the edge list.
-
-    Column e of S (resp. D) has a single 1 in the source (resp. destination)
-    row of edge e, so columns of B sum to zero by construction.
-    """
-    n, m = topology.n, topology.m
+    """The topology's edges as index arrays; no n x m matrix is formed."""
     src, dst = edge_endpoints(topology)
-    S = np.zeros((n, m))
-    D = np.zeros((n, m))
-    S[src, np.arange(m)] = 1.0
-    D[dst, np.arange(m)] = 1.0
-    return IncidenceSet(S=S, D=D, B=S - D, src=src, dst=dst)
+    return IncidenceSet(n=topology.n, src=src, dst=dst)
 
 
 def reachable_from_node1(topology: Topology, reverse: bool = False) -> set:

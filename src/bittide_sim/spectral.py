@@ -80,7 +80,7 @@ def build_closed_loop(inc: IncidenceSet, params) -> ClosedLoopMatrix:
 
     Requires k > 0 and an explicit (materialized) beta_off.  D B^T has exact
     integer entries, so the rate-matrix row sums are exact up to the single
-    scaling by k.
+    scaling by k: k * D B^T is the same bits however D B^T is summed.
     """
     if params.k <= 0:
         raise ValueError(f"gain k must be positive for the closed loop, got {params.k}")
@@ -93,8 +93,8 @@ def build_closed_loop(inc: IncidenceSet, params) -> ClosedLoopMatrix:
         raise ValueError(
             f"lambda/beta_off have shapes {params.lam.shape}/{params.beta_off.shape}, "
             f"expected ({m},)")
-    A = params.k * (inc.D @ inc.B.T)
-    r = params.k * (inc.D @ (params.lam - params.beta_off))
+    A = params.k * inc.rate_matrix()
+    r = params.k * inc.in_sum(params.lam - params.beta_off)
     return ClosedLoopMatrix(A=A, r=r, k=params.k, inc=inc)
 
 
@@ -179,7 +179,7 @@ def predict_beta_ss(sd: SpectralData, clm: ClosedLoopMatrix, params,
     if q is None:
         q = params.q
     v = params.omega_u + q + clm.r
-    return params.lam - clm.inc.B.T @ (sd.group_inverse @ v)
+    return params.lam - clm.inc.edge_diff(sd.group_inverse @ v)
 
 
 def matrix_exponential(clm: ClosedLoopMatrix, t: float) -> np.ndarray:

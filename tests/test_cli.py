@@ -216,9 +216,10 @@ def test_every_config_runs_to_an_exit_code(tmp_path, config, mode):
 @pytest.mark.parametrize("mode", [[], ["--continue-on-fault"]])
 def test_backward_clock_writes_fault_record(tmp_path, mode):
     # eight_node's node 5 (in-degree 7, k = 0.2) runs its clock backward in
-    # discrete mode; the run aborts with a typed fault, not a traceback
+    # discrete mode; the run aborts with a typed fault, not a traceback, and
+    # exits 1 like any other failed check
     assert run_cli("run", "--config", CONFIG_DIR / "eight_node.json",
-                   "--discrete", "--out", tmp_path, *mode) == 0
+                   "--discrete", "--out", tmp_path, *mode) == 1
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["aborted"]
     assert {f["direction"] for f in summary["faults"]} == {"pointer-monotonicity"}

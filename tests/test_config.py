@@ -133,7 +133,7 @@ def test_config_builds_runtime_objects():
     assert params.beta_off is None  # feasible tag materializes at init
     sched = cfg.schedule()
     assert sched.mode == "fixed-time" and sched.T1 == 250.0
-    settings = cfg.integrator_settings()
+    settings = cfg.integrator
     assert settings.horizon == 250.0
 
     dcfg = parse_config(CONFIG_DIR / "e1_discrete.json")

@@ -50,6 +50,22 @@ def test_node_views_partition_by_destination():
     assert sorted(seen) == list(range(1, topology.m + 1))
 
 
+def test_node_views_of_chosen_nodes_match_full_partition():
+    topology, params, theta0 = random_scenario(3)
+    _, params, _, _ = spectral_setup(topology, params.k, params.omega_u,
+                                     lam=params.lam, theta0=theta0)
+    beta = np.arange(topology.m, dtype=float)
+    every = node_views(topology, beta, params.beta_off, params.q)
+    nodes = [topology.n - 1, 0]
+    chosen = node_views(topology, beta, params.beta_off, params.q, nodes=nodes)
+    assert [v.node for v in chosen] == [i + 1 for i in nodes]
+    for v, i in zip(chosen, nodes):
+        assert v.in_edges == every[i].in_edges
+        np.testing.assert_array_equal(v.occupancies, every[i].occupancies)
+        np.testing.assert_array_equal(v.offsets, every[i].offsets)
+        assert v.q == every[i].q
+
+
 def test_view_exposes_no_global_state():
     # the control law's entire input surface: own incoming edges, their
     # measured occupancies and offsets, and the local q; no time, no theta
@@ -182,7 +198,7 @@ def test_auto_reframe_fires_after_transient_and_outcome_holds(e1):
     # a full window: strictly after it, well before the horizon
     assert 100.0 < trace.reframe_time < 350.0
     np.testing.assert_allclose(trace.reframe_payload, [0.01, -0.01], atol=1e-8)
-    omega_end, _, beta_end = trace.terminal()
+    omega_end, beta_end = trace.omega[-1], trace.occupancy[-1]
     np.testing.assert_allclose(omega_end, [1.01, 1.01], atol=1e-8)
     np.testing.assert_allclose(beta_end, [10.0, 10.0], atol=1e-6)
 

@@ -157,7 +157,7 @@ def test_run_converges_to_spectral_predictions():
     inc, params2, clm, sd = spectral_setup(topology, params.k, params.omega_u,
                                            lam=params.lam, theta0=theta0)
     trace = run(prepare(topology, params, theta0), schedule=None)
-    omega_end, _, beta_end = trace.terminal()
+    omega_end, beta_end = trace.omega[-1], trace.occupancy[-1]
     w_pred = predict_omega_ss(sd, params2)
     assert np.abs(omega_end - w_pred).max() <= 1e-6 * np.abs(params.omega_u).max()
     assert np.abs(beta_end - predict_beta_ss(sd, clm, params2)).max() <= 1e-6
@@ -197,7 +197,7 @@ def test_run_reframing_restores_frequency_and_centers_buffers(e1):
     schedule = ReframeSchedule(mode="fixed-time", T1=250.0)
     trace = run(prepare(topology, params), schedule=schedule,
                 settings=IntegratorSettings(horizon=250.0, sample_interval=25.0))
-    omega_end, c_end, beta_end = trace.terminal()
+    omega_end, beta_end = trace.omega[-1], trace.occupancy[-1]
     np.testing.assert_allclose(omega_end, [1.01, 1.01], atol=1e-9)
     np.testing.assert_allclose(beta_end, [10.0, 10.0], atol=1e-6)
     np.testing.assert_allclose(trace.reframe_payload, [0.01, -0.01], atol=1e-9)

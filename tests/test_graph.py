@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bittide_sim import (Topology, TopologyError, build_incidence,
-                         generate_topology, is_strongly_connected)
+from bittide_sim import (Topology, TopologyError, build_closed_loop,
+                         build_incidence, generate_topology, init_state,
+                         is_strongly_connected, make_system_params, observe)
 
 
 def test_two_cycle_incidence_matrices():
@@ -33,6 +36,43 @@ def test_incidence_edge_index_arrays():
     np.testing.assert_array_equal(inc.src, inc.S.argmax(axis=0))
     np.testing.assert_array_equal(inc.dst, inc.D.argmax(axis=0))
     np.testing.assert_array_equal(inc.src + 1, [s for s, _ in topo.edges])
+
+
+def test_incidence_operators_match_dense_matrices():
+    topo = Topology(n=4, edges=[(1, 2), (1, 2), (2, 3), (3, 4), (4, 1), (3, 1)])
+    inc = build_incidence(topo)
+    x = np.array([0.5, -1.25, 3.0, 7.5])
+    y = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
+    np.testing.assert_array_equal(inc.edge_diff(x), inc.B.T @ x)
+    np.testing.assert_array_equal(inc.in_sum(y), inc.D @ y)
+    np.testing.assert_array_equal(inc.rate_matrix(), inc.D @ inc.B.T)
+    assert inc.max_in_degree() == 2
+
+
+def test_large_incidence_closed_loop_and_observe_stay_small():
+    # a 1024-node ring with 10465 distinct chords (m = 11489): dense n x m
+    # incidence matrices alone would take 3 * 94 MB
+    n, chords = 1024, 10465
+    rng = np.random.default_rng(0)
+    pick = rng.choice(n * (n - 2), size=chords, replace=False)
+    # hops of 0 and 1 would be self-loops and ring edges
+    src, hop = pick // (n - 2), pick % (n - 2) + 2
+    edges = [(i, i % n + 1) for i in range(1, n + 1)]
+    edges += [(int(s) + 1, int((s + h) % n) + 1) for s, h in zip(src, hop)]
+    topo = Topology(n=n, edges=edges)
+    params = make_system_params(topo, k=0.2, omega_u=rng.uniform(0.99, 1.01, n))
+    theta0 = rng.uniform(0.0, 1.0, n)
+    assert topo.m == 11489
+
+    tracemalloc.start()
+    try:
+        inc = build_incidence(topo)
+        state, params = init_state(inc, params, theta0)
+        observe(state, params, build_closed_loop(inc, params))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_self_loop_rejected_names_edge():

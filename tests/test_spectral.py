@@ -5,10 +5,10 @@ import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bittide_sim import (SpectralError, Topology, build_closed_loop,
+from bittide_sim import (SimState, SpectralError, Topology, build_closed_loop,
                          build_incidence, make_system_params,
-                         matrix_exponential, metzler_eigenvector,
-                         predict_beta_ss, predict_omega_ss,
+                         matrix_exponential, metzler_eigenvector, observe,
+                         predict_beta_ss, predict_omega_ss, prepare,
                          steady_state_correction)
 from conftest import random_scenario, spectral_setup
 
@@ -37,13 +37,34 @@ def test_two_cycle_closed_loop(e1):
     np.testing.assert_array_equal(clm.r, [0.0, 0.0])
 
 
+MULTIGRAPH = Topology(n=3, edges=[(1, 2), (1, 2), (2, 3), (3, 1)])
+
+
 def test_ring_chord_closed_loop_hand_expansion(ring3_chord):
-    # row i of A picks up +k per in-edge source and -k * in-degree on the diagonal
-    inc = build_incidence(ring3_chord)
-    params = make_system_params(ring3_chord, k=1.0, omega_u=1.0, beta_off=10.0)
-    clm = build_closed_loop(inc, params)
-    np.testing.assert_allclose(clm.A, [[-1, 0, 1], [1, -1, 0], [1, 1, -2]], atol=0)
-    np.testing.assert_allclose(clm.A, params.k * inc.D @ inc.B.T, atol=0)
+    # row i of A picks up +k per in-edge source and -k * in-degree on the
+    # diagonal; each of the multigraph's parallel edges into node 2 counts
+    for topology, hand in ((ring3_chord, [[-1, 0, 1], [1, -1, 0], [1, 1, -2]]),
+                           (MULTIGRAPH, [[-1, 0, 1], [2, -2, 0], [0, 1, -1]])):
+        inc = build_incidence(topology)
+        params = make_system_params(topology, k=1.0, omega_u=1.0, beta_off=10.0)
+        clm = build_closed_loop(inc, params)
+        np.testing.assert_allclose(clm.A, hand, atol=0)
+        np.testing.assert_allclose(clm.A, params.k * inc.D @ inc.B.T, atol=0)
+
+
+@pytest.mark.parametrize("topology", [
+    Topology(n=3, edges=[(1, 2), (2, 3), (3, 1), (1, 3)]), MULTIGRAPH],
+    ids=["ring3-chord", "multigraph"])
+def test_residual_and_occupancy_match_dense_incidence(topology):
+    params = make_system_params(topology, k=0.3, omega_u=[1.0, 1.01, 0.99],
+                                lam=[10.0, 9.5, 10.25, 11.0])
+    s = prepare(topology, params, theta0=[0.7, -0.2, 0.35])
+    inc, params, clm = s.inc, s.params, s.clm
+    np.testing.assert_array_equal(
+        clm.r, params.k * (inc.D @ (params.lam - params.beta_off)))
+    theta = np.array([40.1, 39.7, 40.45])
+    _, _, beta = observe(SimState(t=40.0, theta=theta), params, clm)
+    np.testing.assert_array_equal(beta, inc.B.T @ (theta - theta.mean()) + params.lam)
 
 
 def test_feasible_offsets_give_r_equal_minus_A_theta0(two_cycle):
