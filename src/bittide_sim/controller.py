@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import IncidenceSet, Topology
+from .graph import IncidenceSet, Topology, build_incidence
 
 
 class ReframeError(RuntimeError):
@@ -29,19 +29,21 @@ class NodeView:
 
 
 def node_views(topology: Topology, beta: np.ndarray, beta_off: np.ndarray,
-               q: np.ndarray, nodes=None) -> list[NodeView]:
+               q: np.ndarray, nodes=None, in_edges=None) -> list[NodeView]:
     """Partition a global occupancy vector into per-node views, one for each
-    of the 0-indexed `nodes` in order (default: every node)."""
-    incoming: list[list[int]] = [[] for _ in range(topology.n)]
-    for e, (_, dst) in enumerate(topology.edges):
-        incoming[dst - 1].append(e)
+    of the 0-indexed `nodes` in order (default: every node).
+
+    in_edges is the topology's `IncidenceSet.in_edges`; a caller that asks
+    for views on every step passes it, and None builds it here."""
+    if in_edges is None:
+        in_edges = build_incidence(topology).in_edges
     if nodes is None:
         nodes = range(topology.n)
     return [
         NodeView(node=int(i) + 1,
-                 in_edges=tuple(e + 1 for e in incoming[i]),
-                 occupancies=np.array([beta[e] for e in incoming[i]]),
-                 offsets=np.array([beta_off[e] for e in incoming[i]]),
+                 in_edges=tuple((in_edges[i] + 1).tolist()),
+                 occupancies=beta[in_edges[i]],
+                 offsets=beta_off[in_edges[i]],
                  q=float(q[i]))
         for i in nodes
     ]

@@ -134,6 +134,11 @@ class System:
     params carries the materialized beta_off and theta0 is broadcast to n
     nodes.  clm and sd are None for k == 0, a disabled controller that only
     the discrete mode can run.
+
+    flow_ops, when set, keeps the exact flow operators of clm.A per span for
+    every run of this closed loop.  A does not read q, so a system made by
+    `replace(system, params=...)` shares them.  None gives each run its own
+    operators, freed when the run returns.
     """
 
     topology: Topology
@@ -142,6 +147,7 @@ class System:
     theta0: np.ndarray
     clm: ClosedLoopMatrix | None
     sd: SpectralData | None
+    flow_ops: dict | None = field(default=None, compare=False, repr=False)
 
 
 def prepare(topology: Topology, params: SystemParams, theta0=0.0) -> System:
@@ -173,7 +179,7 @@ def observe(state: SimState, params: SystemParams,
             clm: ClosedLoopMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(omega, correction, occupancy) at the current state."""
     centered = state.theta - state.theta.mean()
-    c = _apply_A(clm.A, state.theta) + params.q + clm.r
+    c = clm.A @ centered + params.q + clm.r
     beta = clm.inc.edge_diff(centered) + params.lam
     return params.omega_u + c, c, beta
 
@@ -226,13 +232,15 @@ def step(state: SimState, params: SystemParams, clm: ClosedLoopMatrix,
 
 
 class _Stepper:
-    """Caches flow operators per dt; exact substeps equal the sample spacing."""
+    """Looks flow operators up per span in `ops`, building each once; exact
+    substeps equal the sample spacing."""
 
-    def __init__(self, clm: ClosedLoopMatrix, method: str, dt: float | None):
+    def __init__(self, clm: ClosedLoopMatrix, method: str, dt: float | None,
+                 ops: dict):
         self.clm = clm
         self.method = method
         self.sub_dt = dt
-        self._ops: dict[float, tuple] = {}
+        self._ops = ops
 
     def advance(self, state: SimState, params: SystemParams, span: float) -> SimState:
         if span <= 0:
@@ -283,7 +291,8 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
                                          (n,))
             events = sorted({float(t) for t in reframe_at})
 
-    stepper = _Stepper(clm, settings.method, settings.dt)
+    stepper = _Stepper(clm, settings.method, settings.dt,
+                       {} if system.flow_ops is None else system.flow_ops)
 
     history = CorrectionHistory(n)
     thetas, omegas, betas, modes = [], [], [], []

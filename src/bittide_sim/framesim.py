@@ -14,6 +14,7 @@ outside [0, capacity] is a detected fault, never a silent wrap.
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,14 @@ class DiscreteScenario:
             raise ValueError("capacity must be a positive frame count")
         if self.quantization < 1:
             raise ValueError("quantization unit must be at least one frame")
+
+    @cached_property
+    def source_origin(self) -> tuple[np.ndarray, np.ndarray]:
+        """floor(lambda + theta0) and floor(theta0) at each edge's source:
+        the write pointer and the source clock's whole cycles at t = 0."""
+        src, theta0 = self.system.inc.src, self.system.theta0
+        return (np.floor(self.system.params.lam + theta0[src]).astype(np.int64),
+                np.floor(theta0[src]).astype(np.int64))
 
     def step_size(self) -> float:
         bound = 1.0 / (4.0 * float(self.system.params.omega_u.max()))
@@ -130,8 +139,10 @@ def _quantize(occ: np.ndarray, unit: int) -> np.ndarray:
 def _fire_controllers(state: DiscreteState, scenario: DiscreteScenario,
                       params, which: np.ndarray):
     occ_meas = _quantize(state.occupancy(), scenario.quantization).astype(float)
-    for view in node_views(scenario.system.topology, occ_meas, params.beta_off,
-                           params.q, nodes=np.flatnonzero(which)):
+    system = scenario.system
+    for view in node_views(system.topology, occ_meas, params.beta_off, params.q,
+                           nodes=np.flatnonzero(which),
+                           in_edges=system.inc.in_edges):
         state.correction[view.node - 1] = proportional_correction(view, params.k)
 
 
@@ -155,7 +166,7 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     omega = params.omega_u + state.correction
     new_theta = state.theta + omega * dt
     t = state.t + dt
-    inc, theta0 = scenario.system.inc, scenario.system.theta0
+    inc = scenario.system.inc
     write, read = _counters(inc, params, new_theta)
 
     # no frame is created or lost: pointers only advance, in lockstep with
@@ -163,10 +174,9 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     occ = write - read
     _check_invariant(state, (write < state.write) | (read < state.read), occ,
                      t, "pointer-monotonicity")
-    src = inc.src
-    emitted = write - np.floor(params.lam + theta0[src]).astype(np.int64)
-    source_cycles = np.floor(new_theta[src]).astype(np.int64) - \
-        np.floor(theta0[src]).astype(np.int64)
+    write0, cycles0 = scenario.source_origin
+    emitted = write - write0
+    source_cycles = np.floor(new_theta[inc.src]).astype(np.int64) - cycles0
     _check_invariant(state, np.abs(emitted - source_cycles) > 1, occ, t,
                      "frame-conservation")
 

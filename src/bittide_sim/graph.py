@@ -7,6 +7,7 @@ every m-column matrix downstream (traces, reports, link constants).
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,14 @@ class IncidenceSet:
 
     def max_in_degree(self) -> int:
         return int(np.bincount(self.dst).max()) if self.m else 0
+
+    @cached_property
+    def in_edges(self) -> list[np.ndarray]:
+        """Each node's incoming edge indices, in edge order; built once per
+        incidence."""
+        order = np.argsort(self.dst, kind="stable")
+        ends = np.cumsum(np.bincount(self.dst, minlength=self.n))[:-1]
+        return np.split(order, ends)
 
     def _dense(self, nodes: np.ndarray) -> np.ndarray:
         M = np.zeros((self.n, self.m))

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .controller import ReframeSchedule
-from .dynamics import (IntegratorSettings, System, SystemParams,
+from .dynamics import (IntegratorSettings, SimTrace, System, SystemParams,
                        feasible_offsets, make_system_params, prepare, run)
 from .graph import Topology, TopologyError, edge_endpoints, generate_topology
 from .spectral import (SpectralError, matrix_exponential, predict_beta_ss,
@@ -48,8 +48,24 @@ class Scenario:
 
     @cached_property
     def system(self) -> System:
-        """Prepared on first use and shared by every check of this scenario."""
-        return prepare(self.topology, self.params, self.theta0)
+        """Prepared on first use and shared by every check of this scenario,
+        with one flow-operator cache for all of its runs."""
+        return replace(prepare(self.topology, self.params, self.theta0),
+                       flow_ops={})
+
+    @cached_property
+    def own_q_trace(self) -> SimTrace:
+        """The proportional run at the scenario's own q, shared by the
+        correction and occupancy checks."""
+        return _simulate(self.system)
+
+    @cached_property
+    def reframed_trace(self) -> SimTrace:
+        """The run with one fixed-time reframe at the horizon, shared by both
+        reframe checks."""
+        horizon = self.system.sd.horizon(E_FOLDS)
+        return _simulate(self.system,
+                         ReframeSchedule(mode="fixed-time", T1=horizon))
 
 
 # errors of prepare that make a scenario invalid for the closed-loop checks
@@ -111,8 +127,8 @@ def check_projector_limit(scenario: Scenario, horizon: float | None = None) -> V
 
 
 def check_correction_limit(scenario: Scenario, n_random_q: int = 3) -> Verdict:
-    """Simulated correction converges to its affine map of q, for q = 0 and
-    a few random offsets."""
+    """Simulated correction converges to its affine map of q, for the
+    scenario's own q (zero in the battery) and a few random offsets."""
     name = "correction-limit"
     try:
         system = scenario.system
@@ -121,12 +137,14 @@ def check_correction_limit(scenario: Scenario, n_random_q: int = 3) -> Verdict:
     params, clm, sd = system.params, system.clm, system.sd
     tol = TOL_LIMIT * float(np.abs(params.omega_u).max())
     rng = np.random.default_rng(abs(scenario.seed or 0))
-    qs = [np.zeros(clm.n)] + [rng.normal(scale=0.01, size=clm.n)
-                              for _ in range(n_random_q)]
+    qs = [params.q] + [rng.normal(scale=0.01, size=clm.n)
+                       for _ in range(n_random_q)]
     worst = 0.0
-    for q in qs:
-        # neither clm nor sd reads q, so one solve serves every offset
-        trace = _simulate(replace(system, params=replace(params, q=q)))
+    for i, q in enumerate(qs):
+        # neither clm nor sd reads q, so one solve and one set of flow
+        # operators serve every offset
+        trace = (scenario.own_q_trace if i == 0 else
+                 _simulate(replace(system, params=replace(params, q=q))))
         predicted = steady_state_correction(sd, clm, params, q)
         worst = max(worst, float(np.abs(trace.correction[-1] - predicted).max()))
     return Verdict(name, PASS if worst <= tol else FAIL, worst, tol)
@@ -139,15 +157,9 @@ def check_occupancy_limit(scenario: Scenario) -> Verdict:
         system = scenario.system
     except _INVALID as exc:
         return Verdict(name, INVALID, detail=str(exc))
-    trace = _simulate(system)
     predicted = predict_beta_ss(system.sd, system.clm, system.params)
-    gap = float(np.abs(trace.occupancy[-1] - predicted).max())
+    gap = float(np.abs(scenario.own_q_trace.occupancy[-1] - predicted).max())
     return Verdict(name, PASS if gap <= TOL_LIMIT else FAIL, gap, TOL_LIMIT)
-
-
-def _reframed_trace(system: System):
-    horizon = system.sd.horizon(E_FOLDS)
-    return _simulate(system, ReframeSchedule(mode="fixed-time", T1=horizon))
 
 
 def check_reframe_frequency(scenario: Scenario) -> Verdict:
@@ -159,7 +171,7 @@ def check_reframe_frequency(scenario: Scenario) -> Verdict:
     except _INVALID as exc:
         return Verdict(name, INVALID, detail=str(exc))
     tol = TOL_LIMIT * float(np.abs(system.params.omega_u).max())
-    trace = _reframed_trace(system)
+    trace = scenario.reframed_trace
     consensus = predict_omega_ss(system.sd, system.params)
     i = trace.mode.index("post-reframe")
     pre_terminal = trace.omega[i - 1]
@@ -183,8 +195,8 @@ def check_reframe_centering(scenario: Scenario) -> Verdict:
         system = scenario.system
     except _INVALID as exc:
         return Verdict(name, INVALID, detail=str(exc))
-    trace = _reframed_trace(system)
-    gap = float(np.abs(trace.occupancy[-1] - system.params.beta_off).max())
+    gap = float(np.abs(scenario.reframed_trace.occupancy[-1]
+                       - system.params.beta_off).max())
     return Verdict(name, PASS if gap <= TOL_CENTERING else FAIL, gap,
                    TOL_CENTERING)
 
@@ -282,12 +294,17 @@ def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
                  for i in range(count)]
     if count > 0:
         scenarios.append(_defective_scenario())
+    # in seed order, popped so that each scenario's cached system, traces and
+    # flow operators are freed once its checks have run
+    scenarios.sort(key=lambda s: s.seed)
+    scenarios.reverse()
 
     rows = []
     worst: dict[str, float] = {}
     counts: dict[str, dict[str, int]] = {}
     non_diag = None
-    for sc in sorted(scenarios, key=lambda s: s.seed):
+    while scenarios:
+        sc = scenarios.pop()
         verdicts = [chk(sc) for chk in ALL_CHECKS]
         rows.append({"scenario": sc.fingerprint(),
                      "verdicts": [asdict(v) for v in verdicts]})

@@ -66,6 +66,21 @@ def test_node_views_of_chosen_nodes_match_full_partition():
         assert v.q == every[i].q
 
 
+def test_node_views_with_prebuilt_in_edges_match():
+    topology, params, theta0 = random_scenario(4)
+    inc, params, _, _ = spectral_setup(topology, params.k, params.omega_u,
+                                       lam=params.lam, theta0=theta0)
+    beta = np.arange(topology.m, dtype=float)
+    built = node_views(topology, beta, params.beta_off, params.q)
+    given = node_views(topology, beta, params.beta_off, params.q,
+                       in_edges=inc.in_edges)
+    for a, b in zip(built, given, strict=True):
+        assert (a.node, a.in_edges, a.q) == (b.node, b.in_edges, b.q)
+        assert all(type(e) is int for e in b.in_edges)
+        np.testing.assert_array_equal(a.occupancies, b.occupancies)
+        np.testing.assert_array_equal(a.offsets, b.offsets)
+
+
 def test_view_exposes_no_global_state():
     # the control law's entire input surface: own incoming edges, their
     # measured occupancies and offsets, and the local q; no time, no theta

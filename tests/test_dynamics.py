@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bittide_sim import (IntegratorSettings, ReframeSchedule, SimState,
-                         build_closed_loop, build_incidence, init_state,
+                         build_closed_loop, build_incidence, dynamics, init_state,
                          make_system_params, observe, predict_beta_ss,
                          predict_omega_ss, prepare, run, step)
 from bittide_sim.dynamics import POST_REFRAME, PRE_REFRAME, stability_bound
-from conftest import random_scenario, spectral_setup
+from conftest import count_calls, random_scenario, spectral_setup
 
 
 def test_init_feasible_offsets_at_zero_phase(two_cycle):
@@ -230,3 +232,23 @@ def test_disabled_controller_has_no_closed_loop(two_cycle):
     assert system.clm is None and system.sd is None
     with pytest.raises(ValueError, match="k must be positive"):
         run(system)
+
+
+def test_flow_operators_are_shared_by_runs_of_one_closed_loop(monkeypatch,
+                                                              two_cycle):
+    flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
+    params = make_system_params(two_cycle, k=0.1, omega_u=[1.00, 1.02])
+    settings = IntegratorSettings(horizon=10.0, sample_interval=1.0)
+    # prepare keeps no operators: each run builds and frees its own
+    own = prepare(two_cycle, replace(params, q=np.array([0.01, -0.01])))
+    reference = run(own, settings=settings)
+    assert own.flow_ops is None and len(flows) > 0
+    shared = replace(prepare(two_cycle, params), flow_ops={})
+    run(shared, settings=settings)
+    built = len(flows)
+    # another q is another drift, not another A: no new operator is built
+    moved = replace(shared, params=replace(shared.params, q=own.params.q))
+    trace = run(moved, settings=settings)
+    assert len(flows) == built
+    np.testing.assert_array_equal(trace.theta, reference.theta)
+    np.testing.assert_array_equal(trace.occupancy, reference.occupancy)

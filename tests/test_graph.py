@@ -38,6 +38,17 @@ def test_incidence_edge_index_arrays():
     np.testing.assert_array_equal(inc.src + 1, [s for s, _ in topo.edges])
 
 
+def test_in_edges_list_each_nodes_incoming_edges_in_order():
+    topo = generate_topology("random-strong", 6, seed=3, extra_edge_fraction=0.4)
+    inc = build_incidence(topo)
+    for i, edges in enumerate(inc.in_edges):
+        assert edges.tolist() == [e for e, (_, d) in enumerate(topo.edges)
+                                  if d == i + 1]
+    assert inc.in_edges is inc.in_edges    # built once per incidence
+    # a node without incoming edges gets an empty list
+    assert build_incidence(Topology(n=3, edges=[(1, 2), (1, 3)])).in_edges[0].size == 0
+
+
 def test_incidence_operators_match_dense_matrices():
     topo = Topology(n=4, edges=[(1, 2), (1, 2), (2, 3), (3, 4), (4, 1), (3, 1)])
     inc = build_incidence(topo)

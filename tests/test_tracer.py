@@ -4,15 +4,20 @@ import importlib.util
 from pathlib import Path
 
 import bittide_sim.cli  # noqa: F401  (the tracer wraps every module)
-from bittide_sim import Topology, graph
+from bittide_sim import Topology, graph, verify
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_benchmark_tracer_installs_and_restores():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_installs_and_restores():
+    tracer = _load_tracer()
     original = graph.build_incidence
     tr = tracer.Tracer()
     restore = tracer.install(tr)   # raises if a traced function is unbound
@@ -25,3 +30,25 @@ def test_benchmark_tracer_installs_and_restores():
     calls, _ = tr.self_times()
     assert calls["graph.build_incidence"] == 1
     assert tr.totals["graph.incidence_bytes"] == 3 * 3 * 3 * 8
+
+
+def test_benchmark_tracer_counts_the_battery_layers():
+    # the battery's gain shows in these counts; they must stay bound
+    tracer = _load_tracer()
+    tr = tracer.Tracer()
+    restore = tracer.install(tr)
+    try:
+        report = verify.run_battery(count=1, seed=0, infeasible_count=0)
+    finally:
+        restore()
+    assert report["all_pass"]
+    calls, _ = tr.self_times()
+    scenarios = len(report["scenarios"])    # one random and the defective one
+    # own q, 3 random q and one reframe per scenario
+    assert calls["dynamics.run"] == 5 * scenarios
+    assert 0 < calls["dynamics.exact_flow_operators"] < tr.calls["dynamics.step"]
+    for check in verify.ALL_CHECKS:
+        label = "verify.check." + check.__name__.removeprefix("check_")
+        assert calls[label] == scenarios
+    metrics = tr.metrics(tracer.span_labels())
+    assert metrics["dynamics.flow_cache_hit_ratio"] > 0.5

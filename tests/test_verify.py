@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bittide_sim import Topology, build_incidence, graph, make_system_params
+from bittide_sim import (Topology, build_incidence, dynamics, graph,
+                         make_system_params)
 from bittide_sim.verify import (Scenario, check_correction_limit,
                                 check_feasible_residual, check_occupancy_limit,
                                 check_projector_limit, check_reframe_centering,
@@ -156,3 +157,27 @@ def test_battery_solves_once_per_scenario(solve_calls):
     # 3 random scenarios, the pinned defective one, and 2 negative controls
     assert len(report["scenarios"]) + len(report["negative_controls"]) == 6
     assert len(solve_calls) == 6
+
+
+def test_battery_simulates_each_trajectory_once(monkeypatch):
+    runs = count_calls(monkeypatch, dynamics.run)
+    flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
+    run_battery(count=3, seed=0, infeasible_count=2)
+    # each of the 4 positive scenarios runs its own q, 3 random q and one
+    # reframe; each of the 2 negative controls runs one reframe
+    assert len(runs) == 4 * 5 + 2
+    # one closed loop per scenario, and one operator pair per distinct span
+    assert len(flows) <= 26
+
+
+@pytest.mark.parametrize("fill, check, shared", [
+    (check_reframe_centering, check_reframe_frequency, "reframed_trace"),
+    (check_reframe_frequency, check_reframe_centering, "reframed_trace"),
+    (check_occupancy_limit, check_correction_limit, "own_q_trace"),
+    (check_correction_limit, check_occupancy_limit, "own_q_trace"),
+])
+def test_checks_agree_on_a_shared_trace(fill, check, shared):
+    warm = make_random_scenario(5)
+    fill(warm)
+    assert shared in vars(warm)   # cached by the first check
+    assert check(warm) == check(make_random_scenario(5))
