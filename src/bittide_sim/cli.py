@@ -9,7 +9,7 @@ exactly and repeated runs on the same config are byte-identical.
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,11 +82,7 @@ def cmd_run(cfg, out_dir: Path) -> int:
     discrete = cfg.discrete.enabled
     summary = {"mode": "discrete" if discrete else "continuous",
                "config": config_to_dict(cfg)}
-    try:
-        system = cfg.system()
-    except SpectralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    system = cfg.system()
     params = system.params
     summary["predicted"] = {
         "omega_ss": [float(v) for v in predict_omega_ss(system.sd, params)],
@@ -130,11 +126,7 @@ def cmd_run(cfg, out_dir: Path) -> int:
 
 
 def cmd_analyze(cfg, out_dir: Path) -> int:
-    try:
-        system = cfg.system()
-    except SpectralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    system = cfg.system()
     params, clm, sd = system.params, system.clm, system.sd
     eigs = sorted(sd.eigenvalues, key=lambda v: (v.real, v.imag))
     report = {
@@ -274,17 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg, args):
-    from dataclasses import replace as dc_replace
-
     if getattr(args, "discrete", False):
-        cfg = dc_replace(cfg, discrete=dc_replace(cfg.discrete, enabled=True))
+        cfg = replace(cfg, discrete=replace(cfg.discrete, enabled=True))
     if getattr(args, "continue_on_fault", False):
-        cfg = dc_replace(cfg, discrete=dc_replace(cfg.discrete,
-                                                  continue_on_fault=True))
+        cfg = replace(cfg, discrete=replace(cfg.discrete,
+                                            continue_on_fault=True))
     if getattr(args, "seed", None) is not None:
-        cfg = dc_replace(cfg, seed=args.seed,
-                         topology_seed=args.seed if cfg.topology_kind else
-                         cfg.topology_seed)
+        cfg = replace(cfg, seed=args.seed,
+                      topology_seed=args.seed if cfg.topology_kind else
+                      cfg.topology_seed)
     return cfg
 
 
@@ -306,7 +296,7 @@ def main(argv=None) -> int:
             return cmd_run(cfg, Path(args.out))
         if args.command == "analyze":
             return cmd_analyze(cfg, Path(args.out))
-    except (ConfigError, TopologyError, FileNotFoundError) as exc:
+    except (ConfigError, TopologyError, SpectralError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     raise AssertionError(f"unhandled command {args.command}")

@@ -1,22 +1,22 @@
 """Continuous-time closed-loop integration.
 
 Between controller mode switches the system is linear time-invariant, so the
-default integrator advances the affine flow exactly through an augmented
-matrix exponential.  Fixed-step rk4/euler are kept to mimic discrete
-controller hardware; they carry an explicit stability bound on dt.
+default integrator advances the affine flow exactly: one n x n matrix
+exponential, with the drift's integral in closed form from the group inverse.
+Fixed-step rk4/euler are kept to mimic discrete controller hardware; they
+carry an explicit stability bound on dt.
 """
 
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as la
 
 from .controller import CorrectionHistory, ReframeSchedule, auto_reframe_trigger
 from .graph import (IncidenceSet, Topology, TopologyError, build_incidence,
                     is_strongly_connected)
 from .spectral import (ClosedLoopMatrix, SpectralData, build_closed_loop,
-                       metzler_eigenvector)
+                       matrix_exponential, metzler_eigenvector)
 
 PRE_REFRAME = "pre-reframe"
 POST_REFRAME = "post-reframe"
@@ -190,26 +190,31 @@ def stability_bound(inc: IncidenceSet, k: float) -> float:
     return float("inf") if k * deg == 0 else 1.0 / (k * deg)
 
 
-def exact_flow_operators(A: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{A dt}, integral_0^dt e^{As} ds) via one augmented exponential."""
-    n = A.shape[0]
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = A
-    aug[:n, n:] = np.eye(n)
-    E = la.expm(aug * dt)
-    return E[:n, :n], E[:n, n:]
+def exact_flow_operators(clm: ClosedLoopMatrix, sd: SpectralData,
+                         dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{A dt}, integral_0^dt e^{As} ds).
+
+    The integral is dt W + G (e^{A dt} - I): it vanishes at dt = 0, and its
+    derivative W + G A e^{At} = W + (I - W) e^{At} is e^{At}, since AG = I - W
+    and W e^{At} = W.
+    """
+    phi = matrix_exponential(clm, dt)
+    return phi, dt * sd.W + sd.group_inverse @ (phi - np.eye(clm.n))
 
 
 def step(state: SimState, params: SystemParams, clm: ClosedLoopMatrix,
-         dt: float, method: str = "exact",
+         dt: float, method: str = "exact", sd: SpectralData | None = None,
          _ops: tuple | None = None) -> SimState:
-    """Advance theta by dt under theta' = A theta + omega_u + q + r."""
+    """Advance theta by dt under theta' = A theta + omega_u + q + r; the
+    exact method uses the flow operators _ops, or builds them from sd."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     v = _drift(clm, params)
     theta = state.theta
     if method == "exact":
-        phi, integ = _ops if _ops is not None else exact_flow_operators(clm.A, dt)
+        if _ops is None and sd is None:
+            raise ValueError("the exact method needs the spectral data sd")
+        phi, integ = _ops if _ops is not None else exact_flow_operators(clm, sd, dt)
         new_theta = phi @ theta + integ @ v
     elif method in ("rk4", "euler"):
         bound = stability_bound(clm.inc, clm.k)
@@ -232,15 +237,15 @@ def step(state: SimState, params: SystemParams, clm: ClosedLoopMatrix,
 
 
 class _Stepper:
-    """Looks flow operators up per span in `ops`, building each once; exact
-    substeps equal the sample spacing."""
+    """Looks flow operators up per span in the system's `flow_ops` (or in
+    its own dict), building each once; exact substeps equal the sample
+    spacing."""
 
-    def __init__(self, clm: ClosedLoopMatrix, method: str, dt: float | None,
-                 ops: dict):
-        self.clm = clm
+    def __init__(self, system: System, method: str, dt: float | None):
+        self.clm, self.sd = system.clm, system.sd
         self.method = method
         self.sub_dt = dt
-        self._ops = ops
+        self._ops = {} if system.flow_ops is None else system.flow_ops
 
     def advance(self, state: SimState, params: SystemParams, span: float) -> SimState:
         if span <= 0:
@@ -248,7 +253,7 @@ class _Stepper:
         if self.method == "exact":
             ops = self._ops.get(span)
             if ops is None:
-                ops = exact_flow_operators(self.clm.A, span)
+                ops = exact_flow_operators(self.clm, self.sd, span)
                 self._ops[span] = ops
             return step(state, params, self.clm, span, "exact", _ops=ops)
         sub = self.sub_dt or stability_bound(self.clm.inc, self.clm.k) / 8.0
@@ -291,8 +296,7 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
                                          (n,))
             events = sorted({float(t) for t in reframe_at})
 
-    stepper = _Stepper(clm, settings.method, settings.dt,
-                       {} if system.flow_ops is None else system.flow_ops)
+    stepper = _Stepper(system, settings.method, settings.dt)
 
     history = CorrectionHistory(n)
     thetas, omegas, betas, modes = [], [], [], []
@@ -346,10 +350,17 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
             # the pre-mode row at this instant was just recorded above
             state = do_reframe(state, ~done, record_pre=False)
 
+    omega = np.vstack(omegas)
+    backward = np.argwhere(omega <= 0)
+    if backward.size:
+        # the model's clocks run forward: name the first such sample
+        row, i = backward[0]
+        warnings.warn(f"node {i + 1} has clock frequency {omega[row, i]:.6g} "
+                      f"<= 0 at t = {history.times[row]:.6g}", stacklevel=2)
     return SimTrace(
         times=history.times.copy(),
         theta=np.vstack(thetas),
-        omega=np.vstack(omegas),
+        omega=omega,
         correction=history.corrections.copy(),
         occupancy=np.vstack(betas) if inc.m else np.empty((len(history), 0)),
         mode=modes,

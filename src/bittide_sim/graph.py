@@ -150,6 +150,18 @@ def is_strongly_connected(topology: Topology) -> bool:
             and len(reachable_from_node1(topology, reverse=True)) == topology.n)
 
 
+def _non_ring_pair(n: int, idx: int) -> tuple[int, int]:
+    """The idx-th of the n (n - 2) non-ring pairs (i, j), in row-major order:
+    node i has n - 2 of them, every j but i and its ring successor."""
+    i, rank = divmod(idx, n - 2)
+    i += 1
+    lo, hi = sorted((i, i % n + 1))
+    j = rank + 1
+    j += j >= lo
+    j += j >= hi
+    return i, j
+
+
 def generate_topology(kind: str, n: int, seed: int = 0,
                       extra_edge_fraction: float = 0.0) -> Topology:
     """Generate a strongly connected topology, deterministic in the seed.
@@ -183,14 +195,7 @@ def generate_topology(kind: str, n: int, seed: int = 0,
             raise TopologyError(
                 f"extra_edge_fraction must be in [0, 1], got {extra_edge_fraction}"
             )
-        ring_set = set(ring)
-        candidates = [
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if i != j and (i, j) not in ring_set
-        ]
         count = int(extra_edge_fraction * n * (n - 2))
-        rng = random.Random(seed)
-        edges = ring + sorted(rng.sample(candidates, count))
+        picks = random.Random(seed).sample(range(n * (n - 2)), count)
+        edges = ring + sorted(_non_ring_pair(n, idx) for idx in picks)
     return Topology(n=n, edges=tuple(edges))

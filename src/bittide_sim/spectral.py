@@ -16,7 +16,6 @@ span(1).  This module computes those objects and the predictions.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .graph import IncidenceSet
 
@@ -98,51 +97,39 @@ def build_closed_loop(inc: IncidenceSet, params) -> ClosedLoopMatrix:
     return ClosedLoopMatrix(A=A, r=r, k=params.k, inc=inc)
 
 
+def _bordered_solve(M: np.ndarray, row: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve [[M, 1], [row, 0]] [x; mu] = rhs and return x."""
+    bordered = np.block([[M, np.ones((len(row), 1))], [row, 0.0]])
+    return np.linalg.solve(bordered, rhs)[:len(row)]
+
+
 def metzler_eigenvector(clm: ClosedLoopMatrix) -> SpectralData:
     """Compute z, W and the group inverse of A.
 
-    z comes from the null space of A^T (smallest singular triplet).  A sorted
-    real Schur form confirms that exactly n - 1 eigenvalues are stable, without
-    assuming A is diagonalizable.  The group inverse is solved from the
-    bordered system [[A, 1], [z^T, 0]], which is nonsingular exactly when the
-    zero eigenvalue is simple.
+    The eigenvalues must leave exactly n - 1 stable, so that zero is simple;
+    eigvals needs no diagonalizable A for that count.  z then solves the
+    bordered system [[A^T, 1], [1^T, 0]] [z; mu] = [0; 1] (A 1 = 0 forces
+    mu = 0), and the group inverse the bordered system [[A, 1], [z^T, 0]];
+    both are nonsingular exactly when the zero eigenvalue is simple.
     """
     A = clm.A
     n = A.shape[0]
     scale = max(float(np.abs(A).max()), 1.0)
 
-    _, svals, vh = np.linalg.svd(A.T)
-    if n > 1 and svals[-2] <= _NULL_TOL * scale:
+    eigenvalues = np.linalg.eigvals(A)
+    if np.count_nonzero(eigenvalues.real < -_NULL_TOL * scale) != n - 1:
         # zero eigenvalue not simple: the topology splits into closed classes
         raise SpectralError("graph not strongly connected")
-    z = vh[-1].copy()
-    if z.sum() < 0:
-        z = -z
-    z = z / z.sum()
+    ones = np.ones(n)
+    z = _bordered_solve(A.T, ones, np.append(np.zeros(n), 1.0))
     if z.min() <= _NULL_TOL:
         raise SpectralError("graph not strongly connected")
     resid = float(np.abs(z @ A).max())
     if resid > 1e-12 * scale:
         raise SpectralError(f"left null vector residual {resid:.3e} exceeds tolerance")
 
-    W = np.outer(np.ones(n), z)
-    eigenvalues = np.linalg.eigvals(A)
-
-    if n == 1:
-        G = np.zeros((1, 1))
-    else:
-        # the stable eigenvalues, sorted first, must number n - 1
-        _, _, sdim = la.schur(A, output="real", sort=lambda re, im: re < -_NULL_TOL * scale)
-        if sdim != n - 1:
-            raise SpectralError("graph not strongly connected")
-
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = A
-        bordered[:n, n] = 1.0
-        bordered[n, :n] = z
-        rhs = np.vstack([np.eye(n) - W, np.zeros((1, n))])
-        G = np.linalg.solve(bordered, rhs)[:n, :]
-
+    W = np.outer(ones, z)
+    G = _bordered_solve(A, z, np.vstack([np.eye(n) - W, np.zeros((1, n))]))
     return SpectralData(z=z, W=W, eigenvalues=eigenvalues, group_inverse=G)
 
 
@@ -183,7 +170,13 @@ def predict_beta_ss(sd: SpectralData, clm: ClosedLoopMatrix, params,
 
 
 def matrix_exponential(clm: ClosedLoopMatrix, t: float) -> np.ndarray:
-    """e^{At} for t >= 0; row-stochastic since A is a rate matrix."""
+    """e^{At} for t >= 0; row-stochastic since A is a rate matrix.
+
+    The package's one use of scipy, imported here so that the commands that
+    never exponentiate do not pay for loading it.
+    """
+    from scipy.linalg import expm
+
     if t < 0:
         raise ValueError(f"matrix exponential of the flow needs t >= 0, got {t}")
-    return la.expm(clm.A * t)
+    return expm(clm.A * t)

@@ -11,7 +11,7 @@ and the suite shows that condition is load-bearing.
 
 import time
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial, wraps
 
 import numpy as np
 
@@ -47,11 +47,22 @@ class Scenario:
                 "k": self.params.k, "label": self.label}
 
     @cached_property
+    def _prepared(self) -> System | Exception:
+        # prepare's error is kept too: a cached_property caches no exception
+        try:
+            return replace(prepare(self.topology, self.params, self.theta0),
+                           flow_ops={})
+        except _INVALID as exc:
+            return exc
+
+    @property
     def system(self) -> System:
         """Prepared on first use and shared by every check of this scenario,
-        with one flow-operator cache for all of its runs."""
-        return replace(prepare(self.topology, self.params, self.theta0),
-                       flow_ops={})
+        with one flow-operator cache for all of its runs; a scenario that
+        `prepare` rejects raises the same error on every use."""
+        if isinstance(self._prepared, Exception):
+            raise self._prepared
+        return self._prepared
 
     @cached_property
     def own_q_trace(self) -> SimTrace:
@@ -85,6 +96,21 @@ class Verdict:
         return self.status in (PASS, NOT_APPLICABLE)
 
 
+def _check(name: str):
+    """Makes `check(scenario, ...)` of `body(verdict, scenario, system, ...)`,
+    where `verdict` is Verdict with the name filled in; a scenario that
+    `prepare` rejected gets the invalid-scenario verdict."""
+    def wrap(body):
+        @wraps(body)
+        def check(scenario: Scenario, *args, **kwargs) -> Verdict:
+            if isinstance(scenario._prepared, Exception):
+                return Verdict(name, INVALID, detail=str(scenario._prepared))
+            return body(partial(Verdict, name), scenario, scenario.system,
+                        *args, **kwargs)
+        return check
+    return wrap
+
+
 def _simulate(system: System, schedule=None, samples=8):
     horizon = system.sd.horizon(E_FOLDS)
     settings = IntegratorSettings(horizon=horizon, post_horizon=horizon,
@@ -92,48 +118,38 @@ def _simulate(system: System, schedule=None, samples=8):
     return run(system, schedule=schedule, settings=settings)
 
 
-def check_feasible_residual(scenario: Scenario) -> Verdict:
+@_check("feasible-residual-in-range")
+def check_feasible_residual(verdict, scenario: Scenario, system: System) -> Verdict:
     """Feasible offsets put the residual r in the range of A."""
-    name = "feasible-residual-in-range"
     explicit = scenario.params.beta_off is not None
-    try:
-        system = scenario.system
-    except _INVALID as exc:
-        return Verdict(name, INVALID, detail=str(exc))
     clm = system.clm
     scale = max(1.0, float(np.abs(clm.r).max()))
     x, *_ = np.linalg.lstsq(clm.A, -clm.r, rcond=None)
     misfit = float(np.abs(clm.A @ x + clm.r).max())
     if misfit <= TOL_RANGE * scale:
-        return Verdict(name, PASS, misfit, TOL_RANGE * scale)
+        return verdict(PASS, misfit, TOL_RANGE * scale)
     if explicit:
-        return Verdict(name, NOT_APPLICABLE, misfit, TOL_RANGE * scale,
+        return verdict(NOT_APPLICABLE, misfit, TOL_RANGE * scale,
                        detail="infeasible init")
-    return Verdict(name, FAIL, misfit, TOL_RANGE * scale)
+    return verdict(FAIL, misfit, TOL_RANGE * scale)
 
 
-def check_projector_limit(scenario: Scenario, horizon: float | None = None) -> Verdict:
+@_check("projector-limit")
+def check_projector_limit(verdict, scenario: Scenario, system: System,
+                          horizon: float | None = None) -> Verdict:
     """e^{At} approaches the rank-one projector 1 z^T."""
-    name = "projector-limit"
-    try:
-        system = scenario.system
-    except _INVALID as exc:
-        return Verdict(name, INVALID, detail=str(exc))
     clm, sd = system.clm, system.sd
     h = horizon if horizon is not None else sd.horizon(E_FOLDS)
     gap = float(np.abs(matrix_exponential(clm, h) - sd.W).max())
-    return Verdict(name, PASS if gap <= TOL_LIMIT else FAIL, gap, TOL_LIMIT,
+    return verdict(PASS if gap <= TOL_LIMIT else FAIL, gap, TOL_LIMIT,
                    detail=f"horizon {h:.6g}")
 
 
-def check_correction_limit(scenario: Scenario, n_random_q: int = 3) -> Verdict:
+@_check("correction-limit")
+def check_correction_limit(verdict, scenario: Scenario, system: System,
+                           n_random_q: int = 3) -> Verdict:
     """Simulated correction converges to its affine map of q, for the
     scenario's own q (zero in the battery) and a few random offsets."""
-    name = "correction-limit"
-    try:
-        system = scenario.system
-    except _INVALID as exc:
-        return Verdict(name, INVALID, detail=str(exc))
     params, clm, sd = system.params, system.clm, system.sd
     tol = TOL_LIMIT * float(np.abs(params.omega_u).max())
     rng = np.random.default_rng(abs(scenario.seed or 0))
@@ -147,29 +163,21 @@ def check_correction_limit(scenario: Scenario, n_random_q: int = 3) -> Verdict:
                  _simulate(replace(system, params=replace(params, q=q))))
         predicted = steady_state_correction(sd, clm, params, q)
         worst = max(worst, float(np.abs(trace.correction[-1] - predicted).max()))
-    return Verdict(name, PASS if worst <= tol else FAIL, worst, tol)
+    return verdict(PASS if worst <= tol else FAIL, worst, tol)
 
 
-def check_occupancy_limit(scenario: Scenario) -> Verdict:
+@_check("occupancy-limit-pre")
+def check_occupancy_limit(verdict, scenario: Scenario, system: System) -> Verdict:
     """Pre-reframe occupancies converge to the group-inverse prediction."""
-    name = "occupancy-limit-pre"
-    try:
-        system = scenario.system
-    except _INVALID as exc:
-        return Verdict(name, INVALID, detail=str(exc))
     predicted = predict_beta_ss(system.sd, system.clm, system.params)
     gap = float(np.abs(scenario.own_q_trace.occupancy[-1] - predicted).max())
-    return Verdict(name, PASS if gap <= TOL_LIMIT else FAIL, gap, TOL_LIMIT)
+    return verdict(PASS if gap <= TOL_LIMIT else FAIL, gap, TOL_LIMIT)
 
 
-def check_reframe_frequency(scenario: Scenario) -> Verdict:
+@_check("reframe-frequency")
+def check_reframe_frequency(verdict, scenario: Scenario, system: System) -> Verdict:
     """Post-reframe frequency returns to the pre-reframe consensus value,
     after a jump whose sign the settling transient undoes."""
-    name = "reframe-frequency"
-    try:
-        system = scenario.system
-    except _INVALID as exc:
-        return Verdict(name, INVALID, detail=str(exc))
     tol = TOL_LIMIT * float(np.abs(system.params.omega_u).max())
     trace = scenario.reframed_trace
     consensus = predict_omega_ss(system.sd, system.params)
@@ -185,30 +193,22 @@ def check_reframe_frequency(scenario: Scenario) -> Verdict:
                      | (np.sign(settle) == -np.sign(jump)))
     status = PASS if worst <= tol and sign_ok else FAIL
     detail = "" if sign_ok else "settling direction does not undo the jump"
-    return Verdict(name, status, worst, tol, detail=detail)
+    return verdict(status, worst, tol, detail=detail)
 
 
-def check_reframe_centering(scenario: Scenario) -> Verdict:
+@_check("reframe-centering")
+def check_reframe_centering(verdict, scenario: Scenario, system: System) -> Verdict:
     """Post-reframe occupancies land back on the offsets (needs feasibility)."""
-    name = "reframe-centering"
-    try:
-        system = scenario.system
-    except _INVALID as exc:
-        return Verdict(name, INVALID, detail=str(exc))
     gap = float(np.abs(scenario.reframed_trace.occupancy[-1]
                        - system.params.beta_off).max())
-    return Verdict(name, PASS if gap <= TOL_CENTERING else FAIL, gap,
+    return verdict(PASS if gap <= TOL_CENTERING else FAIL, gap,
                    TOL_CENTERING)
 
 
-def check_spectral_identities(scenario: Scenario,
+@_check("spectral-identities")
+def check_spectral_identities(verdict, scenario: Scenario, system: System,
                               t_scales=(0.1, 1.0, 10.0)) -> Verdict:
     """z^T A = 0, W^2 = W, WA = AW = 0, and e^{At} row-stochastic."""
-    name = "spectral-identities"
-    try:
-        system = scenario.system
-    except _INVALID as exc:
-        return Verdict(name, INVALID, detail=str(exc))
     clm, sd = system.clm, system.sd
     A, z, W = clm.A, sd.z, sd.W
     scale = max(1.0, float(np.abs(A).max()))
@@ -225,7 +225,7 @@ def check_spectral_identities(scenario: Scenario,
         stochastic_ok &= float(E.min()) >= -1e-12
     status = PASS if worst <= TOL_ALGEBRA and stochastic_ok else FAIL
     detail = "" if stochastic_ok else "matrix exponential not row-stochastic"
-    return Verdict(name, status, worst, TOL_ALGEBRA, detail=detail)
+    return verdict(status, worst, TOL_ALGEBRA, detail=detail)
 
 
 ALL_CHECKS = (check_feasible_residual, check_projector_limit,
@@ -313,11 +313,9 @@ def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
             counts[v.check][v.status] += 1
             if v.residual is not None:
                 worst[v.check] = max(worst.get(v.check, 0.0), v.residual)
-        try:
-            if not _is_diagonalizable(sc.system.clm.A):
-                non_diag = sc.fingerprint()
-        except _INVALID:
-            pass
+        if (not isinstance(sc._prepared, Exception)
+                and not _is_diagonalizable(sc.system.clm.A)):
+            non_diag = sc.fingerprint()
 
     if infeasible_count is None:
         infeasible_count = min(count, 20)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -236,3 +239,26 @@ def test_trace_csv_rows_format_like_fmt():
                      occupancy)
     row = ",".join([_fmt(0.2), "pre-reframe"] + [_fmt(v) for v in values[0]])
     assert text.splitlines()[1] == row
+
+
+def test_commands_without_a_flow_leave_scipy_unloaded(tmp_path):
+    # only the matrix exponential needs scipy; the commands that never
+    # exponentiate must not pay for importing it
+    script = f"""
+import sys
+from bittide_sim import cli
+config, out = {str(CONFIG_DIR / "e1.json")!r}, {str(tmp_path)!r}
+for argv in (["analyze", "--config", config, "--out", out + "/analyze"],
+             ["gen-topology", "--kind", "random-strong", "--n", "8",
+              "--out", out + "/topology.json"],
+             ["run", "--config", config, "--discrete", "--out", out + "/run"],
+             ["plotdata", out + "/run/trace.csv", "--out", out + "/omega.txt"]):
+    assert cli.main(argv) == 0, argv
+assert "scipy.linalg" not in sys.modules
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -1,14 +1,17 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bittide_sim import (IntegratorSettings, ReframeSchedule, SimState,
-                         build_closed_loop, build_incidence, dynamics, init_state,
-                         make_system_params, observe, predict_beta_ss,
-                         predict_omega_ss, prepare, run, step)
+                         build_closed_loop, build_incidence, dynamics,
+                         generate_topology, init_state, make_system_params,
+                         observe, predict_beta_ss, predict_omega_ss, prepare,
+                         run, step)
 from bittide_sim.dynamics import POST_REFRAME, PRE_REFRAME, stability_bound
 from conftest import count_calls, random_scenario, spectral_setup
 
@@ -50,10 +53,10 @@ def test_feasible_residual_lies_in_range_of_A():
 
 def test_consensus_equilibrium_is_fixed(two_cycle):
     # uniform clocks, feasible start in span(1): nothing moves
-    inc, params, clm, _ = spectral_setup(two_cycle, k=0.5, omega_u=1.0,
-                                         theta0=[2.0, 2.0])
+    inc, params, clm, sd = spectral_setup(two_cycle, k=0.5, omega_u=1.0,
+                                          theta0=[2.0, 2.0])
     state = SimState(t=0.0, theta=np.array([2.0, 2.0]))
-    new = step(state, params, clm, dt=3.0, method="exact")
+    new = step(state, params, clm, dt=3.0, method="exact", sd=sd)
     np.testing.assert_allclose(new.theta - state.theta, 3.0 * np.ones(2),
                                atol=1e-12)
     _, c, beta = observe(new, params, clm)
@@ -62,24 +65,24 @@ def test_consensus_equilibrium_is_fixed(two_cycle):
 
 
 def test_exact_vs_rk4_agreement(e1):
-    _, inc, params, clm, _ = e1
+    _, inc, params, clm, sd = e1
     theta_e = np.zeros(2)
     theta_r = np.zeros(2)
     se = SimState(t=0.0, theta=theta_e)
     sr = SimState(t=0.0, theta=theta_r)
     dt = 0.01
     for _ in range(10000):  # horizon 100
-        se = step(se, params, clm, dt, "exact")
+        se = step(se, params, clm, dt, "exact", sd=sd)
         sr = step(sr, params, clm, dt, "rk4")
     assert np.abs(se.theta - sr.theta).max() <= 1e-8
 
 
 def test_euler_approaches_exact(e1):
-    _, inc, params, clm, _ = e1
+    _, inc, params, clm, sd = e1
     se = SimState(t=0.0, theta=np.zeros(2))
     su = SimState(t=0.0, theta=np.zeros(2))
     for _ in range(1000):
-        se = step(se, params, clm, 0.01, "exact")
+        se = step(se, params, clm, 0.01, "exact", sd=sd)
         su = step(su, params, clm, 0.01, "euler")
     assert np.abs(se.theta - su.theta).max() <= 1e-3
 
@@ -99,7 +102,7 @@ def test_explicit_methods_enforce_stability_bound(e1):
 def test_single_exact_step_to_steady_state(e1):
     _, inc, params, clm, sd = e1
     state = SimState(t=0.0, theta=np.array([0.4, -0.3]))
-    new = step(state, params, clm, dt=1e6, method="exact")
+    new = step(state, params, clm, dt=1e6, method="exact", sd=sd)
     omega, _, _ = observe(new, params, clm)
     np.testing.assert_allclose(omega, predict_omega_ss(sd, params), atol=1e-9)
 
@@ -252,3 +255,67 @@ def test_flow_operators_are_shared_by_runs_of_one_closed_loop(monkeypatch,
     assert len(flows) == built
     np.testing.assert_array_equal(trace.theta, reference.theta)
     np.testing.assert_array_equal(trace.occupancy, reference.occupancy)
+
+
+def test_negative_frequency_warns_once():
+    # one frame of offset error of 20 on each edge out of node 1 drives
+    # nodes 2..6 to omega = 1 - 20 at t = 0
+    topology = generate_topology("complete", 6)
+    params = make_system_params(topology, k=1.0, omega_u=1.0, lam=10.0,
+                                beta_off=[30.0] * 5 + [10.0] * (topology.m - 5))
+    with pytest.warns(UserWarning) as caught:
+        trace = run(prepare(topology, params))
+    messages = [str(w.message) for w in caught]
+    assert messages == ["node 2 has clock frequency -19 <= 0 at t = 0"]
+    np.testing.assert_array_equal(trace.omega[0, 1:], -19.0)
+    assert trace.times[-1] == pytest.approx(prepare(topology, params).sd.horizon())
+
+
+def test_positive_frequencies_do_not_warn(e1):
+    topology, _, params, _, _ = e1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run(prepare(topology, params))
+
+
+def _augmented_flow(A, dt):
+    """(e^{A dt}, integral_0^dt e^{As} ds) from one 2n x 2n exponential."""
+    n = A.shape[0]
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n] = A
+    aug[:n, n:] = np.eye(n)
+    E = la.expm(aug * dt)
+    return E[:n, :n], E[:n, n:]
+
+
+FLOW_DTS = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
+
+
+def _check_flow_operators(clm, sd, dt):
+    phi, psi = dynamics.exact_flow_operators(clm, sd, dt)
+    phi_ref, psi_ref = _augmented_flow(clm.A, dt)
+    W, G = sd.W, sd.group_inverse
+    psi_scale = dt + np.abs(G).max()
+    # the reference's own error grows with the square of |A dt|
+    s = max(1.0, np.abs(clm.A).max() * dt)
+    assert np.abs(phi - phi_ref).max() <= 1e-13 * s ** 2
+    assert np.abs(psi - psi_ref).max() <= 1e-13 * psi_scale * s ** 2
+    if sd.decay_rate() * dt >= 50.0:
+        # converged, where the exact values are W and dt W - G
+        assert np.abs(phi - W).max() <= 1e-12 * s
+        assert np.abs(psi - (dt * W - G)).max() <= 1e-12 * psi_scale * s
+
+
+@pytest.mark.parametrize("dt", FLOW_DTS)
+def test_flow_operators_match_augmented_exponential_defective(ring3_chord, dt):
+    _, _, clm, sd = spectral_setup(ring3_chord, k=1.0, omega_u=1.0)
+    _check_flow_operators(clm, sd, dt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), dt=st.sampled_from(FLOW_DTS))
+def test_flow_operators_match_augmented_exponential(seed, dt):
+    topology, params, theta0 = random_scenario(seed)
+    _, _, clm, sd = spectral_setup(topology, params.k, params.omega_u,
+                                   lam=params.lam, theta0=theta0)
+    _check_flow_operators(clm, sd, dt)

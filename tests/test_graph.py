@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -171,3 +172,21 @@ def test_generated_topologies_strongly_connected_and_balanced(n, seed, frac):
        n=st.integers(2, 10))
 def test_fixed_generators_strongly_connected(kind, n):
     assert is_strongly_connected(generate_topology(kind, n))
+
+
+def _listed_random_strong(n, seed, fraction):
+    """random-strong as a list of every non-ring pair, then sampled."""
+    ring = [(i, i % n + 1) for i in range(1, n + 1)]
+    candidates = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                  if i != j and (i, j) not in set(ring)]
+    count = int(fraction * n * (n - 2))
+    return tuple(ring + sorted(random.Random(seed).sample(candidates, count)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 60), seed=st.integers(0, 2**32),
+       fraction=st.floats(0.0, 1.0))
+def test_random_strong_sampler_matches_candidate_list(n, seed, fraction):
+    topology = generate_topology("random-strong", n, seed=seed,
+                                 extra_edge_fraction=fraction)
+    assert topology.edges == _listed_random_strong(n, seed, fraction)

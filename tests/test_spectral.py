@@ -141,6 +141,10 @@ def test_spectral_identities_on_random_graphs(seed):
     assert np.abs(z @ A).max() <= 1e-12 * scale
     assert z.min() > 0
     assert abs(z.sum() - 1) <= 1e-12
+    # the SVD's null vector of A^T is an oracle independent of the bordered
+    # solve that produced z
+    z_svd = np.linalg.svd(A.T)[2][-1]
+    np.testing.assert_allclose(z, z_svd / z_svd.sum(), rtol=0, atol=1e-12)
     assert np.abs(W @ W - W).max() <= ALG_TOL
     assert np.abs(W @ A).max() <= ALG_TOL * scale
     assert np.abs(A @ W).max() <= ALG_TOL * scale

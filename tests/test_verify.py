@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from bittide_sim import (Topology, build_incidence, dynamics, graph,
-                         make_system_params)
-from bittide_sim.verify import (Scenario, check_correction_limit,
+from bittide_sim import (Topology, TopologyError, build_incidence, dynamics,
+                         graph, make_system_params)
+from bittide_sim.verify import (ALL_CHECKS, Scenario, check_correction_limit,
                                 check_feasible_residual, check_occupancy_limit,
                                 check_projector_limit, check_reframe_centering,
                                 check_reframe_frequency,
@@ -181,3 +181,24 @@ def test_checks_agree_on_a_shared_trace(fill, check, shared):
     fill(warm)
     assert shared in vars(warm)   # cached by the first check
     assert check(warm) == check(make_random_scenario(5))
+
+
+def test_invalid_scenario_is_prepared_once(monkeypatch, reducible_scenario):
+    reach = count_calls(monkeypatch, graph.is_strongly_connected)
+    verdicts = [chk(reducible_scenario) for chk in ALL_CHECKS]
+    assert len(reach) == 1
+    assert [v.check for v in verdicts] == [
+        "feasible-residual-in-range", "projector-limit", "correction-limit",
+        "occupancy-limit-pre", "reframe-frequency", "reframe-centering",
+        "spectral-identities"]
+    assert {(v.status, v.detail) for v in verdicts} == {
+        ("invalid-scenario", "topology is not strongly connected")}
+    # the tracer labels the checks by these names
+    assert [chk.__name__ for chk in ALL_CHECKS] == [
+        "check_feasible_residual", "check_projector_limit",
+        "check_correction_limit", "check_occupancy_limit",
+        "check_reframe_frequency", "check_reframe_centering",
+        "check_spectral_identities"]
+    with pytest.raises(TopologyError, match="not strongly connected"):
+        reducible_scenario.system
+    assert len(reach) == 1
