@@ -2,10 +2,11 @@
 
 Each node sees only the occupancies of its own incoming buffers, its local
 offsets, and its own frequency offset q_i.  NodeView is that boundary: the
-control law takes a view and nothing else, so there is no API path through
-which a node could read another node's state or the global time.
+per-node law takes a view and nothing else, and the batched law gives each
+node a row of exactly its view's edges, so no node reads another's state.
 """
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +55,17 @@ def proportional_correction(view: NodeView, k: float) -> float:
     return k * float(np.sum(view.occupancies - view.offsets)) + view.q
 
 
+def proportional_corrections(in_blocks, beta, beta_off, q, k, due, out):
+    """proportional_correction of each node in the `due` mask, into out.  An
+    `IncidenceSet.in_blocks` row holds its node's in-edges in NodeView order,
+    and a row-wise sum reduces it as np.sum reduces the view: bit for bit."""
+    rel = beta - beta_off
+    for nodes, edges in in_blocks:
+        fire = due[nodes]
+        firing = nodes[fire]
+        out[firing] = k * rel[edges[fire]].sum(axis=1) + q[firing]
+
+
 @dataclass(frozen=True)
 class NodeControllerState:
     node: int
@@ -87,6 +99,12 @@ def auto_reframe_trigger(times: np.ndarray, corrections: np.ndarray,
     start = np.searchsorted(times, t_lo - 1e-12, side="left")
     dev = np.abs(corrections[start:] - corrections[-1]).max()
     return bool(dev <= epsilon)
+
+
+def warn_never_fired(schedule: "ReframeSchedule"):
+    """Warn that a run ended with its resolved auto schedule unfired."""
+    warnings.warn(f"auto reframe never fired: epsilon = {schedule.epsilon:.3g}, "
+                  f"window = {schedule.window:.6g}", stacklevel=3)
 
 
 class CorrectionHistory:

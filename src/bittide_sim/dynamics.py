@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controller import CorrectionHistory, ReframeSchedule, auto_reframe_trigger
+from .controller import (CorrectionHistory, ReframeSchedule, auto_reframe_trigger,
+                         warn_never_fired)
 from .graph import (IncidenceSet, Topology, TopologyError, build_incidence,
                     is_strongly_connected)
 from .spectral import (ClosedLoopMatrix, SpectralData, build_closed_loop,
@@ -350,6 +351,8 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
             # the pre-mode row at this instant was just recorded above
             state = do_reframe(state, ~done, record_pre=False)
 
+    if auto and reframe_time is None:
+        warn_never_fired(schedule)
     omega = np.vstack(omegas)
     backward = np.argwhere(omega <= 0)
     if backward.size:

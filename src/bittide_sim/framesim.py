@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .controller import CorrectionHistory, ReframeSchedule, \
-    auto_reframe_trigger, node_views, proportional_correction
-from .dynamics import System
+    auto_reframe_trigger, proportional_corrections, warn_never_fired
+from .dynamics import System, stability_bound
 from .spectral import predict_beta_ss
 
 
@@ -93,6 +93,7 @@ class DiscreteState:
     next_fire: np.ndarray      # local phase of each node's next controller update
     write: np.ndarray          # int64 frame counters per edge
     read: np.ndarray
+    measured: np.ndarray       # quantized occupancy; each step binds a new array
     virtual: bool
     faults: list = field(default_factory=list)
 
@@ -124,7 +125,7 @@ def _check_invariant(state: DiscreteState, broken: np.ndarray,
                      occ: np.ndarray, t: float, invariant: str):
     """Record a fault on every edge in `broken` and abort the run; the
     counters mean nothing afterwards, so continue_on_fault does not apply."""
-    if not broken.any():
+    if not np.count_nonzero(broken):
         return
     faults = [Fault(edge=int(e) + 1, t=t, direction=invariant,
                     occupancy=int(occ[e])) for e in np.flatnonzero(broken)]
@@ -133,17 +134,14 @@ def _check_invariant(state: DiscreteState, broken: np.ndarray,
 
 
 def _quantize(occ: np.ndarray, unit: int) -> np.ndarray:
-    return unit * np.floor_divide(occ, unit)
+    return (unit * np.floor_divide(occ, unit)).astype(float)
 
 
 def _fire_controllers(state: DiscreteState, scenario: DiscreteScenario,
                       params, which: np.ndarray):
-    occ_meas = _quantize(state.occupancy(), scenario.quantization).astype(float)
-    system = scenario.system
-    for view in node_views(system.topology, occ_meas, params.beta_off, params.q,
-                           nodes=np.flatnonzero(which),
-                           in_edges=system.inc.in_edges):
-        state.correction[view.node - 1] = proportional_correction(view, params.k)
+    proportional_corrections(scenario.system.inc.in_blocks, state.measured,
+                             params.beta_off, params.q, params.k, which,
+                             state.correction)
 
 
 def init_discrete(scenario: DiscreteScenario) -> DiscreteState:
@@ -153,7 +151,9 @@ def init_discrete(scenario: DiscreteScenario) -> DiscreteState:
     state = DiscreteState(t=0.0, theta=theta0,
                           correction=np.zeros(system.inc.n),
                           next_fire=theta0 + scenario.control_period,
-                          write=write, read=read, virtual=True)
+                          write=write, read=read,
+                          measured=_quantize(write - read, scenario.quantization),
+                          virtual=True)
     _fire_controllers(state, scenario, system.params,
                       np.ones(system.inc.n, dtype=bool))
     return state
@@ -161,13 +161,12 @@ def init_discrete(scenario: DiscreteScenario) -> DiscreteState:
 
 def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
                   params, dt: float) -> DiscreteState:
-    """Advance one step: phases move at the held frequency, counters follow,
-    bounds are policed in physical mode, controllers fire on their own clocks."""
-    omega = params.omega_u + state.correction
-    new_theta = state.theta + omega * dt
+    """Check, then advance the state in place: phases move at the held frequency,
+    counters follow, physical bounds hold, controllers fire on their own clocks."""
+    theta = state.theta + (params.omega_u + state.correction) * dt
     t = state.t + dt
     inc = scenario.system.inc
-    write, read = _counters(inc, params, new_theta)
+    write, read = _counters(inc, params, theta)
 
     # no frame is created or lost: pointers only advance, in lockstep with
     # whole cycles of the source and destination clocks
@@ -176,13 +175,9 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
                      t, "pointer-monotonicity")
     write0, cycles0 = scenario.source_origin
     emitted = write - write0
-    source_cycles = np.floor(new_theta[inc.src]).astype(np.int64) - cycles0
+    source_cycles = np.floor(theta[inc.src]).astype(np.int64) - cycles0
     _check_invariant(state, np.abs(emitted - source_cycles) > 1, occ, t,
                      "frame-conservation")
-
-    state = DiscreteState(t=t, theta=new_theta, correction=state.correction.copy(),
-                          next_fire=state.next_fire.copy(), write=write, read=read,
-                          virtual=state.virtual, faults=state.faults)
     if not state.virtual:
         for e in np.flatnonzero((occ < 0) | (occ > scenario.capacity)):
             fault = Fault(edge=int(e) + 1, t=t,
@@ -192,14 +187,14 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
             if not scenario.continue_on_fault:
                 raise DiscreteFault(fault)
 
-    due = state.theta >= state.next_fire - 1e-12
-    if due.any():
+    state.t, state.theta, state.write, state.read = t, theta, write, read
+    state.measured = _quantize(occ, scenario.quantization)
+    due = theta >= state.next_fire - 1e-12
+    if np.count_nonzero(due):
         _fire_controllers(state, scenario, params, due)
-        while True:
-            pending = state.theta >= state.next_fire - 1e-12
-            if not pending.any():
-                break
-            state.next_fire[pending] += scenario.control_period
+        while np.count_nonzero(due):
+            state.next_fire[due] += scenario.control_period
+            due = theta >= state.next_fire - 1e-12
     return state
 
 
@@ -209,35 +204,34 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
     always stops it."""
     inc, params = scenario.system.inc, scenario.system.params
     _capacity_advisory(scenario)
+    _sampled_loop_advisory(scenario)
 
     dt = scenario.step_size()
     schedule = scenario.reframe
     if schedule is not None:
         schedule = schedule.resolved(params, inc, default_T1=scenario.horizon / 2.0)
     reframed = schedule is None
-    horizon = scenario.horizon
 
     state = init_discrete(scenario)
     history = CorrectionHistory(inc.n)
     omegas, occs, modes = [], [], []
-    faults: list = state.faults
     reframe_time = None
     aborted = False
 
     def record(st: DiscreteState):
         history.append(st.t, st.correction)
         omegas.append(params.omega_u + st.correction)
-        occs.append(_quantize(st.occupancy(), scenario.quantization).astype(float))
+        occs.append(st.measured)
         modes.append("pre-reframe" if st.virtual else "post-reframe")
 
     record(state)
-    steps = int(math.ceil(horizon / dt - 1e-9))
+    steps = int(math.ceil(scenario.horizon / dt - 1e-9))
     for _ in range(steps):
         try:
             state = discrete_step(state, scenario, params, dt)
         except DiscreteFault:
-            # the fault is already in the shared fault list; the last good
-            # sample stays the final trace row
+            # the fault is in state.faults, and the step left the state as
+            # it was: the last good sample stays the final trace row
             aborted = True
             break
         if not reframed:
@@ -255,10 +249,12 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
                 reframed = True
         record(state)
 
+    if not (reframed or aborted) and schedule.mode == "auto":
+        warn_never_fired(schedule)
     return DiscreteTrace(times=history.times.copy(), omega=np.vstack(omegas),
                          correction=history.corrections.copy(),
                          occupancy=np.vstack(occs),
-                         mode=modes, faults=list(faults),
+                         mode=modes, faults=list(state.faults),
                          reframe_time=reframe_time, aborted=aborted)
 
 
@@ -272,6 +268,21 @@ def _capacity_advisory(scenario: DiscreteScenario):
         warnings.warn(
             f"capacity {scenario.capacity} is below twice the predicted "
             f"occupancy swing {swing:.3g}; overflow likely", stacklevel=3)
+
+
+def _sampled_loop_advisory(scenario: DiscreteScenario):
+    """Warn if a one-quantum swing on every in-edge can stop a clock, or the
+    control period exceeds the zero-order-hold limit."""
+    inc, params = scenario.system.inc, scenario.system.params
+    swing = params.k * np.bincount(inc.dst, minlength=inc.n) * scenario.quantization
+    for i in np.flatnonzero(swing >= params.omega_u)[:1]:
+        warnings.warn(f"node {i + 1}: k * in-degree * quantization = {swing[i]:.3g}"
+                      f" >= omega_u = {params.omega_u[i]:.3g}; its clock can stop",
+                      stacklevel=3)
+    if scenario.control_period > (limit := stability_bound(inc, params.k)):
+        warnings.warn(f"control period {scenario.control_period:g} exceeds the "
+                      f"zero-order-hold limit 1/(k * max in-degree) = {limit:.3g}",
+                      stacklevel=3)
 
 
 def fault_report(trace: DiscreteTrace) -> list:

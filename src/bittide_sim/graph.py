@@ -92,6 +92,14 @@ class IncidenceSet:
         ends = np.cumsum(np.bincount(self.dst, minlength=self.n))[:-1]
         return np.split(order, ends)
 
+    @cached_property
+    def in_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per in-degree d: its nodes and their (nodes x d) `in_edges` rows."""
+        deg = np.bincount(self.dst, minlength=self.n)
+        groups = [np.flatnonzero(deg == d) for d in sorted(set(deg.tolist()))]
+        return [(nodes, np.array([self.in_edges[i] for i in nodes], dtype=np.intp))
+                for nodes in groups]
+
     def _dense(self, nodes: np.ndarray) -> np.ndarray:
         M = np.zeros((self.n, self.m))
         M[nodes, np.arange(self.m)] = 1.0

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bittide_sim import (IntegratorSettings, NodeControllerState, NodeView,
-                         ReframeError, ReframeSchedule, auto_reframe_trigger,
+                         ReframeError, ReframeSchedule, Topology, auto_reframe_trigger,
                          build_incidence, make_system_params, node_views,
                          prepare, proportional_correction, reframe, run)
-from bittide_sim.controller import CorrectionHistory
+from bittide_sim.controller import CorrectionHistory, proportional_corrections
 from conftest import random_scenario, spectral_setup
 
 
@@ -79,6 +79,38 @@ def test_node_views_with_prebuilt_in_edges_match():
         assert all(type(e) is int for e in b.in_edges)
         np.testing.assert_array_equal(a.occupancies, b.occupancies)
         np.testing.assert_array_equal(a.offsets, b.offsets)
+
+
+@st.composite
+def in_degree_multigraphs(draw):
+    """A multigraph whose nodes have 1..20 in-edges each, in shuffled edge
+    order, so that rows of 8 and more (pairwise summation) occur."""
+    n = draw(st.integers(2, 6))
+    edges = [(draw(st.sampled_from([j for j in range(1, n + 1) if j != i])), i)
+             for i in range(1, n + 1) for _ in range(draw(st.integers(1, 20)))]
+    order = draw(st.permutations(range(len(edges))))
+    return Topology(n=n, edges=[edges[e] for e in order])
+
+
+@settings(max_examples=150, deadline=None)
+@given(topology=in_degree_multigraphs(), quantum=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_law_is_bit_identical_to_node_views(topology, quantum, seed):
+    rng = np.random.default_rng(seed)
+    inc = build_incidence(topology)
+    beta = (quantum * (rng.integers(-5, 40, topology.m) // quantum)).astype(float)
+    beta_off = rng.uniform(0.0, 30.0, topology.m)
+    q = rng.normal(0.0, 0.05, topology.n)
+    k = float(rng.uniform(0.001, 1.0))
+    due = rng.random(topology.n) < 0.5
+    held = rng.normal(size=topology.n)
+    out = held.copy()
+    proportional_corrections(inc.in_blocks, beta, beta_off, q, k, due, out)
+    expected = held.copy()
+    for v in node_views(topology, beta, beta_off, q, nodes=np.flatnonzero(due)):
+        expected[v.node - 1] = proportional_correction(v, k)
+    # compared as bits: every node's value, and held values where not due
+    assert out.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 def test_view_exposes_no_global_state():

@@ -1,13 +1,20 @@
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bittide_sim import (IntegratorSettings, ReframeSchedule, Topology,
-                         make_system_params, prepare, run)
+                         generate_topology, make_system_params, node_views,
+                         prepare, proportional_correction, run)
 from bittide_sim import framesim
-from bittide_sim.framesim import (DiscreteScenario, fault_report, init_discrete,
+from bittide_sim.config import parse_config
+from bittide_sim.framesim import (DiscreteFault, DiscreteScenario, Fault,
+                                  discrete_step, fault_report, init_discrete,
                                   run_discrete)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def e1_discrete(capacity=20, k=0.1, dt=0.2, horizon=500.0, T1=250.0,
@@ -202,3 +209,163 @@ def test_created_frames_are_an_invariant_fault(monkeypatch):
                                      continue_on_fault=True))
     assert trace.aborted and len(trace.times) == 1
     assert [f.direction for f in trace.faults] == ["frame-conservation"] * 2
+
+
+def test_overflow_abort_keeps_the_last_good_row():
+    # 1 + 124 step rows + the reframe instant's pre-mode row; the step that
+    # overflows edge 2 writes no row
+    trace = run_discrete(e1_discrete(capacity=1, k=0.0, lam=0.5, T1=1.0,
+                                     horizon=200.0))
+    assert trace.aborted and len(trace.times) == 126
+    assert trace.faults == [Fault(edge=2, t=24.999999999999943,
+                                  direction="overflow", occupancy=2)]
+    assert trace.times[-1] == 24.799999999999944
+    assert trace.mode[-1] == "post-reframe"
+    np.testing.assert_array_equal(trace.omega[-1], [1.0, 1.02])
+    np.testing.assert_array_equal(trace.correction[-1], [0.0, 0.0])
+    np.testing.assert_array_equal(trace.occupancy[-1], [0.0, 1.0])
+
+
+def test_invariant_abort_keeps_the_last_good_row():
+    # the advisory names the clock that then runs backward
+    with pytest.warns(UserWarning, match="node 1: .* its clock can stop"):
+        trace = run_discrete(e1_discrete(k=1.5, T1=None, horizon=50.0))
+    assert trace.aborted and len(trace.times) == 13
+    assert [(f.edge, f.t, f.direction) for f in trace.faults] == [
+        (1, 2.6, "pointer-monotonicity"), (2, 2.6, "pointer-monotonicity")]
+    assert trace.times[-1] == 2.4 and trace.mode[-1] == "pre-reframe"
+    np.testing.assert_array_equal(trace.omega[-1], [-0.5, 1.02])
+    np.testing.assert_array_equal(trace.correction[-1], [-1.5, 0.0])
+    np.testing.assert_array_equal(trace.occupancy[-1], [11.0, 9.0])
+
+
+@pytest.mark.parametrize("direction", ["pointer-monotonicity",
+                                       "frame-conservation", "overflow"])
+def test_a_step_that_raises_leaves_the_state_unmoved(direction, monkeypatch):
+    if direction == "overflow":
+        scenario = e1_discrete(capacity=1, k=0.0, lam=0.5, T1=None)
+    else:
+        scenario = e1_discrete(k=1.5, T1=None, horizon=50.0)
+    state = init_discrete(scenario)
+    state.virtual = direction != "overflow"    # bounds hold only when physical
+    if direction == "frame-conservation":
+        counters = framesim._counters
+
+        def ahead(inc, params, theta):    # write pointers 3 frames early
+            write, read = counters(inc, params, theta)
+            return write + 3, read
+
+        monkeypatch.setattr(framesim, "_counters", ahead)
+    fields = ("t", "theta", "correction", "next_fire", "write", "read",
+              "measured")
+    for _ in range(1000):
+        before = {f: np.copy(getattr(state, f)) for f in fields}
+        try:
+            assert discrete_step(state, scenario, scenario.system.params,
+                                 0.2) is state
+        except DiscreteFault:
+            break
+    else:
+        pytest.fail("no fault within 1000 steps")
+    assert state.faults[-1].direction == direction
+    for f in fields:
+        np.testing.assert_array_equal(getattr(state, f), before[f])
+
+
+def _per_node_fire(state, scenario, params, which):
+    """The law as the per-node specification states it: one NodeView each,
+    on occupancies measured afresh from the counters."""
+    unit = scenario.quantization
+    measured = (unit * np.floor_divide(state.write - state.read, unit)).astype(float)
+    for view in node_views(scenario.system.topology, measured, params.beta_off,
+                           params.q, nodes=np.flatnonzero(which)):
+        state.correction[view.node - 1] = proportional_correction(view, params.k)
+
+
+def test_batched_fire_matches_per_node_views_on_random_strong(monkeypatch):
+    n = 24
+    rng = np.random.default_rng(3)
+    topology = generate_topology("random-strong", n, seed=5,
+                                 extra_edge_fraction=0.4)
+    params = make_system_params(topology, k=0.02,
+                                omega_u=rng.uniform(0.98, 1.02, n), lam=10.0)
+    system = prepare(topology, params, rng.uniform(0.0, 1.0, n))
+    assert system.inc.max_in_degree() >= 8
+    scenario = DiscreteScenario(system=system, capacity=40, quantization=2,
+                                dt=0.2, horizon=60.0,
+                                reframe=ReframeSchedule(mode="fixed-time", T1=30.0))
+    batched = run_discrete(scenario)
+    monkeypatch.setattr(framesim, "_fire_controllers", _per_node_fire)
+    reference = run_discrete(scenario)
+    assert not batched.aborted and batched.reframe_time is not None
+    for name in ("times", "omega", "correction", "occupancy"):
+        assert getattr(batched, name).tobytes() == getattr(reference, name).tobytes()
+    assert ((batched.mode, batched.faults, batched.reframe_time, batched.aborted)
+            == (reference.mode, reference.faults, reference.reframe_time,
+                reference.aborted))
+
+
+def _advisories(scenario):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_discrete(scenario)
+    return [str(w.message) for w in caught
+            if "capacity" not in str(w.message)
+            and "never fired" not in str(w.message)]
+
+
+def _config_scenario(name, horizon):
+    cfg = parse_config(CONFIG_DIR / name)
+    return replace(cfg.discrete_scenario(cfg.system()), horizon=horizon)
+
+
+def test_sampled_loop_advisory_names_the_first_node_that_can_stop():
+    # eight_node: node 5 has in-degree 7 at k = 0.2, so a one-frame swing on
+    # each in-edge moves its correction by 1.4 > omega_u = 1.00, and the
+    # period 1 exceeds the hold limit 1/(0.2 * 7)
+    messages = _advisories(_config_scenario("eight_node.json", horizon=5.0))
+    assert len(messages) == 2
+    assert messages[0].startswith("node 5: k * in-degree * quantization = 1.4")
+    assert "zero-order-hold limit 1/(k * max in-degree) = 0.714" in messages[1]
+    # quantization 2 alone: 0.5 * 1 * 2 reaches node 1's omega_u = 1.00, and
+    # the period 1 is within the hold limit 1/(0.5 * 1) = 2
+    scenario = replace(e1_discrete(k=0.5, T1=None, horizon=5.0), quantization=2)
+    assert [m.split(":")[0] for m in _advisories(scenario)] == ["node 1"]
+
+
+def test_sampled_loop_advisory_flags_a_period_beyond_the_hold_limit():
+    scenario = replace(e1_discrete(T1=None, horizon=50.0), control_period=20.0)
+    assert _advisories(scenario) == [
+        "control period 20 exceeds the zero-order-hold limit "
+        "1/(k * max in-degree) = 10"]
+
+
+def test_sampled_loop_advisory_quiet_on_e1_and_the_discrete_ring():
+    assert _advisories(_config_scenario("e1_discrete.json", horizon=5.0)) == []
+    n = 16
+    topology = generate_topology("bidirectional-ring", n)
+    params = make_system_params(topology, k=0.05,
+                                omega_u=np.linspace(0.99, 1.01, n), lam=10.0)
+    scenario = DiscreteScenario(system=prepare(topology, params, 0.0),
+                                capacity=20, dt=0.2, horizon=5.0)
+    assert _advisories(scenario) == []
+
+
+def test_unfired_auto_reframe_warns_with_epsilon_and_window():
+    scenario = replace(e1_discrete(horizon=300.0),
+                       reframe=ReframeSchedule(mode="auto"))
+    with pytest.warns(UserWarning, match="never fired") as caught:
+        trace = run_discrete(scenario)
+    assert trace.reframe_time is None and not trace.aborted
+    assert [str(w.message) for w in caught] == [
+        "auto reframe never fired: epsilon = 1.02e-09, window = 100"]
+    # the continuous auto run on the same topology fires and stays quiet
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cont = run(scenario.system, schedule=ReframeSchedule(mode="auto"))
+    assert cont.reframe_time is not None
+    assert not [w for w in caught if "never fired" in str(w.message)]
+    # and warns in turn when its horizon ends inside the first window
+    with pytest.warns(UserWarning, match="never fired"):
+        run(scenario.system, schedule=ReframeSchedule(mode="auto"),
+            settings=IntegratorSettings(horizon=5.0, post_horizon=5.0))

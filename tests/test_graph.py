@@ -50,6 +50,24 @@ def test_in_edges_list_each_nodes_incoming_edges_in_order():
     assert build_incidence(Topology(n=3, edges=[(1, 2), (1, 3)])).in_edges[0].size == 0
 
 
+def test_in_blocks_group_nodes_by_in_degree():
+    topo = generate_topology("random-strong", 9, seed=2, extra_edge_fraction=0.5)
+    inc = build_incidence(topo)
+    covered = []
+    for nodes, edges in inc.in_blocks:
+        assert edges.shape == (len(nodes), edges.shape[1])
+        for i, row in zip(nodes, edges):
+            assert row.tolist() == inc.in_edges[i].tolist()
+        covered += nodes.tolist()
+    assert sorted(covered) == list(range(topo.n))
+    degrees = [edges.shape[1] for _, edges in inc.in_blocks]
+    assert degrees == sorted(set(degrees)) and len(degrees) > 1
+    assert inc.in_blocks is inc.in_blocks    # built once per incidence
+    # nodes without incoming edges form a block of zero columns
+    nodes, edges = build_incidence(Topology(n=3, edges=[(1, 2), (1, 3)])).in_blocks[0]
+    assert nodes.tolist() == [0] and edges.shape == (1, 0)
+
+
 def test_incidence_operators_match_dense_matrices():
     topo = Topology(n=4, edges=[(1, 2), (1, 2), (2, 3), (3, 4), (4, 1), (3, 1)])
     inc = build_incidence(topo)

@@ -1,12 +1,14 @@
 """The benchmark's tracer wraps the program from outside; it must still bind."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import bittide_sim.cli  # noqa: F401  (the tracer wraps every module)
-from bittide_sim import Topology, graph, verify
+from bittide_sim import Topology, cli, graph, verify
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+CONFIG_DIR = TRACER.parent.parent / "configs"
 
 
 def _load_tracer():
@@ -52,3 +54,32 @@ def test_benchmark_tracer_counts_the_battery_layers():
         assert calls[label] == scenarios
     metrics = tr.metrics(tracer.span_labels())
     assert metrics["dynamics.flow_cache_hit_ratio"] > 0.5
+
+
+def _bindings():
+    """Every attribute of every loaded bittide_sim module, by (module, name)."""
+    return {(name, attr): value for name, mod in list(sys.modules.items())
+            if name == "bittide_sim" or name.startswith("bittide_sim.")
+            for attr, value in vars(mod).items()}
+
+
+def test_benchmark_tracer_counts_each_discrete_step(tmp_path):
+    # the discrete workloads run with --trace 1 through these bindings
+    tracer = _load_tracer()
+    before = _bindings()
+    tr = tracer.Tracer()
+    restore = tracer.install(tr)
+    try:
+        assert cli.main(["run", "--config", str(CONFIG_DIR / "e1_discrete.json"),
+                         "--out", str(tmp_path)]) == 0
+    finally:
+        restore()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    calls, _ = tr.self_times()
+    assert calls["framesim.run_discrete"] == 1
+    assert calls["framesim.discrete_step"] == 2500    # horizon 500 / dt 0.2
+    # the batched law replaced the per-node views on the step path
+    assert calls["controller.node_views"] == 0
+    assert tr.calls["controller.proportional_correction"] == 0
