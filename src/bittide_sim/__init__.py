@@ -7,9 +7,8 @@ from .spectral import (ClosedLoopMatrix, SpectralData, SpectralError,
                        predict_beta_ss, predict_omega_ss, steady_state_correction)
 from .dynamics import (IntegratorSettings, SimState, SimTrace, System, SystemParams,
                        init_state, make_system_params, observe, prepare, run, step)
-from .controller import (NodeView, ReframeSchedule, ReframeError, NodeControllerState,
-                         auto_reframe_trigger, node_views, proportional_correction,
-                         reframe)
+from .controller import (NodeView, OneShotReset, ReframeSchedule, ReframeError,
+                         auto_reframe_trigger, node_views, proportional_correction)
 
 __all__ = [
     "Topology", "IncidenceSet", "TopologyError", "build_incidence",
@@ -19,6 +18,6 @@ __all__ = [
     "predict_omega_ss", "steady_state_correction",
     "IntegratorSettings", "SimState", "SimTrace", "System", "SystemParams",
     "init_state", "make_system_params", "observe", "prepare", "run", "step",
-    "NodeView", "ReframeSchedule", "ReframeError", "NodeControllerState",
-    "auto_reframe_trigger", "node_views", "proportional_correction", "reframe",
+    "NodeView", "OneShotReset", "ReframeSchedule", "ReframeError",
+    "auto_reframe_trigger", "node_views", "proportional_correction",
 ]

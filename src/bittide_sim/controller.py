@@ -7,11 +7,14 @@ node a row of exactly its view's edges, so no node reads another's state.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import IncidenceSet, Topology, build_incidence
+
+PRE_REFRAME = "pre-reframe"
+POST_REFRAME = "post-reframe"
 
 
 class ReframeError(RuntimeError):
@@ -66,24 +69,6 @@ def proportional_corrections(in_blocks, beta, beta_off, q, k, due, out):
         out[firing] = k * rel[edges[fire]].sum(axis=1) + q[firing]
 
 
-@dataclass(frozen=True)
-class NodeControllerState:
-    node: int
-    q: float = 0.0
-    reframed: bool = False
-
-
-def reframe(ctl: NodeControllerState, c_at_T1: float) -> NodeControllerState:
-    """Freeze the node's emitted correction into its offset, exactly once.
-
-    c_at_T1 is the locally computed correction the node was emitting at the
-    reframe instant, so no cross-node information is needed.
-    """
-    if ctl.reframed:
-        raise ReframeError(f"node {ctl.node} already reframed; the reset is one-shot")
-    return replace(ctl, q=float(c_at_T1), reframed=True)
-
-
 def auto_reframe_trigger(times: np.ndarray, corrections: np.ndarray,
                          epsilon: float, window: float) -> bool:
     """True once the correction has been stable over the trailing window.
@@ -99,12 +84,6 @@ def auto_reframe_trigger(times: np.ndarray, corrections: np.ndarray,
     start = np.searchsorted(times, t_lo - 1e-12, side="left")
     dev = np.abs(corrections[start:] - corrections[-1]).max()
     return bool(dev <= epsilon)
-
-
-def warn_never_fired(schedule: "ReframeSchedule"):
-    """Warn that a run ended with its resolved auto schedule unfired."""
-    warnings.warn(f"auto reframe never fired: epsilon = {schedule.epsilon:.3g}, "
-                  f"window = {schedule.window:.6g}", stacklevel=3)
 
 
 class CorrectionHistory:
@@ -175,3 +154,71 @@ class ReframeSchedule:
             deg = max(inc.max_in_degree(), 1)
             window = 10.0 / (params.k * deg) if params.k > 0 else 10.0
         return ReframeSchedule(mode=self.mode, T1=T1, epsilon=eps, window=window)
+
+
+class OneShotReset:
+    """A run's one reset: each node freezes the correction it is emitting into
+    its offset q exactly once, at its T1 or when the auto trigger sees a stable
+    correction.
+
+    Both run loops append each sample to `history`, ask `firing(t)` which
+    nodes reset on it, `freeze` those, and record the post row, labelling
+    every row with `mode`.  `time` is set once the last node has reset.
+    """
+
+    def __init__(self, schedule: ReframeSchedule | None, params,
+                 inc: IncidenceSet, default_T1: float | None):
+        self.history = CorrectionHistory(inc.n)
+        self.done = np.zeros(inc.n, dtype=bool)
+        self.events = []              # sorted fixed-time T1s not yet reached
+        self.mode = PRE_REFRAME
+        self.time = None
+        self.schedule = (schedule if schedule is None
+                         else schedule.resolved(params, inc, default_T1))
+        # a Python flag, so a step on which nothing fires adds no reduction
+        self.pending = schedule is not None
+        if self.pending and self.schedule.mode == "fixed-time":
+            self._T1 = np.broadcast_to(np.asarray(self.schedule.T1, dtype=float),
+                                       (inc.n,))
+            self.events = sorted({float(t) for t in self._T1})
+
+    def firing(self, t: float) -> np.ndarray | None:
+        """Mask of the nodes that reset on the sample just recorded at t, or
+        None.  Fixed-time: every node whose T1 is reached; auto: every node,
+        once the trigger finds the history up to this sample stable."""
+        if not self.pending:
+            return None
+        if self.events:
+            if t < self.events[0] - 1e-12:
+                return None
+            self.events = [e for e in self.events if t < e - 1e-12]
+            return ~self.done & (t >= self._T1 - 1e-12)
+        if auto_reframe_trigger(self.history.times, self.history.corrections,
+                                self.schedule.epsilon, self.schedule.window):
+            return ~self.done
+        return None
+
+    def freeze(self, q: np.ndarray, firing: np.ndarray) -> np.ndarray:
+        """q with the firing nodes' last recorded correction frozen in; a node
+        frozen a second time raises ReframeError."""
+        again = np.flatnonzero(firing & self.done)
+        if again.size:
+            raise ReframeError(f"node {again[0] + 1} already reframed; "
+                               "the reset is one-shot")
+        q = q.copy()
+        q[firing] = self.history.corrections[-1][firing]
+        self.done |= firing
+        count, n = int(self.done.sum()), len(self.done)
+        if count == n:
+            self.pending = False
+            self.mode, self.time = POST_REFRAME, float(self.history.times[-1])
+        else:
+            self.mode = f"staggered-{count}/{n}"
+        return q
+
+    def finish(self):
+        """Warn once if the run ended with its auto schedule unfired."""
+        if self.pending and self.schedule.mode == "auto":
+            warnings.warn(f"auto reframe never fired: epsilon = "
+                          f"{self.schedule.epsilon:.3g}, window = "
+                          f"{self.schedule.window:.6g}", stacklevel=3)

@@ -12,15 +12,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controller import (CorrectionHistory, ReframeSchedule, auto_reframe_trigger,
-                         warn_never_fired)
+from .controller import PRE_REFRAME, OneShotReset, ReframeSchedule
 from .graph import (IncidenceSet, Topology, TopologyError, build_incidence,
                     is_strongly_connected)
 from .spectral import (ClosedLoopMatrix, SpectralData, build_closed_loop,
                        matrix_exponential, metzler_eigenvector)
-
-PRE_REFRAME = "pre-reframe"
-POST_REFRAME = "post-reframe"
 
 
 @dataclass(frozen=True)
@@ -282,28 +278,15 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         raise ValueError(
             f"gain k must be positive for the closed loop, got {system.params.k}")
     inc, params, clm = system.inc, system.params, system.clm
-    n = inc.n
 
     horizon = settings.horizon if settings.horizon is not None else system.sd.horizon()
     post_horizon = settings.post_horizon if settings.post_horizon is not None else horizon
     sample_dt = settings.sample_interval or horizon / 200.0
 
-    events, auto = [], False
-    if schedule is not None:
-        schedule = schedule.resolved(params, inc, default_T1=horizon)
-        auto = schedule.mode == "auto"
-        if not auto:
-            reframe_at = np.broadcast_to(np.asarray(schedule.T1, dtype=float),
-                                         (n,))
-            events = sorted({float(t) for t in reframe_at})
-
+    reset = OneShotReset(schedule, params, inc, default_T1=horizon)
+    history = reset.history
     stepper = _Stepper(system, settings.method, settings.dt)
-
-    history = CorrectionHistory(n)
     thetas, omegas, betas, modes = [], [], [], []
-    done = np.zeros(n, dtype=bool)
-    reframe_time = None
-    reframe_payload = None
     t_end = horizon + (post_horizon if schedule is not None else 0.0)
 
     def record(st: SimState):
@@ -312,47 +295,25 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         thetas.append(st.theta.copy())
         omegas.append(om)
         betas.append(beta)
-        modes.append(st.mode)
+        modes.append(reset.mode)
 
-    def do_reframe(st: SimState, firing: np.ndarray, record_pre: bool = True) -> SimState:
-        nonlocal params, reframe_time, reframe_payload, t_end
-        _, c, _ = observe(st, params, clm)
-        if record_pre:
-            record(st)  # pre-mode row at the reframe instant
-        q = params.q.copy()
-        q[firing] = c[firing]
-        params = replace(params, q=q)
-        done[firing] = True
-        if done.all():
-            mode = POST_REFRAME
-            reframe_time, reframe_payload = st.t, q
-            t_end = st.t + post_horizon
-        else:
-            mode = f"staggered-{int(done.sum())}/{n}"
-        post = SimState(t=st.t, theta=st.theta, mode=mode)
-        record(post)
-        return post
-
-    state = SimState(t=0.0, theta=system.theta0, mode=PRE_REFRAME)
+    state = SimState(t=0.0, theta=system.theta0)
     record(state)
     while state.t < t_end - 1e-12:
         t_next = min(state.t + sample_dt, t_end)
-        if events and events[0] <= t_next + 1e-12:
-            t_ev = events.pop(0)
-            if t_ev > state.t + 1e-12:
-                state = stepper.advance(state, params, t_ev - state.t)
-            state = do_reframe(state, ~done & (np.abs(reframe_at - t_ev) <= 1e-12))
-            continue
+        if reset.events and reset.events[0] <= t_next + 1e-12:
+            t_next = reset.events[0]  # sample the reframe instant itself
         state = stepper.advance(state, params, t_next - state.t)
         record(state)
-        if (auto and not done.all()
-                and auto_reframe_trigger(history.times, history.corrections,
-                                         schedule.epsilon, schedule.window)):
-            # the pre-mode row at this instant was just recorded above
-            state = do_reframe(state, ~done, record_pre=False)
+        firing = reset.firing(state.t)
+        if firing is not None:
+            # the row above is the pre-mode row at the reframe instant
+            params = replace(params, q=reset.freeze(params.q, firing))
+            if reset.time is not None:
+                t_end = state.t + post_horizon
+            record(state)
 
-    if auto and reframe_time is None:
-        warn_never_fired(schedule)
+    reset.finish()
     omega = np.vstack(omegas)
     backward = np.argwhere(omega <= 0)
     if backward.size:
@@ -367,6 +328,6 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         correction=history.corrections.copy(),
         occupancy=np.vstack(betas) if inc.m else np.empty((len(history), 0)),
         mode=modes,
-        reframe_time=reframe_time,
-        reframe_payload=reframe_payload,
+        reframe_time=reset.time,
+        reframe_payload=params.q if reset.time is not None else None,
     )

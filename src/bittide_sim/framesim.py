@@ -6,9 +6,10 @@ difference of its write and read pointers, which track whole frames.  Each
 node re-evaluates its control law only when its own clock crosses a control
 period boundary, and holds the correction in between.
 
-Before the reframe the buffers are virtual (counters may range freely, since
-boot-time frames carry no data); after it they are physical and any occupancy
-outside [0, capacity] is a detected fault, never a silent wrap.
+Until every node has reframed the buffers are virtual (counters may range
+freely, since boot-time frames carry no data); after that they are physical
+and any occupancy outside [0, capacity] is a detected fault, never a silent
+wrap.
 """
 
 import math
@@ -18,8 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .controller import CorrectionHistory, ReframeSchedule, \
-    auto_reframe_trigger, proportional_corrections, warn_never_fired
+from .controller import OneShotReset, ReframeSchedule, proportional_corrections
 from .dynamics import System, stability_bound
 from .spectral import predict_beta_ss
 
@@ -207,22 +207,18 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
     _sampled_loop_advisory(scenario)
 
     dt = scenario.step_size()
-    schedule = scenario.reframe
-    if schedule is not None:
-        schedule = schedule.resolved(params, inc, default_T1=scenario.horizon / 2.0)
-    reframed = schedule is None
-
+    reset = OneShotReset(scenario.reframe, params, inc,
+                         default_T1=scenario.horizon / 2.0)
+    history = reset.history
     state = init_discrete(scenario)
-    history = CorrectionHistory(inc.n)
     omegas, occs, modes = [], [], []
-    reframe_time = None
     aborted = False
 
     def record(st: DiscreteState):
         history.append(st.t, st.correction)
         omegas.append(params.omega_u + st.correction)
         occs.append(st.measured)
-        modes.append("pre-reframe" if st.virtual else "post-reframe")
+        modes.append(reset.mode)
 
     record(state)
     steps = int(math.ceil(scenario.horizon / dt - 1e-9))
@@ -234,28 +230,23 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
             # it was: the last good sample stays the final trace row
             aborted = True
             break
-        if not reframed:
-            fire = (schedule.mode == "fixed-time" and state.t >= schedule.T1 - 1e-12)
-            if schedule.mode == "auto" and len(history) > 2:
-                fire = auto_reframe_trigger(history.times, history.corrections,
-                                            schedule.epsilon, schedule.window)
-            if fire:
-                record(state)  # pre-mode row at the reframe instant
-                params = replace(params, q=state.correction.copy())
-                state.virtual = False
-                _fire_controllers(state, scenario, params,
-                                  np.ones(inc.n, dtype=bool))
-                reframe_time = state.t
-                reframed = True
         record(state)
+        firing = reset.firing(state.t)
+        if firing is not None:
+            # the row above is the pre-mode row at the reframe instant; the
+            # buffers turn physical once every node has reframed
+            params = replace(params, q=reset.freeze(params.q, firing))
+            _fire_controllers(state, scenario, params, firing)
+            state.virtual = reset.time is None
+            record(state)
 
-    if not (reframed or aborted) and schedule.mode == "auto":
-        warn_never_fired(schedule)
+    if not aborted:
+        reset.finish()
     return DiscreteTrace(times=history.times.copy(), omega=np.vstack(omegas),
                          correction=history.corrections.copy(),
                          occupancy=np.vstack(occs),
                          mode=modes, faults=list(state.faults),
-                         reframe_time=reframe_time, aborted=aborted)
+                         reframe_time=reset.time, aborted=aborted)
 
 
 def _capacity_advisory(scenario: DiscreteScenario):

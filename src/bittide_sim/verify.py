@@ -254,13 +254,14 @@ def make_random_scenario(seed: int, n_range=(2, 8), k_range=(0.05, 1.0),
 
 
 def make_infeasible_scenario(seed: int, **kwargs) -> Scenario:
-    """Same distribution, but beta_off is held one frame off a feasible value
-    on the first edge, so r leaves the range of A."""
+    """Same distribution, but beta_off is held one frame below a feasible
+    value on the first edge, so r leaves the range of A; below, so that the
+    edge's destination clock starts faster, never at omega <= 0."""
     base = make_random_scenario(seed, **kwargs)
     feasible = feasible_offsets(*edge_endpoints(base.topology), base.theta0,
                                 base.params.lam)
     bump = np.zeros(base.topology.m)
-    bump[0] = 1.0
+    bump[0] = -1.0
     params = replace(base.params, beta_off=feasible + bump)
     return Scenario(topology=base.topology, params=params, theta0=base.theta0,
                     seed=seed, label="infeasible")

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bittide_sim import (IntegratorSettings, NodeControllerState, NodeView,
-                         ReframeError, ReframeSchedule, Topology, auto_reframe_trigger,
+from bittide_sim import (IntegratorSettings, NodeView, OneShotReset, ReframeError,
+                         ReframeSchedule, Topology, auto_reframe_trigger,
                          build_incidence, make_system_params, node_views,
-                         prepare, proportional_correction, reframe, run)
+                         prepare, proportional_correction, run)
 from bittide_sim.controller import CorrectionHistory, proportional_corrections
 from conftest import random_scenario, spectral_setup
 
@@ -138,16 +138,36 @@ def test_locality_correction_ignores_other_nodes():
     assert proportional_correction(va, params.k) == proportional_correction(vb, params.k)
 
 
-def test_reframe_freezes_correction():
-    ctl = NodeControllerState(node=2)
-    new = reframe(ctl, 0.013)
-    assert new.q == 0.013 and new.reframed
+def _reset(topology, schedule):
+    params = make_system_params(topology, k=0.1, omega_u=[1.0, 1.02])
+    return OneShotReset(schedule, params, build_incidence(topology),
+                        default_T1=None)
 
 
-def test_double_reframe_rejected():
-    ctl = reframe(NodeControllerState(node=1), 0.01)
-    with pytest.raises(ReframeError):
-        reframe(ctl, 0.02)
+def test_reframe_freezes_correction(two_cycle):
+    # each node freezes the correction last recorded at its own T1
+    reset = _reset(two_cycle, ReframeSchedule(mode="fixed-time", T1=[5.0, 7.0]))
+    reset.history.append(4.0, np.array([0.5, 0.5]))
+    assert reset.firing(4.0) is None
+    reset.history.append(5.0, np.array([0.02, 0.013]))
+    firing = reset.firing(5.0)
+    np.testing.assert_array_equal(firing, [True, False])
+    q = reset.freeze(np.zeros(2), firing)
+    assert q.tolist() == [0.02, 0.0]
+    assert reset.mode == "staggered-1/2" and reset.time is None
+    reset.history.append(7.0, np.array([0.04, 0.013]))
+    q = reset.freeze(q, reset.firing(7.0))
+    assert q.tolist() == [0.02, 0.013]
+    assert reset.mode == "post-reframe" and reset.time == 7.0
+    assert reset.firing(8.0) is None
+
+
+def test_double_reframe_rejected(two_cycle):
+    reset = _reset(two_cycle, ReframeSchedule(mode="auto"))
+    reset.history.append(0.0, np.array([0.01, 0.02]))
+    q = reset.freeze(np.zeros(2), np.array([True, False]))
+    with pytest.raises(ReframeError, match="node 1 already reframed"):
+        reset.freeze(q, np.array([True, True]))
 
 
 def test_reframe_at_centered_buffers_keeps_dynamics(e1):

@@ -12,7 +12,8 @@ from bittide_sim import (IntegratorSettings, ReframeSchedule, SimState,
                          generate_topology, init_state, make_system_params,
                          observe, predict_beta_ss, predict_omega_ss, prepare,
                          run, step)
-from bittide_sim.dynamics import POST_REFRAME, PRE_REFRAME, stability_bound
+from bittide_sim.controller import POST_REFRAME, PRE_REFRAME
+from bittide_sim.dynamics import stability_bound
 from conftest import count_calls, random_scenario, spectral_setup
 
 

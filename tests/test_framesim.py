@@ -8,7 +8,7 @@ import pytest
 from bittide_sim import (IntegratorSettings, ReframeSchedule, Topology,
                          generate_topology, make_system_params, node_views,
                          prepare, proportional_correction, run)
-from bittide_sim import framesim
+from bittide_sim import controller, framesim
 from bittide_sim.config import parse_config
 from bittide_sim.framesim import (DiscreteFault, DiscreteScenario, Fault,
                                   discrete_step, fault_report, init_discrete,
@@ -163,17 +163,51 @@ def test_scenario_validation():
         DiscreteScenario(system=base.system, capacity=0)
 
 
+def test_per_node_reframe_times_stagger_like_the_continuous_run():
+    # each node freezes at its own T1; the buffers stay virtual, so unpoliced,
+    # until the last node has reframed, and only then can they overflow
+    T1 = [150.0, 101.1]     # node 2 fires while it holds a correction of -0.1
+    base = e1_discrete(capacity=5, horizon=200.0, continue_on_fault=True)
+    scenario = replace(base, reframe=ReframeSchedule(mode="fixed-time", T1=T1))
+    trace = run_discrete(scenario)
+    assert not trace.aborted
+    assert trace.reframe_time == pytest.approx(150.0, abs=0.2)
+    assert min(f.t for f in trace.faults) > trace.reframe_time
+    first = trace.mode.index("staggered-1/2")
+    assert trace.times[first] == trace.times[first - 1] == pytest.approx(101.2)
+    pre, post = trace.correction[first - 1], trace.correction[first]
+    # node 2 fires at once with its frozen q; node 1 holds its correction
+    assert pre[1] == pytest.approx(-0.1)
+    assert post[1] == pytest.approx(0.1 * (trace.occupancy[first, 0] - 10.0) + pre[1])
+    assert post[0] == pre[0]
+    cont = run(base.system, schedule=scenario.reframe,
+               settings=IntegratorSettings(horizon=150.0, sample_interval=10.0))
+    assert list(dict.fromkeys(trace.mode)) == list(dict.fromkeys(cont.mode)) == [
+        "pre-reframe", "staggered-1/2", "post-reframe"]
+
+
+def test_auto_trigger_fires_on_the_same_sample_in_both_loops():
+    # a window below one sample: the trigger judges the history up to and
+    # including the current sample, so both loops fire on the first step
+    schedule = ReframeSchedule(mode="auto", epsilon=1.0, window=0.1)
+    scenario = replace(e1_discrete(horizon=5.0), reframe=schedule)
+    discrete = run_discrete(scenario)
+    continuous = run(scenario.system, schedule=schedule,
+                     settings=IntegratorSettings(horizon=5.0, sample_interval=0.2))
+    assert discrete.reframe_time == continuous.reframe_time == 0.2
+
+
 def test_auto_trigger_reads_history_without_copy(monkeypatch):
     # consecutive trigger calls see views of one growing buffer; only the
     # few doublings of that buffer move it, so no step copies the history
     calls = []
-    original = framesim.auto_reframe_trigger
+    original = controller.auto_reframe_trigger
 
     def recording(times, corrections, epsilon, window):
         calls.append((times, corrections))
         return original(times, corrections, epsilon, window)
 
-    monkeypatch.setattr(framesim, "auto_reframe_trigger", recording)
+    monkeypatch.setattr(controller, "auto_reframe_trigger", recording)
     scenario = replace(e1_discrete(horizon=100.0),
                        reframe=ReframeSchedule(mode="auto"))
     run_discrete(scenario)

@@ -2,10 +2,14 @@
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 import bittide_sim.cli  # noqa: F401  (the tracer wraps every module)
-from bittide_sim import Topology, cli, graph, verify
+from bittide_sim import ReframeSchedule, Topology, cli, framesim, graph, verify
+from bittide_sim.config import parse_config
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 CONFIG_DIR = TRACER.parent.parent / "configs"
@@ -83,3 +87,22 @@ def test_benchmark_tracer_counts_each_discrete_step(tmp_path):
     # the batched law replaced the per-node views on the step path
     assert calls["controller.node_views"] == 0
     assert tr.calls["controller.proportional_correction"] == 0
+
+
+def test_benchmark_tracer_counts_each_auto_trigger_call():
+    # the discrete loop asks the reset after every step, and the reset calls
+    # the trigger through controller's binding, where the tracer wraps it
+    tracer = _load_tracer()
+    cfg = parse_config(CONFIG_DIR / "e1_discrete.json")
+    scenario = replace(cfg.discrete_scenario(cfg.system()), horizon=100.0,
+                       reframe=ReframeSchedule(mode="auto"))
+    tr = tracer.Tracer()
+    restore = tracer.install(tr)
+    try:
+        with pytest.warns(UserWarning, match="never fired"):
+            framesim.run_discrete(scenario)
+    finally:
+        restore()
+    calls, _ = tr.self_times()
+    assert calls["framesim.discrete_step"] == 500    # horizon 100 / dt 0.2
+    assert calls["controller.auto_reframe_trigger"] == 500

@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from bittide_sim import (Topology, TopologyError, build_incidence, dynamics,
-                         graph, make_system_params)
+from bittide_sim import (IntegratorSettings, ReframeSchedule, Topology,
+                         TopologyError, build_incidence, dynamics, graph,
+                         make_system_params, prepare, run)
 from bittide_sim.verify import (ALL_CHECKS, Scenario, check_correction_limit,
                                 check_feasible_residual, check_occupancy_limit,
                                 check_projector_limit, check_reframe_centering,
@@ -94,9 +96,23 @@ def test_infeasible_scenario_builds_no_incidence(monkeypatch):
     assert calls == []
     inc = build_incidence(sc.topology)
     bump = np.zeros(sc.topology.m)
-    bump[0] = 1.0
+    bump[0] = -1.0
     np.testing.assert_array_equal(
         sc.params.beta_off, inc.B.T @ sc.theta0 + sc.params.lam + bump)
+
+
+def test_negative_controls_keep_clocks_forward():
+    # the acceptance suite's centering controls, run as it runs them, stay in
+    # the model's physical range: no clock reaches omega <= 0
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message=".*clock frequency")
+        for seed in range(5000, 5100):
+            sc = make_infeasible_scenario(seed)
+            system = prepare(sc.topology, sc.params, sc.theta0)
+            horizon = system.sd.horizon(50.0)
+            run(system, schedule=ReframeSchedule(mode="fixed-time", T1=horizon),
+                settings=IntegratorSettings(horizon=horizon, post_horizon=horizon,
+                                            sample_interval=horizon / 4))
 
 
 def test_centering_fails_without_feasibility():
