@@ -30,31 +30,36 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write(path: Path, text: str):
+def _write(path: Path, data: str | bytes | bytearray):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    if isinstance(data, str):
+        path.write_text(data, encoding="utf-8")
+    else:
+        path.write_bytes(data)
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def trace_csv(times, modes, omega, correction, occupancy) -> str:
+def trace_csv(times, modes, omega, correction, occupancy) -> bytearray:
+    """The trace as CSV, formatted once into one bytes buffer."""
     n = omega.shape[1]
     m = occupancy.shape[1]
     header = (["t", "mode"]
               + [f"omega_{i}" for i in range(1, n + 1)]
               + [f"c_{i}" for i in range(1, n + 1)]
               + [f"beta_{j}" for j in range(1, m + 1)])
-    # "%.17g" formats exactly as _fmt does; one template per trace, and one
-    # row at a time turned into Python floats, keeps memory at one row
-    template = ",".join(["%.17g", "%s"] + ["%.17g"] * (2 * n + m))
-    lines = [",".join(header)]
+    # b"%.17g" formats exactly as _fmt does; one template per trace, and one
+    # row at a time turned into Python floats, keeps the text's only copy in
+    # the buffer that is written to disk
+    template = b",".join([b"%.17g", b"%s"] + [b"%.17g"] * (2 * n + m)) + b"\n"
+    out = bytearray(",".join(header).encode() + b"\n")
     for i in range(len(times)):
-        lines.append(template % (float(times[i]), modes[i],
-                                 *omega[i].tolist(), *correction[i].tolist(),
-                                 *occupancy[i].tolist()))
-    return "\n".join(lines) + "\n"
+        out += template % (float(times[i]), modes[i].encode(),
+                           *omega[i].tolist(), *correction[i].tolist(),
+                           *occupancy[i].tolist())
+    return out
 
 
 def read_trace_csv(path):
@@ -94,8 +99,8 @@ def cmd_run(cfg, out_dir: Path) -> int:
 
     if discrete:
         trace = run_discrete(cfg.discrete_scenario(system))
-        csv_text = trace_csv(trace.times, trace.mode, trace.omega,
-                             trace.correction, trace.occupancy)
+        csv_bytes = trace_csv(trace.times, trace.mode, trace.omega,
+                              trace.correction, trace.occupancy)
         faults = [asdict(f) for f in fault_report(trace)]
         summary["faults"] = faults
         summary["aborted"] = trace.aborted
@@ -105,8 +110,8 @@ def cmd_run(cfg, out_dir: Path) -> int:
         _write(out_dir / "faults.csv", "\n".join(fault_lines) + "\n")
     else:
         trace = run(system, schedule=cfg.schedule(), settings=cfg.integrator)
-        csv_text = trace_csv(trace.times, trace.mode, trace.omega,
-                             trace.correction, trace.occupancy)
+        csv_bytes = trace_csv(trace.times, trace.mode, trace.omega,
+                              trace.correction, trace.occupancy)
 
     summary["simulated"] = {
         "reframe_time": trace.reframe_time,
@@ -117,7 +122,7 @@ def cmd_run(cfg, out_dir: Path) -> int:
         "terminal_beta": [float(v) for v in trace.occupancy[-1]],
         "samples": len(trace.times),
     }
-    _write(out_dir / "trace.csv", csv_text)
+    _write(out_dir / "trace.csv", csv_bytes)
     _write(out_dir / "summary.json", _json_text(summary))
     print(f"wrote {out_dir / 'trace.csv'} ({len(trace.times)} samples)")
     if discrete and (summary["faults"] or trace.aborted):
@@ -272,9 +277,10 @@ def _apply_overrides(cfg, args):
         cfg = replace(cfg, discrete=replace(cfg.discrete,
                                             continue_on_fault=True))
     if getattr(args, "seed", None) is not None:
+        # a new topology seed makes the parsed topology stale
         cfg = replace(cfg, seed=args.seed,
                       topology_seed=args.seed if cfg.topology_kind else
-                      cfg.topology_seed)
+                      cfg.topology_seed, parsed_topology=None)
     return cfg
 
 

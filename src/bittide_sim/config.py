@@ -54,8 +54,14 @@ class ScenarioConfig:
     integrator: IntegratorSettings = field(default_factory=IntegratorSettings)
     discrete: DiscreteSpec = field(default_factory=DiscreteSpec)
     seed: int = 0
+    # the topology the parser built to validate the config, kept so a run
+    # does not generate it again; derived data, neither compared nor emitted
+    parsed_topology: Topology | None = field(default=None, compare=False,
+                                             repr=False)
 
     def topology(self) -> Topology:
+        if self.parsed_topology is not None:
+            return self.parsed_topology
         if self.topology_kind is None:
             return Topology(n=self.n, edges=self.edges)
         return generate_topology(self.topology_kind, self.n,
@@ -281,7 +287,8 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
         topology_seed=tseed, extra_edge_fraction=frac, lam=lam,
         beta_off=beta_off, q=q, theta0=theta0, controller=controller,
         reframe=reframe, integrator=integrator, discrete=discrete,
-        seed=_expect(raw, "seed", int, "config", default=0))
+        seed=_expect(raw, "seed", int, "config", default=0),
+        parsed_topology=topology)
 
 
 def _optional_number(raw: dict, key: str, path: str):

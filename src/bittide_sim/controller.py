@@ -217,8 +217,16 @@ class OneShotReset:
         return q
 
     def finish(self):
-        """Warn once if the run ended with its auto schedule unfired."""
-        if self.pending and self.schedule.mode == "auto":
+        """Warn once if the run ended with its schedule unfired: an auto
+        trigger that never fired, or a node whose fixed T1 was never reached."""
+        if not self.pending:
+            return
+        if self.schedule.mode == "auto":
             warnings.warn(f"auto reframe never fired: epsilon = "
                           f"{self.schedule.epsilon:.3g}, window = "
                           f"{self.schedule.window:.6g}", stacklevel=3)
+            return
+        i = int(np.flatnonzero(~self.done)[0])
+        warnings.warn(f"fixed-time reframe never fired: node {i + 1} has "
+                      f"T1 = {self._T1[i]:.6g}, past the last sample at "
+                      f"t = {self.history.times[-1]:.6g}", stacklevel=3)

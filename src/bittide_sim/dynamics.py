@@ -298,12 +298,7 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         modes.append(reset.mode)
 
     state = SimState(t=0.0, theta=system.theta0)
-    record(state)
-    while state.t < t_end - 1e-12:
-        t_next = min(state.t + sample_dt, t_end)
-        if reset.events and reset.events[0] <= t_next + 1e-12:
-            t_next = reset.events[0]  # sample the reframe instant itself
-        state = stepper.advance(state, params, t_next - state.t)
+    while True:
         record(state)
         firing = reset.firing(state.t)
         if firing is not None:
@@ -312,6 +307,15 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
             if reset.time is not None:
                 t_end = state.t + post_horizon
             record(state)
+        if state.t >= t_end - 1e-12:
+            break
+        t_next = min(state.t + sample_dt, t_end)
+        if reset.events and reset.events[0] <= t_next + 1e-12:
+            t_next = reset.events[0]  # sample the reframe instant itself
+        # an unclipped step spans exactly sample_dt, so every such step reuses
+        # one flow operator; t_next - state.t drifts in its last bits
+        span = sample_dt if t_next == state.t + sample_dt else t_next - state.t
+        state = stepper.advance(state, params, span)
 
     reset.finish()
     omega = np.vstack(omegas)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,9 +237,39 @@ def test_trace_csv_rows_format_like_fmt():
                         -2.5e17, 5e-324]])
     omega, correction, occupancy = values[:, :3], values[:, 3:6], values[:, 6:]
     text = trace_csv(np.array([0.2]), ["pre-reframe"], omega, correction,
-                     occupancy)
+                     occupancy).decode()
     row = ",".join([_fmt(0.2), "pre-reframe"] + [_fmt(v) for v in values[0]])
     assert text.splitlines()[1] == row
+
+
+def test_trace_csv_peak_memory_stays_near_its_output():
+    # one bytes buffer: no row list, no joined text, no encoded copy
+    rng = np.random.default_rng(0)
+    n, m, rows = 64, 1200, 60            # 2n + m = 1328 values per row
+    times = np.arange(rows, dtype=float)
+    omega, correction = rng.normal(size=(rows, n)), rng.normal(size=(rows, n))
+    occupancy = rng.normal(10.0, 1.0, size=(rows, m))
+    modes = ["pre-reframe"] * rows
+    tracemalloc.start()
+    try:
+        out = trace_csv(times, modes, omega, correction, occupancy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(out)
+
+
+def test_unreached_fixed_T1_warns_and_keeps_files_and_exit_code(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "e1_discrete.json").read_text())
+    cfg["reframe"]["T1"] = 600.0
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.warns(UserWarning, match="node 1 has T1 = 600, past the last "
+                                         "sample at t = 500"):
+        assert run_cli("run", "--config", path, "--out", tmp_path / "out") == 0
+    summary = json.loads((tmp_path / "out/summary.json").read_text())
+    assert summary["simulated"]["reframe_time"] is None
+    assert (tmp_path / "out/trace.csv").exists()
 
 
 def test_commands_without_a_flow_leave_scipy_unloaded(tmp_path):

@@ -143,10 +143,11 @@ def test_config_builds_runtime_objects():
 
 
 def test_system_generates_topology_once(monkeypatch):
+    # parsing validates the generated topology, and the system reuses it
+    calls = count_calls(monkeypatch, graph.generate_topology)
     cfg = parse_config_dict({"topology": "random-strong", "n": 6,
                              "extra_edge_fraction": 0.4, "k": 0.2,
                              "omega_u": 1.0})
-    calls = count_calls(monkeypatch, graph.generate_topology)
     system = cfg.system()
     assert len(calls) == 1
     assert system.topology == cfg.topology()

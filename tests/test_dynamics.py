@@ -279,6 +279,56 @@ def test_positive_frequencies_do_not_warn(e1):
         run(prepare(topology, params))
 
 
+def test_unclipped_samples_share_one_flow_operator(monkeypatch, e1):
+    # t + sample_dt - t drifts in its last bits from sample to sample; the
+    # step still spans sample_dt, so one operator serves the whole run
+    topology, _, params, _, _ = e1
+    flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
+    trace = run(prepare(topology, params),
+                settings=IntegratorSettings(horizon=10.0, sample_interval=0.1))
+    assert len(flows) == 1
+    expected = [0.0]
+    while len(expected) < len(trace):
+        expected.append(expected[-1] + 0.1)
+    np.testing.assert_array_equal(trace.times, expected)
+
+
+@pytest.mark.parametrize("T1", [0.0, -1.0])
+def test_reframe_at_or_before_zero_records_two_rows_at_zero(e1, T1):
+    topology, _, params, _, _ = e1
+    trace = run(prepare(topology, params),
+                schedule=ReframeSchedule(mode="fixed-time", T1=T1),
+                settings=IntegratorSettings(horizon=5.0, sample_interval=1.0))
+    assert list(trace.times[:3]) == [0.0, 0.0, 1.0]
+    assert trace.mode[:3] == [PRE_REFRAME, POST_REFRAME, POST_REFRAME]
+    assert trace.reframe_time == 0.0
+
+
+@pytest.mark.parametrize("T1, node, last_mode", [
+    (600.0, 1, PRE_REFRAME), ([2.0, 600.0], 2, "staggered-1/2")])
+def test_unreached_fixed_T1_warns_once_naming_the_first_unfrozen_node(
+        e1, T1, node, last_mode):
+    topology, _, params, _, _ = e1
+    with pytest.warns(UserWarning) as caught:
+        trace = run(prepare(topology, params),
+                    schedule=ReframeSchedule(mode="fixed-time", T1=T1),
+                    settings=IntegratorSettings(horizon=5.0, sample_interval=1.0))
+    assert trace.reframe_time is None and trace.mode[-1] == last_mode
+    assert [str(w.message) for w in caught] == [
+        f"fixed-time reframe never fired: node {node} has T1 = 600, past the "
+        "last sample at t = 10"]
+
+
+def test_reached_fixed_T1_does_not_warn(e1):
+    topology, _, params, _, _ = e1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run(prepare(topology, params),
+                    schedule=ReframeSchedule(mode="fixed-time", T1=5.0),
+                    settings=IntegratorSettings(horizon=5.0, sample_interval=1.0))
+    assert trace.reframe_time == 5.0
+
+
 def _augmented_flow(A, dt):
     """(e^{A dt}, integral_0^dt e^{As} ds) from one 2n x 2n exponential."""
     n = A.shape[0]

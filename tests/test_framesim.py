@@ -403,3 +403,16 @@ def test_unfired_auto_reframe_warns_with_epsilon_and_window():
     with pytest.warns(UserWarning, match="never fired"):
         run(scenario.system, schedule=ReframeSchedule(mode="auto"),
             settings=IntegratorSettings(horizon=5.0, post_horizon=5.0))
+
+
+def test_unreached_fixed_T1_warns_in_discrete_mode():
+    with pytest.warns(UserWarning) as caught:
+        trace = run_discrete(e1_discrete(T1=600.0))
+    assert trace.reframe_time is None and not trace.aborted
+    assert [str(w.message) for w in caught] == [
+        "fixed-time reframe never fired: node 1 has T1 = 600, past the last "
+        "sample at t = 500"]
+    # a T1 inside the run fires and stays quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_discrete(e1_discrete()).reframe_time is not None

@@ -106,3 +106,18 @@ def test_benchmark_tracer_counts_each_auto_trigger_call():
     calls, _ = tr.self_times()
     assert calls["framesim.discrete_step"] == 500    # horizon 100 / dt 0.2
     assert calls["controller.auto_reframe_trigger"] == 500
+
+
+def test_benchmark_tracer_counts_one_trace_csv_per_run(tmp_path):
+    # the tracer sizes the trace from what trace_csv returns
+    tracer = _load_tracer()
+    tr = tracer.Tracer()
+    restore = tracer.install(tr)
+    try:
+        assert cli.main(["run", "--config", str(CONFIG_DIR / "e1.json"),
+                         "--out", str(tmp_path)]) == 0
+    finally:
+        restore()
+    calls, _ = tr.self_times()
+    assert calls["cli.trace_csv"] == 1
+    assert tr.totals["cli.trace_bytes"] == (tmp_path / "trace.csv").stat().st_size
