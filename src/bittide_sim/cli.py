@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verify as verify_mod
+from . import floatfmt, verify as verify_mod
 from .config import ConfigError, config_to_dict, parse_config
 from .dynamics import run
 from .framesim import fault_report, run_discrete
@@ -43,22 +43,27 @@ def _json_text(obj) -> str:
 
 
 def trace_csv(times, modes, omega, correction, occupancy) -> bytearray:
-    """The trace as CSV, formatted once into one bytes buffer."""
+    """The trace as CSV in one bytes buffer.  `floatfmt` formats the numbers
+    as b"%.17g" does (so as _fmt does), a chunk of rows at a time, with the
+    mode's cell put in each row."""
     n = omega.shape[1]
     m = occupancy.shape[1]
     header = (["t", "mode"]
               + [f"omega_{i}" for i in range(1, n + 1)]
               + [f"c_{i}" for i in range(1, n + 1)]
               + [f"beta_{j}" for j in range(1, m + 1)])
-    # b"%.17g" formats exactly as _fmt does; one template per trace, and one
-    # row at a time turned into Python floats, keeps the text's only copy in
-    # the buffer that is written to disk
-    template = b",".join([b"%.17g", b"%s"] + [b"%.17g"] * (2 * n + m)) + b"\n"
     out = bytearray(",".join(header).encode() + b"\n")
-    for i in range(len(times)):
-        out += template % (float(times[i]), modes[i].encode(),
-                           *omega[i].tolist(), *correction[i].tolist(),
-                           *occupancy[i].tolist())
+    cols = 2 + 2 * n + m
+    seps = np.full(cols, ord(","), dtype=np.uint8)
+    seps[-1] = ord("\n")
+    names, codes = np.unique(np.asarray(modes, dtype=str), return_inverse=True)
+    mode_cells = floatfmt.text_cells([name.encode() for name in names])
+    for rows in floatfmt.row_chunks(len(times), cols):
+        cells = floatfmt.cells(np.hstack((
+            times[rows, None], np.zeros((rows.stop - rows.start, 1)),  # mode
+            omega[rows], correction[rows], occupancy[rows])), seps)
+        cells[:, 1, :floatfmt.SEP] = mode_cells[codes[rows]]
+        out += floatfmt.join(cells)
     return out
 
 
@@ -184,11 +189,12 @@ def cmd_plotdata(trace_path, quantity: str, cfg, out_path: Path | None) -> int:
                   file=sys.stderr)
             return EXIT_BAD_INPUT
         series, label = occupancy - beta_off, "beta-rel edge"
+    seps = np.frombuffer(b" \n", dtype=np.uint8)
     for j in range(series.shape[1]):
-        lines = [f"# {label}={j + 1}"]
-        lines += [f"{_fmt(times[i])} {_fmt(series[i, j])}"
-                  for i in range(len(times))]
-        chunks.append("\n".join(lines))
+        lines = floatfmt.join(floatfmt.cells(
+            np.column_stack((times, series[:, j])), seps))
+        # a block ends without its last newline, which the join restores
+        chunks.append((f"# {label}={j + 1}\n".encode() + lines)[:-1].decode())
     for i in range(1, len(modes)):
         if modes[i] != modes[i - 1] and times[i] == times[i - 1]:
             chunks.append(f"# reframe t={_fmt(times[i])}\n{_fmt(times[i])} 0")

@@ -307,7 +307,9 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
             if reset.time is not None:
                 t_end = state.t + post_horizon
             record(state)
-        if state.t >= t_end - 1e-12:
+        # the accumulated sample times can end a hair short of t_end; a step
+        # to t_end would then record a near-duplicate last sample
+        if state.t >= t_end - 1e-9 * sample_dt:
             break
         t_next = min(state.t + sample_dt, t_end)
         if reset.events and reset.events[0] <= t_next + 1e-12:

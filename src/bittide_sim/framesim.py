@@ -113,11 +113,11 @@ class DiscreteTrace:
     aborted: bool = False
 
 
-def _counters(inc, params, theta):
+def _counters(params, theta_src, theta_dst):
     # the write pointer leads the read pointer by the frames in flight on the
     # link, so occupancy = floor(theta_src + lambda) - floor(theta_dst)
-    write = np.floor(theta[inc.src] + params.lam).astype(np.int64)
-    read = np.floor(theta[inc.dst]).astype(np.int64)
+    write = np.floor(theta_src + params.lam).astype(np.int64)
+    read = np.floor(theta_dst).astype(np.int64)
     return write, read
 
 
@@ -146,8 +146,8 @@ def _fire_controllers(state: DiscreteState, scenario: DiscreteScenario,
 
 def init_discrete(scenario: DiscreteScenario) -> DiscreteState:
     system = scenario.system
-    theta0 = system.theta0
-    write, read = _counters(system.inc, system.params, theta0)
+    theta0, inc = system.theta0, system.inc
+    write, read = _counters(system.params, theta0[inc.src], theta0[inc.dst])
     state = DiscreteState(t=0.0, theta=theta0,
                           correction=np.zeros(system.inc.n),
                           next_fire=theta0 + scenario.control_period,
@@ -166,7 +166,8 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     theta = state.theta + (params.omega_u + state.correction) * dt
     t = state.t + dt
     inc = scenario.system.inc
-    write, read = _counters(inc, params, theta)
+    theta_src = theta[inc.src]          # gathered once for both checks below
+    write, read = _counters(params, theta_src, theta[inc.dst])
 
     # no frame is created or lost: pointers only advance, in lockstep with
     # whole cycles of the source and destination clocks
@@ -175,7 +176,7 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
                      t, "pointer-monotonicity")
     write0, cycles0 = scenario.source_origin
     emitted = write - write0
-    source_cycles = np.floor(theta[inc.src]).astype(np.int64) - cycles0
+    source_cycles = np.floor(theta_src).astype(np.int64) - cycles0
     _check_invariant(state, np.abs(emitted - source_cycles) > 1, occ, t,
                      "frame-conservation")
     if not state.virtual:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bittide_sim import cli
 from bittide_sim.cli import _fmt, main, read_trace_csv, trace_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -257,6 +258,37 @@ def test_trace_csv_peak_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * len(out)
+
+
+def _fmt_csv(times, modes, omega, correction, occupancy) -> bytes:
+    """trace.csv built a row at a time with _fmt: the writer's reference."""
+    n, m = omega.shape[1], occupancy.shape[1]
+    lines = [",".join(["t", "mode"] + [f"omega_{i}" for i in range(1, n + 1)]
+                      + [f"c_{i}" for i in range(1, n + 1)]
+                      + [f"beta_{j}" for j in range(1, m + 1)])]
+    for i in range(len(times)):
+        values = [times[i], *omega[i], *correction[i], *occupancy[i]]
+        lines.append(",".join([_fmt(values[0]), modes[i]]
+                              + [_fmt(v) for v in values[1:]]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("mode", [[], ["--discrete"],
+                                  ["--discrete", "--continue-on-fault"]])
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_trace_csv_matches_fmt_on_every_config(tmp_path, monkeypatch, config,
+                                               mode):
+    traces = []
+
+    def recorded(*trace):
+        traces.append(trace)
+        return trace_csv(*trace)
+
+    monkeypatch.setattr(cli, "trace_csv", recorded)
+    assert run_cli("run", "--config", CONFIG_DIR / config,
+                   "--out", tmp_path, *mode) in (0, 1)
+    [trace] = traces
+    assert (tmp_path / "trace.csv").read_bytes() == _fmt_csv(*trace)
 
 
 def test_unreached_fixed_T1_warns_and_keeps_files_and_exit_code(tmp_path):

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from bittide_sim import (IntegratorSettings, ReframeSchedule, SimState,
                          generate_topology, init_state, make_system_params,
                          observe, predict_beta_ss, predict_omega_ss, prepare,
                          run, step)
+from bittide_sim.config import parse_config
 from bittide_sim.controller import POST_REFRAME, PRE_REFRAME
 from bittide_sim.dynamics import stability_bound
 from conftest import count_calls, random_scenario, spectral_setup
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_init_feasible_offsets_at_zero_phase(two_cycle):
@@ -291,6 +295,31 @@ def test_unclipped_samples_share_one_flow_operator(monkeypatch, e1):
     while len(expected) < len(trace):
         expected.append(expected[-1] + 0.1)
     np.testing.assert_array_equal(trace.times, expected)
+
+
+def test_run_ends_without_a_near_duplicate_sample(monkeypatch, e1):
+    # 1000 steps of 0.1 add up to 100 - 1.4e-12: the run ends there, with no
+    # step of 1.4e-12 to a second sample at t = 100 and no operator for it
+    topology, _, params, _, _ = e1
+    flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
+    trace = run(prepare(topology, params),
+                settings=IntegratorSettings(horizon=100.0, sample_interval=0.1))
+    assert len(flows) == 1 and len(trace) == 1001
+    assert abs(trace.times[-1] - 100.0) <= 1e-9 * 0.1
+    assert np.diff(trace.times).min() > 0.1 * (1 - 1e-9)
+
+
+def test_eight_node_ends_without_a_near_duplicate_sample():
+    cfg = parse_config(CONFIG_DIR / "eight_node.json")
+    system = cfg.system()
+    sample_dt = system.sd.horizon() / 200.0
+    trace = run(system, schedule=cfg.schedule(), settings=cfg.integrator)
+    t_end = trace.reframe_time + system.sd.horizon()
+    assert abs(trace.times[-1] - t_end) <= 1e-9 * sample_dt
+    gaps = np.diff(trace.times)
+    assert gaps[-1] > 1e-9 * sample_dt
+    # the only gap below a sample interval is the reframe instant's 0
+    assert np.count_nonzero(gaps < sample_dt * (1 - 1e-9)) == 1
 
 
 @pytest.mark.parametrize("T1", [0.0, -1.0])
