@@ -39,15 +39,51 @@ def _write(path: Path, data: str | bytes | bytearray):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) and a newline, byte for byte.
+    The indented encoder is pure Python and takes several steps per value;
+    here a scalar takes one, and a list of floats is joined in one call."""
+    return _json_value(obj, "\n") + "\n"
 
 
-def trace_csv(times, modes, omega, correction, occupancy) -> bytearray:
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_value(obj, newline: str) -> str:
+    """obj as the indented encoder writes it at the indent after `newline`."""
+    kind = type(obj)
+    if kind is str:
+        return _json_str(obj)
+    if kind is float and obj - obj == 0:    # finite: nan and inf are words
+        return float.__repr__(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = newline + "  "
+    if (kind is list or kind is tuple) and obj:
+        try:
+            text = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:                   # not all floats
+            text = None
+        if text is None or "n" in text:     # or not all finite
+            text = ("," + inner).join(_json_value(v, inner) for v in obj)
+        return "[" + inner + text + newline + "]"
+    if kind is dict and obj and all(type(k) is str for k in obj):
+        return "{" + inner + ("," + inner).join(
+            _json_str(k) + ": " + _json_value(v, inner)
+            for k, v in sorted(obj.items())) + newline + "}"
+    # empty containers, subclasses, nan, inf and keys the encoder converts:
+    # the encoder's own text, indented to this level
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
+
+
+def trace_csv(trace) -> bytearray:
     """The trace as CSV in one bytes buffer.  `floatfmt` formats the numbers
     as b"%.17g" does (so as _fmt does), a chunk of rows at a time, with the
-    mode's cell put in each row."""
-    n = omega.shape[1]
-    m = occupancy.shape[1]
+    mode's cell put in each row.  Each chunk's omega, c and beta come from
+    `trace.rows`, so a trace that derives them forms only that chunk."""
+    times = trace.times
+    n, m = trace.correction.shape[1], trace.m
     header = (["t", "mode"]
               + [f"omega_{i}" for i in range(1, n + 1)]
               + [f"c_{i}" for i in range(1, n + 1)]
@@ -56,12 +92,13 @@ def trace_csv(times, modes, omega, correction, occupancy) -> bytearray:
     cols = 2 + 2 * n + m
     seps = np.full(cols, ord(","), dtype=np.uint8)
     seps[-1] = ord("\n")
-    names, codes = np.unique(np.asarray(modes, dtype=str), return_inverse=True)
+    names, codes = np.unique(np.asarray(trace.mode, dtype=str),
+                             return_inverse=True)
     mode_cells = floatfmt.text_cells([name.encode() for name in names])
     for rows in floatfmt.row_chunks(len(times), cols):
         cells = floatfmt.cells(np.hstack((
             times[rows, None], np.zeros((rows.stop - rows.start, 1)),  # mode
-            omega[rows], correction[rows], occupancy[rows])), seps)
+            *trace.rows(rows))), seps)
         cells[:, 1, :floatfmt.SEP] = mode_cells[codes[rows]]
         out += floatfmt.join(cells)
     return out
@@ -104,8 +141,6 @@ def cmd_run(cfg, out_dir: Path) -> int:
 
     if discrete:
         trace = run_discrete(cfg.discrete_scenario(system))
-        csv_bytes = trace_csv(trace.times, trace.mode, trace.omega,
-                              trace.correction, trace.occupancy)
         faults = [asdict(f) for f in fault_report(trace)]
         summary["faults"] = faults
         summary["aborted"] = trace.aborted
@@ -115,16 +150,16 @@ def cmd_run(cfg, out_dir: Path) -> int:
         _write(out_dir / "faults.csv", "\n".join(fault_lines) + "\n")
     else:
         trace = run(system, schedule=cfg.schedule(), settings=cfg.integrator)
-        csv_bytes = trace_csv(trace.times, trace.mode, trace.omega,
-                              trace.correction, trace.occupancy)
+    csv_bytes = trace_csv(trace)
 
+    omega, correction, beta = trace.rows(slice(-1, None))
     summary["simulated"] = {
         "reframe_time": trace.reframe_time,
         "reframe_payload": [float(v) for v in trace.reframe_payload]
         if getattr(trace, "reframe_payload", None) is not None else None,
-        "terminal_omega": [float(v) for v in trace.omega[-1]],
-        "terminal_correction": [float(v) for v in trace.correction[-1]],
-        "terminal_beta": [float(v) for v in trace.occupancy[-1]],
+        "terminal_omega": [float(v) for v in omega[0]],
+        "terminal_correction": [float(v) for v in correction[0]],
+        "terminal_beta": [float(v) for v in beta[0]],
         "samples": len(trace.times),
     }
     _write(out_dir / "trace.csv", csv_bytes)

@@ -87,29 +87,33 @@ def auto_reframe_trigger(times: np.ndarray, corrections: np.ndarray,
 
 
 class CorrectionHistory:
-    """The run's (t, c) rows in preallocated arrays that double when full.
+    """The run's rows in preallocated arrays that double when full: each
+    sample's time, the correction c the nodes emit and, for `width` > 0, one
+    more row of values (the phases of a continuous run, the measured
+    occupancies of a discrete one).
 
-    Appending is amortized O(n), and `times`/`corrections` are views of the
-    filled prefix, so the auto trigger reads the history without a copy.
+    Appending is amortized O(n + width), and `times`, `corrections` and
+    `rows` are views of the filled prefix, so the auto trigger reads the
+    history without a copy, and a trace can keep them.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, width: int = 0):
         self._t = np.empty(64)
         self._c = np.empty((64, n))
+        self._rows = np.empty((64, width))
         self._len = 0
 
     def __len__(self):
         return self._len
 
-    def append(self, t: float, c: np.ndarray):
+    def append(self, t: float, c: np.ndarray, row: np.ndarray | None = None):
         if self._len == len(self._t):
-            grown_t = np.empty(2 * self._len)
-            grown_c = np.empty((2 * self._len, self._c.shape[1]))
-            grown_t[:self._len] = self._t
-            grown_c[:self._len] = self._c
-            self._t, self._c = grown_t, grown_c
+            self._t, self._c, self._rows = (
+                _doubled(a, self._len) for a in (self._t, self._c, self._rows))
         self._t[self._len] = t
         self._c[self._len] = c
+        if row is not None:
+            self._rows[self._len] = row
         self._len += 1
 
     @property
@@ -119,6 +123,16 @@ class CorrectionHistory:
     @property
     def corrections(self) -> np.ndarray:
         return self._c[:self._len]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows[:self._len]
+
+
+def _doubled(a: np.ndarray, filled: int) -> np.ndarray:
+    grown = np.empty((2 * filled,) + a.shape[1:])
+    grown[:filled] = a[:filled]
+    return grown
 
 
 @dataclass(frozen=True)
@@ -161,14 +175,16 @@ class OneShotReset:
     its offset q exactly once, at its T1 or when the auto trigger sees a stable
     correction.
 
-    Both run loops append each sample to `history`, ask `firing(t)` which
-    nodes reset on it, `freeze` those, and record the post row, labelling
-    every row with `mode`.  `time` is set once the last node has reset.
+    Both run loops `record` each sample (its row into `history`, its `mode`
+    into `modes`), ask `firing(t)` which nodes reset on it, `freeze` those,
+    and record the post row.  `time` is set once the last node has reset.
+    `width` is the length of the extra row each sample records.
     """
 
     def __init__(self, schedule: ReframeSchedule | None, params,
-                 inc: IncidenceSet, default_T1: float | None):
-        self.history = CorrectionHistory(inc.n)
+                 inc: IncidenceSet, default_T1: float | None, width: int = 0):
+        self.history = CorrectionHistory(inc.n, width)
+        self.modes = []
         self.done = np.zeros(inc.n, dtype=bool)
         self.events = []              # sorted fixed-time T1s not yet reached
         self.mode = PRE_REFRAME
@@ -181,6 +197,10 @@ class OneShotReset:
             self._T1 = np.broadcast_to(np.asarray(self.schedule.T1, dtype=float),
                                        (inc.n,))
             self.events = sorted({float(t) for t in self._T1})
+
+    def record(self, t: float, c: np.ndarray, row: np.ndarray):
+        self.history.append(t, c, row)
+        self.modes.append(self.mode)
 
     def firing(self, t: float) -> np.ndarray | None:
         """Mask of the nodes that reset on the sample just recorded at t, or

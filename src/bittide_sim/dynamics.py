@@ -73,23 +73,53 @@ class SimState:
 
 @dataclass
 class SimTrace:
-    """Time-indexed record of the observable quantities.
+    """Time-indexed record of a continuous run: each sample's phases and the
+    correction the nodes emitted.
+
+    The other observables are derived: omega = omega_u + c, and every buffer
+    occupancy is linear in the phases, beta = B^T theta + lambda, formed on
+    mean-removed phases as `observe` forms it.  `omega` and `occupancy` give
+    the full arrays; `rows` derives a row range, so a writer that goes a few
+    rows at a time never holds the (T, m) occupancy.
 
     The reframe instant appears twice (same t, pre then post mode) so the
     correction discontinuity is visible in the trace.
     """
 
-    times: np.ndarray
+    times: np.ndarray        # (T,)
     theta: np.ndarray        # (T, n)
-    omega: np.ndarray        # (T, n)
     correction: np.ndarray   # (T, n)
-    occupancy: np.ndarray    # (T, m)
+    omega_u: np.ndarray      # (n,)
+    inc: IncidenceSet
+    lam: np.ndarray          # (m,)
     mode: list = field(default_factory=list)
     reframe_time: float | None = None
     reframe_payload: np.ndarray | None = None
 
     def __len__(self):
         return len(self.times)
+
+    @property
+    def m(self) -> int:
+        return len(self.lam)
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.omega_u + self.correction
+
+    @property
+    def occupancy(self) -> np.ndarray:
+        return self.rows(slice(None))[2]
+
+    def rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(omega, correction, occupancy) of the rows in the slice.  Each row
+        of theta is C-contiguous, and a row-wise mean reduces it as the 1-D
+        mean in `observe` does, so every value equals observe's bit for bit."""
+        theta, c = self.theta[rows], self.correction[rows]
+        centered = theta - theta.mean(axis=1, keepdims=True)
+        beta = self.inc.edge_diff(centered)
+        beta += self.lam
+        return self.omega_u + c, c, beta
 
 
 @dataclass(frozen=True)
@@ -283,19 +313,15 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     post_horizon = settings.post_horizon if settings.post_horizon is not None else horizon
     sample_dt = settings.sample_interval or horizon / 200.0
 
-    reset = OneShotReset(schedule, params, inc, default_T1=horizon)
+    reset = OneShotReset(schedule, params, inc, default_T1=horizon, width=inc.n)
     history = reset.history
     stepper = _Stepper(system, settings.method, settings.dt)
-    thetas, omegas, betas, modes = [], [], [], []
     t_end = horizon + (post_horizon if schedule is not None else 0.0)
 
     def record(st: SimState):
-        om, c, beta = observe(st, params, clm)
-        history.append(st.t, c)
-        thetas.append(st.theta.copy())
-        omegas.append(om)
-        betas.append(beta)
-        modes.append(reset.mode)
+        # the correction as `observe` gives it; the trace derives the rest
+        c = clm.A @ (st.theta - st.theta.mean()) + params.q + clm.r
+        reset.record(st.t, c, st.theta)
 
     state = SimState(t=0.0, theta=system.theta0)
     while True:
@@ -320,20 +346,22 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         state = stepper.advance(state, params, span)
 
     reset.finish()
-    omega = np.vstack(omegas)
-    backward = np.argwhere(omega <= 0)
-    if backward.size:
-        # the model's clocks run forward: name the first such sample
-        row, i = backward[0]
-        warnings.warn(f"node {i + 1} has clock frequency {omega[row, i]:.6g} "
-                      f"<= 0 at t = {history.times[row]:.6g}", stacklevel=2)
-    return SimTrace(
-        times=history.times.copy(),
-        theta=np.vstack(thetas),
-        omega=omega,
-        correction=history.corrections.copy(),
-        occupancy=np.vstack(betas) if inc.m else np.empty((len(history), 0)),
-        mode=modes,
+    trace = SimTrace(
+        times=history.times,
+        theta=history.rows,
+        correction=history.corrections,
+        omega_u=params.omega_u,
+        inc=inc,
+        lam=params.lam,
+        mode=reset.modes,
         reframe_time=reset.time,
         reframe_payload=params.q if reset.time is not None else None,
     )
+    backward = np.argwhere(trace.omega <= 0)
+    if backward.size:
+        # the model's clocks run forward: name the first such sample
+        row, i = backward[0]
+        warnings.warn(f"node {i + 1} has clock frequency "
+                      f"{trace.omega[row, i]:.6g} <= 0 at t = "
+                      f"{trace.times[row]:.6g}", stacklevel=2)
+    return trace

@@ -103,14 +103,30 @@ class DiscreteState:
 
 @dataclass
 class DiscreteTrace:
+    """Time-indexed record of a discrete run: each sample's held correction
+    and measured occupancy; omega = omega_u + c is derived."""
+
     times: np.ndarray
-    omega: np.ndarray
     correction: np.ndarray
     occupancy: np.ndarray      # measured integer occupancies
+    omega_u: np.ndarray
     mode: list
     faults: list
     reframe_time: float | None = None
     aborted: bool = False
+
+    @property
+    def m(self) -> int:
+        return self.occupancy.shape[1]
+
+    @property
+    def omega(self) -> np.ndarray:
+        return self.omega_u + self.correction
+
+    def rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(omega, correction, occupancy) of the rows in the slice."""
+        c = self.correction[rows]
+        return self.omega_u + c, c, self.occupancy[rows]
 
 
 def _counters(params, theta_src, theta_dst):
@@ -209,17 +225,13 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
 
     dt = scenario.step_size()
     reset = OneShotReset(scenario.reframe, params, inc,
-                         default_T1=scenario.horizon / 2.0)
+                         default_T1=scenario.horizon / 2.0, width=inc.m)
     history = reset.history
     state = init_discrete(scenario)
-    omegas, occs, modes = [], [], []
     aborted = False
 
     def record(st: DiscreteState):
-        history.append(st.t, st.correction)
-        omegas.append(params.omega_u + st.correction)
-        occs.append(st.measured)
-        modes.append(reset.mode)
+        reset.record(st.t, st.correction, st.measured)
 
     record(state)
     steps = int(math.ceil(scenario.horizon / dt - 1e-9))
@@ -243,16 +255,16 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
 
     if not aborted:
         reset.finish()
-    return DiscreteTrace(times=history.times.copy(), omega=np.vstack(omegas),
-                         correction=history.corrections.copy(),
-                         occupancy=np.vstack(occs),
-                         mode=modes, faults=list(state.faults),
+    return DiscreteTrace(times=history.times, correction=history.corrections,
+                         occupancy=history.rows, omega_u=params.omega_u,
+                         mode=reset.modes, faults=list(state.faults),
                          reframe_time=reset.time, aborted=aborted)
 
 
 def _capacity_advisory(scenario: DiscreteScenario):
     system = scenario.system
-    if system.sd is None:  # k = 0: no closed loop, no predicted swing
+    # k = 0: no closed loop, no predicted swing; m = 0: no buffer to overflow
+    if system.sd is None or system.inc.m == 0:
         return
     swing = float(np.abs(predict_beta_ss(system.sd, system.clm, system.params)
                          - system.params.beta_off).max())

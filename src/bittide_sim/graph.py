@@ -65,8 +65,9 @@ class IncidenceSet:
         return len(self.src)
 
     def edge_diff(self, x: np.ndarray) -> np.ndarray:
-        """B^T x: x at each edge's source minus x at its destination."""
-        return x[self.src] - x[self.dst]
+        """B^T x: x at each edge's source minus x at its destination, along
+        the last axis of x."""
+        return x[..., self.src] - x[..., self.dst]
 
     def in_sum(self, y: np.ndarray) -> np.ndarray:
         """D y: the sum of y over each node's incoming edges."""

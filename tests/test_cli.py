@@ -3,12 +3,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bittide_sim import cli
+from bittide_sim import (ReframeSchedule, cli, generate_topology,
+                         make_system_params, prepare, run)
 from bittide_sim.cli import _fmt, main, read_trace_csv, trace_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -233,12 +236,30 @@ def test_backward_clock_writes_fault_record(tmp_path, mode):
     assert len(faults) == len(summary["faults"]) + 1
 
 
+@dataclass
+class _Arrays:
+    """A trace given as its full arrays, read a row range at a time."""
+
+    times: np.ndarray
+    mode: list
+    omega: np.ndarray
+    correction: np.ndarray
+    occupancy: np.ndarray
+
+    @property
+    def m(self):
+        return self.occupancy.shape[1]
+
+    def rows(self, rows):
+        return self.omega[rows], self.correction[rows], self.occupancy[rows]
+
+
 def test_trace_csv_rows_format_like_fmt():
     values = np.array([[-0.0, np.inf, -np.inf, np.nan, 1e-300, 0.1, 1 / 3,
                         -2.5e17, 5e-324]])
     omega, correction, occupancy = values[:, :3], values[:, 3:6], values[:, 6:]
-    text = trace_csv(np.array([0.2]), ["pre-reframe"], omega, correction,
-                     occupancy).decode()
+    text = trace_csv(_Arrays(np.array([0.2]), ["pre-reframe"], omega,
+                             correction, occupancy)).decode()
     row = ",".join([_fmt(0.2), "pre-reframe"] + [_fmt(v) for v in values[0]])
     assert text.splitlines()[1] == row
 
@@ -253,11 +274,35 @@ def test_trace_csv_peak_memory_stays_near_its_output():
     modes = ["pre-reframe"] * rows
     tracemalloc.start()
     try:
-        out = trace_csv(times, modes, omega, correction, occupancy)
+        out = trace_csv(_Arrays(times, modes, omega, correction, occupancy))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * len(out)
+
+
+def test_wide_run_and_its_trace_form_no_time_by_edge_array():
+    # the run records theta and c; beta = B^T theta + lambda is derived a
+    # chunk of rows at a time, so neither holds a (T, m) array
+    topology = generate_topology("random-strong", 64, seed=3,
+                                 extra_edge_fraction=0.5)
+    omega_u = np.random.default_rng(3).uniform(0.98, 1.02, size=64)
+    params = make_system_params(topology, k=0.2, omega_u=omega_u)
+    system = prepare(topology, params)
+    schedule = ReframeSchedule(mode="auto")
+    run(system, schedule=schedule)       # loads what the first expm imports
+    tracemalloc.start()
+    try:
+        trace = run(system, schedule=schedule)
+        _, run_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = trace_csv(trace)
+        _, csv_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.reframe_time is not None and trace.m > 1000
+    assert run_peak < len(trace) * trace.m * 8 / 4
+    assert csv_peak < 1.5 * len(out)
 
 
 def _fmt_csv(times, modes, omega, correction, occupancy) -> bytes:
@@ -280,9 +325,10 @@ def test_trace_csv_matches_fmt_on_every_config(tmp_path, monkeypatch, config,
                                                mode):
     traces = []
 
-    def recorded(*trace):
-        traces.append(trace)
-        return trace_csv(*trace)
+    def recorded(trace):
+        traces.append((trace.times, trace.mode, trace.omega, trace.correction,
+                       trace.occupancy))
+        return trace_csv(trace)
 
     monkeypatch.setattr(cli, "trace_csv", recorded)
     assert run_cli("run", "--config", CONFIG_DIR / config,
@@ -304,12 +350,65 @@ def test_unreached_fixed_T1_warns_and_keeps_files_and_exit_code(tmp_path):
     assert (tmp_path / "out/trace.csv").exists()
 
 
+@pytest.mark.parametrize("mode", [[], ["--discrete"]])
+def test_edge_free_topology_runs_in_both_modes(tmp_path, mode):
+    # one node and no buffer: nothing can overflow, so no capacity advisory
+    cfg = tmp_path / "single.json"
+    cfg.write_text(json.dumps({
+        "topology": {"n": 1, "edges": []}, "k": 0.1, "omega_u": 1.0,
+        "controller": "reframing", "reframe": {"mode": "fixed-time", "T1": 5.0},
+        "integrator": {"horizon": 10.0, "dt": 0.2}}))
+    assert run_cli("run", "--config", cfg, "--out", tmp_path, *mode) == 0
+    header = (tmp_path / "trace.csv").read_text().splitlines()[0]
+    assert header == "t,mode,omega_1,c_1"
+    times, modes, omega, corr, beta = read_trace_csv(tmp_path / "trace.csv")
+    assert beta.shape == (len(times), 0) and modes[-1] == "post-reframe"
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["simulated"]["terminal_beta"] == []
+
+
+def test_json_text_matches_the_indented_encoder(tmp_path, monkeypatch):
+    objects, json_text = [], cli._json_text
+
+    def recorded(obj):
+        objects.append(obj)
+        return json_text(obj)
+
+    monkeypatch.setattr(cli, "_json_text", recorded)
+    argvs = [("verify", "--count", 2, "--out", tmp_path / "verify"),
+             ("gen-topology", "--kind", "random-strong", "--n", 6,
+              "--extra-edge-fraction", 0.3)]
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        out = tmp_path / path.stem
+        argvs += [("run", "--config", path, "--out", out / "c"),
+                  ("run", "--config", path, "--out", out / "d", "--discrete"),
+                  ("analyze", "--config", path, "--out", out / "a")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for argv in argvs:
+            assert run_cli(*argv) in (0, 1)
+    monkeypatch.undo()
+    assert len(objects) == 2 + 3 * len(list(CONFIG_DIR.glob("*.json")))
+    objects += [
+        {}, [], {"a": [], "b": {}}, [[], {}, [[]]], (1.5, 2.0), [[0.1, [2.0]]],
+        [None, True, False, 0, -3, 10**20, 1.0, -0.0, 5e-324, 1e300],
+        [1.0, float("nan")], [float("inf"), 2.0], [-float("inf")], float("nan"),
+        {"z": 1, "a": {"b": [0.1, None]}, "m": (1, "x")}, {1: "int key"},
+        {"tab\t \"quote\" \\ \u00e9 \u2603 \U0001f600": "\n\u0000\u007f \u00e9"},
+        [np.float64(0.25), np.float64(1e-7)], {"x": np.float64(3.0)},
+    ]
+    for obj in objects:
+        assert cli._json_text(obj) == json.dumps(obj, indent=2,
+                                                 sort_keys=True) + "\n"
+
+
 def test_commands_without_a_flow_leave_scipy_unloaded(tmp_path):
     # only the matrix exponential needs scipy; the commands that never
     # exponentiate must not pay for importing it
     script = f"""
 import sys
-from bittide_sim import cli
+from bittide_sim import (ReframeSchedule, cli, generate_topology,
+                         make_system_params, prepare, run)
 config, out = {str(CONFIG_DIR / "e1.json")!r}, {str(tmp_path)!r}
 for argv in (["analyze", "--config", config, "--out", out + "/analyze"],
              ["gen-topology", "--kind", "random-strong", "--n", "8",

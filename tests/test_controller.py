@@ -255,6 +255,16 @@ def test_correction_history_views_grow_in_place():
     np.testing.assert_array_equal(history.corrections[-1], [-1.0, -2.0])
 
 
+def test_correction_history_rows_grow_with_the_corrections():
+    history = CorrectionHistory(2, width=3)
+    rows = np.arange(450.0).reshape(150, 3)
+    for i, row in enumerate(rows):
+        history.append(0.5 * i, [i, -i], row)
+    np.testing.assert_array_equal(history.rows, rows)
+    np.testing.assert_array_equal(history.corrections[:, 1], -np.arange(150))
+    assert CorrectionHistory(2).rows.shape == (0, 0)
+
+
 def test_auto_reframe_fires_after_transient_and_outcome_holds(e1):
     topology, _, params, _, sd = e1
     schedule = ReframeSchedule(mode="auto")  # eps = 1e-9 * 1.02, window = 100

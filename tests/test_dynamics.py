@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bittide_sim import (IntegratorSettings, ReframeSchedule, SimState,
+from bittide_sim import (IntegratorSettings, OneShotReset, ReframeSchedule,
+                         SimState, floatfmt,
                          build_closed_loop, build_incidence, dynamics,
                          generate_topology, init_state, make_system_params,
                          observe, predict_beta_ss, predict_omega_ss, prepare,
@@ -399,3 +401,84 @@ def test_flow_operators_match_augmented_exponential(seed, dt):
     _, _, clm, sd = spectral_setup(topology, params.k, params.omega_u,
                                    lam=params.lam, theta0=theta0)
     _check_flow_operators(clm, sd, dt)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def _oracle_run(monkeypatch, system, **kwargs):
+    """The trace and, for each row, the q in force when it was recorded:
+    freeze's result holds from the row recorded after it."""
+    switches = []
+    freeze = OneShotReset.freeze
+
+    def spy(self, q, firing):
+        q = freeze(self, q, firing)
+        switches.append((len(self.history), q))
+        return q
+
+    monkeypatch.setattr(OneShotReset, "freeze", spy)
+    trace = run(system, **kwargs)
+    qs, q = [], system.params.q
+    for i in range(len(trace)):
+        while switches and switches[0][0] == i:
+            q = switches.pop(0)[1]
+        qs.append(q)
+    return trace, qs
+
+
+def _config_case(path, **overrides):
+    cfg = parse_config(path)
+    return cfg.system(), {"schedule": cfg.schedule(),
+                          "settings": cfg.integrator, **overrides}
+
+
+def _spread_case():
+    # phases of both signs and n > 8: centering rounds, and the mean is a
+    # pairwise sum, so a row-wise mean that reduced otherwise would show
+    topology = generate_topology("random-strong", 12, seed=5,
+                                 extra_edge_fraction=0.3)
+    rng = np.random.default_rng(5)
+    params = make_system_params(topology, k=0.3,
+                                omega_u=rng.uniform(0.95, 1.05, size=12))
+    system = prepare(topology, params, rng.uniform(-1.0, 1.0, size=12))
+    return system, {"schedule": ReframeSchedule(mode="fixed-time", T1=3.0),
+                    "settings": IntegratorSettings(horizon=6.0,
+                                                   sample_interval=0.05)}
+
+
+_ORACLE_CASES = {
+    **{f"config-{p.stem}": partial(_config_case, p)
+       for p in sorted(CONFIG_DIR.glob("*.json"))},
+    "staggered": partial(_config_case, CONFIG_DIR / "eight_node.json",
+                         schedule=ReframeSchedule(
+                             mode="fixed-time", T1=np.linspace(20.0, 55.0, 8))),
+    "rk4": partial(_config_case, CONFIG_DIR / "e1.json",
+                   settings=IntegratorSettings(method="rk4", horizon=250.0,
+                                               post_horizon=50.0,
+                                               sample_interval=2.5)),
+    "spread-phases": _spread_case,
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CASES))
+def test_derived_rows_equal_observe_bit_for_bit(monkeypatch, name):
+    # the trace keeps theta and c; omega and beta are derived from them, in
+    # whole and in the writer's row chunks, and must be observe's values
+    system, kwargs = _ORACLE_CASES[name]()
+    trace, qs = _oracle_run(monkeypatch, system, **kwargs)
+    n, m = system.inc.n, system.inc.m
+    chunks = floatfmt.row_chunks(len(trace), 2 + 2 * n + m)
+    blocks = [np.vstack(parts) for parts in
+              zip(*(trace.rows(rows) for rows in chunks))]
+    whole = (trace.omega, trace.correction, trace.occupancy)
+    if name == "staggered":
+        assert any(mode.startswith("staggered-") for mode in trace.mode)
+    assert len({_bits(q) for q in qs}) > 1       # the reframe moved q
+    for i, (t, theta, q) in enumerate(zip(trace.times, trace.theta, qs)):
+        omega, c, beta = observe(SimState(t=t, theta=theta),
+                                 replace(system.params, q=q), system.clm)
+        for arrays in (whole, blocks):
+            for array, value in zip(arrays, (omega, c, beta)):
+                assert _bits(array[i]) == _bits(value), i

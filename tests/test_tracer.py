@@ -121,3 +121,29 @@ def test_benchmark_tracer_counts_one_trace_csv_per_run(tmp_path):
     calls, _ = tr.self_times()
     assert calls["cli.trace_csv"] == 1
     assert tr.totals["cli.trace_bytes"] == (tmp_path / "trace.csv").stat().st_size
+
+
+@pytest.mark.parametrize("config, mode, discrete", [
+    ("e1.json", [], False), ("eight_node.json", [], False),
+    ("e1.json", ["--discrete"], True), ("e1_discrete.json", [], True)])
+def test_benchmark_tracer_sizes_the_written_trace(tmp_path, config, mode,
+                                                  discrete):
+    # the benchmark's trace_bytes and samples must describe the file written,
+    # in both run loops, while the continuous loop derives omega and beta
+    tracer = _load_tracer()
+    tr = tracer.Tracer()
+    restore = tracer.install(tr)
+    try:
+        assert cli.main(["run", "--config", str(CONFIG_DIR / config),
+                         "--out", str(tmp_path), *mode]) == 0
+    finally:
+        restore()
+    calls, _ = tr.self_times()
+    written = (tmp_path / "trace.csv").read_bytes()
+    assert calls["cli.trace_csv"] == 1
+    assert tr.totals["cli.trace_bytes"] == len(written)
+    assert calls["framesim.run_discrete"] == int(discrete)
+    assert calls["dynamics.run"] == int(not discrete)
+    if not discrete:
+        assert tr.totals["dynamics.samples"] == written.count(b"\n") - 1
+    assert calls["dynamics.observe"] == 0
