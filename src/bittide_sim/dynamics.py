@@ -341,9 +341,16 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         if reset.events and reset.events[0] <= t_next + 1e-12:
             t_next = reset.events[0]  # sample the reframe instant itself
         # an unclipped step spans exactly sample_dt, so every such step reuses
-        # one flow operator; t_next - state.t drifts in its last bits
-        span = sample_dt if t_next == state.t + sample_dt else t_next - state.t
+        # one flow operator; t_next - state.t drifts in its last bits.  A step
+        # clipped to t_end within the exit test's 1e-9 sample intervals of
+        # sample_dt takes that operator too, and still lands on t_end
+        span = t_next - state.t
+        clipped = t_next == t_end and abs(span - sample_dt) <= 1e-9 * sample_dt
+        if clipped or t_next == state.t + sample_dt:
+            span = sample_dt
         state = stepper.advance(state, params, span)
+        if clipped:
+            state = replace(state, t=t_end)
 
     reset.finish()
     trace = SimTrace(

@@ -13,6 +13,7 @@ projector W = 1 z^T, and the group inverse of A on the complement of
 span(1).  This module computes those objects and the predictions.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,14 +170,100 @@ def predict_beta_ss(sd: SpectralData, clm: ClosedLoopMatrix, params,
     return params.lam - clm.inc.edge_diff(sd.group_inverse @ v)
 
 
+# Higham, "The scaling and squaring method for the matrix exponential
+# revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005: for the degrees
+# m = 3, 5, 7, 9 and 13, the largest 1-norm theta_m at which the degree-m
+# diagonal Pade approximant of e^X has backward error below unit roundoff
+# (Table 2.3), and that approximant's numerator coefficients b_0 .. b_m.
+_PADE = tuple((theta, np.array(b)) for theta, b in (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
+                            25200.0, 1512.0, 56.0, 1.0)),
+    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0,
+                           302702400.0, 30270240.0, 2162160.0, 110880.0,
+                           3960.0, 90.0, 1.0)),
+    (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0,
+                           7771770303897600.0, 1187353796428800.0,
+                           129060195264000.0, 10559470521600.0,
+                           670442572800.0, 33522128640.0, 1323241920.0,
+                           40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+))
+
+
+def _pade(X: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The diagonal Pade approximant of e^X of degree m = len(b) - 1, whose
+    numerator has coefficients b and odd and even parts U and V:
+    (V - U)^{-1} (V + U) = I + 2 (V - U)^{-1} U.  The second form leaves the
+    row sums of a rate matrix's exponential at rounding level, as the
+    identity carries the 1 and U annihilates constants.
+
+    Each polynomial in the even powers X^2, X^4, .. is one product of its
+    coefficients with the stacked powers, written into a preallocated array.
+    X may be overwritten; at most seven n x n arrays are live at once.
+    """
+    n, m = X.shape[0], len(b) - 1
+    odd, even = b[1::2], b[0::2]   # odd[j] and even[j] multiply X^{2j}
+    count = 3 if m == 13 else (m - 1) // 2
+    powers = np.empty((count, n, n))
+    np.matmul(X, X, out=powers[0])
+    for j in range(1, count):
+        np.matmul(powers[j - 1], powers[0], out=powers[j])
+    flat = powers.reshape(count, -1)
+
+    def poly(coeffs, identity, out):
+        # out = identity I + sum_j coeffs[j] X^{2j + 2}
+        np.dot(coeffs, flat, out=out.reshape(-1))
+        if identity:
+            diagonal = out.reshape(-1)[::n + 1]
+            diagonal += identity
+        return out
+
+    if m == 13:
+        # U = X [X^6 (b_13 X^6 + b_11 X^4 + b_9 X^2) + b_7 X^6 + .. + b_1 I],
+        # V = X^6 (b_12 X^6 + b_10 X^4 + b_8 X^2) + b_6 X^6 + .. + b_0 I
+        X6 = powers[2]
+        U, poly_u = np.empty_like(X), np.empty_like(X)
+        np.matmul(X6, poly(odd[4:], 0.0, U), out=poly_u)
+        poly_u += poly(odd[1:4], odd[0], U)
+        np.matmul(X, poly_u, out=U)
+        V = np.matmul(X6, poly(even[4:], 0.0, poly_u), out=X)
+        V += poly(even[1:4], even[0], poly_u)
+        del X6
+    else:
+        poly_u = poly(odd[1:], odd[0], np.empty_like(X))
+        U = X @ poly_u
+        V = poly(even[1:], even[0], poly_u)
+    del X, powers, flat, poly_u
+    V -= U
+    E = np.linalg.solve(V, U)
+    E *= 2.0
+    diagonal = E.reshape(-1)[::n + 1]
+    diagonal += 1.0
+    return E
+
+
 def matrix_exponential(clm: ClosedLoopMatrix, t: float) -> np.ndarray:
     """e^{At} for t >= 0; row-stochastic since A is a rate matrix.
 
-    The package's one use of scipy, imported here so that the commands that
-    never exponentiate do not pay for loading it.
+    Higham's (2005) scaling and squaring in numpy: the lowest Pade degree
+    m in {3, 5, 7, 9, 13} whose theta_m bounds ||At||_1, and above
+    theta_13 a scaling by 2^-s, s = ceil(log2(||At||_1 / theta_13)), undone
+    by s squarings.  The package has no scipy dependency; its tests use
+    scipy.linalg.expm as the oracle.
     """
-    from scipy.linalg import expm
-
     if t < 0:
         raise ValueError(f"matrix exponential of the flow needs t >= 0, got {t}")
-    return expm(clm.A * t)
+    norm = t * float(np.abs(clm.A).sum(axis=0).max())
+    if norm == 0.0:
+        return np.eye(clm.n)
+    s = 0
+    for theta, b in _PADE:
+        if norm <= theta:
+            break
+    else:
+        s = math.ceil(math.log2(norm / theta))
+    E = _pade(clm.A * (t * 2.0 ** -s), b)
+    for _ in range(s):
+        E = E @ E
+    return E

@@ -14,7 +14,7 @@ from bittide_sim import (IntegratorSettings, OneShotReset, ReframeSchedule,
                          build_closed_loop, build_incidence, dynamics,
                          generate_topology, init_state, make_system_params,
                          observe, predict_beta_ss, predict_omega_ss, prepare,
-                         run, step)
+                         run, spectral, step)
 from bittide_sim.config import parse_config
 from bittide_sim.controller import POST_REFRAME, PRE_REFRAME
 from bittide_sim.dynamics import stability_bound
@@ -309,6 +309,22 @@ def test_run_ends_without_a_near_duplicate_sample(monkeypatch, e1):
     assert len(flows) == 1 and len(trace) == 1001
     assert abs(trace.times[-1] - 100.0) <= 1e-9 * 0.1
     assert np.diff(trace.times).min() > 0.1 * (1 - 1e-9)
+
+
+def test_step_clipped_to_the_end_by_a_hair_reuses_the_sample_operator(
+        monkeypatch, e1):
+    # 0.2 + 0.1 overshoots 0.3, so the last step is clipped to a span of
+    # 0.09999999999999998: it takes the one 0.1 operator and lands on 0.3
+    topology, _, params, _, _ = e1
+    system = prepare(topology, params)
+    exponentials = count_calls(monkeypatch, spectral.matrix_exponential)
+    trace = run(system,
+                settings=IntegratorSettings(horizon=0.3, sample_interval=0.1))
+    assert [t for _, t in exponentials] == [0.1]
+    np.testing.assert_array_equal(trace.times, [0.0, 0.1, 0.2, 0.3])
+    last = step(SimState(t=0.2, theta=trace.theta[-2]), system.params,
+                system.clm, 0.1, sd=system.sd)
+    np.testing.assert_array_equal(trace.theta[-1], last.theta)
 
 
 def test_eight_node_ends_without_a_near_duplicate_sample():

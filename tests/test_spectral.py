@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -6,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bittide_sim import (SimState, SpectralError, Topology, build_closed_loop,
-                         build_incidence, make_system_params,
+                         build_incidence, generate_topology, make_system_params,
                          matrix_exponential, metzler_eigenvector, observe,
                          predict_beta_ss, predict_omega_ss, prepare,
                          steady_state_correction)
+from bittide_sim.config import parse_config
 from conftest import random_scenario, spectral_setup
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 ALG_TOL = 1e-10  # algebraic identities
 LIM_TOL = 1e-8   # limits approximated at finite horizon
@@ -299,6 +305,70 @@ def test_matrix_exponential_long_time_limit(e1):
     _, _, _, clm, sd = e1
     E = matrix_exponential(clm, sd.horizon())  # 50 e-folds at rate 0.2 -> t = 250
     assert np.abs(E - sd.W).max() <= 1e-8
+
+
+# Higham (2005), Table 2.3: the largest ||X||_1 served by the degree
+# 3, 5, 7, 9 and 13 Pade approximants without scaling
+PADE_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+              2.097847961257068e0, 5.371920351148152e0)
+
+
+def _random_strong(n, fraction=0.1):
+    topology = generate_topology("random-strong", n, seed=0,
+                                 extra_edge_fraction=fraction)
+    omega_u = np.random.default_rng(0).uniform(0.98, 1.02, size=n)
+    return prepare(topology, make_system_params(topology, k=0.2, omega_u=omega_u))
+
+
+@pytest.fixture(scope="module")
+def rate_matrices():
+    clms = {path.stem: parse_config(path).system().clm
+            for path in sorted(CONFIG_DIR.glob("*.json"))}
+    for n in (2, 8, 64, 256):
+        clms[f"random-strong-{n}"] = _random_strong(n).clm
+    return clms
+
+
+def test_matrix_exponential_agrees_with_scipy(rate_matrices):
+    # ||At||_1 inside each degree's band, at and just past each theta_m, and
+    # at the top of each scaling s = 1 .. 10
+    inside = [0.5 * PADE_THETA[0]] + [0.5 * (a + b) for a, b in
+                                       zip(PADE_THETA, PADE_THETA[1:])]
+    edges = [x for theta in PADE_THETA for x in (theta, theta * (1 + 1e-12))]
+    scaled = [PADE_THETA[-1] * 2.0 ** s for s in range(1, 11)]
+    for name, clm in rate_matrices.items():
+        norm1 = np.abs(clm.A).sum(axis=0).max()
+        for norm in inside + edges + scaled:
+            t = norm / norm1
+            E = matrix_exponential(clm, t)
+            scale = max(1.0, np.abs(E).sum(axis=1).max())
+            assert np.abs(E - la.expm(clm.A * t)).max() <= 1e-13 * scale, (name, norm)
+            # each squaring doubles the row sums' rounding error, in scipy's
+            # expm too (2.0e-13 on random-strong-256 at s = 10)
+            if norm <= PADE_THETA[-1] * 2.0 ** 9:
+                assert np.abs(E.sum(axis=1) - 1).max() <= 1e-13, (name, norm)
+        assert matrix_exponential(clm, 0.0).tobytes() == np.eye(clm.n).tobytes()
+
+
+def test_matrix_exponential_working_set():
+    # at most eight n x n arrays live at once, the result included, in the
+    # bands of degrees 5 to 13 and with three squarings
+    n = 256
+    system = _random_strong(n)
+    norm1 = np.abs(system.clm.A).sum(axis=0).max()
+    spans = [0.5 * (a + b) / norm1 for a, b in zip(PADE_THETA, PADE_THETA[1:])]
+    spans.append(8 * PADE_THETA[-1] / norm1)
+    matrix_exponential(system.clm, spans[-1])
+    tracemalloc.start()
+    try:
+        for t in spans:
+            tracemalloc.reset_peak()
+            E = matrix_exponential(system.clm, t)
+            _, peak = tracemalloc.get_traced_memory()
+            del E
+            assert peak <= 8 * n * n * 8, (t, peak / (n * n * 8))
+    finally:
+        tracemalloc.stop()
 
 
 def test_group_inverse_prediction_on_defective_matrix(ring3_chord):
