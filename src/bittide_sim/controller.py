@@ -6,6 +6,7 @@ per-node law takes a view and nothing else, and the batched law gives each
 node a row of exactly its view's edges, so no node reads another's state.
 """
 
+import bisect
 import warnings
 from dataclasses import dataclass
 
@@ -61,12 +62,14 @@ def proportional_correction(view: NodeView, k: float) -> float:
 def proportional_corrections(in_blocks, beta, beta_off, q, k, due, out):
     """proportional_correction of each node in the `due` mask, into out.  An
     `IncidenceSet.in_blocks` row holds its node's in-edges in NodeView order,
-    and a row-wise sum reduces it as np.sum reduces the view: bit for bit."""
+    and a row-wise sum reduces it as np.sum reduces the view: bit for bit.
+    Every node's sum is formed, one reduction per block, and only the due
+    nodes take theirs."""
     rel = beta - beta_off
+    sums = np.empty_like(out)
     for nodes, edges in in_blocks:
-        fire = due[nodes]
-        firing = nodes[fire]
-        out[firing] = k * rel[edges[fire]].sum(axis=1) + q[firing]
+        sums[nodes] = np.add.reduce(rel[edges], axis=1)
+    np.copyto(out, k * sums + q, where=due)
 
 
 def auto_reframe_trigger(times: np.ndarray, corrections: np.ndarray,
@@ -87,20 +90,20 @@ def auto_reframe_trigger(times: np.ndarray, corrections: np.ndarray,
 
 
 class CorrectionHistory:
-    """The run's rows in preallocated arrays that double when full: each
+    """The run's rows in preallocated arrays that grow when full: each
     sample's time, the correction c the nodes emit and, for `width` > 0, one
     more row of values (the phases of a continuous run, the measured
-    occupancies of a discrete one).
+    occupancies of a discrete one).  `size` is the rows a run expects.
 
-    Appending is amortized O(n + width), and `times`, `corrections` and
-    `rows` are views of the filled prefix, so the auto trigger reads the
+    Appending is amortized O(n + width) per row, and `times`, `corrections`
+    and `rows` are views of the filled prefix, so the auto trigger reads the
     history without a copy, and a trace can keep them.
     """
 
-    def __init__(self, n: int, width: int = 0):
-        self._t = np.empty(64)
-        self._c = np.empty((64, n))
-        self._rows = np.empty((64, width))
+    def __init__(self, n: int, width: int = 0, size: int = 64):
+        self._t = np.empty(size)
+        self._c = np.empty((size, n))
+        self._rows = np.empty((size, width))
         self._len = 0
 
     def __len__(self):
@@ -108,13 +111,40 @@ class CorrectionHistory:
 
     def append(self, t: float, c: np.ndarray, row: np.ndarray | None = None):
         if self._len == len(self._t):
-            self._t, self._c, self._rows = (
-                _doubled(a, self._len) for a in (self._t, self._c, self._rows))
+            self._reserve(self._len + 1)
         self._t[self._len] = t
         self._c[self._len] = c
         if row is not None:
             self._rows[self._len] = row
         self._len += 1
+
+    def extend(self, times, c: np.ndarray, rows: np.ndarray | None = None):
+        """Append a sample at each of `times` in one step: c (and rows) is
+        one row for all of them, or one row each."""
+        end = self._len + len(times)
+        self._reserve(end)
+        self._t[self._len:end] = times
+        self._c[self._len:end] = c
+        if rows is not None:
+            self._rows[self._len:end] = rows
+        self._len = end
+
+    def ahead(self, times, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(times, corrections) as they would read after appending samples at
+        `times`, all holding c.  The samples go past the filled prefix, so
+        the length is unchanged and the next append overwrites them."""
+        end = self._len + len(times)
+        self._reserve(end)
+        self._t[self._len:end] = times
+        self._c[self._len:end] = c
+        return self._t[:end], self._c[:end]
+
+    def _reserve(self, end: int):
+        if end > len(self._t):
+            size = max(end, 2 * len(self._t))
+            self._t, self._c, self._rows = (_grown(a, self._len, size)
+                                            for a in (self._t, self._c,
+                                                      self._rows))
 
     @property
     def times(self) -> np.ndarray:
@@ -129,8 +159,8 @@ class CorrectionHistory:
         return self._rows[:self._len]
 
 
-def _doubled(a: np.ndarray, filled: int) -> np.ndarray:
-    grown = np.empty((2 * filled,) + a.shape[1:])
+def _grown(a: np.ndarray, filled: int, size: int) -> np.ndarray:
+    grown = np.empty((size,) + a.shape[1:])
     grown[:filled] = a[:filled]
     return grown
 
@@ -178,12 +208,13 @@ class OneShotReset:
     Both run loops `record` each sample (its row into `history`, its `mode`
     into `modes`), ask `firing(t)` which nodes reset on it, `freeze` those,
     and record the post row.  `time` is set once the last node has reset.
-    `width` is the length of the extra row each sample records.
+    `width` is the length of the extra row each sample records, and
+    `samples` the rows a loop expects to record besides the reset's own.
     """
 
     def __init__(self, schedule: ReframeSchedule | None, params,
-                 inc: IncidenceSet, default_T1: float | None, width: int = 0):
-        self.history = CorrectionHistory(inc.n, width)
+                 inc: IncidenceSet, default_T1: float | None, width: int = 0,
+                 samples: int = 64):
         self.modes = []
         self.done = np.zeros(inc.n, dtype=bool)
         self.events = []              # sorted fixed-time T1s not yet reached
@@ -197,10 +228,19 @@ class OneShotReset:
             self._T1 = np.broadcast_to(np.asarray(self.schedule.T1, dtype=float),
                                        (inc.n,))
             self.events = sorted({float(t) for t in self._T1})
+        # each reframe time adds at most two rows: a sample at its instant,
+        # where a loop inserts one, and the post row
+        reframes = len(self.events) or int(self.pending)
+        self.history = CorrectionHistory(inc.n, width, samples + 2 * reframes)
 
     def record(self, t: float, c: np.ndarray, row: np.ndarray):
         self.history.append(t, c, row)
         self.modes.append(self.mode)
+
+    def record_held(self, times, c: np.ndarray, rows: np.ndarray):
+        """Record a sample at each of `times`, all holding correction c."""
+        self.history.extend(times, c, rows)
+        self.modes.extend([self.mode] * len(times))
 
     def firing(self, t: float) -> np.ndarray | None:
         """Mask of the nodes that reset on the sample just recorded at t, or
@@ -217,6 +257,41 @@ class OneShotReset:
                                 self.schedule.epsilon, self.schedule.window):
             return ~self.done
         return None
+
+    def quiet_samples(self, times, c: np.ndarray) -> int:
+        """How many of the coming samples at `times` (non-decreasing), all
+        holding correction c, a loop may record before it asks `firing` on
+        the last of them: through the first on which the schedule can fire,
+        or all of them.
+
+        Fixed-time: through the first time that reaches the next T1.  Auto:
+        with c held, a sample only drops old rows from the trigger's window
+        and adds one equal to the last, so once the trigger holds it keeps
+        holding.  It is asked once, at the last sample but one, and bisected
+        for the first only when it holds there."""
+        if not self.pending or len(times) < 2:
+            return len(times)
+        if self.events:
+            return min(len(times),
+                       bisect.bisect_left(times, self.events[0] - 1e-12) + 1)
+        ts, cs = self.history.ahead(times, c)
+        base = len(self.history)
+
+        def fires(count):
+            return auto_reframe_trigger(ts[:base + count], cs[:base + count],
+                                        self.schedule.epsilon,
+                                        self.schedule.window)
+
+        lo, hi = 1, len(times) - 1
+        if not fires(hi):
+            return len(times)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if fires(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def freeze(self, q: np.ndarray, firing: np.ndarray) -> np.ndarray:
         """q with the firing nodes' last recorded correction frozen in; a node

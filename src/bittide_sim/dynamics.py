@@ -7,6 +7,7 @@ Fixed-step rk4/euler are kept to mimic discrete controller hardware; they
 carry an explicit stability bound on dt.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -313,10 +314,11 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     post_horizon = settings.post_horizon if settings.post_horizon is not None else horizon
     sample_dt = settings.sample_interval or horizon / 200.0
 
-    reset = OneShotReset(schedule, params, inc, default_T1=horizon, width=inc.n)
+    t_end = horizon + (post_horizon if schedule is not None else 0.0)
+    reset = OneShotReset(schedule, params, inc, default_T1=horizon,
+                         width=inc.n, samples=math.ceil(t_end / sample_dt) + 1)
     history = reset.history
     stepper = _Stepper(system, settings.method, settings.dt)
-    t_end = horizon + (post_horizon if schedule is not None else 0.0)
 
     def record(st: SimState):
         # the correction as `observe` gives it; the trace derives the rest

@@ -24,6 +24,12 @@ from .dynamics import System, stability_bound
 from .spectral import predict_beta_ss
 
 
+# entries in one row-block array of an advance (see
+# DiscreteScenario.block_steps): a long control period on a large topology
+# takes more advances, not more memory
+BLOCK_ENTRIES = 1 << 16
+
+
 @dataclass(frozen=True)
 class Fault:
     edge: int          # 1-indexed, config order
@@ -67,12 +73,20 @@ class DiscreteScenario:
             raise ValueError("quantization unit must be at least one frame")
 
     @cached_property
-    def source_origin(self) -> tuple[np.ndarray, np.ndarray]:
-        """floor(lambda + theta0) and floor(theta0) at each edge's source:
-        the write pointer and the source clock's whole cycles at t = 0."""
+    def source_lead(self) -> np.ndarray:
+        """floor(lambda + theta0) - floor(theta0) at each edge's source, as
+        one (1, m) row: the frames a write pointer leads its source clock's
+        whole cycles at t = 0."""
         src, theta0 = self.system.inc.src, self.system.theta0
-        return (np.floor(self.system.params.lam + theta0[src]).astype(np.int64),
-                np.floor(theta0[src]).astype(np.int64))
+        return (np.floor(self.system.params.lam + theta0[src])
+                - np.floor(theta0[src])).astype(np.int64)[None]
+
+    @cached_property
+    def block_steps(self) -> int:
+        """The most steps one advance takes: its arrays hold (steps + 1)
+        rows of at most max(n, m) entries, kept near BLOCK_ENTRIES each."""
+        inc = self.system.inc
+        return max(BLOCK_ENTRIES // max(inc.n, inc.m), 1)
 
     def step_size(self) -> float:
         bound = 1.0 / (4.0 * float(self.system.params.omega_u.max()))
@@ -91,11 +105,16 @@ class DiscreteState:
     theta: np.ndarray
     correction: np.ndarray     # held per-node corrections (zero-order hold)
     next_fire: np.ndarray      # local phase of each node's next controller update
+    due_at: np.ndarray         # next_fire - 1e-12, where a node's phase makes it due
     write: np.ndarray          # int64 frame counters per edge
     read: np.ndarray
     measured: np.ndarray       # quantized occupancy; each step binds a new array
     virtual: bool
     faults: list = field(default_factory=list)
+    # the rows the last advance moved through, one per step: their times and
+    # measured occupancies (the last row is `t` and `measured`)
+    times: list = field(default_factory=list)
+    measured_rows: np.ndarray | None = None
 
     def occupancy(self) -> np.ndarray:
         return self.write - self.read
@@ -137,16 +156,29 @@ def _counters(params, theta_src, theta_dst):
     return write, read
 
 
-def _check_invariant(state: DiscreteState, broken: np.ndarray,
-                     occ: np.ndarray, t: float, invariant: str):
-    """Record a fault on every edge in `broken` and abort the run; the
-    counters mean nothing afterwards, so continue_on_fault does not apply."""
-    if not np.count_nonzero(broken):
-        return
-    faults = [Fault(edge=int(e) + 1, t=t, direction=invariant,
-                    occupancy=int(occ[e])) for e in np.flatnonzero(broken)]
-    state.faults.extend(faults)
-    raise DiscreteFault(faults[0])
+def _row_faults(state: DiscreteState, scenario, backward: np.ndarray,
+                created: np.ndarray, occ: np.ndarray, t: float):
+    """Record the faults of one row that failed a check, and return the
+    error that ends the run, or None.  A broken counter invariant ends it on
+    every broken edge (the counters mean nothing afterwards, so
+    continue_on_fault does not apply); a bound ends it on the first edge
+    unless continue_on_fault is set."""
+    for broken, invariant in ((backward, "pointer-monotonicity"),
+                              (created, "frame-conservation")):
+        if np.count_nonzero(broken):
+            faults = [Fault(edge=int(e) + 1, t=t, direction=invariant,
+                            occupancy=int(occ[e]))
+                      for e in np.flatnonzero(broken)]
+            state.faults.extend(faults)
+            return DiscreteFault(faults[0])
+    for e in np.flatnonzero((occ < 0) | (occ > scenario.capacity)):
+        fault = Fault(edge=int(e) + 1, t=t,
+                      direction="underflow" if occ[e] < 0 else "overflow",
+                      occupancy=int(occ[e]))
+        state.faults.append(fault)
+        if not scenario.continue_on_fault:
+            return DiscreteFault(fault)
+    return None
 
 
 def _quantize(occ: np.ndarray, unit: int) -> np.ndarray:
@@ -164,9 +196,10 @@ def init_discrete(scenario: DiscreteScenario) -> DiscreteState:
     system = scenario.system
     theta0, inc = system.theta0, system.inc
     write, read = _counters(system.params, theta0[inc.src], theta0[inc.dst])
+    next_fire = theta0 + scenario.control_period
     state = DiscreteState(t=0.0, theta=theta0,
                           correction=np.zeros(system.inc.n),
-                          next_fire=theta0 + scenario.control_period,
+                          next_fire=next_fire, due_at=next_fire - 1e-12,
                           write=write, read=read,
                           measured=_quantize(write - read, scenario.quantization),
                           virtual=True)
@@ -175,83 +208,160 @@ def init_discrete(scenario: DiscreteScenario) -> DiscreteState:
     return state
 
 
+def _step_times(t: float, dt: float, steps: int) -> list:
+    """t + dt, (t + dt) + dt, ...: each step's time as single steps add
+    them."""
+    times = []
+    for _ in range(steps):
+        t += dt
+        times.append(t)
+    return times
+
+
 def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
-                  params, dt: float) -> DiscreteState:
-    """Check, then advance the state in place: phases move at the held frequency,
-    counters follow, physical bounds hold, controllers fire on their own clocks."""
-    theta = state.theta + (params.omega_u + state.correction) * dt
-    t = state.t + dt
+                  params, dt: float, steps: int = 1,
+                  cut=None) -> DiscreteState:
+    """Advance the state in place through at most `steps` steps of dt and
+    return it: phases move at the held frequency, counters follow, physical
+    bounds hold, controllers fire on their own clocks.
+
+    The correction is held between fires, so the steps are one block: it
+    runs to the step on which the first node's phase reaches its next fire
+    phase (one step if a clock runs backward), for at most
+    `scenario.block_steps` steps, and row j is the state's
+    phases plus j increments, accumulated one addition at a time as j single
+    steps add them.  `cut(times, c)`, if given, may shorten the block to a
+    count of its first rows, at `times` and all holding c.  Each row is
+    checked before the state moves onto it, and the advance stops on the
+    first row on which a check fails or a controller is due; a check that
+    ends the run leaves the state on the row before.  `times` and
+    `measured_rows` give the rows moved through."""
     inc = scenario.system.inc
-    theta_src = theta[inc.src]          # gathered once for both checks below
-    write, read = _counters(params, theta_src, theta[inc.dst])
+    rate = (params.omega_u + state.correction) * dt
+    due_at = state.due_at
+    if steps > 1:
+        # a clock that runs backward gives a negative count, so one step; a
+        # stopped one, +inf (run_discrete ignores the division by zero); a
+        # NaN, which argmin picks first, gives one step too
+        to_fire = (due_at - state.theta) / rate
+        to_fire = to_fire.item(to_fire.argmin())
+        steps = (math.ceil(min(steps, to_fire, scenario.block_steps))
+                 if to_fire > 1 else 1)
+    if steps > 1 and cut is not None:
+        steps = cut(_step_times(state.t, dt, steps), state.correction)
+    theta = np.empty((steps + 1, rate.size))
+    theta[0], theta[1:] = state.theta, rate
+    np.add.accumulate(theta, out=theta)
+    # row 0 gives the state's own counters again, to compare the first step
+    theta_src = theta.take(inc.src, axis=1)   # gathered once for both checks
+    write, read = _counters(params, theta_src, theta.take(inc.dst, axis=1))
+    occ = write - read
 
     # no frame is created or lost: pointers only advance, in lockstep with
     # whole cycles of the source and destination clocks
-    occ = write - read
-    _check_invariant(state, (write < state.write) | (read < state.read), occ,
-                     t, "pointer-monotonicity")
-    write0, cycles0 = scenario.source_origin
-    emitted = write - write0
-    source_cycles = np.floor(theta_src).astype(np.int64) - cycles0
-    _check_invariant(state, np.abs(emitted - source_cycles) > 1, occ, t,
-                     "frame-conservation")
+    write1, read1, occ1 = write[1:], read[1:], occ[1:]
+    backward = (write1 < write[:-1]) | (read1 < read[:-1])
+    source_cycles = np.floor(theta_src[1:]).astype(np.int64)
+    # per-node and per-edge vectors enter the checks as (1, k) rows: a block
+    # of one step then runs numpy's same-shape loops, not broadcasting ones
+    created = np.abs(write1 - source_cycles - scenario.source_lead) > 1
+    bad = backward | created
     if not state.virtual:
-        for e in np.flatnonzero((occ < 0) | (occ > scenario.capacity)):
-            fault = Fault(edge=int(e) + 1, t=t,
-                          direction="underflow" if occ[e] < 0 else "overflow",
-                          occupancy=int(occ[e]))
-            state.faults.append(fault)
-            if not scenario.continue_on_fault:
-                raise DiscreteFault(fault)
+        # outside [0, capacity]: a negative count reads as a huge unsigned one
+        bad |= np.greater(occ1.view(np.uint64), scenario.capacity)
+    due = theta[1:] >= due_at[None]
+    rows = steps
+    if steps > 1:
+        first = int(due.argmax())       # the first true entry in row order
+        if due.item(first):
+            rows = first // rate.size + 1
+    # the first row that fails a check, if any; rows past the first due one
+    # hold a stale correction, so their checks do not count
+    failed = int(bad.argmax()) // inc.m + 1 if np.count_nonzero(bad) else rows + 1
+    fatal = None
+    if failed <= rows:
+        rows = failed
+        fatal = _row_faults(state, scenario, backward[rows - 1],
+                            created[rows - 1], occ[rows],
+                            _step_times(state.t, dt, rows)[-1])
+        if fatal is not None:
+            rows -= 1       # the state stays on the last good row
 
-    state.t, state.theta, state.write, state.read = t, theta, write, read
-    state.measured = _quantize(occ, scenario.quantization)
-    due = theta >= state.next_fire - 1e-12
+    times = _step_times(state.t, dt, rows)
+    state.times = times
+    state.measured_rows = _quantize(occ1[:rows], scenario.quantization)
+    if rows:
+        state.t, state.theta = times[-1], theta[rows]
+        state.write, state.read = write[rows], read[rows]
+        state.measured = state.measured_rows[-1]
+    if fatal is not None:
+        raise fatal
+
+    due = due[rows - 1]
     if np.count_nonzero(due):
+        if rows > 1:    # the rows before this one keep the held correction
+            state.correction = state.correction.copy()
         _fire_controllers(state, scenario, params, due)
-        while np.count_nonzero(due):
-            state.next_fire[due] += scenario.control_period
-            due = theta >= state.next_fire - 1e-12
+        while True:
+            np.copyto(state.next_fire,
+                      state.next_fire + scenario.control_period, where=due)
+            state.due_at = state.next_fire - 1e-12
+            due = state.theta >= state.due_at
+            if not np.count_nonzero(due):
+                break
     return state
 
 
 def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
     """Run the discrete scenario; a bound violation stops the run (and is
     reported) unless continue_on_fault is set, and a broken counter invariant
-    always stops it."""
+    always stops it.
+
+    The loop advances from event to event: each `discrete_step` takes the
+    steps up to the next controller fire at once, cut short where the
+    reset's schedule can fire, and the loop records them as one block."""
     inc, params = scenario.system.inc, scenario.system.params
     _capacity_advisory(scenario)
     _sampled_loop_advisory(scenario)
 
     dt = scenario.step_size()
+    steps = int(math.ceil(scenario.horizon / dt - 1e-9))
     reset = OneShotReset(scenario.reframe, params, inc,
-                         default_T1=scenario.horizon / 2.0, width=inc.m)
+                         default_T1=scenario.horizon / 2.0, width=inc.m,
+                         samples=steps + 1)
     history = reset.history
     state = init_discrete(scenario)
     aborted = False
 
-    def record(st: DiscreteState):
-        reset.record(st.t, st.correction, st.measured)
-
-    record(state)
-    steps = int(math.ceil(scenario.horizon / dt - 1e-9))
-    for _ in range(steps):
-        try:
-            state = discrete_step(state, scenario, params, dt)
-        except DiscreteFault:
-            # the fault is in state.faults, and the step left the state as
-            # it was: the last good sample stays the final trace row
-            aborted = True
-            break
-        record(state)
-        firing = reset.firing(state.t)
-        if firing is not None:
-            # the row above is the pre-mode row at the reframe instant; the
-            # buffers turn physical once every node has reframed
-            params = replace(params, q=reset.freeze(params.q, firing))
-            _fire_controllers(state, scenario, params, firing)
-            state.virtual = reset.time is None
-            record(state)
+    reset.record(state.t, state.correction, state.measured)
+    taken = 0
+    with np.errstate(divide="ignore"):    # see discrete_step's count
+        while taken < steps:
+            held = state.correction
+            cut = reset.quiet_samples if reset.pending else None
+            try:
+                state = discrete_step(state, scenario, params, dt,
+                                      steps - taken, cut)
+            except DiscreteFault:
+                # the fault is in state.faults, and the rows before the
+                # failing step are the last good samples: the last is the
+                # final trace row
+                aborted = True
+                reset.record_held(state.times, held, state.measured_rows)
+                break
+            taken += len(state.times)
+            if len(state.times) > 1:
+                reset.record_held(state.times[:-1], held,
+                                  state.measured_rows[:-1])
+            reset.record(state.t, state.correction, state.measured)
+            firing = reset.firing(state.t)
+            if firing is not None:
+                # the row above is the pre-mode row at the reframe instant;
+                # the buffers turn physical once every node has reframed
+                params = replace(params, q=reset.freeze(params.q, firing))
+                _fire_controllers(state, scenario, params, firing)
+                state.virtual = reset.time is None
+                reset.record(state.t, state.correction, state.measured)
 
     if not aborted:
         reset.finish()

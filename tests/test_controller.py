@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,11 @@ from bittide_sim import (IntegratorSettings, NodeView, OneShotReset, ReframeErro
                          ReframeSchedule, Topology, auto_reframe_trigger,
                          build_incidence, make_system_params, node_views,
                          prepare, proportional_correction, run)
+from bittide_sim import cli, controller
 from bittide_sim.controller import CorrectionHistory, proportional_corrections
 from conftest import random_scenario, spectral_setup
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def view(occ, off, q=0.0):
@@ -263,6 +268,39 @@ def test_correction_history_rows_grow_with_the_corrections():
     np.testing.assert_array_equal(history.rows, rows)
     np.testing.assert_array_equal(history.corrections[:, 1], -np.arange(150))
     assert CorrectionHistory(2).rows.shape == (0, 0)
+
+
+def test_correction_history_takes_a_block_and_looks_ahead():
+    history = CorrectionHistory(2, width=1, size=2)
+    history.append(0.0, [0.5, 0.5], [1.0])
+    history.extend([1.0, 2.0, 3.0], np.array([0.1, 0.2]), [[2.0], [3.0], [4.0]])
+    np.testing.assert_array_equal(history.times, [0.0, 1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(history.corrections[1:], [[0.1, 0.2]] * 3)
+    np.testing.assert_array_equal(history.rows[:, 0], [1.0, 2.0, 3.0, 4.0])
+    times, corrections = history.ahead([4.0, 5.0], np.array([0.3, 0.4]))
+    assert len(history) == 4 and len(times) == len(corrections) == 6
+    np.testing.assert_array_equal(corrections[4:], [[0.3, 0.4]] * 2)
+    # the rows ahead share the buffer and are overwritten by the next append
+    assert np.shares_memory(times, history.times)
+    history.append(4.0, [0.7, 0.8], [5.0])
+    np.testing.assert_array_equal(history.corrections[-1], [0.7, 0.8])
+
+
+@pytest.mark.parametrize("mode", [[], ["--discrete"]])
+def test_e1_run_never_grows_its_history(tmp_path, monkeypatch, mode):
+    # each loop sizes its recorder from the samples it expects, plus two rows
+    # per reframe time, so the run's rows never move to a larger buffer
+    grown = []
+
+    def recording(a, filled, size):
+        grown.append(size)
+        return original(a, filled, size)
+
+    original = controller._grown
+    monkeypatch.setattr(controller, "_grown", recording)
+    assert cli.main(["run", "--config", str(CONFIG_DIR / "e1.json"),
+                     "--out", str(tmp_path), *mode]) == 0
+    assert grown == []
 
 
 def test_auto_reframe_fires_after_transient_and_outcome_holds(e1):

@@ -1,18 +1,22 @@
+import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bittide_sim import (IntegratorSettings, ReframeSchedule, Topology,
-                         generate_topology, make_system_params, node_views,
-                         prepare, proportional_correction, run)
+from bittide_sim import (IntegratorSettings, OneShotReset, ReframeSchedule,
+                         Topology, generate_topology, make_system_params,
+                         node_views, prepare, proportional_correction, run)
 from bittide_sim import controller, framesim
 from bittide_sim.config import parse_config
-from bittide_sim.framesim import (DiscreteFault, DiscreteScenario, Fault,
-                                  discrete_step, fault_report, init_discrete,
-                                  run_discrete)
+from bittide_sim.framesim import (DiscreteFault, DiscreteScenario,
+                                  DiscreteTrace, Fault, discrete_step,
+                                  fault_report, init_discrete, run_discrete)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -198,8 +202,8 @@ def test_auto_trigger_fires_on_the_same_sample_in_both_loops():
 
 
 def test_auto_trigger_reads_history_without_copy(monkeypatch):
-    # consecutive trigger calls see views of one growing buffer; only the
-    # few doublings of that buffer move it, so no step copies the history
+    # consecutive trigger calls see views of one buffer, sized for the run
+    # up front, so it never moves and no advance copies the history
     calls = []
     original = controller.auto_reframe_trigger
 
@@ -211,11 +215,47 @@ def test_auto_trigger_reads_history_without_copy(monkeypatch):
     scenario = replace(e1_discrete(horizon=100.0),
                        reframe=ReframeSchedule(mode="auto"))
     run_discrete(scenario)
-    assert len(calls) > 400
+    # once per advance, and once more ahead in each advance of two rows or
+    # more
+    assert len(calls) == 215
     moved = [i for i in range(1, len(calls))
              if not (np.shares_memory(calls[i - 1][0], calls[i][0])
                      and np.shares_memory(calls[i - 1][1], calls[i][1]))]
-    assert len(moved) <= int(np.log2(len(calls))) + 1
+    assert not moved
+
+
+def test_a_long_control_period_keeps_each_advance_small():
+    # with a control period of 1000 cycles no node fires for about 4000
+    # steps, but an advance's arrays are capped at BLOCK_ENTRIES entries
+    # each: it stops after block_steps steps, and the next goes on with the
+    # per-step loop's rows
+    topology = generate_topology("bidirectional-ring", 64)
+    omega_u = np.random.default_rng(1).uniform(0.99, 1.01, 64)
+    params = make_system_params(topology, k=0.001, omega_u=omega_u, lam=10.0)
+    scenario = DiscreteScenario(system=prepare(topology, params, 0.0),
+                                capacity=40, control_period=1000.0,
+                                horizon=1000.0)
+    width = scenario.system.inc.m      # 128 edges, 64 nodes
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the period is past the hold limit
+        state = init_discrete(scenario)
+        tracemalloc.start()
+        try:
+            discrete_step(state, scenario, scenario.system.params,
+                          scenario.step_size(), 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reference, _ = _per_step_run(scenario)
+        trace = run_discrete(scenario)
+    assert len(state.times) == scenario.block_steps
+    assert scenario.block_steps == framesim.BLOCK_ENTRIES // width
+    # the uncapped block of 4000 rows would hold about 60 such arrays
+    assert peak < 16 * framesim.BLOCK_ENTRIES * 8
+    for name in ("times", "correction", "occupancy"):
+        np.testing.assert_array_equal(getattr(trace, name),
+                                      getattr(reference, name))
+    assert trace.mode == reference.mode
 
 
 def test_backward_clock_is_an_invariant_fault():
@@ -234,8 +274,8 @@ def test_created_frames_are_an_invariant_fault(monkeypatch):
     # write pointers 3 frames ahead of their source clocks' whole cycles
     counters = framesim._counters
 
-    def ahead(inc, params, theta):
-        write, read = counters(inc, params, theta)
+    def ahead(params, theta_src, theta_dst):
+        write, read = counters(params, theta_src, theta_dst)
         return write + 3, read
 
     monkeypatch.setattr(framesim, "_counters", ahead)
@@ -285,8 +325,8 @@ def test_a_step_that_raises_leaves_the_state_unmoved(direction, monkeypatch):
     if direction == "frame-conservation":
         counters = framesim._counters
 
-        def ahead(inc, params, theta):    # write pointers 3 frames early
-            write, read = counters(inc, params, theta)
+        def ahead(params, theta_src, theta_dst):    # write pointers 3 frames early
+            write, read = counters(params, theta_src, theta_dst)
             return write + 3, read
 
         monkeypatch.setattr(framesim, "_counters", ahead)
@@ -416,3 +456,117 @@ def test_unreached_fixed_T1_warns_in_discrete_mode():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_discrete(e1_discrete()).reframe_time is not None
+
+
+def _per_step_run(scenario):
+    """The discrete run loop as one Python iteration per step: a single-step
+    `discrete_step`, then `OneShotReset.record`, `firing` and `freeze`.  The
+    reference for `run_discrete`, which advances a block of steps at a time.
+    Also counts the steps that end a block of the fire-to-fire loop: those
+    on which a controller or the schedule fired, a fault was recorded or
+    the run ended, and those that start with a clock that does not advance."""
+    inc, params = scenario.system.inc, scenario.system.params
+    dt = scenario.step_size()
+    reset = OneShotReset(scenario.reframe, params, inc,
+                         default_T1=scenario.horizon / 2.0, width=inc.m)
+    state = init_discrete(scenario)
+    aborted, events = False, 0
+    reset.record(state.t, state.correction, state.measured)
+    steps = int(math.ceil(scenario.horizon / dt - 1e-9))
+    for step in range(steps):
+        next_fire, faults = state.next_fire.copy(), len(state.faults)
+        stopped = ((params.omega_u + state.correction) * dt).min() <= 0
+        try:
+            state = discrete_step(state, scenario, params, dt)
+        except DiscreteFault:
+            aborted = True
+            events += 1
+            break
+        reset.record(state.t, state.correction, state.measured)
+        firing = reset.firing(state.t)
+        if firing is not None:
+            params = replace(params, q=reset.freeze(params.q, firing))
+            framesim._fire_controllers(state, scenario, params, firing)
+            state.virtual = reset.time is None
+            reset.record(state.t, state.correction, state.measured)
+        events += (firing is not None or len(state.faults) > faults
+                   or not np.array_equal(next_fire, state.next_fire)
+                   or stopped or step == steps - 1)
+    if not aborted:
+        reset.finish()
+    history = reset.history
+    trace = DiscreteTrace(times=history.times, correction=history.corrections,
+                          occupancy=history.rows, omega_u=params.omega_u,
+                          mode=reset.modes, faults=list(state.faults),
+                          reframe_time=reset.time, aborted=aborted)
+    return trace, events
+
+
+@st.composite
+def small_scenarios(draw):
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        topology = generate_topology("bidirectional-ring", n)
+    else:
+        topology = generate_topology("random-strong", n,
+                                     seed=draw(st.integers(0, 1000)),
+                                     extra_edge_fraction=0.3)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    identical = draw(st.booleans())
+    omega_u = 1.0 if identical else rng.uniform(0.98, 1.02, n)
+    k = draw(st.sampled_from([0.0, 0.05, 0.1, 0.3, 1.5]))
+    lam = draw(st.sampled_from([10.0, 2.5, 0.5]))
+    theta0 = rng.uniform(-1.0, 1.0, n) if draw(st.booleans()) else 0.0
+    params = make_system_params(topology, k=k, omega_u=omega_u, lam=lam)
+    schedule = draw(st.sampled_from(["none", "fixed", "per-node", "auto"]))
+    horizon = draw(st.sampled_from([10.0, 25.0, 40.0]))
+    reframe = {
+        "none": None,
+        "fixed": ReframeSchedule(mode="fixed-time",
+                                 T1=draw(st.sampled_from([0.0, 4.9, 10.0]))),
+        "per-node": ReframeSchedule(mode="fixed-time",
+                                    T1=rng.uniform(0.0, horizon, n).round(1)),
+        "auto": ReframeSchedule(mode="auto",
+                                epsilon=draw(st.sampled_from([1e-9, 0.05, 1.0])),
+                                window=draw(st.sampled_from([0.5, 2.0, 7.3]))),
+    }[schedule]
+    return DiscreteScenario(
+        system=prepare(topology, params, theta0),
+        capacity=draw(st.sampled_from([1, 3, 12, 40])),
+        control_period=draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
+        quantization=draw(st.integers(1, 2)),
+        dt=draw(st.sampled_from([None, 0.2, 0.05])),
+        horizon=horizon, reframe=reframe,
+        continue_on_fault=draw(st.booleans()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(scenario=small_scenarios(), capped=st.booleans())
+def test_block_loop_matches_the_per_step_loop_bit_for_bit(scenario, capped):
+    # each advance runs from one event to the next, so the loop advances
+    # once per event step, and every row is the per-step loop's, bit for bit;
+    # with blocks capped at two steps there are more advances, same rows
+    advances = []
+    step = framesim.discrete_step
+
+    def counted(*args, **kwargs):
+        advances.append(1)
+        return step(*args, **kwargs)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reference, events = _per_step_run(scenario)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(framesim, "discrete_step", counted)
+            if capped:
+                inc = scenario.system.inc
+                patch.setattr(framesim, "BLOCK_ENTRIES", 2 * max(inc.n, inc.m))
+            trace = run_discrete(scenario)
+    for name in ("times", "correction", "occupancy", "omega"):
+        np.testing.assert_array_equal(getattr(trace, name),
+                                      getattr(reference, name))
+    assert trace.mode == reference.mode
+    assert trace.faults == reference.faults
+    assert trace.reframe_time == reference.reframe_time
+    assert trace.aborted == reference.aborted
+    assert len(advances) >= events if capped else len(advances) == events

@@ -83,14 +83,19 @@ def test_benchmark_tracer_counts_each_discrete_step(tmp_path):
     assert all(after[key] is value for key, value in before.items())
     calls, _ = tr.self_times()
     assert calls["framesim.run_discrete"] == 1
-    assert calls["framesim.discrete_step"] == 2500    # horizon 500 / dt 0.2
+    # one advance per block of steps up to a controller fire or the reframe;
+    # the trace still has a row per step (horizon 500 / dt 0.2), the initial
+    # row and the post-reframe row
+    assert calls["framesim.discrete_step"] == 583
+    trace = (tmp_path / "trace.csv").read_bytes()
+    assert trace.count(b"\n") - 1 == 2502
     # the batched law replaced the per-node views on the step path
     assert calls["controller.node_views"] == 0
     assert tr.calls["controller.proportional_correction"] == 0
 
 
 def test_benchmark_tracer_counts_each_auto_trigger_call():
-    # the discrete loop asks the reset after every step, and the reset calls
+    # the discrete loop asks the reset once per advance, and the reset calls
     # the trigger through controller's binding, where the tracer wraps it
     tracer = _load_tracer()
     cfg = parse_config(CONFIG_DIR / "e1_discrete.json")
@@ -100,12 +105,37 @@ def test_benchmark_tracer_counts_each_auto_trigger_call():
     restore = tracer.install(tr)
     try:
         with pytest.warns(UserWarning, match="never fired"):
-            framesim.run_discrete(scenario)
+            trace = framesim.run_discrete(scenario)
     finally:
         restore()
     calls, _ = tr.self_times()
-    assert calls["framesim.discrete_step"] == 500    # horizon 100 / dt 0.2
-    assert calls["controller.auto_reframe_trigger"] == 500
+    assert len(trace.times) == 501    # horizon 100 / dt 0.2, and the t = 0 row
+    assert calls["framesim.discrete_step"] == 115
+    # once on the last row of each advance, and once ahead on the rows before
+    # it in each advance of two rows or more
+    assert calls["controller.auto_reframe_trigger"] == 215
+
+
+def test_discrete_auto_workload_advances_once_per_controller_fire(tmp_path):
+    # the benchmark's discrete-auto pass at seed 7: 2500 steps, of which 603
+    # fire a controller; the auto reframe never fires
+    tracer = _load_tracer()
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", TRACER.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workload = workloads.discrete_auto(7, False, tmp_path)
+    tr = tracer.Tracer()
+    restore = tracer.install(tr)
+    try:
+        with pytest.warns(UserWarning, match="never fired"):
+            assert cli.main(workload.argv) == 0
+    finally:
+        restore()
+    calls, _ = tr.self_times()
+    assert calls["framesim.discrete_step"] == 603
+    trace = (workload.out / "trace.csv").read_bytes()
+    assert trace.count(b"\n") - 1 == 2501
 
 
 def test_benchmark_tracer_counts_one_trace_csv_per_run(tmp_path):
