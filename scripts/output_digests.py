@@ -10,12 +10,20 @@ at two commits shows whether their outputs are byte-identical:
     python3 scripts/output_digests.py > digests.txt
     python3 scripts/output_digests.py path/to/config.json ...
 
+`--battery COUNT SEED` runs `bittide-sim verify --count COUNT --seed SEED`
+instead and prints one line with the digest of its `battery.json`, less the
+line of `summary.elapsed_seconds`, the one value that differs between runs:
+
+    python3 scripts/output_digests.py --battery 100 7
+
 The package is imported from `src/` of the checkout the script sits in.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import re
 import sys
 import tempfile
 import warnings
@@ -28,6 +36,13 @@ from bittide_sim.cli import main  # noqa: E402
 
 MODES = {"continuous": [], "discrete": ["--discrete"],
          "discrete-continue": ["--discrete", "--continue-on-fault"]}
+ELAPSED = re.compile(rb'\n *"elapsed_seconds": [^\n]*')
+
+
+def _quiet_main(argv) -> int:
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("ignore")
+        return main(argv)
 
 
 def digests(config: Path):
@@ -35,14 +50,24 @@ def digests(config: Path):
     for mode, flags in MODES.items():
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
-            with warnings.catch_warnings(), \
-                    contextlib.redirect_stdout(io.StringIO()):
-                warnings.simplefilter("ignore")
-                rc = main(["run", "--config", str(config), "--out", str(out),
-                           *flags])
+            rc = _quiet_main(["run", "--config", str(config), "--out", str(out),
+                              *flags])
             for path in sorted(out.iterdir()):
                 yield mode, rc, path.name, hashlib.sha256(
                     path.read_bytes()).hexdigest()
+
+
+def battery_digest(count: int, seed: int) -> tuple[int, str]:
+    """(exit code, sha256) of the battery's `battery.json` without its
+    elapsed time."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        rc = _quiet_main(["verify", "--count", str(count), "--seed", str(seed),
+                          "--out", str(out)])
+        text, found = ELAPSED.subn(b"", (out / "battery.json").read_bytes())
+    if found != 1:
+        raise ValueError(f"battery.json has {found} elapsed_seconds lines, not 1")
+    return rc, hashlib.sha256(text).hexdigest()
 
 
 def run(configs) -> int:
@@ -54,5 +79,15 @@ def run(configs) -> int:
 
 
 if __name__ == "__main__":
-    args = [Path(a) for a in sys.argv[1:]]
-    sys.exit(run(args or sorted((ROOT / "configs").glob("*.json"))))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("configs", nargs="*", type=Path)
+    parser.add_argument("--battery", nargs=2, type=int, metavar=("COUNT", "SEED"),
+                        help="digest the battery's report instead of the configs")
+    args = parser.parse_args()
+    if args.battery is None:
+        sys.exit(run(args.configs or sorted((ROOT / "configs").glob("*.json"))))
+    if args.configs:
+        parser.error("--battery takes no configs")
+    count, seed = args.battery
+    rc, digest = battery_digest(count, seed)
+    print(f"battery count={count} seed={seed} rc={rc} battery.json {digest}")

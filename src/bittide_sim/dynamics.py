@@ -232,25 +232,30 @@ def exact_flow_operators(clm: ClosedLoopMatrix, sd: SpectralData,
 
 def step(state: SimState, params: SystemParams, clm: ClosedLoopMatrix,
          dt: float, method: str = "exact", sd: SpectralData | None = None,
-         _ops: tuple | None = None) -> SimState:
-    """Advance theta by dt under theta' = A theta + omega_u + q + r; the
-    exact method uses the flow operators _ops, or builds them from sd."""
+         _flow: tuple | None = None) -> SimState:
+    """Advance theta by dt under theta' = A theta + v, v = omega_u + q + r.
+
+    The exact method maps theta to Phi theta + w, with the flow operators
+    (Phi, Psi) of dt and w = Psi v: _flow gives (Phi, w), or sd builds them.
+    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    v = _drift(clm, params)
     theta = state.theta
     if method == "exact":
-        if _ops is None and sd is None:
-            raise ValueError("the exact method needs the spectral data sd")
-        phi, integ = _ops if _ops is not None else exact_flow_operators(clm, sd, dt)
-        new_theta = phi @ theta + integ @ v
+        if _flow is None:
+            if sd is None:
+                raise ValueError("the exact method needs the spectral data sd")
+            phi, psi = exact_flow_operators(clm, sd, dt)
+            _flow = phi, psi @ _drift(clm, params)
+        phi, w = _flow
+        new_theta = phi @ theta + w
     elif method in ("rk4", "euler"):
         bound = stability_bound(clm.inc, clm.k)
         if dt > bound:
             raise ValueError(
                 f"dt = {dt} violates the explicit-method stability bound "
                 f"1/(k * max in-degree) = {bound}")
-        A = clm.A
+        A, v = clm.A, _drift(clm, params)
         if method == "euler":
             new_theta = theta + dt * (_apply_A(A, theta) + v)
         else:
@@ -264,32 +269,16 @@ def step(state: SimState, params: SystemParams, clm: ClosedLoopMatrix,
     return SimState(t=state.t + dt, theta=new_theta, mode=state.mode)
 
 
-class _Stepper:
-    """Looks flow operators up per span in the system's `flow_ops` (or in
-    its own dict), building each once; exact substeps equal the sample
-    spacing."""
-
-    def __init__(self, system: System, method: str, dt: float | None):
-        self.clm, self.sd = system.clm, system.sd
-        self.method = method
-        self.sub_dt = dt
-        self._ops = {} if system.flow_ops is None else system.flow_ops
-
-    def advance(self, state: SimState, params: SystemParams, span: float) -> SimState:
-        if span <= 0:
-            return state
-        if self.method == "exact":
-            ops = self._ops.get(span)
-            if ops is None:
-                ops = exact_flow_operators(self.clm, self.sd, span)
-                self._ops[span] = ops
-            return step(state, params, self.clm, span, "exact", _ops=ops)
-        sub = self.sub_dt or stability_bound(self.clm.inc, self.clm.k) / 8.0
-        steps = max(1, int(np.ceil(span / sub - 1e-12)))
-        h = span / steps
-        for _ in range(steps):
-            state = step(state, params, self.clm, h, self.method)
-        return state
+def _substeps(state: SimState, params: SystemParams, clm: ClosedLoopMatrix,
+              span: float, settings: IntegratorSettings) -> SimState:
+    """Advance by span in equal rk4/euler substeps of at most settings.dt,
+    by default a stability bound / 8."""
+    sub = settings.dt or stability_bound(clm.inc, clm.k) / 8.0
+    steps = max(1, int(np.ceil(span / sub - 1e-12)))
+    h = span / steps
+    for _ in range(steps):
+        state = step(state, params, clm, h, settings.method)
+    return state
 
 
 def run(system: System, *, schedule: ReframeSchedule | None = None,
@@ -318,12 +307,19 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     reset = OneShotReset(schedule, params, inc, default_T1=horizon,
                          width=inc.n, samples=math.ceil(t_end / sample_dt) + 1)
     history = reset.history
-    stepper = _Stepper(system, settings.method, settings.dt)
+    exact = settings.method == "exact"
+    # (Phi, Psi) per span, built once for every run of this closed loop or
+    # of this run alone; (Phi, w = Psi v) per span while q, so v, holds
+    ops = {} if system.flow_ops is None else system.flow_ops
+    held = {}
+    A, r, n, add = clm.A, clm.r, inc.n, np.add.reduce
 
     def record(st: SimState):
-        # the correction as `observe` gives it; the trace derives the rest
-        c = clm.A @ (st.theta - st.theta.mean()) + params.q + clm.r
-        reset.record(st.t, c, st.theta)
+        # the correction as `observe` gives it, its mean phase summed and
+        # divided as ndarray.mean does; the trace derives the rest
+        theta = st.theta
+        c = A @ (theta - add(theta) / n) + params.q + r
+        reset.record(st.t, c, theta)
 
     state = SimState(t=0.0, theta=system.theta0)
     while True:
@@ -332,6 +328,7 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         if firing is not None:
             # the row above is the pre-mode row at the reframe instant
             params = replace(params, q=reset.freeze(params.q, firing))
+            held.clear()
             if reset.time is not None:
                 t_end = state.t + post_horizon
             record(state)
@@ -350,7 +347,17 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         clipped = t_next == t_end and abs(span - sample_dt) <= 1e-9 * sample_dt
         if clipped or t_next == state.t + sample_dt:
             span = sample_dt
-        state = stepper.advance(state, params, span)
+        if exact:
+            flow = held.get(span)
+            if flow is None:
+                phi_psi = ops.get(span)
+                if phi_psi is None:
+                    phi_psi = exact_flow_operators(clm, system.sd, span)
+                    ops[span] = phi_psi
+                flow = held[span] = phi_psi[0], phi_psi[1] @ _drift(clm, params)
+            state = step(state, params, clm, span, "exact", _flow=flow)
+        else:
+            state = _substeps(state, params, clm, span, settings)
         if clipped:
             state = replace(state, t=t_end)
 

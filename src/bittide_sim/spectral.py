@@ -15,6 +15,7 @@ span(1).  This module computes those objects and the predictions.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,11 @@ class SpectralData:
 
     def decay_rate(self) -> float:
         """|Re lambda_2| of the slowest stable eigenvalue."""
+        return self._decay_rate
+
+    @cached_property
+    def _decay_rate(self) -> float:
+        # scanned once: the eigenvalues never change; a raise caches nothing
         stable = self.eigenvalues[self.eigenvalues.real < -_NULL_TOL * max(
             1.0, float(np.abs(self.eigenvalues).max()))]
         if stable.size == 0:

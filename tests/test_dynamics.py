@@ -327,6 +327,45 @@ def test_step_clipped_to_the_end_by_a_hair_reuses_the_sample_operator(
     np.testing.assert_array_equal(trace.theta[-1], last.theta)
 
 
+@pytest.mark.parametrize("post_horizon", [0.3, 2.05])
+def test_each_sample_is_one_step_from_the_last(post_horizon):
+    # the run keeps w = Psi v per span while q holds; every row must still
+    # be what step builds from scratch out of the row before, bit for bit,
+    # and every correction what observe gives.  T1 = 2.55 lies off the 0.1
+    # grid, so the rows after the freeze need the new q; the run's end,
+    # T1 + post_horizon, clips the last step by a hair (0.3) or to about
+    # half a sample (2.05)
+    system = parse_config(CONFIG_DIR / "eight_node.json").system()
+    sample_dt, T1 = 0.1, 2.55
+    trace = run(system, schedule=ReframeSchedule(mode="fixed-time", T1=T1),
+                settings=IntegratorSettings(horizon=4.0, sample_interval=sample_dt,
+                                            post_horizon=post_horizon))
+    times, theta = trace.times, trace.theta
+    assert trace.reframe_time == T1 and times[-1] == T1 + post_horizon
+    assert times[-2] + sample_dt != times[-1]
+    params, frozen = system.params, replace(system.params,
+                                            q=trace.reframe_payload)
+    for i, mode in enumerate(trace.mode):
+        row_params = params if mode == PRE_REFRAME else frozen
+        _, c, _ = observe(SimState(times[i], theta[i]), row_params, system.clm)
+        np.testing.assert_array_equal(trace.correction[i], c)
+        if i + 1 == len(trace):
+            break
+        gap = times[i + 1] - times[i]
+        if gap == 0:    # the reframe instant: the pre row, then the post row
+            np.testing.assert_array_equal(theta[i + 1], theta[i])
+            continue
+        # an unclipped step spans sample_dt, and so does a last step clipped
+        # within 1e-9 sample intervals of it; any other step spans the gap
+        last = i + 2 == len(trace)
+        if (times[i] + sample_dt == times[i + 1]
+                or last and abs(gap - sample_dt) <= 1e-9 * sample_dt):
+            gap = sample_dt
+        new = step(SimState(times[i], theta[i]), row_params, system.clm, gap,
+                   sd=system.sd)
+        np.testing.assert_array_equal(theta[i + 1], new.theta)
+
+
 def test_eight_node_ends_without_a_near_duplicate_sample():
     cfg = parse_config(CONFIG_DIR / "eight_node.json")
     system = cfg.system()

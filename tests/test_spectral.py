@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,22 @@ def integrate_raw_loop(inc, params, theta0, horizon):
                                     rtol=1e-12, atol=1e-12, dense_output=True)
     assert sol.success
     return sol.y[:, -1]
+
+
+def test_decay_rate_is_scanned_once_and_keeps_its_error(e1):
+    # e1's spectrum is {0, -2k}; the rate is kept, so a later write to the
+    # eigenvalues does not reach it
+    sd = e1[4]
+    eigenvalues = sd.eigenvalues.copy()
+    kept = replace(sd, eigenvalues=eigenvalues)
+    assert kept.decay_rate() == pytest.approx(0.2, rel=1e-12)
+    eigenvalues[:] = -1.0
+    assert kept.decay_rate() == pytest.approx(0.2, rel=1e-12)
+    assert kept.horizon() == 50.0 / kept.decay_rate()
+    single = replace(sd, eigenvalues=np.zeros(1))
+    for _ in range(2):
+        with pytest.raises(SpectralError, match="no stable eigenvalues"):
+            single.decay_rate()
 
 
 def test_two_cycle_closed_loop(e1):

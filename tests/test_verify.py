@@ -1,11 +1,15 @@
+import hashlib
+import importlib.util
 import json
 import warnings
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bittide_sim import (IntegratorSettings, ReframeSchedule, Topology,
-                         TopologyError, build_incidence, dynamics, graph,
+                         TopologyError, build_incidence, cli, dynamics, graph,
                          make_system_params, prepare, run)
 from bittide_sim.verify import (ALL_CHECKS, Scenario, check_correction_limit,
                                 check_feasible_residual, check_occupancy_limit,
@@ -218,3 +222,30 @@ def test_invalid_scenario_is_prepared_once(monkeypatch, reducible_scenario):
     with pytest.raises(TopologyError, match="not strongly connected"):
         reducible_scenario.system
     assert len(reach) == 1
+
+
+def test_verdict_rows_are_asdict_in_field_order(e1_scenario, reducible_scenario):
+    # the battery's rows skip asdict's deep copy; the JSON must not change
+    verdicts = [chk(sc) for sc in (e1_scenario, reducible_scenario)
+                for chk in ALL_CHECKS]
+    assert any(v.residual is None for v in verdicts)
+    for v in verdicts:
+        assert list(v.row().items()) == list(asdict(v).items())
+
+
+def test_battery_digest_leaves_out_only_the_elapsed_time(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", script)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(["verify", "--count", "1", "--seed", "0",
+                         "--out", str(tmp_path)]) == 0
+    written = (tmp_path / "battery.json").read_bytes()
+    text, found = digests.ELAPSED.subn(b"", written)
+    assert found == 1
+    report = json.loads(written)
+    del report["summary"]["elapsed_seconds"]
+    assert json.loads(text) == report
+    assert digests.battery_digest(1, 0) == (0, hashlib.sha256(text).hexdigest())
