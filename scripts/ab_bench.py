@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""A/B the benchmark: a base revision against the working tree.
+
+    python3 scripts/ab_bench.py --base HEAD --workload discrete-fixed --pairs 10
+
+Exports the base revision with `git archive` into a temporary directory and
+runs `perfbench/run.py --workload W --seed 7 --seconds 25 --trace 0` once in
+each tree per pair, the base first in odd pairs and the working tree first
+in even ones, so that a drift of the host's speed falls on both sides.  It
+then prints, for each end-to-end metric of BENCHMARK.json, the base's and
+the change's medians, the base's quartiles, and in how many pairs the change
+did better (in the metric's own direction).  The two trees sit at paths of
+different lengths, and the one-pass `peak_rss_mb` of a small workload can
+move by a few tenths of a MB with the path alone, so compare memory at
+equal-length paths before reading a small RSS difference as the code's.
+"""
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ["perfbench/run.py", "--seed", "7", "--seconds", "25", "--trace", "0"]
+
+
+def result(stdout: str) -> dict:
+    """{metric: value} from the JSON line that ends a perfbench/run.py
+    report."""
+    for line in reversed(stdout.splitlines()):
+        if line.startswith("{"):
+            return {name: metric["value"]
+                    for name, metric in json.loads(line)["metrics"].items()}
+    raise ValueError("no result line in the benchmark's output")
+
+
+def summary(base: list, change: list, better: dict) -> list:
+    """One line per metric of the pairs' results (lists of {metric:
+    value}, base[i] paired with change[i]); `better` maps a metric to
+    "lower" or "higher"."""
+    lines = []
+    for name in base[0]:
+        b = [r[name] for r in base]
+        c = [r[name] for r in change]
+        q1, _, q3 = statistics.quantiles(b, n=4) if len(b) > 1 else b * 3
+        sign = 1 if better.get(name, "lower") == "higher" else -1
+        wins = sum(sign * (y - x) > 0 for x, y in zip(b, c))
+        lines.append(f"{name:<12} base {statistics.median(b):.6g} "
+                     f"(quartiles {q1:.6g} / {q3:.6g}), change "
+                     f"{statistics.median(c):.6g}, change better in {wins} "
+                     f"of {len(b)}")
+    return lines
+
+
+def export(rev: str, into: Path):
+    """The tree of `rev` written into `into`."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+
+
+def run_once(tree: Path, workload: str) -> dict:
+    done = subprocess.run([sys.executable, *RUN, "--workload", workload],
+                          cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"benchmark in {tree} exited {done.returncode}:\n"
+                           f"{done.stderr}")
+    return result(done.stdout)
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", required=True, help="git revision to compare to")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    args = p.parse_args()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+    base, change = [], []
+    with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
+        export(args.base, Path(tmp))
+        for i in range(args.pairs):
+            sides = [(Path(tmp), base), (ROOT, change)]
+            for tree, results in sides if i % 2 == 0 else sides[::-1]:
+                results.append(run_once(tree, args.workload))
+            print(f"pair {i + 1}: base {base[-1]}, change {change[-1]}",
+                  flush=True)
+    print(f"{args.workload}: base {args.base} against the working tree, "
+          f"{args.pairs} pairs")
+    print("\n".join(summary(base, change, better)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -333,7 +333,3 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
         "seed": cfg.seed,
     })
     return out
-
-
-def emit_config(cfg: ScenarioConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2) + "\n"

@@ -237,10 +237,17 @@ class OneShotReset:
         self.history.append(t, c, row)
         self.modes.append(self.mode)
 
-    def record_held(self, times, c: np.ndarray, rows: np.ndarray):
-        """Record a sample at each of `times`, all holding correction c."""
+    def record_rows(self, times, c: np.ndarray, rows: np.ndarray):
+        """Record a sample at each of `times`: c is one correction row for
+        all of them, or one row each."""
         self.history.extend(times, c, rows)
         self.modes.extend([self.mode] * len(times))
+
+    @property
+    def watching(self) -> bool:
+        """True while an auto schedule is pending: `quiet_samples` then reads
+        the correction, so it holds only for samples that all hold one."""
+        return self.pending and self.schedule.mode == "auto"
 
     def firing(self, t: float) -> np.ndarray | None:
         """Mask of the nodes that reset on the sample just recorded at t, or

@@ -25,9 +25,9 @@ from .spectral import predict_beta_ss
 
 
 # entries in one row-block array of an advance (see
-# DiscreteScenario.block_steps): a long control period on a large topology
-# takes more advances, not more memory
-BLOCK_ENTRIES = 1 << 16
+# DiscreteScenario.block_steps): a long run or a large topology takes more
+# advances, not more memory
+BLOCK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,10 @@ class DiscreteState:
     measured: np.ndarray       # quantized occupancy; each step binds a new array
     virtual: bool
     faults: list = field(default_factory=list)
-    # the rows the last advance moved through, one per step: their times and
-    # measured occupancies (the last row is `t` and `measured`)
+    # the rows the last advance moved through, one per step: their times,
+    # corrections and measured occupancies (the last row is the state's)
     times: list = field(default_factory=list)
+    correction_rows: np.ndarray | None = None
     measured_rows: np.ndarray | None = None
 
     def occupancy(self) -> np.ndarray:
@@ -218,97 +219,167 @@ def _step_times(t: float, dt: float, steps: int) -> list:
     return times
 
 
+def _next_fire(next_fire, due_at, due, theta, period):
+    """Move each due node's next fire phase, and due_at, on in place by
+    whole control periods past its phase theta."""
+    while True:
+        np.add(next_fire, period, out=next_fire, where=due)
+        np.subtract(next_fire, 1e-12, out=due_at, where=due)
+        due = theta >= due_at
+        if not np.count_nonzero(due):
+            return
+
+
 def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
-                  params, dt: float, steps: int = 1,
-                  cut=None) -> DiscreteState:
+                  params, dt: float, steps: int = 1, cut=None,
+                  hold: bool = False) -> DiscreteState:
     """Advance the state in place through at most `steps` steps of dt and
     return it: phases move at the held frequency, counters follow, physical
     bounds hold, controllers fire on their own clocks.
 
-    The correction is held between fires, so the steps are one block: it
-    runs to the step on which the first node's phase reaches its next fire
-    phase (one step if a clock runs backward), for at most
-    `scenario.block_steps` steps, and row j is the state's
-    phases plus j increments, accumulated one addition at a time as j single
-    steps add them.  `cut(times, c)`, if given, may shorten the block to a
-    count of its first rows, at `times` and all holding c.  Each row is
-    checked before the state moves onto it, and the advance stops on the
-    first row on which a check fails or a controller is due; a check that
-    ends the run leaves the state on the row before.  `times` and
-    `measured_rows` give the rows moved through."""
-    inc = scenario.system.inc
-    rate = (params.omega_u + state.correction) * dt
-    due_at = state.due_at
-    if steps > 1:
-        # a clock that runs backward gives a negative count, so one step; a
-        # stopped one, +inf (run_discrete ignores the division by zero); a
-        # NaN, which argmin picks first, gives one step too
-        to_fire = (due_at - state.theta) / rate
-        to_fire = to_fire.item(to_fire.argmin())
-        steps = (math.ceil(min(steps, to_fire, scenario.block_steps))
-                 if to_fire > 1 else 1)
-    if steps > 1 and cut is not None:
-        steps = cut(_step_times(state.t, dt, steps), state.correction)
-    theta = np.empty((steps + 1, rate.size))
-    theta[0], theta[1:] = state.theta, rate
-    np.add.accumulate(theta, out=theta)
-    # row 0 gives the state's own counters again, to compare the first step
-    theta_src = theta.take(inc.src, axis=1)   # gathered once for both checks
-    write, read = _counters(params, theta_src, theta.take(inc.dst, axis=1))
-    occ = write - read
+    Each step adds the phase increment (omega_u + c) dt to the last row,
+    or accumulates it across the steps up to the next fire phase (row j of
+    that gap equals j single steps bit for bit), and tests which nodes are
+    due; on a row where some are, that row's quantized occupancy feeds the
+    batched law and the increment changes.  The advance runs through these
+    fires for at most `scenario.block_steps` steps, and ends on a fire that
+    leaves a clock not advancing.  With `hold` it ends on its first fire
+    instead, and its length is first set to the steps up to that fire.
+    `cut(times, c)`, if given, may shorten the advance to a count of its
+    first rows, at `times` and holding c up to a fire (with `hold`, all of
+    them).
 
+    The counters, the checks and the quantized occupancies are then formed
+    once over all the rows.  A row that fails a check that ends the run
+    leaves the state on the row before it, as if the steps had been taken
+    one at a time; a bound fault under continue_on_fault is recorded and
+    the row still fires.  `times`, `correction_rows` and `measured_rows`
+    give the rows moved through."""
+    inc = scenario.system.inc
+    src, dst, n = inc.src, inc.dst, inc.n
+    omega_u, period = params.omega_u, scenario.control_period
+    c, due_at, next_fire = state.correction, state.due_at, state.next_fire
+    rate = (omega_u + c) * dt
+    if steps > 1:
+        steps = min(steps, scenario.block_steps)
+        if hold:
+            # a clock that runs backward gives a negative count, so one
+            # step; a stopped one, +inf (run_discrete ignores the division
+            # by zero); a NaN, which argmin picks first, gives one step too
+            to_fire = (due_at - state.theta) / rate
+            to_fire = to_fire.item(to_fire.argmin())
+            steps = math.ceil(min(steps, to_fire)) if to_fire > 1 else 1
+    times = None
+    if steps > 1 and cut is not None:
+        times = _step_times(state.t, dt, steps)
+        steps = cut(times, c)
+    theta = np.empty((steps + 1, n))
+    theta[0] = row = state.theta
+    corrections = np.empty((steps, n))
+    in_blocks, unit = inc.in_blocks, scenario.quantization
+    beta_off, q, k = params.beta_off, params.q, params.k
+    count_nonzero = np.count_nonzero
+    fired = []          # (row, due nodes) of each row that fires on the way
+    rows = held = 0     # rows taken; the first row that holds c
+    gap, due = (steps if hold else 1), None
+    while rows < steps:
+        if gap == 1:
+            rows += 1
+            row = np.add(row, rate, out=theta[rows])
+            due = row >= due_at
+            if not count_nonzero(due):
+                due = None
+        else:
+            block = theta[rows:rows + gap + 1]
+            block[1:] = rate
+            np.add.accumulate(block, out=block)
+            dues = block[1:] >= due_at
+            first = int(dues.argmax())      # the first true entry in row order
+            if dues.item(first):
+                first //= n
+                rows += first + 1
+                due = dues[first]
+            else:
+                rows += gap
+                due = None
+            row = theta[rows]
+        if due is None:
+            if rows < steps:
+                # the steps up to the next fire phase, as one gap
+                to_fire = ((due_at - row) / rate).min()
+                gap = (math.ceil(min(steps - rows, to_fire)) if to_fire > 1
+                       else 1)
+            continue
+        if hold or rows == steps:
+            break       # this row fires once its checks have passed
+        corrections[held:rows] = c
+        c, held = corrections[rows - 1], rows
+        write, read = _counters(params, row.take(src), row.take(dst))
+        proportional_corrections(in_blocks, _quantize(write - read, unit),
+                                 beta_off, q, k, due, c)
+        if not fired:   # the state's own phases stay for a rollback
+            next_fire, due_at = next_fire.copy(), due_at.copy()
+        fired.append((rows, due))
+        _next_fire(next_fire, due_at, due, row, period)
+        rate = (omega_u + c) * dt
+        if not rate.min() > 0:
+            due = None
+            break
+        gap = 1
+    corrections[held:rows] = c
+
+    # row 0 gives the state's own counters again, to compare the first step
+    theta = theta[:rows + 1]
+    theta_src = theta.take(src, axis=1)     # gathered once for both checks
+    write, read = _counters(params, theta_src, theta.take(dst, axis=1))
+    occ = write - read
     # no frame is created or lost: pointers only advance, in lockstep with
     # whole cycles of the source and destination clocks
     write1, read1, occ1 = write[1:], read[1:], occ[1:]
     backward = (write1 < write[:-1]) | (read1 < read[:-1])
     source_cycles = np.floor(theta_src[1:]).astype(np.int64)
-    # per-node and per-edge vectors enter the checks as (1, k) rows: a block
-    # of one step then runs numpy's same-shape loops, not broadcasting ones
     created = np.abs(write1 - source_cycles - scenario.source_lead) > 1
     bad = backward | created
     if not state.virtual:
         # outside [0, capacity]: a negative count reads as a huge unsigned one
         bad |= np.greater(occ1.view(np.uint64), scenario.capacity)
-    due = theta[1:] >= due_at[None]
-    rows = steps
-    if steps > 1:
-        first = int(due.argmax())       # the first true entry in row order
-        if due.item(first):
-            rows = first // rate.size + 1
-    # the first row that fails a check, if any; rows past the first due one
-    # hold a stale correction, so their checks do not count
-    failed = int(bad.argmax()) // inc.m + 1 if np.count_nonzero(bad) else rows + 1
+    times = (_step_times(state.t, dt, rows) if times is None
+             else times[:rows])
     fatal = None
-    if failed <= rows:
-        rows = failed
-        fatal = _row_faults(state, scenario, backward[rows - 1],
-                            created[rows - 1], occ[rows],
-                            _step_times(state.t, dt, rows)[-1])
-        if fatal is not None:
-            rows -= 1       # the state stays on the last good row
+    if np.count_nonzero(bad):
+        for r in np.flatnonzero(bad.any(axis=1)).tolist():
+            fatal = _row_faults(state, scenario, backward[r], created[r],
+                                occ[r + 1], times[r])
+            if fatal is not None:
+                rows = r        # the state stays on the last good row
+                del times[r:]
+                break
 
-    times = _step_times(state.t, dt, rows)
     state.times = times
-    state.measured_rows = _quantize(occ1[:rows], scenario.quantization)
-    if rows:
-        state.t, state.theta = times[-1], theta[rows]
-        state.write, state.read = write[rows], read[rows]
-        state.measured = state.measured_rows[-1]
+    state.correction_rows = corrections[:rows]
+    state.measured_rows = _quantize(occ1[:rows], unit)
+    if not rows:
+        raise fatal
+    state.t, state.theta = times[-1], theta[rows]
+    state.write, state.read = write[rows], read[rows]
+    state.measured = state.measured_rows[-1]
+    if fatal is None:
+        state.next_fire, state.due_at = next_fire, due_at
+    else:
+        # the fires up to the last good row move the next fire phases again
+        for row, fires in fired:
+            if row > rows:
+                break
+            _next_fire(state.next_fire, state.due_at, fires, theta[row],
+                       period)
+    if fatal is None and due is not None:
+        # the last row fires from its measured occupancy
+        proportional_corrections(in_blocks, state.measured, beta_off, q, k,
+                                 due, corrections[rows - 1])
+        _next_fire(state.next_fire, state.due_at, due, state.theta, period)
+    state.correction = corrections[rows - 1]
     if fatal is not None:
         raise fatal
-
-    due = due[rows - 1]
-    if np.count_nonzero(due):
-        if rows > 1:    # the rows before this one keep the held correction
-            state.correction = state.correction.copy()
-        _fire_controllers(state, scenario, params, due)
-        while True:
-            np.copyto(state.next_fire,
-                      state.next_fire + scenario.control_period, where=due)
-            state.due_at = state.next_fire - 1e-12
-            due = state.theta >= state.due_at
-            if not np.count_nonzero(due):
-                break
     return state
 
 
@@ -317,9 +388,10 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
     reported) unless continue_on_fault is set, and a broken counter invariant
     always stops it.
 
-    The loop advances from event to event: each `discrete_step` takes the
-    steps up to the next controller fire at once, cut short where the
-    reset's schedule can fire, and the loop records them as one block."""
+    The loop advances through controller fires: each `discrete_step` takes
+    a block of steps at once, cut short where the reset's schedule can fire
+    (and, while the auto trigger watches the correction, at the first
+    fire), and the loop records its rows in one append."""
     inc, params = scenario.system.inc, scenario.system.params
     _capacity_advisory(scenario)
     _sampled_loop_advisory(scenario)
@@ -337,23 +409,20 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
     taken = 0
     with np.errstate(divide="ignore"):    # see discrete_step's count
         while taken < steps:
-            held = state.correction
             cut = reset.quiet_samples if reset.pending else None
             try:
                 state = discrete_step(state, scenario, params, dt,
-                                      steps - taken, cut)
+                                      steps - taken, cut, reset.watching)
             except DiscreteFault:
                 # the fault is in state.faults, and the rows before the
                 # failing step are the last good samples: the last is the
                 # final trace row
                 aborted = True
-                reset.record_held(state.times, held, state.measured_rows)
+            reset.record_rows(state.times, state.correction_rows,
+                              state.measured_rows)
+            if aborted:
                 break
             taken += len(state.times)
-            if len(state.times) > 1:
-                reset.record_held(state.times[:-1], held,
-                                  state.measured_rows[:-1])
-            reset.record(state.t, state.correction, state.measured)
             firing = reset.firing(state.t)
             if firing is not None:
                 # the row above is the pre-mode row at the reframe instant;

@@ -159,16 +159,17 @@ def is_strongly_connected(topology: Topology) -> bool:
             and len(reachable_from_node1(topology, reverse=True)) == topology.n)
 
 
-def _non_ring_pair(n: int, idx: int) -> tuple[int, int]:
-    """The idx-th of the n (n - 2) non-ring pairs (i, j), in row-major order:
-    node i has n - 2 of them, every j but i and its ring successor."""
-    i, rank = divmod(idx, n - 2)
+def _non_ring_pairs(n: int, idx: np.ndarray) -> list[tuple[int, int]]:
+    """The (i, j) of each index in idx among the n (n - 2) non-ring pairs in
+    row-major order: node i has n - 2 of them, every j but i and its ring
+    successor.  The map is increasing, so sorted indices give sorted pairs."""
+    i, rank = np.divmod(idx, n - 2)
     i += 1
-    lo, hi = sorted((i, i % n + 1))
+    succ = i % n + 1
     j = rank + 1
-    j += j >= lo
-    j += j >= hi
-    return i, j
+    j += j >= np.minimum(i, succ)
+    j += j >= np.maximum(i, succ)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def generate_topology(kind: str, n: int, seed: int = 0,
@@ -206,5 +207,6 @@ def generate_topology(kind: str, n: int, seed: int = 0,
             )
         count = int(extra_edge_fraction * n * (n - 2))
         picks = random.Random(seed).sample(range(n * (n - 2)), count)
-        edges = ring + sorted(_non_ring_pair(n, idx) for idx in picks)
+        picks = np.sort(np.array(picks, dtype=np.int64))
+        edges = ring + _non_ring_pairs(n, picks)
     return Topology(n=n, edges=tuple(edges))

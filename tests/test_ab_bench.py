@@ -1,0 +1,57 @@
+"""scripts/ab_bench.py summarizes benchmark pairs; checked on canned output."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "ab_bench.py"
+
+
+@pytest.fixture
+def ab_bench(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the summary must not start a benchmark run")
+
+    monkeypatch.setattr(subprocess, "run", no_run)
+    spec = importlib.util.spec_from_file_location("ab_bench", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _report(wall_rel, rss, pass_rate=1.0):
+    metrics = {"wall_rel": {"value": wall_rel, "unit": "probe"},
+               "peak_rss_mb": {"value": rss, "unit": "MB"},
+               "pass_rate": {"value": pass_rate, "unit": "ratio"}}
+    return ("bittide-sim benchmark: workload discrete-fixed, seed 7, trace 0\n"
+            f"  wall_rel {wall_rel} probe\n"
+            + json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                          "metrics": metrics}) + "\n")
+
+
+def test_result_reads_the_last_json_line(ab_bench):
+    assert ab_bench.result(_report(2.35, 45.0)) == {
+        "wall_rel": 2.35, "peak_rss_mb": 45.0, "pass_rate": 1.0}
+    with pytest.raises(ValueError, match="no result line"):
+        ab_bench.result("error: no bittide_sim source\n")
+
+
+def test_summary_gives_medians_base_quartiles_and_wins(ab_bench):
+    base = [ab_bench.result(_report(w, 45.0)) for w in (2.3, 2.4, 2.2, 2.5)]
+    change = [ab_bench.result(_report(w, r, p)) for w, r, p in
+              ((1.9, 45.1, 1.0), (2.0, 44.9, 1.0), (2.3, 45.0, 1.0),
+               (1.8, 45.2, 1.0))]
+    better = {"wall_rel": "lower", "peak_rss_mb": "lower",
+              "pass_rate": "higher"}
+    lines = ab_bench.summary(base, change, better)
+    assert lines == [
+        "wall_rel     base 2.35 (quartiles 2.225 / 2.475), change 1.95, "
+        "change better in 3 of 4",
+        "peak_rss_mb  base 45 (quartiles 45 / 45), change 45.05, "
+        "change better in 1 of 4",
+        "pass_rate    base 1 (quartiles 1 / 1), change 1, "
+        "change better in 0 of 4",
+    ]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bittide_sim import graph
-from bittide_sim.config import (ConfigError, emit_config, parse_config,
+from bittide_sim.config import (ConfigError, config_to_dict, parse_config,
                                 parse_config_dict)
 from conftest import count_calls
 
@@ -13,6 +13,11 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = {"topology": "bidirectional-ring", "n": 2, "k": 0.1,
            "omega_u": [1.00, 1.02]}
+
+
+def emit_config(cfg) -> str:
+    """The config as the JSON text that parse_config reads back."""
+    return json.dumps(config_to_dict(cfg), indent=2) + "\n"
 
 
 def test_minimal_config_defaults():

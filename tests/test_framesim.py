@@ -346,6 +346,116 @@ def test_a_step_that_raises_leaves_the_state_unmoved(direction, monkeypatch):
         np.testing.assert_array_equal(getattr(state, f), before[f])
 
 
+STATE_FIELDS = ("t", "theta", "correction", "next_fire", "due_at", "write",
+                "read", "measured")
+
+
+def _single_steps(scenario, count):
+    """`count` single steps on physical buffers from t = 0, as the per-step
+    loop takes them: the state, the steps on which a controller fired, the
+    correction and measured rows, and the step that raised, or None."""
+    params, dt = scenario.system.params, scenario.step_size()
+    state = init_discrete(scenario)
+    state.virtual = False
+    fires, corrections, measured = [], [], []
+    for step in range(1, count + 1):
+        next_fire = state.next_fire.copy()
+        try:
+            discrete_step(state, scenario, params, dt)
+        except DiscreteFault:
+            return state, fires, corrections, measured, step
+        corrections.append(state.correction.copy())
+        measured.append(state.measured.copy())
+        if not np.array_equal(next_fire, state.next_fire):
+            fires.append(step)
+    return state, fires, corrections, measured, None
+
+
+def test_a_fatal_fault_inside_a_multi_fire_advance_keeps_the_last_good_row():
+    # edge 2 overflows on step 151, two or more steps after the last of the
+    # controller fires before it; one advance runs through those fires and
+    # past the overflow, and must end on the row before it, with that row's
+    # correction and next fire phases, not those of fires further on
+    scenario = e1_discrete(capacity=11, k=0.02, lam=10.5, T1=None)
+    reference, fires, corrections, _, failed = _single_steps(scenario, 306)
+    assert failed == 151 and fires and fires[-1] <= failed - 2
+    # on virtual buffers the same advance runs on, and a fire on step 302
+    # moves the correction it would end with
+    state = init_discrete(scenario)
+    discrete_step(state, scenario, scenario.system.params,
+                  scenario.step_size(), 306)
+    assert not np.array_equal(state.correction, reference.correction)
+    state = init_discrete(scenario)
+    state.virtual = False
+    with pytest.raises(DiscreteFault):
+        discrete_step(state, scenario, scenario.system.params,
+                      scenario.step_size(), 306)
+    assert len(state.times) == failed - 1
+    np.testing.assert_array_equal(state.correction_rows, corrections)
+    assert state.faults == reference.faults
+    assert [f.direction for f in state.faults] == ["overflow"]
+    for f in STATE_FIELDS:
+        np.testing.assert_array_equal(getattr(state, f),
+                                      getattr(reference, f))
+
+    # the run loop: the reframe at t = 5 makes the buffers physical, and one
+    # advance then runs through fires from there to an overflow at t = 10.8
+    scenario = e1_discrete(capacity=10, k=0.02, lam=10.0, T1=5.0)
+    reference, _ = _per_step_run(scenario)
+    advances = []
+    step = framesim.discrete_step
+
+    def counted(*args, **kwargs):
+        advances.append(1)
+        return step(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(framesim, "discrete_step", counted)
+        trace = run_discrete(scenario)
+    assert trace.aborted and reference.aborted and len(advances) == 2
+    for name in ("times", "correction", "occupancy"):
+        np.testing.assert_array_equal(getattr(trace, name),
+                                      getattr(reference, name))
+    assert trace.mode == reference.mode
+    assert trace.faults == reference.faults
+
+
+def test_a_bound_fault_that_fires_inside_a_multi_fire_advance():
+    # with continue_on_fault an overflowing row is recorded and the advance
+    # goes on; a faulted row on which a controller is due still fires
+    scenario = e1_discrete(capacity=9, k=0.02, lam=9.5, T1=None,
+                           continue_on_fault=True)
+    reference, fires, corrections, measured, failed = _single_steps(
+        scenario, 400)
+    assert failed is None
+    faulted = {round(f.t / 0.2) for f in reference.faults}
+    moved = {step for step in fires if step > 1 and not np.array_equal(
+        corrections[step - 1], corrections[step - 2])}
+    assert len(faulted & moved) == 9      # rows that fault and fire
+    state = init_discrete(scenario)
+    state.virtual = False
+    discrete_step(state, scenario, scenario.system.params,
+                  scenario.step_size(), 400)
+    assert len(state.times) == 400
+    np.testing.assert_array_equal(state.correction_rows, corrections)
+    np.testing.assert_array_equal(state.measured_rows, measured)
+    assert state.faults == reference.faults
+    for f in STATE_FIELDS:
+        np.testing.assert_array_equal(getattr(state, f),
+                                      getattr(reference, f))
+
+    scenario = replace(scenario, reframe=ReframeSchedule(mode="fixed-time",
+                                                         T1=0.0))
+    reference, _ = _per_step_run(scenario)
+    trace = run_discrete(scenario)
+    assert not trace.aborted and len(trace.faults) > 1
+    for name in ("times", "correction", "occupancy"):
+        np.testing.assert_array_equal(getattr(trace, name),
+                                      getattr(reference, name))
+    assert trace.mode == reference.mode
+    assert trace.faults == reference.faults
+
+
 def _per_node_fire(state, scenario, params, which):
     """The law as the per-node specification states it: one NodeView each,
     on occupancies measured afresh from the counters."""
@@ -462,26 +572,36 @@ def _per_step_run(scenario):
     """The discrete run loop as one Python iteration per step: a single-step
     `discrete_step`, then `OneShotReset.record`, `firing` and `freeze`.  The
     reference for `run_discrete`, which advances a block of steps at a time.
-    Also counts the steps that end a block of the fire-to-fire loop: those
-    on which a controller or the schedule fired, a fault was recorded or
-    the run ended, and those that start with a clock that does not advance."""
+    Also counts the steps that end an advance of that loop: a step on which
+    the schedule fired, a fault ended the run or the run ended; the
+    `block_steps`-th step since the last such step; and a step on which a
+    controller fired while the auto trigger watched the correction, or that
+    left a clock not advancing.  While the trigger watches, a step that
+    starts with a clock not advancing ends one too."""
     inc, params = scenario.system.inc, scenario.system.params
     dt = scenario.step_size()
+    # block_steps as the run reads it, without caching the property here
+    block_steps = max(framesim.BLOCK_ENTRIES // max(inc.n, inc.m), 1)
     reset = OneShotReset(scenario.reframe, params, inc,
                          default_T1=scenario.horizon / 2.0, width=inc.m)
     state = init_discrete(scenario)
-    aborted, events = False, 0
+    aborted, events, taken = False, 0, 0
     reset.record(state.t, state.correction, state.measured)
     steps = int(math.ceil(scenario.horizon / dt - 1e-9))
+
+    def advancing():
+        return ((params.omega_u + state.correction) * dt).min() > 0
+
     for step in range(steps):
-        next_fire, faults = state.next_fire.copy(), len(state.faults)
-        stopped = ((params.omega_u + state.correction) * dt).min() <= 0
+        next_fire, watching = state.next_fire.copy(), reset.watching
+        stopped = watching and not advancing()
         try:
             state = discrete_step(state, scenario, params, dt)
         except DiscreteFault:
             aborted = True
             events += 1
             break
+        fired = not np.array_equal(next_fire, state.next_fire)
         reset.record(state.t, state.correction, state.measured)
         firing = reset.firing(state.t)
         if firing is not None:
@@ -489,9 +609,11 @@ def _per_step_run(scenario):
             framesim._fire_controllers(state, scenario, params, firing)
             state.virtual = reset.time is None
             reset.record(state.t, state.correction, state.measured)
-        events += (firing is not None or len(state.faults) > faults
-                   or not np.array_equal(next_fire, state.next_fire)
-                   or stopped or step == steps - 1)
+        taken += 1
+        if (firing is not None or step == steps - 1 or taken == block_steps
+                or stopped or fired and (watching or not advancing())):
+            events += 1
+            taken = 0
     if not aborted:
         reset.finish()
     history = reset.history

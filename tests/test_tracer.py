@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps the program from outside; it must still bind."""
 
 import importlib.util
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +21,14 @@ def _load_tracer():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", TRACER.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def test_benchmark_tracer_installs_and_restores():
@@ -83,10 +92,13 @@ def test_benchmark_tracer_counts_each_discrete_step(tmp_path):
     assert all(after[key] is value for key, value in before.items())
     calls, _ = tr.self_times()
     assert calls["framesim.run_discrete"] == 1
-    # one advance per block of steps up to a controller fire or the reframe;
-    # the trace still has a row per step (horizon 500 / dt 0.2), the initial
-    # row and the post-reframe row
-    assert calls["framesim.discrete_step"] == 583
+    # an advance runs through controller fires and ends at the reframe (T1 =
+    # 250, step 1250) or after block_steps = 2048 steps, so each half of the
+    # 2500 steps is one advance; the trace still has a row per step (horizon
+    # 500 / dt 0.2), the initial row and the post-reframe row
+    block_steps = framesim.BLOCK_ENTRIES // 2
+    assert calls["framesim.discrete_step"] == 2 * math.ceil(1250 / block_steps)
+    assert calls["framesim.discrete_step"] == 2
     trace = (tmp_path / "trace.csv").read_bytes()
     assert trace.count(b"\n") - 1 == 2502
     # the batched law replaced the per-node views on the step path
@@ -120,11 +132,7 @@ def test_discrete_auto_workload_advances_once_per_controller_fire(tmp_path):
     # the benchmark's discrete-auto pass at seed 7: 2500 steps, of which 603
     # fire a controller; the auto reframe never fires
     tracer = _load_tracer()
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", TRACER.parent / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    workload = workloads.discrete_auto(7, False, tmp_path)
+    workload = _load_workloads().discrete_auto(7, False, tmp_path)
     tr = tracer.Tracer()
     restore = tracer.install(tr)
     try:
@@ -136,6 +144,26 @@ def test_discrete_auto_workload_advances_once_per_controller_fire(tmp_path):
     assert calls["framesim.discrete_step"] == 603
     trace = (workload.out / "trace.csv").read_bytes()
     assert trace.count(b"\n") - 1 == 2501
+
+
+def test_discrete_fixed_workload_advances_through_controller_fires(tmp_path):
+    # the benchmark's discrete-fixed pass at seed 7: 4000 steps on a 16-node
+    # ring (m = 32), of which 3821 fire a controller, and a fixed T1 at step
+    # 2000; each half is ceil(2000 / block_steps) advances, 16 of 128 steps
+    tracer = _load_tracer()
+    workload = _load_workloads().discrete_fixed(7, False, tmp_path)
+    tr = tracer.Tracer()
+    restore = tracer.install(tr)
+    try:
+        assert cli.main(workload.argv) == 0
+    finally:
+        restore()
+    calls, _ = tr.self_times()
+    block_steps = framesim.BLOCK_ENTRIES // 32
+    assert calls["framesim.discrete_step"] == 2 * math.ceil(2000 / block_steps)
+    assert calls["framesim.discrete_step"] == 32
+    trace = (workload.out / "trace.csv").read_bytes()
+    assert trace.count(b"\n") - 1 == 4002
 
 
 def test_benchmark_tracer_counts_one_trace_csv_per_run(tmp_path):
