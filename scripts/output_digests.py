@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Print the sha256 of every file `bittide-sim run` writes.
 
-Each config (default: every `configs/*.json` of this checkout) runs in three
-modes: continuous, `--discrete` and `--discrete --continue-on-fault`.  One
-line per written file gives the config (its folder and name), the mode, the
-exit code, the file name and its digest, so a `diff` of this script's output
-at two commits shows whether their outputs are byte-identical:
+Each config (default: every `configs/*.json` of this checkout) runs in five
+modes: continuous, `--discrete`, `--discrete --continue-on-fault`, and
+continuous with `integrator.method` set to `rk4` and to `euler` (from a
+temporary copy of the config, with `discrete.enabled` off).  One line per
+written file gives the config (its folder and name), the mode, the exit
+code, the file name and its digest, so a `diff` of this script's output at
+two commits shows whether their outputs are byte-identical:
 
     python3 scripts/output_digests.py > digests.txt
     python3 scripts/output_digests.py path/to/config.json ...
@@ -23,6 +25,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import re
 import sys
 import tempfile
@@ -36,6 +39,8 @@ from bittide_sim.cli import main  # noqa: E402
 
 MODES = {"continuous": [], "discrete": ["--discrete"],
          "discrete-continue": ["--discrete", "--continue-on-fault"]}
+# continuous runs with the config's integrator method replaced
+METHODS = ("rk4", "euler")
 ELAPSED = re.compile(rb'\n *"elapsed_seconds": [^\n]*')
 
 
@@ -45,16 +50,32 @@ def _quiet_main(argv) -> int:
         return main(argv)
 
 
+def _run_digests(config: Path, flags):
+    """(exit code, file name, sha256) of each file one run writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        rc = _quiet_main(["run", "--config", str(config), "--out", str(out),
+                          *flags])
+        for path in sorted(out.iterdir()):
+            yield rc, path.name, hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def digests(config: Path):
     """(mode, exit code, file name, sha256) of each file a run writes."""
     for mode, flags in MODES.items():
+        for row in _run_digests(config, flags):
+            yield (mode, *row)
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    for method in METHODS:
         with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp)
-            rc = _quiet_main(["run", "--config", str(config), "--out", str(out),
-                              *flags])
-            for path in sorted(out.iterdir()):
-                yield mode, rc, path.name, hashlib.sha256(
-                    path.read_bytes()).hexdigest()
+            copy = Path(tmp) / config.name
+            copy.write_text(json.dumps(
+                {**raw, "integrator": {**raw.get("integrator", {}),
+                                       "method": method},
+                 "discrete": {**raw.get("discrete", {}), "enabled": False}}),
+                encoding="utf-8")
+            for row in _run_digests(copy, []):
+                yield (f"continuous-{method}", *row)
 
 
 def battery_digest(count: int, seed: int) -> tuple[int, str]:

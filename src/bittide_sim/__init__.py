@@ -5,7 +5,7 @@ from .graph import (Topology, IncidenceSet, TopologyError, build_incidence,
 from .spectral import (ClosedLoopMatrix, SpectralData, SpectralError,
                        build_closed_loop, matrix_exponential, metzler_eigenvector,
                        predict_beta_ss, predict_omega_ss, steady_state_correction)
-from .dynamics import (IntegratorSettings, SimState, SimTrace, System, SystemParams,
+from .dynamics import (IntegratorSettings, SimTrace, System, SystemParams,
                        init_state, make_system_params, observe, prepare, run, step)
 from .controller import (NodeView, OneShotReset, ReframeSchedule, ReframeError,
                          auto_reframe_trigger, node_views, proportional_correction)
@@ -16,7 +16,7 @@ __all__ = [
     "ClosedLoopMatrix", "SpectralData", "SpectralError", "build_closed_loop",
     "matrix_exponential", "metzler_eigenvector", "predict_beta_ss",
     "predict_omega_ss", "steady_state_correction",
-    "IntegratorSettings", "SimState", "SimTrace", "System", "SystemParams",
+    "IntegratorSettings", "SimTrace", "System", "SystemParams",
     "init_state", "make_system_params", "observe", "prepare", "run", "step",
     "NodeView", "OneShotReset", "ReframeSchedule", "ReframeError",
     "auto_reframe_trigger", "node_views", "proportional_correction",

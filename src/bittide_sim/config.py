@@ -8,6 +8,7 @@ an equal object.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -100,12 +101,15 @@ class ScenarioConfig:
             # horizon is the total run length; stretch it only when an explicit
             # post-reframe span would not fit
             horizon = max(horizon, self.reframe.T1 + self.integrator.post_horizon)
-        return DiscreteScenario(system=system, capacity=d.capacity,
-                                control_period=d.control_period,
-                                quantization=d.quantization,
-                                dt=self.integrator.dt, horizon=horizon,
-                                reframe=self.schedule(),
-                                continue_on_fault=d.continue_on_fault)
+        try:
+            return DiscreteScenario(system=system, capacity=d.capacity,
+                                    control_period=d.control_period,
+                                    quantization=d.quantization,
+                                    dt=self.integrator.dt, horizon=horizon,
+                                    reframe=self.schedule(),
+                                    continue_on_fault=d.continue_on_fault)
+        except ValueError as exc:   # DiscreteScenario's range rules
+            raise ConfigError(f"config.discrete: {exc}") from exc
 
 
 def _type_name(v):
@@ -136,6 +140,15 @@ def _check_keys(raw: dict, allowed, path: str, strict: bool):
             raise ConfigError(msg)
         import warnings
         warnings.warn(msg, stacklevel=3)
+
+
+def _section(raw: dict, key: str) -> dict:
+    """The object at raw[key], {} if absent."""
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config.{key}: expected an object, got "
+                          f"{_type_name(section)}")
+    return section
 
 
 def _vector(raw, length, path, minimum=None):
@@ -220,8 +233,8 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
     m = topology.m
 
     k = float(_expect(raw, "k", (int, float), "config", required=True))
-    if k <= 0:
-        raise ConfigError(f"config.k: gain must be positive, got {k}")
+    if not 0 < k < math.inf:    # json.loads accepts NaN and Infinity
+        raise ConfigError(f"config.k: gain must be finite and positive, got {k}")
     if "omega_u" not in raw:
         raise ConfigError("config: missing required key 'omega_u'")
     omega_u = _vector(raw["omega_u"], topology.n, "config.omega_u", minimum=0.0)
@@ -240,7 +253,7 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
         raise ConfigError(f"config.controller: expected 'reframing' or "
                           f"'proportional', got {controller!r}")
 
-    rraw = raw.get("reframe", {})
+    rraw = _section(raw, "reframe")
     _check_keys(rraw, {"mode", "T1", "epsilon", "window"}, "config.reframe",
                 strict)
     mode = _expect(rraw, "mode", str, "config.reframe", default="auto")
@@ -253,7 +266,7 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
         epsilon=_optional_number(rraw, "epsilon", "config.reframe"),
         window=_optional_number(rraw, "window", "config.reframe"))
 
-    iraw = raw.get("integrator", {})
+    iraw = _section(raw, "integrator")
     _check_keys(iraw, {"method", "dt", "sample_interval", "horizon",
                        "post_horizon"}, "config.integrator", strict)
     method = _expect(iraw, "method", str, "config.integrator", default="exact")
@@ -268,7 +281,7 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
         horizon=_optional_number(iraw, "horizon", "config.integrator"),
         post_horizon=_optional_number(iraw, "post_horizon", "config.integrator"))
 
-    draw = raw.get("discrete", {})
+    draw = _section(raw, "discrete")
     _check_keys(draw, {"enabled", "control_period", "quantization", "capacity",
                        "continue_on_fault"}, "config.discrete", strict)
     discrete = DiscreteSpec(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import IncidenceSet, Topology, build_incidence
+from .graph import IncidenceSet, Topology, edge_endpoints
 
 PRE_REFRAME = "pre-reframe"
 POST_REFRAME = "post-reframe"
@@ -34,24 +34,21 @@ class NodeView:
 
 
 def node_views(topology: Topology, beta: np.ndarray, beta_off: np.ndarray,
-               q: np.ndarray, nodes=None, in_edges=None) -> list[NodeView]:
+               q: np.ndarray, nodes=None) -> list[NodeView]:
     """Partition a global occupancy vector into per-node views, one for each
-    of the 0-indexed `nodes` in order (default: every node).
-
-    in_edges is the topology's `IncidenceSet.in_edges`; a caller that asks
-    for views on every step passes it, and None builds it here."""
-    if in_edges is None:
-        in_edges = build_incidence(topology).in_edges
+    of the 0-indexed `nodes` in order (default: every node).  A node's edges
+    are those whose destination it is, in edge order."""
+    _, dst = edge_endpoints(topology)
     if nodes is None:
         nodes = range(topology.n)
-    return [
-        NodeView(node=int(i) + 1,
-                 in_edges=tuple((in_edges[i] + 1).tolist()),
-                 occupancies=beta[in_edges[i]],
-                 offsets=beta_off[in_edges[i]],
-                 q=float(q[i]))
-        for i in nodes
-    ]
+    views = []
+    for i in nodes:
+        edges = np.flatnonzero(dst == i)
+        views.append(NodeView(node=int(i) + 1,
+                              in_edges=tuple((edges + 1).tolist()),
+                              occupancies=beta[edges], offsets=beta_off[edges],
+                              q=float(q[i])))
+    return views
 
 
 def proportional_correction(view: NodeView, k: float) -> float:

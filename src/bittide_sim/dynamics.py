@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controller import PRE_REFRAME, OneShotReset, ReframeSchedule
+from .controller import OneShotReset, ReframeSchedule
 from .graph import (IncidenceSet, Topology, TopologyError, build_incidence,
                     is_strongly_connected)
 from .spectral import (ClosedLoopMatrix, SpectralData, build_closed_loop,
@@ -63,13 +63,6 @@ def make_system_params(topology: Topology, k: float, omega_u,
         beta_off = np.broadcast_to(np.asarray(beta_off, dtype=float), (m,)).copy()
     q = np.broadcast_to(np.asarray(q, dtype=float), (n,)).copy()
     return SystemParams(k=k, omega_u=omega_u, lam=lam, beta_off=beta_off, q=q)
-
-
-@dataclass(frozen=True)
-class SimState:
-    t: float
-    theta: np.ndarray
-    mode: str = PRE_REFRAME
 
 
 @dataclass
@@ -140,10 +133,11 @@ def feasible_offsets(src: np.ndarray, dst: np.ndarray, theta0: np.ndarray,
 
 
 def init_state(inc: IncidenceSet, params: SystemParams,
-               theta0) -> tuple[SimState, SystemParams]:
-    """Materialize feasible offsets at t = 0 and build the initial state.
+               theta0) -> tuple[np.ndarray, SystemParams]:
+    """Materialize feasible offsets at t = 0.
 
-    Returns the state together with params whose beta_off is now explicit.
+    Returns theta0 broadcast to n nodes, together with params whose beta_off
+    is now explicit.
     """
     theta0 = np.broadcast_to(np.asarray(theta0, dtype=float), (inc.n,)).copy()
     if params.beta_off is None:
@@ -152,7 +146,7 @@ def init_state(inc: IncidenceSet, params: SystemParams,
     elif np.any(params.beta_off < 0):
         warnings.warn("explicit beta_off has negative entries; physically suspect",
                       stacklevel=2)
-    return SimState(t=0.0, theta=theta0, mode=PRE_REFRAME), params
+    return theta0, params
 
 
 @dataclass(frozen=True)
@@ -184,12 +178,12 @@ def prepare(topology: Topology, params: SystemParams, theta0=0.0) -> System:
     if not is_strongly_connected(topology):
         raise TopologyError("topology is not strongly connected")
     inc = build_incidence(topology)
-    state, params = init_state(inc, params, theta0)
+    theta0, params = init_state(inc, params, theta0)
     clm = sd = None
     if params.k > 0:
         clm = build_closed_loop(inc, params)
         sd = metzler_eigenvector(clm)
-    return System(topology=topology, inc=inc, params=params, theta0=state.theta,
+    return System(topology=topology, inc=inc, params=params, theta0=theta0,
                   clm=clm, sd=sd)
 
 
@@ -203,10 +197,10 @@ def _apply_A(A: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return A @ (theta - theta.mean())
 
 
-def observe(state: SimState, params: SystemParams,
+def observe(theta: np.ndarray, params: SystemParams,
             clm: ClosedLoopMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega, correction, occupancy) at the current state."""
-    centered = state.theta - state.theta.mean()
+    """(omega, correction, occupancy) at the phases theta."""
+    centered = theta - theta.mean()
     c = clm.A @ centered + params.q + clm.r
     beta = clm.inc.edge_diff(centered) + params.lam
     return params.omega_u + c, c, beta
@@ -230,17 +224,17 @@ def exact_flow_operators(clm: ClosedLoopMatrix, sd: SpectralData,
     return phi, dt * sd.W + sd.group_inverse @ (phi - np.eye(clm.n))
 
 
-def step(state: SimState, params: SystemParams, clm: ClosedLoopMatrix,
+def step(theta: np.ndarray, params: SystemParams, clm: ClosedLoopMatrix,
          dt: float, method: str = "exact", sd: SpectralData | None = None,
-         _flow: tuple | None = None) -> SimState:
-    """Advance theta by dt under theta' = A theta + v, v = omega_u + q + r.
+         _flow: tuple | None = None) -> np.ndarray:
+    """The phases theta advanced by dt under theta' = A theta + v,
+    v = omega_u + q + r.
 
     The exact method maps theta to Phi theta + w, with the flow operators
     (Phi, Psi) of dt and w = Psi v: _flow gives (Phi, w), or sd builds them.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    theta = state.theta
     if method == "exact":
         if _flow is None:
             if sd is None:
@@ -248,7 +242,7 @@ def step(state: SimState, params: SystemParams, clm: ClosedLoopMatrix,
             phi, psi = exact_flow_operators(clm, sd, dt)
             _flow = phi, psi @ _drift(clm, params)
         phi, w = _flow
-        new_theta = phi @ theta + w
+        return phi @ theta + w
     elif method in ("rk4", "euler"):
         bound = stability_bound(clm.inc, clm.k)
         if dt > bound:
@@ -257,28 +251,27 @@ def step(state: SimState, params: SystemParams, clm: ClosedLoopMatrix,
                 f"1/(k * max in-degree) = {bound}")
         A, v = clm.A, _drift(clm, params)
         if method == "euler":
-            new_theta = theta + dt * (_apply_A(A, theta) + v)
-        else:
-            k1 = _apply_A(A, theta) + v
-            k2 = _apply_A(A, theta + 0.5 * dt * k1) + v
-            k3 = _apply_A(A, theta + 0.5 * dt * k2) + v
-            k4 = _apply_A(A, theta + dt * k3) + v
-            new_theta = theta + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    else:
-        raise ValueError(f"unknown integration method {method!r}")
-    return SimState(t=state.t + dt, theta=new_theta, mode=state.mode)
+            return theta + dt * (_apply_A(A, theta) + v)
+        k1 = _apply_A(A, theta) + v
+        k2 = _apply_A(A, theta + 0.5 * dt * k1) + v
+        k3 = _apply_A(A, theta + 0.5 * dt * k2) + v
+        k4 = _apply_A(A, theta + dt * k3) + v
+        return theta + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    raise ValueError(f"unknown integration method {method!r}")
 
 
-def _substeps(state: SimState, params: SystemParams, clm: ClosedLoopMatrix,
-              span: float, settings: IntegratorSettings) -> SimState:
-    """Advance by span in equal rk4/euler substeps of at most settings.dt,
-    by default a stability bound / 8."""
+def _substeps(theta: np.ndarray, t: float, params: SystemParams,
+              clm: ClosedLoopMatrix, span: float,
+              settings: IntegratorSettings) -> tuple[np.ndarray, float]:
+    """(theta, t) advanced by span in equal rk4/euler substeps of at most
+    settings.dt, by default a stability bound / 8; t adds each substep."""
     sub = settings.dt or stability_bound(clm.inc, clm.k) / 8.0
     steps = max(1, int(np.ceil(span / sub - 1e-12)))
     h = span / steps
     for _ in range(steps):
-        state = step(state, params, clm, h, settings.method)
-    return state
+        theta = step(theta, params, clm, h, settings.method)
+        t += h
+    return theta, t
 
 
 def run(system: System, *, schedule: ReframeSchedule | None = None,
@@ -314,38 +307,37 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     held = {}
     A, r, n, add = clm.A, clm.r, inc.n, np.add.reduce
 
-    def record(st: SimState):
+    def record(t, theta):
         # the correction as `observe` gives it, its mean phase summed and
         # divided as ndarray.mean does; the trace derives the rest
-        theta = st.theta
         c = A @ (theta - add(theta) / n) + params.q + r
-        reset.record(st.t, c, theta)
+        reset.record(t, c, theta)
 
-    state = SimState(t=0.0, theta=system.theta0)
+    t, theta = 0.0, system.theta0
     while True:
-        record(state)
-        firing = reset.firing(state.t)
+        record(t, theta)
+        firing = reset.firing(t)
         if firing is not None:
             # the row above is the pre-mode row at the reframe instant
             params = replace(params, q=reset.freeze(params.q, firing))
             held.clear()
             if reset.time is not None:
-                t_end = state.t + post_horizon
-            record(state)
+                t_end = t + post_horizon
+            record(t, theta)
         # the accumulated sample times can end a hair short of t_end; a step
         # to t_end would then record a near-duplicate last sample
-        if state.t >= t_end - 1e-9 * sample_dt:
+        if t >= t_end - 1e-9 * sample_dt:
             break
-        t_next = min(state.t + sample_dt, t_end)
+        t_next = min(t + sample_dt, t_end)
         if reset.events and reset.events[0] <= t_next + 1e-12:
             t_next = reset.events[0]  # sample the reframe instant itself
         # an unclipped step spans exactly sample_dt, so every such step reuses
-        # one flow operator; t_next - state.t drifts in its last bits.  A step
+        # one flow operator; t_next - t drifts in its last bits.  A step
         # clipped to t_end within the exit test's 1e-9 sample intervals of
         # sample_dt takes that operator too, and still lands on t_end
-        span = t_next - state.t
+        span = t_next - t
         clipped = t_next == t_end and abs(span - sample_dt) <= 1e-9 * sample_dt
-        if clipped or t_next == state.t + sample_dt:
+        if clipped or t_next == t + sample_dt:
             span = sample_dt
         if exact:
             flow = held.get(span)
@@ -355,11 +347,12 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
                     phi_psi = exact_flow_operators(clm, system.sd, span)
                     ops[span] = phi_psi
                 flow = held[span] = phi_psi[0], phi_psi[1] @ _drift(clm, params)
-            state = step(state, params, clm, span, "exact", _flow=flow)
+            theta = step(theta, params, clm, span, "exact", _flow=flow)
+            t += span
         else:
-            state = _substeps(state, params, clm, span, settings)
+            theta, t = _substeps(theta, t, params, clm, span, settings)
         if clipped:
-            state = replace(state, t=t_end)
+            t = t_end
 
     reset.finish()
     trace = SimTrace(

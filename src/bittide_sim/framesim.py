@@ -106,8 +106,6 @@ class DiscreteState:
     correction: np.ndarray     # held per-node corrections (zero-order hold)
     next_fire: np.ndarray      # local phase of each node's next controller update
     due_at: np.ndarray         # next_fire - 1e-12, where a node's phase makes it due
-    write: np.ndarray          # int64 frame counters per edge
-    read: np.ndarray
     measured: np.ndarray       # quantized occupancy; each step binds a new array
     virtual: bool
     faults: list = field(default_factory=list)
@@ -116,9 +114,6 @@ class DiscreteState:
     times: list = field(default_factory=list)
     correction_rows: np.ndarray | None = None
     measured_rows: np.ndarray | None = None
-
-    def occupancy(self) -> np.ndarray:
-        return self.write - self.read
 
 
 @dataclass
@@ -201,7 +196,6 @@ def init_discrete(scenario: DiscreteScenario) -> DiscreteState:
     state = DiscreteState(t=0.0, theta=theta0,
                           correction=np.zeros(system.inc.n),
                           next_fire=next_fire, due_at=next_fire - 1e-12,
-                          write=write, read=read,
                           measured=_quantize(write - read, scenario.quantization),
                           virtual=True)
     _fire_controllers(state, scenario, system.params,
@@ -361,7 +355,6 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     if not rows:
         raise fatal
     state.t, state.theta = times[-1], theta[rows]
-    state.write, state.read = write[rows], read[rows]
     state.measured = state.measured_rows[-1]
     if fatal is None:
         state.next_fire, state.due_at = next_fire, due_at

@@ -86,20 +86,19 @@ class IncidenceSet:
         return int(np.bincount(self.dst).max()) if self.m else 0
 
     @cached_property
-    def in_edges(self) -> list[np.ndarray]:
-        """Each node's incoming edge indices, in edge order; built once per
-        incidence."""
-        order = np.argsort(self.dst, kind="stable")
-        ends = np.cumsum(np.bincount(self.dst, minlength=self.n))[:-1]
-        return np.split(order, ends)
-
-    @cached_property
     def in_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per in-degree d: its nodes and their (nodes x d) `in_edges` rows."""
+        """Per in-degree d: its nodes and a (nodes x d) array whose rows are
+        their incoming edge indices in edge order; built once per incidence.
+        One stable sort of dst lists every node's in-edges, node after node,
+        each node's in edge order."""
         deg = np.bincount(self.dst, minlength=self.n)
-        groups = [np.flatnonzero(deg == d) for d in sorted(set(deg.tolist()))]
-        return [(nodes, np.array([self.in_edges[i] for i in nodes], dtype=np.intp))
-                for nodes in groups]
+        order = np.argsort(self.dst, kind="stable")
+        starts = np.cumsum(deg) - deg
+        blocks = []
+        for d in sorted(set(deg.tolist())):
+            nodes = np.flatnonzero(deg == d)
+            blocks.append((nodes, order[starts[nodes, None] + np.arange(d)]))
+        return blocks
 
     def _dense(self, nodes: np.ndarray) -> np.ndarray:
         M = np.zeros((self.n, self.m))

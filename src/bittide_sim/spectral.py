@@ -76,9 +76,9 @@ class SpectralData:
             raise SpectralError("no stable eigenvalues; graph has a single node?")
         return float(-stable.real.max())
 
-    def horizon(self, e_folds: float = 50.0) -> float:
-        """Time by which transients have shrunk by exp(-e_folds)."""
-        return e_folds / self.decay_rate()
+    def horizon(self) -> float:
+        """Time by which transients have shrunk by exp(-50): 50 e-folds."""
+        return 50.0 / self.decay_rate()
 
 
 def build_closed_loop(inc: IncidenceSet, params) -> ClosedLoopMatrix:
@@ -140,39 +140,30 @@ def metzler_eigenvector(clm: ClosedLoopMatrix) -> SpectralData:
     return SpectralData(z=z, W=W, eigenvalues=eigenvalues, group_inverse=G)
 
 
-def predict_omega_ss(sd: SpectralData, params, r: np.ndarray | None = None) -> np.ndarray:
+def predict_omega_ss(sd: SpectralData, params) -> np.ndarray:
     """Steady-state frequency vector; all components equal.
 
-    With feasible offsets r lies in range(A), W r = 0 and the limit is
-    1 * z^T (q + omega_u).  Pass r explicitly for the general form
-    W (q + r + omega_u).
+    The general form is W (q + r + omega_u); with feasible offsets r lies in
+    range(A), W r = 0 and the limit is 1 * z^T (q + omega_u).
     """
-    v = params.q + params.omega_u
-    if r is not None:
-        v = v + r
-    return np.full(sd.n, float(sd.z @ v))
+    return np.full(sd.n, float(sd.z @ (params.q + params.omega_u)))
 
 
 def steady_state_correction(sd: SpectralData, clm: ClosedLoopMatrix, params,
-                            q: np.ndarray | None = None) -> np.ndarray:
+                            q: np.ndarray) -> np.ndarray:
     """Map a controller offset q to the limiting correction:
     (W - I) omega_u + W (q + r)."""
-    if q is None:
-        q = params.q
     return (sd.W - np.eye(sd.n)) @ params.omega_u + sd.W @ (q + clm.r)
 
 
-def predict_beta_ss(sd: SpectralData, clm: ClosedLoopMatrix, params,
-                    q: np.ndarray | None = None) -> np.ndarray:
+def predict_beta_ss(sd: SpectralData, clm: ClosedLoopMatrix, params) -> np.ndarray:
     """Pre-reframe buffer occupancy limit: lambda - B^T G (omega_u + q + r).
 
     Independent of which stable-part factorization produced G; inputs in
     span(1) are annihilated, leaving beta = lambda exactly at equilibrium
     offsets.
     """
-    if q is None:
-        q = params.q
-    v = params.omega_u + q + clm.r
+    v = params.omega_u + params.q + clm.r
     return params.lam - clm.inc.edge_diff(sd.group_inverse @ v)
 
 

@@ -21,7 +21,6 @@ from bittide_sim.framesim import fault_report, run_discrete
 from bittide_sim.verify import make_infeasible_scenario, make_random_scenario
 
 BATTERY_SIZE = 100
-E_FOLDS = 50.0
 
 
 def criterion(number, name, ok, detail=""):
@@ -51,7 +50,7 @@ def battery():
         sc = make_random_scenario(i)
         system = prepare(sc.topology, sc.params, sc.theta0)
         params, clm, sd = system.params, system.clm, system.sd
-        horizon = sd.horizon(E_FOLDS)
+        horizon = sd.horizon()
         trace = run(system,
                     schedule=ReframeSchedule(mode="fixed-time", T1=horizon),
                     settings=IntegratorSettings(horizon=horizon, post_horizon=horizon,
@@ -113,7 +112,7 @@ def test_criterion_4_buffer_centering(battery):
         sc = make_infeasible_scenario(5000 + i)
         system = prepare(sc.topology, sc.params, sc.theta0)
         params, sd = system.params, system.sd
-        horizon = sd.horizon(E_FOLDS)
+        horizon = sd.horizon()
         trace = run(system,
                     schedule=ReframeSchedule(mode="fixed-time", T1=horizon),
                     settings=IntegratorSettings(horizon=horizon, post_horizon=horizon,

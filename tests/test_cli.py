@@ -121,6 +121,51 @@ def test_corrupt_config_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _e1_with(tmp_path, **changes):
+    """configs/e1.json with top-level keys replaced, as a new file."""
+    raw = json.loads((CONFIG_DIR / "e1.json").read_text())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**raw, **changes}))
+    return path
+
+
+def _rejected(tmp_path, capsys, config, *flags) -> str:
+    """Runs the config, which must exit 2 with an `error: config.` line and
+    no trace; returns stderr."""
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", config, "--out", out, *flags) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: config.") for line in err.splitlines())
+    assert not (out / "trace.csv").exists()
+    return err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("capacity", 0), ("capacity", -1), ("control_period", 0),
+    ("quantization", -1)])
+def test_discrete_range_error_exits_2_naming_config_discrete(
+        tmp_path, capsys, key, value):
+    config = _e1_with(tmp_path, discrete={key: value})
+    err = _rejected(tmp_path, capsys, config, "--discrete")
+    assert err.startswith("error: config.discrete: ")
+
+
+@pytest.mark.parametrize("section, value, kind", [
+    ("reframe", "auto", "str"), ("integrator", "exact", "str"),
+    ("discrete", [1], "list")])
+def test_non_object_section_exits_2(tmp_path, capsys, section, value, kind):
+    err = _rejected(tmp_path, capsys, _e1_with(tmp_path, **{section: value}))
+    assert err == f"error: config.{section}: expected an object, got {kind}\n"
+
+
+@pytest.mark.parametrize("k", [float("nan"), float("inf")])
+def test_non_finite_gain_exits_2(tmp_path, capsys, k):
+    config = _e1_with(tmp_path, k=k)
+    assert ("NaN" if k != k else "Infinity") in config.read_text()
+    err = _rejected(tmp_path, capsys, config)
+    assert err.startswith("error: config.k: gain must be finite and positive")
+
+
 def test_unknown_key_fails_strict_passes_lenient(tmp_path):
     cfg = tmp_path / "typo.json"
     cfg.write_text(json.dumps({"topology": "ring", "n": 3, "k": 1.0,

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bittide_sim import (IntegratorSettings, OneShotReset, ReframeSchedule,
-                         SimState, floatfmt,
-                         build_closed_loop, build_incidence, dynamics,
+                         floatfmt, build_closed_loop, build_incidence, dynamics,
                          generate_topology, init_state, make_system_params,
                          observe, predict_beta_ss, predict_omega_ss, prepare,
                          run, spectral, step)
@@ -26,11 +25,11 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 def test_init_feasible_offsets_at_zero_phase(two_cycle):
     inc = build_incidence(two_cycle)
     params = make_system_params(two_cycle, k=0.1, omega_u=[1.0, 1.02], lam=10.0)
-    state, params = init_state(inc, params, 0.0)
+    theta0, params = init_state(inc, params, 0.0)
     np.testing.assert_array_equal(params.beta_off, [10.0, 10.0])
-    assert state.t == 0.0 and state.mode == PRE_REFRAME
+    np.testing.assert_array_equal(theta0, [0.0, 0.0])
     clm = build_closed_loop(inc, params)
-    _, c, beta = observe(state, params, clm)
+    _, c, beta = observe(theta0, params, clm)
     np.testing.assert_array_equal(beta, params.beta_off)
     np.testing.assert_array_equal(c, [0.0, 0.0])
 
@@ -62,9 +61,9 @@ def test_consensus_equilibrium_is_fixed(two_cycle):
     # uniform clocks, feasible start in span(1): nothing moves
     inc, params, clm, sd = spectral_setup(two_cycle, k=0.5, omega_u=1.0,
                                           theta0=[2.0, 2.0])
-    state = SimState(t=0.0, theta=np.array([2.0, 2.0]))
-    new = step(state, params, clm, dt=3.0, method="exact", sd=sd)
-    np.testing.assert_allclose(new.theta - state.theta, 3.0 * np.ones(2),
+    theta = np.array([2.0, 2.0])
+    new = step(theta, params, clm, dt=3.0, method="exact", sd=sd)
+    np.testing.assert_allclose(new - theta, 3.0 * np.ones(2),
                                atol=1e-12)
     _, c, beta = observe(new, params, clm)
     np.testing.assert_allclose(c, np.zeros(2), atol=1e-12)
@@ -73,43 +72,41 @@ def test_consensus_equilibrium_is_fixed(two_cycle):
 
 def test_exact_vs_rk4_agreement(e1):
     _, inc, params, clm, sd = e1
-    theta_e = np.zeros(2)
-    theta_r = np.zeros(2)
-    se = SimState(t=0.0, theta=theta_e)
-    sr = SimState(t=0.0, theta=theta_r)
+    se = np.zeros(2)
+    sr = np.zeros(2)
     dt = 0.01
     for _ in range(10000):  # horizon 100
         se = step(se, params, clm, dt, "exact", sd=sd)
         sr = step(sr, params, clm, dt, "rk4")
-    assert np.abs(se.theta - sr.theta).max() <= 1e-8
+    assert np.abs(se - sr).max() <= 1e-8
 
 
 def test_euler_approaches_exact(e1):
     _, inc, params, clm, sd = e1
-    se = SimState(t=0.0, theta=np.zeros(2))
-    su = SimState(t=0.0, theta=np.zeros(2))
+    se = np.zeros(2)
+    su = np.zeros(2)
     for _ in range(1000):
         se = step(se, params, clm, 0.01, "exact", sd=sd)
         su = step(su, params, clm, 0.01, "euler")
-    assert np.abs(se.theta - su.theta).max() <= 1e-3
+    assert np.abs(se - su).max() <= 1e-3
 
 
 def test_explicit_methods_enforce_stability_bound(e1):
     _, inc, params, clm, _ = e1
-    state = SimState(t=0.0, theta=np.zeros(2))
+    theta = np.zeros(2)
     bound = stability_bound(inc, params.k)
     assert bound == 10.0
     with pytest.raises(ValueError, match="stability bound"):
-        step(state, params, clm, dt=bound * 1.01, method="euler")
+        step(theta, params, clm, dt=bound * 1.01, method="euler")
     with pytest.raises(ValueError, match="stability bound"):
-        step(state, params, clm, dt=bound * 1.01, method="rk4")
-    step(state, params, clm, dt=bound, method="euler")  # at the bound is fine
+        step(theta, params, clm, dt=bound * 1.01, method="rk4")
+    step(theta, params, clm, dt=bound, method="euler")  # at the bound is fine
 
 
 def test_single_exact_step_to_steady_state(e1):
     _, inc, params, clm, sd = e1
-    state = SimState(t=0.0, theta=np.array([0.4, -0.3]))
-    new = step(state, params, clm, dt=1e6, method="exact", sd=sd)
+    new = step(np.array([0.4, -0.3]), params, clm, dt=1e6, method="exact",
+               sd=sd)
     omega, _, _ = observe(new, params, clm)
     np.testing.assert_allclose(omega, predict_omega_ss(sd, params), atol=1e-9)
 
@@ -122,8 +119,7 @@ def test_observe_per_node_form_matches_matrix_form():
                                          lam=params.lam, theta0=theta0)
     rng = np.random.default_rng(0)
     theta = rng.normal(size=inc.n)
-    state = SimState(t=0.0, theta=theta)
-    _, c, beta = observe(state, params, clm)
+    _, c, beta = observe(theta, params, clm)
     views = node_views(topology, beta, params.beta_off, params.q)
     stacked = np.array([proportional_correction(v, params.k) for v in views])
     assert np.abs(stacked - c).max() <= 1e-12
@@ -299,6 +295,22 @@ def test_unclipped_samples_share_one_flow_operator(monkeypatch, e1):
     np.testing.assert_array_equal(trace.times, expected)
 
 
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_substep_sample_times_add_each_substep(e1, method):
+    # a sample interval of 0.1 in substeps of at most 0.04 takes three of
+    # h = 0.1 / 3, which is inexact: each sample's time is the last one's
+    # plus h, added three times, and on some samples that is not t + 0.1
+    topology, _, params, _, _ = e1
+    trace = run(prepare(topology, params),
+                settings=IntegratorSettings(method=method, dt=0.04,
+                                            sample_interval=0.1, horizon=1.0))
+    h = 0.1 / 3
+    pairs = list(zip(trace.times, trace.times[1:]))
+    assert len(pairs) == 10
+    assert all(after == before + h + h + h for before, after in pairs)
+    assert any(after != before + 0.1 for before, after in pairs)
+
+
 def test_run_ends_without_a_near_duplicate_sample(monkeypatch, e1):
     # 1000 steps of 0.1 add up to 100 - 1.4e-12: the run ends there, with no
     # step of 1.4e-12 to a second sample at t = 100 and no operator for it
@@ -322,9 +334,8 @@ def test_step_clipped_to_the_end_by_a_hair_reuses_the_sample_operator(
                 settings=IntegratorSettings(horizon=0.3, sample_interval=0.1))
     assert [t for _, t in exponentials] == [0.1]
     np.testing.assert_array_equal(trace.times, [0.0, 0.1, 0.2, 0.3])
-    last = step(SimState(t=0.2, theta=trace.theta[-2]), system.params,
-                system.clm, 0.1, sd=system.sd)
-    np.testing.assert_array_equal(trace.theta[-1], last.theta)
+    last = step(trace.theta[-2], system.params, system.clm, 0.1, sd=system.sd)
+    np.testing.assert_array_equal(trace.theta[-1], last)
 
 
 @pytest.mark.parametrize("post_horizon", [0.3, 2.05])
@@ -347,7 +358,7 @@ def test_each_sample_is_one_step_from_the_last(post_horizon):
                                             q=trace.reframe_payload)
     for i, mode in enumerate(trace.mode):
         row_params = params if mode == PRE_REFRAME else frozen
-        _, c, _ = observe(SimState(times[i], theta[i]), row_params, system.clm)
+        _, c, _ = observe(theta[i], row_params, system.clm)
         np.testing.assert_array_equal(trace.correction[i], c)
         if i + 1 == len(trace):
             break
@@ -361,9 +372,8 @@ def test_each_sample_is_one_step_from_the_last(post_horizon):
         if (times[i] + sample_dt == times[i + 1]
                 or last and abs(gap - sample_dt) <= 1e-9 * sample_dt):
             gap = sample_dt
-        new = step(SimState(times[i], theta[i]), row_params, system.clm, gap,
-                   sd=system.sd)
-        np.testing.assert_array_equal(theta[i + 1], new.theta)
+        new = step(theta[i], row_params, system.clm, gap, sd=system.sd)
+        np.testing.assert_array_equal(theta[i + 1], new)
 
 
 def test_eight_node_ends_without_a_near_duplicate_sample():
@@ -531,9 +541,9 @@ def test_derived_rows_equal_observe_bit_for_bit(monkeypatch, name):
     if name == "staggered":
         assert any(mode.startswith("staggered-") for mode in trace.mode)
     assert len({_bits(q) for q in qs}) > 1       # the reframe moved q
-    for i, (t, theta, q) in enumerate(zip(trace.times, trace.theta, qs)):
-        omega, c, beta = observe(SimState(t=t, theta=theta),
-                                 replace(system.params, q=q), system.clm)
+    for i, (theta, q) in enumerate(zip(trace.theta, qs)):
+        omega, c, beta = observe(theta, replace(system.params, q=q),
+                                 system.clm)
         for arrays in (whole, blocks):
             for array, value in zip(arrays, (omega, c, beta)):
                 assert _bits(array[i]) == _bits(value), i

@@ -45,7 +45,7 @@ def test_identical_clocks_hold_offset_exactly():
 
 def test_initial_counters_match_feasible_offsets():
     state = init_discrete(e1_discrete())
-    np.testing.assert_array_equal(state.occupancy(), [10, 10])
+    np.testing.assert_array_equal(state.measured, [10, 10])
     assert state.virtual
 
 
@@ -330,8 +330,7 @@ def test_a_step_that_raises_leaves_the_state_unmoved(direction, monkeypatch):
             return write + 3, read
 
         monkeypatch.setattr(framesim, "_counters", ahead)
-    fields = ("t", "theta", "correction", "next_fire", "write", "read",
-              "measured")
+    fields = ("t", "theta", "correction", "next_fire", "measured")
     for _ in range(1000):
         before = {f: np.copy(getattr(state, f)) for f in fields}
         try:
@@ -346,8 +345,7 @@ def test_a_step_that_raises_leaves_the_state_unmoved(direction, monkeypatch):
         np.testing.assert_array_equal(getattr(state, f), before[f])
 
 
-STATE_FIELDS = ("t", "theta", "correction", "next_fire", "due_at", "write",
-                "read", "measured")
+STATE_FIELDS = ("t", "theta", "correction", "next_fire", "due_at", "measured")
 
 
 def _single_steps(scenario, count):
@@ -459,8 +457,10 @@ def test_a_bound_fault_that_fires_inside_a_multi_fire_advance():
 def _per_node_fire(state, scenario, params, which):
     """The law as the per-node specification states it: one NodeView each,
     on occupancies measured afresh from the counters."""
-    unit = scenario.quantization
-    measured = (unit * np.floor_divide(state.write - state.read, unit)).astype(float)
+    unit, inc = scenario.quantization, scenario.system.inc
+    occupancy = (np.floor(state.theta[inc.src] + params.lam).astype(np.int64)
+                 - np.floor(state.theta[inc.dst]).astype(np.int64))
+    measured = (unit * np.floor_divide(occupancy, unit)).astype(float)
     for view in node_views(scenario.system.topology, measured, params.beta_off,
                            params.q, nodes=np.flatnonzero(which)):
         state.correction[view.node - 1] = proportional_correction(view, params.k)

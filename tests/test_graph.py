@@ -39,15 +39,13 @@ def test_incidence_edge_index_arrays():
     np.testing.assert_array_equal(inc.src + 1, [s for s, _ in topo.edges])
 
 
-def test_in_edges_list_each_nodes_incoming_edges_in_order():
+def test_in_blocks_rows_list_each_nodes_incoming_edges_in_order():
     topo = generate_topology("random-strong", 6, seed=3, extra_edge_fraction=0.4)
     inc = build_incidence(topo)
-    for i, edges in enumerate(inc.in_edges):
-        assert edges.tolist() == [e for e, (_, d) in enumerate(topo.edges)
-                                  if d == i + 1]
-    assert inc.in_edges is inc.in_edges    # built once per incidence
-    # a node without incoming edges gets an empty list
-    assert build_incidence(Topology(n=3, edges=[(1, 2), (1, 3)])).in_edges[0].size == 0
+    for nodes, edges in inc.in_blocks:
+        for i, row in zip(nodes, edges):
+            assert row.tolist() == [e for e, (_, d) in enumerate(topo.edges)
+                                    if d == i + 1]
 
 
 def test_in_blocks_group_nodes_by_in_degree():
@@ -57,7 +55,7 @@ def test_in_blocks_group_nodes_by_in_degree():
     for nodes, edges in inc.in_blocks:
         assert edges.shape == (len(nodes), edges.shape[1])
         for i, row in zip(nodes, edges):
-            assert row.tolist() == inc.in_edges[i].tolist()
+            assert row.tolist() == np.flatnonzero(inc.dst == i).tolist()
         covered += nodes.tolist()
     assert sorted(covered) == list(range(topo.n))
     degrees = [edges.shape[1] for _, edges in inc.in_blocks]
@@ -97,8 +95,8 @@ def test_large_incidence_closed_loop_and_observe_stay_small():
     tracemalloc.start()
     try:
         inc = build_incidence(topo)
-        state, params = init_state(inc, params, theta0)
-        observe(state, params, build_closed_loop(inc, params))
+        theta0, params = init_state(inc, params, theta0)
+        observe(theta0, params, build_closed_loop(inc, params))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

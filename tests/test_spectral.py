@@ -9,7 +9,7 @@ import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bittide_sim import (SimState, SpectralError, Topology, build_closed_loop,
+from bittide_sim import (SpectralError, Topology, build_closed_loop,
                          build_incidence, generate_topology, make_system_params,
                          matrix_exponential, metzler_eigenvector, observe,
                          predict_beta_ss, predict_omega_ss, prepare,
@@ -86,7 +86,7 @@ def test_residual_and_occupancy_match_dense_incidence(topology):
     np.testing.assert_array_equal(
         clm.r, params.k * (inc.D @ (params.lam - params.beta_off)))
     theta = np.array([40.1, 39.7, 40.45])
-    _, _, beta = observe(SimState(t=40.0, theta=theta), params, clm)
+    _, _, beta = observe(theta, params, clm)
     np.testing.assert_array_equal(beta, inc.B.T @ (theta - theta.mean()) + params.lam)
 
 

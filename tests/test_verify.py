@@ -53,8 +53,8 @@ def test_feasibility_not_applicable_for_infeasible_offsets():
 
 
 def test_projector_limit_two_node(e1_scenario):
-    v = check_projector_limit(e1_scenario, horizon=250.0)  # 50 / 0.2
-    assert v.status == "pass"
+    v = check_projector_limit(e1_scenario)
+    assert v.status == "pass" and v.detail == "horizon 250"  # 50 / 0.2
 
 
 def test_projector_limit_ring():
@@ -113,7 +113,7 @@ def test_negative_controls_keep_clocks_forward():
         for seed in range(5000, 5100):
             sc = make_infeasible_scenario(seed)
             system = prepare(sc.topology, sc.params, sc.theta0)
-            horizon = system.sd.horizon(50.0)
+            horizon = system.sd.horizon()
             run(system, schedule=ReframeSchedule(mode="fixed-time", T1=horizon),
                 settings=IntegratorSettings(horizon=horizon, post_horizon=horizon,
                                             sample_interval=horizon / 4))
