@@ -13,8 +13,12 @@ two commits shows whether their outputs are byte-identical:
     python3 scripts/output_digests.py path/to/config.json ...
 
 `--battery COUNT SEED` runs `bittide-sim verify --count COUNT --seed SEED`
-instead and prints one line with the digest of its `battery.json`, less the
-line of `summary.elapsed_seconds`, the one value that differs between runs:
+instead and prints two lines.  The first has the digest of its
+`battery.json`, less the line of `summary.elapsed_seconds`, the one value
+that differs between runs.  The second has the digest of the report with
+every `residual` and `worst_residual` removed as well, so a change that
+moves residuals by design shows by this line that every status, tolerance
+and fingerprint stayed the same:
 
     python3 scripts/output_digests.py --battery 100 7
 
@@ -42,6 +46,7 @@ MODES = {"continuous": [], "discrete": ["--discrete"],
 # continuous runs with the config's integrator method replaced
 METHODS = ("rk4", "euler")
 ELAPSED = re.compile(rb'\n *"elapsed_seconds": [^\n]*')
+RESIDUALS = ("residual", "worst_residual")
 
 
 def _quiet_main(argv) -> int:
@@ -78,9 +83,21 @@ def digests(config: Path):
                 yield (f"continuous-{method}", *row)
 
 
-def battery_digest(count: int, seed: int) -> tuple[int, str]:
-    """(exit code, sha256) of the battery's `battery.json` without its
-    elapsed time."""
+def without_residuals(value):
+    """The JSON value with every `residual` and `worst_residual` key
+    removed, at any depth."""
+    if isinstance(value, dict):
+        return {key: without_residuals(v) for key, v in value.items()
+                if key not in RESIDUALS}
+    if isinstance(value, list):
+        return [without_residuals(v) for v in value]
+    return value
+
+
+def battery_digest(count: int, seed: int) -> tuple[int, str, str]:
+    """(exit code, sha256, residual-free sha256) of the battery's
+    `battery.json` without its elapsed time; the last hashes the report
+    without residuals, dumped with sorted keys."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         rc = _quiet_main(["verify", "--count", str(count), "--seed", str(seed),
@@ -88,7 +105,9 @@ def battery_digest(count: int, seed: int) -> tuple[int, str]:
         text, found = ELAPSED.subn(b"", (out / "battery.json").read_bytes())
     if found != 1:
         raise ValueError(f"battery.json has {found} elapsed_seconds lines, not 1")
-    return rc, hashlib.sha256(text).hexdigest()
+    bare = json.dumps(without_residuals(json.loads(text)), sort_keys=True)
+    return (rc, hashlib.sha256(text).hexdigest(),
+            hashlib.sha256(bare.encode()).hexdigest())
 
 
 def run(configs) -> int:
@@ -110,5 +129,7 @@ if __name__ == "__main__":
     if args.configs:
         parser.error("--battery takes no configs")
     count, seed = args.battery
-    rc, digest = battery_digest(count, seed)
-    print(f"battery count={count} seed={seed} rc={rc} battery.json {digest}")
+    rc, digest, bare = battery_digest(count, seed)
+    label = f"battery count={count} seed={seed} rc={rc}"
+    print(f"{label} battery.json {digest}")
+    print(f"{label} battery.json-without-residuals {bare}")

@@ -273,13 +273,16 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
     if method not in ("exact", "rk4", "euler"):
         raise ConfigError(f"config.integrator.method: expected 'exact', 'rk4' "
                           f"or 'euler', got {method!r}")
+    path = "config.integrator"
     integrator = IntegratorSettings(
         method=method,
-        dt=_optional_number(iraw, "dt", "config.integrator"),
-        sample_interval=_optional_number(iraw, "sample_interval",
-                                         "config.integrator"),
-        horizon=_optional_number(iraw, "horizon", "config.integrator"),
-        post_horizon=_optional_number(iraw, "post_horizon", "config.integrator"))
+        # the exact flow has no substep, and the discrete mode checks its dt
+        dt=_optional_number(iraw, "dt", path, positive=method != "exact"),
+        sample_interval=_optional_number(iraw, "sample_interval", path,
+                                         positive=True),
+        horizon=_optional_number(iraw, "horizon", path, positive=True),
+        post_horizon=_optional_number(iraw, "post_horizon", path,
+                                      positive=True))
 
     draw = _section(raw, "discrete")
     _check_keys(draw, {"enabled", "control_period", "quantization", "capacity",
@@ -304,9 +307,14 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
         parsed_topology=topology)
 
 
-def _optional_number(raw: dict, key: str, path: str):
+def _optional_number(raw: dict, key: str, path: str, positive=False):
     v = _expect(raw, key, (int, float), path)
-    return None if v is None else float(v)
+    if v is None:
+        return None
+    if positive and not 0 < v < math.inf:   # json.loads accepts NaN
+        raise ConfigError(f"{path}.{key}: must be finite and positive, "
+                          f"got {v}")
+    return float(v)
 
 
 def parse_config(path, strict: bool = True) -> ScenarioConfig:

@@ -90,17 +90,19 @@ class CorrectionHistory:
     """The run's rows in preallocated arrays that grow when full: each
     sample's time, the correction c the nodes emit and, for `width` > 0, one
     more row of values (the phases of a continuous run, the measured
-    occupancies of a discrete one).  `size` is the rows a run expects.
+    occupancies of a discrete one).  `shape` and `width` are a row's length,
+    or its shape when a sample records a block of rows; `size` is the
+    samples a run expects.
 
     Appending is amortized O(n + width) per row, and `times`, `corrections`
     and `rows` are views of the filled prefix, so the auto trigger reads the
     history without a copy, and a trace can keep them.
     """
 
-    def __init__(self, n: int, width: int = 0, size: int = 64):
+    def __init__(self, shape, width=0, size: int = 64):
         self._t = np.empty(size)
-        self._c = np.empty((size, n))
-        self._rows = np.empty((size, width))
+        self._c = np.empty((size, *np.atleast_1d(shape)))
+        self._rows = np.empty((size, *np.atleast_1d(width)))
         self._len = 0
 
     def __len__(self):
@@ -205,8 +207,9 @@ class OneShotReset:
     Both run loops `record` each sample (its row into `history`, its `mode`
     into `modes`), ask `firing(t)` which nodes reset on it, `freeze` those,
     and record the post row.  `time` is set once the last node has reset.
-    `width` is the length of the extra row each sample records, and
-    `samples` the rows a loop expects to record besides the reset's own.
+    A sample's correction has the shape of params.q, `width` is the length
+    (or shape) of the extra row each sample records, and `samples` the rows
+    a loop expects to record besides the reset's own.
     """
 
     def __init__(self, schedule: ReframeSchedule | None, params,
@@ -228,7 +231,8 @@ class OneShotReset:
         # each reframe time adds at most two rows: a sample at its instant,
         # where a loop inserts one, and the post row
         reframes = len(self.events) or int(self.pending)
-        self.history = CorrectionHistory(inc.n, width, samples + 2 * reframes)
+        self.history = CorrectionHistory(params.q.shape, width,
+                                         samples + 2 * reframes)
 
     def record(self, t: float, c: np.ndarray, row: np.ndarray):
         self.history.append(t, c, row)

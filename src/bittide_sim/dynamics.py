@@ -25,7 +25,9 @@ class SystemParams:
     """Full parameterization of the closed loop.
 
     beta_off is None while tagged feasible-at-start; init_state materializes
-    it as B^T theta0 + lambda, which puts the residual r in range(A).
+    it as B^T theta0 + lambda, which puts the residual r in range(A).  q is
+    one offset per node, or a (K, n) block of K offsets that `run` carries
+    at once.
     """
 
     k: float
@@ -47,8 +49,9 @@ class SystemParams:
             raise ValueError(f"gain k must be nonnegative, got {self.k}")
         if np.any(self.omega_u <= 0):
             raise ValueError("uncontrolled frequencies must be positive (physical clocks)")
-        if self.q.shape != self.omega_u.shape:
-            raise ValueError("q and omega_u must have matching shapes")
+        if self.q.shape[-1:] != self.omega_u.shape or self.q.ndim > 2:
+            raise ValueError("q must be one row or a block of rows of "
+                             "omega_u's shape")
         if self.beta_off is not None and self.beta_off.shape != self.lam.shape:
             raise ValueError("beta_off and lambda must have matching shapes")
 
@@ -77,12 +80,14 @@ class SimTrace:
     rows at a time never holds the (T, m) occupancy.
 
     The reframe instant appears twice (same t, pre then post mode) so the
-    correction discontinuity is visible in the trace.
+    correction discontinuity is visible in the trace.  A run of K offsets
+    records a (K, n) block per sample: theta and correction are then
+    (T, K, n), and so is every derived array, with (T, K, m) occupancies.
     """
 
     times: np.ndarray        # (T,)
-    theta: np.ndarray        # (T, n)
-    correction: np.ndarray   # (T, n)
+    theta: np.ndarray        # (T, n) or (T, K, n)
+    correction: np.ndarray   # (T, n) or (T, K, n)
     omega_u: np.ndarray      # (n,)
     inc: IncidenceSet
     lam: np.ndarray          # (m,)
@@ -110,7 +115,7 @@ class SimTrace:
         of theta is C-contiguous, and a row-wise mean reduces it as the 1-D
         mean in `observe` does, so every value equals observe's bit for bit."""
         theta, c = self.theta[rows], self.correction[rows]
-        centered = theta - theta.mean(axis=1, keepdims=True)
+        centered = theta - theta.mean(axis=-1, keepdims=True)
         beta = self.inc.edge_diff(centered)
         beta += self.lam
         return self.omega_u + c, c, beta
@@ -188,13 +193,15 @@ def prepare(topology: Topology, params: SystemParams, theta0=0.0) -> System:
 
 
 def _drift(clm: ClosedLoopMatrix, params: SystemParams) -> np.ndarray:
-    return params.omega_u + params.q + clm.r
+    """v = omega_u + q + r as theta's columns hold it: (n,), or (n, K) for K
+    offsets."""
+    return (params.omega_u + params.q + clm.r).T
 
 
 def _apply_A(A: np.ndarray, theta: np.ndarray) -> np.ndarray:
     # A annihilates constants; removing the mean phase avoids catastrophic
     # cancellation once theta has grown to t * consensus frequency
-    return A @ (theta - theta.mean())
+    return A @ (theta - theta.mean(axis=0))
 
 
 def observe(theta: np.ndarray, params: SystemParams,
@@ -228,7 +235,8 @@ def step(theta: np.ndarray, params: SystemParams, clm: ClosedLoopMatrix,
          dt: float, method: str = "exact", sd: SpectralData | None = None,
          _flow: tuple | None = None) -> np.ndarray:
     """The phases theta advanced by dt under theta' = A theta + v,
-    v = omega_u + q + r.
+    v = omega_u + q + r; for a (K, n) q, theta is an (n, K) block, one
+    column per offset.
 
     The exact method maps theta to Phi theta + w, with the flow operators
     (Phi, Psi) of dt and w = Psi v: _flow gives (Phi, w), or sd builds them.
@@ -286,11 +294,20 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     or at horizon + post_horizon if some node has not reframed by then.
     Per-node times are an experiment: distributed nodes cannot share a common
     T1, so no convergence guarantee is claimed or checked for them.
+
+    A (K, n) q runs the closed loop for K offsets at once, sharing the sample
+    grid and the flow operators: the phases are an (n, K) block, each span's
+    w = Psi v one n x K product, and each sample records one (K, n) block.
+    Each offset's rows agree with its own one-offset run to rounding.  The
+    reset freezes one offset per node, so such a run takes no schedule.
     """
     if system.sd is None:
         raise ValueError(
             f"gain k must be positive for the closed loop, got {system.params.k}")
     inc, params, clm = system.inc, system.params, system.clm
+    if schedule is not None and params.q.ndim > 1:
+        raise ValueError("a reframe schedule needs one offset per node, "
+                         f"not a block of {len(params.q)}")
 
     horizon = settings.horizon if settings.horizon is not None else system.sd.horizon()
     post_horizon = settings.post_horizon if settings.post_horizon is not None else horizon
@@ -298,7 +315,8 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
 
     t_end = horizon + (post_horizon if schedule is not None else 0.0)
     reset = OneShotReset(schedule, params, inc, default_T1=horizon,
-                         width=inc.n, samples=math.ceil(t_end / sample_dt) + 1)
+                         width=params.q.shape,
+                         samples=math.ceil(t_end / sample_dt) + 1)
     history = reset.history
     exact = settings.method == "exact"
     # (Phi, Psi) per span, built once for every run of this closed loop or
@@ -308,12 +326,14 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     A, r, n, add = clm.A, clm.r, inc.n, np.add.reduce
 
     def record(t, theta):
-        # the correction as `observe` gives it, its mean phase summed and
-        # divided as ndarray.mean does; the trace derives the rest
-        c = A @ (theta - add(theta) / n) + params.q + r
-        reset.record(t, c, theta)
+        # the correction as `observe` gives it, each column's mean phase
+        # summed and divided as ndarray.mean does; the trace derives the rest
+        c = (A @ (theta - add(theta) / n)).T + params.q + r
+        reset.record(t, c, theta.T)
 
     t, theta = 0.0, system.theta0
+    if params.q.ndim > 1:
+        theta = np.repeat(theta[:, None], len(params.q), axis=1)
     while True:
         record(t, theta)
         firing = reset.firing(t)
@@ -369,8 +389,8 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     backward = np.argwhere(trace.omega <= 0)
     if backward.size:
         # the model's clocks run forward: name the first such sample
-        row, i = backward[0]
-        warnings.warn(f"node {i + 1} has clock frequency "
-                      f"{trace.omega[row, i]:.6g} <= 0 at t = "
-                      f"{trace.times[row]:.6g}", stacklevel=2)
+        first = tuple(backward[0])
+        warnings.warn(f"node {first[-1] + 1} has clock frequency "
+                      f"{trace.omega[first]:.6g} <= 0 at t = "
+                      f"{trace.times[first[0]]:.6g}", stacklevel=2)
     return trace

@@ -71,6 +71,10 @@ class DiscreteScenario:
             raise ValueError("capacity must be a positive frame count")
         if self.quantization < 1:
             raise ValueError("quantization unit must be at least one frame")
+        if self.dt is not None and not 0 < self.dt <= self._dt_bound:
+            raise ValueError(
+                f"dt = {self.dt} must be positive and fine enough for frame "
+                f"counting: dt <= 1/(4 max omega) = {self._dt_bound}")
 
     @cached_property
     def source_lead(self) -> np.ndarray:
@@ -88,15 +92,12 @@ class DiscreteScenario:
         inc = self.system.inc
         return max(BLOCK_ENTRIES // max(inc.n, inc.m), 1)
 
+    @property
+    def _dt_bound(self) -> float:
+        return 1.0 / (4.0 * float(self.system.params.omega_u.max()))
+
     def step_size(self) -> float:
-        bound = 1.0 / (4.0 * float(self.system.params.omega_u.max()))
-        if self.dt is None:
-            return bound
-        if self.dt > bound:
-            raise ValueError(
-                f"dt = {self.dt} too coarse for frame counting; need dt <= "
-                f"1/(4 max omega) = {bound}")
-        return self.dt
+        return self._dt_bound if self.dt is None else self.dt
 
 
 @dataclass

@@ -104,10 +104,20 @@ def build_closed_loop(inc: IncidenceSet, params) -> ClosedLoopMatrix:
     return ClosedLoopMatrix(A=A, r=r, k=params.k, inc=inc)
 
 
+def _bordered(M: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """[[M, 1], [row, 0]], written into one (n + 1) x (n + 1) array."""
+    n = len(row)
+    bordered = np.empty((n + 1, n + 1))
+    bordered[:n, :n] = M
+    bordered[:n, n] = 1.0
+    bordered[n, :n] = row
+    bordered[n, n] = 0.0
+    return bordered
+
+
 def _bordered_solve(M: np.ndarray, row: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve [[M, 1], [row, 0]] [x; mu] = rhs and return x."""
-    bordered = np.block([[M, np.ones((len(row), 1))], [row, 0.0]])
-    return np.linalg.solve(bordered, rhs)[:len(row)]
+    return np.linalg.solve(_bordered(M, row), rhs)[:len(row)]
 
 
 def metzler_eigenvector(clm: ClosedLoopMatrix) -> SpectralData:
@@ -152,8 +162,9 @@ def predict_omega_ss(sd: SpectralData, params) -> np.ndarray:
 def steady_state_correction(sd: SpectralData, clm: ClosedLoopMatrix, params,
                             q: np.ndarray) -> np.ndarray:
     """Map a controller offset q to the limiting correction:
-    (W - I) omega_u + W (q + r)."""
-    return (sd.W - np.eye(sd.n)) @ params.omega_u + sd.W @ (q + clm.r)
+    (W - I) omega_u + W (q + r).  A (K, n) q maps row by row."""
+    return ((sd.W - np.eye(sd.n)) @ params.omega_u
+            + (sd.W @ (q + clm.r).T).T)
 
 
 def predict_beta_ss(sd: SpectralData, clm: ClosedLoopMatrix, params) -> np.ndarray:

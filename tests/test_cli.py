@@ -166,6 +166,56 @@ def test_non_finite_gain_exits_2(tmp_path, capsys, k):
     assert err.startswith("error: config.k: gain must be finite and positive")
 
 
+def _e1_integrator(tmp_path, **changes):
+    """configs/e1.json with integrator keys replaced, as a new file."""
+    raw = json.loads((CONFIG_DIR / "e1.json").read_text())
+    return _e1_with(tmp_path, integrator={**raw["integrator"], **changes})
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+@pytest.mark.parametrize("key", ["horizon", "post_horizon", "sample_interval"])
+@pytest.mark.parametrize("value", NON_FINITE + [0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "zero", "negative"])
+def test_continuous_integrator_span_must_be_finite_and_positive(
+        tmp_path, capsys, key, value):
+    err = _rejected(tmp_path, capsys, _e1_integrator(tmp_path, **{key: value}))
+    assert err.startswith(f"error: config.integrator.{key}: must be finite "
+                          "and positive")
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("dt", NON_FINITE + [0.0, -0.1],
+                         ids=["nan", "inf", "-inf", "zero", "negative"])
+def test_fixed_step_dt_must_be_finite_and_positive(tmp_path, capsys, method,
+                                                   dt):
+    config = _e1_integrator(tmp_path, method=method, dt=dt)
+    err = _rejected(tmp_path, capsys, config)
+    assert err.startswith("error: config.integrator.dt: must be finite and "
+                          "positive")
+
+
+def test_exact_method_reads_no_dt(tmp_path):
+    # the exact flow has no substep: an unused dt is not an error
+    config = _e1_integrator(tmp_path, dt=-0.1)
+    assert run_cli("run", "--config", config, "--out", tmp_path / "a") == 0
+    assert run_cli("run", "--config", CONFIG_DIR / "e1.json",
+                   "--out", tmp_path / "b") == 0
+    assert ((tmp_path / "a" / "trace.csv").read_bytes()
+            == (tmp_path / "b" / "trace.csv").read_bytes())
+
+
+@pytest.mark.parametrize("dt", [0.3, -0.2, 0.0, float("nan")],
+                         ids=["too-coarse", "negative", "zero", "nan"])
+def test_discrete_dt_out_of_range_exits_2_naming_config_discrete(
+        tmp_path, capsys, dt):
+    config = _e1_integrator(tmp_path, dt=dt)
+    err = _rejected(tmp_path, capsys, config, "--discrete")
+    assert err.startswith(f"error: config.discrete: dt = {dt} must be "
+                          "positive and fine enough for frame counting")
+
+
 def test_unknown_key_fails_strict_passes_lenient(tmp_path):
     cfg = tmp_path / "typo.json"
     cfg.write_text(json.dumps({"topology": "ring", "n": 3, "k": 1.0,

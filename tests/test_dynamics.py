@@ -17,6 +17,7 @@ from bittide_sim import (IntegratorSettings, OneShotReset, ReframeSchedule,
 from bittide_sim.config import parse_config
 from bittide_sim.controller import POST_REFRAME, PRE_REFRAME
 from bittide_sim.dynamics import stability_bound
+from bittide_sim.verify import make_random_scenario
 from conftest import count_calls, random_scenario, spectral_setup
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -547,3 +548,60 @@ def test_derived_rows_equal_observe_bit_for_bit(monkeypatch, name):
         for arrays in (whole, blocks):
             for array, value in zip(arrays, (omega, c, beta)):
                 assert _bits(array[i]) == _bits(value), i
+
+
+def _assert_offset_rows_close(block, runs, omega_u):
+    """Each offset's rows of the block run agree with its own run within
+    1e-12 relative: the phases of their own scale, the corrections of the
+    clock frequencies' (as the battery's tolerances scale them), since an
+    n x K product need not sum as K matvecs do."""
+    for i, one in enumerate(runs):
+        np.testing.assert_array_equal(block.times, one.times)
+        for values, rows, scale in (
+                (block.theta, one.theta, np.abs(one.theta).max()),
+                (block.correction, one.correction, np.abs(omega_u).max())):
+            np.testing.assert_allclose(values[:, i], rows, rtol=1e-12,
+                                       atol=1e-12 * float(scale))
+
+
+def _offset_runs(system, qs, settings):
+    """One run of the (K, n) offsets qs and K one-offset runs, one per row."""
+    block = run(replace(system, params=replace(system.params, q=qs)),
+                settings=settings)
+    return block, [run(replace(system, params=replace(system.params, q=q)),
+                       settings=settings) for q in qs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), K=st.integers(1, 5))
+def test_offset_block_run_matches_one_run_per_offset(seed, K):
+    # the battery's scenario distribution: random-strong, n from 2 to 8
+    system = make_random_scenario(seed).system
+    n = system.inc.n
+    qs = np.random.default_rng(seed).normal(scale=0.01, size=(K, n))
+    horizon = system.sd.horizon()
+    block, runs = _offset_runs(system, qs, IntegratorSettings(
+        horizon=horizon, sample_interval=horizon / 8))
+    assert block.theta.shape == block.correction.shape == (len(block), K, n)
+    assert block.occupancy.shape == (len(block), K, system.inc.m)
+    _assert_offset_rows_close(block, runs, system.params.omega_u)
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_offset_block_run_steps_each_column_with_fixed_steps(e1, method):
+    topology, _, params, _, _ = e1
+    system = prepare(topology, params)
+    qs = np.array([[0.0, 0.0], [0.01, -0.02], [-0.005, 0.0]])
+    block, runs = _offset_runs(system, qs, IntegratorSettings(
+        method=method, horizon=20.0, sample_interval=2.5))
+    _assert_offset_rows_close(block, runs, params.omega_u)
+
+
+def test_offset_block_run_takes_no_schedule(e1):
+    topology, _, params, _, _ = e1
+    system = prepare(topology, replace(params, q=np.zeros((2, 2))))
+    for schedule in (ReframeSchedule(mode="fixed-time", T1=5.0),
+                     ReframeSchedule(mode="auto")):
+        with pytest.raises(ValueError, match="one offset per node"):
+            run(system, schedule=schedule,
+                settings=IntegratorSettings(horizon=10.0))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from bittide_sim import (SpectralError, Topology, build_closed_loop,
                          build_incidence, generate_topology, make_system_params,
                          matrix_exponential, metzler_eigenvector, observe,
-                         predict_beta_ss, predict_omega_ss, prepare,
+                         predict_beta_ss, predict_omega_ss, prepare, spectral,
                          steady_state_correction)
 from bittide_sim.config import parse_config
 from conftest import random_scenario, spectral_setup
@@ -400,3 +400,15 @@ def test_group_inverse_prediction_on_defective_matrix(ring3_chord):
     assert eigvec_rank == 2  # nullity 1 < multiplicity 2: defective
     G = sd.group_inverse
     assert np.abs(G @ clm.A - (np.eye(3) - sd.W)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bordered_matrix_equals_np_block_bit_for_bit(seed):
+    # both bordered solves of metzler_eigenvector, on a random closed loop
+    system = prepare(*random_scenario(seed))
+    clm, sd = system.clm, system.sd
+    for M, row in ((clm.A.T, np.ones(clm.n)), (clm.A, sd.z)):
+        reference = np.block([[M, np.ones((len(row), 1))], [row, 0.0]])
+        bordered = spectral._bordered(M, row)
+        assert bordered.shape == reference.shape
+        assert bordered.tobytes() == reference.tobytes()

@@ -183,9 +183,9 @@ def test_battery_simulates_each_trajectory_once(monkeypatch):
     runs = count_calls(monkeypatch, dynamics.run)
     flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
     run_battery(count=3, seed=0, infeasible_count=2)
-    # each of the 4 positive scenarios runs its own q, 3 random q and one
-    # reframe; each of the 2 negative controls runs one reframe
-    assert len(runs) == 4 * 5 + 2
+    # each of the 4 positive scenarios runs its own q and 3 random q in one
+    # run, and one reframe; each of the 2 negative controls runs one reframe
+    assert len(runs) == 4 * 2 + 2
     # one closed loop per scenario, and one operator pair per distinct span
     assert len(flows) <= 26
 
@@ -193,8 +193,8 @@ def test_battery_simulates_each_trajectory_once(monkeypatch):
 @pytest.mark.parametrize("fill, check, shared", [
     (check_reframe_centering, check_reframe_frequency, "reframed_trace"),
     (check_reframe_frequency, check_reframe_centering, "reframed_trace"),
-    (check_occupancy_limit, check_correction_limit, "own_q_trace"),
-    (check_correction_limit, check_occupancy_limit, "own_q_trace"),
+    (check_occupancy_limit, check_correction_limit, "proportional_trace"),
+    (check_correction_limit, check_occupancy_limit, "proportional_trace"),
 ])
 def test_checks_agree_on_a_shared_trace(fill, check, shared):
     warm = make_random_scenario(5)
@@ -248,4 +248,18 @@ def test_battery_digest_leaves_out_only_the_elapsed_time(tmp_path):
     report = json.loads(written)
     del report["summary"]["elapsed_seconds"]
     assert json.loads(text) == report
-    assert digests.battery_digest(1, 0) == (0, hashlib.sha256(text).hexdigest())
+    # the residual-free digest leaves out the residuals, and nothing else
+    bare = digests.without_residuals(report)
+    assert '"residual"' not in json.dumps(bare)
+    assert '"worst_residual"' not in json.dumps(bare)
+    assert report["scenarios"][0]["verdicts"][0]["residual"] is not None
+    for row, kept in zip(report["scenarios"], bare["scenarios"]):
+        for verdict, kept_verdict in zip(row["verdicts"], kept["verdicts"]):
+            assert {**kept_verdict, "residual": verdict["residual"]} == verdict
+    for name, check in report["summary"]["checks"].items():
+        assert {**bare["summary"]["checks"][name],
+                "worst_residual": check["worst_residual"]} == check
+    bare_text = json.dumps(bare, sort_keys=True).encode()
+    assert digests.battery_digest(1, 0) == (
+        0, hashlib.sha256(text).hexdigest(),
+        hashlib.sha256(bare_text).hexdigest())
