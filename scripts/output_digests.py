@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Print the sha256 of every file `bittide-sim run` writes.
 
-Each config (default: every `configs/*.json` of this checkout) runs in five
-modes: continuous, `--discrete`, `--discrete --continue-on-fault`, and
+Each config (default: every `configs/*.json` of this checkout) runs in six
+modes: continuous, `--discrete`, `--discrete --continue-on-fault`,
 continuous with `integrator.method` set to `rk4` and to `euler` (from a
-temporary copy of the config, with `discrete.enabled` off).  One line per
+temporary copy of the config, with `discrete.enabled` off), and
+`discrete-auto`: `--discrete` from a temporary copy whose reframe is
+`{"mode": "auto", "epsilon": 0.1, "window": 20.0}`, a trigger that fires
+inside a discrete run of e1.  One line per
 written file gives the config (its folder and name), the mode, the exit
 code, the file name and its digest, so a `diff` of this script's output at
 two commits shows whether their outputs are byte-identical:
@@ -45,6 +48,8 @@ MODES = {"continuous": [], "discrete": ["--discrete"],
          "discrete-continue": ["--discrete", "--continue-on-fault"]}
 # continuous runs with the config's integrator method replaced
 METHODS = ("rk4", "euler")
+# a discrete run with this reframe in place of the config's
+AUTO_REFRAME = {"mode": "auto", "epsilon": 0.1, "window": 20.0}
 ELAPSED = re.compile(rb'\n *"elapsed_seconds": [^\n]*')
 RESIDUALS = ("residual", "worst_residual")
 
@@ -71,16 +76,18 @@ def digests(config: Path):
         for row in _run_digests(config, flags):
             yield (mode, *row)
     raw = json.loads(config.read_text(encoding="utf-8"))
-    for method in METHODS:
+    variants = [(f"continuous-{method}", [],
+                 {"integrator": {**raw.get("integrator", {}), "method": method},
+                  "discrete": {**raw.get("discrete", {}), "enabled": False}})
+                for method in METHODS]
+    variants.append(("discrete-auto", ["--discrete"],
+                     {"reframe": AUTO_REFRAME}))
+    for mode, flags, changes in variants:
         with tempfile.TemporaryDirectory() as tmp:
             copy = Path(tmp) / config.name
-            copy.write_text(json.dumps(
-                {**raw, "integrator": {**raw.get("integrator", {}),
-                                       "method": method},
-                 "discrete": {**raw.get("discrete", {}), "enabled": False}}),
-                encoding="utf-8")
-            for row in _run_digests(copy, []):
-                yield (f"continuous-{method}", *row)
+            copy.write_text(json.dumps({**raw, **changes}), encoding="utf-8")
+            for row in _run_digests(copy, flags):
+                yield (mode, *row)
 
 
 def without_residuals(value):

@@ -260,11 +260,12 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
     if mode not in ("fixed-time", "auto"):
         raise ConfigError(f"config.reframe.mode: expected 'fixed-time' or "
                           f"'auto', got {mode!r}")
-    reframe = ReframeSchedule(
-        mode=mode,
-        T1=_optional_number(rraw, "T1", "config.reframe"),
-        epsilon=_optional_number(rraw, "epsilon", "config.reframe"),
-        window=_optional_number(rraw, "window", "config.reframe"))
+    numbers = {key: _optional_number(rraw, key, "config.reframe")
+               for key in ("T1", "epsilon", "window")}
+    try:
+        reframe = ReframeSchedule(mode=mode, **numbers)
+    except ValueError as exc:   # a range rule, its message led by the key
+        raise ConfigError(f"config.reframe.{exc}") from exc
 
     iraw = _section(raw, "integrator")
     _check_keys(iraw, {"method", "dt", "sample_interval", "horizon",

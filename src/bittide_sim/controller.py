@@ -7,6 +7,8 @@ node a row of exactly its view's edges, so no node reads another's state.
 """
 
 import bisect
+import copy
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -69,21 +71,91 @@ def proportional_corrections(in_blocks, beta, beta_off, q, k, due, out):
     np.copyto(out, k * sums + q, where=due)
 
 
-def auto_reframe_trigger(times: np.ndarray, corrections: np.ndarray,
-                         epsilon: float, window: float) -> bool:
-    """True once the correction has been stable over the trailing window.
+def auto_reframe_trigger(t: float, t0: float, last_unstable: float,
+                         window: float) -> bool:
+    """True at a row at time t once the correction has been stable over the
+    trailing window: a full window has passed since the first row, at t0,
+    and the last row whose correction deviates from this row's by more than
+    epsilon, at last_unstable, lies before the window.  The window holds the
+    rows at or after (t - window) - 1e-12."""
+    return not t - t0 < window and last_unstable < (t - window) - 1e-12
 
-    Stability means max over the window of ||c(t) - c(t_end)||_inf <= epsilon.
-    Returns False while less than a full window of samples has elapsed.
-    times must be non-decreasing: the window's first row is found by binary
-    search, so a step reads only the window, not the whole history.
+
+class StabilityDetector:
+    """The auto trigger's streaming state over a run's rows, fed in order.
+
+    For the correction c of the last row fed it keeps `last`, the time of
+    the last row whose correction deviates from c by more than epsilon in
+    some entry (a NaN deviates): -inf once no such row can lie in the window
+    of a row that holds c, inf when c deviates from itself.  While c is held
+    `last` stays.  When c changes, the detector reads the row before: when
+    the correction oscillates, that row deviates, in O(n).  Only when it
+    does not does it read the rest of the window.  Rows are fed in runs
+    that hold one correction, as a discrete loop holds it between fires.
     """
-    if len(times) == 0 or times[-1] - times[0] < window:
-        return False
-    t_lo = times[-1] - window
-    start = np.searchsorted(times, t_lo - 1e-12, side="left")
-    dev = np.abs(corrections[start:] - corrections[-1]).max()
-    return bool(dev <= epsilon)
+
+    def __init__(self, epsilon: float, window: float):
+        self.epsilon, self.window = epsilon, window
+        self.t0 = None                # the first row's time
+        self.c = None                 # the last row's correction, as bytes
+        self.last = math.inf
+
+    def first(self, times, corrections, start: int, end: int,
+              past=None) -> int:
+        """Feed the rows [start, end) of (times, corrections), which hold one
+        correction.  They follow the rows fed before: the rows above
+        `start`, and before those the rows of `past`, a `CorrectionHistory`.
+        Returns the first of them at which the trigger holds, or end, and
+        leaves the state at that row.
+
+        Within the run the window only moves on, so once the trigger holds
+        it keeps holding: it is asked at the run's last row, and bisected
+        for the first only when it holds there."""
+        if self.t0 is None:
+            self.t0 = (past.times if past is not None and len(past)
+                       else times)[0]
+        # equal bits deviate from the same rows: a NaN row already has
+        # `last` inf
+        c = corrections[start].tobytes()
+        if c != self.c:
+            self.c = c
+            self.last = self._last_unstable(times, corrections, start, past)
+        lo, hi = start, end - 1
+        if not auto_reframe_trigger(times[hi], self.t0, self.last, self.window):
+            return end
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if auto_reframe_trigger(times[mid], self.t0, self.last,
+                                    self.window):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def _last_unstable(self, times, corrections, row, past) -> float:
+        """`last` for the correction of row `row`."""
+        c, epsilon = corrections[row], self.epsilon
+        lo = max(row - 1, 0)
+        dev = np.abs(corrections[lo:row + 1] - c).max(axis=1)
+        if not dev[-1] <= epsilon:          # a NaN deviates
+            return math.inf
+        if not dev[0] <= epsilon:
+            return times[lo]
+        # the rows of the window before those two, in the fed rows and then
+        # in the past
+        t_lo = (times[row] - self.window) - 1e-12
+        parts = [(times, corrections, lo)]
+        if past is not None:
+            parts.append((past.times, past.corrections, len(past)))
+        for ts, cs, end in parts:
+            start = bisect.bisect_left(ts, t_lo, 0, end)
+            dev = np.abs(cs[start:end] - c)
+            if dev.size and not dev.max() <= epsilon:
+                unstable = ~(dev <= epsilon).all(axis=1)
+                return ts[start + int(np.flatnonzero(unstable)[-1])]
+            if start:
+                break       # the window starts in these rows
+        return -math.inf
 
 
 class CorrectionHistory:
@@ -95,8 +167,8 @@ class CorrectionHistory:
     samples a run expects.
 
     Appending is amortized O(n + width) per row, and `times`, `corrections`
-    and `rows` are views of the filled prefix, so the auto trigger reads the
-    history without a copy, and a trace can keep them.
+    and `rows` are views of the filled prefix, so the auto trigger's
+    detector reads the history without a copy, and a trace can keep them.
     """
 
     def __init__(self, shape, width=0, size: int = 64):
@@ -127,16 +199,6 @@ class CorrectionHistory:
         if rows is not None:
             self._rows[self._len:end] = rows
         self._len = end
-
-    def ahead(self, times, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(times, corrections) as they would read after appending samples at
-        `times`, all holding c.  The samples go past the filled prefix, so
-        the length is unchanged and the next append overwrites them."""
-        end = self._len + len(times)
-        self._reserve(end)
-        self._t[self._len:end] = times
-        self._c[self._len:end] = c
-        return self._t[:end], self._c[:end]
 
     def _reserve(self, end: int):
         if end > len(self._t):
@@ -182,6 +244,15 @@ class ReframeSchedule:
     def __post_init__(self):
         if self.mode not in ("fixed-time", "auto"):
             raise ValueError(f"unknown reframe mode {self.mode!r}")
+        # a range error's message starts with the field's name
+        T1, eps, window = self.T1, self.epsilon, self.window
+        if T1 is not None and not np.isfinite(np.asarray(T1, float)).all():
+            raise ValueError(f"T1: must be finite, got {T1}")
+        if eps is not None and not 0 <= eps < math.inf:
+            raise ValueError(f"epsilon: must be finite and >= 0, got {eps}")
+        if window is not None and not 0 < window < math.inf:
+            raise ValueError(f"window: must be finite and positive, got "
+                             f"{window}")
 
     def resolved(self, params, inc: IncidenceSet,
                  default_T1: float | None = None) -> "ReframeSchedule":
@@ -196,7 +267,12 @@ class ReframeSchedule:
         if window is None:
             deg = max(inc.max_in_degree(), 1)
             window = 10.0 / (params.k * deg) if params.k > 0 else 10.0
-        return ReframeSchedule(mode=self.mode, T1=T1, epsilon=eps, window=window)
+        # the filled fields come from the system, not the caller, and are not
+        # checked again: a NaN omega_u gives a NaN epsilon, which never fires
+        resolved = copy.copy(self)
+        for name, value in (("T1", T1), ("epsilon", eps), ("window", window)):
+            object.__setattr__(resolved, name, value)
+        return resolved
 
 
 class OneShotReset:
@@ -224,10 +300,14 @@ class OneShotReset:
                          else schedule.resolved(params, inc, default_T1))
         # a Python flag, so a step on which nothing fires adds no reduction
         self.pending = schedule is not None
+        self.detector = None          # an auto schedule's StabilityDetector
         if self.pending and self.schedule.mode == "fixed-time":
             self._T1 = np.broadcast_to(np.asarray(self.schedule.T1, dtype=float),
                                        (inc.n,))
             self.events = sorted({float(t) for t in self._T1})
+        elif self.pending:
+            self.detector = StabilityDetector(self.schedule.epsilon,
+                                              self.schedule.window)
         # each reframe time adds at most two rows: a sample at its instant,
         # where a loop inserts one, and the post row
         reframes = len(self.events) or int(self.pending)
@@ -244,12 +324,6 @@ class OneShotReset:
         self.history.extend(times, c, rows)
         self.modes.extend([self.mode] * len(times))
 
-    @property
-    def watching(self) -> bool:
-        """True while an auto schedule is pending: `quiet_samples` then reads
-        the correction, so it holds only for samples that all hold one."""
-        return self.pending and self.schedule.mode == "auto"
-
     def firing(self, t: float) -> np.ndarray | None:
         """Mask of the nodes that reset on the sample just recorded at t, or
         None.  Fixed-time: every node whose T1 is reached; auto: every node,
@@ -261,45 +335,31 @@ class OneShotReset:
                 return None
             self.events = [e for e in self.events if t < e - 1e-12]
             return ~self.done & (t >= self._T1 - 1e-12)
-        if auto_reframe_trigger(self.history.times, self.history.corrections,
-                                self.schedule.epsilon, self.schedule.window):
+        history = self.history
+        last = len(history) - 1
+        if self.detector.first(history.times, history.corrections, last,
+                               last + 1) == last:
             return ~self.done
         return None
 
-    def quiet_samples(self, times, c: np.ndarray) -> int:
-        """How many of the coming samples at `times` (non-decreasing), all
-        holding correction c, a loop may record before it asks `firing` on
-        the last of them: through the first on which the schedule can fire,
-        or all of them.
-
-        Fixed-time: through the first time that reaches the next T1.  Auto:
-        with c held, a sample only drops old rows from the trigger's window
-        and adds one equal to the last, so once the trigger holds it keeps
-        holding.  It is asked once, at the last sample but one, and bisected
-        for the first only when it holds there."""
-        if not self.pending or len(times) < 2:
-            return len(times)
+    def cut(self, times, corrections, start: int, end: int) -> int | None:
+        """Where a loop's coming samples at `times` (non-decreasing), with
+        one correction row each, end early: rows [start, end) of them hold
+        one correction and follow the rows before start, which follow the
+        history.  Returns the count of samples through the first of those
+        rows on which the schedule fires, or None: the first that reaches
+        the next fixed T1, or at which the auto trigger holds.  A loop
+        records the samples it keeps and asks `firing` on the last, so it
+        passes every row but that one."""
+        if not self.pending or end <= start:
+            return None
         if self.events:
-            return min(len(times),
-                       bisect.bisect_left(times, self.events[0] - 1e-12) + 1)
-        ts, cs = self.history.ahead(times, c)
-        base = len(self.history)
-
-        def fires(count):
-            return auto_reframe_trigger(ts[:base + count], cs[:base + count],
-                                        self.schedule.epsilon,
-                                        self.schedule.window)
-
-        lo, hi = 1, len(times) - 1
-        if not fires(hi):
-            return len(times)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if fires(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+            first = bisect.bisect_left(times, self.events[0] - 1e-12, start,
+                                       end)
+        else:
+            first = self.detector.first(times, corrections, start, end,
+                                        self.history)
+        return first + 1 if first < end else None
 
     def freeze(self, q: np.ndarray, firing: np.ndarray) -> np.ndarray:
         """q with the firing nodes' last recorded correction frozen in; a node

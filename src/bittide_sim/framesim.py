@@ -226,8 +226,8 @@ def _next_fire(next_fire, due_at, due, theta, period):
 
 
 def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
-                  params, dt: float, steps: int = 1, cut=None,
-                  hold: bool = False) -> DiscreteState:
+                  params, dt: float, steps: int = 1,
+                  reset: OneShotReset | None = None) -> DiscreteState:
     """Advance the state in place through at most `steps` steps of dt and
     return it: phases move at the held frequency, counters follow, physical
     bounds hold, controllers fire on their own clocks.
@@ -238,11 +238,11 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     due; on a row where some are, that row's quantized occupancy feeds the
     batched law and the increment changes.  The advance runs through these
     fires for at most `scenario.block_steps` steps, and ends on a fire that
-    leaves a clock not advancing.  With `hold` it ends on its first fire
-    instead, and its length is first set to the steps up to that fire.
-    `cut(times, c)`, if given, may shorten the advance to a count of its
-    first rows, at `times` and holding c up to a fire (with `hold`, all of
-    them).
+    leaves a clock not advancing.  A pending `reset` may end it sooner,
+    at the first row where its schedule fires: at each fire, and at the
+    end, its `cut` reads the rows that held the correction since the last
+    fire (the advance's last row is left to its `firing`), and the advance
+    stops before it forms a fire past the row where it ends.
 
     The counters, the checks and the quantized occupancies are then formed
     once over all the rows.  A row that fails a check that ends the run
@@ -255,19 +255,8 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     omega_u, period = params.omega_u, scenario.control_period
     c, due_at, next_fire = state.correction, state.due_at, state.next_fire
     rate = (omega_u + c) * dt
-    if steps > 1:
-        steps = min(steps, scenario.block_steps)
-        if hold:
-            # a clock that runs backward gives a negative count, so one
-            # step; a stopped one, +inf (run_discrete ignores the division
-            # by zero); a NaN, which argmin picks first, gives one step too
-            to_fire = (due_at - state.theta) / rate
-            to_fire = to_fire.item(to_fire.argmin())
-            steps = math.ceil(min(steps, to_fire)) if to_fire > 1 else 1
-    times = None
-    if steps > 1 and cut is not None:
-        times = _step_times(state.t, dt, steps)
-        steps = cut(times, c)
+    steps = min(steps, scenario.block_steps)
+    times = _step_times(state.t, dt, steps)
     theta = np.empty((steps + 1, n))
     theta[0] = row = state.theta
     corrections = np.empty((steps, n))
@@ -276,7 +265,8 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     count_nonzero = np.count_nonzero
     fired = []          # (row, due nodes) of each row that fires on the way
     rows = held = 0     # rows taken; the first row that holds c
-    gap, due = (steps if hold else 1), None
+    asked = 0           # the first correction row the reset has not read
+    gap, due, cut = 1, None, None
     while rows < steps:
         if gap == 1:
             rows += 1
@@ -300,14 +290,24 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
             row = theta[rows]
         if due is None:
             if rows < steps:
-                # the steps up to the next fire phase, as one gap
+                # the steps up to the next fire phase, as one gap: a clock
+                # that runs backward gives a negative count, so one step; a
+                # stopped one, +inf (run_discrete ignores the division by
+                # zero)
                 to_fire = ((due_at - row) / rate).min()
                 gap = (math.ceil(min(steps - rows, to_fire)) if to_fire > 1
                        else 1)
             continue
-        if hold or rows == steps:
+        if rows == steps:
             break       # this row fires once its checks have passed
         corrections[held:rows] = c
+        if reset is not None:
+            # the rows before this one held c since the last fire
+            cut = reset.cut(times, corrections, asked, rows - 1)
+            if cut is not None:
+                due = None
+                break
+            asked = rows - 1
         c, held = corrections[rows - 1], rows
         write, read = _counters(params, row.take(src), row.take(dst))
         proportional_corrections(in_blocks, _quantize(write - read, unit),
@@ -322,6 +322,12 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
             break
         gap = 1
     corrections[held:rows] = c
+    whole = rows        # the rows the state may end on, before any cut
+    if reset is not None and cut is None:
+        cut = reset.cut(times, corrections, asked, rows - 1)
+    if cut is not None:
+        rows = cut
+    del times[rows:]
 
     # row 0 gives the state's own counters again, to compare the first step
     theta = theta[:rows + 1]
@@ -338,8 +344,6 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     if not state.virtual:
         # outside [0, capacity]: a negative count reads as a huge unsigned one
         bad |= np.greater(occ1.view(np.uint64), scenario.capacity)
-    times = (_step_times(state.t, dt, rows) if times is None
-             else times[:rows])
     fatal = None
     if np.count_nonzero(bad):
         for r in np.flatnonzero(bad.any(axis=1)).tolist():
@@ -357,20 +361,21 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
         raise fatal
     state.t, state.theta = times[-1], theta[rows]
     state.measured = state.measured_rows[-1]
-    if fatal is None:
+    if rows == whole:
         state.next_fire, state.due_at = next_fire, due_at
+        if due is not None:
+            # the last row fires from its measured occupancy
+            proportional_corrections(in_blocks, state.measured, beta_off, q,
+                                     k, due, corrections[rows - 1])
+            _next_fire(next_fire, due_at, due, state.theta, period)
     else:
-        # the fires up to the last good row move the next fire phases again
+        # the fires up to the row the state ends on move the next fire
+        # phases again
         for row, fires in fired:
             if row > rows:
                 break
             _next_fire(state.next_fire, state.due_at, fires, theta[row],
                        period)
-    if fatal is None and due is not None:
-        # the last row fires from its measured occupancy
-        proportional_corrections(in_blocks, state.measured, beta_off, q, k,
-                                 due, corrections[rows - 1])
-        _next_fire(state.next_fire, state.due_at, due, state.theta, period)
     state.correction = corrections[rows - 1]
     if fatal is not None:
         raise fatal
@@ -383,9 +388,8 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
     always stops it.
 
     The loop advances through controller fires: each `discrete_step` takes
-    a block of steps at once, cut short where the reset's schedule can fire
-    (and, while the auto trigger watches the correction, at the first
-    fire), and the loop records its rows in one append."""
+    a block of steps at once, cut short where the reset's schedule fires,
+    and the loop records its rows in one append."""
     inc, params = scenario.system.inc, scenario.system.params
     _capacity_advisory(scenario)
     _sampled_loop_advisory(scenario)
@@ -403,10 +407,10 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
     taken = 0
     with np.errstate(divide="ignore"):    # see discrete_step's count
         while taken < steps:
-            cut = reset.quiet_samples if reset.pending else None
             try:
                 state = discrete_step(state, scenario, params, dt,
-                                      steps - taken, cut, reset.watching)
+                                      steps - taken,
+                                      reset if reset.pending else None)
             except DiscreteFault:
                 # the fault is in state.faults, and the rows before the
                 # failing step are the last good samples: the last is the

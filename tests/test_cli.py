@@ -216,6 +216,31 @@ def test_discrete_dt_out_of_range_exits_2_naming_config_discrete(
                           "positive and fine enough for frame counting")
 
 
+@pytest.mark.parametrize("mode", [[], ["--discrete"]],
+                         ids=["continuous", "discrete"])
+@pytest.mark.parametrize("reframe, key, rule", [
+    ({"mode": "auto", "window": -5.0}, "window", "finite and positive"),
+    ({"mode": "auto", "window": float("nan")}, "window", "finite and positive"),
+    ({"mode": "auto", "window": 0.0}, "window", "finite and positive"),
+    ({"mode": "auto", "window": float("inf")}, "window", "finite and positive"),
+    ({"mode": "auto", "epsilon": -1.0}, "epsilon", "finite and >= 0"),
+    ({"mode": "auto", "epsilon": float("nan")}, "epsilon", "finite and >= 0"),
+    ({"mode": "auto", "epsilon": float("inf")}, "epsilon", "finite and >= 0"),
+    ({"mode": "fixed-time", "T1": float("nan")}, "T1", "finite"),
+    ({"mode": "fixed-time", "T1": -float("inf")}, "T1", "finite")],
+    ids=["window-negative", "window-nan", "window-zero", "window-inf",
+         "epsilon-negative", "epsilon-nan", "epsilon-inf", "T1-nan",
+         "T1-inf"])
+def test_reframe_value_out_of_range_exits_2_naming_its_key(
+        tmp_path, capsys, reframe, key, rule, mode):
+    # a window of -5 or NaN ended in a traceback, an epsilon of -1 or NaN
+    # ran a trigger that could never fire, and a NaN T1 fired a continuous
+    # reframe at t = 182.5 but never a discrete one
+    err = _rejected(tmp_path, capsys, _e1_with(tmp_path, reframe=reframe),
+                    *mode)
+    assert err.startswith(f"error: config.reframe.{key}: must be {rule}, got ")
+
+
 def test_unknown_key_fails_strict_passes_lenient(tmp_path):
     cfg = tmp_path / "typo.json"
     cfg.write_text(json.dumps({"topology": "ring", "n": 3, "k": 1.0,

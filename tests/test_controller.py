@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bittide_sim import (IntegratorSettings, NodeView, OneShotReset, ReframeError,
-                         ReframeSchedule, Topology, auto_reframe_trigger,
-                         build_incidence, make_system_params, node_views,
-                         prepare, proportional_correction, run)
+                         ReframeSchedule, Topology, build_incidence,
+                         make_system_params, node_views, prepare,
+                         proportional_correction, run)
 from bittide_sim import cli, controller
-from bittide_sim.controller import CorrectionHistory, proportional_corrections
+from bittide_sim.controller import (CorrectionHistory, StabilityDetector,
+                                    proportional_corrections)
 from conftest import random_scenario, spectral_setup
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -187,22 +188,72 @@ def test_reframe_payload_matches_spectral_fixed_point(e1):
                                atol=1e-9)
 
 
+def window_trigger(times, corrections, epsilon, window):
+    """The auto trigger as a search of the window: True once the correction
+    has been stable over the trailing window, that is, max over the window of
+    ||c(t) - c(t_end)||_inf <= epsilon, and False while less than a full
+    window of samples has elapsed.  The window's first row is found by
+    binary search in the non-decreasing times.  The reference for the
+    streaming `StabilityDetector`."""
+    if len(times) == 0 or times[-1] - times[0] < window:
+        return False
+    t_lo = times[-1] - window
+    start = np.searchsorted(times, t_lo - 1e-12, side="left")
+    dev = np.abs(corrections[start:] - corrections[-1]).max()
+    return bool(dev <= epsilon)
+
+
+def detector_decisions(times, corrections, epsilon, window, blocks=None):
+    """The detector's decision at each row, fed one row at a time, or in
+    blocks of the given lengths as the discrete loop feeds an advance: the
+    runs of equal corrections in its rows but the last, up to the first row
+    that holds, and then that row, or else the last row, alone."""
+    detector = StabilityDetector(epsilon, window)
+    times = np.asarray(times, dtype=float)
+    decisions, row = [None] * len(times), 0
+    lengths = iter(blocks or [])
+    while row < len(times):
+        end = min(row + next(lengths, 1), len(times))
+        # as the loop feeds an advance's runs, after the history
+        past = CorrectionHistory(corrections.shape[1:], size=max(row, 1))
+        past.extend(times[:row], corrections[:row])
+        block_t, block_c = times[row:end], corrections[row:end]
+        changes = np.flatnonzero((block_c[1:] != block_c[:-1]).any(axis=1))
+        start = 0
+        for stop in [*(changes + 1).tolist(), len(block_t)]:
+            stop = min(stop, len(block_t) - 1)
+            if stop <= start:
+                break
+            held = detector.first(block_t, block_c, start, stop, past)
+            decisions[row + start:row + held] = [False] * (held - start)
+            if held < stop:
+                end = row + held + 1
+                break
+            start = stop
+        row = end - 1
+        # as the loop asks its last row, in the history
+        decisions[row] = detector.first(times, corrections, row,
+                                        row + 1) == row
+        row += 1
+    return decisions
+
+
 def test_trigger_true_for_constant_correction():
     times = np.linspace(0.0, 20.0, 41)
     c = np.tile([0.01, -0.01], (41, 1))
-    assert auto_reframe_trigger(times, c, epsilon=1e-12, window=5.0)
+    assert detector_decisions(times, c, epsilon=1e-12, window=5.0)[-1]
 
 
 def test_trigger_false_before_full_window():
     times = np.linspace(0.0, 3.0, 7)
     c = np.zeros((7, 2))
-    assert not auto_reframe_trigger(times, c, epsilon=1.0, window=5.0)
+    assert not any(detector_decisions(times, c, epsilon=1.0, window=5.0))
 
 
 def test_trigger_false_for_oscillation_above_epsilon():
     times = np.linspace(0.0, 50.0, 501)
     c = np.column_stack([np.sin(times), np.cos(times)])
-    assert not auto_reframe_trigger(times, c, epsilon=0.5, window=10.0)
+    assert not detector_decisions(times, c, epsilon=0.5, window=10.0)[-1]
 
 
 def _mask_trigger(times, corrections, epsilon, window):
@@ -227,8 +278,68 @@ def test_trigger_matches_whole_history_mask(steps, n, seed, window, epsilon):
     rng = np.random.default_rng(seed)
     c = rng.normal(scale=0.5, size=(len(times), n))
     c[rng.random(len(times)) < 0.5] = c[-1]  # some rows settle on the last
-    assert (auto_reframe_trigger(times, c, epsilon, window)
+    assert (window_trigger(times, c, epsilon, window)
             == _mask_trigger(times, c, epsilon, window))
+
+
+@st.composite
+def correction_rows(draw):
+    """(times, corrections, window): non-decreasing times whose steps
+    include repeats and steps of exactly the window and of the window plus
+    or minus 1e-12; corrections piecewise constant (as a discrete run holds
+    them between fires) or new on every row (as a continuous run samples
+    them), from few values, with some NaN rows."""
+    window = draw(st.sampled_from([0.5, 1.0, 2.5, 7.3]))
+    count = draw(st.integers(1, 50))
+    steps = draw(st.lists(st.sampled_from(
+        [0.0, 0.1, 0.25, 1.0, window, window - 1e-12, window + 1e-12]),
+        min_size=count, max_size=count))
+    times = np.cumsum([0.0] + steps[1:]) + draw(st.sampled_from([0.0, 3.7]))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(scale=0.05, size=(draw(st.integers(1, 4)), n))
+    if draw(st.booleans()):
+        # piecewise constant: each row holds the last, or takes a value
+        pick = np.maximum.accumulate(
+            np.where(rng.random(count) < 0.3, np.arange(count), 0))
+        c = values[rng.integers(0, len(values), count)][pick]
+    else:
+        c = values[rng.integers(0, len(values), count)] + rng.choice(
+            [0.0, 1e-3, 0.02], size=(count, n))
+    nan = rng.random(count) < draw(st.sampled_from([0.0, 0.1]))
+    c[nan, rng.integers(0, n)] = np.nan
+    return times, c, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=correction_rows(),
+       epsilon=st.sampled_from([0.0, 1e-3, 0.02, 0.1]),
+       blocks=st.one_of(st.none(),
+                        st.lists(st.integers(1, 12), min_size=1, max_size=50)))
+def test_detector_matches_the_window_search_on_every_row(rows, epsilon,
+                                                         blocks):
+    times, c, window = rows
+    expected = [window_trigger(times[:i + 1], c[:i + 1], epsilon, window)
+                for i in range(len(times))]
+    assert detector_decisions(times, c, epsilon, window, blocks) == expected
+
+
+def test_detector_holds_a_window_after_the_last_unstable_row():
+    # the window is [t - 2.0 - 1e-12, t]: a row exactly its length back is
+    # inside it, one 2e-12 further back is not
+    times = np.array([0.0, 1.0, 3.0, 3.0 + 2e-12])
+    c = np.array([[0.0], [1.0], [0.0], [0.0]])
+    assert detector_decisions(times, c, 0.5, 2.0) == [False, False, False,
+                                                      True]
+    assert [window_trigger(times[:i], c[:i], 0.5, 2.0)
+            for i in range(1, 5)] == [False, False, False, True]
+    # a NaN row never holds, and stays in the window of the rows after it
+    c[1] = np.nan
+    times[3] = 3.0 + 1e-13
+    assert detector_decisions(times, c, 0.5, 2.0) == [False] * 4
+    # epsilon 0: only an exactly held correction is stable
+    assert detector_decisions([0.0, 1.0, 2.0], np.array([[0.1], [0.1], [0.1]]),
+                              0.0, 1.0) == [False, True, True]
 
 
 def test_correction_history_views_grow_in_place():
@@ -257,20 +368,18 @@ def test_correction_history_rows_grow_with_the_corrections():
     assert CorrectionHistory(2).rows.shape == (0, 0)
 
 
-def test_correction_history_takes_a_block_and_looks_ahead():
+def test_correction_history_takes_a_block():
     history = CorrectionHistory(2, width=1, size=2)
     history.append(0.0, [0.5, 0.5], [1.0])
     history.extend([1.0, 2.0, 3.0], np.array([0.1, 0.2]), [[2.0], [3.0], [4.0]])
     np.testing.assert_array_equal(history.times, [0.0, 1.0, 2.0, 3.0])
     np.testing.assert_array_equal(history.corrections[1:], [[0.1, 0.2]] * 3)
     np.testing.assert_array_equal(history.rows[:, 0], [1.0, 2.0, 3.0, 4.0])
-    times, corrections = history.ahead([4.0, 5.0], np.array([0.3, 0.4]))
-    assert len(history) == 4 and len(times) == len(corrections) == 6
-    np.testing.assert_array_equal(corrections[4:], [[0.3, 0.4]] * 2)
-    # the rows ahead share the buffer and are overwritten by the next append
-    assert np.shares_memory(times, history.times)
-    history.append(4.0, [0.7, 0.8], [5.0])
-    np.testing.assert_array_equal(history.corrections[-1], [0.7, 0.8])
+    history.extend([4.0, 5.0], np.array([[0.3, 0.4], [0.5, 0.6]]),
+                   [[5.0], [6.0]])
+    assert len(history) == 6
+    np.testing.assert_array_equal(history.corrections[4:],
+                                  [[0.3, 0.4], [0.5, 0.6]])
 
 
 @pytest.mark.parametrize("mode", [[], ["--discrete"]])
@@ -308,6 +417,21 @@ def test_auto_reframe_fires_after_transient_and_outcome_holds(e1):
 def test_schedule_rejects_unknown_mode():
     with pytest.raises(ValueError):
         ReframeSchedule(mode="sometimes")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("window", -5.0), ("window", 0.0), ("window", np.nan), ("window", np.inf),
+    ("epsilon", -1.0), ("epsilon", np.nan), ("epsilon", np.inf),
+    ("T1", np.nan), ("T1", np.inf), ("T1", [250.0, np.nan])])
+def test_schedule_rejects_values_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+        ReframeSchedule(mode="auto", **{field: value})
+
+
+def test_schedule_keeps_values_in_range():
+    schedule = ReframeSchedule(mode="fixed-time", T1=[0.0, -3.0], epsilon=0.0,
+                               window=1e-9)
+    assert schedule.epsilon == 0.0 and schedule.window == 1e-9
 
 
 def test_schedule_resolution_defaults(two_cycle):

@@ -13,10 +13,12 @@ from bittide_sim import (IntegratorSettings, OneShotReset, ReframeSchedule,
                          Topology, generate_topology, make_system_params,
                          node_views, prepare, proportional_correction, run)
 from bittide_sim import controller, framesim
+from bittide_sim.controller import StabilityDetector
 from bittide_sim.config import parse_config
 from bittide_sim.framesim import (DiscreteFault, DiscreteScenario,
                                   DiscreteTrace, Fault, discrete_step,
                                   fault_report, init_discrete, run_discrete)
+from test_controller import window_trigger
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -202,26 +204,68 @@ def test_auto_trigger_fires_on_the_same_sample_in_both_loops():
 
 
 def test_auto_trigger_reads_history_without_copy(monkeypatch):
-    # consecutive trigger calls see views of one buffer, sized for the run
-    # up front, so it never moves and no advance copies the history
-    calls = []
-    original = controller.auto_reframe_trigger
+    # each time the detector is fed, the rows before are views of one
+    # buffer, sized for the run up front, so it never moves and no advance
+    # copies the history
+    calls, pasts = [], []
+    trigger, first = controller.auto_reframe_trigger, StabilityDetector.first
 
-    def recording(times, corrections, epsilon, window):
-        calls.append((times, corrections))
-        return original(times, corrections, epsilon, window)
+    def recording(*args):
+        calls.append(args)
+        return trigger(*args)
+
+    def fed(self, times, corrections, start, end, past=None):
+        # an advance's rows come with the history as `past`; the last row is
+        # fed from the history itself
+        pasts.append((times, corrections) if past is None
+                     else (past.times, past.corrections))
+        return first(self, times, corrections, start, end, past)
 
     monkeypatch.setattr(controller, "auto_reframe_trigger", recording)
+    monkeypatch.setattr(StabilityDetector, "first", fed)
     scenario = replace(e1_discrete(horizon=100.0),
                        reframe=ReframeSchedule(mode="auto"))
-    run_discrete(scenario)
-    # once per advance, and once more ahead in each advance of two rows or
-    # more
-    assert len(calls) == 215
-    moved = [i for i in range(1, len(calls))
-             if not (np.shares_memory(calls[i - 1][0], calls[i][0])
-                     and np.shares_memory(calls[i - 1][1], calls[i][1]))]
+    with pytest.warns(UserWarning, match="never fired"):
+        run_discrete(scenario)
+    # one advance of 500 rows, of which 115 fire a controller: the trigger
+    # is asked once at the row before each fire inside the advance, once
+    # at the row before its last and once at its last row
+    assert len(pasts) == len(calls) == 116
+    moved = [i for i in range(1, len(pasts))
+             if not all(np.shares_memory(a, b)
+                        for a, b in zip(pasts[i - 1], pasts[i]))]
     assert not moved
+
+
+def test_e1_auto_reframe_fires_inside_an_advance_through_fires():
+    # the trigger holds at t = 20.2, row 101, inside the first advance,
+    # after six fires that changed the correction; the advance is cut there
+    scenario = replace(e1_discrete(), reframe=ReframeSchedule(
+        mode="auto", epsilon=0.1, window=20.0))
+    advances = []
+    step = framesim.discrete_step
+
+    def counted(*args, **kwargs):
+        state = step(*args, **kwargs)
+        advances.append(len(state.times))
+        return state
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(framesim, "discrete_step", counted)
+        trace = run_discrete(scenario)
+    assert trace.reframe_time == pytest.approx(20.2, abs=1e-9)
+    assert advances[0] == 101
+    assert trace.times[101] == trace.times[102] == trace.reframe_time
+    changes = np.count_nonzero((np.diff(trace.correction[:102], axis=0) != 0)
+                               .any(axis=1))
+    assert changes == 6
+    reference, events = _per_step_run(scenario)
+    for name in ("times", "correction", "occupancy", "omega"):
+        np.testing.assert_array_equal(getattr(trace, name),
+                                      getattr(reference, name))
+    assert trace.mode == reference.mode
+    assert trace.reframe_time == reference.reframe_time
+    assert len(advances) == events
 
 
 def test_a_long_control_period_keeps_each_advance_small():
@@ -572,12 +616,12 @@ def _per_step_run(scenario):
     """The discrete run loop as one Python iteration per step: a single-step
     `discrete_step`, then `OneShotReset.record`, `firing` and `freeze`.  The
     reference for `run_discrete`, which advances a block of steps at a time.
-    Also counts the steps that end an advance of that loop: a step on which
-    the schedule fired, a fault ended the run or the run ended; the
-    `block_steps`-th step since the last such step; and a step on which a
-    controller fired while the auto trigger watched the correction, or that
-    left a clock not advancing.  While the trigger watches, a step that
-    starts with a clock not advancing ends one too."""
+    An auto schedule is decided by `window_trigger`, the search of the
+    window, on the history up to each step.  Also counts the steps that end
+    an advance of that loop: a step on which the schedule fired, a fault
+    ended the run or the run ended; the `block_steps`-th step since the
+    last such step; and a step on which a controller fired that left a
+    clock not advancing."""
     inc, params = scenario.system.inc, scenario.system.params
     dt = scenario.step_size()
     # block_steps as the run reads it, without caching the property here
@@ -593,8 +637,7 @@ def _per_step_run(scenario):
         return ((params.omega_u + state.correction) * dt).min() > 0
 
     for step in range(steps):
-        next_fire, watching = state.next_fire.copy(), reset.watching
-        stopped = watching and not advancing()
+        next_fire = state.next_fire.copy()
         try:
             state = discrete_step(state, scenario, params, dt)
         except DiscreteFault:
@@ -603,7 +646,13 @@ def _per_step_run(scenario):
             break
         fired = not np.array_equal(next_fire, state.next_fire)
         reset.record(state.t, state.correction, state.measured)
-        firing = reset.firing(state.t)
+        if reset.pending and reset.schedule.mode == "auto":
+            history, schedule = reset.history, reset.schedule
+            firing = (~reset.done if window_trigger(
+                history.times, history.corrections, schedule.epsilon,
+                schedule.window) else None)
+        else:
+            firing = reset.firing(state.t)
         if firing is not None:
             params = replace(params, q=reset.freeze(params.q, firing))
             framesim._fire_controllers(state, scenario, params, firing)
@@ -611,7 +660,7 @@ def _per_step_run(scenario):
             reset.record(state.t, state.correction, state.measured)
         taken += 1
         if (firing is not None or step == steps - 1 or taken == block_steps
-                or stopped or fired and (watching or not advancing())):
+                or fired and not advancing()):
             events += 1
             taken = 0
     if not aborted:

@@ -107,8 +107,8 @@ def test_benchmark_tracer_counts_each_discrete_step(tmp_path):
 
 
 def test_benchmark_tracer_counts_each_auto_trigger_call():
-    # the discrete loop asks the reset once per advance, and the reset calls
-    # the trigger through controller's binding, where the tracer wraps it
+    # the reset's detector calls the trigger through controller's binding,
+    # where the tracer wraps it
     tracer = _load_tracer()
     cfg = parse_config(CONFIG_DIR / "e1_discrete.json")
     scenario = replace(cfg.discrete_scenario(cfg.system()), horizon=100.0,
@@ -122,15 +122,18 @@ def test_benchmark_tracer_counts_each_auto_trigger_call():
         restore()
     calls, _ = tr.self_times()
     assert len(trace.times) == 501    # horizon 100 / dt 0.2, and the t = 0 row
-    assert calls["framesim.discrete_step"] == 115
-    # once on the last row of each advance, and once ahead on the rows before
-    # it in each advance of two rows or more
-    assert calls["controller.auto_reframe_trigger"] == 215
+    # the 500 steps are one advance through the fires
+    assert calls["framesim.discrete_step"] == 1
+    # 115 steps fire a controller, one of them inside the advance's last
+    # step: once at the row before each of the other 114, once at the row
+    # before the last and once at the last
+    assert calls["controller.auto_reframe_trigger"] == 116
 
 
-def test_discrete_auto_workload_advances_once_per_controller_fire(tmp_path):
+def test_discrete_auto_workload_advances_through_controller_fires(tmp_path):
     # the benchmark's discrete-auto pass at seed 7: 2500 steps, of which 603
-    # fire a controller; the auto reframe never fires
+    # fire a controller, in two advances of at most block_steps = 2048
+    # steps; the auto reframe never fires
     tracer = _load_tracer()
     workload = _load_workloads().discrete_auto(7, False, tmp_path)
     tr = tracer.Tracer()
@@ -141,7 +144,7 @@ def test_discrete_auto_workload_advances_once_per_controller_fire(tmp_path):
     finally:
         restore()
     calls, _ = tr.self_times()
-    assert calls["framesim.discrete_step"] == 603
+    assert calls["framesim.discrete_step"] == 2
     trace = (workload.out / "trace.csv").read_bytes()
     assert trace.count(b"\n") - 1 == 2501
 
