@@ -16,12 +16,14 @@ two commits shows whether their outputs are byte-identical:
     python3 scripts/output_digests.py path/to/config.json ...
 
 `--battery COUNT SEED` runs `bittide-sim verify --count COUNT --seed SEED`
-instead and prints two lines.  The first has the digest of its
-`battery.json`, less the line of `summary.elapsed_seconds`, the one value
-that differs between runs.  The second has the digest of the report with
-every `residual` and `worst_residual` removed as well, so a change that
-moves residuals by design shows by this line that every status, tolerance
-and fingerprint stayed the same:
+instead.  The first line has the digest of its `battery.json`, less the
+line of `summary.elapsed_seconds`, the one value that differs between runs.
+The second has the digest of the report with every `residual` and
+`worst_residual` removed as well, so a change that moves residuals by
+design shows by this line that every status, tolerance and fingerprint
+stayed the same.  Then one line per check gives its worst residual, and a
+last line the negative controls' smallest centering gap, each as `%.17g`,
+so a `diff` at two commits shows each residual that moved:
 
     python3 scripts/output_digests.py --battery 100 7
 
@@ -101,10 +103,8 @@ def without_residuals(value):
     return value
 
 
-def battery_digest(count: int, seed: int) -> tuple[int, str, str]:
-    """(exit code, sha256, residual-free sha256) of the battery's
-    `battery.json` without its elapsed time; the last hashes the report
-    without residuals, dumped with sorted keys."""
+def _battery_report(count: int, seed: int) -> tuple[int, bytes]:
+    """(exit code, `battery.json` without its elapsed time) of one battery."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         rc = _quiet_main(["verify", "--count", str(count), "--seed", str(seed),
@@ -112,9 +112,35 @@ def battery_digest(count: int, seed: int) -> tuple[int, str, str]:
         text, found = ELAPSED.subn(b"", (out / "battery.json").read_bytes())
     if found != 1:
         raise ValueError(f"battery.json has {found} elapsed_seconds lines, not 1")
+    return rc, text
+
+
+def _digests(text: bytes) -> tuple[str, str]:
+    """(sha256, residual-free sha256) of a report's text; the last hashes
+    the report without residuals, dumped with sorted keys."""
     bare = json.dumps(without_residuals(json.loads(text)), sort_keys=True)
-    return (rc, hashlib.sha256(text).hexdigest(),
+    return (hashlib.sha256(text).hexdigest(),
             hashlib.sha256(bare.encode()).hexdigest())
+
+
+def battery_digest(count: int, seed: int) -> tuple[int, str, str]:
+    """(exit code, sha256, residual-free sha256) of the battery's
+    `battery.json` without its elapsed time."""
+    rc, text = _battery_report(count, seed)
+    return (rc, *_digests(text))
+
+
+def residual_lines(report: dict) -> list[str]:
+    """Each check's worst residual, then the negative controls' smallest
+    centering gap (none without controls), one `name %.17g` line each."""
+    lines = [f"{name} {check['worst_residual']:.17g}"
+             for name, check in report["summary"]["checks"].items()
+             if check["worst_residual"] is not None]
+    gaps = [row["centering"]["residual"]
+            for row in report["negative_controls"]]
+    gap = f"{min(gaps):.17g}" if gaps else "none"
+    lines.append(f"negative-controls-min-centering-gap {gap}")
+    return lines
 
 
 def run(configs) -> int:
@@ -136,7 +162,10 @@ if __name__ == "__main__":
     if args.configs:
         parser.error("--battery takes no configs")
     count, seed = args.battery
-    rc, digest, bare = battery_digest(count, seed)
+    rc, text = _battery_report(count, seed)
+    digest, bare = _digests(text)
     label = f"battery count={count} seed={seed} rc={rc}"
     print(f"{label} battery.json {digest}")
     print(f"{label} battery.json-without-residuals {bare}")
+    for line in residual_lines(json.loads(text)):
+        print(f"{label} {line}")

@@ -152,7 +152,7 @@ def _section(raw: dict, key: str) -> dict:
 
 
 def _vector(raw, length, path, minimum=None):
-    """Scalar broadcast or full-length list of numbers."""
+    """Scalar broadcast or full-length list of finite numbers."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float, list)):
         raise ConfigError(f"{path}: expected number or list, got {_type_name(raw)}")
     if isinstance(raw, (int, float)):
@@ -164,6 +164,8 @@ def _vector(raw, length, path, minimum=None):
                    for x in raw):
             raise ConfigError(f"{path}: entries must be numbers")
         values = tuple(float(x) for x in raw)
+    if not all(math.isfinite(x) for x in values):   # json.loads accepts NaN
+        raise ConfigError(f"{path}: entries must be finite")
     if minimum is not None and any(x <= minimum for x in values):
         raise ConfigError(f"{path}: entries must be > {minimum}")
     return values

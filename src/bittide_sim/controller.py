@@ -180,11 +180,15 @@ class CorrectionHistory:
     def __len__(self):
         return self._len
 
-    def append(self, t: float, c: np.ndarray, row: np.ndarray | None = None):
+    def append(self, t: float, c: np.ndarray | None,
+               row: np.ndarray | None = None):
+        """Append a sample; c None leaves its correction for the caller to
+        write into `corrections` before anything reads it."""
         if self._len == len(self._t):
             self._reserve(self._len + 1)
         self._t[self._len] = t
-        self._c[self._len] = c
+        if c is not None:
+            self._c[self._len] = c
         if row is not None:
             self._rows[self._len] = row
         self._len += 1
@@ -362,14 +366,15 @@ class OneShotReset:
         return first + 1 if first < end else None
 
     def freeze(self, q: np.ndarray, firing: np.ndarray) -> np.ndarray:
-        """q with the firing nodes' last recorded correction frozen in; a node
-        frozen a second time raises ReframeError."""
+        """q with the firing nodes' last recorded correction frozen in, in
+        each row of a (K, n) q its own; a node frozen a second time raises
+        ReframeError."""
         again = np.flatnonzero(firing & self.done)
         if again.size:
             raise ReframeError(f"node {again[0] + 1} already reframed; "
                                "the reset is one-shot")
         q = q.copy()
-        q[firing] = self.history.corrections[-1][firing]
+        q[..., firing] = self.history.corrections[-1][..., firing]
         self.done |= firing
         count, n = int(self.done.sum()), len(self.done)
         if count == n:

@@ -7,9 +7,10 @@ Fixed-step rk4/euler are kept to mimic discrete controller hardware; they
 carry an explicit stability bound on dt.
 """
 
+import copy
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +28,8 @@ class SystemParams:
     beta_off is None while tagged feasible-at-start; init_state materializes
     it as B^T theta0 + lambda, which puts the residual r in range(A).  q is
     one offset per node, or a (K, n) block of K offsets that `run` carries
-    at once.
+    at once.  `with_q` and `with_beta_off` replace one field of checked
+    params and check only that field.
     """
 
     k: float
@@ -39,33 +41,56 @@ class SystemParams:
     def __post_init__(self):
         object.__setattr__(self, "omega_u", np.asarray(self.omega_u, dtype=float))
         object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float))
-        if self.beta_off is not None:
-            object.__setattr__(self, "beta_off", np.asarray(self.beta_off, dtype=float))
-        q = np.zeros_like(self.omega_u) if self.q is None else np.asarray(self.q, dtype=float)
-        object.__setattr__(self, "q", q)
         # k == 0 is tolerated so the discrete mode can model a disabled
         # controller; the spectral layer insists on k > 0.
         if self.k < 0:
             raise ValueError(f"gain k must be nonnegative, got {self.k}")
         if np.any(self.omega_u <= 0):
             raise ValueError("uncontrolled frequencies must be positive (physical clocks)")
-        if self.q.shape[-1:] != self.omega_u.shape or self.q.ndim > 2:
+        self._set_q(np.zeros_like(self.omega_u) if self.q is None else self.q)
+        self._set_beta_off(self.beta_off)
+
+    def _set_q(self, q):
+        q = np.asarray(q, dtype=float)
+        if q.shape[-1:] != self.omega_u.shape or q.ndim > 2:
             raise ValueError("q must be one row or a block of rows of "
                              "omega_u's shape")
-        if self.beta_off is not None and self.beta_off.shape != self.lam.shape:
-            raise ValueError("beta_off and lambda must have matching shapes")
+        object.__setattr__(self, "q", q)
+
+    def _set_beta_off(self, beta_off):
+        if beta_off is not None:
+            beta_off = np.asarray(beta_off, dtype=float)
+            if beta_off.shape != self.lam.shape:
+                raise ValueError("beta_off and lambda must have matching shapes")
+        object.__setattr__(self, "beta_off", beta_off)
+
+    def with_q(self, q) -> "SystemParams":
+        new = copy.copy(self)
+        new._set_q(q)
+        return new
+
+    def with_beta_off(self, beta_off) -> "SystemParams":
+        new = copy.copy(self)
+        new._set_beta_off(beta_off)
+        return new
+
+
+def _filled(value, size: int) -> np.ndarray:
+    """A new float array of size entries: value, a scalar or one entry per
+    item, broadcast over it."""
+    out = np.empty(size)
+    np.copyto(out, value, casting="same_kind")
+    return out
 
 
 def make_system_params(topology: Topology, k: float, omega_u,
                        lam=10.0, beta_off=None, q=0.0) -> SystemParams:
     """Broadcast scalars to the topology's node/edge counts."""
     n, m = topology.n, topology.m
-    omega_u = np.broadcast_to(np.asarray(omega_u, dtype=float), (n,)).copy()
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), (m,)).copy()
-    if beta_off is not None:
-        beta_off = np.broadcast_to(np.asarray(beta_off, dtype=float), (m,)).copy()
-    q = np.broadcast_to(np.asarray(q, dtype=float), (n,)).copy()
-    return SystemParams(k=k, omega_u=omega_u, lam=lam, beta_off=beta_off, q=q)
+    return SystemParams(
+        k=k, omega_u=_filled(omega_u, n), lam=_filled(lam, m),
+        beta_off=None if beta_off is None else _filled(beta_off, m),
+        q=_filled(q, n))
 
 
 @dataclass
@@ -144,10 +169,10 @@ def init_state(inc: IncidenceSet, params: SystemParams,
     Returns theta0 broadcast to n nodes, together with params whose beta_off
     is now explicit.
     """
-    theta0 = np.broadcast_to(np.asarray(theta0, dtype=float), (inc.n,)).copy()
+    theta0 = _filled(theta0, inc.n)
     if params.beta_off is None:
         beta_off = feasible_offsets(inc.src, inc.dst, theta0, params.lam)
-        params = replace(params, beta_off=beta_off)
+        params = params.with_beta_off(beta_off)
     elif np.any(params.beta_off < 0):
         warnings.warn("explicit beta_off has negative entries; physically suspect",
                       stacklevel=2)
@@ -298,15 +323,21 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     A (K, n) q runs the closed loop for K offsets at once, sharing the sample
     grid and the flow operators: the phases are an (n, K) block, each span's
     w = Psi v one n x K product, and each sample records one (K, n) block.
-    Each offset's rows agree with its own one-offset run to rounding.  The
-    reset freezes one offset per node, so such a run takes no schedule.
+    Each offset's rows agree with its own one-offset run to rounding.  A
+    fixed-time schedule freezes each row's own correction into that row; an
+    auto schedule compares single correction rows, so it needs a 1-D q.
+
+    Each sample records its phases; the corrections of the rows recorded so
+    far are formed in one batched product where something reads them: on
+    every row while the auto trigger watches, before a freeze, and at the
+    end of the run.
     """
     if system.sd is None:
         raise ValueError(
             f"gain k must be positive for the closed loop, got {system.params.k}")
     inc, params, clm = system.inc, system.params, system.clm
-    if schedule is not None and params.q.ndim > 1:
-        raise ValueError("a reframe schedule needs one offset per node, "
+    if schedule is not None and schedule.mode == "auto" and params.q.ndim > 1:
+        raise ValueError("an auto reframe needs one offset per node, "
                          f"not a block of {len(params.q)}")
 
     horizon = settings.horizon if settings.horizon is not None else system.sd.horizon()
@@ -324,26 +355,39 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     ops = {} if system.flow_ops is None else system.flow_ops
     held = {}
     A, r, n, add = clm.A, clm.r, inc.n, np.add.reduce
+    K = len(params.q) if params.q.ndim > 1 else 1
+    formed = 0      # the recorded rows whose correction is formed
 
-    def record(t, theta):
-        # the correction as `observe` gives it, each column's mean phase
-        # summed and divided as ndarray.mean does; the trace derives the rest
-        c = (A @ (theta - add(theta) / n)).T + params.q + r
-        reset.record(t, c, theta.T)
+    def form():
+        # the correction of each row recorded since the last call, as
+        # `observe` forms it per row: each row's phases are a C-contiguous
+        # (n, K) block (K = 1 for a 1-D q) whose mean is summed and divided
+        # as ndarray.mean does, and A multiplies each block as one product
+        nonlocal formed
+        rows = history.rows[formed:]
+        theta = np.ascontiguousarray(rows.reshape(-1, K, n).transpose(0, 2, 1))
+        c = A @ (theta - add(theta, axis=1, keepdims=True) / n)
+        out = history.corrections[formed:]
+        np.add(c.transpose(0, 2, 1).reshape(rows.shape), params.q, out=out)
+        out += r
+        formed = len(history)
 
     t, theta = 0.0, system.theta0
     if params.q.ndim > 1:
-        theta = np.repeat(theta[:, None], len(params.q), axis=1)
+        theta = np.repeat(theta[:, None], K, axis=1)
     while True:
-        record(t, theta)
+        reset.record(t, None, theta.T)
+        if reset.pending and reset.detector is not None:
+            form()      # the auto trigger reads this row's correction
         firing = reset.firing(t)
         if firing is not None:
             # the row above is the pre-mode row at the reframe instant
-            params = replace(params, q=reset.freeze(params.q, firing))
+            form()
+            params = params.with_q(reset.freeze(params.q, firing))
             held.clear()
             if reset.time is not None:
                 t_end = t + post_horizon
-            record(t, theta)
+            reset.record(t, None, theta.T)
         # the accumulated sample times can end a hair short of t_end; a step
         # to t_end would then record a near-duplicate last sample
         if t >= t_end - 1e-9 * sample_dt:
@@ -374,6 +418,7 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         if clipped:
             t = t_end
 
+    form()
     reset.finish()
     trace = SimTrace(
         times=history.times,

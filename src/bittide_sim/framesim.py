@@ -14,7 +14,7 @@ wrap.
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -425,7 +425,7 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
             if firing is not None:
                 # the row above is the pre-mode row at the reframe instant;
                 # the buffers turn physical once every node has reframed
-                params = replace(params, q=reset.freeze(params.q, firing))
+                params = params.with_q(reset.freeze(params.q, firing))
                 _fire_controllers(state, scenario, params, firing)
                 state.virtual = reset.time is None
                 reset.record(state.t, state.correction, state.measured)

@@ -166,6 +166,21 @@ def test_non_finite_gain_exits_2(tmp_path, capsys, k):
     assert err.startswith("error: config.k: gain must be finite and positive")
 
 
+@pytest.mark.parametrize("mode", [[], ["--discrete"]],
+                         ids=["continuous", "discrete"])
+@pytest.mark.parametrize("key, value", [
+    ("omega_u", [float("nan"), 1.02]), ("lambda", float("nan")),
+    ("theta0", float("nan")), ("beta_off", [10.0, float("nan")]),
+    ("q", float("nan")), ("omega_u", [1.0, float("inf")]),
+    ("lambda", [10.0, -float("inf")])],
+    ids=["omega_u", "lambda", "theta0", "beta_off", "q", "omega_u-inf",
+         "lambda--inf"])
+def test_non_finite_vector_entry_exits_2(tmp_path, capsys, mode, key, value):
+    err = _rejected(tmp_path, capsys, _e1_with(tmp_path, **{key: value}),
+                    *mode)
+    assert err == f"error: config.{key}: entries must be finite\n"
+
+
 def _e1_integrator(tmp_path, **changes):
     """configs/e1.json with integrator keys replaced, as a new file."""
     raw = json.loads((CONFIG_DIR / "e1.json").read_text())

@@ -49,6 +49,38 @@ def test_negative_explicit_offsets_warn(two_cycle):
         init_state(inc, params, 0.0)
 
 
+def test_single_field_updates_check_only_that_field(two_cycle, monkeypatch):
+    params = make_system_params(two_cycle, k=0.1, omega_u=[1.0, 1.02],
+                                beta_off=10.0)
+    for name, value in (("q", np.ones((3, 2))), ("beta_off", [9.0, 11.0])):
+        updated = getattr(params, f"with_{name}")(value)
+        expected = replace(params, **{name: value})
+        for field in ("k", "omega_u", "lam", "beta_off", "q"):
+            assert _bits(getattr(updated, field)) == _bits(
+                getattr(expected, field))
+        assert _bits(getattr(params, name)) != _bits(getattr(updated, name))
+    with pytest.raises(ValueError, match="q must be one row or a block"):
+        params.with_q(np.zeros(3))
+    with pytest.raises(ValueError, match="beta_off and lambda must have"):
+        params.with_beta_off([1.0])
+    # neither update runs the constructor's checks again
+    monkeypatch.setattr(dynamics.SystemParams, "__post_init__",
+                        lambda self: pytest.fail("checked again"))
+    params.with_q(np.zeros(2)).with_beta_off(None)
+
+
+def test_make_system_params_copies_and_broadcasts(two_cycle):
+    omega_u = np.array([1.0, 1.02])
+    params = make_system_params(two_cycle, k=0.1, omega_u=omega_u, lam=10.0,
+                                q=0.5)
+    omega_u[0] = 2.0
+    np.testing.assert_array_equal(params.omega_u, [1.0, 1.02])
+    np.testing.assert_array_equal(params.lam, [10.0, 10.0])
+    np.testing.assert_array_equal(params.q, [0.5, 0.5])
+    with pytest.raises(ValueError):
+        make_system_params(two_cycle, k=0.1, omega_u=[1.0, 1.0, 1.0])
+
+
 def test_feasible_residual_lies_in_range_of_A():
     topology, params, theta0 = random_scenario(7)
     inc, params, clm, _ = spectral_setup(topology, params.k, params.omega_u,
@@ -564,12 +596,12 @@ def _assert_offset_rows_close(block, runs, omega_u):
                                        atol=1e-12 * float(scale))
 
 
-def _offset_runs(system, qs, settings):
+def _offset_runs(system, qs, settings, schedule=None):
     """One run of the (K, n) offsets qs and K one-offset runs, one per row."""
     block = run(replace(system, params=replace(system.params, q=qs)),
-                settings=settings)
+                schedule=schedule, settings=settings)
     return block, [run(replace(system, params=replace(system.params, q=q)),
-                       settings=settings) for q in qs]
+                       schedule=schedule, settings=settings) for q in qs]
 
 
 @settings(max_examples=40, deadline=None)
@@ -587,6 +619,65 @@ def test_offset_block_run_matches_one_run_per_offset(seed, K):
     _assert_offset_rows_close(block, runs, system.params.omega_u)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), K=st.integers(1, 5))
+def test_offset_block_reframe_matches_one_reframe_per_offset(seed, K):
+    # the battery's run: a fixed-time reframe at the horizon freezes each
+    # offset's own correction
+    system = make_random_scenario(seed).system
+    n = system.inc.n
+    qs = np.random.default_rng(seed).normal(scale=0.01, size=(K, n))
+    horizon = system.sd.horizon()
+    block, runs = _offset_runs(
+        system, qs, IntegratorSettings(horizon=horizon, post_horizon=horizon,
+                                       sample_interval=horizon / 8),
+        ReframeSchedule(mode="fixed-time", T1=horizon))
+    assert block.mode == runs[0].mode
+    assert block.reframe_time == runs[0].reframe_time == horizon
+    _assert_offset_rows_close(block, runs, system.params.omega_u)
+    scale = float(np.abs(system.params.omega_u).max())
+    for payload, one in zip(block.reframe_payload, runs):
+        np.testing.assert_allclose(payload, one.reframe_payload, rtol=1e-12,
+                                   atol=1e-12 * scale)
+
+
+def _corrections_per_sample(trace, system):
+    """Each sample's correction formed alone: observe's for one offset; for
+    K offsets, A times the sample's C-contiguous (n, K) phase block centred
+    by its column means."""
+    A, r, n = system.clm.A, system.clm.r, system.inc.n
+    rows = []
+    for theta, mode in zip(trace.theta, trace.mode):
+        q = system.params.q if mode == PRE_REFRAME else trace.reframe_payload
+        if theta.ndim == 1:
+            rows.append(observe(theta, replace(system.params, q=q),
+                                system.clm)[1])
+            continue
+        block = np.ascontiguousarray(theta.T)
+        rows.append((A @ (block - np.add.reduce(block) / n)).T + q + r)
+    return rows
+
+
+@pytest.mark.parametrize("K", [None, 1, 4])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_block_formed_corrections_equal_per_sample_ones(n, K):
+    # n >= 8 makes a 1-D mean a pairwise sum and leaves a column mean a
+    # sequential one; the batched reduce must keep each
+    topology = generate_topology("random-strong", n, seed=n,
+                                 extra_edge_fraction=0.3)
+    rng = np.random.default_rng(n)
+    q = np.zeros(n) if K is None else rng.normal(scale=0.01, size=(K, n))
+    params = make_system_params(topology, k=0.3,
+                                omega_u=rng.uniform(0.95, 1.05, size=n))
+    system = prepare(topology, params, rng.uniform(-1.0, 1.0, size=n))
+    system = replace(system, params=replace(system.params, q=q))
+    trace = run(system, schedule=ReframeSchedule(mode="fixed-time", T1=3.0),
+                settings=IntegratorSettings(horizon=6.0, sample_interval=0.25))
+    assert POST_REFRAME in trace.mode
+    for i, c in enumerate(_corrections_per_sample(trace, system)):
+        assert _bits(trace.correction[i]) == _bits(c), i
+
+
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 def test_offset_block_run_steps_each_column_with_fixed_steps(e1, method):
     topology, _, params, _, _ = e1
@@ -597,11 +688,14 @@ def test_offset_block_run_steps_each_column_with_fixed_steps(e1, method):
     _assert_offset_rows_close(block, runs, params.omega_u)
 
 
-def test_offset_block_run_takes_no_schedule(e1):
+def test_offset_block_run_takes_no_auto_schedule(e1):
+    # the auto trigger compares single correction rows; a fixed time runs
     topology, _, params, _, _ = e1
     system = prepare(topology, replace(params, q=np.zeros((2, 2))))
-    for schedule in (ReframeSchedule(mode="fixed-time", T1=5.0),
-                     ReframeSchedule(mode="auto")):
-        with pytest.raises(ValueError, match="one offset per node"):
-            run(system, schedule=schedule,
-                settings=IntegratorSettings(horizon=10.0))
+    settings = IntegratorSettings(horizon=10.0)
+    with pytest.raises(ValueError, match="one offset per node"):
+        run(system, schedule=ReframeSchedule(mode="auto"), settings=settings)
+    trace = run(system, schedule=ReframeSchedule(mode="fixed-time", T1=5.0),
+                settings=settings)
+    assert trace.reframe_time == 5.0
+    assert trace.reframe_payload.shape == (2, 2)

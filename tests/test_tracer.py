@@ -59,8 +59,8 @@ def test_benchmark_tracer_counts_the_battery_layers():
     assert report["all_pass"]
     calls, _ = tr.self_times()
     scenarios = len(report["scenarios"])    # one random and the defective one
-    # one run of the own q and 3 random q, and one reframe, per scenario
-    assert calls["dynamics.run"] == 2 * scenarios
+    # one run of the own q and 3 random q, with their reframe, per scenario
+    assert calls["dynamics.run"] == scenarios
     assert 0 < calls["dynamics.exact_flow_operators"] < tr.calls["dynamics.step"]
     for check in verify.ALL_CHECKS:
         label = "verify.check." + check.__name__.removeprefix("check_")

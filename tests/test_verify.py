@@ -7,10 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bittide_sim import (IntegratorSettings, ReframeSchedule, Topology,
                          TopologyError, build_incidence, cli, dynamics, graph,
                          make_system_params, prepare, run)
+from bittide_sim.spectral import matrix_exponential
 from bittide_sim.verify import (ALL_CHECKS, Scenario, check_correction_limit,
                                 check_feasible_residual, check_occupancy_limit,
                                 check_projector_limit, check_reframe_centering,
@@ -62,6 +65,29 @@ def test_projector_limit_ring():
     params = make_system_params(topology, k=1.0, omega_u=1.0)
     v = check_projector_limit(Scenario(topology, params, np.zeros(3)))
     assert v.status == "pass"
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_projector_squares_the_sample_operator_to_the_horizons_bits(seed):
+    # on the battery's distribution ||Ah||_1 >= 50 > 8 theta_13, so the
+    # exponential at h scales A h by 2^-s with s >= 3 and squares the same
+    # Pade approximant as the exponential at h/8, three more times
+    scenario = make_random_scenario(seed)
+    system = scenario.system
+    h = system.sd.horizon()
+    E = matrix_exponential(system.clm, h / 8)
+    for _ in range(3):
+        E = E @ E
+    expm_h = matrix_exponential(system.clm, h)
+    assert E.tobytes() == expm_h.tobytes()
+    # the check builds the sample operator, and the run reuses it
+    v = check_projector_limit(scenario)
+    assert v.residual == float(np.abs(expm_h - system.sd.W).max())
+    assert list(system.flow_ops) == [h / 8]
+    sample_ops = system.flow_ops[h / 8]
+    assert len(scenario.trace) > 8
+    assert system.flow_ops[h / 8] is sample_ops
 
 
 def test_reducible_scenario_reported_invalid(reducible_scenario):
@@ -183,18 +209,18 @@ def test_battery_simulates_each_trajectory_once(monkeypatch):
     runs = count_calls(monkeypatch, dynamics.run)
     flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
     run_battery(count=3, seed=0, infeasible_count=2)
-    # each of the 4 positive scenarios runs its own q and 3 random q in one
-    # run, and one reframe; each of the 2 negative controls runs one reframe
-    assert len(runs) == 4 * 2 + 2
+    # each of the 4 positive scenarios and the 2 negative controls runs its
+    # own q and 3 random q, with their reframe, in one run
+    assert len(runs) == 4 + 2
     # one closed loop per scenario, and one operator pair per distinct span
     assert len(flows) <= 26
 
 
 @pytest.mark.parametrize("fill, check, shared", [
-    (check_reframe_centering, check_reframe_frequency, "reframed_trace"),
-    (check_reframe_frequency, check_reframe_centering, "reframed_trace"),
-    (check_occupancy_limit, check_correction_limit, "proportional_trace"),
-    (check_correction_limit, check_occupancy_limit, "proportional_trace"),
+    (check_reframe_centering, check_reframe_frequency, "trace"),
+    (check_reframe_frequency, check_reframe_centering, "trace"),
+    (check_occupancy_limit, check_correction_limit, "trace"),
+    (check_correction_limit, check_occupancy_limit, "trace"),
 ])
 def test_checks_agree_on_a_shared_trace(fill, check, shared):
     warm = make_random_scenario(5)
@@ -233,11 +259,42 @@ def test_verdict_rows_are_asdict_in_field_order(e1_scenario, reducible_scenario)
         assert list(v.row().items()) == list(asdict(v).items())
 
 
-def test_battery_digest_leaves_out_only_the_elapsed_time(tmp_path):
+def _output_digests():
+    """scripts/output_digests.py as a module."""
     script = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
     spec = importlib.util.spec_from_file_location("output_digests", script)
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
+    return digests
+
+
+def test_battery_verdicts_keep_their_pinned_digest():
+    # statuses, fingerprints and tolerances of `verify --count 20 --seed 7`:
+    # a change to any of them needs a stated update of this pin
+    _, _, bare = _output_digests().battery_digest(20, 7)
+    assert bare == ("55463dad70e0877681db206f17d4720b"
+                    "193c7bc8c9ba5c032dd017a245aa27f8")
+
+
+def test_battery_residual_lines_give_each_worst_residual(tmp_path):
+    digests = _output_digests()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(["verify", "--count", "2", "--seed", "0",
+                         "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "battery.json").read_text())
+    lines = digests.residual_lines(report)
+    checks = report["summary"]["checks"]
+    assert lines[:-1] == [f"{name} {check['worst_residual']:.17g}"
+                          for name, check in checks.items()]
+    gap = min(row["centering"]["residual"]
+              for row in report["negative_controls"])
+    assert lines[-1] == f"negative-controls-min-centering-gap {gap:.17g}"
+    assert float(lines[-1].split()[-1]) == gap      # %.17g round-trips
+
+
+def test_battery_digest_leaves_out_only_the_elapsed_time(tmp_path):
+    digests = _output_digests()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert cli.main(["verify", "--count", "1", "--seed", "0",
