@@ -10,7 +10,11 @@ temporary copy of the config, with `discrete.enabled` off), and
 inside a discrete run of e1.  One line per
 written file gives the config (its folder and name), the mode, the exit
 code, the file name and its digest, so a `diff` of this script's output at
-two commits shows whether their outputs are byte-identical:
+two commits shows whether their outputs are byte-identical.  Without config
+arguments two more lines follow: the digests of a continuous and a discrete
+run of `configs/eight_node.json` with a per-node (staggered) fixed-time
+reframe, run through the API because no config can give each node its own
+T1:
 
     python3 scripts/output_digests.py > digests.txt
     python3 scripts/output_digests.py path/to/config.json ...
@@ -39,12 +43,19 @@ import re
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from bittide_sim import ReframeSchedule  # noqa: E402
+from bittide_sim import run as run_continuous  # noqa: E402
 from bittide_sim.cli import main  # noqa: E402
+from bittide_sim.config import parse_config  # noqa: E402
+from bittide_sim.framesim import run_discrete  # noqa: E402
 
 MODES = {"continuous": [], "discrete": ["--discrete"],
          "discrete-continue": ["--discrete", "--continue-on-fault"]}
@@ -54,6 +65,9 @@ METHODS = ("rk4", "euler")
 AUTO_REFRAME = {"mode": "auto", "epsilon": 0.1, "window": 20.0}
 ELAPSED = re.compile(rb'\n *"elapsed_seconds": [^\n]*')
 RESIDUALS = ("residual", "worst_residual")
+# each node's T1 in the staggered runs, before the discrete run of
+# eight_node breaks a counter invariant near t = 58; two nodes share one T1
+STAGGER = (30.0, 30.0, 32.0, 34.5, 36.0, 38.0, 40.1, 42.0)
 
 
 def _quiet_main(argv) -> int:
@@ -90,6 +104,35 @@ def digests(config: Path):
             copy.write_text(json.dumps({**raw, **changes}), encoding="utf-8")
             for row in _run_digests(copy, flags):
                 yield (mode, *row)
+
+
+def _trace_digest(trace, names) -> str:
+    """sha256 of a trace's arrays `names`, its modes, faults and reframe
+    time."""
+    h = hashlib.sha256()
+    for name in names:
+        h.update(getattr(trace, name).tobytes())
+    h.update(repr((trace.mode, getattr(trace, "faults", None),
+                   trace.reframe_time)).encode())
+    return h.hexdigest()
+
+
+def staggered_digests():
+    """(mode, sha256) of a continuous and a discrete run of eight_node with
+    the per-node fixed-time reframe STAGGER; the discrete run continues on
+    bound faults."""
+    cfg = parse_config(ROOT / "configs" / "eight_node.json")
+    system = cfg.system()
+    schedule = ReframeSchedule(mode="fixed-time", T1=np.array(STAGGER))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        trace = run_continuous(system, schedule=schedule)
+        yield "staggered-continuous", _trace_digest(
+            trace, ("times", "theta", "correction"))
+        trace = run_discrete(replace(cfg.discrete_scenario(system),
+                                     reframe=schedule, continue_on_fault=True))
+        yield "staggered-discrete", _trace_digest(
+            trace, ("times", "correction", "occupancy"))
 
 
 def without_residuals(value):
@@ -151,6 +194,12 @@ def run(configs) -> int:
     return 0
 
 
+def run_staggered() -> int:
+    for mode, digest in staggered_digests():
+        print(f"configs/eight_node.json {mode} {digest}")
+    return 0
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("configs", nargs="*", type=Path)
@@ -158,7 +207,10 @@ if __name__ == "__main__":
                         help="digest the battery's report instead of the configs")
     args = parser.parse_args()
     if args.battery is None:
-        sys.exit(run(args.configs or sorted((ROOT / "configs").glob("*.json"))))
+        if args.configs:
+            sys.exit(run(args.configs))
+        run(sorted((ROOT / "configs").glob("*.json")))
+        sys.exit(run_staggered())
     if args.configs:
         parser.error("--battery takes no configs")
     count, seed = args.battery

@@ -7,7 +7,6 @@ node a row of exactly its view's edges, so no node reads another's state.
 """
 
 import bisect
-import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -236,8 +235,7 @@ class ReframeSchedule:
 
     fixed-time: at T1, one time for all nodes or one per node.  auto: at the
     first sample where the correction has been epsilon-stable for a full
-    window.  Defaults follow the correction
-    scale: epsilon = 1e-9 * ||omega_u||_inf, window = 10/(k * max in-degree).
+    window.  A run's `OneShotReset` fills the unset fields its mode reads.
     """
 
     mode: str = "auto"            # fixed-time | auto
@@ -246,9 +244,10 @@ class ReframeSchedule:
     window: float | None = None
 
     def __post_init__(self):
+        # an error's message starts with the field's name
         if self.mode not in ("fixed-time", "auto"):
-            raise ValueError(f"unknown reframe mode {self.mode!r}")
-        # a range error's message starts with the field's name
+            raise ValueError(f"mode: expected 'fixed-time' or 'auto', got "
+                             f"{self.mode!r}")
         T1, eps, window = self.T1, self.epsilon, self.window
         if T1 is not None and not np.isfinite(np.asarray(T1, float)).all():
             raise ValueError(f"T1: must be finite, got {T1}")
@@ -257,26 +256,6 @@ class ReframeSchedule:
         if window is not None and not 0 < window < math.inf:
             raise ValueError(f"window: must be finite and positive, got "
                              f"{window}")
-
-    def resolved(self, params, inc: IncidenceSet,
-                 default_T1: float | None = None) -> "ReframeSchedule":
-        """Fill unset fields from the system scale."""
-        T1 = self.T1
-        if self.mode == "fixed-time" and T1 is None:
-            T1 = default_T1
-        eps = self.epsilon
-        if eps is None:
-            eps = 1e-9 * float(np.abs(params.omega_u).max())
-        window = self.window
-        if window is None:
-            deg = max(inc.max_in_degree(), 1)
-            window = 10.0 / (params.k * deg) if params.k > 0 else 10.0
-        # the filled fields come from the system, not the caller, and are not
-        # checked again: a NaN omega_u gives a NaN epsilon, which never fires
-        resolved = copy.copy(self)
-        for name, value in (("T1", T1), ("epsilon", eps), ("window", window)):
-            object.__setattr__(resolved, name, value)
-        return resolved
 
 
 class OneShotReset:
@@ -300,18 +279,24 @@ class OneShotReset:
         self.events = []              # sorted fixed-time T1s not yet reached
         self.mode = PRE_REFRAME
         self.time = None
-        self.schedule = (schedule if schedule is None
-                         else schedule.resolved(params, inc, default_T1))
         # a Python flag, so a step on which nothing fires adds no reduction
         self.pending = schedule is not None
         self.detector = None          # an auto schedule's StabilityDetector
-        if self.pending and self.schedule.mode == "fixed-time":
-            self._T1 = np.broadcast_to(np.asarray(self.schedule.T1, dtype=float),
-                                       (inc.n,))
+        if self.pending and schedule.mode == "fixed-time":
+            T1 = default_T1 if schedule.T1 is None else schedule.T1
+            self._T1 = np.broadcast_to(np.asarray(T1, dtype=float), (inc.n,))
             self.events = sorted({float(t) for t in self._T1})
         elif self.pending:
-            self.detector = StabilityDetector(self.schedule.epsilon,
-                                              self.schedule.window)
+            # unset, they follow the correction scale: epsilon = 1e-9
+            # ||omega_u||_inf and window = 10/(k max in-degree); a NaN
+            # omega_u gives a NaN epsilon, which never fires
+            epsilon, window = schedule.epsilon, schedule.window
+            if epsilon is None:
+                epsilon = 1e-9 * float(np.abs(params.omega_u).max())
+            if window is None:
+                deg = max(inc.max_in_degree(), 1)
+                window = 10.0 / (params.k * deg) if params.k > 0 else 10.0
+            self.detector = StabilityDetector(epsilon, window)
         # each reframe time adds at most two rows: a sample at its instant,
         # where a loop inserts one, and the post row
         reframes = len(self.events) or int(self.pending)
@@ -334,36 +319,36 @@ class OneShotReset:
         once the trigger finds the history up to this sample stable."""
         if not self.pending:
             return None
-        if self.events:
-            if t < self.events[0] - 1e-12:
-                return None
-            self.events = [e for e in self.events if t < e - 1e-12]
-            return ~self.done & (t >= self._T1 - 1e-12)
-        history = self.history
-        last = len(history) - 1
-        if self.detector.first(history.times, history.corrections, last,
-                               last + 1) == last:
+        past, last = self.history, len(self.history) - 1
+        if self._first(past.times, past.corrections, last, last + 1) > last:
+            return None
+        if not self.events:
             return ~self.done
-        return None
+        self.events = [e for e in self.events if t < e - 1e-12]
+        return ~self.done & (t >= self._T1 - 1e-12)
 
     def cut(self, times, corrections, start: int, end: int) -> int | None:
         """Where a loop's coming samples at `times` (non-decreasing), with
         one correction row each, end early: rows [start, end) of them hold
         one correction and follow the rows before start, which follow the
         history.  Returns the count of samples through the first of those
-        rows on which the schedule fires, or None: the first that reaches
-        the next fixed T1, or at which the auto trigger holds.  A loop
-        records the samples it keeps and asks `firing` on the last, so it
-        passes every row but that one."""
+        rows on which the schedule fires, or None.  A loop records the
+        samples it keeps and asks `firing` on the last, so it passes every
+        row but that one."""
         if not self.pending or end <= start:
             return None
-        if self.events:
-            first = bisect.bisect_left(times, self.events[0] - 1e-12, start,
-                                       end)
-        else:
-            first = self.detector.first(times, corrections, start, end,
-                                        self.history)
+        first = self._first(times, corrections, start, end, self.history)
         return first + 1 if first < end else None
+
+    def _first(self, times, corrections, start: int, end: int,
+               past=None) -> int:
+        """The first of the rows [start, end) on which the pending schedule
+        fires, or end: the first that reaches the next fixed T1, or at which
+        the auto trigger holds (see `StabilityDetector.first`)."""
+        if self.events:
+            return bisect.bisect_left(times, self.events[0] - 1e-12, start,
+                                      end)
+        return self.detector.first(times, corrections, start, end, past)
 
     def freeze(self, q: np.ndarray, firing: np.ndarray) -> np.ndarray:
         """q with the firing nodes' last recorded correction frozen in, in
@@ -389,10 +374,10 @@ class OneShotReset:
         trigger that never fired, or a node whose fixed T1 was never reached."""
         if not self.pending:
             return
-        if self.schedule.mode == "auto":
+        if self.detector is not None:
             warnings.warn(f"auto reframe never fired: epsilon = "
-                          f"{self.schedule.epsilon:.3g}, window = "
-                          f"{self.schedule.window:.6g}", stacklevel=3)
+                          f"{self.detector.epsilon:.3g}, window = "
+                          f"{self.detector.window:.6g}", stacklevel=3)
             return
         i = int(np.flatnonzero(~self.done)[0])
         warnings.warn(f"fixed-time reframe never fired: node {i + 1} has "

@@ -65,12 +65,18 @@ class DiscreteScenario:
     continue_on_fault: bool = False
 
     def __post_init__(self):
-        if self.control_period < 1.0:
-            raise ValueError("control period must be at least one clock cycle")
+        if not 1.0 <= self.control_period < math.inf:
+            raise ValueError(f"control period must be finite and at least one "
+                             f"clock cycle, got {self.control_period}")
         if self.capacity < 1:
             raise ValueError("capacity must be a positive frame count")
         if self.quantization < 1:
             raise ValueError("quantization unit must be at least one frame")
+        for name, x in (("theta0", self.system.theta0),
+                        ("lambda", self.system.params.lam)):
+            if np.count_nonzero(np.abs(x) >= 2.0**52):  # a frame moves no phase
+                raise ValueError(f"{name} entries must be below 2**52 in "
+                                 "magnitude to count frames")
         if self.dt is not None and not 0 < self.dt <= self._dt_bound:
             raise ValueError(
                 f"dt = {self.dt} must be positive and fine enough for frame "
@@ -239,17 +245,17 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     batched law and the increment changes.  The advance runs through these
     fires for at most `scenario.block_steps` steps, and ends on a fire that
     leaves a clock not advancing.  A pending `reset` may end it sooner,
-    at the first row where its schedule fires: at each fire, and at the
-    end, its `cut` reads the rows that held the correction since the last
-    fire (the advance's last row is left to its `firing`), and the advance
-    stops before it forms a fire past the row where it ends.
+    at the first row where its schedule fires: before each fire, and at
+    the end, its `cut` reads the rows that held the correction since the
+    last fire (the advance's last row is left to its `firing`), and the
+    advance stops before it forms a fire past the row where it ends.
 
     The counters, the checks and the quantized occupancies are then formed
     once over all the rows.  A row that fails a check that ends the run
-    leaves the state on the row before it, as if the steps had been taken
-    one at a time; a bound fault under continue_on_fault is recorded and
-    the row still fires.  `times`, `correction_rows` and `measured_rows`
-    give the rows moved through."""
+    leaves the state on the row before it, with the fires up to that row
+    and none after it, as if the steps had been taken one at a time; a
+    bound fault under continue_on_fault is recorded and the row still
+    fires.  `times`, `correction_rows` and `measured_rows` give the rows."""
     inc = scenario.system.inc
     src, dst, n = inc.src, inc.dst, inc.n
     omega_u, period = params.omega_u, scenario.control_period
@@ -298,14 +304,11 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
                 gap = (math.ceil(min(steps - rows, to_fire)) if to_fire > 1
                        else 1)
             continue
-        if rows == steps:
-            break       # this row fires once its checks have passed
         corrections[held:rows] = c
         if reset is not None:
             # the rows before this one held c since the last fire
             cut = reset.cut(times, corrections, asked, rows - 1)
             if cut is not None:
-                due = None
                 break
             asked = rows - 1
         c, held = corrections[rows - 1], rows
@@ -318,7 +321,6 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
         _next_fire(next_fire, due_at, due, row, period)
         rate = (omega_u + c) * dt
         if not rate.min() > 0:
-            due = None
             break
         gap = 1
     corrections[held:rows] = c
@@ -363,11 +365,6 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     state.measured = state.measured_rows[-1]
     if rows == whole:
         state.next_fire, state.due_at = next_fire, due_at
-        if due is not None:
-            # the last row fires from its measured occupancy
-            proportional_corrections(in_blocks, state.measured, beta_off, q,
-                                     k, due, corrections[rows - 1])
-            _next_fire(next_fire, due_at, due, state.theta, period)
     else:
         # the fires up to the row the state ends on move the next fire
         # phases again

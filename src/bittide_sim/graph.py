@@ -6,6 +6,7 @@ every m-column matrix downstream (traces, reports, link constants).
 """
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -131,13 +132,13 @@ def build_incidence(topology: Topology) -> IncidenceSet:
 
 
 def reachable_from_node1(topology: Topology, reverse: bool = False) -> set:
-    """1-indexed nodes reachable from node 1; with reverse, those that reach it."""
-    adj = {i: [] for i in range(1, topology.n + 1)}
+    """1-indexed nodes reachable from node 1; with reverse, those that reach
+    it.  Only the nodes on edges are visited: O(m), whatever n."""
+    adj = defaultdict(list)
     for src, dst in topology.edges:
         if reverse:
-            adj[dst].append(src)
-        else:
-            adj[src].append(dst)
+            src, dst = dst, src
+        adj[src].append(dst)
     seen = {1}
     stack = [1]
     while stack:

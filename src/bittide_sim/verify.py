@@ -35,6 +35,7 @@ INFEASIBLE_MIN_GAP = 1e-3  # centering must fail at least this much
 # the battery's gain and uncontrolled-frequency ranges, echoed in its report
 K_RANGE = (0.05, 1.0)
 OMEGA_RANGE = (0.95, 1.05)
+EXTRA_EDGE_MAX = 0.5      # the most extra_edge_fraction a scenario draws
 
 PASS, FAIL = "pass", "fail"
 NOT_APPLICABLE = "not-applicable"
@@ -267,30 +268,28 @@ ALL_CHECKS = (check_feasible_residual, check_projector_limit,
               check_spectral_identities)
 
 
-def make_random_scenario(seed: int, n_range=(2, 8), k_range=K_RANGE,
-                         omega_range=OMEGA_RANGE,
-                         extra_edge_max: float = 0.5) -> Scenario:
+def make_random_scenario(seed: int, n_range=(2, 8)) -> Scenario:
     """Strongly connected random scenario with feasible offsets and q = 0."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(n_range[0], n_range[1] + 1))
-    frac = float(rng.uniform(0.0, extra_edge_max))
+    frac = float(rng.uniform(0.0, EXTRA_EDGE_MAX))
     topology = generate_topology("random-strong", n, seed=seed,
                                  extra_edge_fraction=frac)
     params = make_system_params(
         topology,
-        k=float(rng.uniform(*k_range)),
-        omega_u=rng.uniform(*omega_range, size=n),
+        k=float(rng.uniform(*K_RANGE)),
+        omega_u=rng.uniform(*OMEGA_RANGE, size=n),
         lam=rng.uniform(8.0, 12.0, size=topology.m),
     )
     theta0 = rng.uniform(-1.0, 1.0, size=n)
     return Scenario(topology=topology, params=params, theta0=theta0, seed=seed)
 
 
-def make_infeasible_scenario(seed: int, **kwargs) -> Scenario:
+def make_infeasible_scenario(seed: int, n_range=(2, 8)) -> Scenario:
     """Same distribution, but beta_off is held one frame below a feasible
     value on the first edge, so r leaves the range of A; below, so that the
     edge's destination clock starts faster, never at omega <= 0."""
-    base = make_random_scenario(seed, **kwargs)
+    base = make_random_scenario(seed, n_range)
     feasible = feasible_offsets(*edge_endpoints(base.topology), base.theta0,
                                 base.params.lam)
     bump = np.zeros(base.topology.m)

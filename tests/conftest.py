@@ -40,10 +40,9 @@ def spectral_setup(topology, k, omega_u, lam=10.0, beta_off=None, theta0=0.0, q=
     return s.inc, s.params, s.clm, s.sd
 
 
-def random_scenario(seed, n_range=(2, 8), k_range=(0.05, 1.0),
-                    omega_range=(0.95, 1.05), extra_max=0.5):
+def random_scenario(seed):
     """Random strongly connected scenario with feasible offsets, q = 0."""
-    sc = make_random_scenario(seed, n_range, k_range, omega_range, extra_max)
+    sc = make_random_scenario(seed)
     return sc.topology, sc.params, sc.theta0
 
 

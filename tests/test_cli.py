@@ -142,7 +142,9 @@ def _rejected(tmp_path, capsys, config, *flags) -> str:
 
 @pytest.mark.parametrize("key, value", [
     ("capacity", 0), ("capacity", -1), ("control_period", 0),
-    ("quantization", -1)])
+    ("quantization", -1),
+    # a NaN period never fired a controller: exit 1 with no error line
+    ("control_period", float("nan")), ("control_period", float("inf"))])
 def test_discrete_range_error_exits_2_naming_config_discrete(
         tmp_path, capsys, key, value):
     config = _e1_with(tmp_path, discrete={key: value})

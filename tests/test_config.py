@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,21 @@ def test_not_strongly_connected_error_text(edges, node):
         "unreachable from or cannot reach node 1")
 
 
+def test_reachability_check_visits_only_the_nodes_on_edges():
+    # a node count with two edges: the check stays O(m), and names the
+    # smallest stranded node as before
+    raw = {"topology": {"n": 10**6, "edges": [[1, 2], [2, 1]]}, "k": 1.0,
+           "omega_u": 1.0}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="node 3 is unreachable"):
+            parse_config_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_missing_required_keys():
     with pytest.raises(ConfigError, match="missing required key 'k'"):
         parse_config_dict({"topology": "ring", "n": 3, "omega_u": 1.0})
@@ -107,8 +123,10 @@ def test_nonpositive_gain_rejected():
 def test_bad_controller_and_modes():
     with pytest.raises(ConfigError, match="controller"):
         parse_config_dict(dict(MINIMAL, controller="integral"))
-    with pytest.raises(ConfigError, match=r"reframe\.mode"):
+    with pytest.raises(ConfigError) as info:
         parse_config_dict(dict(MINIMAL, reframe={"mode": "eventually"}))
+    assert str(info.value) == ("config.reframe.mode: expected 'fixed-time' "
+                               "or 'auto', got 'eventually'")
     with pytest.raises(ConfigError, match=r"integrator\.method"):
         parse_config_dict(dict(MINIMAL, integrator={"method": "leapfrog"}))
 
@@ -145,6 +163,19 @@ def test_config_builds_runtime_objects():
     scen = dcfg.discrete_scenario(dcfg.system())
     assert scen.capacity == 20 and scen.dt == 0.2
     assert scen.horizon == 500.0
+
+
+@pytest.mark.parametrize("key", ["theta0", "lambda"])
+def test_discrete_phase_of_2_52_frames_is_config_error(key):
+    # adding a control period no longer moves a phase that large: the
+    # discrete run spun on its next fire, or cast garbage into counters
+    cfg = parse_config_dict(dict(MINIMAL, **{key: [0.0, 1e300]}))
+    with pytest.raises(ConfigError, match=rf"^config\.discrete: {key} "
+                                          r"entries must be below 2\*\*52"):
+        cfg.discrete_scenario(cfg.system())
+    # just below the bound the scenario builds
+    cfg = parse_config_dict(dict(MINIMAL, **{key: [0.0, 2.0**52 - 1]}))
+    cfg.discrete_scenario(cfg.system())
 
 
 def test_system_generates_topology_once(monkeypatch):

@@ -1,4 +1,5 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -342,6 +343,58 @@ def test_detector_holds_a_window_after_the_last_unstable_row():
                               0.0, 1.0) == [False, True, True]
 
 
+@settings(max_examples=300, deadline=None)
+@given(rows=correction_rows(), epsilon=st.sampled_from([0.0, 1e-3, 0.02]),
+       kind=st.sampled_from(["auto", "fixed-time", "per-node"]),
+       pick=st.integers(0, 49),
+       nudge=st.sampled_from([0.0, 1e-13, -1e-13, 2e-12, -2e-12, 0.05]))
+def test_cut_returns_the_row_on_which_row_by_row_firing_fires(
+        rows, epsilon, kind, pick, nudge):
+    # the T1 is a row's time, or a hair or a step from it
+    times, c, window = rows
+    n = c.shape[1]
+    T1 = times[pick % len(times)] + nudge
+    schedule = {
+        "auto": ReframeSchedule(mode="auto", epsilon=epsilon, window=window),
+        "fixed-time": ReframeSchedule(mode="fixed-time", T1=T1),
+        "per-node": ReframeSchedule(mode="fixed-time",
+                                    T1=T1 + 0.5 * np.arange(n)[::-1]),
+    }[kind]
+    params = SimpleNamespace(omega_u=np.ones(n), k=0.1, q=np.zeros(n))
+    inc = build_incidence(Topology(n=n))
+
+    def fires(reset, row):
+        return reset.firing(times[row]) is not None
+
+    by_row = OneShotReset(schedule, params, inc, default_T1=None)
+    expected = None
+    for row in range(len(times)):
+        by_row.record(times[row], c[row], None)
+        if fires(by_row, row):
+            expected = row
+            break
+    # row 0 is recorded; each run of rows that hold one correction is cut
+    # ahead of the history, and the last row is left to `firing`
+    ahead = OneShotReset(schedule, params, inc, default_T1=None)
+    ahead.record(times[0], c[0], None)
+    found = 0 if fires(ahead, 0) else None
+    coming_t, coming_c, last = times[1:], c[1:], len(times) - 2
+    start = 0
+    while found is None and start < last:
+        end = start + 1
+        while end < last and (coming_c[end].tobytes()
+                              == coming_c[start].tobytes()):
+            end += 1
+        count = ahead.cut(coming_t, coming_c, start, end)
+        if count is not None:
+            found = count       # the coming row count - 1, row count here
+        start = end
+    if found is None and len(times) > 1:
+        ahead.record_rows(coming_t, coming_c, None)
+        found = last + 1 if fires(ahead, last + 1) else None
+    assert found == expected
+
+
 def test_correction_history_views_grow_in_place():
     history = CorrectionHistory(2)
     rows = np.arange(300.0).reshape(150, 2)
@@ -415,7 +468,8 @@ def test_auto_reframe_fires_after_transient_and_outcome_holds(e1):
 
 
 def test_schedule_rejects_unknown_mode():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^mode: expected 'fixed-time' or "
+                                         "'auto', got 'sometimes'$"):
         ReframeSchedule(mode="sometimes")
 
 
@@ -437,9 +491,21 @@ def test_schedule_keeps_values_in_range():
 def test_schedule_resolution_defaults(two_cycle):
     inc = build_incidence(two_cycle)
     params = make_system_params(two_cycle, k=0.1, omega_u=[1.0, 1.02])
-    sched = ReframeSchedule(mode="auto").resolved(params, inc)
-    assert sched.epsilon == pytest.approx(1.02e-9)
-    assert sched.window == pytest.approx(100.0)
+    detector = OneShotReset(ReframeSchedule(mode="auto"), params, inc,
+                            default_T1=None).detector
+    assert detector.epsilon == pytest.approx(1.02e-9)
+    assert detector.window == pytest.approx(100.0)
+
+
+def test_fixed_time_reset_fills_only_its_T1(two_cycle, monkeypatch):
+    # a fixed-time reset reads no correction scale: neither the in-degree
+    # nor omega_u
+    inc = build_incidence(two_cycle)
+    monkeypatch.setattr(type(inc), "max_in_degree", None)
+    params = SimpleNamespace(omega_u=None, k=None, q=np.zeros(2))
+    reset = OneShotReset(ReframeSchedule(mode="fixed-time"), params, inc,
+                         default_T1=7.5)
+    assert reset.detector is None and reset.events == [7.5]
 
 
 def test_staggered_reframe_reports_without_guarantees(e1):

@@ -646,11 +646,11 @@ def _per_step_run(scenario):
             break
         fired = not np.array_equal(next_fire, state.next_fire)
         reset.record(state.t, state.correction, state.measured)
-        if reset.pending and reset.schedule.mode == "auto":
-            history, schedule = reset.history, reset.schedule
+        if reset.pending and reset.detector is not None:
+            history, detector = reset.history, reset.detector
             firing = (~reset.done if window_trigger(
-                history.times, history.corrections, schedule.epsilon,
-                schedule.window) else None)
+                history.times, history.corrections, detector.epsilon,
+                detector.window) else None)
         else:
             firing = reset.firing(state.t)
         if firing is not None:
