@@ -3,21 +3,22 @@
 
     python3 scripts/ab_bench.py --base HEAD --workload discrete-fixed --pairs 10
 
-Exports the base revision with `git archive` into a temporary directory and
-runs `perfbench/run.py --workload W --seed 7 --seconds 25 --trace 0` once in
-each tree per pair, the base first in odd pairs and the working tree first
-in even ones, so that a drift of the host's speed falls on both sides.  It
-then prints, for each end-to-end metric of BENCHMARK.json, the base's and
+Exports the base revision with `git archive`, and the working tree's files
+(tracked and untracked, less the ignored ones), into two sibling temporary
+directories whose paths have the same length: the one-pass `peak_rss_mb` of
+a small workload moves by a few tenths of a MB with the path length alone.
+It runs `perfbench/run.py --workload W --seed 7 --seconds 25 --trace 0` once
+in each tree per pair, the base first in odd pairs and the working tree
+first in even ones, so that a drift of the host's speed falls on both sides.
+It then prints, for each end-to-end metric of BENCHMARK.json, the base's and
 the change's medians, the base's quartiles, and in how many pairs the change
-did better (in the metric's own direction).  The two trees sit at paths of
-different lengths, and the one-pass `peak_rss_mb` of a small workload can
-move by a few tenths of a MB with the path alone, so compare memory at
-equal-length paths before reading a small RSS difference as the code's.
+did better (in the metric's own direction).
 """
 
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -57,12 +58,30 @@ def summary(base: list, change: list, better: dict) -> list:
     return lines
 
 
+def trees(tmp: Path) -> tuple[Path, Path]:
+    """The base's and the working tree's directories in `tmp`: siblings whose
+    paths have the same length."""
+    return tmp / "base", tmp / "work"
+
+
 def export(rev: str, into: Path):
     """The tree of `rev` written into `into`."""
     tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(into, filter="data")
+
+
+def export_working_tree(into: Path):
+    """The working tree's files, tracked and untracked but not ignored,
+    copied into `into`; a tracked file deleted from the tree is left out."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=ROOT,
+                            capture_output=True, check=True).stdout
+    for name in sorted(set(listed.decode().split("\0")) - {""}):
+        if (ROOT / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
 
 
 def run_once(tree: Path, workload: str) -> dict:
@@ -85,9 +104,11 @@ def main() -> int:
 
     base, change = [], []
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
-        export(args.base, Path(tmp))
+        base_tree, work_tree = trees(Path(tmp))
+        export(args.base, base_tree)
+        export_working_tree(work_tree)
         for i in range(args.pairs):
-            sides = [(Path(tmp), base), (ROOT, change)]
+            sides = [(base_tree, base), (work_tree, change)]
             for tree, results in sides if i % 2 == 0 else sides[::-1]:
                 results.append(run_once(tree, args.workload))
             print(f"pair {i + 1}: base {base[-1]}, change {change[-1]}",

@@ -149,7 +149,8 @@ def cmd_run(cfg, out_dir: Path) -> int:
             for f in faults]
         _write(out_dir / "faults.csv", "\n".join(fault_lines) + "\n")
     else:
-        trace = run(system, schedule=cfg.schedule(), settings=cfg.integrator)
+        trace = run(system, schedule=cfg.schedule(),
+                    settings=cfg.continuous_settings(system))
     csv_bytes = trace_csv(trace)
 
     omega, correction, beta = trace.rows(slice(-1, None))

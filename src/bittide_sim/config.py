@@ -23,6 +23,9 @@ from .graph import (TOPOLOGY_KINDS, Topology, TopologyError, generate_topology,
                     reachable_from_node1)
 
 FEASIBLE = "feasible"
+# the most sample intervals (continuous) or steps (discrete) of one run: the
+# recorder holds a row of n + m values for each
+MAX_SAMPLES = 2**24
 
 
 class ConfigError(ValueError):
@@ -87,10 +90,24 @@ class ScenarioConfig:
     def schedule(self) -> ReframeSchedule | None:
         return self.reframe if self.controller == "reframing" else None
 
+    def continuous_settings(self, system: System) -> IntegratorSettings:
+        """The continuous run's settings for `system`, this config's prepared
+        system, once its sample count is within MAX_SAMPLES."""
+        horizon, post_horizon, interval = self.integrator.spans(system)
+        if self.schedule() is None:
+            post_horizon = 0.0
+        samples = (horizon + post_horizon) / interval
+        if not samples <= MAX_SAMPLES:
+            raise ConfigError(
+                f"config.integrator: horizon {horizon:.6g} and post_horizon "
+                f"{post_horizon:.6g} over sample_interval {interval:.6g} make "
+                f"{samples:.3g} samples; a run records at most {MAX_SAMPLES}")
+        return self.integrator
+
     def discrete_scenario(self, system: System) -> DiscreteScenario:
         """The discrete-mode run of `system`, this config's prepared system."""
         d = self.discrete
-        horizon = self.integrator.horizon
+        horizon, key = self.integrator.horizon, "integrator.horizon"
         if horizon is None:
             # same 50-e-fold rule the continuous runner applies, doubled to
             # leave room for the post-reframe phase
@@ -101,16 +118,26 @@ class ScenarioConfig:
                 and self.integrator.post_horizon is not None):
             # horizon is the total run length; stretch it only when an explicit
             # post-reframe span would not fit
-            horizon = max(horizon, self.reframe.T1 + self.integrator.post_horizon)
+            end = self.reframe.T1 + self.integrator.post_horizon
+            if end > horizon:
+                horizon, key = end, "reframe.T1"
         try:
-            return DiscreteScenario(system=system, capacity=d.capacity,
-                                    control_period=d.control_period,
-                                    quantization=d.quantization,
-                                    dt=self.integrator.dt, horizon=horizon,
-                                    reframe=self.schedule(),
-                                    continue_on_fault=d.continue_on_fault)
+            scenario = DiscreteScenario(system=system, capacity=d.capacity,
+                                        control_period=d.control_period,
+                                        quantization=d.quantization,
+                                        dt=self.integrator.dt, horizon=horizon,
+                                        reframe=self.schedule(),
+                                        continue_on_fault=d.continue_on_fault)
         except ValueError as exc:   # DiscreteScenario's range rules
             raise ConfigError(f"config.discrete: {exc}") from exc
+        dt = scenario.step_size()
+        # run_discrete takes ceil(horizon / dt - 1e-9) steps
+        if not horizon / dt - 1e-9 <= MAX_SAMPLES:
+            raise ConfigError(
+                f"config.{key}: a discrete horizon of {horizon:.6g} in steps "
+                f"of dt = {dt:.6g} is {horizon / dt:.3g} steps; a run takes "
+                f"at most {MAX_SAMPLES}")
+        return scenario
 
 
 def _type_name(v):

@@ -154,6 +154,16 @@ class IntegratorSettings:
     horizon: float | None = None       # pre-reframe horizon; None = 50 e-folds
     post_horizon: float | None = None  # time simulated after the reframe; None = horizon
 
+    def spans(self, system) -> tuple[float, float, float]:
+        """(horizon, post_horizon, sample_interval) of a run of the prepared
+        `system`, the unset ones from their defaults: 50 e-folds of its
+        slowest stable eigenvalue, the horizon, and 1/200 of the horizon."""
+        horizon = (self.horizon if self.horizon is not None
+                   else system.sd.horizon())
+        post_horizon = (self.post_horizon if self.post_horizon is not None
+                        else horizon)
+        return horizon, post_horizon, self.sample_interval or horizon / 200.0
+
 
 def feasible_offsets(src: np.ndarray, dst: np.ndarray, theta0: np.ndarray,
                      lam: np.ndarray) -> np.ndarray:
@@ -340,9 +350,7 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         raise ValueError("an auto reframe needs one offset per node, "
                          f"not a block of {len(params.q)}")
 
-    horizon = settings.horizon if settings.horizon is not None else system.sd.horizon()
-    post_horizon = settings.post_horizon if settings.post_horizon is not None else horizon
-    sample_dt = settings.sample_interval or horizon / 200.0
+    horizon, post_horizon, sample_dt = settings.spans(system)
 
     t_end = horizon + (post_horizon if schedule is not None else 0.0)
     reset = OneShotReset(schedule, params, inc, default_T1=horizon,

@@ -245,10 +245,12 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     batched law and the increment changes.  The advance runs through these
     fires for at most `scenario.block_steps` steps, and ends on a fire that
     leaves a clock not advancing.  A pending `reset` may end it sooner,
-    at the first row where its schedule fires: before each fire, and at
-    the end, its `cut` reads the rows that held the correction since the
-    last fire (the advance's last row is left to its `firing`), and the
-    advance stops before it forms a fire past the row where it ends.
+    at the first row where its schedule fires.  A fixed-time schedule reads
+    no corrections, so its `cut` of the step times caps the steps before
+    the loop.  The auto trigger's is asked before each fire, and at the
+    end, on the rows that held the correction since the last fire (the
+    advance's last row is left to its `firing`), and the advance stops
+    before it forms a fire past the row where it ends.
 
     The counters, the checks and the quantized occupancies are then formed
     once over all the rows.  A row that fails a check that ends the run
@@ -263,6 +265,11 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     rate = (omega_u + c) * dt
     steps = min(steps, scenario.block_steps)
     times = _step_times(state.t, dt, steps)
+    if reset is not None and reset.detector is None:
+        # the advance ends on the row that reaches the next T1, if it has one
+        steps = reset.cut(times, None, 0, steps) or steps
+        del times[steps:]
+        reset = None
     theta = np.empty((steps + 1, n))
     theta[0] = row = state.theta
     corrections = np.empty((steps, n))

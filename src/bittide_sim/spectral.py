@@ -200,31 +200,35 @@ _PADE = tuple((theta, np.array(b)) for theta, b in (
 
 
 def _pade(X: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The diagonal Pade approximant of e^X of degree m = len(b) - 1, whose
-    numerator has coefficients b and odd and even parts U and V:
-    (V - U)^{-1} (V + U) = I + 2 (V - U)^{-1} U.  The second form leaves the
-    row sums of a rate matrix's exponential at rounding level, as the
-    identity carries the 1 and U annihilates constants.
+    """The diagonal Pade approximant of e^X of degree m = len(b) - 1, for
+    each matrix of a (K, n, n) stack X, whose numerator has coefficients b
+    and odd and even parts U and V: (V - U)^{-1} (V + U) = I + 2 (V - U)^{-1}
+    U.  The second form leaves the row sums of a rate matrix's exponential
+    at rounding level, as the identity carries the 1 and U annihilates
+    constants.
 
     Each polynomial in the even powers X^2, X^4, .. is one product of its
-    coefficients with the stacked powers, written into a preallocated array.
-    X may be overwritten; at most seven n x n arrays are live at once.
+    coefficients with each matrix's stacked powers, written into a
+    preallocated array.  Stacked matmul and solve make one BLAS or LAPACK
+    call per matrix, and so does the coefficient vector times the (K, count,
+    n n) view of the powers, so every matrix gets the bits of a stack of
+    one.  X may be overwritten; at most seven stacks are live at once.
     """
-    n, m = X.shape[0], len(b) - 1
+    K, n, m = X.shape[0], X.shape[-1], len(b) - 1
     odd, even = b[1::2], b[0::2]   # odd[j] and even[j] multiply X^{2j}
     count = 3 if m == 13 else (m - 1) // 2
-    powers = np.empty((count, n, n))
+    powers = np.empty((count, K, n, n))
     np.matmul(X, X, out=powers[0])
     for j in range(1, count):
         np.matmul(powers[j - 1], powers[0], out=powers[j])
-    flat = powers.reshape(count, -1)
+    flat = powers.reshape(count, K, -1).transpose(1, 0, 2)
 
     def poly(coeffs, identity, out):
         # out = identity I + sum_j coeffs[j] X^{2j + 2}
-        np.dot(coeffs, flat, out=out.reshape(-1))
+        np.matmul(coeffs, flat, out=out.reshape(K, -1))
         if identity:
-            diagonal = out.reshape(-1)[::n + 1]
-            diagonal += identity
+            diagonals = out.reshape(K, -1)[:, ::n + 1]
+            diagonals += identity
         return out
 
     if m == 13:
@@ -246,8 +250,28 @@ def _pade(X: np.ndarray, b: np.ndarray) -> np.ndarray:
     V -= U
     E = np.linalg.solve(V, U)
     E *= 2.0
-    diagonal = E.reshape(-1)[::n + 1]
-    diagonal += 1.0
+    diagonals = E.reshape(K, -1)[:, ::n + 1]
+    diagonals += 1.0
+    return E
+
+
+def _scaling(norm: float) -> tuple[int, int]:
+    """(degree, s) for an exponent of 1-norm `norm` > 0: the index into
+    _PADE of the lowest degree m in {3, 5, 7, 9, 13} whose theta_m bounds
+    the norm, and above theta_13 a scaling by 2^-s, s = ceil(log2(norm /
+    theta_13)), that brings it under."""
+    for degree, (theta, _) in enumerate(_PADE):
+        if norm <= theta:
+            return degree, 0
+    return degree, math.ceil(math.log2(norm / theta))
+
+
+def _exponentials(X: np.ndarray, degree: int, s: int) -> np.ndarray:
+    """e^{2^s X} of each matrix of a (K, n, n) stack X: the approximant of
+    that degree, squared s times.  X may be overwritten."""
+    E = _pade(X, _PADE[degree][1])
+    for _ in range(s):
+        E = E @ E
     return E
 
 
@@ -258,20 +282,43 @@ def matrix_exponential(clm: ClosedLoopMatrix, t: float) -> np.ndarray:
     m in {3, 5, 7, 9, 13} whose theta_m bounds ||At||_1, and above
     theta_13 a scaling by 2^-s, s = ceil(log2(||At||_1 / theta_13)), undone
     by s squarings.  The package has no scipy dependency; its tests use
-    scipy.linalg.expm as the oracle.
+    scipy.linalg.expm as the oracle.  This is the stacked kernel of
+    `matrix_exponentials` on a stack of one.
     """
     if t < 0:
         raise ValueError(f"matrix exponential of the flow needs t >= 0, got {t}")
     norm = t * float(np.abs(clm.A).sum(axis=0).max())
     if norm == 0.0:
         return np.eye(clm.n)
-    s = 0
-    for theta, b in _PADE:
-        if norm <= theta:
-            break
-    else:
-        s = math.ceil(math.log2(norm / theta))
-    E = _pade(clm.A * (t * 2.0 ** -s), b)
-    for _ in range(s):
-        E = E @ E
-    return E
+    degree, s = _scaling(norm)
+    return _exponentials((clm.A * (t * 2.0 ** -s))[None], degree, s)[0]
+
+
+def matrix_exponentials(clms, times) -> list:
+    """e^{At} of each closed loop of `clms` at its time of `times`, bit for
+    bit its `matrix_exponential`.  Each matrix takes the degree and scaling
+    of its own ||At||_1; the matrices of one size, degree and scaling are
+    one stack, which takes one kernel and its s squarings."""
+    if any(t < 0 for t in times):
+        raise ValueError(f"matrix exponential of the flow needs t >= 0, got "
+                         f"{min(times)}")
+    out = [None] * len(clms)
+    by_n = {}
+    for i, clm in enumerate(clms):
+        by_n.setdefault(clm.n, []).append(i)
+    for n, members in by_n.items():
+        A = np.stack([clms[i].A for i in members])
+        t = np.array([times[i] for i in members])
+        groups = {}
+        for j, norm in enumerate((t * np.abs(A).sum(axis=1).max(axis=1))
+                                 .tolist()):
+            if norm == 0.0:
+                out[members[j]] = np.eye(n)
+            else:
+                groups.setdefault(_scaling(norm), []).append(j)
+        for (degree, s), stack in groups.items():
+            scales = t[stack] * 2.0 ** -s
+            E = _exponentials(A[stack] * scales[:, None, None], degree, s)
+            for j, e in zip(stack, E):
+                out[members[j]] = e
+    return out

@@ -24,7 +24,7 @@ from .dynamics import (IntegratorSettings, SimTrace, System, SystemParams,
                        exact_flow_operators, feasible_offsets,
                        make_system_params, prepare, run)
 from .graph import Topology, TopologyError, edge_endpoints, generate_topology
-from .spectral import (SpectralError, matrix_exponential, predict_beta_ss,
+from .spectral import (SpectralError, matrix_exponentials, predict_beta_ss,
                        predict_omega_ss, steady_state_correction)
 
 TOL_ALGEBRA = 1e-10       # exact identities
@@ -36,6 +36,8 @@ INFEASIBLE_MIN_GAP = 1e-3  # centering must fail at least this much
 K_RANGE = (0.05, 1.0)
 OMEGA_RANGE = (0.95, 1.05)
 EXTRA_EDGE_MAX = 0.5      # the most extra_edge_fraction a scenario draws
+# the spectral identities test e^{At} at these multiples of 1/|Re lambda_2|
+IDENTITY_SPANS = (0.1, 1.0, 10.0)
 
 PASS, FAIL = "pass", "fail"
 NOT_APPLICABLE = "not-applicable"
@@ -97,6 +99,33 @@ class Scenario:
         return run(replace(system, params=system.params.with_q(self.offsets)),
                    schedule=ReframeSchedule(mode="fixed-time", T1=horizon),
                    settings=settings)
+
+    @cached_property
+    def identity_exponentials(self) -> list:
+        """e^{At} at each of IDENTITY_SPANS over the decay rate, from the
+        scenario's own stack of three; `run_battery` fills this for all of
+        its scenarios at once."""
+        return _identity_exponentials([self.system])[0]
+
+
+def _fill_identity_exponentials(scenarios):
+    """Fills the `identity_exponentials` cache of each of the prepared
+    `scenarios` from one stacked call."""
+    for sc, exponentials in zip(scenarios, _identity_exponentials(
+            [sc.system for sc in scenarios])):
+        vars(sc)["identity_exponentials"] = exponentials
+
+
+def _identity_exponentials(systems) -> list:
+    """For each system, its e^{At} at each of IDENTITY_SPANS over its decay
+    rate, all from one stacked `matrix_exponentials` call."""
+    spans = len(IDENTITY_SPANS)
+    exponentials = matrix_exponentials(
+        [system.clm for system in systems for _ in IDENTITY_SPANS],
+        [x / system.sd.decay_rate() for system in systems
+         for x in IDENTITY_SPANS])
+    return [exponentials[i:i + spans]
+            for i in range(0, len(exponentials), spans)]
 
 
 # errors of prepare that make a scenario invalid for the closed-loop checks
@@ -253,8 +282,7 @@ def check_spectral_identities(verdict, scenario: Scenario, system: System) -> Ve
         float(np.abs(A @ W).max()) / scale,
     )
     stochastic_ok = True
-    for s in (0.1, 1.0, 10.0):
-        E = matrix_exponential(clm, s / sd.decay_rate())
+    for E in scenario.identity_exponentials:
         stochastic_ok &= float(np.abs(E.sum(axis=1) - 1.0).max()) <= 1e-10
         stochastic_ok &= float(E.min()) >= -1e-12
     status = PASS if worst <= TOL_ALGEBRA and stochastic_ok else FAIL
@@ -309,9 +337,27 @@ def _defective_scenario() -> Scenario:
                     label="defective-stable-part")
 
 
-def _is_diagonalizable(A: np.ndarray, tol: float = 1e8) -> bool:
+def _is_diagonalizable(A: np.ndarray, tol: float = 1e8):
+    """Whether A has a well-conditioned eigenbasis; for a (K, n, n) stack,
+    one flag per matrix, from one `eig` and one `cond`."""
     _, vecs = np.linalg.eig(A)
-    return bool(np.linalg.cond(vecs) < tol)
+    return np.linalg.cond(vecs) < tol
+
+
+def _last_non_diagonalizable(scenarios) -> dict | None:
+    """The fingerprint of the last of the prepared `scenarios` whose closed
+    loop is not diagonalizable, or None: one probe per size n."""
+    by_n = {}
+    for i, sc in enumerate(scenarios):
+        by_n.setdefault(sc.topology.n, []).append(i)
+    last = -1
+    for members in by_n.values():
+        flags = _is_diagonalizable(
+            np.stack([scenarios[i].system.clm.A for i in members]))
+        defective = np.flatnonzero(~flags)
+        if defective.size:
+            last = max(last, members[defective[-1]])
+    return scenarios[last].fingerprint() if last >= 0 else None
 
 
 def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
@@ -326,15 +372,22 @@ def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
                  for i in range(count)]
     if count > 0:
         scenarios.append(_defective_scenario())
-    # in seed order, popped so that each scenario's cached system, traces and
-    # flow operators are freed once its checks have run
     scenarios.sort(key=lambda s: s.seed)
+    # the system-only probes run stacked by n over every prepared scenario:
+    # the diagonalizability probe, and the identity exponentials each
+    # scenario caches for its check
+    prepared = [sc for sc in scenarios
+                if not isinstance(sc._prepared, Exception)]
+    non_diag = _last_non_diagonalizable(prepared)
+    _fill_identity_exponentials(prepared)
+    del prepared
+    # popped in seed order, so that each scenario's cached system, traces
+    # and flow operators are freed once its checks have run
     scenarios.reverse()
 
     rows = []
     worst: dict[str, float] = {}
     counts: dict[str, dict[str, int]] = {}
-    non_diag = None
     while scenarios:
         sc = scenarios.pop()
         verdicts = [chk(sc) for chk in ALL_CHECKS]
@@ -345,9 +398,6 @@ def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
             counts[v.check][v.status] += 1
             if v.residual is not None:
                 worst[v.check] = max(worst.get(v.check, 0.0), v.residual)
-        if (not isinstance(sc._prepared, Exception)
-                and not _is_diagonalizable(sc.system.clm.A)):
-            non_diag = sc.fingerprint()
 
     if infeasible_count is None:
         infeasible_count = min(count, 20)

@@ -55,3 +55,11 @@ def test_summary_gives_medians_base_quartiles_and_wins(ab_bench):
         "pass_rate    base 1 (quartiles 1 / 1), change 1, "
         "change better in 0 of 4",
     ]
+
+
+def test_trees_are_sibling_paths_of_equal_length(ab_bench, tmp_path):
+    # the one-pass peak RSS of a small workload moves with the path length
+    base, work = ab_bench.trees(tmp_path)
+    assert base != work
+    assert base.parent == work.parent == tmp_path
+    assert len(str(base)) == len(str(work))

@@ -12,6 +12,8 @@ import pytest
 
 from bittide_sim import (ReframeSchedule, cli, generate_topology,
                          make_system_params, prepare, run)
+from bittide_sim import config as config_mod
+from bittide_sim import controller
 from bittide_sim.cli import _fmt, main, read_trace_csv, trace_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -256,6 +258,56 @@ def test_reframe_value_out_of_range_exits_2_naming_its_key(
     err = _rejected(tmp_path, capsys, _e1_with(tmp_path, reframe=reframe),
                     *mode)
     assert err.startswith(f"error: config.reframe.{key}: must be {rule}, got ")
+
+
+@pytest.fixture
+def no_recorder(monkeypatch):
+    """A run that sizes its recorder fails the test: a rejection must come
+    before any allocation."""
+    def refused(*args, **kwargs):
+        raise AssertionError("the run sized its recorder")
+
+    monkeypatch.setattr(controller.CorrectionHistory, "__init__", refused)
+
+
+def test_huge_continuous_horizon_exits_2_naming_it(tmp_path, capsys,
+                                                   no_recorder):
+    # 4e299 samples ended in a traceback from the recorder's np.empty
+    err = _rejected(tmp_path, capsys, _e1_integrator(tmp_path, horizon=1e300))
+    assert err == ("error: config.integrator: horizon 1e+300 and post_horizon "
+                   "250 over sample_interval 2.5 make 4e+299 samples; a run "
+                   "records at most 16777216\n")
+
+
+def test_huge_discrete_horizon_exits_2_naming_it(tmp_path, capsys,
+                                                 no_recorder):
+    err = _rejected(tmp_path, capsys, _e1_integrator(tmp_path, horizon=1e300),
+                    "--discrete")
+    assert err.startswith("error: config.integrator.horizon: a discrete "
+                          "horizon of 1e+300 in steps of dt = 0.245098 is ")
+    assert err.endswith(" steps; a run takes at most 16777216\n")
+
+
+def test_huge_discrete_T1_exits_2_naming_it(tmp_path, capsys, no_recorder):
+    # a fixed T1 past the horizon stretches a discrete run to T1 + post_horizon
+    config = _e1_with(tmp_path, reframe={"mode": "fixed-time", "T1": 1e300})
+    err = _rejected(tmp_path, capsys, config, "--discrete")
+    assert err.startswith("error: config.reframe.T1: a discrete horizon of "
+                          "1e+300 in steps of dt = 0.245098 is ")
+
+
+@pytest.mark.parametrize("mode, limit", [([], 200), (["--discrete"], 2040)],
+                         ids=["continuous", "discrete"])
+def test_sample_bound_admits_a_run_at_the_bound(tmp_path, capsys, monkeypatch,
+                                                mode, limit):
+    # e1 samples 500 / 2.5 = 200 intervals, and its discrete run takes 2040
+    # steps of dt = 1/(4 max omega_u) to T1 + post_horizon = 500; one fewer
+    # allowed rejects it
+    monkeypatch.setattr(config_mod, "MAX_SAMPLES", limit)
+    assert run_cli("run", "--config", CONFIG_DIR / "e1.json",
+                   "--out", tmp_path / "a", *mode) == 0
+    monkeypatch.setattr(config_mod, "MAX_SAMPLES", limit - 1)
+    _rejected(tmp_path, capsys, CONFIG_DIR / "e1.json", *mode)
 
 
 def test_unknown_key_fails_strict_passes_lenient(tmp_path):

@@ -741,3 +741,30 @@ def test_block_loop_matches_the_per_step_loop_bit_for_bit(scenario, capped):
     assert trace.reframe_time == reference.reframe_time
     assert trace.aborted == reference.aborted
     assert len(advances) >= events if capped else len(advances) == events
+
+
+def test_fixed_time_cut_is_asked_once_per_advance(monkeypatch):
+    # a fixed-time schedule reads no corrections: each advance resolves its
+    # cut before the loop, not at each of e1's 290 pre-reframe fires, and
+    # the advance still ends on the reframe row
+    cfg = parse_config(CONFIG_DIR / "e1_discrete.json")
+    scenario = cfg.discrete_scenario(cfg.system())
+    cuts, pending = [], []
+    cut, step = OneShotReset.cut, framesim.discrete_step
+
+    def counted_cut(self, *args):
+        cuts.append(cut(self, *args))
+        return cuts[-1]
+
+    def counted_step(state, scenario, params, dt, steps=1, reset=None):
+        pending.append(reset is not None)
+        return step(state, scenario, params, dt, steps, reset)
+
+    monkeypatch.setattr(OneShotReset, "cut", counted_cut)
+    monkeypatch.setattr(framesim, "discrete_step", counted_step)
+    trace = run_discrete(scenario)
+    assert len(cuts) == sum(pending) == 1
+    # row 0 is the initial state, so the advance's last row is the first
+    # step time past T1 = 250, the reframe instant
+    assert trace.times[cuts[0]] == trace.reframe_time
+    assert trace.times[cuts[0] - 1] < 250.0 <= trace.reframe_time

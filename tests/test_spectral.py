@@ -15,6 +15,7 @@ from bittide_sim import (SpectralError, Topology, build_closed_loop,
                          predict_beta_ss, predict_omega_ss, prepare, spectral,
                          steady_state_correction)
 from bittide_sim.config import parse_config
+from bittide_sim.verify import make_random_scenario
 from conftest import random_scenario, spectral_setup
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -365,6 +366,69 @@ def test_matrix_exponential_agrees_with_scipy(rate_matrices):
             if norm <= PADE_THETA[-1] * 2.0 ** 9:
                 assert np.abs(E.sum(axis=1) - 1).max() <= 1e-13, (name, norm)
         assert matrix_exponential(clm, 0.0).tobytes() == np.eye(clm.n).tobytes()
+
+
+# Higham's choice in bands of ||At||_1, as (lower, upper]: degrees 3, 5, 7, 9
+# and 13 unscaled, then degree 13 with s = 1 .. 8 squarings
+PADE_BANDS = list(zip((0.0,) + PADE_THETA[:-1], PADE_THETA)) + [
+    (PADE_THETA[-1] * 2.0 ** (s - 1), PADE_THETA[-1] * 2.0 ** s)
+    for s in range(1, 9)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_stacked_exponentials_equal_single_calls_bit_for_bit(data):
+    # K = 1-5 battery closed loops, each at a time inside a drawn band; the
+    # stacked call groups them by size, degree and scaling, and must give
+    # every matrix the bits of its own call, in mixed and shared groups
+    K = data.draw(st.integers(1, 5), label="K")
+    seeds = data.draw(st.lists(st.integers(0, 10**6), min_size=K,
+                               max_size=K), label="seeds")
+    if data.draw(st.booleans(), label="one closed loop"):
+        seeds = seeds[:1] * K
+    shared = data.draw(st.sampled_from([None] + PADE_BANDS), label="band")
+    clms = [make_random_scenario(seed).system.clm for seed in seeds]
+    times = []
+    for clm in clms:
+        low, high = shared or data.draw(st.sampled_from(PADE_BANDS))
+        fraction = data.draw(st.floats(0.0, 1.0, exclude_min=True))
+        times.append((low + fraction * (high - low))
+                     / np.abs(clm.A).sum(axis=0).max())
+    stacked = spectral.matrix_exponentials(clms, times)
+    assert len(stacked) == K
+    for clm, t, E in zip(clms, times, stacked):
+        assert E.tobytes() == matrix_exponential(clm, t).tobytes()
+
+
+def test_stacked_exponentials_cover_every_band_in_one_call():
+    # the battery's three identity spans and every band's midpoint, for
+    # closed loops of several sizes, two of each size: one call, and each
+    # (n, degree, s) group a stack of at least two
+    scenarios = [make_random_scenario(seed) for seed in range(40)]
+    by_n = {}
+    for sc in scenarios:
+        by_n.setdefault(sc.topology.n, []).append(sc.system)
+    systems = [s for group in by_n.values() if len(group) > 1
+               for s in group[:2]]
+    assert len({s.clm.n for s in systems}) >= 5
+    clms, times = [], []
+    for system in systems:
+        norm1 = np.abs(system.clm.A).sum(axis=0).max()
+        spans = [x / system.sd.decay_rate() for x in (0.1, 1.0, 10.0)]
+        spans += [0.5 * (low + high) / norm1 for low, high in PADE_BANDS]
+        clms += [system.clm] * len(spans)
+        times += spans
+    choices = {spectral._scaling(t * np.abs(c.A).sum(axis=0).max())
+               for c, t in zip(clms, times)}
+    assert choices >= {(degree, 0) for degree in range(5)} | {
+        (4, s) for s in range(1, 9)}
+    for clm, t, E in zip(clms, times,
+                         spectral.matrix_exponentials(clms, times)):
+        assert E.tobytes() == matrix_exponential(clm, t).tobytes()
+    with pytest.raises(ValueError, match="t >= 0"):
+        spectral.matrix_exponentials(clms[:2], [1.0, -1.0])
+    assert spectral.matrix_exponentials(clms[:1], [0.0])[0].tobytes() == \
+        np.eye(clms[0].n).tobytes()
 
 
 def test_matrix_exponential_working_set():

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import warnings
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from bittide_sim import (IntegratorSettings, ReframeSchedule, Topology,
                          TopologyError, build_incidence, cli, dynamics, graph,
-                         make_system_params, prepare, run)
+                         make_system_params, prepare, run, verify)
 from bittide_sim.spectral import matrix_exponential
 from bittide_sim.verify import (ALL_CHECKS, Scenario, check_correction_limit,
                                 check_feasible_residual, check_occupancy_limit,
@@ -182,6 +183,52 @@ def test_battery_exercises_non_diagonalizable_matrix():
     assert not _is_diagonalizable(clm.A)
     labels = [row["scenario"]["label"] for row in report["scenarios"]]
     assert "defective-stable-part" in labels
+
+
+def test_stacked_probe_matches_per_matrix_and_each_trace_is_freed(
+        monkeypatch):
+    # the battery probes diagonalizability once per n, before its checks:
+    # every scenario gets its per-matrix answer, and the report names the
+    # last non-diagonalizable one in seed order.  Each scenario's trace is
+    # freed once its checks have run, so the battery's memory stays one
+    # scenario's
+    probe = verify._is_diagonalizable
+    stacked = []
+
+    def stacked_probe(A):
+        flags = probe(A)
+        assert A.ndim == 3 and len({len(a) for a in A}) == 1
+        for matrix, flag in zip(A, flags):
+            assert flag == probe(matrix)
+        stacked.append(len(A))
+        return flags
+
+    seen = []       # (seed, per-matrix flag, weakref of the trace)
+    first, last = ALL_CHECKS[0], ALL_CHECKS[-1]
+
+    def first_check(scenario):
+        assert all(trace() is None for _, _, trace in seen)
+        return first(scenario)
+
+    def last_check(scenario):
+        verdict = last(scenario)
+        seen.append((scenario.seed, bool(probe(scenario.system.clm.A)),
+                     weakref.ref(scenario.trace)))
+        return verdict
+
+    monkeypatch.setattr(verify, "_is_diagonalizable", stacked_probe)
+    monkeypatch.setattr(verify, "ALL_CHECKS",
+                        (first_check, *ALL_CHECKS[1:-1], last_check))
+    report = run_battery(count=30, seed=7, infeasible_count=0)
+    assert report["all_pass"]
+    assert len(seen) == len(report["scenarios"]) == 31
+    assert sum(stacked) == 31 and len(stacked) == len(
+        {row["scenario"]["n"] for row in report["scenarios"]})
+    assert all(trace() is None for _, _, trace in seen)
+    seeds = [seed for seed, _, _ in seen]
+    assert seeds == sorted(seeds)
+    defective = [seed for seed, flag, _ in seen if not flag]
+    assert report["summary"]["non_diagonalizable"]["seed"] == defective[-1]
 
 
 def test_battery_empty_run():
