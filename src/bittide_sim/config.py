@@ -7,7 +7,6 @@ Parsed configs are plain-data dataclasses, so an emitted config re-parses to
 an equal object.
 """
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -20,7 +19,7 @@ from .dynamics import (IntegratorSettings, System, SystemParams,
                        make_system_params, prepare)
 from .framesim import DiscreteScenario
 from .graph import (TOPOLOGY_KINDS, Topology, TopologyError, generate_topology,
-                    reachable_from_node1)
+                    stranded_node)
 
 FEASIBLE = "feasible"
 # the most sample intervals (continuous) or steps (discrete) of one run: the
@@ -131,8 +130,7 @@ class ScenarioConfig:
         except ValueError as exc:   # DiscreteScenario's range rules
             raise ConfigError(f"config.discrete: {exc}") from exc
         dt = scenario.step_size()
-        # run_discrete takes ceil(horizon / dt - 1e-9) steps
-        if not horizon / dt - 1e-9 <= MAX_SAMPLES:
+        if not scenario.step_count <= MAX_SAMPLES:
             raise ConfigError(
                 f"config.{key}: a discrete horizon of {horizon:.6g} in steps "
                 f"of dt = {dt:.6g} is {horizon / dt:.3g} steps; a run takes "
@@ -233,21 +231,13 @@ def _parse_topology(raw: dict, strict: bool):
             topology = Topology(n=n, edges=tuple(edges))
         except TopologyError as exc:
             raise ConfigError(f"config.topology: {exc}") from exc
-        _require_strongly_connected(topology)
+        if (stranded := stranded_node(topology)) is not None:
+            raise ConfigError(
+                f"config.topology: not strongly connected; node {stranded} "
+                "is unreachable from or cannot reach node 1")
         return None, tuple(edges), n, 0, 0.0, topology
     raise ConfigError("config.topology: expected a kind string or an object "
                       "with 'edges'")
-
-
-def _require_strongly_connected(topology: Topology):
-    both = (reachable_from_node1(topology)
-            & reachable_from_node1(topology, reverse=True))
-    if len(both) < topology.n:
-        # the smallest stranded node, within len(both) + 1 of node 1
-        stranded = next(i for i in itertools.count(1) if i not in both)
-        raise ConfigError(
-            f"config.topology: not strongly connected; node {stranded} is "
-            "unreachable from or cannot reach node 1")
 
 
 _TOP_KEYS = {"topology", "n", "topology_seed", "extra_edge_fraction", "k",

@@ -165,7 +165,7 @@ class CorrectionHistory:
     or its shape when a sample records a block of rows; `size` is the
     samples a run expects.
 
-    Appending is amortized O(n + width) per row, and `times`, `corrections`
+    Recording is amortized O(n + width) per row, and `times`, `corrections`
     and `rows` are views of the filled prefix, so the auto trigger's
     detector reads the history without a copy, and a trace can keep them.
     """
@@ -178,19 +178,6 @@ class CorrectionHistory:
 
     def __len__(self):
         return self._len
-
-    def append(self, t: float, c: np.ndarray | None,
-               row: np.ndarray | None = None):
-        """Append a sample; c None leaves its correction for the caller to
-        write into `corrections` before anything reads it."""
-        if self._len == len(self._t):
-            self._reserve(self._len + 1)
-        self._t[self._len] = t
-        if c is not None:
-            self._c[self._len] = c
-        if row is not None:
-            self._rows[self._len] = row
-        self._len += 1
 
     def extend(self, times, c: np.ndarray, rows: np.ndarray | None = None):
         """Append a sample at each of `times` in one step: c (and rows) is
@@ -263,12 +250,13 @@ class OneShotReset:
     its offset q exactly once, at its T1 or when the auto trigger sees a stable
     correction.
 
-    Both run loops `record` each sample (its row into `history`, its `mode`
-    into `modes`), ask `firing(t)` which nodes reset on it, `freeze` those,
-    and record the post row.  `time` is set once the last node has reset.
-    A sample's correction has the shape of params.q, `width` is the length
-    (or shape) of the extra row each sample records, and `samples` the rows
-    a loop expects to record besides the reset's own.
+    The reset runs both modes' loop, `drive`: it records the rows a mode
+    advances through (into `history`, each row's `mode` into `modes`), asks
+    `firing(t)` which nodes reset on the last, and `freeze`s those.  `time`
+    is set once the last node has reset.  A sample's correction has the
+    shape of params.q, `width` is the length (or shape) of the extra row
+    each sample records, and `samples` the rows a run expects to record
+    besides the reset's own.
     """
 
     def __init__(self, schedule: ReframeSchedule | None, params,
@@ -303,9 +291,24 @@ class OneShotReset:
         self.history = CorrectionHistory(params.q.shape, width,
                                          samples + 2 * reframes)
 
-    def record(self, t: float, c: np.ndarray, row: np.ndarray):
-        self.history.append(t, c, row)
-        self.modes.append(self.mode)
+    def drive(self, params, advance):
+        """Run a mode to its end and return its last params.  `advance(params,
+        firing)` gives the rows up to the next decision, as (times,
+        corrections, rows), or None once the run is over; firing is the mask
+        of the nodes frozen on the last row it gave, or None.  The run's
+        first row, and the post row of each freeze, lead the next block.
+        The rows are recorded, `firing` is asked on the last, and the nodes
+        it names are frozen into params.q; at the end `finish` warns if the
+        schedule never fired.  An error raised by advance ends the run
+        unfinished."""
+        firing = None
+        while (block := advance(params, firing)) is not None:
+            self.record_rows(*block)
+            firing = self.firing(block[0][-1])
+            if firing is not None:
+                params = params.with_q(self.freeze(params.q, firing))
+        self.finish()
+        return params
 
     def record_rows(self, times, c: np.ndarray, rows: np.ndarray):
         """Record a sample at each of `times`: c is one correction row for
@@ -328,13 +331,13 @@ class OneShotReset:
         return ~self.done & (t >= self._T1 - 1e-12)
 
     def cut(self, times, corrections, start: int, end: int) -> int | None:
-        """Where a loop's coming samples at `times` (non-decreasing), with
+        """Where a mode's coming samples at `times` (non-decreasing), with
         one correction row each, end early: rows [start, end) of them hold
         one correction and follow the rows before start, which follow the
         history.  Returns the count of samples through the first of those
-        rows on which the schedule fires, or None.  A loop records the
-        samples it keeps and asks `firing` on the last, so it passes every
-        row but that one."""
+        rows on which the schedule fires, or None.  `drive` records the
+        samples an advance keeps and asks `firing` on the last, so an
+        advance passes every row but that one."""
         if not self.pending or end <= start:
             return None
         first = self._first(times, corrections, start, end, self.history)
@@ -371,15 +374,16 @@ class OneShotReset:
 
     def finish(self):
         """Warn once if the run ended with its schedule unfired: an auto
-        trigger that never fired, or a node whose fixed T1 was never reached."""
+        trigger that never fired, or a node whose fixed T1 was never reached.
+        The warning names the caller of the mode's run, which calls `drive`."""
         if not self.pending:
             return
         if self.detector is not None:
             warnings.warn(f"auto reframe never fired: epsilon = "
                           f"{self.detector.epsilon:.3g}, window = "
-                          f"{self.detector.window:.6g}", stacklevel=3)
+                          f"{self.detector.window:.6g}", stacklevel=4)
             return
         i = int(np.flatnonzero(~self.done)[0])
         warnings.warn(f"fixed-time reframe never fired: node {i + 1} has "
                       f"T1 = {self._T1[i]:.6g}, past the last sample at "
-                      f"t = {self.history.times[-1]:.6g}", stacklevel=3)
+                      f"t = {self.history.times[-1]:.6g}", stacklevel=4)

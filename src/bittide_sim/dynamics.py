@@ -303,20 +303,6 @@ def step(theta: np.ndarray, params: SystemParams, clm: ClosedLoopMatrix,
     raise ValueError(f"unknown integration method {method!r}")
 
 
-def _substeps(theta: np.ndarray, t: float, params: SystemParams,
-              clm: ClosedLoopMatrix, span: float,
-              settings: IntegratorSettings) -> tuple[np.ndarray, float]:
-    """(theta, t) advanced by span in equal rk4/euler substeps of at most
-    settings.dt, by default a stability bound / 8; t adds each substep."""
-    sub = settings.dt or stability_bound(clm.inc, clm.k) / 8.0
-    steps = max(1, int(np.ceil(span / sub - 1e-12)))
-    h = span / steps
-    for _ in range(steps):
-        theta = step(theta, params, clm, h, settings.method)
-        t += h
-    return theta, t
-
-
 def run(system: System, *, schedule: ReframeSchedule | None = None,
         settings: IntegratorSettings = IntegratorSettings()) -> SimTrace:
     """Simulate the prepared system and sample the observables.
@@ -337,10 +323,10 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     fixed-time schedule freezes each row's own correction into that row; an
     auto schedule compares single correction rows, so it needs a 1-D q.
 
-    Each sample records its phases; the corrections of the rows recorded so
-    far are formed in one batched product where something reads them: on
-    every row while the auto trigger watches, before a freeze, and at the
-    end of the run.
+    The reset's `drive` runs the loop.  Each advance steps from the last
+    row through the next row on which the schedule may fire: one row while
+    the auto trigger watches, else every row through the next T1 or the
+    end.  It forms the corrections of its rows in one batched product.
     """
     if system.sd is None:
         raise ValueError(
@@ -351,87 +337,96 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
                          f"not a block of {len(params.q)}")
 
     horizon, post_horizon, sample_dt = settings.spans(system)
-
+    tol = 1e-9 * sample_dt
     t_end = horizon + (post_horizon if schedule is not None else 0.0)
     reset = OneShotReset(schedule, params, inc, default_T1=horizon,
                          width=params.q.shape,
                          samples=math.ceil(t_end / sample_dt) + 1)
-    history = reset.history
-    exact = settings.method == "exact"
+    method = settings.method
+    sub = (None if method == "exact"
+           else settings.dt or stability_bound(clm.inc, clm.k) / 8.0)
     # (Phi, Psi) per span, built once for every run of this closed loop or
     # of this run alone; (Phi, w = Psi v) per span while q, so v, holds
     ops = {} if system.flow_ops is None else system.flow_ops
     held = {}
     A, r, n, add = clm.A, clm.r, inc.n, np.add.reduce
-    K = len(params.q) if params.q.ndim > 1 else 1
-    formed = 0      # the recorded rows whose correction is formed
-
-    def form():
-        # the correction of each row recorded since the last call, as
-        # `observe` forms it per row: each row's phases are a C-contiguous
-        # (n, K) block (K = 1 for a 1-D q) whose mean is summed and divided
-        # as ndarray.mean does, and A multiplies each block as one product
-        nonlocal formed
-        rows = history.rows[formed:]
-        theta = np.ascontiguousarray(rows.reshape(-1, K, n).transpose(0, 2, 1))
-        c = A @ (theta - add(theta, axis=1, keepdims=True) / n)
-        out = history.corrections[formed:]
-        np.add(c.transpose(0, 2, 1).reshape(rows.shape), params.q, out=out)
-        out += r
-        formed = len(history)
-
     t, theta = 0.0, system.theta0
     if params.q.ndim > 1:
-        theta = np.repeat(theta[:, None], K, axis=1)
-    while True:
-        reset.record(t, None, theta.T)
-        if reset.pending and reset.detector is not None:
-            form()      # the auto trigger reads this row's correction
-        firing = reset.firing(t)
+        theta = np.repeat(theta[:, None], len(params.q), axis=1)
+
+    def advance(params, firing):
+        # the rows from (t, theta), the run's first row or a post row, or
+        # else from the row after it, through the next row on which the
+        # schedule may fire
+        nonlocal t, theta, t_end
+        lead = int(firing is not None or not len(reset.history))
         if firing is not None:
-            # the row above is the pre-mode row at the reframe instant
-            form()
-            params = params.with_q(reset.freeze(params.q, firing))
-            held.clear()
+            held.clear()        # q has changed, so every w
             if reset.time is not None:
                 t_end = t + post_horizon
-            reset.record(t, None, theta.T)
         # the accumulated sample times can end a hair short of t_end; a step
         # to t_end would then record a near-duplicate last sample
-        if t >= t_end - 1e-9 * sample_dt:
-            break
-        t_next = min(t + sample_dt, t_end)
-        if reset.events and reset.events[0] <= t_next + 1e-12:
-            t_next = reset.events[0]  # sample the reframe instant itself
-        # an unclipped step spans exactly sample_dt, so every such step reuses
-        # one flow operator; t_next - t drifts in its last bits.  A step
-        # clipped to t_end within the exit test's 1e-9 sample intervals of
-        # sample_dt takes that operator too, and still lands on t_end
-        span = t_next - t
-        clipped = t_next == t_end and abs(span - sample_dt) <= 1e-9 * sample_dt
-        if clipped or t_next == t + sample_dt:
-            span = sample_dt
-        if exact:
-            flow = held.get(span)
-            if flow is None:
-                phi_psi = ops.get(span)
-                if phi_psi is None:
-                    phi_psi = exact_flow_operators(clm, system.sd, span)
-                    ops[span] = phi_psi
-                flow = held[span] = phi_psi[0], phi_psi[1] @ _drift(clm, params)
-            theta = step(theta, params, clm, span, "exact", _flow=flow)
-            t += span
-        else:
-            theta, t = _substeps(theta, t, params, clm, span, settings)
-        if clipped:
-            t = t_end
+        elif not lead and t >= t_end - tol:
+            return None
+        times, substeps, s = [t] * lead, [], t
+        watch = reset.pending and reset.detector is not None
+        event = reset.events[0] if reset.events else math.inf
+        while s < t_end - tol and not (watch and times):
+            t_next = min(s + sample_dt, t_end)
+            at_event = event <= t_next + 1e-12
+            if at_event:
+                t_next = event      # sample the reframe instant itself
+            # an unclipped step spans exactly sample_dt, so every such step
+            # reuses one flow operator; t_next - s drifts in its last bits.
+            # A step clipped to t_end within tol of sample_dt takes that
+            # operator too, and still lands on t_end
+            span = t_next - s
+            clipped = t_next == t_end and abs(span - sample_dt) <= tol
+            if clipped or t_next == s + sample_dt:
+                span = sample_dt
+            # rk4 and euler take the fewest equal substeps of at most sub,
+            # and t adds each
+            count = max(1, int(np.ceil(span / sub - 1e-12))) if sub else 1
+            h = span / count
+            for _ in range(count):
+                s += h
+            s = t_end if clipped else s
+            times.append(s)
+            substeps.append((count, h))
+            if at_event:
+                break
+        if reset.events:
+            # the rows through the first that reaches the next T1, by the
+            # test `firing` applies; the last row is left to `firing`
+            del times[reset.cut(times, None, 0, len(times) - 1)
+                      or len(times):]
+        rows = np.empty((len(times), *theta.shape))
+        rows[:lead] = theta
+        for i, (count, h) in enumerate(substeps[:len(times) - lead], lead):
+            if method == "exact" and h not in held:
+                if h not in ops:
+                    ops[h] = exact_flow_operators(clm, system.sd, h)
+                held[h] = ops[h][0], ops[h][1] @ _drift(clm, params)
+            for _ in range(count):
+                theta = step(theta, params, clm, h, method, _flow=held.get(h))
+            rows[i] = theta
+        t = times[-1]
+        # the rows' corrections as `observe` forms each: a row's phases are
+        # a C-contiguous (n, K) block (K = 1 for a 1-D q) whose mean is
+        # summed and divided as ndarray.mean does, and A multiplies each
+        # block as one product
+        blocks = rows.reshape(len(rows), n, -1)
+        c = A @ (blocks - add(blocks, axis=1, keepdims=True) / n)
+        c = np.add(c.transpose(0, 2, 1).reshape(len(rows), *params.q.shape),
+                   params.q)
+        c += r
+        return times, c, blocks.transpose(0, 2, 1).reshape(c.shape)
 
-    form()
-    reset.finish()
+    params = reset.drive(params, advance)
     trace = SimTrace(
-        times=history.times,
-        theta=history.rows,
-        correction=history.corrections,
+        times=reset.history.times,
+        theta=reset.history.rows,
+        correction=reset.history.corrections,
         omega_u=params.omega_u,
         inc=inc,
         lam=params.lam,

@@ -99,6 +99,12 @@ class DiscreteScenario:
         return max(BLOCK_ENTRIES // max(inc.n, inc.m), 1)
 
     @property
+    def step_count(self) -> float:
+        """horizon / dt - 1e-9, whose ceiling is a run's step count; it is
+        inf when the quotient overflows, so bound it before the ceiling."""
+        return self.horizon / self.step_size() - 1e-9
+
+    @property
     def _dt_bound(self) -> float:
         return 1.0 / (4.0 * float(self.system.params.omega_u.max()))
 
@@ -391,51 +397,52 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
     reported) unless continue_on_fault is set, and a broken counter invariant
     always stops it.
 
-    The loop advances through controller fires: each `discrete_step` takes
-    a block of steps at once, cut short where the reset's schedule fires,
-    and the loop records its rows in one append."""
+    The reset's `drive` runs the loop, and each advance is one
+    `discrete_step`: a block of steps through controller fires, cut short
+    where the reset's schedule fires."""
     inc, params = scenario.system.inc, scenario.system.params
     _capacity_advisory(scenario)
     _sampled_loop_advisory(scenario)
 
     dt = scenario.step_size()
-    steps = int(math.ceil(scenario.horizon / dt - 1e-9))
+    steps = math.ceil(scenario.step_count)
     reset = OneShotReset(scenario.reframe, params, inc,
                          default_T1=scenario.horizon / 2.0, width=inc.m,
                          samples=steps + 1)
-    history = reset.history
     state = init_discrete(scenario)
-    aborted = False
-
-    reset.record(state.t, state.correction, state.measured)
     taken = 0
-    with np.errstate(divide="ignore"):    # see discrete_step's count
-        while taken < steps:
-            try:
-                state = discrete_step(state, scenario, params, dt,
-                                      steps - taken,
-                                      reset if reset.pending else None)
-            except DiscreteFault:
-                # the fault is in state.faults, and the rows before the
-                # failing step are the last good samples: the last is the
-                # final trace row
-                aborted = True
+
+    def advance(params, firing):
+        nonlocal taken
+        if firing is not None:
+            # the buffers turn physical once every node has reframed
+            _fire_controllers(state, scenario, params, firing)
+            state.virtual = reset.time is None
+        if firing is not None or not len(reset.history):
+            # the run's first row or a post row, recorded here: a pending
+            # auto trigger reads it in the history
+            reset.record_rows([state.t], state.correction, state.measured)
+        if taken == steps:
+            return None
+        try:
+            discrete_step(state, scenario, params, dt, steps - taken,
+                          reset if reset.pending else None)
+        except DiscreteFault:
+            # the rows before the failing step are the last good samples:
+            # the last is the final trace row
             reset.record_rows(state.times, state.correction_rows,
                               state.measured_rows)
-            if aborted:
-                break
-            taken += len(state.times)
-            firing = reset.firing(state.t)
-            if firing is not None:
-                # the row above is the pre-mode row at the reframe instant;
-                # the buffers turn physical once every node has reframed
-                params = params.with_q(reset.freeze(params.q, firing))
-                _fire_controllers(state, scenario, params, firing)
-                state.virtual = reset.time is None
-                reset.record(state.t, state.correction, state.measured)
+            raise
+        taken += len(state.times)
+        return state.times, state.correction_rows, state.measured_rows
 
-    if not aborted:
-        reset.finish()
+    aborted = False
+    with np.errstate(divide="ignore"):    # see discrete_step's count
+        try:
+            reset.drive(params, advance)
+        except DiscreteFault:   # in state.faults
+            aborted = True
+    history = reset.history
     return DiscreteTrace(times=history.times, correction=history.corrections,
                          occupancy=history.rows, omega_u=params.omega_u,
                          mode=reset.modes, faults=list(state.faults),

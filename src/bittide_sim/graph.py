@@ -5,6 +5,7 @@ sees them) and an ordered edge list whose order fixes the column indices of
 every m-column matrix downstream (traces, reports, link constants).
 """
 
+import itertools
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -131,32 +132,33 @@ def build_incidence(topology: Topology) -> IncidenceSet:
     return IncidenceSet(n=topology.n, src=src, dst=dst)
 
 
-def reachable_from_node1(topology: Topology, reverse: bool = False) -> set:
-    """1-indexed nodes reachable from node 1; with reverse, those that reach
-    it.  Only the nodes on edges are visited: O(m), whatever n."""
-    adj = defaultdict(list)
-    for src, dst in topology.edges:
-        if reverse:
-            src, dst = dst, src
-        adj[src].append(dst)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for v in adj[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def stranded_node(topology: Topology) -> int | None:
+    """The smallest 1-indexed node that node 1 does not reach or that does
+    not reach node 1, or None when every node reaches every other along
+    directed paths.  Two reachability passes from node 1, one on the graph
+    and one on its reverse; only the nodes on edges are visited: O(m),
+    whatever n."""
+    both = None
+    for edges in (topology.edges, [(d, s) for s, d in topology.edges]):
+        adj = defaultdict(list)
+        for src, dst in edges:
+            adj[src].append(dst)
+        seen, stack = {1}, [1]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        both = seen if both is None else both & seen
+    if len(both) == topology.n:
+        return None
+    # within len(both) + 1 of node 1
+    return next(i for i in itertools.count(1) if i not in both)
 
 
 def is_strongly_connected(topology: Topology) -> bool:
-    """True iff every node reaches every other along directed paths.
-
-    Two reachability passes from node 1, one on the graph and one on its
-    reverse; both must cover all n nodes.
-    """
-    return (len(reachable_from_node1(topology)) == topology.n
-            and len(reachable_from_node1(topology, reverse=True)) == topology.n)
+    """True iff every node reaches every other along directed paths."""
+    return stranded_node(topology) is None
 
 
 def _non_ring_pairs(n: int, idx: np.ndarray) -> list[tuple[int, int]]:

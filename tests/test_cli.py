@@ -296,6 +296,16 @@ def test_huge_discrete_T1_exits_2_naming_it(tmp_path, capsys, no_recorder):
                           "1e+300 in steps of dt = 0.245098 is ")
 
 
+def test_subnormal_discrete_dt_exits_2(tmp_path, capsys, no_recorder):
+    # dt = 1e-320 is positive and fine enough, but horizon / dt overflows
+    # to an infinite step count; e1's T1 + post_horizon sets the horizon
+    err = _rejected(tmp_path, capsys, _e1_integrator(tmp_path, dt=1e-320),
+                    "--discrete")
+    assert err == ("error: config.reframe.T1: a discrete horizon of 500 in "
+                   "steps of dt = 9.99989e-321 is inf steps; a run takes at "
+                   "most 16777216\n")
+
+
 @pytest.mark.parametrize("mode, limit", [([], 200), (["--discrete"], 2040)],
                          ids=["continuous", "discrete"])
 def test_sample_bound_admits_a_run_at_the_bound(tmp_path, capsys, monkeypatch,

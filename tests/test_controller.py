@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,9 +11,11 @@ from bittide_sim import (IntegratorSettings, NodeView, OneShotReset, ReframeErro
                          ReframeSchedule, Topology, build_incidence,
                          make_system_params, node_views, prepare,
                          proportional_correction, run)
-from bittide_sim import cli, controller
+from bittide_sim import cli, controller, verify
+from bittide_sim.config import parse_config
 from bittide_sim.controller import (CorrectionHistory, StabilityDetector,
                                     proportional_corrections)
+from bittide_sim.framesim import run_discrete
 from conftest import random_scenario, spectral_setup
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -141,15 +144,15 @@ def _reset(topology, schedule):
 def test_reframe_freezes_correction(two_cycle):
     # each node freezes the correction last recorded at its own T1
     reset = _reset(two_cycle, ReframeSchedule(mode="fixed-time", T1=[5.0, 7.0]))
-    reset.history.append(4.0, np.array([0.5, 0.5]))
+    reset.history.extend([4.0], np.array([0.5, 0.5]))
     assert reset.firing(4.0) is None
-    reset.history.append(5.0, np.array([0.02, 0.013]))
+    reset.history.extend([5.0], np.array([0.02, 0.013]))
     firing = reset.firing(5.0)
     np.testing.assert_array_equal(firing, [True, False])
     q = reset.freeze(np.zeros(2), firing)
     assert q.tolist() == [0.02, 0.0]
     assert reset.mode == "staggered-1/2" and reset.time is None
-    reset.history.append(7.0, np.array([0.04, 0.013]))
+    reset.history.extend([7.0], np.array([0.04, 0.013]))
     q = reset.freeze(q, reset.firing(7.0))
     assert q.tolist() == [0.02, 0.013]
     assert reset.mode == "post-reframe" and reset.time == 7.0
@@ -158,7 +161,7 @@ def test_reframe_freezes_correction(two_cycle):
 
 def test_double_reframe_rejected(two_cycle):
     reset = _reset(two_cycle, ReframeSchedule(mode="auto"))
-    reset.history.append(0.0, np.array([0.01, 0.02]))
+    reset.history.extend([0.0], np.array([0.01, 0.02]))
     q = reset.freeze(np.zeros(2), np.array([True, False]))
     with pytest.raises(ReframeError, match="node 1 already reframed"):
         reset.freeze(q, np.array([True, True]))
@@ -369,14 +372,14 @@ def test_cut_returns_the_row_on_which_row_by_row_firing_fires(
     by_row = OneShotReset(schedule, params, inc, default_T1=None)
     expected = None
     for row in range(len(times)):
-        by_row.record(times[row], c[row], None)
+        by_row.record_rows([times[row]], c[row], None)
         if fires(by_row, row):
             expected = row
             break
     # row 0 is recorded; each run of rows that hold one correction is cut
     # ahead of the history, and the last row is left to `firing`
     ahead = OneShotReset(schedule, params, inc, default_T1=None)
-    ahead.record(times[0], c[0], None)
+    ahead.record_rows([times[0]], c[0], None)
     found = 0 if fires(ahead, 0) else None
     coming_t, coming_c, last = times[1:], c[1:], len(times) - 2
     start = 0
@@ -399,12 +402,12 @@ def test_correction_history_views_grow_in_place():
     history = CorrectionHistory(2)
     rows = np.arange(300.0).reshape(150, 2)
     for i, row in enumerate(rows):
-        history.append(0.5 * i, row)
+        history.extend([0.5 * i], row)
     assert len(history) == 150
     np.testing.assert_array_equal(history.times, 0.5 * np.arange(150))
     np.testing.assert_array_equal(history.corrections, rows)
     before = history.corrections
-    history.append(75.0, [-1.0, -2.0])
+    history.extend([75.0], [-1.0, -2.0])
     # the buffer has room for the row: the old view shares it, unchanged
     assert np.shares_memory(before, history.corrections)
     np.testing.assert_array_equal(before, rows)
@@ -415,7 +418,7 @@ def test_correction_history_rows_grow_with_the_corrections():
     history = CorrectionHistory(2, width=3)
     rows = np.arange(450.0).reshape(150, 3)
     for i, row in enumerate(rows):
-        history.append(0.5 * i, [i, -i], row)
+        history.extend([0.5 * i], [i, -i], row)
     np.testing.assert_array_equal(history.rows, rows)
     np.testing.assert_array_equal(history.corrections[:, 1], -np.arange(150))
     assert CorrectionHistory(2).rows.shape == (0, 0)
@@ -423,7 +426,7 @@ def test_correction_history_rows_grow_with_the_corrections():
 
 def test_correction_history_takes_a_block():
     history = CorrectionHistory(2, width=1, size=2)
-    history.append(0.0, [0.5, 0.5], [1.0])
+    history.extend([0.0], [0.5, 0.5], [1.0])
     history.extend([1.0, 2.0, 3.0], np.array([0.1, 0.2]), [[2.0], [3.0], [4.0]])
     np.testing.assert_array_equal(history.times, [0.0, 1.0, 2.0, 3.0])
     np.testing.assert_array_equal(history.corrections[1:], [[0.1, 0.2]] * 3)
@@ -517,3 +520,54 @@ def test_staggered_reframe_reports_without_guarantees(e1):
     # reported, not asserted against the common-T1 guarantees
     assert trace.mode[-1] == "post-reframe"
     assert np.isfinite(trace.occupancy[-1]).all()
+
+
+def _config_run(name, schedule):
+    """A run of configs/<name> with its reframe schedule replaced, in the
+    config's mode."""
+    cfg = replace(parse_config(CONFIG_DIR / name), reframe=schedule)
+    system = cfg.system()
+    if cfg.discrete.enabled:
+        return run_discrete(cfg.discrete_scenario(system))
+    return run(system, schedule=cfg.schedule(),
+               settings=cfg.continuous_settings(system))
+
+
+@pytest.mark.parametrize("name, reframe_time", [("e1.json", 0.0),
+                                                ("e1_discrete.json", 0.2)])
+def test_T1_0_fires_on_the_first_row_each_mode_asks(name, reframe_time):
+    # the continuous run asks its t = 0 row; the discrete run records that
+    # row unasked and asks its first step
+    trace = _config_run(name, ReframeSchedule(mode="fixed-time", T1=0.0))
+    assert trace.reframe_time == reframe_time
+
+
+@pytest.mark.parametrize("name", ["e1.json", "e1_discrete.json"])
+@pytest.mark.parametrize("schedule", [
+    ReframeSchedule(mode="fixed-time", T1=1e4),
+    ReframeSchedule(mode="auto", epsilon=0.1, window=1e4)],
+    ids=["fixed-time", "auto"])
+def test_never_fired_warning_names_the_callers_file(name, schedule):
+    with pytest.warns(UserWarning) as caught:
+        _config_run(name, schedule)
+    assert [w.filename for w in caught
+            if "never fired" in str(w.message)] == [__file__]
+
+
+def test_the_reset_asks_firing_once_per_decision(monkeypatch, e1):
+    # a battery run asks at its T1 and at its end; a run with no schedule
+    # only at its end
+    asked = []
+    firing = OneShotReset.firing
+
+    def counting(self, t):
+        asked.append(t)
+        return firing(self, t)
+
+    monkeypatch.setattr(OneShotReset, "firing", counting)
+    verify.run_battery(100, 7)
+    assert len(asked) == 242
+    asked.clear()
+    topology, _, params, _, _ = e1
+    run(prepare(topology, params), settings=IntegratorSettings(horizon=50.0))
+    assert len(asked) == 1

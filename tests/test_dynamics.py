@@ -699,3 +699,163 @@ def test_offset_block_run_takes_no_auto_schedule(e1):
                 settings=settings)
     assert trace.reframe_time == 5.0
     assert trace.reframe_payload.shape == (2, 2)
+
+
+def _per_sample_run(system, schedule, settings):
+    """The continuous run loop as one Python iteration per sample: record
+    the sample, ask `firing` on it and, when nodes fire, freeze them and
+    record the post row.  The corrections of the rows recorded so far are
+    formed where something reads them: on every row while the auto trigger
+    watches, at a freeze and at the end.  The reference for `run`, which
+    advances from one decision to the next at once.  Returns the reset and
+    the last params."""
+    inc, params, clm = system.inc, system.params, system.clm
+    horizon, post_horizon, sample_dt = settings.spans(system)
+    t_end = horizon + (post_horizon if schedule is not None else 0.0)
+    reset = OneShotReset(schedule, params, inc, default_T1=horizon,
+                         width=params.q.shape)
+    history, ops, held = reset.history, {}, {}
+    A, r, n = clm.A, clm.r, inc.n
+    K = len(params.q) if params.q.ndim > 1 else 1
+    formed = 0
+
+    def form():
+        nonlocal formed
+        rows = history.rows[formed:]
+        theta = np.ascontiguousarray(rows.reshape(-1, K, n).transpose(0, 2, 1))
+        c = A @ (theta - np.add.reduce(theta, axis=1, keepdims=True) / n)
+        out = history.corrections[formed:]
+        np.add(c.transpose(0, 2, 1).reshape(rows.shape), params.q, out=out)
+        out += r
+        formed = len(history)
+
+    t, theta = 0.0, system.theta0
+    if params.q.ndim > 1:
+        theta = np.repeat(theta[:, None], K, axis=1)
+    while True:
+        reset.record_rows([t], 0.0, theta.T)
+        if reset.pending and reset.detector is not None:
+            form()
+        firing = reset.firing(t)
+        if firing is not None:
+            form()
+            params = params.with_q(reset.freeze(params.q, firing))
+            held.clear()
+            if reset.time is not None:
+                t_end = t + post_horizon
+            reset.record_rows([t], 0.0, theta.T)
+        if t >= t_end - 1e-9 * sample_dt:
+            break
+        t_next = min(t + sample_dt, t_end)
+        if reset.events and reset.events[0] <= t_next + 1e-12:
+            t_next = reset.events[0]
+        span = t_next - t
+        clipped = t_next == t_end and abs(span - sample_dt) <= 1e-9 * sample_dt
+        if clipped or t_next == t + sample_dt:
+            span = sample_dt
+        if settings.method == "exact":
+            if span not in held:
+                if span not in ops:
+                    ops[span] = dynamics.exact_flow_operators(clm, system.sd,
+                                                              span)
+                phi, psi = ops[span]
+                held[span] = phi, psi @ dynamics._drift(clm, params)
+            theta = step(theta, params, clm, span, "exact", _flow=held[span])
+            t += span
+        else:
+            sub = settings.dt or stability_bound(inc, clm.k) / 8.0
+            steps = max(1, int(np.ceil(span / sub - 1e-12)))
+            for _ in range(steps):
+                theta = step(theta, params, clm, span / steps,
+                             settings.method)
+                t += span / steps
+        if clipped:
+            t = t_end
+    form()
+    reset.finish()
+    return reset, params
+
+
+@st.composite
+def continuous_runs(draw):
+    """(system, schedule, settings) of a small run.  At the time scale 1e4
+    one ulp of a sample time exceeds the 1e-12 slack of a T1 test."""
+    n = draw(st.integers(2, 5))
+    topology = generate_topology(
+        draw(st.sampled_from(["bidirectional-ring", "random-strong"])), n,
+        seed=draw(st.integers(0, 100)), extra_edge_fraction=0.3)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e4]))
+    k = draw(st.sampled_from([0.05, 0.3, 1.0])) / scale
+    params = make_system_params(topology, k=k,
+                                omega_u=rng.uniform(0.95, 1.05, size=n))
+    system = prepare(topology, params,
+                     rng.uniform(-1.0, 1.0, size=n) if draw(st.booleans())
+                     else 0.0)
+    kind = draw(st.sampled_from(["none", "fixed", "per-node", "auto"]))
+    K = None if kind == "auto" else draw(st.sampled_from([None, 1, 4]))
+    if K is not None:
+        system = replace(system, params=system.params.with_q(
+            rng.normal(scale=0.01, size=(K, n))))
+    horizon = scale * draw(st.sampled_from([2.0, 5.0, 7.3]))
+    sample_dt = horizon / draw(st.floats(2.5, 12.0))
+    method = draw(st.sampled_from(["exact", "rk4", "euler"]))
+    dt = None
+    if method != "exact":
+        dt = stability_bound(system.inc, k) * draw(
+            st.sampled_from([0.37, 1.0]))
+    settings = IntegratorSettings(
+        method=method, dt=dt, horizon=horizon, sample_interval=sample_dt,
+        post_horizon=draw(st.sampled_from([None, 0.5 * horizon])))
+    grid = np.cumsum(np.full(14, sample_dt))    # each time t + sample_dt
+
+    def T1():
+        where = draw(st.sampled_from(["at-or-before-0", "on-grid", "near-grid",
+                                      "off-grid"]))
+        if where == "at-or-before-0":
+            return draw(st.sampled_from([0.0, -0.3 * scale]))
+        if where == "off-grid":
+            return horizon * draw(st.floats(0.01, 2.5))
+        on = float(grid[draw(st.integers(0, 13))])
+        return on if where == "on-grid" else on + draw(
+            st.sampled_from([-2e-12, -1e-13, 1e-13, 2e-12]))
+
+    schedule = {
+        "none": lambda: None,
+        "fixed": lambda: ReframeSchedule(mode="fixed-time", T1=T1()),
+        "per-node": lambda: ReframeSchedule(
+            mode="fixed-time", T1=np.array([T1() for _ in range(n)])),
+        "auto": lambda: ReframeSchedule(
+            mode="auto", epsilon=draw(st.sampled_from([1e-4, 1e-3, 1e-2])),
+            window=scale * draw(st.sampled_from([0.5, 1.0, 2.0]))),
+    }[kind]()
+    return system, schedule, settings
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=continuous_runs())
+def test_run_matches_the_per_sample_loop_bit_for_bit(case):
+    system, schedule, settings = case
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            trace = run(system, schedule=schedule, settings=settings)
+        except ValueError as exc:
+            # a dt at the stability bound can take a substep a hair over it
+            with pytest.raises(ValueError) as reference:
+                _per_sample_run(system, schedule, settings)
+            assert str(reference.value) == str(exc)
+            return
+        ran = len(caught)
+        reset, params = _per_sample_run(system, schedule, settings)
+    never = [[str(w.message) for w in ws if "never fired" in str(w.message)]
+             for ws in (caught[:ran], caught[ran:])]
+    assert never[0] == never[1]
+    history = reset.history
+    assert _bits(trace.times) == _bits(history.times)
+    assert _bits(trace.theta) == _bits(history.rows)
+    assert _bits(trace.correction) == _bits(history.corrections)
+    assert trace.mode == reset.modes
+    assert trace.reframe_time == reset.time
+    if reset.time is not None:
+        assert _bits(trace.reframe_payload) == _bits(params.q)

@@ -614,8 +614,9 @@ def test_unreached_fixed_T1_warns_in_discrete_mode():
 
 def _per_step_run(scenario):
     """The discrete run loop as one Python iteration per step: a single-step
-    `discrete_step`, then `OneShotReset.record`, `firing` and `freeze`.  The
-    reference for `run_discrete`, which advances a block of steps at a time.
+    `discrete_step`, then `OneShotReset.record_rows`, `firing` and
+    `freeze`.  The reference for `run_discrete`, which advances a block of
+    steps at a time.
     An auto schedule is decided by `window_trigger`, the search of the
     window, on the history up to each step.  Also counts the steps that end
     an advance of that loop: a step on which the schedule fired, a fault
@@ -630,7 +631,7 @@ def _per_step_run(scenario):
                          default_T1=scenario.horizon / 2.0, width=inc.m)
     state = init_discrete(scenario)
     aborted, events, taken = False, 0, 0
-    reset.record(state.t, state.correction, state.measured)
+    reset.record_rows([state.t], state.correction, state.measured)
     steps = int(math.ceil(scenario.horizon / dt - 1e-9))
 
     def advancing():
@@ -645,7 +646,7 @@ def _per_step_run(scenario):
             events += 1
             break
         fired = not np.array_equal(next_fire, state.next_fire)
-        reset.record(state.t, state.correction, state.measured)
+        reset.record_rows([state.t], state.correction, state.measured)
         if reset.pending and reset.detector is not None:
             history, detector = reset.history, reset.detector
             firing = (~reset.done if window_trigger(
@@ -657,7 +658,7 @@ def _per_step_run(scenario):
             params = replace(params, q=reset.freeze(params.q, firing))
             framesim._fire_controllers(state, scenario, params, firing)
             state.virtual = reset.time is None
-            reset.record(state.t, state.correction, state.measured)
+            reset.record_rows([state.t], state.correction, state.measured)
         taken += 1
         if (firing is not None or step == steps - 1 or taken == block_steps
                 or fired and not advancing()):

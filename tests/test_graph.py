@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bittide_sim import (Topology, TopologyError, build_closed_loop,
                          build_incidence, generate_topology, init_state,
                          is_strongly_connected, make_system_params, observe)
+from bittide_sim.graph import stranded_node
 
 
 def test_two_cycle_incidence_matrices():
@@ -126,6 +127,23 @@ def test_strong_connectivity_cases():
     assert is_strongly_connected(
         Topology(n=3, edges=[(1, 2), (2, 3), (3, 1), (1, 3)]))
     assert not is_strongly_connected(Topology(n=3, edges=[(1, 2), (2, 1)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 7), pairs=st.lists(
+    st.tuples(st.integers(1, 7), st.integers(1, 7)), max_size=14))
+def test_stranded_node_is_the_smallest_node_cut_off_from_node_1(n, pairs):
+    edges = [(s, d) for s, d in pairs if s != d and s <= n and d <= n]
+    reach = np.eye(n, dtype=bool)       # reach[i, j]: node i + 1 reaches j + 1
+    for s, d in edges:
+        reach[s - 1, d - 1] = True
+    for via in range(n):                # Warshall's closure
+        reach |= reach[:, [via]] & reach[[via], :]
+    stranded = np.flatnonzero(~(reach[0] & reach[:, 0]))
+    expected = int(stranded[0]) + 1 if stranded.size else None
+    topology = Topology(n=n, edges=edges)
+    assert stranded_node(topology) == expected
+    assert is_strongly_connected(topology) == (expected is None)
 
 
 def test_ring_generator_canonical_order():

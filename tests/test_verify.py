@@ -56,6 +56,25 @@ def test_feasibility_not_applicable_for_infeasible_offsets():
     assert "infeasible" in v.detail
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), infeasible=st.booleans(),
+       n_max=st.sampled_from([8, 24]))
+def test_feasible_residual_misfit_is_the_least_squares_one(seed, infeasible,
+                                                           n_max):
+    make = make_infeasible_scenario if infeasible else make_random_scenario
+    scenario = make(seed, n_range=(2, n_max))
+    v = check_feasible_residual(scenario)
+    clm = scenario.system.clm
+    x, *_ = np.linalg.lstsq(clm.A, -clm.r, rcond=None)
+    misfit = float(np.abs(clm.A @ x + clm.r).max())
+    scale = max(1.0, float(np.abs(clm.r).max()))
+    # two roundings of O(n) terms each; far below the range tolerance
+    assert abs(v.residual - misfit) <= 1e-12 * scale
+    assert v.tolerance == verify.TOL_RANGE * scale
+    assert v.status == ("pass" if misfit <= v.tolerance
+                        else "not-applicable" if infeasible else "fail")
+
+
 def test_projector_limit_two_node(e1_scenario):
     v = check_projector_limit(e1_scenario)
     assert v.status == "pass" and v.detail == "horizon 250"  # 50 / 0.2
