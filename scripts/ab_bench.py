@@ -2,16 +2,19 @@
 """A/B the benchmark: a base revision against the working tree.
 
     python3 scripts/ab_bench.py --base HEAD --workload discrete-fixed --pairs 10
+    python3 scripts/ab_bench.py --base HEAD --workload battery \
+        --workload discrete-auto --pairs 10
 
 Exports the base revision with `git archive`, and the working tree's files
 (tracked and untracked, less the ignored ones), into two sibling temporary
 directories whose paths have the same length: the one-pass `peak_rss_mb` of
 a small workload moves by a few tenths of a MB with the path length alone.
-It runs `perfbench/run.py --workload W --seed 7 --seconds 25 --trace 0` once
-in each tree per pair, the base first in odd pairs and the working tree
-first in even ones, so that a drift of the host's speed falls on both sides.
-It then prints, for each end-to-end metric of BENCHMARK.json, the base's and
-the change's medians, the base's quartiles, and in how many pairs the change
+Each pair runs `perfbench/run.py --workload W --seed 7 --seconds 25 --trace 0`
+once in each tree for every named workload W, in the order named, the base
+first in odd pairs and the working tree first in even ones, so that a drift
+of the host's speed falls on both sides.  It then prints one block per
+workload: for each end-to-end metric of BENCHMARK.json, the base's and the
+change's medians, the base's quartiles, and in how many pairs the change
 did better (in the metric's own direction).
 """
 
@@ -58,6 +61,20 @@ def summary(base: list, change: list, better: dict) -> list:
     return lines
 
 
+def report(base_rev: str, results: dict, better: dict) -> list:
+    """The summary blocks, one per workload and a blank line between two:
+    `results` maps each workload to its base's and its change's lists of
+    pair results."""
+    lines = []
+    for workload, (base, change) in results.items():
+        if lines:
+            lines.append("")
+        lines.append(f"{workload}: base {base_rev} against the working tree, "
+                     f"{len(base)} pairs")
+        lines += summary(base, change, better)
+    return lines
+
+
 def trees(tmp: Path) -> tuple[Path, Path]:
     """The base's and the working tree's directories in `tmp`: siblings whose
     paths have the same length."""
@@ -93,29 +110,33 @@ def run_once(tree: Path, workload: str) -> dict:
     return result(done.stdout)
 
 
-def main() -> int:
+def arguments(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision to compare to")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", action="append", required=True,
+                   help="a workload every pair runs; repeat for more")
     p.add_argument("--pairs", type=int, default=10)
-    args = p.parse_args()
+    return p.parse_args(argv)
+
+
+def main() -> int:
+    args = arguments()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
-    base, change = [], []
+    results = {workload: ([], []) for workload in args.workload}
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
         base_tree, work_tree = trees(Path(tmp))
         export(args.base, base_tree)
         export_working_tree(work_tree)
         for i in range(args.pairs):
-            sides = [(base_tree, base), (work_tree, change)]
-            for tree, results in sides if i % 2 == 0 else sides[::-1]:
-                results.append(run_once(tree, args.workload))
-            print(f"pair {i + 1}: base {base[-1]}, change {change[-1]}",
-                  flush=True)
-    print(f"{args.workload}: base {args.base} against the working tree, "
-          f"{args.pairs} pairs")
-    print("\n".join(summary(base, change, better)))
+            for workload, (base, change) in results.items():
+                sides = [(base_tree, base), (work_tree, change)]
+                for tree, runs in sides if i % 2 == 0 else sides[::-1]:
+                    runs.append(run_once(tree, workload))
+                print(f"pair {i + 1} {workload}: base {base[-1]}, change "
+                      f"{change[-1]}", flush=True)
+    print("\n".join(report(args.base, results, better)))
     return 0
 
 

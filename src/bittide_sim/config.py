@@ -16,7 +16,7 @@ import numpy as np
 
 from .controller import ReframeSchedule
 from .dynamics import (IntegratorSettings, System, SystemParams,
-                       make_system_params, prepare)
+                       make_system_params, prepare, stability_bound)
 from .framesim import DiscreteScenario
 from .graph import (TOPOLOGY_KINDS, Topology, TopologyError, generate_topology,
                     stranded_node)
@@ -91,7 +91,15 @@ class ScenarioConfig:
 
     def continuous_settings(self, system: System) -> IntegratorSettings:
         """The continuous run's settings for `system`, this config's prepared
-        system, once its sample count is within MAX_SAMPLES."""
+        system, once its sample count is within MAX_SAMPLES and an rk4 or
+        euler dt is within the explicit-method stability bound."""
+        dt, method = self.integrator.dt, self.integrator.method
+        if method != "exact" and dt is not None:
+            bound = stability_bound(system.inc, system.params.k)
+            if dt > bound:
+                raise ConfigError(
+                    f"config.integrator.dt: {method} substep {dt:.6g} exceeds "
+                    f"the stability bound 1/(k * max in-degree) = {bound:.6g}")
         horizon, post_horizon, interval = self.integrator.spans(system)
         if self.schedule() is None:
             post_horizon = 0.0

@@ -17,8 +17,9 @@ import numpy as np
 from .controller import OneShotReset, ReframeSchedule
 from .graph import (IncidenceSet, Topology, TopologyError, build_incidence,
                     is_strongly_connected)
-from .spectral import (ClosedLoopMatrix, SpectralData, build_closed_loop,
-                       matrix_exponential, metzler_eigenvector)
+from .spectral import (ClosedLoopMatrix, SpectralData, SpectralError,
+                       build_closed_loop, by_size, matrix_exponentials,
+                       metzler_eigenvector, metzler_eigenvectors)
 
 
 @dataclass(frozen=True)
@@ -212,19 +213,45 @@ class System:
     flow_ops: dict | None = field(default=None, compare=False, repr=False)
 
 
+def prepare_all(cases) -> list:
+    """For each (topology, params, theta0) case, its System, or in its place
+    the TopologyError or SpectralError that `prepare` raises for it.  Each
+    case's strong connectivity is checked, then its incidence, initial
+    offsets and closed loop are built, and the spectral data of all the
+    closed loops come from one stacked solve."""
+    out, clms = [], []
+    for topology, params, theta0 in cases:
+        if not is_strongly_connected(topology):
+            out.append(TopologyError("topology is not strongly connected"))
+            continue
+        inc = build_incidence(topology)
+        theta0, params = init_state(inc, params, theta0)
+        clm = build_closed_loop(inc, params) if params.k > 0 else None
+        if clm is not None:
+            clms.append(clm)
+        out.append((topology, inc, params, theta0, clm))
+    solved = iter(metzler_eigenvectors(clms))
+    for i, case in enumerate(out):
+        if isinstance(case, Exception):
+            continue
+        topology, inc, params, theta0, clm = case
+        try:
+            sd = None if clm is None else metzler_eigenvector(clm, next(solved))
+        except SpectralError as exc:
+            out[i] = exc
+            continue
+        out[i] = System(topology=topology, inc=inc, params=params,
+                        theta0=theta0, clm=clm, sd=sd)
+    return out
+
+
 def prepare(topology: Topology, params: SystemParams, theta0=0.0) -> System:
     """Check strong connectivity, then build incidence, the initial offsets,
-    the closed loop and its spectral data, once."""
-    if not is_strongly_connected(topology):
-        raise TopologyError("topology is not strongly connected")
-    inc = build_incidence(topology)
-    theta0, params = init_state(inc, params, theta0)
-    clm = sd = None
-    if params.k > 0:
-        clm = build_closed_loop(inc, params)
-        sd = metzler_eigenvector(clm)
-    return System(topology=topology, inc=inc, params=params, theta0=theta0,
-                  clm=clm, sd=sd)
+    the closed loop and its spectral data, once: `prepare_all` of one case."""
+    system, = prepare_all([(topology, params, theta0)])
+    if isinstance(system, Exception):
+        raise system
+    return system
 
 
 def _drift(clm: ClosedLoopMatrix, params: SystemParams) -> np.ndarray:
@@ -254,16 +281,35 @@ def stability_bound(inc: IncidenceSet, k: float) -> float:
     return float("inf") if k * deg == 0 else 1.0 / (k * deg)
 
 
-def exact_flow_operators(clm: ClosedLoopMatrix, sd: SpectralData,
-                         dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{A dt}, integral_0^dt e^{As} ds).
+def exact_flow_operators(clm, sd, dt):
+    """(e^{A dt}, integral_0^dt e^{As} ds) of the closed loop clm with
+    spectral data sd; for parallel sequences of closed loops, spectral data
+    and spans, the list of their pairs.
 
     The integral is dt W + G (e^{A dt} - I): it vanishes at dt = 0, and its
     derivative W + G A e^{At} = W + (I - W) e^{At} is e^{At}, since AG = I - W
-    and W e^{At} = W.
+    and W e^{At} = W.  The exponentials are one `matrix_exponentials` call,
+    and the integrals one stacked product per size n, each matrix with the
+    bits of its own call.  An operator that is not finite (the gain or the
+    span overflows the exponential) raises SpectralError.
     """
-    phi = matrix_exponential(clm, dt)
-    return phi, dt * sd.W + sd.group_inverse @ (phi - np.eye(clm.n))
+    one = isinstance(clm, ClosedLoopMatrix)
+    clms, sds, dts = ([clm], [sd], [dt]) if one else (clm, sd, dt)
+    phis = matrix_exponentials(clms, dts)
+    pairs = [None] * len(clms)
+    for n, members in by_size(clms).items():
+        phi = np.stack([phis[i] for i in members])
+        psi = np.array([dts[i] for i in members])[:, None, None] * np.stack(
+            [sds[i].W for i in members])
+        psi += np.stack([sds[i].group_inverse for i in members]) @ (
+            phi - np.eye(n))
+        if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
+            raise SpectralError(
+                "flow operator not finite: the gain or the span overflows the "
+                "matrix exponential")
+        for j, i in enumerate(members):
+            pairs[i] = phis[i], psi[j]
+    return pairs[0] if one else pairs
 
 
 def step(theta: np.ndarray, params: SystemParams, clm: ClosedLoopMatrix,
@@ -378,11 +424,12 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
                 t_next = event      # sample the reframe instant itself
             # an unclipped step spans exactly sample_dt, so every such step
             # reuses one flow operator; t_next - s drifts in its last bits.
-            # A step clipped to t_end within tol of sample_dt takes that
-            # operator too, and still lands on t_end
+            # A step clipped to t_end, or cut at a T1, within tol of
+            # sample_dt takes that operator too, and still lands on t_next
             span = t_next - s
-            clipped = t_next == t_end and abs(span - sample_dt) <= tol
-            if clipped or t_next == s + sample_dt:
+            snapped = ((at_event or t_next == t_end)
+                       and abs(span - sample_dt) <= tol)
+            if snapped or t_next == s + sample_dt:
                 span = sample_dt
             # rk4 and euler take the fewest equal substeps of at most sub,
             # and t adds each
@@ -390,7 +437,7 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
             h = span / count
             for _ in range(count):
                 s += h
-            s = t_end if clipped else s
+            s = t_next if snapped else s
             times.append(s)
             substeps.append((count, h))
             if at_event:

@@ -72,11 +72,17 @@ class DiscreteScenario:
             raise ValueError("capacity must be a positive frame count")
         if self.quantization < 1:
             raise ValueError("quantization unit must be at least one frame")
-        for name, x in (("theta0", self.system.theta0),
-                        ("lambda", self.system.params.lam)):
+        params = self.system.params
+        for name, x in (
+                ("theta0 entries", self.system.theta0),
+                ("lambda entries", params.lam),
+                # the phase an offset moves its clock over the run; the
+                # sample bound keeps omega_u's below 2**22
+                (f"q entries times the horizon {self.horizon:.6g}",
+                 params.q * self.horizon)):
             if np.count_nonzero(np.abs(x) >= 2.0**52):  # a frame moves no phase
-                raise ValueError(f"{name} entries must be below 2**52 in "
-                                 "magnitude to count frames")
+                raise ValueError(f"{name} must be below 2**52 in magnitude "
+                                 "to count frames")
         if self.dt is not None and not 0 < self.dt <= self._dt_bound:
             raise ValueError(
                 f"dt = {self.dt} must be positive and fine enough for frame "

@@ -105,49 +105,91 @@ def build_closed_loop(inc: IncidenceSet, params) -> ClosedLoopMatrix:
 
 
 def _bordered(M: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """[[M, 1], [row, 0]], written into one (n + 1) x (n + 1) array."""
-    n = len(row)
-    bordered = np.empty((n + 1, n + 1))
-    bordered[:n, :n] = M
-    bordered[:n, n] = 1.0
-    bordered[n, :n] = row
-    bordered[n, n] = 0.0
+    """[[M, 1], [row, 0]], written into one (n + 1) x (n + 1) array; for a
+    (K, n, n) stack M and (K, n) rows, one such array per matrix."""
+    n = row.shape[-1]
+    bordered = np.empty(row.shape[:-1] + (n + 1, n + 1))
+    bordered[..., :n, :n] = M
+    bordered[..., :n, n] = 1.0
+    bordered[..., n, :n] = row
+    bordered[..., n, n] = 0.0
     return bordered
 
 
-def _bordered_solve(M: np.ndarray, row: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve [[M, 1], [row, 0]] [x; mu] = rhs and return x."""
-    return np.linalg.solve(_bordered(M, row), rhs)[:len(row)]
+def by_size(clms) -> dict:
+    """{n: the indices of the closed loops of size n}, in order."""
+    by_n = {}
+    for i, clm in enumerate(clms):
+        by_n.setdefault(clm.n, []).append(i)
+    return by_n
 
 
-def metzler_eigenvector(clm: ClosedLoopMatrix) -> SpectralData:
-    """Compute z, W and the group inverse of A.
+def metzler_eigenvectors(clms) -> list:
+    """Compute z, W and the group inverse of A for each closed loop of
+    `clms`: its SpectralData, or in its place the SpectralError that its
+    `metzler_eigenvector` raises.
 
     The eigenvalues must leave exactly n - 1 stable, so that zero is simple;
     eigvals needs no diagonalizable A for that count.  z then solves the
     bordered system [[A^T, 1], [1^T, 0]] [z; mu] = [0; 1] (A 1 = 0 forces
     mu = 0), and the group inverse the bordered system [[A, 1], [z^T, 0]];
     both are nonsingular exactly when the zero eigenvalue is simple.
+
+    The closed loops of one size are one stack: one eigvals, and each
+    bordered solve over the matrices that passed the tests before it.
+    Stacked eigvals and solve make one LAPACK call per matrix, so every
+    matrix gets the bits of a stack of one.
     """
-    A = clm.A
-    n = A.shape[0]
-    scale = max(float(np.abs(A).max()), 1.0)
+    out = [None] * len(clms)
+    for n, members in by_size(clms).items():
+        K = len(members)
+        A = np.stack([clms[i].A for i in members])
+        scale = np.maximum(np.abs(A).max(axis=(1, 2)), 1.0)
+        eigenvalues = np.linalg.eigvals(A)
+        simple = np.count_nonzero(
+            eigenvalues.real < -_NULL_TOL * scale[:, None], axis=1) == n - 1
+        rhs = np.zeros((K, n + 1, 1))
+        rhs[:, n] = 1.0
+        z = np.zeros((K, n))
+        z[simple] = np.linalg.solve(
+            _bordered(A[simple].transpose(0, 2, 1),
+                      np.ones((np.count_nonzero(simple), n))),
+            rhs[simple])[:, :n, 0]
+        resid = np.abs(np.matmul(z[:, None], A)).max(axis=(1, 2))
+        positive = z.min(axis=1) > _NULL_TOL
+        valid = simple & positive & (resid <= 1e-12 * scale)
+        W = np.repeat(z[:, None], n, axis=1)
+        rhs = np.zeros((K, n + 1, n))
+        np.subtract(np.eye(n), W, out=rhs[:, :n])
+        G = np.zeros((K, n, n))
+        G[valid] = np.linalg.solve(_bordered(A[valid], z[valid]),
+                                   rhs[valid])[:, :n]
+        for j, i in enumerate(members):
+            if not (simple[j] and positive[j]):
+                # zero eigenvalue not simple, or z not positive: the
+                # topology splits into closed classes
+                out[i] = SpectralError("graph not strongly connected")
+            elif not valid[j]:
+                out[i] = SpectralError(f"left null vector residual "
+                                       f"{resid[j]:.3e} exceeds tolerance")
+            else:
+                e = eigenvalues[j]
+                # eigvals gives a real array where every eigenvalue is real
+                out[i] = SpectralData(z=z[j], W=W[j], group_inverse=G[j],
+                                      eigenvalues=(e if e.imag.any()
+                                                   else e.real.copy()))
+    return out
 
-    eigenvalues = np.linalg.eigvals(A)
-    if np.count_nonzero(eigenvalues.real < -_NULL_TOL * scale) != n - 1:
-        # zero eigenvalue not simple: the topology splits into closed classes
-        raise SpectralError("graph not strongly connected")
-    ones = np.ones(n)
-    z = _bordered_solve(A.T, ones, np.append(np.zeros(n), 1.0))
-    if z.min() <= _NULL_TOL:
-        raise SpectralError("graph not strongly connected")
-    resid = float(np.abs(z @ A).max())
-    if resid > 1e-12 * scale:
-        raise SpectralError(f"left null vector residual {resid:.3e} exceeds tolerance")
 
-    W = np.outer(ones, z)
-    G = _bordered_solve(A, z, np.vstack([np.eye(n) - W, np.zeros((1, n))]))
-    return SpectralData(z=z, W=W, eigenvalues=eigenvalues, group_inverse=G)
+def metzler_eigenvector(clm: ClosedLoopMatrix, solved=None) -> SpectralData:
+    """The spectral data of one closed loop: `solved`, its entry of a
+    `metzler_eigenvectors` call over a stack that holds it, or else the
+    entry of its own stack of one.  Raises the entry's SpectralError."""
+    if solved is None:
+        solved, = metzler_eigenvectors([clm])
+    if isinstance(solved, SpectralError):
+        raise solved
+    return solved
 
 
 def predict_omega_ss(sd: SpectralData, params) -> np.ndarray:
@@ -298,15 +340,14 @@ def matrix_exponentials(clms, times) -> list:
     """e^{At} of each closed loop of `clms` at its time of `times`, bit for
     bit its `matrix_exponential`.  Each matrix takes the degree and scaling
     of its own ||At||_1; the matrices of one size, degree and scaling are
-    one stack, which takes one kernel and its s squarings."""
+    one stack, which takes one kernel and its s squarings.  A stack of one
+    is its `matrix_exponential` call, so that binding still sees each
+    exponential that shares no kernel, as a run's one per span."""
     if any(t < 0 for t in times):
         raise ValueError(f"matrix exponential of the flow needs t >= 0, got "
                          f"{min(times)}")
     out = [None] * len(clms)
-    by_n = {}
-    for i, clm in enumerate(clms):
-        by_n.setdefault(clm.n, []).append(i)
-    for n, members in by_n.items():
+    for n, members in by_size(clms).items():
         A = np.stack([clms[i].A for i in members])
         t = np.array([times[i] for i in members])
         groups = {}
@@ -317,6 +358,10 @@ def matrix_exponentials(clms, times) -> list:
             else:
                 groups.setdefault(_scaling(norm), []).append(j)
         for (degree, s), stack in groups.items():
+            if len(stack) == 1:
+                i = members[stack[0]]
+                out[i] = matrix_exponential(clms[i], times[i])
+                continue
             scales = t[stack] * 2.0 ** -s
             E = _exponentials(A[stack] * scales[:, None, None], degree, s)
             for j, e in zip(stack, E):

@@ -22,9 +22,9 @@ import numpy as np
 from .controller import POST_REFRAME, ReframeSchedule
 from .dynamics import (IntegratorSettings, SimTrace, System, SystemParams,
                        exact_flow_operators, feasible_offsets,
-                       make_system_params, prepare, run)
-from .graph import Topology, TopologyError, edge_endpoints, generate_topology
-from .spectral import (SpectralError, matrix_exponentials, predict_beta_ss,
+                       make_system_params, prepare_all, run)
+from .graph import Topology, edge_endpoints, generate_topology
+from .spectral import (by_size, matrix_exponentials, predict_beta_ss,
                        predict_omega_ss, steady_state_correction)
 
 TOL_ALGEBRA = 1e-10       # exact identities
@@ -62,11 +62,8 @@ class Scenario:
     @cached_property
     def _prepared(self) -> System | Exception:
         # prepare's error is kept too: a cached_property caches no exception
-        try:
-            return replace(prepare(self.topology, self.params, self.theta0),
-                           flow_ops={})
-        except _INVALID as exc:
-            return exc
+        _prepare([self])
+        return vars(self)["_prepared"]
 
     @property
     def system(self) -> System:
@@ -108,6 +105,25 @@ class Scenario:
         return _identity_exponentials([self.system])[0]
 
 
+def _prepare(scenarios):
+    """Fills the `_prepared` cache of each scenario from one stacked
+    `prepare_all`, each system with its own flow-operator cache, and puts in
+    each cache the operators of its runs' one span from one stacked
+    `exact_flow_operators` call."""
+    systems = []
+    for sc, system in zip(scenarios, prepare_all(
+            [(sc.topology, sc.params, sc.theta0) for sc in scenarios])):
+        if not isinstance(system, Exception):
+            system = replace(system, flow_ops={})
+            systems.append(system)
+        vars(sc)["_prepared"] = system
+    spans = [_sample_interval(system) for system in systems]
+    for system, span, ops in zip(systems, spans, exact_flow_operators(
+            [system.clm for system in systems],
+            [system.sd for system in systems], spans)):
+        system.flow_ops[span] = ops
+
+
 def _fill_identity_exponentials(scenarios):
     """Fills the `identity_exponentials` cache of each of the prepared
     `scenarios` from one stacked call."""
@@ -126,10 +142,6 @@ def _identity_exponentials(systems) -> list:
          for x in IDENTITY_SPANS])
     return [exponentials[i:i + spans]
             for i in range(0, len(exponentials), spans)]
-
-
-# errors of prepare that make a scenario invalid for the closed-loop checks
-_INVALID = (SpectralError, TopologyError)
 
 
 @dataclass(frozen=True)
@@ -193,16 +205,13 @@ def check_projector_limit(verdict, scenario: Scenario, system: System) -> Verdic
     """e^{At} approaches the rank-one projector 1 z^T.
 
     e^{Ah} is the runs' sample operator e^{Ah/8}, from the system's flow
-    operators (built there if absent), squared three times: the same bits
+    operators, where preparing put it, squared three times: the same bits
     as matrix_exponential(clm, h), which squares the same Pade approximant
     of A h 2^-s, s >= 3 times, since h = 50 / |Re lambda_2| makes
     ||Ah||_1 >= 50 > 8 theta_13."""
-    clm, sd = system.clm, system.sd
-    h, span = sd.horizon(), _sample_interval(system)
-    ops = system.flow_ops
-    if span not in ops:
-        ops[span] = exact_flow_operators(clm, sd, span)
-    E = ops[span][0]
+    sd = system.sd
+    h = sd.horizon()
+    E = system.flow_ops[_sample_interval(system)][0]
     for _ in range(3):
         E = E @ E
     gap = float(np.abs(E - sd.W).max())
@@ -348,11 +357,8 @@ def _is_diagonalizable(A: np.ndarray, tol: float = 1e8):
 def _last_non_diagonalizable(scenarios) -> dict | None:
     """The fingerprint of the last of the prepared `scenarios` whose closed
     loop is not diagonalizable, or None: one probe per size n."""
-    by_n = {}
-    for i, sc in enumerate(scenarios):
-        by_n.setdefault(sc.topology.n, []).append(i)
     last = -1
-    for members in by_n.values():
+    for members in by_size([sc.system.clm for sc in scenarios]).values():
         flags = _is_diagonalizable(
             np.stack([scenarios[i].system.clm.A for i in members]))
         defective = np.flatnonzero(~flags)
@@ -374,9 +380,15 @@ def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
     if count > 0:
         scenarios.append(_defective_scenario())
     scenarios.sort(key=lambda s: s.seed)
-    # the system-only probes run stacked by n over every prepared scenario:
-    # the diagonalizability probe, and the identity exponentials each
-    # scenario caches for its check
+    if infeasible_count is None:
+        infeasible_count = min(count, 20)
+    controls = [make_infeasible_scenario(seed + 10_000 + i, n_range=n_range)
+                for i in range(infeasible_count)]
+    # every scenario is prepared, and its runs' operators built, stacked by
+    # n; so are the system-only probes of the checked scenarios: the
+    # diagonalizability probe, and the identity exponentials each caches
+    # for its check
+    _prepare(scenarios + controls)
     prepared = [sc for sc in scenarios
                 if not isinstance(sc._prepared, Exception)]
     non_diag = _last_non_diagonalizable(prepared)
@@ -385,6 +397,7 @@ def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
     # popped in seed order, so that each scenario's cached system, traces
     # and flow operators are freed once its checks have run
     scenarios.reverse()
+    controls.reverse()
 
     rows = []
     worst: dict[str, float] = {}
@@ -400,12 +413,10 @@ def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
             if v.residual is not None:
                 worst[v.check] = max(worst.get(v.check, 0.0), v.residual)
 
-    if infeasible_count is None:
-        infeasible_count = min(count, 20)
     negative_rows = []
     uncentered = 0
-    for i in range(infeasible_count):
-        sc = make_infeasible_scenario(seed + 10_000 + i, n_range=n_range)
+    while controls:
+        sc = controls.pop()
         feas = check_feasible_residual(sc)
         centering = check_reframe_centering(sc)
         # the negative control passes when centering fails measurably

@@ -63,3 +63,35 @@ def test_trees_are_sibling_paths_of_equal_length(ab_bench, tmp_path):
     assert base != work
     assert base.parent == work.parent == tmp_path
     assert len(str(base)) == len(str(work))
+
+
+def test_report_gives_one_block_per_workload_in_the_order_named(ab_bench):
+    args = ab_bench.arguments(["--base", "a72c9be", "--workload", "battery",
+                               "--workload", "discrete-auto", "--pairs", "2"])
+    assert args.workload == ["battery", "discrete-auto"]
+    assert args.pairs == 2
+    results = {
+        "battery": ([ab_bench.result(_report(w, 42.4)) for w in (1.5, 1.6)],
+                    [ab_bench.result(_report(w, 42.5)) for w in (1.2, 1.3)]),
+        "discrete-auto": ([ab_bench.result(_report(0.3, 41.0))] * 2,
+                          [ab_bench.result(_report(0.31, 40.9))] * 2),
+    }
+    better = {"wall_rel": "lower", "peak_rss_mb": "lower",
+              "pass_rate": "higher"}
+    assert ab_bench.report(args.base, results, better) == [
+        "battery: base a72c9be against the working tree, 2 pairs",
+        "wall_rel     base 1.55 (quartiles 1.475 / 1.625), change 1.25, "
+        "change better in 2 of 2",
+        "peak_rss_mb  base 42.4 (quartiles 42.4 / 42.4), change 42.5, "
+        "change better in 0 of 2",
+        "pass_rate    base 1 (quartiles 1 / 1), change 1, "
+        "change better in 0 of 2",
+        "",
+        "discrete-auto: base a72c9be against the working tree, 2 pairs",
+        "wall_rel     base 0.3 (quartiles 0.3 / 0.3), change 0.31, "
+        "change better in 0 of 2",
+        "peak_rss_mb  base 41 (quartiles 41 / 41), change 40.9, "
+        "change better in 2 of 2",
+        "pass_rate    base 1 (quartiles 1 / 1), change 1, "
+        "change better in 0 of 2",
+    ]

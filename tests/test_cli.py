@@ -306,6 +306,50 @@ def test_subnormal_discrete_dt_exits_2(tmp_path, capsys, no_recorder):
                    "most 16777216\n")
 
 
+def test_non_finite_flow_operator_exits_2(tmp_path, capsys):
+    # k = 1e300 overflows the squarings of the exponential: the run wrote NaN
+    # terminal values and a NaN payload, and exited 0
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_cli("run", "--config", _e1_with(tmp_path, k=1e300),
+                       "--out", out) == 2
+    assert capsys.readouterr().err == (
+        "error: flow operator not finite: the gain or the span overflows the "
+        "matrix exponential\n")
+    assert not (out / "trace.csv").exists()
+
+
+def test_huge_discrete_offset_exits_2_naming_it(tmp_path):
+    # a clock at omega_u + q = 1e300 moves its phase past 2**52, where adding
+    # a control period no longer moves the next fire: the run spun there
+    config = _e1_with(tmp_path, q=[1e300, 0.0])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run(
+        [sys.executable, "-m", "bittide_sim", "run", "--config", str(config),
+         "--out", str(tmp_path / "out"), "--discrete"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == (
+        "error: config.discrete: q entries times the horizon 500 must be "
+        "below 2**52 in magnitude to count frames\n")
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_fixed_step_dt_above_the_stability_bound_exits_2(tmp_path, capsys,
+                                                         method):
+    # e1's bound is 1/(k * max in-degree) = 10: two substeps of 12.5 ended in
+    # a ValueError traceback
+    config = _e1_integrator(tmp_path, method=method, dt=20.0,
+                            sample_interval=25.0)
+    err = _rejected(tmp_path, capsys, config)
+    assert err == (f"error: config.integrator.dt: {method} substep 20 exceeds "
+                   "the stability bound 1/(k * max in-degree) = 10\n")
+
+
 @pytest.mark.parametrize("mode, limit", [([], 200), (["--discrete"], 2040)],
                          ids=["continuous", "discrete"])
 def test_sample_bound_admits_a_run_at_the_bound(tmp_path, capsys, monkeypatch,

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bittide_sim import (IntegratorSettings, OneShotReset, ReframeSchedule,
-                         floatfmt, build_closed_loop, build_incidence, dynamics,
+                         Topology, TopologyError, floatfmt, build_closed_loop, build_incidence, dynamics,
                          generate_topology, init_state, make_system_params,
                          observe, predict_beta_ss, predict_omega_ss, prepare,
                          run, spectral, step)
@@ -501,6 +501,73 @@ def test_flow_operators_match_augmented_exponential(seed, dt):
     _check_flow_operators(clm, sd, dt)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seeds=st.lists(st.integers(0, 10**6), min_size=1, max_size=8),
+       data=st.data())
+def test_stacked_flow_operators_equal_one_item_calls_bit_for_bit(seeds, data):
+    # battery closed loops of mixed sizes, a closed loop more than once, each
+    # at its own span: every pair has the bits of the loop's one-item call
+    systems = [make_random_scenario(seed).system for seed in seeds]
+    systems += systems[:data.draw(st.integers(0, len(systems)))]
+    dts = [data.draw(st.sampled_from(FLOW_DTS)) for _ in systems]
+    pairs = dynamics.exact_flow_operators([s.clm for s in systems],
+                                          [s.sd for s in systems], dts)
+    assert len(pairs) == len(systems)
+    for system, dt, (phi, psi) in zip(systems, dts, pairs):
+        own_phi, own_psi = dynamics.exact_flow_operators(system.clm,
+                                                         system.sd, dt)
+        assert phi.tobytes() == own_phi.tobytes()
+        assert psi.tobytes() == own_psi.tobytes()
+
+
+def test_non_finite_flow_operator_is_a_spectral_error(two_cycle):
+    # e^{A dt} overflows in its squarings at k = 1e300
+    system = prepare(two_cycle, make_system_params(two_cycle, k=1e300,
+                                                   omega_u=[1.0, 1.02]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(spectral.SpectralError, match="not finite"):
+            dynamics.exact_flow_operators(system.clm, system.sd, 2.5)
+        with pytest.raises(spectral.SpectralError, match="not finite"):
+            run(system, settings=IntegratorSettings(horizon=10.0,
+                                                    sample_interval=2.5))
+
+
+def test_prepare_all_gives_each_case_its_system_or_error(two_cycle):
+    cases = [(two_cycle, make_system_params(two_cycle, k=0.1,
+                                            omega_u=[1.0, 1.02]), 0.0),
+             (Topology(n=2, edges=[(1, 2)]),
+              make_system_params(Topology(n=2, edges=[(1, 2)]), k=0.1,
+                                 omega_u=1.0), 0.0),
+             (two_cycle, make_system_params(two_cycle, k=0.0, omega_u=1.0),
+              0.0)]
+    first, stranded, disabled = dynamics.prepare_all(cases)
+    assert isinstance(stranded, TopologyError)
+    assert disabled.clm is None and disabled.sd is None
+    alone = prepare(*cases[0])
+    assert first.sd.group_inverse.tobytes() == \
+        alone.sd.group_inverse.tobytes()
+    assert first.params.beta_off.tobytes() == alone.params.beta_off.tobytes()
+
+
+def test_fixed_time_T1_on_the_grid_takes_the_sample_operator(e1):
+    # three steps of 0.1 add up to 0.30000000000000004, so the step onto
+    # T1 = 0.3 spans 0.09999999999999998: it takes the one 0.1 operator and
+    # lands on T1, as a step clipped to the end does
+    topology, _, params, _, _ = e1
+    system = replace(prepare(topology, params), flow_ops={})
+    assert 0.1 + 0.1 + 0.1 != 0.3
+    trace = run(system, schedule=ReframeSchedule(mode="fixed-time", T1=0.3),
+                settings=IntegratorSettings(horizon=0.3, post_horizon=0.3,
+                                            sample_interval=0.1))
+    assert list(system.flow_ops) == [0.1]
+    assert trace.reframe_time == 0.3
+    assert list(trace.times[3:5]) == [0.3, 0.3]
+    assert trace.mode[3:5] == [PRE_REFRAME, POST_REFRAME]
+    last = step(trace.theta[2], system.params, system.clm, 0.1, sd=system.sd)
+    np.testing.assert_array_equal(trace.theta[3], last)
+
+
 def _bits(a) -> bytes:
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
@@ -750,7 +817,8 @@ def _per_sample_run(system, schedule, settings):
         if reset.events and reset.events[0] <= t_next + 1e-12:
             t_next = reset.events[0]
         span = t_next - t
-        clipped = t_next == t_end and abs(span - sample_dt) <= 1e-9 * sample_dt
+        clipped = (t_next in (t_end, *reset.events[:1])
+                   and abs(span - sample_dt) <= 1e-9 * sample_dt)
         if clipped or t_next == t + sample_dt:
             span = sample_dt
         if settings.method == "exact":
@@ -770,7 +838,7 @@ def _per_sample_run(system, schedule, settings):
                              settings.method)
                 t += span / steps
         if clipped:
-            t = t_end
+            t = t_next
     form()
     reset.finish()
     return reset, params

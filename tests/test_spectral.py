@@ -140,6 +140,45 @@ def test_reducible_graph_rejected():
         metzler_eigenvector(clm)
 
 
+@st.composite
+def closed_loops(draw):
+    """A closed loop of the battery's distribution, or of a random digraph
+    on 2-6 nodes that need not be strongly connected."""
+    if draw(st.booleans(), label="battery"):
+        return make_random_scenario(draw(st.integers(0, 10**6))).system.clm
+    n = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1,
+                          max_size=2 * n, unique=True))
+    topology = Topology(n=n, edges=edges)
+    params = make_system_params(topology, k=draw(st.sampled_from([0.05, 1.0])),
+                                omega_u=1.0, beta_off=10.0)
+    return build_closed_loop(build_incidence(topology), params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(clms=st.lists(closed_loops(), min_size=1, max_size=8))
+def test_stacked_solve_gives_each_closed_loop_its_one_item_call(clms):
+    # the stack of each size gives every matrix the bits of its own call,
+    # and a matrix the tests reject its own error, whatever it is stacked with
+    stacked = spectral.metzler_eigenvectors(clms)
+    assert len(stacked) == len(clms)
+    for clm, entry in zip(clms, stacked):
+        try:
+            alone = metzler_eigenvector(clm)
+        except SpectralError as exc:
+            assert isinstance(entry, SpectralError)
+            assert str(entry) == str(exc)
+            with pytest.raises(SpectralError, match=str(exc)):
+                metzler_eigenvector(clm, entry)
+            continue
+        assert metzler_eigenvector(clm, entry) is entry
+        for name in ("z", "W", "eigenvalues", "group_inverse"):
+            mine, own = getattr(entry, name), getattr(alone, name)
+            assert mine.dtype == own.dtype and mine.shape == own.shape
+            assert mine.tobytes() == own.tobytes(), name
+
+
 def test_disconnected_components_rejected():
     topo = Topology(n=4, edges=[(1, 2), (2, 1), (3, 4), (4, 3)])
     clm = build_closed_loop(build_incidence(topo),

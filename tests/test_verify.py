@@ -282,6 +282,29 @@ def test_battery_simulates_each_trajectory_once(monkeypatch):
     assert len(flows) <= 26
 
 
+def test_battery_runs_on_the_operators_preparing_built(monkeypatch):
+    # every scenario is prepared before the checks, with its runs' one
+    # sample operator from one stacked call; the steps onto the on-grid T1 = h
+    # and onto the end reuse it, so each cache holds h/8 alone
+    flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
+    prepared = []
+    fill = verify._prepare
+
+    def keep(scenarios):
+        prepared.extend(scenarios)
+        fill(scenarios)
+
+    monkeypatch.setattr(verify, "_prepare", keep)
+    report = run_battery(count=12, seed=3, infeasible_count=4)
+    assert report["all_pass"]
+    assert len(flows) == 1
+    assert len(prepared) == 13 + 4
+    for sc in prepared:
+        system = sc.system
+        assert "trace" in vars(sc)
+        assert list(system.flow_ops) == [system.sd.horizon() / 8]
+
+
 @pytest.mark.parametrize("fill, check, shared", [
     (check_reframe_centering, check_reframe_frequency, "trace"),
     (check_reframe_frequency, check_reframe_centering, "trace"),
