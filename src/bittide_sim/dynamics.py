@@ -18,7 +18,7 @@ from .controller import OneShotReset, ReframeSchedule
 from .graph import (IncidenceSet, Topology, TopologyError, build_incidence,
                     is_strongly_connected)
 from .spectral import (ClosedLoopMatrix, SpectralData, SpectralError,
-                       build_closed_loop, by_size, matrix_exponentials,
+                       build_closed_loop, matrix_exponentials,
                        metzler_eigenvector, metzler_eigenvectors)
 
 
@@ -198,10 +198,10 @@ class System:
     nodes.  clm and sd are None for k == 0, a disabled controller that only
     the discrete mode can run.
 
-    flow_ops, when set, keeps the exact flow operators of clm.A per span for
-    every run of this closed loop.  A does not read q, so a system made by
-    `replace(system, params=...)` shares them.  None gives each run its own
-    operators, freed when the run returns.
+    flow_ops, when set, keeps the exact flow operator e^{A dt} of clm.A per
+    span dt for every run of this closed loop.  A does not read q, so a
+    system made by `replace(system, params=...)` shares them.  None gives
+    each run its own operators, freed when the run returns.
     """
 
     topology: Topology
@@ -281,35 +281,28 @@ def stability_bound(inc: IncidenceSet, k: float) -> float:
     return float("inf") if k * deg == 0 else 1.0 / (k * deg)
 
 
-def exact_flow_operators(clm, sd, dt):
-    """(e^{A dt}, integral_0^dt e^{As} ds) of the closed loop clm with
-    spectral data sd; for parallel sequences of closed loops, spectral data
-    and spans, the list of their pairs.
+def exact_flow_operators(clms, dts) -> list:
+    """e^{A dt} of each closed loop of `clms` at its span of `dts`, from one
+    `matrix_exponentials` call.  An operator that is not finite (the gain or
+    the span overflows the exponential) raises SpectralError; the overflow
+    itself stays silent, as this error reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phis = matrix_exponentials(clms, dts)
+    if not all(np.isfinite(phi).all() for phi in phis):
+        raise SpectralError(
+            "flow operator not finite: the gain or the span overflows the "
+            "matrix exponential")
+    return phis
 
-    The integral is dt W + G (e^{A dt} - I): it vanishes at dt = 0, and its
-    derivative W + G A e^{At} = W + (I - W) e^{At} is e^{At}, since AG = I - W
-    and W e^{At} = W.  The exponentials are one `matrix_exponentials` call,
-    and the integrals one stacked product per size n, each matrix with the
-    bits of its own call.  An operator that is not finite (the gain or the
-    span overflows the exponential) raises SpectralError.
-    """
-    one = isinstance(clm, ClosedLoopMatrix)
-    clms, sds, dts = ([clm], [sd], [dt]) if one else (clm, sd, dt)
-    phis = matrix_exponentials(clms, dts)
-    pairs = [None] * len(clms)
-    for n, members in by_size(clms).items():
-        phi = np.stack([phis[i] for i in members])
-        psi = np.array([dts[i] for i in members])[:, None, None] * np.stack(
-            [sds[i].W for i in members])
-        psi += np.stack([sds[i].group_inverse for i in members]) @ (
-            phi - np.eye(n))
-        if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
-            raise SpectralError(
-                "flow operator not finite: the gain or the span overflows the "
-                "matrix exponential")
-        for j, i in enumerate(members):
-            pairs[i] = phis[i], psi[j]
-    return pairs[0] if one else pairs
+
+def _drift_integral(sd: SpectralData, phi: np.ndarray, dt: float,
+                    v: np.ndarray) -> np.ndarray:
+    """w = integral_0^dt e^{As} v ds = dt (z.v) 1 + G (Phi v - v), for
+    Phi = e^{A dt} and a drift v of shape (n,) or (n, K).  Its derivative
+    in dt, (z.v) 1 + G A e^{A dt} v = W v + (I - W) e^{A dt} v, is
+    e^{A dt} v, since AG = I - W and W e^{A dt} = W; and it vanishes at
+    dt = 0."""
+    return dt * (sd.z @ v) + sd.group_inverse @ (phi @ v - v)
 
 
 def step(theta: np.ndarray, params: SystemParams, clm: ClosedLoopMatrix,
@@ -319,8 +312,9 @@ def step(theta: np.ndarray, params: SystemParams, clm: ClosedLoopMatrix,
     v = omega_u + q + r; for a (K, n) q, theta is an (n, K) block, one
     column per offset.
 
-    The exact method maps theta to Phi theta + w, with the flow operators
-    (Phi, Psi) of dt and w = Psi v: _flow gives (Phi, w), or sd builds them.
+    The exact method maps theta to Phi theta + w, with Phi = e^{A dt} and
+    w the drift's integral over dt: _flow gives (Phi, w), or sd builds them
+    as `run` does.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -328,8 +322,8 @@ def step(theta: np.ndarray, params: SystemParams, clm: ClosedLoopMatrix,
         if _flow is None:
             if sd is None:
                 raise ValueError("the exact method needs the spectral data sd")
-            phi, psi = exact_flow_operators(clm, sd, dt)
-            _flow = phi, psi @ _drift(clm, params)
+            phi, = exact_flow_operators([clm], [dt])
+            _flow = phi, _drift_integral(sd, phi, dt, _drift(clm, params))
         phi, w = _flow
         return phi @ theta + w
     elif method in ("rk4", "euler"):
@@ -364,10 +358,11 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
 
     A (K, n) q runs the closed loop for K offsets at once, sharing the sample
     grid and the flow operators: the phases are an (n, K) block, each span's
-    w = Psi v one n x K product, and each sample records one (K, n) block.
-    Each offset's rows agree with its own one-offset run to rounding.  A
-    fixed-time schedule freezes each row's own correction into that row; an
-    auto schedule compares single correction rows, so it needs a 1-D q.
+    drift integral w one n x K block, and each sample records one (K, n)
+    block.  Each offset's rows agree with its own one-offset run to
+    rounding.  A fixed-time schedule freezes each row's own correction into
+    that row; an auto schedule compares single correction rows, so it needs
+    a 1-D q.
 
     The reset's `drive` runs the loop.  Each advance steps from the last
     row through the next row on which the schedule may fire: one row while
@@ -391,8 +386,8 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     method = settings.method
     sub = (None if method == "exact"
            else settings.dt or stability_bound(clm.inc, clm.k) / 8.0)
-    # (Phi, Psi) per span, built once for every run of this closed loop or
-    # of this run alone; (Phi, w = Psi v) per span while q, so v, holds
+    # Phi per span, built once for every run of this closed loop or of this
+    # run alone; (Phi, w) per span while q, so the drift v, holds
     ops = {} if system.flow_ops is None else system.flow_ops
     held = {}
     A, r, n, add = clm.A, clm.r, inc.n, np.add.reduce
@@ -432,8 +427,12 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
             if snapped or t_next == s + sample_dt:
                 span = sample_dt
             # rk4 and euler take the fewest equal substeps of at most sub,
-            # and t adds each
-            count = max(1, int(np.ceil(span / sub - 1e-12))) if sub else 1
+            # and t adds each; the slack that spares a quotient a hair over
+            # a whole count its extra substep must not leave h over sub
+            count = 1
+            if sub:
+                count = max(1, int(np.ceil(span / sub - 1e-12)))
+                count += (span / count > sub)
             h = span / count
             for _ in range(count):
                 s += h
@@ -452,8 +451,9 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         for i, (count, h) in enumerate(substeps[:len(times) - lead], lead):
             if method == "exact" and h not in held:
                 if h not in ops:
-                    ops[h] = exact_flow_operators(clm, system.sd, h)
-                held[h] = ops[h][0], ops[h][1] @ _drift(clm, params)
+                    ops[h], = exact_flow_operators([clm], [h])
+                held[h] = ops[h], _drift_integral(system.sd, ops[h], h,
+                                                  _drift(clm, params))
             for _ in range(count):
                 theta = step(theta, params, clm, h, method, _flow=held.get(h))
             rows[i] = theta

@@ -127,6 +127,7 @@ class DiscreteState:
     due_at: np.ndarray         # next_fire - 1e-12, where a node's phase makes it due
     measured: np.ndarray       # quantized occupancy; each step binds a new array
     virtual: bool
+    steps: int = 0             # the steps taken: step j ends at t = j dt
     faults: list = field(default_factory=list)
     # the rows the last advance moved through, one per step: their times,
     # corrections and measured occupancies (the last row is the state's)
@@ -222,16 +223,6 @@ def init_discrete(scenario: DiscreteScenario) -> DiscreteState:
     return state
 
 
-def _step_times(t: float, dt: float, steps: int) -> list:
-    """t + dt, (t + dt) + dt, ...: each step's time as single steps add
-    them."""
-    times = []
-    for _ in range(steps):
-        t += dt
-        times.append(t)
-    return times
-
-
 def _next_fire(next_fire, due_at, due, theta, period):
     """Move each due node's next fire phase, and due_at, on in place by
     whole control periods past its phase theta."""
@@ -250,18 +241,19 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     return it: phases move at the held frequency, counters follow, physical
     bounds hold, controllers fire on their own clocks.
 
-    Each step adds the phase increment (omega_u + c) dt to the last row,
-    or accumulates it across the steps up to the next fire phase (row j of
-    that gap equals j single steps bit for bit), and tests which nodes are
-    due; on a row where some are, that row's quantized occupancy feeds the
-    batched law and the increment changes.  The advance runs through these
-    fires for at most `scenario.block_steps` steps, and ends on a fire that
-    leaves a clock not advancing.  A pending `reset` may end it sooner,
-    at the first row where its schedule fires.  A fixed-time schedule reads
-    no corrections, so its `cut` of the step times caps the steps before
-    the loop.  The auto trigger's is asked before each fire, and at the
-    end, on the rows that held the correction since the last fire (the
-    advance's last row is left to its `firing`), and the advance stops
+    Step j of the run is stamped j dt, so an on-grid T1 is reached on its
+    own step.  Each step adds the phase increment (omega_u + c) dt to the
+    last row, or accumulates it across the steps up to the next fire phase
+    (row j of that gap equals j single steps bit for bit), and tests which
+    nodes are due; on a row where some are, that row's quantized occupancy
+    feeds the batched law and the increment changes.  The advance runs
+    through these fires for at most `scenario.block_steps` steps, and ends
+    on a fire that leaves a clock not advancing.  A pending `reset` may end
+    it sooner, at the first row where its schedule fires.  A fixed-time
+    schedule reads no corrections, so its `cut` of the step times caps the
+    steps before the loop.  The auto trigger's is asked before each fire, and
+    at the end, on the rows that held the correction since the last fire
+    (the advance's last row is left to its `firing`), and the advance stops
     before it forms a fire past the row where it ends.
 
     The counters, the checks and the quantized occupancies are then formed
@@ -276,7 +268,7 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     c, due_at, next_fire = state.correction, state.due_at, state.next_fire
     rate = (omega_u + c) * dt
     steps = min(steps, scenario.block_steps)
-    times = _step_times(state.t, dt, steps)
+    times = [j * dt for j in range(state.steps + 1, state.steps + steps + 1)]
     if reset is not None and reset.detector is None:
         # the advance ends on the row that reaches the next T1, if it has one
         steps = reset.cut(times, None, 0, steps) or steps
@@ -381,6 +373,7 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     if not rows:
         raise fatal
     state.t, state.theta = times[-1], theta[rows]
+    state.steps += rows
     state.measured = state.measured_rows[-1]
     if rows == whole:
         state.next_fire, state.due_at = next_fire, due_at
@@ -416,10 +409,8 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
                          default_T1=scenario.horizon / 2.0, width=inc.m,
                          samples=steps + 1)
     state = init_discrete(scenario)
-    taken = 0
 
     def advance(params, firing):
-        nonlocal taken
         if firing is not None:
             # the buffers turn physical once every node has reframed
             _fire_controllers(state, scenario, params, firing)
@@ -428,10 +419,10 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
             # the run's first row or a post row, recorded here: a pending
             # auto trigger reads it in the history
             reset.record_rows([state.t], state.correction, state.measured)
-        if taken == steps:
+        if state.steps == steps:
             return None
         try:
-            discrete_step(state, scenario, params, dt, steps - taken,
+            discrete_step(state, scenario, params, dt, steps - state.steps,
                           reset if reset.pending else None)
         except DiscreteFault:
             # the rows before the failing step are the last good samples:
@@ -439,7 +430,6 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
             reset.record_rows(state.times, state.correction_rows,
                               state.measured_rows)
             raise
-        taken += len(state.times)
         return state.times, state.correction_rows, state.measured_rows
 
     aborted = False

@@ -108,7 +108,7 @@ class Scenario:
 def _prepare(scenarios):
     """Fills the `_prepared` cache of each scenario from one stacked
     `prepare_all`, each system with its own flow-operator cache, and puts in
-    each cache the operators of its runs' one span from one stacked
+    each cache the operator of its runs' one span from one stacked
     `exact_flow_operators` call."""
     systems = []
     for sc, system in zip(scenarios, prepare_all(
@@ -118,10 +118,9 @@ def _prepare(scenarios):
             systems.append(system)
         vars(sc)["_prepared"] = system
     spans = [_sample_interval(system) for system in systems]
-    for system, span, ops in zip(systems, spans, exact_flow_operators(
-            [system.clm for system in systems],
-            [system.sd for system in systems], spans)):
-        system.flow_ops[span] = ops
+    for system, span, phi in zip(systems, spans, exact_flow_operators(
+            [system.clm for system in systems], spans)):
+        system.flow_ops[span] = phi
 
 
 def _fill_identity_exponentials(scenarios):
@@ -211,7 +210,7 @@ def check_projector_limit(verdict, scenario: Scenario, system: System) -> Verdic
     ||Ah||_1 >= 50 > 8 theta_13."""
     sd = system.sd
     h = sd.horizon()
-    E = system.flow_ops[_sample_interval(system)][0]
+    E = system.flow_ops[_sample_interval(system)]
     for _ in range(3):
         E = E @ E
     gap = float(np.abs(E - sd.W).max())

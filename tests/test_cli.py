@@ -308,12 +308,14 @@ def test_subnormal_discrete_dt_exits_2(tmp_path, capsys, no_recorder):
 
 def test_non_finite_flow_operator_exits_2(tmp_path, capsys):
     # k = 1e300 overflows the squarings of the exponential: the run wrote NaN
-    # terminal values and a NaN payload, and exited 0
+    # terminal values and a NaN payload, and exited 0; then numpy's overflow
+    # and invalid-value warnings came before the error line
     out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert run_cli("run", "--config", _e1_with(tmp_path, k=1e300),
                        "--out", out) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert capsys.readouterr().err == (
         "error: flow operator not finite: the gain or the span overflows the "
         "matrix exponential\n")
@@ -348,6 +350,17 @@ def test_fixed_step_dt_above_the_stability_bound_exits_2(tmp_path, capsys,
     err = _rejected(tmp_path, capsys, config)
     assert err == (f"error: config.integrator.dt: {method} substep 20 exceeds "
                    "the stability bound 1/(k * max in-degree) = 10\n")
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_fixed_step_span_a_hair_over_dt_takes_two_substeps(tmp_path, method):
+    # dt = 10 is e1's stability bound; a sample interval one ulp over it
+    # took one substep of 10.000000000000002 and ended in a ValueError
+    # traceback
+    config = _e1_integrator(tmp_path, method=method, dt=10.0,
+                            sample_interval=10.000000000000002)
+    assert run_cli("run", "--config", config, "--out", tmp_path / "out") == 0
+    assert (tmp_path / "out" / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("mode, limit", [([], 200), (["--discrete"], 2040)],

@@ -13,8 +13,8 @@ from bittide_sim import (IntegratorSettings, OneShotReset, ReframeSchedule,
                          Topology, generate_topology, make_system_params,
                          node_views, prepare, proportional_correction, run)
 from bittide_sim import controller, framesim
-from bittide_sim.controller import StabilityDetector
-from bittide_sim.config import parse_config
+from bittide_sim.controller import POST_REFRAME, StabilityDetector
+from bittide_sim.config import parse_config, parse_config_dict
 from bittide_sim.framesim import (DiscreteFault, DiscreteScenario,
                                   DiscreteTrace, Fault, discrete_step,
                                   fault_report, init_discrete, run_discrete)
@@ -49,6 +49,35 @@ def test_initial_counters_match_feasible_offsets():
     state = init_discrete(e1_discrete())
     np.testing.assert_array_equal(state.measured, [10, 10])
     assert state.virtual
+
+
+def _discrete_fixed_config(seed=7):
+    """The benchmark's discrete-fixed workload: a 16-node bidirectional
+    ring, dt = 0.2 and a fixed-time reframe at T1 = 400 of 800."""
+    rng = np.random.default_rng(seed)
+    return parse_config_dict({
+        "topology": "bidirectional-ring", "n": 16, "k": 0.05,
+        "omega_u": rng.uniform(0.99, 1.01, size=16).tolist(),
+        "theta0": rng.uniform(0.0, 1.0, size=16).tolist(),
+        "lambda": 10.0, "controller": "reframing",
+        "reframe": {"mode": "fixed-time", "T1": 400.0},
+        "integrator": {"dt": 0.2, "horizon": 800.0},
+        "discrete": {"capacity": 20}})
+
+
+@pytest.mark.parametrize("cfg, T1", [
+    (lambda: parse_config(CONFIG_DIR / "e1_discrete.json"), 250.0),
+    (_discrete_fixed_config, 400.0)], ids=["e1_discrete", "discrete-fixed"])
+def test_an_on_grid_T1_fires_on_its_own_step(cfg, T1):
+    # summing dt step by step put step 2000 at 399.99999999998585, so
+    # discrete-fixed reframed one step late at 400.19999999998583, and
+    # e1_discrete at 250.19999999999433; step j is now j dt
+    cfg = cfg()
+    trace = run_discrete(cfg.discrete_scenario(cfg.system()))
+    assert trace.reframe_time == T1 and not trace.aborted
+    pre = trace.mode.index(POST_REFRAME) - 1
+    assert trace.times[pre] == T1 == pre * 0.2
+    assert trace.times[-1] == (len(trace.times) - 2) * 0.2
 
 
 def test_e1_discrete_settles_and_recenters_without_faults():
@@ -238,8 +267,11 @@ def test_auto_trigger_reads_history_without_copy(monkeypatch):
 
 
 def test_e1_auto_reframe_fires_inside_an_advance_through_fires():
-    # the trigger holds at t = 20.2, row 101, inside the first advance,
-    # after six fires that changed the correction; the advance is cut there
+    # the trigger holds at t = 20, row 100, inside the first advance, after
+    # six fires that changed the correction; the advance is cut there.  Row
+    # 100 is stamped 100 dt = 20 exactly, so the window of 20 is full on it;
+    # a running sum of dt stamped it 19.99999999999996, short of a full
+    # window, so the trigger held a row later
     scenario = replace(e1_discrete(), reframe=ReframeSchedule(
         mode="auto", epsilon=0.1, window=20.0))
     advances = []
@@ -253,10 +285,10 @@ def test_e1_auto_reframe_fires_inside_an_advance_through_fires():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(framesim, "discrete_step", counted)
         trace = run_discrete(scenario)
-    assert trace.reframe_time == pytest.approx(20.2, abs=1e-9)
-    assert advances[0] == 101
-    assert trace.times[101] == trace.times[102] == trace.reframe_time
-    changes = np.count_nonzero((np.diff(trace.correction[:102], axis=0) != 0)
+    assert trace.reframe_time == 20.0
+    assert advances[0] == 100
+    assert trace.times[100] == trace.times[101] == trace.reframe_time
+    changes = np.count_nonzero((np.diff(trace.correction[:101], axis=0) != 0)
                                .any(axis=1))
     assert changes == 6
     reference, events = _per_step_run(scenario)
@@ -335,9 +367,10 @@ def test_overflow_abort_keeps_the_last_good_row():
     trace = run_discrete(e1_discrete(capacity=1, k=0.0, lam=0.5, T1=1.0,
                                      horizon=200.0))
     assert trace.aborted and len(trace.times) == 126
-    assert trace.faults == [Fault(edge=2, t=24.999999999999943,
+    # step j is stamped j dt: the overflow on step 125, the last row step 124
+    assert trace.faults == [Fault(edge=2, t=125 * 0.2,
                                   direction="overflow", occupancy=2)]
-    assert trace.times[-1] == 24.799999999999944
+    assert trace.times[-1] == 124 * 0.2
     assert trace.mode[-1] == "post-reframe"
     np.testing.assert_array_equal(trace.omega[-1], [1.0, 1.02])
     np.testing.assert_array_equal(trace.correction[-1], [0.0, 0.0])
@@ -351,7 +384,7 @@ def test_invariant_abort_keeps_the_last_good_row():
     assert trace.aborted and len(trace.times) == 13
     assert [(f.edge, f.t, f.direction) for f in trace.faults] == [
         (1, 2.6, "pointer-monotonicity"), (2, 2.6, "pointer-monotonicity")]
-    assert trace.times[-1] == 2.4 and trace.mode[-1] == "pre-reframe"
+    assert trace.times[-1] == 12 * 0.2 and trace.mode[-1] == "pre-reframe"
     np.testing.assert_array_equal(trace.omega[-1], [-0.5, 1.02])
     np.testing.assert_array_equal(trace.correction[-1], [-1.5, 0.0])
     np.testing.assert_array_equal(trace.occupancy[-1], [11.0, 9.0])
