@@ -4,18 +4,21 @@
     python3 scripts/ab_bench.py --base HEAD --workload discrete-fixed --pairs 10
     python3 scripts/ab_bench.py --base HEAD --workload battery \
         --workload discrete-auto --pairs 10
+    python3 scripts/ab_bench.py --base HEAD --workload discrete-fixed \
+        --seed 11
 
 Exports the base revision with `git archive`, and the working tree's files
 (tracked and untracked, less the ignored ones), into two sibling temporary
 directories whose paths have the same length: the one-pass `peak_rss_mb` of
 a small workload moves by a few tenths of a MB with the path length alone.
-Each pair runs `perfbench/run.py --workload W --seed 7 --seconds 25 --trace 0`
+Each pair runs `perfbench/run.py --workload W --seed N --seconds 25 --trace 0`
 once in each tree for every named workload W, in the order named, the base
 first in odd pairs and the working tree first in even ones, so that a drift
-of the host's speed falls on both sides.  It then prints one block per
-workload: for each end-to-end metric of BENCHMARK.json, the base's and the
-change's medians, the base's quartiles, and in how many pairs the change
-did better (in the metric's own direction).
+of the host's speed falls on both sides.  N is `--seed`, 7 unless given:
+another seed checks a claim on inputs it was not made on.  It then prints
+one block per workload: for each end-to-end metric of BENCHMARK.json, the
+base's and the change's medians, the base's quartiles, and in how many
+pairs the change did better (in the metric's own direction).
 """
 
 import argparse
@@ -30,7 +33,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN = ["perfbench/run.py", "--seed", "7", "--seconds", "25", "--trace", "0"]
 
 
 def result(stdout: str) -> dict:
@@ -101,9 +103,15 @@ def export_working_tree(into: Path):
             shutil.copy2(ROOT / name, into / name)
 
 
-def run_once(tree: Path, workload: str) -> dict:
-    done = subprocess.run([sys.executable, *RUN, "--workload", workload],
-                          cwd=tree, capture_output=True, text=True)
+def command(workload: str, seed: int) -> list:
+    """The argv of one benchmark run, from the root of a tree."""
+    return [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", "25", "--trace", "0"]
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    done = subprocess.run(command(workload, seed), cwd=tree,
+                          capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"benchmark in {tree} exited {done.returncode}:\n"
                            f"{done.stderr}")
@@ -116,6 +124,8 @@ def arguments(argv=None) -> argparse.Namespace:
     p.add_argument("--workload", action="append", required=True,
                    help="a workload every pair runs; repeat for more")
     p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=7,
+                   help="the benchmark's workload seed (default 7)")
     return p.parse_args(argv)
 
 
@@ -133,7 +143,7 @@ def main() -> int:
             for workload, (base, change) in results.items():
                 sides = [(base_tree, base), (work_tree, change)]
                 for tree, runs in sides if i % 2 == 0 else sides[::-1]:
-                    runs.append(run_once(tree, workload))
+                    runs.append(run_once(tree, workload, args.seed))
                 print(f"pair {i + 1} {workload}: base {base[-1]}, change "
                       f"{change[-1]}", flush=True)
     print("\n".join(report(args.base, results, better)))

@@ -19,6 +19,13 @@ T1:
     python3 scripts/output_digests.py > digests.txt
     python3 scripts/output_digests.py path/to/config.json ...
 
+`--workloads SEED` runs instead the `run` workloads of the benchmark,
+`large-continuous`, `discrete-fixed` and `discrete-auto`, each on the
+config and flags that `perfbench/workloads.py` generates for SEED, and
+prints one line per written file:
+
+    python3 scripts/output_digests.py --workloads 7
+
 `--battery COUNT SEED` runs `bittide-sim verify --count COUNT --seed SEED`
 instead.  The first line has the digest of its `battery.json`, less the
 line of `summary.elapsed_seconds`, the one value that differs between runs.
@@ -37,6 +44,7 @@ The package is imported from `src/` of the checkout the script sits in.
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import re
@@ -65,6 +73,8 @@ METHODS = ("rk4", "euler")
 AUTO_REFRAME = {"mode": "auto", "epsilon": 0.1, "window": 20.0}
 ELAPSED = re.compile(rb'\n *"elapsed_seconds": [^\n]*')
 RESIDUALS = ("residual", "worst_residual")
+# the benchmark's workloads that run `bittide-sim run`
+RUN_WORKLOADS = ("large-continuous", "discrete-fixed", "discrete-auto")
 # each node's T1 in the staggered runs, before the discrete run of
 # eight_node breaks a counter invariant near t = 58; two nodes share one T1
 STAGGER = (30.0, 30.0, 32.0, 34.5, 36.0, 38.0, 40.1, 42.0)
@@ -104,6 +114,28 @@ def digests(config: Path):
             copy.write_text(json.dumps({**raw, **changes}), encoding="utf-8")
             for row in _run_digests(copy, flags):
                 yield (mode, *row)
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py of this checkout, as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_digests(seed: int):
+    """(workload, exit code, file name, sha256) of each file a `run`
+    workload of the benchmark writes at `seed`."""
+    workloads = _benchmark_workloads()
+    for name in RUN_WORKLOADS:
+        with tempfile.TemporaryDirectory() as tmp:
+            workload = workloads.make(name, seed, False, Path(tmp))
+            rc = _quiet_main(workload.argv)
+            for path in sorted(workload.out.iterdir()):
+                yield (name, rc, path.name,
+                       hashlib.sha256(path.read_bytes()).hexdigest())
 
 
 def _trace_digest(trace, names) -> str:
@@ -205,7 +237,16 @@ if __name__ == "__main__":
     parser.add_argument("configs", nargs="*", type=Path)
     parser.add_argument("--battery", nargs=2, type=int, metavar=("COUNT", "SEED"),
                         help="digest the battery's report instead of the configs")
+    parser.add_argument("--workloads", type=int, metavar="SEED",
+                        help="digest the benchmark's run workloads instead")
     args = parser.parse_args()
+    if args.workloads is not None:
+        if args.configs or args.battery is not None:
+            parser.error("--workloads takes no configs and no --battery")
+        for name, rc, file, digest in workload_digests(args.workloads):
+            print(f"workload {name} seed={args.workloads} rc={rc} {file} "
+                  f"{digest}")
+        sys.exit(0)
     if args.battery is None:
         if args.configs:
             sys.exit(run(args.configs))

@@ -62,12 +62,14 @@ def proportional_corrections(in_blocks, beta, beta_off, q, k, due, out):
     `IncidenceSet.in_blocks` row holds its node's in-edges in NodeView order,
     and a row-wise sum reduces it as np.sum reduces the view: bit for bit.
     Every node's sum is formed, one reduction per block, and only the due
-    nodes take theirs."""
+    nodes take theirs.  k is a float, or one row of it per node."""
     rel = beta - beta_off
-    sums = np.empty_like(out)
+    sums = np.empty(out.shape)
     for nodes, edges in in_blocks:
         sums[nodes] = np.add.reduce(rel[edges], axis=1)
-    np.copyto(out, k * sums + q, where=due)
+    sums *= k
+    sums += q
+    np.copyto(out, sums, where=due)
 
 
 def auto_reframe_trigger(t: float, t0: float, last_unstable: float,

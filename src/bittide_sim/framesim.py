@@ -26,8 +26,11 @@ from .spectral import predict_beta_ss
 
 # entries in one row-block array of an advance (see
 # DiscreteScenario.block_steps): a long run or a large topology takes more
-# advances, not more memory
-BLOCK_ENTRIES = 1 << 12
+# advances, not more memory.  The check arrays are built once per scenario,
+# but at 2**14 entries an array is just past glibc's 128 KiB mmap
+# threshold, and the one-pass peak RSS of the 16-node ring rose by up to
+# 1.3 MB with the seed
+BLOCK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,9 @@ class DiscreteScenario:
                              f"clock cycle, got {self.control_period}")
         if self.capacity < 1:
             raise ValueError("capacity must be a positive frame count")
-        if self.quantization < 1:
-            raise ValueError("quantization unit must be at least one frame")
+        if not 1 <= self.quantization < 2**52:
+            raise ValueError(f"quantization must be at least one frame and "
+                             f"below 2**52 frames, got {self.quantization}")
         params = self.system.params
         for name, x in (
                 ("theta0 entries", self.system.theta0),
@@ -96,6 +100,27 @@ class DiscreteScenario:
         src, theta0 = self.system.inc.src, self.system.theta0
         return (np.floor(self.system.params.lam + theta0[src])
                 - np.floor(theta0[src])).astype(np.int64)[None]
+
+    @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """(index, lead), each (2, m): a phase row's `take` at the index
+        gives each edge's source phase over its destination phase, and
+        adding the lead, lambda over 0, then flooring, its write pointer
+        over its read pointer, as `_counters` forms them."""
+        inc, lam = self.system.inc, self.system.params.lam
+        return (np.stack([inc.src, inc.dst]),
+                np.stack([lam, np.zeros_like(lam)]))
+
+    @cached_property
+    def check_arrays(self) -> tuple[np.ndarray, ...]:
+        """The arrays the check pass of an advance forms its values in,
+        built once and sized for block_steps steps: the gathered phases
+        (steps + 1, 2, m), the occupancies (steps + 1, m) of int64, and the
+        backward, created and bad masks (3, steps, m)."""
+        steps, m = self.block_steps, self.system.inc.m
+        return (np.empty((steps + 1, 2, m)),
+                np.empty((steps + 1, m), dtype=np.int64),
+                np.empty((3, steps, m), dtype=bool))
 
     @cached_property
     def block_steps(self) -> int:
@@ -198,7 +223,20 @@ def _row_faults(state: DiscreteState, scenario, backward: np.ndarray,
 
 
 def _quantize(occ: np.ndarray, unit: int) -> np.ndarray:
-    return (unit * np.floor_divide(occ, unit)).astype(float)
+    occ = np.floor_divide(occ, unit)
+    occ *= unit
+    return occ.astype(float)
+
+
+def _measured(row: np.ndarray, ends, unit: int) -> np.ndarray:
+    """The quantized occupancy of one phase row from the scenario's `ends`:
+    one take, one floor and one subtraction, and bit for bit
+    `_quantize(write - read, unit)` of `_counters`."""
+    index, lead = ends
+    counts = row.take(index)
+    counts += lead
+    counts = np.floor(counts, out=counts).astype(np.int64)
+    return _quantize(counts[0] - counts[1], unit)
 
 
 def _fire_controllers(state: DiscreteState, scenario: DiscreteScenario,
@@ -223,12 +261,14 @@ def init_discrete(scenario: DiscreteScenario) -> DiscreteState:
     return state
 
 
-def _next_fire(next_fire, due_at, due, theta, period):
-    """Move each due node's next fire phase, and due_at, on in place by
-    whole control periods past its phase theta."""
+def _next_fire(next_fire, due_at, due, theta, period, slack):
+    """Move each due node's next fire phase on in place by whole control
+    periods past its phase theta.  due_at is next_fire - slack (1e-12) at
+    every node, so it is formed again for all of them: where next_fire did
+    not move, the bits do not either."""
     while True:
-        np.add(next_fire, period, out=next_fire, where=due)
-        np.subtract(next_fire, 1e-12, out=due_at, where=due)
+        np.copyto(next_fire, next_fire + period, where=due)
+        np.subtract(next_fire, slack, out=due_at)
         due = theta >= due_at
         if not np.count_nonzero(due):
             return
@@ -246,27 +286,31 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     last row, or accumulates it across the steps up to the next fire phase
     (row j of that gap equals j single steps bit for bit), and tests which
     nodes are due; on a row where some are, that row's quantized occupancy
-    feeds the batched law and the increment changes.  The advance runs
-    through these fires for at most `scenario.block_steps` steps, and ends
-    on a fire that leaves a clock not advancing.  A pending `reset` may end
-    it sooner, at the first row where its schedule fires.  A fixed-time
-    schedule reads no corrections, so its `cut` of the step times caps the
-    steps before the loop.  The auto trigger's is asked before each fire, and
-    at the end, on the rows that held the correction since the last fire
-    (the advance's last row is left to its `firing`), and the advance stops
-    before it forms a fire past the row where it ends.
+    (`_measured`) feeds the batched law and the increment changes.  The
+    advance runs through these fires for at most `scenario.block_steps`
+    steps, and ends on a fire that leaves a clock not advancing.  A pending
+    `reset` may end it sooner, at the first row where its schedule fires.
+    A fixed-time schedule reads no corrections, so its `cut` of the step
+    times caps the steps before the loop.  The auto trigger's is asked
+    before each fire, and at the end, on the rows that held the correction
+    since the last fire (the advance's last row is left to its `firing`),
+    and the advance stops before it forms a fire past the row where it
+    ends.
 
     The counters, the checks and the quantized occupancies are then formed
-    once over all the rows.  A row that fails a check that ends the run
-    leaves the state on the row before it, with the fires up to that row
-    and none after it, as if the steps had been taken one at a time; a
-    bound fault under continue_on_fault is recorded and the row still
-    fires.  `times`, `correction_rows` and `measured_rows` give the rows."""
-    inc = scenario.system.inc
-    src, dst, n = inc.src, inc.dst, inc.n
-    omega_u, period = params.omega_u, scenario.control_period
+    once over all the rows, in the scenario's `check_arrays`.  A row that
+    fails a check that ends the run leaves the state on the row before it,
+    with the fires up to that row and none after it, as if the steps had
+    been taken one at a time; a bound fault under continue_on_fault is
+    recorded and the row still fires.  `times`, `correction_rows` and
+    `measured_rows` give the rows."""
+    inc, ends = scenario.system.inc, scenario.ends
+    n, omega_u = inc.n, params.omega_u
     c, due_at, next_fire = state.correction, state.due_at, state.next_fire
-    rate = (omega_u + c) * dt
+    # a fire's scalars as rows, which a ufunc takes faster than a float
+    period, slack, dt_row, k = np.full(
+        (4, n), [[scenario.control_period], [1e-12], [dt], [params.k]])
+    rate = (omega_u + c) * dt_row
     steps = min(steps, scenario.block_steps)
     times = [j * dt for j in range(state.steps + 1, state.steps + steps + 1)]
     if reset is not None and reset.detector is None:
@@ -278,7 +322,7 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     theta[0] = row = state.theta
     corrections = np.empty((steps, n))
     in_blocks, unit = inc.in_blocks, scenario.quantization
-    beta_off, q, k = params.beta_off, params.q, params.k
+    beta_off, q = params.beta_off, params.q
     count_nonzero = np.count_nonzero
     fired = []          # (row, due nodes) of each row that fires on the way
     rows = held = 0     # rows taken; the first row that holds c
@@ -323,15 +367,15 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
                 break
             asked = rows - 1
         c, held = corrections[rows - 1], rows
-        write, read = _counters(params, row.take(src), row.take(dst))
-        proportional_corrections(in_blocks, _quantize(write - read, unit),
+        proportional_corrections(in_blocks, _measured(row, ends, unit),
                                  beta_off, q, k, due, c)
         if not fired:   # the state's own phases stay for a rollback
             next_fire, due_at = next_fire.copy(), due_at.copy()
         fired.append((rows, due))
-        _next_fire(next_fire, due_at, due, row, period)
-        rate = (omega_u + c) * dt
-        if not rate.min() > 0:
+        _next_fire(next_fire, due_at, due, row, period, slack)
+        np.add(omega_u, c, out=rate)
+        np.multiply(rate, dt_row, out=rate)
+        if not rate.item(rate.argmin()) > 0:   # a NaN is the least
             break
         gap = 1
     corrections[held:rows] = c
@@ -343,17 +387,25 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     del times[rows:]
 
     # row 0 gives the state's own counters again, to compare the first step
-    theta = theta[:rows + 1]
-    theta_src = theta.take(src, axis=1)     # gathered once for both checks
-    write, read = _counters(params, theta_src, theta.take(dst, axis=1))
-    occ = write - read
+    phases, occ, masks = scenario.check_arrays
+    # the indices are in range; mode "raise" would fill out through a copy
+    phases = np.take(theta[:rows + 1], ends[0], axis=1, mode="clip",
+                     out=phases[:rows + 1])
+    write, read = _counters(params, phases[:, 0], phases[:, 1])
+    occ = np.subtract(write, read, out=occ[:rows + 1])
     # no frame is created or lost: pointers only advance, in lockstep with
     # whole cycles of the source and destination clocks
     write1, read1, occ1 = write[1:], read[1:], occ[1:]
-    backward = (write1 < write[:-1]) | (read1 < read[:-1])
-    source_cycles = np.floor(theta_src[1:]).astype(np.int64)
-    created = np.abs(write1 - source_cycles - scenario.source_lead) > 1
-    bad = backward | created
+    backward, created, bad = masks[:, :rows]
+    np.less(write1, write[:-1], out=backward)
+    backward |= np.less(read1, read[:-1], out=bad)
+    cycles = read1      # the source clocks' whole cycles, where read was
+    np.copyto(cycles, np.floor(phases[1:, 0], out=phases[1:, 0]),
+              casting="unsafe")
+    np.subtract(write1, cycles, out=cycles)
+    cycles -= scenario.source_lead
+    np.greater(np.abs(cycles, out=cycles), 1, out=created)
+    np.logical_or(backward, created, out=bad)
     if not state.virtual:
         # outside [0, capacity]: a negative count reads as a huge unsigned one
         bad |= np.greater(occ1.view(np.uint64), scenario.capacity)
@@ -384,7 +436,7 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
             if row > rows:
                 break
             _next_fire(state.next_fire, state.due_at, fires, theta[row],
-                       period)
+                       period, slack)
     state.correction = corrections[rows - 1]
     if fatal is not None:
         raise fatal

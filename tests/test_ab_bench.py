@@ -95,3 +95,15 @@ def test_report_gives_one_block_per_workload_in_the_order_named(ab_bench):
         "pass_rate    base 1 (quartiles 1 / 1), change 1, "
         "change better in 0 of 2",
     ]
+
+
+def test_seed_reaches_every_run_and_defaults_to_7(ab_bench):
+    args = ab_bench.arguments(["--base", "HEAD", "--workload",
+                               "discrete-fixed"])
+    assert args.seed == 7
+    args = ab_bench.arguments(["--base", "HEAD", "--workload",
+                               "discrete-fixed", "--seed", "11"])
+    assert args.seed == 11
+    argv = ab_bench.command("discrete-fixed", args.seed)
+    assert argv[1:] == ["perfbench/run.py", "--workload", "discrete-fixed",
+                        "--seed", "11", "--seconds", "25", "--trace", "0"]

@@ -154,6 +154,16 @@ def test_discrete_range_error_exits_2_naming_config_discrete(
     assert err.startswith("error: config.discrete: ")
 
 
+@pytest.mark.parametrize("unit", [2**52, 2**63])
+def test_huge_quantization_exits_2_naming_it(tmp_path, capsys, unit):
+    # a unit of 2**63 ended in an OverflowError traceback from the first
+    # quantized occupancy; frames are counted below 2**52
+    config = _e1_with(tmp_path, discrete={"quantization": unit})
+    err = _rejected(tmp_path, capsys, config, "--discrete")
+    assert err == ("error: config.discrete: quantization must be at least "
+                   f"one frame and below 2**52 frames, got {unit}\n")
+
+
 @pytest.mark.parametrize("section, value, kind", [
     ("reframe", "auto", "str"), ("integrator", "exact", "str"),
     ("discrete", [1], "list")])

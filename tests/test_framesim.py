@@ -51,6 +51,34 @@ def test_initial_counters_match_feasible_offsets():
     assert state.virtual
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), unit=st.integers(1, 3))
+def test_fire_row_occupancy_is_the_quantized_counters_bit_for_bit(data, unit):
+    # a fire row gathers both ends of every edge in one take of the
+    # scenario's ends; its occupancy is _counters' write minus read,
+    # quantized, for phases and lambda up to the 2**52 bound and for the
+    # negative counts of virtual buffers
+    n = data.draw(st.integers(2, 6))
+    topology = generate_topology("random-strong", n,
+                                 seed=data.draw(st.integers(0, 1000)),
+                                 extra_edge_fraction=0.3)
+    bound = 2**52 - 1
+    value = st.one_of(st.floats(-40.0, 40.0),
+                      st.floats(-float(bound), float(bound)),
+                      st.integers(-bound, bound).map(float))
+    lam = data.draw(st.lists(value, min_size=topology.m,
+                             max_size=topology.m))
+    params = make_system_params(topology, k=0.0, omega_u=1.0, lam=lam)
+    scenario = DiscreteScenario(system=prepare(topology, params, 0.0),
+                                capacity=1, quantization=unit)
+    row = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+    inc = scenario.system.inc
+    write, read = framesim._counters(params, row[inc.src], row[inc.dst])
+    expected = framesim._quantize(write - read, unit)
+    assert (framesim._measured(row, scenario.ends, unit).tobytes()
+            == expected.tobytes())
+
+
 def _discrete_fixed_config(seed=7):
     """The benchmark's discrete-fixed workload: a 16-node bidirectional
     ring, dt = 0.2 and a fixed-time reframe at T1 = 400 of 800."""
@@ -529,6 +557,47 @@ def test_a_bound_fault_that_fires_inside_a_multi_fire_advance():
                                       getattr(reference, name))
     assert trace.mode == reference.mode
     assert trace.faults == reference.faults
+
+
+def test_a_large_random_strong_run_matches_the_per_step_loop_bit_for_bit():
+    # 3507 edges over many in-degree blocks, and several steps in each
+    # advance of at most block_steps; the small scenarios of the
+    # hypothesis test reach neither
+    n = 256
+    topology = generate_topology("random-strong", n, seed=7,
+                                 extra_edge_fraction=0.05)
+    rng = np.random.default_rng(7)
+    params = make_system_params(topology, k=0.01,
+                                omega_u=rng.uniform(0.98, 1.02, n), lam=10.0)
+    scenario = DiscreteScenario(
+        system=prepare(topology, params, rng.uniform(0.0, 1.0, n)),
+        capacity=10**6, horizon=60.0,
+        reframe=ReframeSchedule(mode="fixed-time", T1=30.0))
+    inc = scenario.system.inc
+    assert inc.m == 3507 and len(inc.in_blocks) > 10
+    assert scenario.block_steps > 1
+    advances = []
+    step = framesim.discrete_step
+
+    def counted(*args, **kwargs):
+        advances.append(1)
+        return step(*args, **kwargs)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reference, events = _per_step_run(scenario)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(framesim, "discrete_step", counted)
+            trace = run_discrete(scenario)
+    for name in ("times", "correction", "occupancy"):
+        assert getattr(trace, name).tobytes() == getattr(reference,
+                                                         name).tobytes()
+    assert trace.reframe_time is not None and not trace.aborted
+    assert ((trace.mode, trace.faults, trace.reframe_time, trace.aborted)
+            == (reference.mode, reference.faults, reference.reframe_time,
+                reference.aborted))
+    # fewer advances than steps: some advance takes more than one
+    assert len(advances) == events < math.ceil(scenario.step_count)
 
 
 def _per_node_fire(state, scenario, params, which):

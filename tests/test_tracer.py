@@ -132,8 +132,8 @@ def test_benchmark_tracer_counts_each_auto_trigger_call():
 
 def test_discrete_auto_workload_advances_through_controller_fires(tmp_path):
     # the benchmark's discrete-auto pass at seed 7: 2500 steps, of which 603
-    # fire a controller, in two advances of at most block_steps = 2048
-    # steps; the auto reframe never fires
+    # fire a controller, in one advance of at most block_steps = 4096 steps;
+    # the auto reframe never fires
     tracer = _load_tracer()
     workload = _load_workloads().discrete_auto(7, False, tmp_path)
     tr = tracer.Tracer()
@@ -144,7 +144,9 @@ def test_discrete_auto_workload_advances_through_controller_fires(tmp_path):
     finally:
         restore()
     calls, _ = tr.self_times()
-    assert calls["framesim.discrete_step"] == 2
+    block_steps = framesim.BLOCK_ENTRIES // 2
+    assert calls["framesim.discrete_step"] == math.ceil(2500 / block_steps)
+    assert calls["framesim.discrete_step"] == 1
     trace = (workload.out / "trace.csv").read_bytes()
     assert trace.count(b"\n") - 1 == 2501
 
@@ -152,7 +154,7 @@ def test_discrete_auto_workload_advances_through_controller_fires(tmp_path):
 def test_discrete_fixed_workload_advances_through_controller_fires(tmp_path):
     # the benchmark's discrete-fixed pass at seed 7: 4000 steps on a 16-node
     # ring (m = 32), of which 3821 fire a controller, and a fixed T1 at step
-    # 2000; each half is ceil(2000 / block_steps) advances, 16 of 128 steps
+    # 2000; each half is ceil(2000 / block_steps) advances, 8 of 256 steps
     tracer = _load_tracer()
     workload = _load_workloads().discrete_fixed(7, False, tmp_path)
     tr = tracer.Tracer()
@@ -164,7 +166,7 @@ def test_discrete_fixed_workload_advances_through_controller_fires(tmp_path):
     calls, _ = tr.self_times()
     block_steps = framesim.BLOCK_ENTRIES // 32
     assert calls["framesim.discrete_step"] == 2 * math.ceil(2000 / block_steps)
-    assert calls["framesim.discrete_step"] == 32
+    assert calls["framesim.discrete_step"] == 16
     trace = (workload.out / "trace.csv").read_bytes()
     assert trace.count(b"\n") - 1 == 4002
 
