@@ -38,6 +38,11 @@ so a `diff` at two commits shows each residual that moved:
 
     python3 scripts/output_digests.py --battery 100 7
 
+`--n-range N_MIN N_MAX` passes `--n-min N_MIN --n-max N_MAX` to that
+`verify`, so the battery at other sizes is one command too:
+
+    python3 scripts/output_digests.py --battery 20 7 --n-range 16 64
+
 The package is imported from `src/` of the checkout the script sits in.
 """
 
@@ -178,12 +183,16 @@ def without_residuals(value):
     return value
 
 
-def _battery_report(count: int, seed: int) -> tuple[int, bytes]:
-    """(exit code, `battery.json` without its elapsed time) of one battery."""
+def _battery_report(count: int, seed: int,
+                    n_range=None) -> tuple[int, bytes]:
+    """(exit code, `battery.json` without its elapsed time) of one battery,
+    over verify's default sizes or the (n_min, n_max) of n_range."""
+    sizes = [] if n_range is None else [
+        "--n-min", str(n_range[0]), "--n-max", str(n_range[1])]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         rc = _quiet_main(["verify", "--count", str(count), "--seed", str(seed),
-                          "--out", str(out)])
+                          *sizes, "--out", str(out)])
         text, found = ELAPSED.subn(b"", (out / "battery.json").read_bytes())
     if found != 1:
         raise ValueError(f"battery.json has {found} elapsed_seconds lines, not 1")
@@ -198,10 +207,11 @@ def _digests(text: bytes) -> tuple[str, str]:
             hashlib.sha256(bare.encode()).hexdigest())
 
 
-def battery_digest(count: int, seed: int) -> tuple[int, str, str]:
+def battery_digest(count: int, seed: int,
+                   n_range=None) -> tuple[int, str, str]:
     """(exit code, sha256, residual-free sha256) of the battery's
     `battery.json` without its elapsed time."""
-    rc, text = _battery_report(count, seed)
+    rc, text = _battery_report(count, seed, n_range)
     return (rc, *_digests(text))
 
 
@@ -237,17 +247,23 @@ if __name__ == "__main__":
     parser.add_argument("configs", nargs="*", type=Path)
     parser.add_argument("--battery", nargs=2, type=int, metavar=("COUNT", "SEED"),
                         help="digest the battery's report instead of the configs")
+    parser.add_argument("--n-range", nargs=2, type=int,
+                        metavar=("N_MIN", "N_MAX"),
+                        help="the battery's sizes, as verify --n-min/--n-max")
     parser.add_argument("--workloads", type=int, metavar="SEED",
                         help="digest the benchmark's run workloads instead")
     args = parser.parse_args()
     if args.workloads is not None:
-        if args.configs or args.battery is not None:
-            parser.error("--workloads takes no configs and no --battery")
+        if args.configs or args.battery is not None or args.n_range:
+            parser.error("--workloads takes no configs, no --battery and no "
+                         "--n-range")
         for name, rc, file, digest in workload_digests(args.workloads):
             print(f"workload {name} seed={args.workloads} rc={rc} {file} "
                   f"{digest}")
         sys.exit(0)
     if args.battery is None:
+        if args.n_range is not None:
+            parser.error("--n-range needs --battery")
         if args.configs:
             sys.exit(run(args.configs))
         run(sorted((ROOT / "configs").glob("*.json")))
@@ -255,9 +271,11 @@ if __name__ == "__main__":
     if args.configs:
         parser.error("--battery takes no configs")
     count, seed = args.battery
-    rc, text = _battery_report(count, seed)
+    rc, text = _battery_report(count, seed, args.n_range)
     digest, bare = _digests(text)
-    label = f"battery count={count} seed={seed} rc={rc}"
+    sizes = ("" if args.n_range is None
+             else " n-range={}-{}".format(*args.n_range))
+    label = f"battery count={count} seed={seed}{sizes} rc={rc}"
     print(f"{label} battery.json {digest}")
     print(f"{label} battery.json-without-residuals {bare}")
     for line in residual_lines(json.loads(text)):

@@ -193,7 +193,25 @@ def cmd_analyze(cfg, out_dir: Path) -> int:
     return EXIT_OK
 
 
+def _verify_flag_error(args) -> str | None:
+    """The error of the first out-of-range `verify` flag, or None."""
+    if args.count < 0:
+        return f"--count must be at least 0, got {args.count}"
+    if args.infeasible is not None and args.infeasible < 0:
+        return f"--infeasible must be at least 0, got {args.infeasible}"
+    if args.n_min < 2:
+        return f"--n-min must be at least 2, got {args.n_min}"
+    if args.n_max < args.n_min:
+        return (f"--n-max must be at least --n-min {args.n_min}, got "
+                f"{args.n_max}")
+    return None
+
+
 def cmd_verify(args, out_dir: Path) -> int:
+    error = _verify_flag_error(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     report = verify_mod.run_battery(count=args.count, seed=args.seed,
                                     n_range=(args.n_min, args.n_max),
                                     infeasible_count=args.infeasible)

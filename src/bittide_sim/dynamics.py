@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import OneShotReset, ReframeSchedule
+from .controller import (POST_REFRAME, PRE_REFRAME, OneShotReset,
+                         ReframeSchedule)
 from .graph import (IncidenceSet, Topology, TopologyError, build_incidence,
                     is_strongly_connected)
 from .spectral import (ClosedLoopMatrix, SpectralData, SpectralError,
@@ -254,10 +255,66 @@ def prepare(topology: Topology, params: SystemParams, theta0=0.0) -> System:
     return system
 
 
-def _drift(clm: ClosedLoopMatrix, params: SystemParams) -> np.ndarray:
+def _drift(clm: ClosedLoopMatrix, params: SystemParams,
+           q: np.ndarray | None = None) -> np.ndarray:
     """v = omega_u + q + r as theta's columns hold it: (n,), or (n, K) for K
-    offsets."""
-    return (params.omega_u + params.q + clm.r).T
+    offsets; q is params.q unless given."""
+    return (params.omega_u + (params.q if q is None else q) + clm.r).T
+
+
+def _corrections(A: np.ndarray, r: np.ndarray, q: np.ndarray,
+                 blocks: np.ndarray) -> np.ndarray:
+    """The corrections A (theta - mean theta) + q + r of phase blocks
+    (..., n, K), one C-contiguous (..., K, n) block each, as `observe` forms
+    each: a C-contiguous (n, K) block's mean is summed and divided as
+    ndarray.mean does, and A multiplies each block as one product.  A, r
+    and q broadcast against the blocks."""
+    n = blocks.shape[-2]
+    c = A @ (blocks - np.add.reduce(blocks, axis=-2, keepdims=True) / n)
+    c = np.add(np.swapaxes(c, -1, -2), q, order="C")
+    c += r
+    return c
+
+
+def _sample_clock(times: list, s: float, t_end: float, sample_dt: float,
+                  tol: float, event: float = math.inf, sub: float | None = None,
+                  one: bool = False) -> list:
+    """Append to `times` the sample times a run steps through from s, and
+    return each step's (substep count, substep): every sample_dt through
+    t_end, or through the first sample that reaches `event` (which it
+    samples itself).  With `one` it steps only while `times` is empty: one
+    step, or none after a lead row."""
+    substeps = []
+    while s < t_end - tol and not (one and times):
+        t_next = min(s + sample_dt, t_end)
+        at_event = event <= t_next + 1e-12
+        if at_event:
+            t_next = event      # sample the reframe instant itself
+        # an unclipped step spans exactly sample_dt, so every such step
+        # reuses one flow operator; t_next - s drifts in its last bits.
+        # A step clipped to t_end, or cut at a T1, within tol of
+        # sample_dt takes that operator too, and still lands on t_next
+        span = t_next - s
+        snapped = ((at_event or t_next == t_end)
+                   and abs(span - sample_dt) <= tol)
+        if snapped or t_next == s + sample_dt:
+            span = sample_dt
+        # rk4 and euler take the fewest equal substeps of at most sub,
+        # and t adds each; the slack that spares a quotient a hair over
+        # a whole count its extra substep must not leave h over sub
+        count = 1
+        if sub:
+            count = max(1, int(np.ceil(span / sub - 1e-12)))
+            count += (span / count > sub)
+        h = span / count
+        for _ in range(count):
+            s += h
+        s = t_next if snapped else s
+        times.append(s)
+        substeps.append((count, h))
+        if at_event:
+            break
+    return substeps
 
 
 def _apply_A(A: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -390,7 +447,7 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     # run alone; (Phi, w) per span while q, so the drift v, holds
     ops = {} if system.flow_ops is None else system.flow_ops
     held = {}
-    A, r, n, add = clm.A, clm.r, inc.n, np.add.reduce
+    A, r, n = clm.A, clm.r, inc.n
     t, theta = 0.0, system.theta0
     if params.q.ndim > 1:
         theta = np.repeat(theta[:, None], len(params.q), axis=1)
@@ -409,38 +466,11 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         # to t_end would then record a near-duplicate last sample
         elif not lead and t >= t_end - tol:
             return None
-        times, substeps, s = [t] * lead, [], t
-        watch = reset.pending and reset.detector is not None
-        event = reset.events[0] if reset.events else math.inf
-        while s < t_end - tol and not (watch and times):
-            t_next = min(s + sample_dt, t_end)
-            at_event = event <= t_next + 1e-12
-            if at_event:
-                t_next = event      # sample the reframe instant itself
-            # an unclipped step spans exactly sample_dt, so every such step
-            # reuses one flow operator; t_next - s drifts in its last bits.
-            # A step clipped to t_end, or cut at a T1, within tol of
-            # sample_dt takes that operator too, and still lands on t_next
-            span = t_next - s
-            snapped = ((at_event or t_next == t_end)
-                       and abs(span - sample_dt) <= tol)
-            if snapped or t_next == s + sample_dt:
-                span = sample_dt
-            # rk4 and euler take the fewest equal substeps of at most sub,
-            # and t adds each; the slack that spares a quotient a hair over
-            # a whole count its extra substep must not leave h over sub
-            count = 1
-            if sub:
-                count = max(1, int(np.ceil(span / sub - 1e-12)))
-                count += (span / count > sub)
-            h = span / count
-            for _ in range(count):
-                s += h
-            s = t_next if snapped else s
-            times.append(s)
-            substeps.append((count, h))
-            if at_event:
-                break
+        times = [t] * lead
+        substeps = _sample_clock(
+            times, t, t_end, sample_dt, tol,
+            event=reset.events[0] if reset.events else math.inf, sub=sub,
+            one=reset.pending and reset.detector is not None)
         if reset.events:
             # the rows through the first that reaches the next T1, by the
             # test `firing` applies; the last row is left to `firing`
@@ -458,16 +488,11 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
                 theta = step(theta, params, clm, h, method, _flow=held.get(h))
             rows[i] = theta
         t = times[-1]
-        # the rows' corrections as `observe` forms each: a row's phases are
-        # a C-contiguous (n, K) block (K = 1 for a 1-D q) whose mean is
-        # summed and divided as ndarray.mean does, and A multiplies each
-        # block as one product
+        # a row's phases are an (n, K) block, K = 1 for a 1-D q
         blocks = rows.reshape(len(rows), n, -1)
-        c = A @ (blocks - add(blocks, axis=1, keepdims=True) / n)
-        c = np.add(c.transpose(0, 2, 1).reshape(len(rows), *params.q.shape),
-                   params.q)
-        c += r
-        return times, c, blocks.transpose(0, 2, 1).reshape(c.shape)
+        shape = (len(rows), *params.q.shape)
+        return (times, _corrections(A, r, params.q, blocks).reshape(shape),
+                blocks.transpose(0, 2, 1).reshape(shape))
 
     params = reset.drive(params, advance)
     trace = SimTrace(
@@ -481,11 +506,133 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         reframe_time=reset.time,
         reframe_payload=params.q if reset.time is not None else None,
     )
-    backward = np.argwhere(trace.omega <= 0)
+    _warn_backward(trace, trace.omega)
+    return trace
+
+
+def _warn_backward(trace: SimTrace, omega: np.ndarray):
+    """Warn, naming the caller of the run, if a clock of the trace, whose
+    frequencies are omega, runs backward: the first sample of a node with
+    omega <= 0."""
+    backward = np.argwhere(omega <= 0)
     if backward.size:
         # the model's clocks run forward: name the first such sample
         first = tuple(backward[0])
         warnings.warn(f"node {first[-1] + 1} has clock frequency "
-                      f"{trace.omega[first]:.6g} <= 0 at t = "
-                      f"{trace.times[first[0]]:.6g}", stacklevel=2)
-    return trace
+                      f"{omega[first]:.6g} <= 0 at t = "
+                      f"{trace.times[first[0]]:.6g}", stacklevel=3)
+
+
+def horizon_sample_interval(system: System) -> float:
+    """dt = h/8: a horizon reframe samples the horizon h in 8 equal spans."""
+    return system.sd.horizon() / 8
+
+
+def horizon_reframe(system: System) -> dict:
+    """The arguments with which `run` runs `system` as
+    `run_horizon_reframes` does: one fixed-time reframe at the horizon h,
+    h after it, and a sample every h/8."""
+    horizon = system.sd.horizon()
+    return {"schedule": ReframeSchedule(mode="fixed-time", T1=horizon),
+            "settings": IntegratorSettings(
+                horizon=horizon, post_horizon=horizon,
+                sample_interval=horizon_sample_interval(system))}
+
+
+def _horizon_clock(system: System) -> list | None:
+    """The sample times of the system's horizon reframe by `run`'s clock:
+    8 steps of dt = h/8 through the freeze at T1 = h, and 8 more from there.
+    None where the clock leaves that schedule: a step of another span, or
+    a sample before the freeze that reaches T1 by `firing`'s test."""
+    horizon = system.sd.horizon()
+    dt = horizon_sample_interval(system)
+    t_end, tol, steps = horizon + horizon, 1e-9 * dt, [(1, dt)] * 8
+    times = [0.0]
+    if (_sample_clock(times, 0.0, t_end, dt, tol, event=horizon) != steps
+            or times[-1] != horizon or not times[-2] < horizon - 1e-12):
+        return None
+    post = [horizon]
+    if _sample_clock(post, horizon, t_end, dt, tol) != steps:
+        return None
+    return times + post
+
+
+def run_horizon_reframes(systems) -> list:
+    """The trace of each of `systems`, all of one size n and each with a
+    (K, n) block of offsets q, bit for bit the one `run` gives with
+    `horizon_reframe`: 8 spans of dt = h/8 from theta0, the freeze of each
+    offset's own correction at T1 = h, the post row, and 8 more spans.
+
+    The systems step at once: one (S, n, n) stack of their sample
+    operators e^{A dt}, from each system's flow_ops where it holds one,
+    advances an (S, n, K) block of phases; each system's drift integral w
+    is its own `_drift_integral`, before and after the freeze, and each
+    phase's rows take their corrections from `run`'s product.  Each
+    system's sample times come from `run`'s clock; a system whose clock
+    leaves the 8 + 8 schedule on the one span (a horizon so far that the
+    repeated addition misses T1 by more than its slack) runs through `run`.
+    """
+    for system in systems:
+        if system.sd is None:
+            raise ValueError(f"gain k must be positive for the closed loop, "
+                             f"got {system.params.k}")
+    traces = [None] * len(systems)
+    members, clocks = [], []
+    for i, system in enumerate(systems):
+        clock = _horizon_clock(system)
+        if clock is None:
+            traces[i] = run(system, **horizon_reframe(system))
+        else:
+            members.append(i)
+            clocks.append(clock)
+    if not members:
+        return traces
+    stack = [systems[i] for i in members]
+    dts = [horizon_sample_interval(system) for system in stack]
+    phis = [(system.flow_ops or {}).get(dt) for system, dt in zip(stack, dts)]
+    missing = [j for j, phi in enumerate(phis) if phi is None]
+    if missing:
+        for j, phi in zip(missing, exact_flow_operators(
+                [stack[j].clm for j in missing], [dts[j] for j in missing])):
+            phis[j] = phi
+    phi = np.stack(phis)
+    A = np.stack([system.clm.A for system in stack])[:, None]
+    r = np.stack([system.clm.r for system in stack])[:, None, None]
+    q = np.stack([system.params.q for system in stack])
+    S, K, n = q.shape
+    # the rows 0-8 before the freeze, the post row 9 and the rows 10-17
+    blocks = np.empty((S, 18, n, K))
+    blocks[:, 0] = np.stack([system.theta0 for system in stack])[..., None]
+    c = np.empty((S, 18, K, n))
+
+    def advance(first, q):
+        # the 8 rows after row `first` under the offsets q, and the
+        # corrections of all 9
+        w = np.stack([_drift_integral(system.sd, phis[j], dts[j],
+                                      _drift(system.clm, system.params, q[j]))
+                      for j, system in enumerate(stack)])
+        for i in range(first + 1, first + 9):
+            np.matmul(phi, blocks[:, i - 1], out=blocks[:, i])
+            blocks[:, i] += w
+        rows = slice(first, first + 9)
+        c[:, rows] = _corrections(A, r, q[:, None], blocks[:, rows])
+
+    advance(0, q)
+    q = c[:, 8].copy()          # each offset freezes its own correction
+    blocks[:, 9] = blocks[:, 8]
+    advance(9, q)
+    times = np.array(clocks)
+    theta = np.ascontiguousarray(np.swapaxes(blocks, -1, -2))
+    modes = [PRE_REFRAME] * 9 + [POST_REFRAME] * 9
+    for j, (i, system) in enumerate(zip(members, stack)):
+        params = system.params
+        traces[i] = SimTrace(
+            times=times[j], theta=theta[j], correction=c[j],
+            omega_u=params.omega_u, inc=system.inc, lam=params.lam,
+            mode=list(modes), reframe_time=float(times[j, 8]),
+            reframe_payload=q[j])
+    omega = np.stack([system.params.omega_u for system in stack])
+    omega = omega[:, None, None] + c
+    for j in np.flatnonzero((omega <= 0).any(axis=(1, 2, 3))):
+        _warn_backward(traces[members[j]], omega[j])
+    return traces

@@ -77,16 +77,19 @@ class DiscreteScenario:
             raise ValueError(f"quantization must be at least one frame and "
                              f"below 2**52 frames, got {self.quantization}")
         params = self.system.params
-        for name, x in (
-                ("theta0 entries", self.system.theta0),
-                ("lambda entries", params.lam),
+        for name, x, bits in (
+                # at 2**52 a frame moves no fraction of a phase
+                ("theta0 entries", self.system.theta0, 52),
+                ("lambda entries", params.lam, 52),
+                # at 2**53 a frame moves no relative occupancy
+                ("beta_off entries", params.beta_off, 53),
                 # the phase an offset moves its clock over the run; the
                 # sample bound keeps omega_u's below 2**22
                 (f"q entries times the horizon {self.horizon:.6g}",
-                 params.q * self.horizon)):
-            if np.count_nonzero(np.abs(x) >= 2.0**52):  # a frame moves no phase
-                raise ValueError(f"{name} must be below 2**52 in magnitude "
-                                 "to count frames")
+                 params.q * self.horizon, 52)):
+            if np.count_nonzero(np.abs(x) >= 2.0**bits):
+                raise ValueError(f"{name} must be below 2**{bits} in "
+                                 "magnitude to count frames")
         if self.dt is not None and not 0 < self.dt <= self._dt_bound:
             raise ValueError(
                 f"dt = {self.dt} must be positive and fine enough for frame "

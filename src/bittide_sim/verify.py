@@ -19,10 +19,10 @@ from functools import cached_property, partial, wraps
 
 import numpy as np
 
-from .controller import POST_REFRAME, ReframeSchedule
-from .dynamics import (IntegratorSettings, SimTrace, System, SystemParams,
-                       exact_flow_operators, feasible_offsets,
-                       make_system_params, prepare_all, run)
+from .controller import POST_REFRAME
+from .dynamics import (SimTrace, System, SystemParams, exact_flow_operators,
+                       feasible_offsets, horizon_sample_interval,
+                       make_system_params, prepare_all, run_horizon_reframes)
 from .graph import Topology, edge_endpoints, generate_topology
 from .spectral import (by_size, matrix_exponentials, predict_beta_ss,
                        predict_omega_ss, steady_state_correction)
@@ -86,16 +86,12 @@ class Scenario:
     def trace(self) -> SimTrace:
         """The scenario's one run, shared by every check: every offset at
         once, with one fixed-time reframe at the horizon that freezes each
-        offset's own correction.  Row 0 of each sample is the own q's.
-        Neither the closed loop nor its spectral data read q, so one solve
-        and one set of flow operators serve every offset."""
-        system = self.system
-        horizon = system.sd.horizon()
-        settings = IntegratorSettings(horizon=horizon, post_horizon=horizon,
-                                      sample_interval=_sample_interval(system))
-        return run(replace(system, params=system.params.with_q(self.offsets)),
-                   schedule=ReframeSchedule(mode="fixed-time", T1=horizon),
-                   settings=settings)
+        offset's own correction (`run_horizon_reframes` on a stack of one).
+        Row 0 of each sample is the own q's.  Neither the closed loop nor
+        its spectral data read q, so one solve and one sample operator
+        serve every offset; `run_battery` fills this for all of its
+        scenarios, one stack per size n."""
+        return _traces([self])[0]
 
     @cached_property
     def identity_exponentials(self) -> list:
@@ -117,10 +113,30 @@ def _prepare(scenarios):
             system = replace(system, flow_ops={})
             systems.append(system)
         vars(sc)["_prepared"] = system
-    spans = [_sample_interval(system) for system in systems]
+    spans = [horizon_sample_interval(system) for system in systems]
     for system, span, phi in zip(systems, spans, exact_flow_operators(
             [system.clm for system in systems], spans)):
         system.flow_ops[span] = phi
+
+
+def _traces(scenarios) -> list:
+    """The trace of each of the prepared `scenarios`, all of one size n,
+    from one `run_horizon_reframes` call over their systems with the
+    offsets in q."""
+    return run_horizon_reframes([
+        replace(sc.system, params=sc.system.params.with_q(sc.offsets))
+        for sc in scenarios])
+
+
+def _fill_traces(scenarios):
+    """Fills the `trace` cache of each of the `scenarios` that `prepare`
+    accepted, with one stacked run per size n."""
+    scenarios = [sc for sc in scenarios
+                 if not isinstance(sc._prepared, Exception)]
+    for members in by_size([sc.system.clm for sc in scenarios]).values():
+        group = [scenarios[i] for i in members]
+        for sc, trace in zip(group, _traces(group)):
+            vars(sc)["trace"] = trace
 
 
 def _fill_identity_exponentials(scenarios):
@@ -172,11 +188,6 @@ def _check(name: str):
     return wrap
 
 
-def _sample_interval(system: System) -> float:
-    """The battery's runs sample the horizon in 8 equal spans."""
-    return system.sd.horizon() / 8
-
-
 def _pre_reframe(trace: SimTrace) -> int:
     """The index of the trace's last pre-reframe sample."""
     return trace.mode.index(POST_REFRAME) - 1
@@ -210,7 +221,7 @@ def check_projector_limit(verdict, scenario: Scenario, system: System) -> Verdic
     ||Ah||_1 >= 50 > 8 theta_13."""
     sd = system.sd
     h = sd.horizon()
-    E = system.flow_ops[_sample_interval(system)]
+    E = system.flow_ops[horizon_sample_interval(system)]
     for _ in range(3):
         E = E @ E
     gap = float(np.abs(E - sd.W).max())
@@ -383,11 +394,12 @@ def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
         infeasible_count = min(count, 20)
     controls = [make_infeasible_scenario(seed + 10_000 + i, n_range=n_range)
                 for i in range(infeasible_count)]
-    # every scenario is prepared, and its runs' operators built, stacked by
-    # n; so are the system-only probes of the checked scenarios: the
-    # diagonalizability probe, and the identity exponentials each caches
-    # for its check
+    # every scenario is prepared, its run's operator built and its run
+    # stepped, stacked by n; so are the system-only probes of the checked
+    # scenarios: the diagonalizability probe, and the identity exponentials
+    # each caches for its check
     _prepare(scenarios + controls)
+    _fill_traces(scenarios + controls)
     prepared = [sc for sc in scenarios
                 if not isinstance(sc._prepared, Exception)]
     non_diag = _last_non_diagonalizable(prepared)

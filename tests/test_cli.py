@@ -116,6 +116,41 @@ def test_verify_subcommand_exit_codes(tmp_path):
     assert report["all_pass"]
 
 
+def _verify_rejected(tmp_path, capsys, *flags) -> str:
+    """Runs `verify` with the flags, which must exit 2 with one `error:`
+    line and write no report; returns that line."""
+    assert run_cli("verify", *flags, "--out", tmp_path) == 2
+    assert not (tmp_path / "battery.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_verify_n_min_above_n_max_exits_2(tmp_path, capsys):
+    # ended in numpy's `low >= high` ValueError traceback, exit 1
+    assert _verify_rejected(tmp_path, capsys, "--n-min", 5, "--n-max", 2) == (
+        "error: --n-max must be at least --n-min 5, got 2\n")
+
+
+def test_verify_n_min_below_two_exits_2(tmp_path, capsys):
+    # drew one-node scenarios and reported "n = 1"
+    assert _verify_rejected(tmp_path, capsys, "--n-min", 0) == (
+        "error: --n-min must be at least 2, got 0\n")
+
+
+def test_verify_negative_count_exits_2(tmp_path, capsys):
+    # ran no scenario and exited 0 with "all pass"
+    assert _verify_rejected(tmp_path, capsys, "--count", -1) == (
+        "error: --count must be at least 0, got -1\n")
+
+
+def test_verify_negative_infeasible_count_exits_2(tmp_path, capsys):
+    # exited 0 with "all pass" and wrote "infeasible_count": -3
+    assert _verify_rejected(tmp_path, capsys, "--count", 2,
+                            "--infeasible", -3) == (
+        "error: --infeasible must be at least 0, got -3\n")
+
+
 def test_corrupt_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -348,6 +383,18 @@ def test_huge_discrete_offset_exits_2_naming_it(tmp_path):
         "error: config.discrete: q entries times the horizon 500 must be "
         "below 2**52 in magnitude to count frames\n")
     assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+def test_huge_discrete_beta_off_exits_2_naming_it(tmp_path, capsys):
+    # an offset of 1e300 frames has no frame count: numpy's invalid-cast
+    # warnings came from the counters, then a one-row trace and exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        err = _rejected(tmp_path, capsys, _e1_with(tmp_path,
+                                                   beta_off=[1e300, 0.0]),
+                        "--discrete")
+    assert err == ("error: config.discrete: beta_off entries must be below "
+                   "2**53 in magnitude to count frames\n")
 
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])

@@ -178,6 +178,17 @@ def test_discrete_phase_of_2_52_frames_is_config_error(key):
     cfg.discrete_scenario(cfg.system())
 
 
+def test_discrete_offset_of_2_53_frames_is_config_error():
+    # the feasible offsets of the phases just below 2**52 above reach
+    # 2**52 + 9; at 2**53 a frame no longer moves beta - beta_off
+    cfg = parse_config_dict(dict(MINIMAL, beta_off=[10.0, 2.0**53]))
+    with pytest.raises(ConfigError, match=r"^config\.discrete: beta_off "
+                                          r"entries must be below 2\*\*53"):
+        cfg.discrete_scenario(cfg.system())
+    cfg = parse_config_dict(dict(MINIMAL, beta_off=[10.0, 2.0**53 - 2]))
+    cfg.discrete_scenario(cfg.system())
+
+
 def test_system_generates_topology_once(monkeypatch):
     # parsing validates the generated topology, and the system reuses it
     calls = count_calls(monkeypatch, graph.generate_topology)

@@ -11,7 +11,7 @@ from bittide_sim import (IntegratorSettings, NodeView, OneShotReset, ReframeErro
                          ReframeSchedule, Topology, build_incidence,
                          make_system_params, node_views, prepare,
                          proportional_correction, run)
-from bittide_sim import cli, controller, verify
+from bittide_sim import cli, controller, dynamics, verify
 from bittide_sim.config import parse_config
 from bittide_sim.controller import (CorrectionHistory, StabilityDetector,
                                     proportional_corrections)
@@ -555,8 +555,9 @@ def test_never_fired_warning_names_the_callers_file(name, schedule):
 
 
 def test_the_reset_asks_firing_once_per_decision(monkeypatch, e1):
-    # a battery run asks at its T1 and at its end; a run with no schedule
-    # only at its end
+    # `run` of a battery scenario's horizon reframe asks at its T1 and at its
+    # end; the battery itself steps its runs stacked, through no reset, and
+    # asks nothing; a run with no schedule asks only at its end
     asked = []
     firing = OneShotReset.firing
 
@@ -565,9 +566,14 @@ def test_the_reset_asks_firing_once_per_decision(monkeypatch, e1):
         return firing(self, t)
 
     monkeypatch.setattr(OneShotReset, "firing", counting)
-    verify.run_battery(100, 7)
-    assert len(asked) == 242
+    scenario = verify.make_random_scenario(7)
+    system = replace(scenario.system,
+                     params=scenario.system.params.with_q(scenario.offsets))
+    trace = run(system, **dynamics.horizon_reframe(system))
+    assert asked == [trace.reframe_time, trace.times[-1]]
     asked.clear()
+    verify.run_battery(100, 7)
+    assert asked == []
     topology, _, params, _, _ = e1
     run(prepare(topology, params), settings=IntegratorSettings(horizon=50.0))
     assert len(asked) == 1

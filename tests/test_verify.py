@@ -3,7 +3,7 @@ import importlib.util
 import json
 import warnings
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -273,13 +273,81 @@ def test_battery_solves_once_per_scenario(solve_calls):
 
 def test_battery_simulates_each_trajectory_once(monkeypatch):
     runs = count_calls(monkeypatch, dynamics.run)
+    stacked = count_calls(monkeypatch, dynamics.run_horizon_reframes)
     flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
-    run_battery(count=3, seed=0, infeasible_count=2)
+    report = run_battery(count=3, seed=0, infeasible_count=2)
     # each of the 4 positive scenarios and the 2 negative controls runs its
-    # own q and 3 random q, with their reframe, in one run
-    assert len(runs) == 4 + 2
-    # one closed loop per scenario, and one operator pair per distinct span
-    assert len(flows) <= 26
+    # own q and 3 random q, with their reframe, once: in one stacked run per
+    # size n, and never through `run`
+    assert not runs
+    sizes = {row["scenario"]["n"] for row in report["scenarios"]
+             + report["negative_controls"]}
+    assert len(stacked) == len(sizes)
+    assert all(len({system.inc.n for system in systems}) == 1
+               for systems, in stacked)
+    assert sum(len(systems) for systems, in stacked) == 4 + 2
+    # one closed loop per scenario, and its one span's operator, from
+    # preparing's one stacked call
+    assert len(flows) == 1
+
+
+def _assert_traces_equal(trace, oracle):
+    for name in ("times", "theta", "correction", "reframe_payload"):
+        a, b = getattr(trace, name), getattr(oracle, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert trace.mode == oracle.mode
+    assert trace.reframe_time == oracle.reframe_time
+    assert trace.inc is oracle.inc
+    assert trace.omega_u is oracle.omega_u and trace.lam is oracle.lam
+
+
+def _assert_stacked_traces_equal_run(scenarios):
+    # the battery's traces, stacked by n, against `run` of each system
+    verify._prepare(scenarios)
+    verify._fill_traces(scenarios)
+    for sc in scenarios:
+        system = replace(sc.system, params=sc.system.params.with_q(sc.offsets))
+        _assert_traces_equal(vars(sc)["trace"],
+                             run(system, **dynamics.horizon_reframe(system)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds=st.lists(st.integers(0, 10**6), min_size=1, max_size=10),
+       controls=st.lists(st.integers(0, 10**6), max_size=3))
+def test_stacked_traces_equal_run_bit_for_bit(seeds, controls):
+    _assert_stacked_traces_equal_run(
+        [make_random_scenario(seed) for seed in seeds]
+        + [make_infeasible_scenario(seed) for seed in controls]
+        + [verify._defective_scenario()])
+
+
+def test_stacked_traces_equal_run_at_n_16_to_64():
+    # sizes the default battery never draws
+    _assert_stacked_traces_equal_run(
+        [make_random_scenario(7 + i, (16, 64)) for i in range(12)]
+        + [make_infeasible_scenario(10_007 + i, (16, 64)) for i in range(3)])
+
+
+def test_a_clock_off_the_stacked_schedule_runs_through_run(monkeypatch):
+    # at k = 6e-5 a two-node loop's horizon is 416666.67: the 8th repeated
+    # addition of h/8 lands one ulp (5.8e-11) short of T1, beyond its 1e-12
+    # slack, so `run` samples a near-duplicate row before the freeze.  That
+    # system runs through `run`; the one beside it at k = 0.1 is stacked, on
+    # a sample operator built for it, since `prepare` caches none
+    topology = Topology(n=2, edges=[(1, 2), (2, 1)])
+    offsets = np.array([[0.0, 0.0], [0.01, -0.02], [-0.03, 0.0], [0.02, 0.01]])
+    far, near = (replace(system, params=system.params.with_q(offsets))
+                 for system in (prepare(topology, make_system_params(
+                     topology, k=k, omega_u=[1.0, 1.02])) for k in (6e-5, 0.1)))
+    assert far.flow_ops is None and near.flow_ops is None
+    oracles = [run(system, **dynamics.horizon_reframe(system))
+               for system in (far, near)]
+    assert [len(trace) for trace in oracles] == [19, 18]
+    runs = count_calls(monkeypatch, dynamics.run)
+    for trace, oracle in zip(dynamics.run_horizon_reframes([far, near]),
+                             oracles):
+        _assert_traces_equal(trace, oracle)
+    assert [system for system, in runs] == [far]
 
 
 def test_battery_runs_on_the_operators_preparing_built(monkeypatch):
@@ -409,3 +477,19 @@ def test_battery_digest_leaves_out_only_the_elapsed_time(tmp_path):
     assert digests.battery_digest(1, 0) == (
         0, hashlib.sha256(text).hexdigest(),
         hashlib.sha256(bare_text).hexdigest())
+
+
+def test_battery_digest_passes_the_n_range_to_verify(tmp_path):
+    # `output_digests.py --battery COUNT SEED --n-range N_MIN N_MAX` digests
+    # `verify --n-min N_MIN --n-max N_MAX`
+    digests = _output_digests()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(["verify", "--count", "2", "--seed", "7",
+                         "--n-min", "9", "--n-max", "10",
+                         "--out", str(tmp_path)]) == 0
+    written = (tmp_path / "battery.json").read_bytes()
+    text = digests.ELAPSED.sub(b"", written)
+    assert json.loads(text)["settings"]["n_range"] == [9, 10]
+    assert digests.battery_digest(2, 7, (9, 10)) == (0, *digests._digests(text))
+    assert digests.battery_digest(2, 7) != digests.battery_digest(2, 7, (9, 10))
