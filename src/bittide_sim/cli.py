@@ -18,7 +18,7 @@ from . import floatfmt, verify as verify_mod
 from .config import ConfigError, config_to_dict, parse_config
 from .dynamics import run
 from .framesim import fault_report, run_discrete
-from .graph import TopologyError, generate_topology
+from .graph import MAX_NODES, TopologyError, generate_topology
 from .spectral import SpectralError, predict_beta_ss, predict_omega_ss
 
 EXIT_OK = 0
@@ -204,6 +204,8 @@ def _verify_flag_error(args) -> str | None:
     if args.n_max < args.n_min:
         return (f"--n-max must be at least --n-min {args.n_min}, got "
                 f"{args.n_max}")
+    if args.n_max > MAX_NODES:
+        return f"--n-max must be at most {MAX_NODES}, got {args.n_max}"
     return None
 
 

@@ -18,8 +18,8 @@ from .controller import ReframeSchedule
 from .dynamics import (IntegratorSettings, System, SystemParams,
                        make_system_params, prepare, stability_bound)
 from .framesim import DiscreteScenario
-from .graph import (TOPOLOGY_KINDS, Topology, TopologyError, generate_topology,
-                    stranded_node)
+from .graph import (TOPOLOGY_KINDS, Topology, TopologyError, check_generated_n,
+                    generate_topology, stranded_node)
 
 FEASIBLE = "feasible"
 # the most sample intervals (continuous) or steps (discrete) of one run: the
@@ -206,6 +206,9 @@ def _vector(raw, length, path, minimum=None):
 
 
 def _parse_topology(raw: dict, strict: bool):
+    """(kind, edges, n, topology_seed, extra_edge_fraction, topology) of the
+    config; a generated topology is None here: it is formed once the
+    vectors of n entries are checked."""
     topo = raw.get("topology")
     if topo is None:
         raise ConfigError("config: missing required key 'topology'")
@@ -219,11 +222,10 @@ def _parse_topology(raw: dict, strict: bool):
         frac = _expect(raw, "extra_edge_fraction", (int, float), "config",
                        default=0.0)
         try:
-            topology = generate_topology(topo, n, seed=seed,
-                                         extra_edge_fraction=float(frac))
+            check_generated_n(n)
         except TopologyError as exc:
             raise ConfigError(f"config.topology: {exc}") from exc
-        return topo, None, n, seed, float(frac), topology
+        return topo, None, n, seed, float(frac), None
     if isinstance(topo, dict):
         _check_keys(topo, {"edges", "n"}, "config.topology", strict)
         edges_raw = _expect(topo, "edges", list, "config.topology", required=True)
@@ -259,14 +261,23 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
     _check_keys(raw, _TOP_KEYS, "config", strict)
 
     kind, edges, n, tseed, frac, topology = _parse_topology(raw, strict)
-    m = topology.m
 
     k = float(_expect(raw, "k", (int, float), "config", required=True))
     if not 0 < k < math.inf:    # json.loads accepts NaN and Infinity
         raise ConfigError(f"config.k: gain must be finite and positive, got {k}")
     if "omega_u" not in raw:
         raise ConfigError("config: missing required key 'omega_u'")
-    omega_u = _vector(raw["omega_u"], topology.n, "config.omega_u", minimum=0.0)
+    # the vectors of n entries are checked before a topology is generated
+    omega_u = _vector(raw["omega_u"], n, "config.omega_u", minimum=0.0)
+    q = _vector(raw.get("q", 0.0), n, "config.q")
+    theta0 = _vector(raw.get("theta0", 0.0), n, "config.theta0")
+    if topology is None:
+        try:
+            topology = generate_topology(kind, n, seed=tseed,
+                                         extra_edge_fraction=frac)
+        except TopologyError as exc:
+            raise ConfigError(f"config.topology: {exc}") from exc
+    m = topology.m
     lam = _vector(raw.get("lambda", 10.0), m, "config.lambda")
 
     beta_raw = raw.get("beta_off", FEASIBLE)
@@ -274,8 +285,6 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
         beta_off = FEASIBLE
     else:
         beta_off = _vector(beta_raw, m, "config.beta_off")
-    q = _vector(raw.get("q", 0.0), topology.n, "config.q")
-    theta0 = _vector(raw.get("theta0", 0.0), topology.n, "config.theta0")
 
     controller = _expect(raw, "controller", str, "config", default="reframing")
     if controller not in ("reframing", "proportional"):

@@ -14,6 +14,11 @@ from functools import cached_property
 import numpy as np
 
 TOPOLOGY_KINDS = ("ring", "bidirectional-ring", "complete", "random-strong")
+# the most nodes of a generated topology: a run forms dense n x n matrices
+# (about 1.3 GB at n = 4096), so a larger n is refused before anything of
+# size n is built.  An edge list needs no bound: a strongly connected one
+# has at least n edges.
+MAX_NODES = 4096
 
 
 class TopologyError(ValueError):
@@ -69,7 +74,7 @@ class IncidenceSet:
     def edge_diff(self, x: np.ndarray) -> np.ndarray:
         """B^T x: x at each edge's source minus x at its destination, along
         the last axis of x."""
-        return x[..., self.src] - x[..., self.dst]
+        return np.take(x, self.src, axis=-1) - np.take(x, self.dst, axis=-1)
 
     def in_sum(self, y: np.ndarray) -> np.ndarray:
         """D y: the sum of y over each node's incoming edges."""
@@ -174,6 +179,14 @@ def _non_ring_pairs(n: int, idx: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(i.tolist(), j.tolist()))
 
 
+def check_generated_n(n: int):
+    """Raise TopologyError unless n is a node count that generate_topology
+    takes: 2..MAX_NODES."""
+    if not 2 <= n <= MAX_NODES:
+        raise TopologyError(f"generated topologies need 2 <= n <= "
+                            f"{MAX_NODES}, got n = {n}")
+
+
 def generate_topology(kind: str, n: int, seed: int = 0,
                       extra_edge_fraction: float = 0.0) -> Topology:
     """Generate a strongly connected topology, deterministic in the seed.
@@ -185,8 +198,7 @@ def generate_topology(kind: str, n: int, seed: int = 0,
       random-strong       directed ring plus floor(extra_edge_fraction * n * (n-2))
                           distinct extra edges drawn uniformly from the non-ring pairs
     """
-    if n < 2:
-        raise TopologyError(f"generated topologies need n >= 2, got n = {n}")
+    check_generated_n(n)
     if kind not in TOPOLOGY_KINDS:
         raise TopologyError(f"unknown topology kind {kind!r}, expected one of {TOPOLOGY_KINDS}")
     ring = [(i, i % n + 1) for i in range(1, n + 1)]

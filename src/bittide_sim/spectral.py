@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import IncidenceSet
+from .graph import IncidenceSet, Topology, is_strongly_connected
 
 # zero-eigenvalue detection and positivity checks, relative to matrix scale
 _NULL_TOL = 1e-9
@@ -124,6 +124,17 @@ def by_size(clms) -> dict:
     return by_n
 
 
+def _not_simple(clm: ClosedLoopMatrix) -> str:
+    """The error of a closed loop whose zero eigenvalue the tests do not
+    find simple: it names the gain where the graph is strongly connected."""
+    edges = zip(clm.inc.src + 1, clm.inc.dst + 1)
+    if not is_strongly_connected(Topology(n=clm.n, edges=tuple(edges))):
+        return "graph not strongly connected"
+    return (f"gain k = {clm.k:g} is too small: the closed loop's nonzero "
+            f"eigenvalues are within the zero tolerance {_NULL_TOL:g} * "
+            f"max(|A|, 1) of this strongly connected graph")
+
+
 def metzler_eigenvectors(clms) -> list:
     """Compute z, W and the group inverse of A for each closed loop of
     `clms`: its SpectralData, or in its place the SpectralError that its
@@ -167,8 +178,10 @@ def metzler_eigenvectors(clms) -> list:
         for j, i in enumerate(members):
             if not (simple[j] and positive[j]):
                 # zero eigenvalue not simple, or z not positive: the
-                # topology splits into closed classes
-                out[i] = SpectralError("graph not strongly connected")
+                # topology splits into closed classes, or on a strongly
+                # connected one the gain puts the eigenvalues in the
+                # tolerance
+                out[i] = SpectralError(_not_simple(clms[i]))
             elif not valid[j]:
                 out[i] = SpectralError(f"left null vector residual "
                                        f"{resid[j]:.3e} exceeds tolerance")

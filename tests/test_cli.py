@@ -15,6 +15,7 @@ from bittide_sim import (ReframeSchedule, cli, generate_topology,
 from bittide_sim import config as config_mod
 from bittide_sim import controller
 from bittide_sim.cli import _fmt, main, read_trace_csv, trace_csv
+from bittide_sim.graph import MAX_NODES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -395,6 +396,65 @@ def test_huge_discrete_beta_off_exits_2_naming_it(tmp_path, capsys):
                         "--discrete")
     assert err == ("error: config.discrete: beta_off entries must be below "
                    "2**53 in magnitude to count frames\n")
+
+
+def _small_peak(call):
+    """call()'s result, after checking that it allocated under 1 MB."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    return result
+
+
+@pytest.mark.parametrize("mode", [[], ["--discrete"]])
+def test_n_above_max_nodes_exits_2_before_allocating(tmp_path, capsys, mode):
+    # n = 10**9 ended in a MemoryError traceback from the ring list
+    config = _e1_with(tmp_path, topology="ring", n=10**9, omega_u=1.0)
+    err = _small_peak(lambda: _rejected(tmp_path, capsys, config, *mode))
+    assert err == ("error: config.topology: generated topologies need "
+                   f"2 <= n <= {MAX_NODES}, got n = 1000000000\n")
+
+
+def test_vector_lengths_are_checked_before_the_topology_is_generated(
+        tmp_path, capsys, monkeypatch):
+    def generate(*args, **kwargs):
+        raise AssertionError("a topology was generated")
+
+    monkeypatch.setattr(config_mod, "generate_topology", generate)
+    config = _e1_with(tmp_path, topology="complete", n=MAX_NODES)
+    assert _rejected(tmp_path, capsys, config) == (
+        f"error: config.omega_u: expected {MAX_NODES} entries, got 2\n")
+
+
+def test_gen_topology_n_above_max_nodes_exits_2(capsys):
+    assert _small_peak(lambda: run_cli("gen-topology", "--kind", "complete",
+                                       "--n", 10**9)) == 2
+    assert capsys.readouterr().err == (
+        f"error: generated topologies need 2 <= n <= {MAX_NODES}, got "
+        "n = 1000000000\n")
+
+
+def test_verify_n_max_above_max_nodes_exits_2(tmp_path, capsys):
+    assert _verify_rejected(tmp_path, capsys, "--n-max", MAX_NODES + 1) == (
+        f"error: --n-max must be at most {MAX_NODES}, got {MAX_NODES + 1}\n")
+
+
+@pytest.mark.parametrize("mode", [[], ["--discrete"]])
+def test_tiny_gain_exits_2_naming_the_gain(tmp_path, capsys, mode):
+    # k = 1e-300 puts every eigenvalue of A within the zero tolerance, and
+    # the error said "graph not strongly connected" of e1's ring
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", _e1_with(tmp_path, k=1e-300),
+                   "--out", out, *mode) == 2
+    assert capsys.readouterr().err == (
+        "error: gain k = 1e-300 is too small: the closed loop's nonzero "
+        "eigenvalues are within the zero tolerance 1e-09 * max(|A|, 1) of "
+        "this strongly connected graph\n")
+    assert not (out / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
