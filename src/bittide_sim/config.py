@@ -156,12 +156,11 @@ def _expect(raw: dict, key: str, types, path: str, required=False, default=None)
             raise ConfigError(f"{path}: missing required key '{key}'")
         return default
     v = raw[key]
-    if isinstance(v, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise ConfigError(f"{path}.{key}: expected {types}, got bool")
-    if not isinstance(v, types):
-        raise ConfigError(
-            f"{path}.{key}: expected {getattr(types, '__name__', types)}, "
-            f"got {_type_name(v)} ({v!r})")
+    # a bool is an int to isinstance, and only a bool key takes one
+    if not isinstance(v, types) or isinstance(v, bool) and types is not bool:
+        name = "number" if types == (int, float) else types.__name__
+        raise ConfigError(f"{path}.{key}: expected {name}, got "
+                          f"{_type_name(v)} ({v!r})")
     return v
 
 
@@ -221,6 +220,9 @@ def _parse_topology(raw: dict, strict: bool):
         seed = _expect(raw, "topology_seed", int, "config", default=0)
         frac = _expect(raw, "extra_edge_fraction", (int, float), "config",
                        default=0.0)
+        if not 0 <= frac <= 1:      # json.loads accepts NaN
+            raise ConfigError(f"config.extra_edge_fraction: must be in "
+                              f"[0, 1], got {frac}")
         try:
             check_generated_n(n)
         except TopologyError as exc:
@@ -236,7 +238,11 @@ def _parse_topology(raw: dict, strict: bool):
                 raise ConfigError(
                     f"config.topology.edges[{i}]: expected [src, dst] integers")
             edges.append((e[0], e[1]))
-        n = topo.get("n", max((max(e) for e in edges), default=0))
+        n = _expect(topo, "n", int, "config.topology",
+                    default=max((max(e) for e in edges), default=0))
+        if n < 1:
+            raise ConfigError(f"config.topology.n: must be at least 1, "
+                              f"got {n}")
         try:
             topology = Topology(n=n, edges=tuple(edges))
         except TopologyError as exc:

@@ -276,42 +276,42 @@ def _corrections(A: np.ndarray, r: np.ndarray, q: np.ndarray,
     return c
 
 
-def _sample_clock(times: list, s: float, t_end: float, sample_dt: float,
-                  tol: float, event: float = math.inf, sub: float | None = None,
-                  one: bool = False) -> list:
-    """Append to `times` the sample times a run steps through from s, and
-    return each step's (substep count, substep): every sample_dt through
-    t_end, or through the first sample that reaches `event` (which it
-    samples itself).  With `one` it steps only while `times` is empty: one
-    step, or none after a lead row."""
+def _sample_clock(times: list, base: float, j: int, t_end: float,
+                  sample_dt: float, tol: float, event: float = math.inf,
+                  sub: float | None = None, one: bool = False) -> list:
+    """Append to `times` the sample times a run steps through after sample
+    j of a phase that starts at base, and return each step's (substep
+    count, substep): every sample through t_end, or through the first that
+    reaches `event`.  Sample j is stamped base + j sample_dt, correctly
+    rounded where a sum of j steps would drift; a grid sample within tol of
+    t_end is t_end, and a sample that reaches `event` is `event`.  With
+    `one` it steps only while `times` is empty: one step, or none after a
+    lead row."""
     substeps = []
+    s = base + j * sample_dt
     while s < t_end - tol and not (one and times):
-        t_next = min(s + sample_dt, t_end)
+        j += 1
+        grid = base + j * sample_dt
+        t_next = grid if grid < t_end - tol else t_end
         at_event = event <= t_next + 1e-12
         if at_event:
             t_next = event      # sample the reframe instant itself
-        # an unclipped step spans exactly sample_dt, so every such step
-        # reuses one flow operator; t_next - s drifts in its last bits.
-        # A step clipped to t_end, or cut at a T1, within tol of
-        # sample_dt takes that operator too, and still lands on t_next
+        # an unclipped step spans sample_dt, so every such step reuses one
+        # flow operator; a step clipped to t_end, or cut at an off-grid
+        # event, spans the gap, or sample_dt within tol of it
         span = t_next - s
-        snapped = ((at_event or t_next == t_end)
-                   and abs(span - sample_dt) <= tol)
-        if snapped or t_next == s + sample_dt:
+        if t_next == grid or abs(span - sample_dt) <= tol:
             span = sample_dt
-        # rk4 and euler take the fewest equal substeps of at most sub,
-        # and t adds each; the slack that spares a quotient a hair over
-        # a whole count its extra substep must not leave h over sub
+        # rk4 and euler take the fewest equal substeps of at most sub; the
+        # slack that spares a quotient a hair over a whole count its extra
+        # substep must not leave h over sub
         count = 1
         if sub:
             count = max(1, int(np.ceil(span / sub - 1e-12)))
             count += (span / count > sub)
-        h = span / count
-        for _ in range(count):
-            s += h
-        s = t_next if snapped else s
-        times.append(s)
-        substeps.append((count, h))
+        times.append(t_next)
+        substeps.append((count, span / count))
+        s = t_next
         if at_event:
             break
     return substeps
@@ -448,7 +448,9 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     ops = {} if system.flow_ops is None else system.flow_ops
     held = {}
     A, r, n = clm.A, clm.r, inc.n
-    t, theta = 0.0, system.theta0
+    # the last row is sample j of the phase from base: the run's start or
+    # the last freeze
+    t, theta, base, j = 0.0, system.theta0, 0.0, 0
     if params.q.ndim > 1:
         theta = np.repeat(theta[:, None], len(params.q), axis=1)
 
@@ -456,21 +458,20 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
         # the rows from (t, theta), the run's first row or a post row, or
         # else from the row after it, through the next row on which the
         # schedule may fire
-        nonlocal t, theta, t_end
+        nonlocal t, theta, t_end, base, j
         lead = int(firing is not None or not len(reset.history))
         if firing is not None:
             held.clear()        # q has changed, so every w
+            base, j = t, 0
             if reset.time is not None:
                 t_end = t + post_horizon
-        # the accumulated sample times can end a hair short of t_end; a step
-        # to t_end would then record a near-duplicate last sample
-        elif not lead and t >= t_end - tol:
-            return None
         times = [t] * lead
         substeps = _sample_clock(
-            times, t, t_end, sample_dt, tol,
+            times, base, j, t_end, sample_dt, tol,
             event=reset.events[0] if reset.events else math.inf, sub=sub,
             one=reset.pending and reset.detector is not None)
+        if not times:
+            return None         # the last row is the end
         if reset.events:
             # the rows through the first that reaches the next T1, by the
             # test `firing` applies; the last row is left to `firing`
@@ -487,7 +488,7 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
             for _ in range(count):
                 theta = step(theta, params, clm, h, method, _flow=held.get(h))
             rows[i] = theta
-        t = times[-1]
+        t, j = times[-1], j + len(times) - lead
         # a row's phases are an (n, K) block, K = 1 for a 1-D q
         blocks = rows.reshape(len(rows), n, -1)
         shape = (len(rows), *params.q.shape)
@@ -528,89 +529,50 @@ def horizon_sample_interval(system: System) -> float:
     return system.sd.horizon() / 8
 
 
-def horizon_reframe(system: System) -> dict:
-    """The arguments with which `run` runs `system` as
-    `run_horizon_reframes` does: one fixed-time reframe at the horizon h,
-    h after it, and a sample every h/8."""
-    horizon = system.sd.horizon()
-    return {"schedule": ReframeSchedule(mode="fixed-time", T1=horizon),
-            "settings": IntegratorSettings(
-                horizon=horizon, post_horizon=horizon,
-                sample_interval=horizon_sample_interval(system))}
-
-
-def _horizon_clock(system: System) -> list | None:
-    """The sample times of the system's horizon reframe by `run`'s clock:
-    8 steps of dt = h/8 through the freeze at T1 = h, and 8 more from there.
-    None where the clock leaves that schedule: a step of another span, or
-    a sample before the freeze that reaches T1 by `firing`'s test."""
-    horizon = system.sd.horizon()
-    dt = horizon_sample_interval(system)
-    t_end, tol, steps = horizon + horizon, 1e-9 * dt, [(1, dt)] * 8
-    times = [0.0]
-    if (_sample_clock(times, 0.0, t_end, dt, tol, event=horizon) != steps
-            or times[-1] != horizon or not times[-2] < horizon - 1e-12):
-        return None
-    post = [horizon]
-    if _sample_clock(post, horizon, t_end, dt, tol) != steps:
-        return None
-    return times + post
-
-
 def run_horizon_reframes(systems) -> list:
     """The trace of each of `systems`, all of one size n and each with a
-    (K, n) block of offsets q, bit for bit the one `run` gives with
-    `horizon_reframe`: 8 spans of dt = h/8 from theta0, the freeze of each
-    offset's own correction at T1 = h, the post row, and 8 more spans.
+    (K, n) block of offsets q, bit for bit the one `run` gives with one
+    fixed-time reframe at the horizon h, h after it, and a sample every
+    dt = h/8: 8 spans of dt from theta0, the freeze of each offset's own
+    correction at T1 = h, the post row, and 8 more spans.
 
     The systems step at once: one (S, n, n) stack of their sample
     operators e^{A dt}, from each system's flow_ops where it holds one,
     advances an (S, n, K) block of phases; each system's drift integral w
     is its own `_drift_integral`, before and after the freeze, and each
-    phase's rows take their corrections from `run`'s product.  Each
-    system's sample times come from `run`'s clock; a system whose clock
-    leaves the 8 + 8 schedule on the one span (a horizon so far that the
-    repeated addition misses T1 by more than its slack) runs through `run`.
+    phase's rows take their corrections from `run`'s product.  The sample
+    times are `run`'s grid, j dt before the freeze and h + j dt after it
+    for j = 0..8: 8 dt = h exactly, so sample 8 is T1 and the last is the
+    end, 2h, and every system keeps the 8 + 8 schedule (where dt exceeds
+    the 1e-12 slack of the T1 test, so that sample 7 stays short of T1).
     """
     for system in systems:
         if system.sd is None:
             raise ValueError(f"gain k must be positive for the closed loop, "
                              f"got {system.params.k}")
-    traces = [None] * len(systems)
-    members, clocks = [], []
-    for i, system in enumerate(systems):
-        clock = _horizon_clock(system)
-        if clock is None:
-            traces[i] = run(system, **horizon_reframe(system))
-        else:
-            members.append(i)
-            clocks.append(clock)
-    if not members:
-        return traces
-    stack = [systems[i] for i in members]
-    dts = [horizon_sample_interval(system) for system in stack]
-    phis = [(system.flow_ops or {}).get(dt) for system, dt in zip(stack, dts)]
-    missing = [j for j, phi in enumerate(phis) if phi is None]
+    dts = [horizon_sample_interval(system) for system in systems]
+    phis = [(system.flow_ops or {}).get(dt) for system, dt in zip(systems, dts)]
+    missing = [i for i, phi in enumerate(phis) if phi is None]
     if missing:
-        for j, phi in zip(missing, exact_flow_operators(
-                [stack[j].clm for j in missing], [dts[j] for j in missing])):
-            phis[j] = phi
+        for i, phi in zip(missing, exact_flow_operators(
+                [systems[i].clm for i in missing], [dts[i] for i in missing])):
+            phis[i] = phi
     phi = np.stack(phis)
-    A = np.stack([system.clm.A for system in stack])[:, None]
-    r = np.stack([system.clm.r for system in stack])[:, None, None]
-    q = np.stack([system.params.q for system in stack])
+    A = np.stack([system.clm.A for system in systems])[:, None]
+    r = np.stack([system.clm.r for system in systems])[:, None, None]
+    q = np.stack([system.params.q for system in systems])
     S, K, n = q.shape
     # the rows 0-8 before the freeze, the post row 9 and the rows 10-17
     blocks = np.empty((S, 18, n, K))
-    blocks[:, 0] = np.stack([system.theta0 for system in stack])[..., None]
+    blocks[:, 0] = np.stack([system.theta0 for system in systems])[..., None]
     c = np.empty((S, 18, K, n))
 
     def advance(first, q):
         # the 8 rows after row `first` under the offsets q, and the
         # corrections of all 9
-        w = np.stack([_drift_integral(system.sd, phis[j], dts[j],
-                                      _drift(system.clm, system.params, q[j]))
-                      for j, system in enumerate(stack)])
+        w = np.stack([_drift_integral(system.sd, phis[i], dts[i],
+                                      _drift(system.clm, system.params, q[i]))
+                      for i, system in enumerate(systems)])
         for i in range(first + 1, first + 9):
             np.matmul(phi, blocks[:, i - 1], out=blocks[:, i])
             blocks[:, i] += w
@@ -621,18 +583,17 @@ def run_horizon_reframes(systems) -> list:
     q = c[:, 8].copy()          # each offset freezes its own correction
     blocks[:, 9] = blocks[:, 8]
     advance(9, q)
-    times = np.array(clocks)
+    grid = np.arange(9) * np.array(dts)[:, None]
+    times = np.concatenate([grid, grid[:, 8:] + grid], axis=1)
     theta = np.ascontiguousarray(np.swapaxes(blocks, -1, -2))
     modes = [PRE_REFRAME] * 9 + [POST_REFRAME] * 9
-    for j, (i, system) in enumerate(zip(members, stack)):
-        params = system.params
-        traces[i] = SimTrace(
-            times=times[j], theta=theta[j], correction=c[j],
-            omega_u=params.omega_u, inc=system.inc, lam=params.lam,
-            mode=list(modes), reframe_time=float(times[j, 8]),
-            reframe_payload=q[j])
-    omega = np.stack([system.params.omega_u for system in stack])
+    traces = [SimTrace(times=times[i], theta=theta[i], correction=c[i],
+                       omega_u=system.params.omega_u, inc=system.inc,
+                       lam=system.params.lam, mode=list(modes),
+                       reframe_time=float(times[i, 8]), reframe_payload=q[i])
+              for i, system in enumerate(systems)]
+    omega = np.stack([system.params.omega_u for system in systems])
     omega = omega[:, None, None] + c
-    for j in np.flatnonzero((omega <= 0).any(axis=(1, 2, 3))):
-        _warn_backward(traces[members[j]], omega[j])
+    for i in np.flatnonzero((omega <= 0).any(axis=(1, 2, 3))):
+        _warn_backward(traces[i], omega[i])
     return traces

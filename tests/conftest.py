@@ -2,7 +2,9 @@ import sys
 
 import pytest
 
-from bittide_sim import Topology, make_system_params, prepare, spectral
+from bittide_sim import (IntegratorSettings, ReframeSchedule, Topology,
+                         make_system_params, prepare, spectral)
+from bittide_sim.dynamics import horizon_sample_interval
 from bittide_sim.verify import make_random_scenario
 
 
@@ -44,6 +46,17 @@ def random_scenario(seed):
     """Random strongly connected scenario with feasible offsets, q = 0."""
     sc = make_random_scenario(seed)
     return sc.topology, sc.params, sc.theta0
+
+
+def horizon_reframe(system) -> dict:
+    """The arguments with which `run` runs `system` as
+    `run_horizon_reframes` does: one fixed-time reframe at the horizon h,
+    h after it, and a sample every h/8."""
+    horizon = system.sd.horizon()
+    return {"schedule": ReframeSchedule(mode="fixed-time", T1=horizon),
+            "settings": IntegratorSettings(
+                horizon=horizon, post_horizon=horizon,
+                sample_interval=horizon_sample_interval(system))}
 
 
 def count_calls(monkeypatch, original) -> list:

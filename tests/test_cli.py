@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bittide_sim import (ReframeSchedule, cli, generate_topology,
                          make_system_params, prepare, run)
@@ -443,6 +448,20 @@ def test_verify_n_max_above_max_nodes_exits_2(tmp_path, capsys):
         f"error: --n-max must be at most {MAX_NODES}, got {MAX_NODES + 1}\n")
 
 
+@pytest.mark.parametrize("n, message", [
+    ("3", "expected int, got str ('3')"), (None, "expected int, got NoneType"),
+    (2.5, "expected int, got float (2.5)"), (True, "expected int, got bool"),
+    (0, "must be at least 1, got 0"), (-1, "must be at least 1, got -1")])
+def test_object_topology_n_must_be_an_int_of_at_least_1(tmp_path, capsys, n,
+                                                         message):
+    # a str or null n ended in a TypeError traceback, and n = 2.5 said
+    # "node 3 is unreachable"
+    config = _e1_with(tmp_path, topology={"n": n, "edges": [[1, 2], [2, 1]]})
+    err = _rejected(tmp_path, capsys, config)
+    assert err.startswith(f"error: config.topology.n: {message}")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("mode", [[], ["--discrete"]])
 def test_tiny_gain_exits_2_naming_the_gain(tmp_path, capsys, mode):
     # k = 1e-300 puts every eigenvalue of A within the zero tolerance, and
@@ -799,3 +818,44 @@ assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+# every key a config reads, as its path from the top
+FUZZ_KEYS = [(key,) for key in (
+    "topology", "n", "topology_seed", "extra_edge_fraction", "k", "omega_u",
+    "lambda", "beta_off", "q", "theta0", "controller", "reframe",
+    "integrator", "discrete", "seed")] + [
+    ("reframe", key) for key in ("mode", "T1", "epsilon", "window")] + [
+    ("integrator", key) for key in ("method", "dt", "sample_interval",
+                                    "horizon", "post_horizon")] + [
+    ("discrete", key) for key in ("enabled", "control_period", "quantization",
+                                  "capacity", "continue_on_fault")]
+# wrong types, non-finite numbers, and numbers at and past every range
+FUZZ_VALUES = ["x", [1], {"a": 1}, True, None, float("nan"), float("inf"),
+               -float("inf"), 0, -1, 1e300, 1e-300]
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES),
+       argv=st.sampled_from([["run"], ["run", "--discrete"], ["analyze"]]))
+def test_one_mutated_key_ends_in_an_exit_code_never_a_traceback(key, value,
+                                                                argv):
+    raw = json.loads((CONFIG_DIR / "e1.json").read_text())
+    section = raw
+    for name in key[:-1]:
+        section = section.setdefault(name, {})
+    section[key[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        config.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stderr(err),
+              contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("ignore")
+            rc = run_cli(argv[0], "--config", config, "--out", out, *argv[1:])
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert err.getvalue().startswith("error: ")
+            assert not (out / "trace.csv").exists()
+

@@ -115,6 +115,33 @@ def test_type_mismatch_reports_key_path():
         parse_config_dict(dict(MINIMAL, **{"lambda": [1.0]}))  # wrong length
 
 
+@pytest.mark.parametrize("raw, message", [
+    (dict(MINIMAL, discrete={"control_period": True}),
+     "config.discrete.control_period: expected number, got bool (True)"),
+    (dict(MINIMAL, k="strong"), "config.k: expected number, got str "
+                                "('strong')"),
+    (dict(MINIMAL, discrete={"capacity": 2.5}),
+     "config.discrete.capacity: expected int, got float (2.5)")])
+def test_type_errors_name_the_expected_kind(raw, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config_dict(raw)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind", list(graph.TOPOLOGY_KINDS))
+@pytest.mark.parametrize("fraction", [float("nan"), float("inf"), -3, 1.5])
+def test_extra_edge_fraction_is_checked_for_every_generated_kind(kind,
+                                                                 fraction):
+    # a ring, bidirectional ring or complete graph ignored it, and a NaN
+    # was echoed into summary.json as bare NaN, which is not JSON
+    raw = dict(MINIMAL, topology=kind, n=3, omega_u=1.0,
+               extra_edge_fraction=fraction)
+    with pytest.raises(ConfigError) as info:
+        parse_config_dict(raw)
+    assert str(info.value) == ("config.extra_edge_fraction: must be in "
+                               f"[0, 1], got {fraction}")
+
+
 def test_nonpositive_gain_rejected():
     with pytest.raises(ConfigError, match="positive"):
         parse_config_dict(dict(MINIMAL, k=0.0))

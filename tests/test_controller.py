@@ -16,7 +16,7 @@ from bittide_sim.config import parse_config
 from bittide_sim.controller import (CorrectionHistory, StabilityDetector,
                                     proportional_corrections)
 from bittide_sim.framesim import run_discrete
-from conftest import random_scenario, spectral_setup
+from conftest import horizon_reframe, random_scenario, spectral_setup
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -569,7 +569,7 @@ def test_the_reset_asks_firing_once_per_decision(monkeypatch, e1):
     scenario = verify.make_random_scenario(7)
     system = replace(scenario.system,
                      params=scenario.system.params.with_q(scenario.offsets))
-    trace = run(system, **dynamics.horizon_reframe(system))
+    trace = run(system, **horizon_reframe(system))
     assert asked == [trace.reframe_time, trace.times[-1]]
     asked.clear()
     verify.run_battery(100, 7)

@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -14,7 +15,7 @@ from bittide_sim import (IntegratorSettings, OneShotReset, ReframeSchedule,
                          generate_topology, init_state, make_system_params,
                          observe, predict_beta_ss, predict_omega_ss, prepare,
                          run, spectral, step)
-from bittide_sim.config import parse_config
+from bittide_sim.config import parse_config, parse_config_dict
 from bittide_sim.controller import POST_REFRAME, PRE_REFRAME
 from bittide_sim.dynamics import stability_bound
 from bittide_sim.verify import make_random_scenario
@@ -315,33 +316,33 @@ def test_positive_frequencies_do_not_warn(e1):
 
 
 def test_unclipped_samples_share_one_flow_operator(monkeypatch, e1):
-    # t + sample_dt - t drifts in its last bits from sample to sample; the
-    # step still spans sample_dt, so one operator serves the whole run
+    # sample j sits at j 0.1, and the difference of two such times drifts
+    # in its last bits from sample to sample; the step still spans
+    # sample_dt, so one operator serves the whole run
     topology, _, params, _, _ = e1
     flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
     trace = run(prepare(topology, params),
                 settings=IntegratorSettings(horizon=10.0, sample_interval=0.1))
-    assert len(flows) == 1
-    expected = [0.0]
-    while len(expected) < len(trace):
-        expected.append(expected[-1] + 0.1)
-    np.testing.assert_array_equal(trace.times, expected)
+    assert len(flows) == 1 and len(trace) == 101
+    np.testing.assert_array_equal(trace.times, [j * 0.1 for j in range(101)])
+    assert len(set(np.diff(trace.times))) > 1
 
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
-def test_substep_sample_times_add_each_substep(e1, method):
+def test_substep_samples_sit_on_the_grid(monkeypatch, e1, method):
     # a sample interval of 0.1 in substeps of at most 0.04 takes three of
-    # h = 0.1 / 3, which is inexact: each sample's time is the last one's
-    # plus h, added three times, and on some samples that is not t + 0.1
+    # h = 0.1 / 3, which is inexact: three additions of h drift from the
+    # grid, and the samples are still stamped j 0.1
     topology, _, params, _, _ = e1
+    steps = count_calls(monkeypatch, dynamics.step)
     trace = run(prepare(topology, params),
                 settings=IntegratorSettings(method=method, dt=0.04,
                                             sample_interval=0.1, horizon=1.0))
     h = 0.1 / 3
-    pairs = list(zip(trace.times, trace.times[1:]))
-    assert len(pairs) == 10
-    assert all(after == before + h + h + h for before, after in pairs)
-    assert any(after != before + 0.1 for before, after in pairs)
+    assert [args[3] for args in steps] == [h] * 30
+    np.testing.assert_array_equal(trace.times, [j * 0.1 for j in range(11)])
+    assert any(after != before + h + h + h
+               for before, after in zip(trace.times, trace.times[1:]))
 
 
 def test_run_ends_without_a_near_duplicate_sample(monkeypatch, e1):
@@ -376,9 +377,10 @@ def test_each_sample_is_one_step_from_the_last(post_horizon):
     # the run keeps w per span while q holds; every row must still
     # be what step builds from scratch out of the row before, bit for bit,
     # and every correction what observe gives.  T1 = 2.55 lies off the 0.1
-    # grid, so the rows after the freeze need the new q; the run's end,
-    # T1 + post_horizon, clips the last step by a hair (0.3) or to about
-    # half a sample (2.05)
+    # grid, so the step onto it spans the gap and the rows after the
+    # freeze need the new q; after it sample j sits at T1 + j 0.1, and the
+    # run's end, T1 + post_horizon, is sample 3 itself (0.3) or clips the
+    # last step to half a sample (2.05)
     system = parse_config(CONFIG_DIR / "eight_node.json").system()
     sample_dt, T1 = 0.1, 2.55
     trace = run(system, schedule=ReframeSchedule(mode="fixed-time", T1=T1),
@@ -386,9 +388,9 @@ def test_each_sample_is_one_step_from_the_last(post_horizon):
                                             post_horizon=post_horizon))
     times, theta = trace.times, trace.theta
     assert trace.reframe_time == T1 and times[-1] == T1 + post_horizon
-    assert times[-2] + sample_dt != times[-1]
     params, frozen = system.params, replace(system.params,
                                             q=trace.reframe_payload)
+    base, j, off_grid = 0.0, 0, []
     for i, mode in enumerate(trace.mode):
         row_params = params if mode == PRE_REFRAME else frozen
         _, c, _ = observe(theta[i], row_params, system.clm)
@@ -398,15 +400,20 @@ def test_each_sample_is_one_step_from_the_last(post_horizon):
         gap = times[i + 1] - times[i]
         if gap == 0:    # the reframe instant: the pre row, then the post row
             np.testing.assert_array_equal(theta[i + 1], theta[i])
+            base, j = times[i + 1], 0
             continue
-        # an unclipped step spans sample_dt, and so does a last step clipped
-        # within 1e-9 sample intervals of it; any other step spans the gap
-        last = i + 2 == len(trace)
-        if (times[i] + sample_dt == times[i + 1]
-                or last and abs(gap - sample_dt) <= 1e-9 * sample_dt):
+        # a step onto sample j at base + j sample_dt spans sample_dt, and so
+        # does a step clipped within 1e-9 sample intervals of it; any other
+        # step spans the gap
+        j += 1
+        on_grid = times[i + 1] == base + j * sample_dt
+        if not on_grid:
+            off_grid.append(times[i + 1])
+        if on_grid or abs(gap - sample_dt) <= 1e-9 * sample_dt:
             gap = sample_dt
         new = step(theta[i], row_params, system.clm, gap, sd=system.sd)
         np.testing.assert_array_equal(theta[i + 1], new)
+    assert off_grid == [T1] + [T1 + post_horizon] * (post_horizon == 2.05)
 
 
 def test_eight_node_ends_without_a_near_duplicate_sample():
@@ -420,6 +427,61 @@ def test_eight_node_ends_without_a_near_duplicate_sample():
     assert gaps[-1] > 1e-9 * sample_dt
     # the only gap below a sample interval is the reframe instant's 0
     assert np.count_nonzero(gaps < sample_dt * (1 - 1e-9)) == 1
+
+
+def test_a_far_on_grid_T1_is_sampled_on_the_grid(monkeypatch):
+    # 2000 additions of 0.2 miss T1 = 400 by 1.4e-11, beyond the 1e-12
+    # slack of the T1 test; sample 2000 sits at 2000 * 0.2, which is 400,
+    # so the run takes no near-duplicate row and no second operator
+    raw = json.loads((CONFIG_DIR / "e1.json").read_text())
+    raw["reframe"]["T1"] = 400.0
+    raw["integrator"].update(horizon=400.0, post_horizon=10.0,
+                             sample_interval=0.2)
+    cfg = parse_config_dict(raw)
+    assert sum([0.2] * 2000) != 400.0 == 2000 * 0.2
+    flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
+    trace = run(cfg.system(), schedule=cfg.schedule(), settings=cfg.integrator)
+    assert len(flows) == 1 and len(trace) == 2052
+    assert trace.reframe_time == 400.0 and trace.times[-1] == 410.0
+    gaps = np.diff(trace.times)
+    # the only gap below a sample interval is the reframe instant's 0
+    assert np.flatnonzero(gaps < 0.2 * (1 - 1e-9)).tolist() == [2000]
+    assert gaps[2000] == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(horizon=st.floats(0.5, 1e4), per=st.floats(1.5, 40.0),
+       post=st.floats(0.1, 2.0), where=st.sampled_from(["on", "off"]),
+       data=st.data())
+def test_unclipped_samples_sit_at_base_plus_j_dt(horizon, per, post, where,
+                                                 data):
+    # each phase's sample j sits at base + j dt, base 0 or the freeze's T1;
+    # only a row at T1 or at the end may leave the grid
+    topology = Topology(n=2, edges=[(1, 2), (2, 1)])
+    params = make_system_params(topology, k=0.1, omega_u=[1.00, 1.02])
+    dt = horizon / per
+    if where == "on":
+        T1 = data.draw(st.integers(1, int(per))) * dt
+    else:
+        T1 = data.draw(st.floats(0.0, horizon))
+    trace = run(prepare(topology, params),
+                schedule=ReframeSchedule(mode="fixed-time", T1=T1),
+                settings=IntegratorSettings(horizon=horizon, sample_interval=dt,
+                                            post_horizon=post * horizon))
+    # the t = 0 row reaches a T1 within the 1e-12 slack of it
+    T1 = T1 if T1 > 1e-12 else 0.0
+    assert trace.reframe_time == T1
+    t_end = T1 + post * horizon
+    assert trace.times[-1] == t_end
+    base, j = 0.0, 0
+    for i, t in enumerate(trace.times[1:], 1):
+        if trace.mode[i] != trace.mode[i - 1]:
+            base, j = t, 0      # the post row at T1
+            continue
+        j += 1
+        assert t == base + j * dt or t in (T1, t_end), (i, t)
+        if t == T1:
+            assert trace.mode[i + 1] == POST_REFRAME
 
 
 @pytest.mark.parametrize("T1", [0.0, -1.0])
@@ -809,7 +871,8 @@ def _per_sample_run(system, schedule, settings):
         out += r
         formed = len(history)
 
-    t, theta = 0.0, system.theta0
+    t, theta, base, j = 0.0, system.theta0, 0.0, 0
+    tol = 1e-9 * sample_dt
     if params.q.ndim > 1:
         theta = np.repeat(theta[:, None], K, axis=1)
     while True:
@@ -821,18 +884,21 @@ def _per_sample_run(system, schedule, settings):
             form()
             params = params.with_q(reset.freeze(params.q, firing))
             held.clear()
+            base, j = t, 0
             if reset.time is not None:
                 t_end = t + post_horizon
             reset.record_rows([t], 0.0, theta.T)
-        if t >= t_end - 1e-9 * sample_dt:
+        if t >= t_end - tol:
             break
-        t_next = min(t + sample_dt, t_end)
+        # sample j sits at base + j sample_dt, at t_end within tol of it,
+        # and at the next T1 once it reaches it
+        j += 1
+        grid = base + j * sample_dt
+        t_next = grid if grid < t_end - tol else t_end
         if reset.events and reset.events[0] <= t_next + 1e-12:
             t_next = reset.events[0]
         span = t_next - t
-        clipped = (t_next in (t_end, *reset.events[:1])
-                   and abs(span - sample_dt) <= 1e-9 * sample_dt)
-        if clipped or t_next == t + sample_dt:
+        if t_next == grid or abs(span - sample_dt) <= tol:
             span = sample_dt
         if settings.method == "exact":
             if span not in held:
@@ -841,7 +907,6 @@ def _per_sample_run(system, schedule, settings):
                 held[span] = ops[span], dynamics._drift_integral(
                     system.sd, ops[span], span, dynamics._drift(clm, params))
             theta = step(theta, params, clm, span, "exact", _flow=held[span])
-            t += span
         else:
             sub = settings.dt or stability_bound(inc, clm.k) / 8.0
             steps = max(1, int(np.ceil(span / sub - 1e-12)))
@@ -849,9 +914,7 @@ def _per_sample_run(system, schedule, settings):
             for _ in range(steps):
                 theta = step(theta, params, clm, span / steps,
                              settings.method)
-                t += span / steps
-        if clipped:
-            t = t_next
+        t = t_next
     form()
     reset.finish()
     return reset, params
@@ -888,7 +951,7 @@ def continuous_runs(draw):
     settings = IntegratorSettings(
         method=method, dt=dt, horizon=horizon, sample_interval=sample_dt,
         post_horizon=draw(st.sampled_from([None, 0.5 * horizon])))
-    grid = np.cumsum(np.full(14, sample_dt))    # each time t + sample_dt
+    grid = np.arange(1, 15) * sample_dt         # sample j at j sample_dt
 
     def T1():
         where = draw(st.sampled_from(["at-or-before-0", "on-grid", "near-grid",

@@ -22,7 +22,7 @@ from bittide_sim.verify import (ALL_CHECKS, Scenario, check_correction_limit,
                                 check_spectral_identities,
                                 make_infeasible_scenario, make_random_scenario,
                                 run_battery)
-from conftest import count_calls
+from conftest import count_calls, horizon_reframe
 
 
 @pytest.fixture
@@ -308,7 +308,7 @@ def _assert_stacked_traces_equal_run(scenarios):
     for sc in scenarios:
         system = replace(sc.system, params=sc.system.params.with_q(sc.offsets))
         _assert_traces_equal(vars(sc)["trace"],
-                             run(system, **dynamics.horizon_reframe(system)))
+                             run(system, **horizon_reframe(system)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -328,26 +328,29 @@ def test_stacked_traces_equal_run_at_n_16_to_64():
         + [make_infeasible_scenario(10_007 + i, (16, 64)) for i in range(3)])
 
 
-def test_a_clock_off_the_stacked_schedule_runs_through_run(monkeypatch):
-    # at k = 6e-5 a two-node loop's horizon is 416666.67: the 8th repeated
-    # addition of h/8 lands one ulp (5.8e-11) short of T1, beyond its 1e-12
-    # slack, so `run` samples a near-duplicate row before the freeze.  That
-    # system runs through `run`; the one beside it at k = 0.1 is stacked, on
-    # a sample operator built for it, since `prepare` caches none
+def test_a_far_horizon_stacks_and_equals_run_bit_for_bit(monkeypatch):
+    # at k = 6e-5 a two-node loop's horizon is 416666.67, where 8 additions
+    # of h/8 land one ulp (5.8e-11) short of T1; sample 8 sits at 8 (h/8),
+    # which is h exactly, so `run` keeps the 8 + 8 schedule and both systems
+    # are stacked: the k = 0.1 one too, on a sample operator built for it,
+    # since `prepare` caches none
     topology = Topology(n=2, edges=[(1, 2), (2, 1)])
     offsets = np.array([[0.0, 0.0], [0.01, -0.02], [-0.03, 0.0], [0.02, 0.01]])
     far, near = (replace(system, params=system.params.with_q(offsets))
                  for system in (prepare(topology, make_system_params(
                      topology, k=k, omega_u=[1.0, 1.02])) for k in (6e-5, 0.1)))
     assert far.flow_ops is None and near.flow_ops is None
-    oracles = [run(system, **dynamics.horizon_reframe(system))
+    horizon = far.sd.horizon()
+    assert sum([horizon / 8] * 8) != horizon
+    oracles = [run(system, **horizon_reframe(system))
                for system in (far, near)]
-    assert [len(trace) for trace in oracles] == [19, 18]
+    assert [len(trace) for trace in oracles] == [18, 18]
+    assert oracles[0].times[8] == oracles[0].reframe_time == horizon
     runs = count_calls(monkeypatch, dynamics.run)
     for trace, oracle in zip(dynamics.run_horizon_reframes([far, near]),
                              oracles):
         _assert_traces_equal(trace, oracle)
-    assert [system for system, in runs] == [far]
+    assert not runs
 
 
 def test_battery_runs_on_the_operators_preparing_built(monkeypatch):
