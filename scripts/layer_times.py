@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Time the layers of one `bittide-sim run` in process.
+"""Time the layers of one `bittide-sim run`, or of the battery, in process.
 
     python3 scripts/layer_times.py CONFIG [--discrete] [--repeat N]
+    python3 scripts/layer_times.py --verify COUNT SEED [--repeat N]
 
 Each repeat parses CONFIG and calls `cli.cmd_run` on it, with the layers it
 calls wrapped by a timer, into a temporary directory.  It prints one JSON
@@ -16,6 +17,20 @@ The layers are
 - `summary_json`, the summary's JSON text;
 - `writes`, the files written;
 - `cmd_run`, the whole call, so that what the layers leave out shows.
+
+With `--verify COUNT SEED` each repeat calls `cli.cmd_verify` as
+`bittide-sim verify --count COUNT --seed SEED` does, and the layers are the
+battery's phases:
+
+- `generation`, the random scenarios, the defective one and the controls;
+- `prepare`, every system and its runs' sample operator;
+- `traces`, the runs, one stack per size n;
+- `residuals`, every check's residuals, one pass per size n;
+- `probes`, the diagonalizability probe;
+- `verdict_rows`, the rest of `run_battery`: each check's verdict from the
+  residuals, the report's rows and its summary;
+- `report_json`, the report's JSON text;
+- `run_battery` and `cmd_verify`, the whole calls.
 
 The package is imported from `src/` of the checkout the script sits in.
 """
@@ -34,27 +49,47 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from bittide_sim import cli, config, floatfmt  # noqa: E402
+from bittide_sim import cli, config, floatfmt, verify  # noqa: E402
 
 
 @contextlib.contextmanager
-def timed(owner, name: str, label: str, seconds: dict):
+def timed(owner, name: str, label: str, seconds: dict, running: set):
     """Replace the attribute `name` of `owner` by a wrapper that adds the
-    seconds of each call to seconds[label]."""
+    seconds of each call to seconds[label].  `running` holds the labels
+    being timed: a call inside a call of its own label, as
+    make_infeasible_scenario's make_random_scenario, is not counted twice."""
     fn = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
+        if label in running:
+            return fn(*args, **kwargs)
+        running.add(label)
         start = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
             seconds[label] += time.perf_counter() - start
+            running.discard(label)
 
     setattr(owner, name, wrapper)
     try:
         yield
     finally:
         setattr(owner, name, fn)
+
+
+def timed_pass(layers, call) -> dict:
+    """The seconds of each (label, owner, name) layer of one call()."""
+    seconds = dict.fromkeys([label for label, _, _ in layers], 0.0)
+    running = set()
+    with contextlib.ExitStack() as stack:
+        for label, owner, name in layers:
+            stack.enter_context(timed(owner, name, label, seconds, running))
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("ignore")
+            call()
+    return seconds
 
 
 def one_pass(path: str, discrete: bool, out_dir: Path) -> dict:
@@ -66,35 +101,64 @@ def one_pass(path: str, discrete: bool, out_dir: Path) -> dict:
               ("cells", floatfmt, "cells"), ("join", floatfmt, "join"),
               ("summary_json", cli, "_json_text"), ("writes", cli, "_write"),
               ("cmd_run", cli, "cmd_run"))
-    seconds = dict.fromkeys([label for label, _, _ in layers], 0.0)
-    with contextlib.ExitStack() as stack:
-        for label, owner, name in layers:
-            stack.enter_context(timed(owner, name, label, seconds))
+
+    def call():
         cfg = config.parse_config(path)
         cfg = cli._apply_overrides(cfg, argparse.Namespace(discrete=discrete))
-        with warnings.catch_warnings(), \
-                contextlib.redirect_stdout(io.StringIO()):
-            warnings.simplefilter("ignore")
-            cli.cmd_run(cfg, out_dir)
-    return seconds
+        cli.cmd_run(cfg, out_dir)
+
+    return timed_pass(layers, call)
+
+
+def battery_pass(count: int, seed: int, out_dir: Path) -> dict:
+    """The seconds of each phase of one `cmd_verify` of the battery."""
+    layers = (("generation", verify, "make_random_scenario"),
+              ("generation", verify, "make_infeasible_scenario"),
+              ("generation", verify, "_defective_scenario"),
+              ("prepare", verify, "_prepare"),
+              ("traces", verify, "_fill_traces"),
+              ("residuals", verify, "_fill_residuals"),
+              ("probes", verify, "_last_non_diagonalizable"),
+              ("report_json", cli, "_json_text"),
+              ("run_battery", verify, "run_battery"),
+              ("cmd_verify", cli, "cmd_verify"))
+    args = argparse.Namespace(count=count, seed=seed, n_min=2, n_max=8,
+                              infeasible=None)
+    seconds = timed_pass(layers, lambda: cli.cmd_verify(args, out_dir))
+    phases = ("generation", "prepare", "traces", "residuals", "probes")
+    rest = seconds["run_battery"] - sum(seconds[label] for label in phases)
+    return {**{label: seconds[label] for label in phases},
+            "verdict_rows": rest, **{label: seconds[label] for label in
+                                     ("report_json", "run_battery",
+                                      "cmd_verify")}}
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("config")
+    p.add_argument("config", nargs="?")
     p.add_argument("--discrete", action="store_true",
                    help="run in discrete mode, as `run --discrete` does")
+    p.add_argument("--verify", nargs=2, type=int, metavar=("COUNT", "SEED"),
+                   help="time the battery's phases instead of a run")
     p.add_argument("--repeat", type=int, default=5)
     args = p.parse_args(argv)
     if args.repeat < 1:
         p.error(f"--repeat must be at least 1, got {args.repeat}")
+    if (args.config is None) == (args.verify is None):
+        p.error("give either CONFIG or --verify COUNT SEED")
+    if args.verify is not None and (args.discrete or args.verify[0] < 0):
+        p.error("--verify takes a COUNT of at least 0 and no --discrete")
     passes = []
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(args.repeat):
-            passes.append(one_pass(args.config, args.discrete, Path(tmp)))
+            passes.append(one_pass(args.config, args.discrete, Path(tmp))
+                          if args.verify is None
+                          else battery_pass(*args.verify, Path(tmp)))
+    head = ({"config": args.config, "discrete": args.discrete}
+            if args.verify is None
+            else {"verify": dict(zip(("count", "seed"), args.verify))})
     print(json.dumps({
-        "config": args.config, "discrete": args.discrete,
-        "repeat": args.repeat,
+        **head, "repeat": args.repeat,
         "best": {k: min(p[k] for p in passes) for k in passes[0]},
         "median": {k: statistics.median(p[k] for p in passes)
                    for k in passes[0]}}))

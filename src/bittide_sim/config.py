@@ -318,8 +318,10 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
     path = "config.integrator"
     integrator = IntegratorSettings(
         method=method,
-        # the exact flow has no substep, and the discrete mode checks its dt
-        dt=_optional_number(iraw, "dt", path, positive=method != "exact"),
+        # the exact flow has no substep, and the discrete mode checks its
+        # dt; an unread dt is still echoed into the summary, so it is finite
+        dt=_optional_number(iraw, "dt", path, positive=method != "exact",
+                            finite=True),
         sample_interval=_optional_number(iraw, "sample_interval", path,
                                          positive=True),
         horizon=_optional_number(iraw, "horizon", path, positive=True),
@@ -329,11 +331,15 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
     draw = _section(raw, "discrete")
     _check_keys(draw, {"enabled", "control_period", "quantization", "capacity",
                        "continue_on_fault"}, "config.discrete", strict)
+    control_period = float(_expect(draw, "control_period", (int, float),
+                                   "config.discrete", default=1.0))
+    if not math.isfinite(control_period):   # echoed even where unread
+        raise ConfigError(f"config.discrete: control_period must be finite, "
+                          f"got {control_period}")
     discrete = DiscreteSpec(
         enabled=bool(_expect(draw, "enabled", bool, "config.discrete",
                              default=False)),
-        control_period=float(_expect(draw, "control_period", (int, float),
-                                     "config.discrete", default=1.0)),
+        control_period=control_period,
         quantization=_expect(draw, "quantization", int, "config.discrete",
                              default=1),
         capacity=_expect(draw, "capacity", int, "config.discrete", default=20),
@@ -349,13 +355,16 @@ def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
         parsed_topology=topology)
 
 
-def _optional_number(raw: dict, key: str, path: str, positive=False):
+def _optional_number(raw: dict, key: str, path: str, positive=False,
+                     finite=False):
     v = _expect(raw, key, (int, float), path)
     if v is None:
         return None
     if positive and not 0 < v < math.inf:   # json.loads accepts NaN
         raise ConfigError(f"{path}.{key}: must be finite and positive, "
                           f"got {v}")
+    if finite and not -math.inf < v < math.inf:
+        raise ConfigError(f"{path}.{key}: must be finite, got {v}")
     return float(v)
 
 

@@ -19,6 +19,10 @@ TOPOLOGY_KINDS = ("ring", "bidirectional-ring", "complete", "random-strong")
 # size n is built.  An edge list needs no bound: a strongly connected one
 # has at least n edges.
 MAX_NODES = 4096
+# the most edges of a generated topology, counted from n, the kind and the
+# extra edge fraction before any edge is built: `complete` at n = 1024 has
+# 1047552, and random-strong at n = 4096 with m near 11 n about 46000
+MAX_EDGES = 2**20
 
 
 class TopologyError(ValueError):
@@ -125,6 +129,17 @@ class IncidenceSet:
         return self.S - self.D
 
 
+def joined_incidence(incs) -> IncidenceSet:
+    """The incidences as one graph, their disjoint union: each one's nodes
+    and edges follow those of the ones before it, so one `edge_diff` of
+    their node values laid end to end gives every edge of every one."""
+    sizes = np.array([inc.n for inc in incs])
+    shift = np.repeat(np.cumsum(sizes) - sizes, [inc.m for inc in incs])
+    return IncidenceSet(n=int(sizes.sum()),
+                        src=np.concatenate([inc.src for inc in incs]) + shift,
+                        dst=np.concatenate([inc.dst for inc in incs]) + shift)
+
+
 def edge_endpoints(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
     """0-indexed source and destination node of every edge, in edge order."""
     ends = np.array(topology.edges, dtype=np.intp).reshape(topology.m, 2) - 1
@@ -187,6 +202,26 @@ def check_generated_n(n: int):
                             f"{MAX_NODES}, got n = {n}")
 
 
+def generated_edge_count(kind: str, n: int,
+                         extra_edge_fraction: float = 0.0) -> int:
+    """The edge count of `generate_topology(kind, n, ...)`, from the
+    arguments alone; raises TopologyError for an unknown kind or a fraction
+    outside [0, 1]."""
+    if kind not in TOPOLOGY_KINDS:
+        raise TopologyError(f"unknown topology kind {kind!r}, expected one of {TOPOLOGY_KINDS}")
+    if kind == "ring" or (kind == "bidirectional-ring" and n == 2):
+        return n
+    if kind == "bidirectional-ring":
+        return 2 * n
+    if kind == "complete":
+        return n * (n - 1)
+    if not 0.0 <= extra_edge_fraction <= 1.0:
+        raise TopologyError(
+            f"extra_edge_fraction must be in [0, 1], got {extra_edge_fraction}"
+        )
+    return n + int(extra_edge_fraction * n * (n - 2))
+
+
 def generate_topology(kind: str, n: int, seed: int = 0,
                       extra_edge_fraction: float = 0.0) -> Topology:
     """Generate a strongly connected topology, deterministic in the seed.
@@ -199,8 +234,10 @@ def generate_topology(kind: str, n: int, seed: int = 0,
                           distinct extra edges drawn uniformly from the non-ring pairs
     """
     check_generated_n(n)
-    if kind not in TOPOLOGY_KINDS:
-        raise TopologyError(f"unknown topology kind {kind!r}, expected one of {TOPOLOGY_KINDS}")
+    m = generated_edge_count(kind, n, extra_edge_fraction)
+    if m > MAX_EDGES:
+        raise TopologyError(f"a generated {kind} topology on n = {n} nodes "
+                            f"has {m} edges; at most {MAX_EDGES} are allowed")
     ring = [(i, i % n + 1) for i in range(1, n + 1)]
     if kind == "ring":
         edges = ring
@@ -215,12 +252,7 @@ def generate_topology(kind: str, n: int, seed: int = 0,
     elif kind == "complete":
         edges = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     else:  # random-strong
-        if not 0.0 <= extra_edge_fraction <= 1.0:
-            raise TopologyError(
-                f"extra_edge_fraction must be in [0, 1], got {extra_edge_fraction}"
-            )
-        count = int(extra_edge_fraction * n * (n - 2))
-        picks = random.Random(seed).sample(range(n * (n - 2)), count)
+        picks = random.Random(seed).sample(range(n * (n - 2)), m - n)
         picks = np.sort(np.array(picks, dtype=np.int64))
         edges = ring + _non_ring_pairs(n, picks)
     return Topology(n=n, edges=tuple(edges))

@@ -211,15 +211,33 @@ def predict_omega_ss(sd: SpectralData, params) -> np.ndarray:
     The general form is W (q + r + omega_u); with feasible offsets r lies in
     range(A), W r = 0 and the limit is 1 * z^T (q + omega_u).
     """
-    return np.full(sd.n, float(sd.z @ (params.q + params.omega_u)))
+    return np.full(sd.n, float(consensus(sd.z, params.q + params.omega_u)))
+
+
+def consensus(z: np.ndarray, u: np.ndarray):
+    """z^T u for an (n,) z and u; for (S, n) stacks, one per row.  Each row
+    takes one dot, as a 1-D `z @ u` does, so it gets the bits of its own."""
+    return np.matmul(z[..., None, :], u[..., :, None])[..., 0, 0]
 
 
 def steady_state_correction(sd: SpectralData, clm: ClosedLoopMatrix, params,
                             q: np.ndarray) -> np.ndarray:
     """Map a controller offset q to the limiting correction:
     (W - I) omega_u + W (q + r).  A (K, n) q maps row by row."""
-    return ((sd.W - np.eye(sd.n)) @ params.omega_u
-            + (sd.W @ (q + clm.r).T).T)
+    q = np.asarray(q, dtype=float)
+    return correction_limits(sd.W, params.omega_u, clm.r,
+                             q.reshape(-1, sd.n)).reshape(q.shape)
+
+
+def correction_limits(W: np.ndarray, omega_u: np.ndarray, r: np.ndarray,
+                      q: np.ndarray) -> np.ndarray:
+    """(W - I) omega_u + W (q + r) for each row of a (K, n) block q, with W
+    (n, n) and omega_u and r (n,); or for (S, n, n), (S, n) and (S, K, n)
+    stacks, one block per matrix.  Each matrix takes one gemv and one gemm,
+    the calls a matrix alone takes, so a stack gives it the same bits."""
+    held = np.matmul(W - np.eye(W.shape[-1]), omega_u[..., None])
+    moved = np.matmul(W, np.swapaxes(q + r[..., None, :], -1, -2))
+    return np.swapaxes(held + moved, -1, -2)
 
 
 def predict_beta_ss(sd: SpectralData, clm: ClosedLoopMatrix, params) -> np.ndarray:
@@ -229,8 +247,17 @@ def predict_beta_ss(sd: SpectralData, clm: ClosedLoopMatrix, params) -> np.ndarr
     span(1) are annihilated, leaving beta = lambda exactly at equilibrium
     offsets.
     """
-    v = params.omega_u + params.q + clm.r
-    return params.lam - clm.inc.edge_diff(sd.group_inverse @ v)
+    return occupancy_limits(sd.group_inverse, params.omega_u + params.q + clm.r,
+                            params.lam, clm.inc)
+
+
+def occupancy_limits(G: np.ndarray, v: np.ndarray, lam: np.ndarray,
+                     inc: IncidenceSet) -> np.ndarray:
+    """lambda - B^T G v for an (n, n) G and (n,) v on the incidence inc; or
+    for (S, n, n) and (S, n) stacks on their `joined_incidence`, with every
+    member's lambda end to end.  Each matrix takes one gemv, so every edge
+    gets the bits of its own."""
+    return lam - inc.edge_diff(np.matmul(G, v[..., None]).reshape(-1))
 
 
 # Higham, "The scaling and squaring method for the matrix exponential

@@ -10,22 +10,25 @@ and the suite shows that condition is load-bearing.
 
 The one-shot reset freezes the correction each node emits into its offset,
 so a reframed run is the proportional run plus one freeze: each scenario
-is simulated once, and every check reads that one trace.
+is simulated once.  Its residuals are worked out from that one trace in one
+pass over the stack of its size n, and each check only decides its verdict
+from them.
 """
 
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property, partial, wraps
+from typing import NamedTuple
 
 import numpy as np
 
-from .controller import POST_REFRAME
 from .dynamics import (SimTrace, System, SystemParams, exact_flow_operators,
                        feasible_offsets, horizon_sample_interval,
                        make_system_params, prepare_all, run_horizon_reframes)
-from .graph import Topology, edge_endpoints, generate_topology
-from .spectral import (by_size, matrix_exponentials, predict_beta_ss,
-                       predict_omega_ss, steady_state_correction)
+from .graph import (Topology, edge_endpoints, generate_topology,
+                    joined_incidence)
+from .spectral import (by_size, consensus, correction_limits,
+                       matrix_exponentials, occupancy_limits)
 
 TOL_ALGEBRA = 1e-10       # exact identities
 TOL_LIMIT = 1e-8          # limits evaluated at the finite horizon
@@ -47,7 +50,7 @@ INVALID = "invalid-scenario"
 @dataclass(frozen=True)
 class Scenario:
     """One battery scenario.  It prepares its system once, on first use,
-    and keeps it and its one `trace` for every check to share."""
+    and keeps it, its one `trace` and the `residuals` its checks read."""
 
     topology: Topology
     params: SystemParams
@@ -84,7 +87,7 @@ class Scenario:
 
     @cached_property
     def trace(self) -> SimTrace:
-        """The scenario's one run, shared by every check: every offset at
+        """The scenario's one run, which its residuals read: every offset at
         once, with one fixed-time reframe at the horizon that freezes each
         offset's own correction (`run_horizon_reframes` on a stack of one).
         Row 0 of each sample is the own q's.  Neither the closed loop nor
@@ -94,11 +97,11 @@ class Scenario:
         return _traces([self])[0]
 
     @cached_property
-    def identity_exponentials(self) -> list:
-        """e^{At} at each of IDENTITY_SPANS over the decay rate, from the
-        scenario's own stack of three; `run_battery` fills this for all of
-        its scenarios at once."""
-        return _identity_exponentials([self.system])[0]
+    def residuals(self) -> "Residuals":
+        """What every check of the scenario decides on, from its own stack
+        of one; `run_battery` fills this for all of its scenarios, one stack
+        per size n."""
+        return _residuals([self])[0]
 
 
 def _prepare(scenarios):
@@ -128,35 +131,130 @@ def _traces(scenarios) -> list:
         for sc in scenarios])
 
 
-def _fill_traces(scenarios):
-    """Fills the `trace` cache of each of the `scenarios` that `prepare`
-    accepted, with one stacked run per size n."""
+def _fill(name: str, make, scenarios):
+    """Fills the `name` cache of each of the `scenarios` that `prepare`
+    accepted with `make` of its size's group: one call per size n."""
     scenarios = [sc for sc in scenarios
                  if not isinstance(sc._prepared, Exception)]
     for members in by_size([sc.system.clm for sc in scenarios]).values():
         group = [scenarios[i] for i in members]
-        for sc, trace in zip(group, _traces(group)):
-            vars(sc)["trace"] = trace
+        for sc, value in zip(group, make(group)):
+            vars(sc)[name] = value
 
 
-def _fill_identity_exponentials(scenarios):
-    """Fills the `identity_exponentials` cache of each of the prepared
-    `scenarios` from one stacked call."""
-    for sc, exponentials in zip(scenarios, _identity_exponentials(
-            [sc.system for sc in scenarios])):
-        vars(sc)["identity_exponentials"] = exponentials
+_fill_traces = partial(_fill, "trace", _traces)
 
 
-def _identity_exponentials(systems) -> list:
-    """For each system, its e^{At} at each of IDENTITY_SPANS over its decay
-    rate, all from one stacked `matrix_exponentials` call."""
-    spans = len(IDENTITY_SPANS)
-    exponentials = matrix_exponentials(
+class Residuals(NamedTuple):
+    """One scenario's residuals, and the few facts its checks decide on
+    beside them; each check reads only its own entries."""
+
+    explicit_offsets: bool    # feasibility: beta_off given, not derived
+    range_misfit: float
+    range_scale: float        # max(1, max |r|)
+    horizon: float            # projector
+    projector_gap: float
+    limit_tolerance: float    # correction and frequency: TOL_LIMIT max omega_u
+    correction_gap: float
+    occupancy_gap: float
+    frequency_gap: float
+    settles: bool             # each settling step undoes its jump's sign
+    centering_gap: float
+    identity_gap: float
+    stochastic: bool          # each identity exponential row-stochastic
+
+
+# the rows of a `run_horizon_reframes` trace that the checks read: the last
+# before the freeze at T1 = h, the post row at h, and the end
+_PRE, _POST, _END = 8, 9, 17
+
+
+def _peak(x: np.ndarray) -> np.ndarray:
+    """The largest magnitude in each member of a stack."""
+    return np.abs(x).reshape(len(x), -1).max(axis=1)
+
+
+def _residuals(scenarios) -> list:
+    """The Residuals of each of the prepared `scenarios`, all of one size n,
+    from one pass over (S, n, n) stacks of A, W and the group inverse and
+    the stacked rows of their traces.  Every product is a stacked matmul,
+    one BLAS call per member as its own product makes, and the rest is
+    elementwise or a reduction over one member's entries, so each member
+    gets the bits of its own stack of one.  The occupancies of every member
+    are one `edge_diff` over their joined incidence."""
+    systems = [sc.system for sc in scenarios]
+    traces = [sc.trace for sc in scenarios]
+    S, n = len(systems), systems[0].inc.n
+    # e^{At} at each of IDENTITY_SPANS over the decay rate, from one stacked
+    # call: the pass's largest stacks, so they are checked and freed first
+    exponentials = np.array(matrix_exponentials(
         [system.clm for system in systems for _ in IDENTITY_SPANS],
         [x / system.sd.decay_rate() for system in systems
-         for x in IDENTITY_SPANS])
-    return [exponentials[i:i + spans]
-            for i in range(0, len(exponentials), spans)]
+         for x in IDENTITY_SPANS])).reshape(S, -1, n, n)
+    stochastic = ((_peak(exponentials.sum(axis=-1) - 1.0) <= 1e-10)
+                  & (exponentials.reshape(S, -1).min(axis=1) >= -1e-12))
+    del exponentials
+
+    def stack(get):
+        return np.array([get(system) for system in systems])
+
+    A, W = stack(lambda s: s.clm.A), stack(lambda s: s.sd.W)
+    z, r = stack(lambda s: s.sd.z), stack(lambda s: s.clm.r)
+    omega_u, q = stack(lambda s: s.params.omega_u), stack(lambda s: s.params.q)
+
+    # feasibility: r's misfit |z.r| max z / z.z out of range(A)
+    misfit = np.abs(consensus(z, r)) * z.max(axis=1) / consensus(z, z)
+    # projector: the runs' sample operator e^{Ah/8}, squared three times
+    E = stack(lambda s: s.flow_ops[horizon_sample_interval(s)])
+    for _ in range(3):
+        E = np.matmul(E, E)
+    # the corrections of the last pre-reframe row, the post row and the
+    # end, each a block of every offset's; row 0 of a block is the own q
+    c = np.array([trace.correction[[_PRE, _POST, _END]] for trace in traces])
+    tol = TOL_LIMIT * np.abs(omega_u).max(axis=1)
+    predicted = correction_limits(W, omega_u, r, np.array(
+        [sc.offsets for sc in scenarios]))
+    # the pre-reframe terminal, the first post-reframe and the
+    # post-reframe terminal frequencies
+    pre, first, end = np.moveaxis(omega_u[:, None] + c[:, :, 0], 1, 0)
+    frequency_gap = np.maximum(
+        _peak(end - consensus(z, q + omega_u)[:, None]), _peak(pre - end))
+    jump, settle = first - pre, end - first
+    # near-zero jumps carry no reliable sign; mask them out
+    settles = np.all((np.abs(jump) <= 10 * tol[:, None])
+                     | (np.sign(settle) == -np.sign(jump)), axis=1)
+    # the occupancies at the pre-reframe row and at the end, against their
+    # limit and the offsets, each member's edges end to end
+    inc = joined_incidence([system.inc for system in systems])
+    lam = np.concatenate([system.params.lam for system in systems])
+    theta = np.array([trace.theta[[_PRE, _END], 0] for trace in traces])
+    centered = theta - theta.mean(axis=-1, keepdims=True)
+    beta = inc.edge_diff(np.swapaxes(centered, 0, 1).reshape(2, S * n))
+    beta += lam
+    beta -= np.array([
+        occupancy_limits(stack(lambda s: s.sd.group_inverse),
+                         omega_u + q + r, lam, inc),
+        np.concatenate([system.params.beta_off for system in systems])])
+    edges = np.cumsum([0] + [system.inc.m for system in systems[:-1]])
+    occupancy_gap, centering_gap = np.maximum.reduceat(
+        np.abs(beta), edges, axis=1)
+    # the identities
+    scale = np.maximum(1.0, _peak(A))
+    identity_gap = np.max([_peak(np.matmul(z[:, None], A)) / scale,
+                           _peak(np.matmul(W, W) - W),
+                           _peak(np.matmul(W, A)) / scale,
+                           _peak(np.matmul(A, W)) / scale], axis=0)
+    return [Residuals(*row) for row in zip(
+        [sc.params.beta_off is not None for sc in scenarios],
+        misfit.tolist(), np.maximum(1.0, _peak(r)).tolist(),
+        [system.sd.horizon() for system in systems],
+        _peak(E - W).tolist(), tol.tolist(),
+        _peak(c[:, 0] - predicted).tolist(), occupancy_gap.tolist(),
+        frequency_gap.tolist(), settles.tolist(), centering_gap.tolist(),
+        identity_gap.tolist(), stochastic.tolist())]
+
+
+_fill_residuals = partial(_fill, "residuals", _residuals)
 
 
 @dataclass(frozen=True)
@@ -174,44 +272,34 @@ class Verdict:
 
 
 def _check(name: str):
-    """Makes `check(scenario, ...)` of `body(verdict, scenario, system, ...)`,
-    where `verdict` is Verdict with the name filled in; a scenario that
+    """Makes `check(scenario)` of `body(residuals)`, which gives the rest
+    of the Verdict's fields from the scenario's residuals; a scenario that
     `prepare` rejected gets the invalid-scenario verdict."""
     def wrap(body):
         @wraps(body)
-        def check(scenario: Scenario, *args, **kwargs) -> Verdict:
+        def check(scenario: Scenario) -> Verdict:
             if isinstance(scenario._prepared, Exception):
                 return Verdict(name, INVALID, detail=str(scenario._prepared))
-            return body(partial(Verdict, name), scenario, scenario.system,
-                        *args, **kwargs)
+            return Verdict(name, *body(scenario.residuals))
         return check
     return wrap
 
 
-def _pre_reframe(trace: SimTrace) -> int:
-    """The index of the trace's last pre-reframe sample."""
-    return trace.mode.index(POST_REFRAME) - 1
-
-
 @_check("feasible-residual-in-range")
-def check_feasible_residual(verdict, scenario: Scenario, system: System) -> Verdict:
+def check_feasible_residual(res: Residuals) -> tuple:
     """Feasible offsets put the residual r in the range of A.  The misfit of
     the least-squares Ax = -r, r's projection onto null(A^T) = span(z), has
     the largest entry |z.r| max z / z.z."""
-    explicit = scenario.params.beta_off is not None
-    r, z = system.clm.r, system.sd.z
-    scale = max(1.0, float(np.abs(r).max()))
-    misfit = abs(float(z @ r)) * float(z.max()) / float(z @ z)
-    if misfit <= TOL_RANGE * scale:
-        return verdict(PASS, misfit, TOL_RANGE * scale)
-    if explicit:
-        return verdict(NOT_APPLICABLE, misfit, TOL_RANGE * scale,
-                       detail="infeasible init")
-    return verdict(FAIL, misfit, TOL_RANGE * scale)
+    tol = TOL_RANGE * res.range_scale
+    if res.range_misfit <= tol:
+        return PASS, res.range_misfit, tol
+    if res.explicit_offsets:
+        return NOT_APPLICABLE, res.range_misfit, tol, "infeasible init"
+    return FAIL, res.range_misfit, tol
 
 
 @_check("projector-limit")
-def check_projector_limit(verdict, scenario: Scenario, system: System) -> Verdict:
+def check_projector_limit(res: Residuals) -> tuple:
     """e^{At} approaches the rank-one projector 1 z^T.
 
     e^{Ah} is the runs' sample operator e^{Ah/8}, from the system's flow
@@ -219,95 +307,50 @@ def check_projector_limit(verdict, scenario: Scenario, system: System) -> Verdic
     as matrix_exponential(clm, h), which squares the same Pade approximant
     of A h 2^-s, s >= 3 times, since h = 50 / |Re lambda_2| makes
     ||Ah||_1 >= 50 > 8 theta_13."""
-    sd = system.sd
-    h = sd.horizon()
-    E = system.flow_ops[horizon_sample_interval(system)]
-    for _ in range(3):
-        E = E @ E
-    gap = float(np.abs(E - sd.W).max())
-    return verdict(PASS if gap <= TOL_LIMIT else FAIL, gap, TOL_LIMIT,
-                   detail=f"horizon {h:.6g}")
+    gap = res.projector_gap
+    return (PASS if gap <= TOL_LIMIT else FAIL, gap, TOL_LIMIT,
+            f"horizon {res.horizon:.6g}")
 
 
 @_check("correction-limit")
-def check_correction_limit(verdict, scenario: Scenario, system: System) -> Verdict:
+def check_correction_limit(res: Residuals) -> tuple:
     """Simulated correction converges to its affine map of q, for the
     scenario's own q (zero in the battery) and a few random offsets."""
-    params = system.params
-    tol = TOL_LIMIT * float(np.abs(params.omega_u).max())
-    predicted = steady_state_correction(system.sd, system.clm, params,
-                                        scenario.offsets)
-    trace = scenario.trace
-    worst = float(np.abs(trace.correction[_pre_reframe(trace)]
-                         - predicted).max())
-    return verdict(PASS if worst <= tol else FAIL, worst, tol)
+    worst, tol = res.correction_gap, res.limit_tolerance
+    return PASS if worst <= tol else FAIL, worst, tol
 
 
 @_check("occupancy-limit-pre")
-def check_occupancy_limit(verdict, scenario: Scenario, system: System) -> Verdict:
+def check_occupancy_limit(res: Residuals) -> tuple:
     """Pre-reframe occupancies converge to the group-inverse prediction."""
-    predicted = predict_beta_ss(system.sd, system.clm, system.params)
-    trace = scenario.trace
-    i = _pre_reframe(trace)
-    # row 0 is the scenario's own q
-    gap = float(np.abs(trace.rows(slice(i, i + 1))[2][0, 0]
-                       - predicted).max())
-    return verdict(PASS if gap <= TOL_LIMIT else FAIL, gap, TOL_LIMIT)
+    gap = res.occupancy_gap
+    return PASS if gap <= TOL_LIMIT else FAIL, gap, TOL_LIMIT
 
 
 @_check("reframe-frequency")
-def check_reframe_frequency(verdict, scenario: Scenario, system: System) -> Verdict:
+def check_reframe_frequency(res: Residuals) -> tuple:
     """Post-reframe frequency returns to the pre-reframe consensus value,
     after a jump whose sign the settling transient undoes."""
-    tol = TOL_LIMIT * float(np.abs(system.params.omega_u).max())
-    trace = scenario.trace
-    consensus = predict_omega_ss(system.sd, system.params)
-    i = _pre_reframe(trace)
-    # row 0 is the scenario's own q: the pre-reframe terminal, the first
-    # post-reframe and the post-reframe terminal frequencies
-    pre_terminal, post_first = trace.rows(slice(i, i + 2))[0][:, 0]
-    post_terminal = trace.rows(slice(-1, None))[0][0, 0]
-    worst = max(float(np.abs(post_terminal - consensus).max()),
-                float(np.abs(pre_terminal - post_terminal).max()))
-    jump = post_first - pre_terminal
-    settle = post_terminal - post_first
-    # near-zero jumps carry no reliable sign; mask them out
-    sign_ok = np.all((np.abs(jump) <= 10 * tol)
-                     | (np.sign(settle) == -np.sign(jump)))
-    status = PASS if worst <= tol and sign_ok else FAIL
-    detail = "" if sign_ok else "settling direction does not undo the jump"
-    return verdict(status, worst, tol, detail=detail)
+    worst, tol = res.frequency_gap, res.limit_tolerance
+    status = PASS if worst <= tol and res.settles else FAIL
+    detail = "" if res.settles else "settling direction does not undo the jump"
+    return status, worst, tol, detail
 
 
 @_check("reframe-centering")
-def check_reframe_centering(verdict, scenario: Scenario, system: System) -> Verdict:
+def check_reframe_centering(res: Residuals) -> tuple:
     """Post-reframe occupancies land back on the offsets (needs feasibility)."""
-    # row 0 is the scenario's own q
-    gap = float(np.abs(scenario.trace.rows(slice(-1, None))[2][0, 0]
-                       - system.params.beta_off).max())
-    return verdict(PASS if gap <= TOL_CENTERING else FAIL, gap,
-                   TOL_CENTERING)
+    gap = res.centering_gap
+    return PASS if gap <= TOL_CENTERING else FAIL, gap, TOL_CENTERING
 
 
 @_check("spectral-identities")
-def check_spectral_identities(verdict, scenario: Scenario, system: System) -> Verdict:
+def check_spectral_identities(res: Residuals) -> tuple:
     """z^T A = 0, W^2 = W, WA = AW = 0, and e^{At} row-stochastic."""
-    clm, sd = system.clm, system.sd
-    A, z, W = clm.A, sd.z, sd.W
-    scale = max(1.0, float(np.abs(A).max()))
-    worst = max(
-        float(np.abs(z @ A).max()) / scale,
-        float(np.abs(W @ W - W).max()),
-        float(np.abs(W @ A).max()) / scale,
-        float(np.abs(A @ W).max()) / scale,
-    )
-    stochastic_ok = True
-    for E in scenario.identity_exponentials:
-        stochastic_ok &= float(np.abs(E.sum(axis=1) - 1.0).max()) <= 1e-10
-        stochastic_ok &= float(E.min()) >= -1e-12
-    status = PASS if worst <= TOL_ALGEBRA and stochastic_ok else FAIL
-    detail = "" if stochastic_ok else "matrix exponential not row-stochastic"
-    return verdict(status, worst, TOL_ALGEBRA, detail=detail)
+    worst = res.identity_gap
+    status = PASS if worst <= TOL_ALGEBRA and res.stochastic else FAIL
+    detail = "" if res.stochastic else "matrix exponential not row-stochastic"
+    return status, worst, TOL_ALGEBRA, detail
 
 
 ALL_CHECKS = (check_feasible_residual, check_projector_limit,
@@ -394,17 +437,14 @@ def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
         infeasible_count = min(count, 20)
     controls = [make_infeasible_scenario(seed + 10_000 + i, n_range=n_range)
                 for i in range(infeasible_count)]
-    # every scenario is prepared, its run's operator built and its run
-    # stepped, stacked by n; so are the system-only probes of the checked
-    # scenarios: the diagonalizability probe, and the identity exponentials
-    # each caches for its check
+    # every scenario is prepared, its run's operator built, its run stepped
+    # and its residuals worked out, stacked by n; so is the diagonalizability
+    # probe of the checked scenarios
     _prepare(scenarios + controls)
     _fill_traces(scenarios + controls)
-    prepared = [sc for sc in scenarios
-                if not isinstance(sc._prepared, Exception)]
-    non_diag = _last_non_diagonalizable(prepared)
-    _fill_identity_exponentials(prepared)
-    del prepared
+    _fill_residuals(scenarios + controls)
+    non_diag = _last_non_diagonalizable(
+        [sc for sc in scenarios if not isinstance(sc._prepared, Exception)])
     # popped in seed order, so that each scenario's cached system, traces
     # and flow operators are freed once its checks have run
     scenarios.reverse()

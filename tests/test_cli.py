@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from bittide_sim import (ReframeSchedule, cli, generate_topology,
 from bittide_sim import config as config_mod
 from bittide_sim import controller
 from bittide_sim.cli import _fmt, main, read_trace_csv, trace_csv
-from bittide_sim.graph import MAX_NODES
+from bittide_sim.graph import MAX_EDGES, MAX_NODES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -282,8 +283,62 @@ def test_discrete_dt_out_of_range_exits_2_naming_config_discrete(
         tmp_path, capsys, dt):
     config = _e1_integrator(tmp_path, dt=dt)
     err = _rejected(tmp_path, capsys, config, "--discrete")
-    assert err.startswith(f"error: config.discrete: dt = {dt} must be "
-                          "positive and fine enough for frame counting")
+    if dt != dt:
+        # a non-finite dt is refused at parse time, in either mode
+        assert err == "error: config.integrator.dt: must be finite, got nan\n"
+    else:
+        assert err.startswith(f"error: config.discrete: dt = {dt} must be "
+                              "positive and fine enough for frame counting")
+
+
+def _strict_summary(out: Path) -> dict:
+    """out/summary.json parsed as JSON proper: NaN and Infinity raise."""
+    def refuse(constant):
+        raise ValueError(f"summary.json holds {constant}, which is not JSON")
+
+    return json.loads((out / "summary.json").read_text(),
+                      parse_constant=refuse)
+
+
+@pytest.mark.parametrize("mode", [[], ["--discrete"]],
+                         ids=["continuous", "discrete"])
+@pytest.mark.parametrize("dt", NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_non_finite_exact_dt_exits_2_in_both_modes(tmp_path, capsys, mode,
+                                                   dt):
+    # the exact flow reads no dt, and a NaN one was echoed into summary.json
+    # as a bare NaN, which is not JSON
+    err = _rejected(tmp_path, capsys, _e1_integrator(tmp_path, dt=dt), *mode)
+    assert err == f"error: config.integrator.dt: must be finite, got {dt}\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--discrete"]],
+                         ids=["continuous", "discrete"])
+@pytest.mark.parametrize("period", NON_FINITE, ids=["nan", "inf", "-inf"])
+def test_non_finite_control_period_exits_2_in_both_modes(tmp_path, capsys,
+                                                         mode, period):
+    # a continuous run reads no control period, and an infinite one was
+    # echoed into summary.json as a bare Infinity
+    config = _e1_with(tmp_path, discrete={"control_period": period})
+    err = _rejected(tmp_path, capsys, config, *mode)
+    assert err == ("error: config.discrete: control_period must be finite, "
+                   f"got {period}\n")
+
+
+@pytest.mark.parametrize("mode", [[], ["--discrete"]],
+                         ids=["continuous", "discrete"])
+def test_summary_json_parses_as_strict_json(tmp_path, mode):
+    # the keys a mode does not read are echoed too: the exact flow's dt of
+    # -0.1 and, in a continuous run, a control period of 3
+    changes = {"dt": -0.1} if not mode else {}
+    config = _e1_with(tmp_path, discrete={"control_period": 3.0},
+                      integrator={**json.loads((CONFIG_DIR / "e1.json")
+                                               .read_text())["integrator"],
+                                  **changes})
+    assert run_cli("run", "--config", config, "--out", tmp_path / "out",
+                   *mode) in (0, 1)
+    summary = _strict_summary(tmp_path / "out")
+    assert summary["config"]["discrete"]["control_period"] == 3.0
+    assert summary["config"]["integrator"].get("dt") == changes.get("dt")
 
 
 @pytest.mark.parametrize("mode", [[], ["--discrete"]],
@@ -441,6 +496,28 @@ def test_gen_topology_n_above_max_nodes_exits_2(capsys):
     assert capsys.readouterr().err == (
         f"error: generated topologies need 2 <= n <= {MAX_NODES}, got "
         "n = 1000000000\n")
+
+
+def test_gen_topology_over_the_edge_bound_exits_2(tmp_path, capsys):
+    out = tmp_path / "topology.json"
+    assert _small_peak(lambda: run_cli("gen-topology", "--kind", "complete",
+                                       "--n", MAX_NODES, "--out", out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: a generated complete topology on n = {MAX_NODES} nodes has "
+        f"{MAX_NODES * (MAX_NODES - 1)} edges; at most {MAX_EDGES} are "
+        "allowed\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", [[], ["--discrete"]])
+def test_config_over_the_edge_bound_exits_2(tmp_path, capsys, mode):
+    config = _e1_with(tmp_path, topology="random-strong", n=MAX_NODES,
+                      extra_edge_fraction=0.5, omega_u=1.0)
+    m = MAX_NODES + MAX_NODES * (MAX_NODES - 2) // 2
+    assert _rejected(tmp_path, capsys, config, *mode) == (
+        f"error: config.topology: a generated random-strong topology on "
+        f"n = {MAX_NODES} nodes has {m} edges; at most {MAX_EDGES} are "
+        "allowed\n")
 
 
 def test_verify_n_max_above_max_nodes_exits_2(tmp_path, capsys):
@@ -835,11 +912,23 @@ FUZZ_VALUES = ["x", [1], {"a": 1}, True, None, float("nan"), float("inf"),
                -float("inf"), 0, -1, 1e300, 1e-300]
 
 
+@functools.cache
+def _e1_trace() -> bytes:
+    """The trace.csv of a continuous run of configs/e1.json."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("run", "--config", CONFIG_DIR / "e1.json",
+                       "--out", tmp) == 0
+        return (Path(tmp) / "trace.csv").read_bytes()
+
+
 @settings(max_examples=400, deadline=None)
 @given(key=st.sampled_from(FUZZ_KEYS), value=st.sampled_from(FUZZ_VALUES),
-       argv=st.sampled_from([["run"], ["run", "--discrete"], ["analyze"]]))
+       argv=st.sampled_from([["run"], ["run", "--discrete"], ["analyze"],
+                             ["plotdata"]]))
 def test_one_mutated_key_ends_in_an_exit_code_never_a_traceback(key, value,
                                                                 argv):
+    # plotdata reads the mutated config for the beta_off of e1's trace
     raw = json.loads((CONFIG_DIR / "e1.json").read_text())
     section = raw
     for name in key[:-1]:
@@ -848,14 +937,24 @@ def test_one_mutated_key_ends_in_an_exit_code_never_a_traceback(key, value,
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "config.json", Path(tmp) / "out"
         config.write_text(json.dumps(raw))
+        if argv == ["plotdata"]:
+            trace = Path(tmp) / "trace.csv"
+            trace.write_bytes(_e1_trace())
+            argv = ["plotdata", trace, "--quantity", "beta-rel",
+                    "--config", config, "--out", out]
+        else:
+            argv = [argv[0], "--config", config, "--out", out, *argv[1:]]
         err = io.StringIO()
         with (warnings.catch_warnings(), contextlib.redirect_stderr(err),
               contextlib.redirect_stdout(io.StringIO())):
             warnings.simplefilter("ignore")
-            rc = run_cli(argv[0], "--config", config, "--out", out, *argv[1:])
+            rc = run_cli(*argv)
         assert rc in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         if rc == 2:
             assert err.getvalue().startswith("error: ")
             assert not (out / "trace.csv").exists()
+            assert not out.is_file()
+        elif (out / "summary.json").exists():
+            _strict_summary(out)
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from bittide_sim import (Topology, TopologyError, build_closed_loop,
                          build_incidence, generate_topology, init_state,
                          is_strongly_connected, make_system_params, observe)
-from bittide_sim.graph import stranded_node
+from bittide_sim.graph import (MAX_EDGES, MAX_NODES, generated_edge_count,
+                               joined_incidence, stranded_node)
 
 
 def test_two_cycle_incidence_matrices():
@@ -224,3 +225,55 @@ def test_random_strong_sampler_matches_candidate_list(n, seed, fraction):
     topology = generate_topology("random-strong", n, seed=seed,
                                  extra_edge_fraction=fraction)
     assert topology.edges == _listed_random_strong(n, seed, fraction)
+
+
+def test_joined_incidence_is_the_disjoint_union():
+    # each member's nodes and edges follow those before it, so one edge_diff
+    # of the node values end to end gives each member's own, in turn
+    topologies = [Topology(n=3, edges=[(1, 2), (2, 3), (3, 1), (1, 3)]),
+                  Topology(n=2, edges=[(1, 2), (2, 1)]),
+                  generate_topology("random-strong", 5, seed=3,
+                                    extra_edge_fraction=0.5)]
+    incs = [build_incidence(t) for t in topologies]
+    joined = joined_incidence(incs)
+    assert joined.n == 10 and joined.m == sum(inc.m for inc in incs)
+    x = np.random.default_rng(0).normal(size=(2, 10))
+    diffs = [inc.edge_diff(part) for inc, part in
+             zip(incs, np.split(x, [3, 5], axis=1))]
+    assert joined.edge_diff(x).tobytes() == np.concatenate(
+        diffs, axis=1).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["ring", "bidirectional-ring", "complete",
+                             "random-strong"]),
+       n=st.integers(2, 40), frac=st.floats(0.0, 1.0), seed=st.integers(0, 99))
+def test_generated_edge_count_is_the_generated_topologys(kind, n, frac, seed):
+    topology = generate_topology(kind, n, seed=seed, extra_edge_fraction=frac)
+    assert generated_edge_count(kind, n, frac) == topology.m
+
+
+def test_the_edge_bound_admits_complete_at_1024_and_the_scale_case():
+    # counted, never built: complete at n = 1024, and random-strong at
+    # n = 4096 with m near 11 n
+    assert generated_edge_count("complete", 1024) == 1047552 <= MAX_EDGES
+    m = generated_edge_count("random-strong", MAX_NODES, 0.0025)
+    assert 10 * MAX_NODES < m < 12 * MAX_NODES
+    assert generated_edge_count("complete", 1025) > MAX_EDGES
+
+
+@pytest.mark.parametrize("kind, frac, m", [("complete", 0.0, 4096 * 4095),
+                                           ("random-strong", 1.0, 4096**2 - 4096)])
+def test_an_edge_count_over_the_bound_is_refused_before_any_edge(kind, frac,
+                                                                  m):
+    tracemalloc.start()
+    try:
+        with pytest.raises(TopologyError) as exc:
+            generate_topology(kind, MAX_NODES, extra_edge_fraction=frac)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert str(exc.value) == (f"a generated {kind} topology on n = 4096 "
+                              f"nodes has {m} edges; at most {MAX_EDGES} are "
+                              "allowed")

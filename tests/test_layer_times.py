@@ -44,3 +44,36 @@ def test_the_layers_are_unwrapped_afterwards(layer_times, capsys):
     before = (cli.trace_csv, floatfmt.cells, floatfmt.join, cli.run)
     layer_times.main([str(ROOT / "configs" / "e1.json"), "--repeat", "1"])
     assert (cli.trace_csv, floatfmt.cells, floatfmt.join, cli.run) == before
+
+
+def test_the_battery_phases_are_timed_once_each(layer_times, capsys):
+    from bittide_sim import verify
+
+    names = ("make_random_scenario", "_prepare", "_fill_traces",
+             "_fill_residuals", "run_battery")
+    before = [getattr(verify, name) for name in names]
+    assert layer_times.main(["--verify", "3", "7", "--repeat", "1"]) == 0
+    assert [getattr(verify, name) for name in names] == before
+    line, = capsys.readouterr().out.splitlines()
+    report = json.loads(line)
+    assert report["verify"] == {"count": 3, "seed": 7}
+    best = report["best"]
+    assert list(best) == ["generation", "prepare", "traces", "residuals",
+                          "probes", "verdict_rows", "report_json",
+                          "run_battery", "cmd_verify"]
+    assert report["best"] == report["median"]
+    assert all(seconds > 0 for seconds in best.values())
+    phases = sum(best[label] for label in list(best)[:6])
+    # the phases are run_battery's parts, and it is cmd_verify's
+    assert abs(phases - best["run_battery"]) <= 1e-9
+    assert best["run_battery"] + best["report_json"] <= best["cmd_verify"]
+
+
+@pytest.mark.parametrize("argv", [[], ["--verify", "3", "7", "x.json"],
+                                  ["--verify", "3", "7", "--discrete"],
+                                  ["--verify", "-1", "7"]])
+def test_a_run_and_the_battery_are_asked_for_one_at_a_time(layer_times,
+                                                           argv):
+    with pytest.raises(SystemExit) as exc:
+        layer_times.main(argv)
+    assert exc.value.code == 2

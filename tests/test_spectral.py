@@ -15,6 +15,7 @@ from bittide_sim import (SpectralError, Topology, build_closed_loop,
                          predict_beta_ss, predict_omega_ss, prepare, spectral,
                          steady_state_correction)
 from bittide_sim.config import parse_config
+from bittide_sim.graph import joined_incidence
 from bittide_sim.verify import make_random_scenario
 from conftest import random_scenario, spectral_setup
 
@@ -515,3 +516,42 @@ def test_bordered_matrix_equals_np_block_bit_for_bit(seed):
         bordered = spectral._bordered(M, row)
         assert bordered.shape == reference.shape
         assert bordered.tobytes() == reference.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+       n=st.sampled_from([2, 5, 24]))
+def test_stacked_predictions_equal_each_matrix_alone(seeds, n):
+    # the predictions' kernels take a matrix or a stack; each member of a
+    # stack gets the bits of the `predict_*` call on its own, and those get
+    # the bits of the products written out
+    systems = [make_random_scenario(seed, (n, n)).system for seed in seeds]
+    rng = np.random.default_rng(seeds[0])
+    q = rng.normal(scale=0.01, size=(len(systems), 4, n))
+    z, W, G, r, omega_u, u = (np.array([get(s) for s in systems]) for get in (
+        lambda s: s.sd.z, lambda s: s.sd.W, lambda s: s.sd.group_inverse,
+        lambda s: s.clm.r, lambda s: s.params.omega_u,
+        lambda s: s.params.omega_u + s.params.q + s.clm.r))
+    inc = joined_incidence([s.inc for s in systems])
+    lam = np.concatenate([s.params.lam for s in systems])
+    omega = spectral.consensus(z, omega_u)
+    corrections = spectral.correction_limits(W, omega_u, r, q)
+    beta = spectral.occupancy_limits(G, u, lam, inc)
+    edges = np.cumsum([0] + [s.inc.m for s in systems])
+    for i, s in enumerate(systems):
+        sd, clm, params = s.sd, s.clm, s.params
+        alone = predict_omega_ss(sd, params)
+        assert alone.tobytes() == np.full(n, sd.z @ params.omega_u).tobytes()
+        assert alone[0] == omega[i]
+        alone = steady_state_correction(sd, clm, params, q[i])
+        assert alone.tobytes() == ((sd.W - np.eye(n)) @ params.omega_u
+                                   + (sd.W @ (q[i] + clm.r).T).T).tobytes()
+        assert alone.tobytes() == np.ascontiguousarray(corrections[i]).tobytes()
+        row = steady_state_correction(sd, clm, params, q[i, 1])
+        assert row.shape == (n,)
+        assert row.tobytes() == ((sd.W - np.eye(n)) @ params.omega_u
+                                 + sd.W @ (q[i, 1] + clm.r)).tobytes()
+        alone = predict_beta_ss(sd, clm, params)
+        assert alone.tobytes() == (params.lam - clm.inc.edge_diff(
+            sd.group_inverse @ u[i])).tobytes()
+        assert alone.tobytes() == beta[edges[i]:edges[i + 1]].tobytes()

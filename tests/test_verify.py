@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bittide_sim import (IntegratorSettings, ReframeSchedule, Topology,
@@ -324,6 +324,46 @@ def test_stacked_traces_equal_run_bit_for_bit(seeds, controls):
 def test_stacked_traces_equal_run_at_n_16_to_64():
     # sizes the default battery never draws
     _assert_stacked_traces_equal_run(
+        [make_random_scenario(7 + i, (16, 64)) for i in range(12)]
+        + [make_infeasible_scenario(10_007 + i, (16, 64)) for i in range(3)])
+
+
+def _assert_stacked_residuals_equal_alone(scenarios):
+    # the battery's residuals, one pass per size n, against each scenario
+    # checked alone as a group of one: every residual to the bit, and every
+    # field of every verdict
+    verify._prepare(scenarios)
+    verify._fill_traces(scenarios)
+    verify._fill_residuals(scenarios)
+    assert len({sc.topology.n for sc in scenarios}) < len(scenarios)
+    for sc in scenarios:
+        alone = replace(sc)     # nothing prepared, run or cached yet
+        assert not {"_prepared", "trace", "residuals"} & set(vars(alone))
+        stacked = vars(sc)["residuals"]
+        assert repr(stacked) == repr(alone.residuals)
+        assert stacked._asdict() == alone.residuals._asdict()
+        for check in ALL_CHECKS:
+            assert repr(check(sc)) == repr(check(alone))
+            assert check(sc).row() == check(alone).row()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds=st.lists(st.integers(0, 10**6), min_size=1, max_size=10),
+       controls=st.lists(st.integers(0, 10**6), max_size=3))
+@example(seeds=[0, 2, 3, 4, 1, 6], controls=[101, 102, 103])
+def test_stacked_residuals_equal_each_scenario_alone(seeds, controls):
+    # mixed n, the infeasible controls and the defective scenario, which
+    # shares n = 3 with the last control
+    _assert_stacked_residuals_equal_alone(
+        [make_random_scenario(seed) for seed in seeds]
+        + [make_infeasible_scenario(seed) for seed in controls]
+        + [verify._defective_scenario(), make_random_scenario(9),
+           make_infeasible_scenario(105)])
+
+
+def test_stacked_residuals_equal_each_scenario_alone_at_n_16_to_64():
+    # sizes the default battery never draws; n = 23 and 59 come twice
+    _assert_stacked_residuals_equal_alone(
         [make_random_scenario(7 + i, (16, 64)) for i in range(12)]
         + [make_infeasible_scenario(10_007 + i, (16, 64)) for i in range(3)])
 
