@@ -195,10 +195,10 @@ def cmd_analyze(cfg, out_dir: Path) -> int:
 
 def _verify_flag_error(args) -> str | None:
     """The error of the first out-of-range `verify` flag, or None."""
-    if args.count < 0:
-        return f"--count must be at least 0, got {args.count}"
-    if args.infeasible is not None and args.infeasible < 0:
-        return f"--infeasible must be at least 0, got {args.infeasible}"
+    for flag in ("count", "infeasible", "seed"):   # numpy refuses a seed < 0
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            return f"--{flag} must be at least 0, got {value}"
     if args.n_min < 2:
         return f"--n-min must be at least 2, got {args.n_min}"
     if args.n_max < args.n_min:

@@ -4,13 +4,15 @@ The config file is the single input contract: everything a run needs is in
 it (no environment variables), and the edge list order in the file defines
 the canonical edge indices used by every trace column and report entry.
 Parsed configs are plain-data dataclasses, so an emitted config re-parses to
-an equal object.
+an equal object.  Every key is read through its row of one table, `KEYS`.
 """
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import warnings
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,32 +148,146 @@ class ScenarioConfig:
         return scenario
 
 
-def _type_name(v):
-    return type(v).__name__
+class Key(NamedTuple):
+    """One config key: its path, what it takes (int; float, any number; bool;
+    one of a tuple of strings; or "n" or "m", a number for every node or
+    edge or a list of n or m), its default (REQUIRED if none), its rule, and
+    its path split into the object that holds it and its name."""
+    path: str
+    takes: object
+    default: object
+    rule: str | None
+    section: str        # "" at the top
+    name: str
 
 
-def _expect(raw: dict, key: str, types, path: str, required=False, default=None):
-    if key not in raw:
-        if required:
-            raise ConfigError(f"{path}: missing required key '{key}'")
-        return default
-    v = raw[key]
-    # a bool is an int to isinstance, and only a bool key takes one
-    if not isinstance(v, types) or isinstance(v, bool) and types is not bool:
-        name = "number" if types == (int, float) else types.__name__
-        raise ConfigError(f"{path}.{key}: expected {name}, got "
-                          f"{_type_name(v)} ({v!r})")
+REQUIRED = MISSING
+# json.loads accepts NaN and Infinity, and an integer too large for a float
+# reads as +-inf, so every rule refuses all three
+RULES = {"finite": lambda x: -math.inf < x < math.inf,
+         "finite and positive": lambda x: 0 < x < math.inf,
+         "finite and >= 0": lambda x: 0 <= x < math.inf,
+         "in [0, 1]": lambda x: 0 <= x <= 1}
+SECTIONS = {"reframe": ReframeSchedule, "integrator": IntegratorSettings,
+            "discrete": DiscreteSpec}
+# a key's default is its field's, unless its row gives one
+_FIELD_DEFAULTS = {f"{name}.{f.name}".lstrip("."): f.default for name, cls
+                   in {"": ScenarioConfig, **SECTIONS}.items()
+                   for f in fields(cls)}
+
+
+def _key(path, takes, rule=None, *default) -> Key:
+    return Key(path, takes, *default or [_FIELD_DEFAULTS.get(path, REQUIRED)],
+               rule, *path.rpartition(".")[::2])
+
+
+# the rows in the order they are read: the vectors of n entries come before
+# the first of m entries, which generates the topology
+KEYS = (
+    _key("topology", TOPOLOGY_KINDS),   # or an explicit {"edges", "n"} object
+    _key("n", int),
+    _key("topology_seed", int),
+    _key("extra_edge_fraction", float, "in [0, 1]"),
+    _key("k", float, "finite and positive"),
+    _key("omega_u", "n", "finite and positive"),
+    _key("q", "n", "finite", 0.0),
+    _key("theta0", "n", "finite", 0.0),
+    _key("lambda", "m", "finite", 10.0),
+    _key("beta_off", "m", "finite"),
+    _key("controller", ("reframing", "proportional")),
+    _key("reframe.mode", ("fixed-time", "auto")),
+    _key("reframe.T1", float, "finite"),
+    _key("reframe.epsilon", float, "finite and >= 0"),
+    _key("reframe.window", float, "finite and positive"),
+    _key("integrator.method", ("exact", "rk4", "euler")),
+    _key("integrator.dt", float, "finite"),
+    _key("integrator.sample_interval", float, "finite and positive"),
+    _key("integrator.horizon", float, "finite and positive"),
+    _key("integrator.post_horizon", float, "finite and positive"),
+    _key("discrete.enabled", bool),
+    _key("discrete.control_period", float, "finite"),
+    _key("discrete.quantization", int),
+    _key("discrete.capacity", int),
+    _key("discrete.continue_on_fault", bool),
+    _key("seed", int))
+_TYPES = {int: ("int", int), float: ("number", (int, float)),
+          bool: ("bool", bool), list: ("list", list)}
+
+
+def _typed(v, takes, path: str):
+    """v, once it is a `takes` (float: any number; a bool is no int)."""
+    name, types = _TYPES[takes]
+    if not isinstance(v, types) or isinstance(v, bool) != (takes is bool):
+        raise ConfigError(f"{path}: expected {name}, got {type(v).__name__} "
+                          f"({v!r})")
     return v
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _float(v) -> float:
+    """The JSON number v as a float, an integer too large for one as +-inf."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _vector(v, length: int, path: str, rule: str) -> tuple:
+    """A number broadcast or a list of `length` numbers, each meeting `rule`."""
+    if isinstance(v, list):
+        if len(v) != length:
+            raise ConfigError(f"{path}: expected {length} entries, got {len(v)}")
+        if not all(map(_is_number, v)):
+            raise ConfigError(f"{path}: entries must be numbers")
+        values = tuple(map(_float, v))
+    elif _is_number(v):
+        values = (_float(v),) * length
+    else:
+        raise ConfigError(f"{path}: expected number or list, got "
+                          f"{type(v).__name__}")
+    if not all(map(RULES[rule], values)):
+        raise ConfigError(f"{path}: entries must be {rule}")
+    return values
+
+
+def _read(key: Key, raw: dict, n: int | None, m: int | None):
+    """The value of `key` in `raw`, its section, checked against its row."""
+    path, v = f"config.{key.path}", raw.get(key.name, key.default)
+    if v is REQUIRED:
+        raise ConfigError(f"{path.rpartition('.')[0]}: missing required key "
+                          f"'{key.name}'")
+    if v is None and key.name not in raw:
+        return None
+    if isinstance(v, str) and v == key.default:     # "feasible", say
+        return v
+    if isinstance(key.takes, tuple):
+        if v not in key.takes:
+            *head, last = map(repr, key.takes)
+            raise ConfigError(f"{path}: expected {', '.join(head)} or {last}, "
+                              f"got {v!r}")
+        return v
+    if key.takes in ("n", "m"):
+        return _vector(v, n if key.takes == "n" else m, path, key.rule)
+    v = _typed(v, key.takes, path)
+    if key.rule is None:
+        return v
+    x = _float(v)
+    if not RULES[key.rule](x):
+        raise ConfigError(f"{path}: must be {key.rule}, got "
+                          f"{v if math.isfinite(x) else x}")
+    return x
 
 
 def _check_keys(raw: dict, allowed, path: str, strict: bool):
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
-        msg = f"{path}: unknown key{'s' if len(unknown) > 1 else ''} " \
-              f"{', '.join(repr(u) for u in unknown)}"
+        msg = (f"{path}: unknown key{'s' if len(unknown) > 1 else ''} "
+               + ", ".join(map(repr, unknown)))
         if strict:
             raise ConfigError(msg)
-        import warnings
         warnings.warn(msg, stacklevel=3)
 
 
@@ -180,200 +296,78 @@ def _section(raw: dict, key: str) -> dict:
     section = raw.get(key, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config.{key}: expected an object, got "
-                          f"{_type_name(section)}")
+                          f"{type(section).__name__}")
     return section
 
 
-def _vector(raw, length, path, minimum=None):
-    """Scalar broadcast or full-length list of finite numbers."""
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, list)):
-        raise ConfigError(f"{path}: expected number or list, got {_type_name(raw)}")
-    if isinstance(raw, (int, float)):
-        values = (float(raw),) * length
-    else:
-        if len(raw) != length:
-            raise ConfigError(f"{path}: expected {length} entries, got {len(raw)}")
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                   for x in raw):
-            raise ConfigError(f"{path}: entries must be numbers")
-        values = tuple(float(x) for x in raw)
-    if not all(math.isfinite(x) for x in values):   # json.loads accepts NaN
-        raise ConfigError(f"{path}: entries must be finite")
-    if minimum is not None and any(x <= minimum for x in values):
-        raise ConfigError(f"{path}: entries must be > {minimum}")
-    return values
-
-
-def _parse_topology(raw: dict, strict: bool):
-    """(kind, edges, n, topology_seed, extra_edge_fraction, topology) of the
-    config; a generated topology is None here: it is formed once the
-    vectors of n entries are checked."""
-    topo = raw.get("topology")
-    if topo is None:
-        raise ConfigError("config: missing required key 'topology'")
-    if isinstance(topo, str):
-        if topo not in TOPOLOGY_KINDS:
+def _explicit_topology(topo: dict, strict: bool) -> Topology:
+    """The strongly connected topology of an {"edges", "n"} object."""
+    _check_keys(topo, {"edges", "n"}, "config.topology", strict)
+    if "edges" not in topo:
+        raise ConfigError("config.topology: missing required key 'edges'")
+    edges = _typed(topo["edges"], list, "config.topology.edges")
+    for i, e in enumerate(edges):
+        if (not isinstance(e, (list, tuple)) or len(e) != 2
+                or not all(type(x) is int for x in e)):     # a bool is no int
             raise ConfigError(
-                f"config.topology: unknown kind {topo!r}, expected one of "
-                f"{TOPOLOGY_KINDS} or an object with 'edges'")
-        n = _expect(raw, "n", int, "config", required=True)
-        seed = _expect(raw, "topology_seed", int, "config", default=0)
-        frac = _expect(raw, "extra_edge_fraction", (int, float), "config",
-                       default=0.0)
-        if not 0 <= frac <= 1:      # json.loads accepts NaN
-            raise ConfigError(f"config.extra_edge_fraction: must be in "
-                              f"[0, 1], got {frac}")
-        try:
-            check_generated_n(n)
-        except TopologyError as exc:
-            raise ConfigError(f"config.topology: {exc}") from exc
-        return topo, None, n, seed, float(frac), None
-    if isinstance(topo, dict):
-        _check_keys(topo, {"edges", "n"}, "config.topology", strict)
-        edges_raw = _expect(topo, "edges", list, "config.topology", required=True)
-        edges = []
-        for i, e in enumerate(edges_raw):
-            if (not isinstance(e, (list, tuple)) or len(e) != 2
-                    or not all(isinstance(x, int) for x in e)):
-                raise ConfigError(
-                    f"config.topology.edges[{i}]: expected [src, dst] integers")
-            edges.append((e[0], e[1]))
-        n = _expect(topo, "n", int, "config.topology",
-                    default=max((max(e) for e in edges), default=0))
-        if n < 1:
-            raise ConfigError(f"config.topology.n: must be at least 1, "
-                              f"got {n}")
-        try:
-            topology = Topology(n=n, edges=tuple(edges))
-        except TopologyError as exc:
-            raise ConfigError(f"config.topology: {exc}") from exc
-        if (stranded := stranded_node(topology)) is not None:
-            raise ConfigError(
-                f"config.topology: not strongly connected; node {stranded} "
-                "is unreachable from or cannot reach node 1")
-        return None, tuple(edges), n, 0, 0.0, topology
-    raise ConfigError("config.topology: expected a kind string or an object "
-                      "with 'edges'")
-
-
-_TOP_KEYS = {"topology", "n", "topology_seed", "extra_edge_fraction", "k",
-             "omega_u", "lambda", "beta_off", "q", "theta0", "controller",
-             "reframe", "integrator", "discrete", "seed"}
+                f"config.topology.edges[{i}]: expected [src, dst] integers")
+    n = _typed(topo.get("n", max((max(e) for e in edges), default=0)), int,
+               "config.topology.n")
+    if n < 1:
+        raise ConfigError(f"config.topology.n: must be at least 1, got {n}")
+    topology = Topology(n=n, edges=tuple(map(tuple, edges)))
+    if (stranded := stranded_node(topology)) is not None:
+        raise ConfigError(
+            f"config.topology: not strongly connected; node {stranded} "
+            "is unreachable from or cannot reach node 1")
+    return topology
 
 
 def parse_config_dict(raw: dict, strict: bool = True) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object at top level")
-    _check_keys(raw, _TOP_KEYS, "config", strict)
-
-    kind, edges, n, tseed, frac, topology = _parse_topology(raw, strict)
-
-    k = float(_expect(raw, "k", (int, float), "config", required=True))
-    if not 0 < k < math.inf:    # json.loads accepts NaN and Infinity
-        raise ConfigError(f"config.k: gain must be finite and positive, got {k}")
-    if "omega_u" not in raw:
-        raise ConfigError("config: missing required key 'omega_u'")
-    # the vectors of n entries are checked before a topology is generated
-    omega_u = _vector(raw["omega_u"], n, "config.omega_u", minimum=0.0)
-    q = _vector(raw.get("q", 0.0), n, "config.q")
-    theta0 = _vector(raw.get("theta0", 0.0), n, "config.theta0")
-    if topology is None:
-        try:
-            topology = generate_topology(kind, n, seed=tseed,
-                                         extra_edge_fraction=frac)
-        except TopologyError as exc:
-            raise ConfigError(f"config.topology: {exc}") from exc
-    m = topology.m
-    lam = _vector(raw.get("lambda", 10.0), m, "config.lambda")
-
-    beta_raw = raw.get("beta_off", FEASIBLE)
-    if beta_raw == FEASIBLE:
-        beta_off = FEASIBLE
-    else:
-        beta_off = _vector(beta_raw, m, "config.beta_off")
-
-    controller = _expect(raw, "controller", str, "config", default="reframing")
-    if controller not in ("reframing", "proportional"):
-        raise ConfigError(f"config.controller: expected 'reframing' or "
-                          f"'proportional', got {controller!r}")
-
-    rraw = _section(raw, "reframe")
-    _check_keys(rraw, {"mode", "T1", "epsilon", "window"}, "config.reframe",
-                strict)
-    mode = _expect(rraw, "mode", str, "config.reframe", default="auto")
-    numbers = {key: _optional_number(rraw, key, "config.reframe")
-               for key in ("T1", "epsilon", "window")}
+    raws = {"": raw, **{name: _section(raw, name) for name in SECTIONS}}
+    for section, values in raws.items():
+        allowed = {key.name for key in KEYS if key.section == section}
+        _check_keys(values, allowed | set(SECTIONS) if not section else
+                    allowed, f"config.{section}".rstrip("."), strict)
+    parsed = {section: {} for section in raws}
+    top, topology = parsed[""], None
     try:
-        reframe = ReframeSchedule(mode=mode, **numbers)
-    except ValueError as exc:   # a rule, its message led by the key
-        raise ConfigError(f"config.reframe.{exc}") from exc
-
-    iraw = _section(raw, "integrator")
-    _check_keys(iraw, {"method", "dt", "sample_interval", "horizon",
-                       "post_horizon"}, "config.integrator", strict)
-    method = _expect(iraw, "method", str, "config.integrator", default="exact")
-    if method not in ("exact", "rk4", "euler"):
-        raise ConfigError(f"config.integrator.method: expected 'exact', 'rk4' "
-                          f"or 'euler', got {method!r}")
-    path = "config.integrator"
-    integrator = IntegratorSettings(
-        method=method,
-        # the exact flow has no substep, and the discrete mode checks its
-        # dt; an unread dt is still echoed into the summary, so it is finite
-        dt=_optional_number(iraw, "dt", path, positive=method != "exact",
-                            finite=True),
-        sample_interval=_optional_number(iraw, "sample_interval", path,
-                                         positive=True),
-        horizon=_optional_number(iraw, "horizon", path, positive=True),
-        post_horizon=_optional_number(iraw, "post_horizon", path,
-                                      positive=True))
-
-    draw = _section(raw, "discrete")
-    _check_keys(draw, {"enabled", "control_period", "quantization", "capacity",
-                       "continue_on_fault"}, "config.discrete", strict)
-    control_period = float(_expect(draw, "control_period", (int, float),
-                                   "config.discrete", default=1.0))
-    if not math.isfinite(control_period):   # echoed even where unread
-        raise ConfigError(f"config.discrete: control_period must be finite, "
-                          f"got {control_period}")
-    discrete = DiscreteSpec(
-        enabled=bool(_expect(draw, "enabled", bool, "config.discrete",
-                             default=False)),
-        control_period=control_period,
-        quantization=_expect(draw, "quantization", int, "config.discrete",
-                             default=1),
-        capacity=_expect(draw, "capacity", int, "config.discrete", default=20),
-        continue_on_fault=bool(_expect(draw, "continue_on_fault", bool,
-                                       "config.discrete", default=False)))
-
+        for key in KEYS:
+            if key.path == "topology" and isinstance(raw.get("topology"), dict):
+                topology = _explicit_topology(raw["topology"], strict)
+                top.update(topology=None, n=topology.n)
+                continue
+            if topology is not None and key.path in (
+                    "n", "topology_seed", "extra_edge_fraction"):
+                continue    # the keys only a generated topology reads
+            if key.takes == "m" and topology is None:
+                topology = generate_topology(
+                    top["topology"], top["n"], seed=top["topology_seed"],
+                    extra_edge_fraction=top["extra_edge_fraction"])
+            if key.path == "integrator.dt" and parsed["integrator"]["method"] \
+                    != "exact":     # the one rule that reads another key
+                key = key._replace(rule="finite and positive")
+            parsed[key.section][key.name] = _read(
+                key, raws[key.section], top.get("n"),
+                topology.m if topology else None)
+            if key.path == "n":     # before anything of n entries is built
+                check_generated_n(top["n"])
+    except TopologyError as exc:
+        raise ConfigError(f"config.topology: {exc}") from exc
+    kind = top.pop("topology")
     return ScenarioConfig(
-        n=topology.n, k=k, omega_u=omega_u, topology_kind=kind, edges=edges,
-        topology_seed=tseed, extra_edge_fraction=frac, lam=lam,
-        beta_off=beta_off, q=q, theta0=theta0, controller=controller,
-        reframe=reframe, integrator=integrator, discrete=discrete,
-        seed=_expect(raw, "seed", int, "config", default=0),
-        parsed_topology=topology)
-
-
-def _optional_number(raw: dict, key: str, path: str, positive=False,
-                     finite=False):
-    v = _expect(raw, key, (int, float), path)
-    if v is None:
-        return None
-    if positive and not 0 < v < math.inf:   # json.loads accepts NaN
-        raise ConfigError(f"{path}.{key}: must be finite and positive, "
-                          f"got {v}")
-    if finite and not -math.inf < v < math.inf:
-        raise ConfigError(f"{path}.{key}: must be finite, got {v}")
-    return float(v)
+        topology_kind=kind, edges=None if kind else topology.edges,
+        lam=top.pop("lambda"), parsed_topology=topology,
+        **{name: cls(**parsed[name]) for name, cls in SECTIONS.items()}, **top)
 
 
 def parse_config(path, strict: bool = True) -> ScenarioConfig:
     """Load and validate a scenario config file."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    try:    # a ValueError: not UTF-8, or an integer of over 4300 digits
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
         raise ConfigError(f"config: not valid JSON ({exc})") from exc
     return parse_config_dict(raw, strict=strict)
 

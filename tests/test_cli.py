@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -158,6 +159,12 @@ def test_verify_negative_infeasible_count_exits_2(tmp_path, capsys):
         "error: --infeasible must be at least 0, got -3\n")
 
 
+def test_verify_negative_seed_exits_2(tmp_path, capsys):
+    # ended in numpy's `expected non-negative integer` ValueError traceback
+    assert _verify_rejected(tmp_path, capsys, "--count", 2, "--seed", -5) == (
+        "error: --seed must be at least 0, got -5\n")
+
+
 def test_corrupt_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -193,7 +200,11 @@ def test_discrete_range_error_exits_2_naming_config_discrete(
         tmp_path, capsys, key, value):
     config = _e1_with(tmp_path, discrete={key: value})
     err = _rejected(tmp_path, capsys, config, "--discrete")
-    assert err.startswith("error: config.discrete: ")
+    if value in (0, -1):
+        assert err.startswith("error: config.discrete: ")
+    else:   # a period that is not finite is refused at parse time
+        assert err == ("error: config.discrete.control_period: must be "
+                       f"finite, got {value}\n")
 
 
 @pytest.mark.parametrize("unit", [2**52, 2**63])
@@ -219,7 +230,7 @@ def test_non_finite_gain_exits_2(tmp_path, capsys, k):
     config = _e1_with(tmp_path, k=k)
     assert ("NaN" if k != k else "Infinity") in config.read_text()
     err = _rejected(tmp_path, capsys, config)
-    assert err.startswith("error: config.k: gain must be finite and positive")
+    assert err == f"error: config.k: must be finite and positive, got {k}\n"
 
 
 @pytest.mark.parametrize("mode", [[], ["--discrete"]],
@@ -234,7 +245,8 @@ def test_non_finite_gain_exits_2(tmp_path, capsys, k):
 def test_non_finite_vector_entry_exits_2(tmp_path, capsys, mode, key, value):
     err = _rejected(tmp_path, capsys, _e1_with(tmp_path, **{key: value}),
                     *mode)
-    assert err == f"error: config.{key}: entries must be finite\n"
+    rule = "finite and positive" if key == "omega_u" else "finite"
+    assert err == f"error: config.{key}: entries must be {rule}\n"
 
 
 def _e1_integrator(tmp_path, **changes):
@@ -320,7 +332,7 @@ def test_non_finite_control_period_exits_2_in_both_modes(tmp_path, capsys,
     # echoed into summary.json as a bare Infinity
     config = _e1_with(tmp_path, discrete={"control_period": period})
     err = _rejected(tmp_path, capsys, config, *mode)
-    assert err == ("error: config.discrete: control_period must be finite, "
+    assert err == ("error: config.discrete.control_period: must be finite, "
                    f"got {period}\n")
 
 
@@ -537,6 +549,13 @@ def test_object_topology_n_must_be_an_int_of_at_least_1(tmp_path, capsys, n,
     err = _rejected(tmp_path, capsys, config)
     assert err.startswith(f"error: config.topology.n: {message}")
     assert err.count("\n") == 1
+
+
+def test_bool_edge_endpoints_exit_2(tmp_path, capsys):
+    # true passed as node 1, ran with exit 0 and was echoed into summary.json
+    config = _e1_with(tmp_path, topology={"edges": [[True, 2], [2, True]]})
+    assert _rejected(tmp_path, capsys, config) == (
+        "error: config.topology.edges[0]: expected [src, dst] integers\n")
 
 
 @pytest.mark.parametrize("mode", [[], ["--discrete"]])
@@ -898,18 +917,11 @@ assert not any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 
 
 # every key a config reads, as its path from the top
-FUZZ_KEYS = [(key,) for key in (
-    "topology", "n", "topology_seed", "extra_edge_fraction", "k", "omega_u",
-    "lambda", "beta_off", "q", "theta0", "controller", "reframe",
-    "integrator", "discrete", "seed")] + [
-    ("reframe", key) for key in ("mode", "T1", "epsilon", "window")] + [
-    ("integrator", key) for key in ("method", "dt", "sample_interval",
-                                    "horizon", "post_horizon")] + [
-    ("discrete", key) for key in ("enabled", "control_period", "quantization",
-                                  "capacity", "continue_on_fault")]
+FUZZ_KEYS = [tuple(key.path.split(".")) for key in config_mod.KEYS] + [
+    (section,) for section in config_mod.SECTIONS]
 # wrong types, non-finite numbers, and numbers at and past every range
 FUZZ_VALUES = ["x", [1], {"a": 1}, True, None, float("nan"), float("inf"),
-               -float("inf"), 0, -1, 1e300, 1e-300]
+               -float("inf"), 0, -1, 1e300, 1e-300, 10**400]
 
 
 @functools.cache
@@ -958,3 +970,72 @@ def test_one_mutated_key_ends_in_an_exit_code_never_a_traceback(key, value,
         elif (out / "summary.json").exists():
             _strict_summary(out)
 
+
+def _run_config_text(tmp: Path, text: str, argv) -> tuple[int, str]:
+    """(exit code, stderr) of the command in `argv`, one of COMMANDS, on a
+    config of that text, writing to tmp/out; plotdata reads the config for
+    the beta_off of e1's trace."""
+    config, out = tmp / "config.json", tmp / "out"
+    config.write_text(text)
+    if argv == ["plotdata"]:
+        trace = tmp / "trace.csv"
+        trace.write_bytes(_e1_trace())
+        argv = ["plotdata", trace, "--quantity", "beta-rel",
+                "--config", config, "--out", out]
+    else:
+        argv = [argv[0], "--config", config, "--out", out, *argv[1:]]
+    err = io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stderr(err),
+          contextlib.redirect_stdout(io.StringIO())):
+        warnings.simplefilter("ignore")
+        rc = run_cli(*argv)
+    return rc, err.getvalue()
+
+
+def _e1_text_with(key: tuple, value) -> str:
+    """configs/e1.json, as text, with the key at path `key` set to `value`."""
+    raw = json.loads((CONFIG_DIR / "e1.json").read_text())
+    section = raw
+    for name in key[:-1]:
+        section = section.setdefault(name, {})
+    section[key[-1]] = value
+    return json.dumps(raw)
+
+
+NUMBER_KEYS = [key for key in config_mod.KEYS if key.takes in (float, "n", "m")]
+COMMANDS = [["run"], ["run", "--discrete"], ["analyze"], ["plotdata"]]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+@pytest.mark.parametrize("key, entry", [
+    (key, False) for key in NUMBER_KEYS] + [
+    (key, True) for key in NUMBER_KEYS if key.takes in ("n", "m")],
+    ids=lambda v: v.path if isinstance(v, config_mod.Key) else
+    ("entry" if v else "scalar"))
+def test_integer_too_large_for_a_float_exits_2(tmp_path, key, entry, sign,
+                                               argv):
+    # a 401-digit integer passed the number type test, and float() ended in
+    # an OverflowError traceback; it reads as +-inf, which no rule admits
+    value = sign * 10**400
+    text = _e1_text_with(tuple(key.path.split(".")), [value, 1.0] if entry
+                         else value)
+    rc, err = _run_config_text(tmp_path, text, argv)
+    assert rc == 2
+    if key.takes in ("n", "m"):
+        assert err == f"error: config.{key.path}: entries must be {key.rule}\n"
+    else:
+        assert err == (f"error: config.{key.path}: must be {key.rule}, got "
+                       f"{sign * math.inf}\n")
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_integer_past_the_json_digit_limit_exits_2(tmp_path, argv):
+    # json.loads raised a ValueError that is no JSONDecodeError: a traceback
+    text = _e1_text_with(("k",), "K").replace('"K"', "9" * 5000)
+    rc, err = _run_config_text(tmp_path, text, argv)
+    assert rc == 2
+    assert err.startswith("error: config: not valid JSON (Exceeds the limit "
+                          "(4300 digits) for integer string conversion")
+    assert err.count("\n") == 1

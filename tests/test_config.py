@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from bittide_sim import graph
-from bittide_sim.config import (ConfigError, config_to_dict, parse_config,
-                                parse_config_dict)
+from bittide_sim.config import (KEYS, REQUIRED, ConfigError, config_to_dict,
+                                parse_config, parse_config_dict)
 from conftest import count_calls
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL = {"topology": "bidirectional-ring", "n": 2, "k": 0.1,
            "omega_u": [1.00, 1.02]}
@@ -232,3 +233,37 @@ def test_not_json_is_config_error(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         parse_config(p)
+
+
+def test_not_utf8_is_config_error(tmp_path):
+    # the UnicodeDecodeError ended in a traceback
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"topology": "\xff"}')
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        parse_config(p)
+
+
+def key_table() -> str:
+    """config.KEYS as a markdown table: key | takes | default | rule."""
+    def takes(key):
+        if isinstance(key.takes, tuple):
+            *head, last = (f'`"{choice}"`' for choice in key.takes)
+            return f"{', '.join(head)} or {last}"
+        if key.takes in ("n", "m"):
+            return f"number or list of {key.takes}"
+        return {int: "int", float: "number", bool: "bool"}[key.takes]
+
+    def default(key):
+        if key.default is REQUIRED:
+            return "required"
+        return "unset" if key.default is None else f"`{json.dumps(key.default)}`"
+
+    return "".join(["| key | takes | default | rule |\n",
+                    "| --- | --- | --- | --- |\n"] + [
+        f"| `{key.path}` | {takes(key)} | {default(key)} | {key.rule or '-'} |\n"
+        for key in KEYS])
+
+
+def test_readme_prints_the_key_table():
+    # a key added to the parser without its row in the README fails here
+    assert key_table() in README.read_text(encoding="utf-8")
