@@ -18,7 +18,19 @@ of the host's speed falls on both sides.  N is `--seed`, 7 unless given:
 another seed checks a claim on inputs it was not made on.  It then prints
 one block per workload: for each end-to-end metric of BENCHMARK.json, the
 base's and the change's medians, the base's quartiles, and in how many
-pairs the change did better (in the metric's own direction).
+pairs the change did better (in the metric's own direction).  A last block
+gives each workload's and metric's verdict by the metric's `bound` in
+BENCHMARK.json, which it reads and never writes:
+
+- "unresolved" when either side's quartile spread (the distance between
+  its quartiles over its median) is wider than the bound, unless every
+  run of the change is better than every run of the base;
+- "regression" when the change's median is worse than the base's by more
+  than the bound, relative to the base's median;
+- "claim holds" when the change did better in at least 9 of every 10
+  pairs and its median is better than the base's by more than the
+  distance between the base's quartiles;
+- "within bound" otherwise.
 """
 
 import argparse
@@ -45,6 +57,56 @@ def result(stdout: str) -> dict:
     raise ValueError("no result line in the benchmark's output")
 
 
+def quartiles(values: list) -> tuple[float, float]:
+    """The first and third quartiles of `values`; a single value is both."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def spread(values: list) -> float:
+    """The distance between the quartiles of `values` over their median."""
+    q1, q3 = quartiles(values)
+    median = abs(statistics.median(values))
+    if median == 0:
+        return 0.0 if q3 == q1 else float("inf")
+    return (q3 - q1) / median
+
+
+def verdict(b: list, c: list, better: str, bound: float) -> str:
+    """One metric's verdict over the pairs' values b (the base's) and c
+    (the change's), b[i] paired with c[i]."""
+    sign = 1 if better == "higher" else -1
+    apart = min(sign * y for y in c) > max(sign * x for x in b)
+    if max(spread(b), spread(c)) > bound and not apart:
+        return "unresolved"
+    base, change = statistics.median(b), statistics.median(c)
+    gain = sign * (change - base)
+    if -gain > bound * abs(base):
+        return "regression"
+    wins = sum(sign * (y - x) > 0 for x, y in zip(b, c))
+    q1, q3 = quartiles(b)
+    if 10 * wins >= 9 * len(b) and gain > q3 - q1:
+        return "claim holds"
+    return "within bound"
+
+
+def verdicts(results: dict, metrics: dict) -> list:
+    """One line per workload and metric of `results` (as `report` takes
+    them) that `metrics`, BENCHMARK.json's end-to-end entries by name,
+    bounds."""
+    lines = []
+    for workload, (base, change) in results.items():
+        for name in base[0]:
+            if name in metrics:
+                b = [r[name] for r in base]
+                c = [r[name] for r in change]
+                lines.append(f"{workload} {name}: " + verdict(
+                    b, c, metrics[name]["better"], metrics[name]["bound"]))
+    return lines
+
+
 def summary(base: list, change: list, better: dict) -> list:
     """One line per metric of the pairs' results (lists of {metric:
     value}, base[i] paired with change[i]); `better` maps a metric to
@@ -53,7 +115,7 @@ def summary(base: list, change: list, better: dict) -> list:
     for name in base[0]:
         b = [r[name] for r in base]
         c = [r[name] for r in change]
-        q1, _, q3 = statistics.quantiles(b, n=4) if len(b) > 1 else b * 3
+        q1, q3 = quartiles(b)
         sign = 1 if better.get(name, "lower") == "higher" else -1
         wins = sum(sign * (y - x) > 0 for x, y in zip(b, c))
         lines.append(f"{name:<12} base {statistics.median(b):.6g} "
@@ -132,7 +194,8 @@ def arguments(argv=None) -> argparse.Namespace:
 def main() -> int:
     args = arguments()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    better = {name: m["better"] for name, m in metrics.items()}
 
     results = {workload: ([], []) for workload in args.workload}
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tmp:
@@ -147,6 +210,7 @@ def main() -> int:
                 print(f"pair {i + 1} {workload}: base {base[-1]}, change "
                       f"{change[-1]}", flush=True)
     print("\n".join(report(args.base, results, better)))
+    print("\nverdicts:\n" + "\n".join(verdicts(results, metrics)))
     return 0
 
 

@@ -6,11 +6,20 @@
 
 Each repeat parses CONFIG and calls `cli.cmd_run` on it, with the layers it
 calls wrapped by a timer, into a temporary directory.  It prints one JSON
-line: for each layer, the best and the median seconds over the repeats.
-The layers are
+line: for each layer, the best and the median seconds over the repeats,
+and under `lambda2` how the run found it: `path` "arnoldi" or "eigvals",
+the iteration's `products` (0 where it did not run), and `fell_back`,
+whether it ran out of its budget and left lambda_2 to eigvals.  The layers
+are
 
 - `parse_config`, which runs before `cmd_run`;
-- `system`, the scenario's prepared system (`ScenarioConfig.system`);
+- `system`, the scenario's prepared system (`ScenarioConfig.system`), and
+  within it
+  - `reachability`, the strong-connectivity check,
+  - `closed_loop`, the closed loop's matrix and residual,
+  - `spectrum`, the dense `eigvals` or the lambda_2 iteration
+    (`spectral.rightmost_eigenvalue`),
+  - `solves`, the bordered solves of z and the group inverse G;
 - `run` or `run_discrete`, the simulation;
 - `trace_csv`, and within it `cells` and `join`, the two `floatfmt` calls
   that format and pack each chunk of rows;
@@ -49,7 +58,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from bittide_sim import cli, config, floatfmt, verify  # noqa: E402
+import numpy as np  # noqa: E402
+
+from bittide_sim import (cli, config, dynamics, floatfmt,  # noqa: E402
+                         spectral, verify)
 
 
 @contextlib.contextmanager
@@ -92,11 +104,44 @@ def timed_pass(layers, call) -> dict:
     return seconds
 
 
-def one_pass(path: str, discrete: bool, out_dir: Path) -> dict:
-    """The seconds of each layer of one parse and `cmd_run` of the config."""
+@contextlib.contextmanager
+def recorded(owner, name: str, results: list):
+    """Replace the attribute `name` of `owner` by a wrapper that appends
+    the value of each call to `results`."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    setattr(owner, name, wrapper)
+    try:
+        yield
+    finally:
+        setattr(owner, name, fn)
+
+
+def lambda2_path(results: list) -> dict:
+    """How a run found lambda_2, from the (lambda_2 or None, products)
+    results of its `rightmost_eigenvalue` calls."""
+    products = sum(count for _, count in results)
+    fell_back = any(found is None for found, _ in results)
+    return {"path": "arnoldi" if results and not fell_back else "eigvals",
+            "products": products, "fell_back": fell_back}
+
+
+def one_pass(path: str, discrete: bool, out_dir: Path) -> tuple[dict, dict]:
+    """The seconds of each layer of one parse and `cmd_run` of the config,
+    and how its system found lambda_2."""
     runner = "run_discrete" if discrete else "run"
     layers = (("parse_config", config, "parse_config"),
               ("system", config.ScenarioConfig, "system"),
+              ("reachability", dynamics, "is_strongly_connected"),
+              ("closed_loop", dynamics, "build_closed_loop"),
+              ("spectrum", np.linalg, "eigvals"),
+              ("spectrum", spectral, "rightmost_eigenvalue"),
+              ("solves", spectral, "_null_vectors"),
+              ("solves", spectral, "_group_inverses"),
               (runner, cli, runner), ("trace_csv", cli, "trace_csv"),
               ("cells", floatfmt, "cells"), ("join", floatfmt, "join"),
               ("summary_json", cli, "_json_text"), ("writes", cli, "_write"),
@@ -107,7 +152,10 @@ def one_pass(path: str, discrete: bool, out_dir: Path) -> dict:
         cfg = cli._apply_overrides(cfg, argparse.Namespace(discrete=discrete))
         cli.cmd_run(cfg, out_dir)
 
-    return timed_pass(layers, call)
+    results = []
+    with recorded(spectral, "rightmost_eigenvalue", results):
+        seconds = timed_pass(layers, call)
+    return seconds, lambda2_path(results)
 
 
 def battery_pass(count: int, seed: int, out_dir: Path) -> dict:
@@ -151,10 +199,14 @@ def main(argv=None) -> int:
     passes = []
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(args.repeat):
-            passes.append(one_pass(args.config, args.discrete, Path(tmp))
-                          if args.verify is None
-                          else battery_pass(*args.verify, Path(tmp)))
-    head = ({"config": args.config, "discrete": args.discrete}
+            if args.verify is None:
+                seconds, lambda2 = one_pass(args.config, args.discrete,
+                                            Path(tmp))
+            else:
+                seconds = battery_pass(*args.verify, Path(tmp))
+            passes.append(seconds)
+    head = ({"config": args.config, "discrete": args.discrete,
+             "lambda2": lambda2}
             if args.verify is None
             else {"verify": dict(zip(("count", "seed"), args.verify))})
     print(json.dumps({

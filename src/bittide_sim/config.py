@@ -167,7 +167,10 @@ REQUIRED = MISSING
 RULES = {"finite": lambda x: -math.inf < x < math.inf,
          "finite and positive": lambda x: 0 < x < math.inf,
          "finite and >= 0": lambda x: 0 <= x < math.inf,
-         "in [0, 1]": lambda x: 0 <= x <= 1}
+         "in [0, 1]": lambda x: 0 <= x <= 1,
+         # DiscreteScenario's frame counts
+         "a positive frame count": lambda x: 1 <= x < math.inf,
+         "at least one frame and below 2**52 frames": lambda x: 1 <= x < 2**52}
 SECTIONS = {"reframe": ReframeSchedule, "integrator": IntegratorSettings,
             "discrete": DiscreteSpec}
 # a key's default is its field's, unless its row gives one
@@ -206,8 +209,9 @@ KEYS = (
     _key("integrator.post_horizon", float, "finite and positive"),
     _key("discrete.enabled", bool),
     _key("discrete.control_period", float, "finite"),
-    _key("discrete.quantization", int),
-    _key("discrete.capacity", int),
+    _key("discrete.quantization", int,
+         "at least one frame and below 2**52 frames"),
+    _key("discrete.capacity", int, "a positive frame count"),
     _key("discrete.continue_on_fault", bool),
     _key("seed", int))
 _TYPES = {int: ("int", int), float: ("number", (int, float)),
@@ -276,9 +280,11 @@ def _read(key: Key, raw: dict, n: int | None, m: int | None):
         return v
     x = _float(v)
     if not RULES[key.rule](x):
-        raise ConfigError(f"{path}: must be {key.rule}, got "
-                          f"{v if math.isfinite(x) else x}")
-    return x
+        got = f"{key.rule}, got {v if math.isfinite(x) else x}"
+        if key.takes is int:    # worded as DiscreteScenario refuses it
+            raise ConfigError(f"config.{key.section}: {key.name} must be {got}")
+        raise ConfigError(f"{path}: must be {got}")
+    return v if key.takes is int else x
 
 
 def _check_keys(raw: dict, allowed, path: str, strict: bool):

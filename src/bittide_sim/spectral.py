@@ -14,7 +14,7 @@ span(1).  This module computes those objects and the predictions.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -23,6 +23,17 @@ from .graph import IncidenceSet, Topology, is_strongly_connected
 
 # zero-eigenvalue detection and positivity checks, relative to matrix scale
 _NULL_TOL = 1e-9
+# closed loops of at least this many nodes find lambda_2 by restarted Arnoldi
+# (`rightmost_eigenvalue`); below it the dense eigvals is faster
+ARNOLDI_MIN_N = 128
+# the Arnoldi's Krylov dimension, the Ritz values each restart keeps, its
+# residual tolerance relative to the spectral scale, and its budget of
+# products per node, beyond which it leaves lambda_2 to eigvals
+_KRYLOV_DIM, _KEPT, _RESIDUAL_TOL, _PRODUCTS_PER_NODE = 30, 10, 1e-13, 2
+# it also leaves lambda_2 to eigvals once this many cycles have not cut the
+# residual by a tenth: a directed ring's stays flat at about 0.1 from the
+# third cycle on, while a bidirectional ring's falls by more in every span
+_STALLED_CYCLES = 8
 
 
 class SpectralError(RuntimeError):
@@ -43,21 +54,53 @@ class ClosedLoopMatrix:
         return self.A.shape[0]
 
 
+def _spectrum(eigenvalues: np.ndarray) -> np.ndarray:
+    """One matrix's row of a stacked eigvals: a real array where every
+    eigenvalue is real, as eigvals gives for a matrix alone."""
+    if eigenvalues.imag.any():
+        return eigenvalues
+    return eigenvalues.real.copy()
+
+
+class _FirstRead:
+    """SpectralData's `eigenvalues`, a descriptor-typed dataclass field: an
+    array given to the constructor is kept as given, and None, the default,
+    stands for the spectrum of the instance's A, formed by eigvals on the
+    first read."""
+
+    def __get__(self, sd, owner=None):
+        if sd is None:
+            return None     # the field's default
+        if sd.__dict__.get("eigenvalues") is None:
+            sd.__dict__["eigenvalues"] = _spectrum(np.linalg.eigvals(sd.A))
+        return sd.__dict__["eigenvalues"]
+
+    def __set__(self, sd, value):
+        sd.__dict__["eigenvalues"] = value
+
+
 @dataclass(frozen=True)
 class SpectralData:
     """Metzler eigenstructure of an irreducible rate matrix.
 
     z            positive left null vector, normalized so 1^T z = 1
     W            spectral projector 1 z^T (W^2 = W, WA = AW = 0)
-    eigenvalues  full spectrum of A (zero plus the stable part)
     group_inverse
                  the unique G with GA = AG = I - W and GW = WG = 0
+    eigenvalues  full spectrum of A (zero plus the stable part): eigvals'
+                 where the test counted them, else formed from A on the
+                 first read
+    lambda2      the rightmost eigenvalue of A other than zero where the
+                 iteration found it, else None
+    A            the closed loop's matrix
     """
 
     z: np.ndarray
     W: np.ndarray
-    eigenvalues: np.ndarray
     group_inverse: np.ndarray
+    eigenvalues: np.ndarray | None = _FirstRead()
+    lambda2: complex | None = None
+    A: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -69,7 +112,10 @@ class SpectralData:
 
     @cached_property
     def _decay_rate(self) -> float:
-        # scanned once: the eigenvalues never change; a raise caches nothing
+        # lambda_2 where the iteration found it, else the eigenvalues scanned
+        # once: they never change; a raise caches nothing
+        if self.lambda2 is not None:
+            return float(-self.lambda2.real)
         stable = self.eigenvalues[self.eigenvalues.real < -_NULL_TOL * max(
             1.0, float(np.abs(self.eigenvalues).max()))]
         if stable.size == 0:
@@ -135,46 +181,177 @@ def _not_simple(clm: ClosedLoopMatrix) -> str:
             f"max(|A|, 1) of this strongly connected graph")
 
 
+def rightmost_eigenvalue(A: np.ndarray, z: np.ndarray,
+                         budget: int) -> tuple[complex | None, int]:
+    """lambda_2, the rightmost eigenvalue of the rate matrix A other than
+    its simple zero, by restarted Arnoldi; and the count of products with A
+    it took.  lambda_2 is None where the iteration gave up: a cycle would
+    pass `budget` products, or _STALLED_CYCLES cycles did not cut the
+    residual by a tenth, or the basis closed on no converged value.
+
+    z is A's left null vector with 1^T z = 1.  The operator A / s - 1 z^T,
+    s = 2 ||A||_inf, keeps every other eigenpair of A / s and moves the zero
+    to -1, left of the whole spectrum, which the rate matrix's Gershgorin
+    discs put within |lambda| <= s / 2.  Each cycle extends an orthonormal
+    Krylov basis, reorthogonalized in full, to _KRYLOV_DIM vectors.  The
+    rightmost Ritz value is lambda_2 / s once its residual, estimated from
+    the Rayleigh quotient and then formed in full, is within _RESIDUAL_TOL;
+    a basis that spans an invariant subspace has converged too.  Otherwise
+    the cycle restarts thick from the real invariant subspace of its
+    _KEPT rightmost Ritz values, with conjugate pairs kept whole (Stewart's
+    Krylov-Schur restart, SIAM J. Matrix Anal. Appl. 23(3), 2001, with an
+    orthonormalized Ritz basis in place of a reordered Schur form).  The
+    start vector is fixed, so a matrix always gets the same bits.
+    """
+    n = A.shape[0]
+    s = 2.0 * float(np.abs(A).sum(axis=1).max())
+
+    def product(x):
+        y = A @ x
+        y /= s
+        y -= z @ x
+        return y
+
+    m = min(_KRYLOV_DIM, n)
+    V = np.zeros((m + 1, n))
+    H = np.zeros((m + 1, m))
+    # a Weyl sequence: fixed, generic, and no random generator to load
+    start = np.modf(np.arange(1, n + 1) * 0.6180339887498949)[0] - 0.5
+    V[0] = start / np.linalg.norm(start)
+    kept = products = 0
+    residuals = []
+    while products + m - kept <= budget:
+        size = m
+        for j in range(kept, m):
+            w = product(V[j])
+            h = V[:j + 1] @ w
+            w -= h @ V[:j + 1]
+            again = V[:j + 1] @ w
+            w -= again @ V[:j + 1]
+            H[:j + 1, j] = h + again
+            H[j + 1, j] = np.linalg.norm(w)
+            if H[j + 1, j] <= _RESIDUAL_TOL:
+                size = j + 1    # the basis spans an invariant subspace
+                break
+            V[j + 1] = w / H[j + 1, j]
+        products += size - kept
+        theta, Y = np.linalg.eig(H[:size, :size])
+        if not np.isfinite(theta).all():
+            break
+        i = int(np.argmax(theta.real))
+        residuals.append(abs(H[size, size - 1] * Y[size - 1, i]))
+        if residuals[-1] <= _RESIDUAL_TOL:
+            x = Y[:, i] @ V[:size]
+            products += 1
+            if (np.linalg.norm(product(x) - theta[i] * x)
+                    <= _RESIDUAL_TOL * np.linalg.norm(x)):
+                return complex(s * theta[i]), products
+        if size < m or (len(residuals) > _STALLED_CYCLES and residuals[-1]
+                        > 0.9 * residuals[-1 - _STALLED_CYCLES]):
+            break
+        cut = np.sort(theta.real)[-_KEPT]
+        ritz = []
+        for value, y in zip(theta, Y.T):
+            # a conjugate pair shares its real part, and y.real and y.imag
+            # of its first member span the pair's real subspace
+            if value.real >= cut and value.imag >= 0:
+                ritz += [y.real, y.imag] if value.imag > 0 else [y.real]
+        Q = np.linalg.qr(np.array(ritz).T)[0]
+        kept = Q.shape[1]
+        V[:kept] = Q.T @ V[:m]
+        V[kept] = V[m]
+        rayleigh = np.vstack([Q.T @ H[:m], H[m]]) @ Q
+        H[:] = 0.0
+        H[:kept + 1, :kept] = rayleigh
+    return None, products
+
+
+def _null_vectors(A: np.ndarray) -> np.ndarray:
+    """z of each matrix of a (K, n, n) stack A: the bordered system
+    [[A^T, 1], [1^T, 0]] [z; mu] = [0; 1], which A 1 = 0 gives mu = 0."""
+    K, n = A.shape[:2]
+    rhs = np.zeros((K, n + 1, 1))
+    rhs[:, n] = 1.0
+    return np.linalg.solve(_bordered(A.transpose(0, 2, 1), np.ones((K, n))),
+                           rhs)[:, :n, 0]
+
+
+def _group_inverses(A: np.ndarray, z: np.ndarray,
+                    W: np.ndarray) -> np.ndarray:
+    """G of each matrix of a (K, n, n) stack A: the bordered system
+    [[A, 1], [z^T, 0]] [G; y^T] = [I - W; 0]."""
+    K, n = z.shape
+    rhs = np.zeros((K, n + 1, n))
+    np.subtract(np.eye(n), W, out=rhs[:, :n])
+    return np.linalg.solve(_bordered(A, z), rhs)[:, :n]
+
+
+def _trusted(z: np.ndarray, A: np.ndarray, scale: np.ndarray):
+    """For each z of a (K, n) stack and its matrix of A: whether it is
+    positive, its residual max |z^T A|, and whether that is within 1e-12 of
+    the matrix's scale."""
+    resid = np.abs(np.matmul(z[:, None], A)).max(axis=(1, 2))
+    return z.min(axis=1) > _NULL_TOL, resid, resid <= 1e-12 * scale
+
+
 def metzler_eigenvectors(clms) -> list:
     """Compute z, W and the group inverse of A for each closed loop of
     `clms`: its SpectralData, or in its place the SpectralError that its
     `metzler_eigenvector` raises.
 
-    The eigenvalues must leave exactly n - 1 stable, so that zero is simple;
-    eigvals needs no diagonalizable A for that count.  z then solves the
-    bordered system [[A^T, 1], [1^T, 0]] [z; mu] = [0; 1] (A 1 = 0 forces
-    mu = 0), and the group inverse the bordered system [[A, 1], [z^T, 0]];
-    both are nonsingular exactly when the zero eigenvalue is simple.
+    Zero must be a simple eigenvalue of A: every other eigenvalue is stable
+    beyond the zero tolerance.  Below ARNOLDI_MIN_N nodes the test counts
+    the n - 1 stable eigenvalues of eigvals, which needs no diagonalizable
+    A.  From ARNOLDI_MIN_N on, z comes first, and the test reads lambda_2
+    of `rightmost_eigenvalue` against the same tolerance; a z that is not
+    positive, or an iteration that gives up, leaves the closed loop to the
+    count.  z solves the bordered system [[A^T, 1],
+    [1^T, 0]] [z; mu] = [0; 1] (A 1 = 0 forces mu = 0), and the group
+    inverse the bordered system [[A, 1], [z^T, 0]]; both are nonsingular
+    exactly when the zero eigenvalue is simple.
 
     The closed loops of one size are one stack: one eigvals, and each
-    bordered solve over the matrices that passed the tests before it.
-    Stacked eigvals and solve make one LAPACK call per matrix, so every
-    matrix gets the bits of a stack of one.
+    bordered solve over the matrices that need it.  Stacked eigvals and
+    solve make one LAPACK call per matrix, so every matrix gets the bits of
+    a stack of one.
     """
     out = [None] * len(clms)
     for n, members in by_size(clms).items():
         K = len(members)
         A = np.stack([clms[i].A for i in members])
         scale = np.maximum(np.abs(A).max(axis=(1, 2)), 1.0)
-        eigenvalues = np.linalg.eigvals(A)
-        simple = np.count_nonzero(
-            eigenvalues.real < -_NULL_TOL * scale[:, None], axis=1) == n - 1
-        rhs = np.zeros((K, n + 1, 1))
-        rhs[:, n] = 1.0
         z = np.zeros((K, n))
-        z[simple] = np.linalg.solve(
-            _bordered(A[simple].transpose(0, 2, 1),
-                      np.ones((np.count_nonzero(simple), n))),
-            rhs[simple])[:, :n, 0]
-        resid = np.abs(np.matmul(z[:, None], A)).max(axis=(1, 2))
-        positive = z.min(axis=1) > _NULL_TOL
-        valid = simple & positive & (resid <= 1e-12 * scale)
+        solved = np.zeros(K, dtype=bool)
+        lambda2 = np.full(K, np.nan, dtype=complex)
+        if n >= ARNOLDI_MIN_N:
+            try:
+                z = _null_vectors(A)
+                solved[:] = True
+            except np.linalg.LinAlgError:
+                pass    # zero is not simple: the count says so
+            positive, _, small = _trusted(z, A, scale)
+            for j in np.flatnonzero(positive & small):
+                found, _ = rightmost_eigenvalue(A[j], z[j],
+                                                _PRODUCTS_PER_NODE * n)
+                if found is not None:
+                    lambda2[j] = found
+        dense = np.isnan(lambda2)
+        simple = lambda2.real < -_NULL_TOL * scale
+        spectra = {}
+        if dense.any():
+            eigenvalues = np.linalg.eigvals(A[dense])
+            simple[dense] = np.count_nonzero(
+                eigenvalues.real < -_NULL_TOL * scale[dense, None],
+                axis=1) == n - 1
+            spectra = dict(zip(np.flatnonzero(dense).tolist(),
+                               map(_spectrum, eigenvalues)))
+        unsolved = simple & ~solved
+        z[unsolved] = _null_vectors(A[unsolved])
+        positive, resid, small = _trusted(z, A, scale)
+        valid = simple & positive & small
         W = np.repeat(z[:, None], n, axis=1)
-        rhs = np.zeros((K, n + 1, n))
-        np.subtract(np.eye(n), W, out=rhs[:, :n])
         G = np.zeros((K, n, n))
-        G[valid] = np.linalg.solve(_bordered(A[valid], z[valid]),
-                                   rhs[valid])[:, :n]
+        G[valid] = _group_inverses(A[valid], z[valid], W[valid])
         for j, i in enumerate(members):
             if not (simple[j] and positive[j]):
                 # zero eigenvalue not simple, or z not positive: the
@@ -186,11 +363,11 @@ def metzler_eigenvectors(clms) -> list:
                 out[i] = SpectralError(f"left null vector residual "
                                        f"{resid[j]:.3e} exceeds tolerance")
             else:
-                e = eigenvalues[j]
-                # eigvals gives a real array where every eigenvalue is real
-                out[i] = SpectralData(z=z[j], W=W[j], group_inverse=G[j],
-                                      eigenvalues=(e if e.imag.any()
-                                                   else e.real.copy()))
+                out[i] = SpectralData(
+                    z=z[j], W=W[j], group_inverse=G[j],
+                    eigenvalues=spectra.get(j),
+                    lambda2=None if dense[j] else complex(lambda2[j]),
+                    A=clms[i].A)
     return out
 
 

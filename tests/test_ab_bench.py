@@ -107,3 +107,47 @@ def test_seed_reaches_every_run_and_defaults_to_7(ab_bench):
     argv = ab_bench.command("discrete-fixed", args.seed)
     assert argv[1:] == ["perfbench/run.py", "--workload", "discrete-fixed",
                         "--seed", "11", "--seconds", "25", "--trace", "0"]
+
+
+@pytest.mark.parametrize("base, change, better, expected", [
+    # 10 of 10 pairs better, and the gap of the medians is above the
+    # base's quartile distance
+    ([4.1, 4.12, 4.08, 4.11, 4.09, 4.1, 4.13, 4.07, 4.1, 4.1],
+     [3.9, 3.91, 3.89, 3.92, 3.88, 3.9, 3.9, 3.91, 3.89, 3.9],
+     "lower", "claim holds"),
+    # 8 of 10 better is no claim, however wide the gap
+    ([4.1] * 10, [3.0] * 8 + [4.2] * 2, "lower", "within bound"),
+    # 10 of 10 better by less than the base's quartile distance
+    ([4.0, 4.2, 4.0, 4.2, 4.0, 4.2, 4.0, 4.2, 4.0, 4.2],
+     [3.95, 4.15, 3.95, 4.15, 3.95, 4.15, 3.95, 4.15, 3.95, 4.15],
+     "lower", "within bound"),
+    # worse by 30 % with a bound of 24 %
+    ([1.0] * 10, [1.3] * 10, "lower", "regression"),
+    ([1.0] * 10, [0.7] * 10, "higher", "regression"),
+    ([1.0] * 10, [0.8] * 10, "higher", "within bound"),
+    # the base's runs spread by (1.5 - 1.0) / 1.25 = 0.4 > 0.24
+    ([1.0, 1.5] * 5, [0.5, 1.2] * 5, "lower", "unresolved"),
+    ([1.0] * 10, [1.0, 1.5] * 5, "lower", "unresolved"),
+    # a wide spread still resolves when every change run beats every base run
+    ([1.0, 1.5] * 5, [0.5, 0.9] * 5, "lower", "claim holds"),
+])
+def test_verdict_of_each_case(ab_bench, base, change, better, expected):
+    assert ab_bench.verdict(base, change, better, 0.24) == expected
+
+
+def test_verdicts_read_the_bounds_of_the_benchmark(ab_bench):
+    bench_file = SCRIPT.parent.parent / "BENCHMARK.json"
+    text = bench_file.read_bytes()
+    metrics = {m["name"]: m for m in json.loads(text)["end_to_end"]}
+    results = {
+        "large-continuous": (
+            [ab_bench.result(_report(w, 86.0)) for w in (4.1, 4.12, 4.08)],
+            [ab_bench.result(_report(w, 99.0)) for w in (3.9, 3.88, 3.91)]),
+    }
+    # peak_rss_mb grows by 15 % against its bound of 8 %
+    assert ab_bench.verdicts(results, metrics) == [
+        "large-continuous wall_rel: claim holds",
+        "large-continuous peak_rss_mb: regression",
+        "large-continuous pass_rate: within bound",
+    ]
+    assert bench_file.read_bytes() == text

@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bittide_sim import (ReframeSchedule, cli, generate_topology,
-                         make_system_params, prepare, run)
+                         make_system_params, prepare, run, spectral)
 from bittide_sim import config as config_mod
 from bittide_sim import controller
 from bittide_sim.cli import _fmt, main, read_trace_csv, trace_csv
 from bittide_sim.graph import MAX_EDGES, MAX_NODES
+from conftest import count_calls
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -215,6 +216,33 @@ def test_huge_quantization_exits_2_naming_it(tmp_path, capsys, unit):
     err = _rejected(tmp_path, capsys, config, "--discrete")
     assert err == ("error: config.discrete: quantization must be at least "
                    f"one frame and below 2**52 frames, got {unit}\n")
+
+
+@pytest.mark.parametrize("key, rule", [
+    ("capacity", "a positive frame count"),
+    ("quantization", "at least one frame and below 2**52 frames")],
+    ids=["capacity", "quantization"])
+@pytest.mark.parametrize("value, shown", [(-5, "-5"), (0, "0"),
+                                          (10**400, "inf")],
+                         ids=["-5", "0", "10**400"])
+@pytest.mark.parametrize("command", [["run"], ["run", "--discrete"],
+                                     ["analyze"], ["plotdata"]],
+                         ids=["run", "run-discrete", "analyze", "plotdata"])
+def test_frame_counts_out_of_range_exit_2_under_every_command(
+        tmp_path, capsys, key, rule, value, shown, command):
+    # a continuous run of a capacity of -5 exited 0 and wrote it into
+    # summary.json; the rows now carry DiscreteScenario's rules
+    config = _e1_with(tmp_path, discrete={key: value})
+    out = tmp_path / "out"
+    if command == ["plotdata"]:
+        argv = ["plotdata", tmp_path / "trace.csv", "--quantity", "omega",
+                "--config", config]
+    else:
+        argv = [command[0], "--config", config, "--out", out, *command[1:]]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: config.discrete: {key} must be {rule}, got {shown}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, value, kind", [
@@ -572,6 +600,69 @@ def test_tiny_gain_exits_2_naming_the_gain(tmp_path, capsys, mode):
     assert not (out / "trace.csv").exists()
 
 
+def _random_strong_config(tmp_path, n, **changes):
+    """A random-strong config of n nodes, as a new file."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "topology": "random-strong", "n": n, "topology_seed": 7,
+        "extra_edge_fraction": 0.1, "k": 0.2, "omega_u": 1.0, **changes}))
+    return path
+
+
+@pytest.mark.parametrize("mode", [[], ["--discrete"]])
+def test_tiny_gain_above_the_arnoldi_crossover_exits_2_naming_the_gain(
+        tmp_path, capsys, mode):
+    # the closed loop's lambda_2 comes from the iteration from ARNOLDI_MIN_N
+    # nodes on, and is held to the same zero tolerance as the eigvals count
+    out = tmp_path / "out"
+    config = _random_strong_config(tmp_path, spectral.ARNOLDI_MIN_N, k=1e-300)
+    assert run_cli("run", "--config", config, "--out", out, *mode) == 2
+    assert capsys.readouterr().err == (
+        "error: gain k = 1e-300 is too small: the closed loop's nonzero "
+        "eigenvalues are within the zero tolerance 1e-09 * max(|A|, 1) of "
+        "this strongly connected graph\n")
+    assert not (out / "trace.csv").exists()
+
+
+def test_a_default_horizon_run_above_the_crossover_makes_no_eigvals_call(
+        tmp_path, capsys, monkeypatch):
+    # the horizon is 50 e-folds of the iteration's lambda_2; analyze forms
+    # the whole spectrum and reports the same lambda_2
+    n = spectral.ARNOLDI_MIN_N
+    config = _random_strong_config(tmp_path, n, controller="proportional")
+    eigvals = np.linalg.eigvals
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    assert run_cli("run", "--config", config, "--out", tmp_path / "run") == 0
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    assert run_cli("analyze", "--config", config,
+                   "--out", tmp_path / "analyze") == 0
+    report = json.loads((tmp_path / "analyze" / "analysis.json").read_text())
+    assert len(report["eigenvalues"]) == n
+    stable = [e["re"] for e in report["eigenvalues"] if e["re"] < -1e-9]
+    assert report["decay_rate"] == pytest.approx(-max(stable), rel=1e-10)
+    times = read_trace_csv(tmp_path / "run" / "trace.csv")[0]
+    assert times[-1] == report["recommended_horizon"] == 50.0 / report[
+        "decay_rate"]
+
+
+def test_verify_above_the_arnoldi_crossover_passes(tmp_path, monkeypatch):
+    # the battery at n = N0 .. 2 N0 takes lambda_2 from the iteration, with
+    # every tolerance as it is
+    n = spectral.ARNOLDI_MIN_N
+    calls = count_calls(monkeypatch, spectral.rightmost_eigenvalue)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_cli("verify", "--count", 4, "--seed", 7, "--n-min", n,
+                       "--n-max", 2 * n, "--out", tmp_path) == 0
+    report = json.loads((tmp_path / "battery.json").read_text())
+    assert report["all_pass"]
+    assert len(calls) >= 4
+
+
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 def test_fixed_step_dt_above_the_stability_bound_exits_2(tmp_path, capsys,
                                                          method):
@@ -896,7 +987,7 @@ def test_no_command_loads_scipy(tmp_path):
     script = f"""
 import sys
 from bittide_sim import (ReframeSchedule, cli, generate_topology,
-                         make_system_params, prepare, run)
+                         make_system_params, prepare, run, spectral)
 config, out = {str(CONFIG_DIR / "e1.json")!r}, {str(tmp_path)!r}
 for argv in (["analyze", "--config", config, "--out", out + "/analyze"],
              ["gen-topology", "--kind", "random-strong", "--n", "8",

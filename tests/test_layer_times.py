@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = {"parse_config", "system", "run", "trace_csv", "cells", "join",
+LAYERS = {"parse_config", "system", "reachability", "closed_loop",
+          "spectrum", "solves", "run", "trace_csv", "cells", "join",
           "summary_json", "writes", "cmd_run"}
+SYSTEM_LAYERS = ("reachability", "closed_loop", "spectrum", "solves")
 
 
 @pytest.fixture
@@ -36,14 +38,45 @@ def test_one_repeat_prints_each_layer_once(layer_times, capsys, flags, runner):
     assert report["best"] == report["median"]
     best = report["best"]
     assert best["cells"] + best["join"] <= best["trace_csv"] <= best["cmd_run"]
+    assert sum(best[label] for label in SYSTEM_LAYERS) <= best["system"]
+    # e1 is below the crossover: its lambda_2 is a dense eigvals'
+    assert report["lambda2"] == {"path": "eigvals", "products": 0,
+                                 "fell_back": False}
+
+
+def test_the_iteration_shows_in_the_spectrum_layer(layer_times, capsys,
+                                                    tmp_path):
+    from bittide_sim import spectral
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "topology": "random-strong", "n": spectral.ARNOLDI_MIN_N,
+        "extra_edge_fraction": 0.1, "k": 0.2, "omega_u": 1.0}))
+    assert layer_times.main([str(config), "--repeat", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    lambda2 = report["lambda2"]
+    assert lambda2["path"] == "arnoldi" and not lambda2["fell_back"]
+    assert 0 < lambda2["products"] <= 2 * spectral.ARNOLDI_MIN_N
+    best = report["best"]
+    assert sum(best[label] for label in SYSTEM_LAYERS) <= best["system"]
 
 
 def test_the_layers_are_unwrapped_afterwards(layer_times, capsys):
     from bittide_sim import cli, floatfmt
 
-    before = (cli.trace_csv, floatfmt.cells, floatfmt.join, cli.run)
+    import numpy as np
+
+    from bittide_sim import dynamics, spectral
+
+    def bound():
+        return (cli.trace_csv, floatfmt.cells, floatfmt.join, cli.run,
+                dynamics.is_strongly_connected, dynamics.build_closed_loop,
+                np.linalg.eigvals, spectral.rightmost_eigenvalue,
+                spectral._null_vectors, spectral._group_inverses)
+
+    before = bound()
     layer_times.main([str(ROOT / "configs" / "e1.json"), "--repeat", "1"])
-    assert (cli.trace_csv, floatfmt.cells, floatfmt.join, cli.run) == before
+    assert bound() == before
 
 
 def test_the_battery_phases_are_timed_once_each(layer_times, capsys):

@@ -555,3 +555,100 @@ def test_stacked_predictions_equal_each_matrix_alone(seeds, n):
         assert alone.tobytes() == (params.lam - clm.inc.edge_diff(
             sd.group_inverse @ u[i])).tobytes()
         assert alone.tobytes() == beta[edges[i]:edges[i + 1]].tobytes()
+
+
+N0 = spectral.ARNOLDI_MIN_N
+
+
+def _large_closed_loop(kind, n, seed, k=0.2):
+    topology = generate_topology(
+        kind, n, seed=seed,
+        extra_edge_fraction=0.1 if kind == "random-strong" else 0.0)
+    params = make_system_params(topology, k=k, omega_u=1.0, beta_off=10.0)
+    return build_closed_loop(build_incidence(topology), params)
+
+
+def _eigs_lambda2(clm) -> float:
+    """Re lambda_2 by scipy's ARPACK, an oracle apart from the package's
+    Arnoldi.  A directed ring's spectrum lies on a circle through 0, where
+    the rightmost eigenvalues are the nearest to a small positive shift and
+    which="LR" does not converge; shift-invert finds them."""
+    from scipy.sparse.linalg import eigs
+    A = clm.A
+    start = np.ones(clm.n) + np.arange(clm.n) / clm.n
+    if np.count_nonzero(A) == 2 * clm.n:    # a directed ring
+        values = eigs(A, k=3, sigma=1e-3, v0=start, return_eigenvectors=False)
+    else:
+        values = eigs(A, k=3, which="LR", ncv=40, maxiter=20000, v0=start,
+                      return_eigenvectors=False)
+    values = values[values.real < -1e-9 * np.abs(A).max()]
+    return float(values.real.max())
+
+
+@settings(max_examples=12, deadline=None)
+@given(kind=st.sampled_from(["random-strong", "complete", "ring",
+                             "bidirectional-ring"]),
+       n=st.integers(N0, 2 * N0), seed=st.integers(0, 10**6))
+def test_lambda2_by_iteration_matches_eigvals_and_eigs(kind, n, seed):
+    # from N0 nodes on the decay rate comes from the Arnoldi, or from
+    # eigvals where its budget runs out; either matches both oracles
+    clm = _large_closed_loop(kind, n, seed)
+    sd = metzler_eigenvector(clm)
+    if kind in ("random-strong", "complete"):
+        assert sd.lambda2 is not None
+    dense = np.linalg.eigvals(clm.A)
+    dense = dense[dense.real < -1e-9 * np.abs(clm.A).max()].real.max()
+    assert sd.decay_rate() == pytest.approx(-dense, rel=1e-10, abs=0)
+    assert sd.decay_rate() == pytest.approx(-_eigs_lambda2(clm), rel=1e-10,
+                                            abs=0)
+    # the spectrum is formed on the first read, as the dense path gives it
+    assert sd.eigenvalues.shape == (n,)
+    assert sd.eigenvalues is sd.eigenvalues
+
+
+@pytest.mark.parametrize("kind", ["random-strong", "complete", "ring",
+                                  "bidirectional-ring"])
+def test_a_spent_budget_gives_the_dense_path_bit_for_bit(monkeypatch, kind):
+    clm = _large_closed_loop(kind, N0, 7)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "ARNOLDI_MIN_N", 10**9)
+        dense = metzler_eigenvector(clm)
+    results = []
+    rightmost = spectral.rightmost_eigenvalue
+
+    def recorded(*args):
+        results.append(rightmost(*args))
+        return results[-1]
+
+    monkeypatch.setattr(spectral, "rightmost_eigenvalue", recorded)
+    monkeypatch.setattr(spectral, "_PRODUCTS_PER_NODE", 0)
+    fallback = metzler_eigenvector(clm)
+    assert results == [(None, 0)]
+    assert fallback.lambda2 is None is dense.lambda2
+    for name in ("z", "W", "eigenvalues", "group_inverse"):
+        mine, own = getattr(fallback, name), getattr(dense, name)
+        assert mine.dtype == own.dtype and mine.shape == own.shape
+        assert mine.tobytes() == own.tobytes(), name
+    assert fallback.decay_rate() == dense.decay_rate()
+
+
+def test_arnoldi_finds_lambda2_of_a_complete_graph_from_its_invariant_basis():
+    # every eigenvalue but zero is -k n: the Krylov basis closes after two
+    # products, and the breakdown is its convergence
+    clm = _large_closed_loop("complete", N0, 0)
+    z = np.full(N0, 1.0 / N0)
+    found, products = spectral.rightmost_eigenvalue(clm.A, z, 2 * N0)
+    assert found == pytest.approx(-0.2 * N0, rel=1e-12)
+    assert products <= 4
+
+
+def test_arnoldi_gives_up_on_a_stalled_directed_ring():
+    # a directed ring's spectrum lies on a circle through 0, where the
+    # residual stalls: the iteration leaves lambda_2 to eigvals long before
+    # a budget of 2n products runs out
+    n = 4 * N0
+    clm = _large_closed_loop("ring", n, 0)
+    found, products = spectral.rightmost_eigenvalue(
+        clm.A, np.full(n, 1.0 / n), 2 * n)
+    assert found is None
+    assert products <= 12 * spectral._KRYLOV_DIM < 2 * n
