@@ -13,8 +13,10 @@ over the rows both have, and the first row (0 is the first after the
 header) where a cell or the mode differs.  Two NaN cells count as equal.
 
 The exit code is 1 when some pair's rows or modes differ, or some file is
-unpaired, and 0 otherwise: values that moved are reported, not failed.  The
-package is imported from `src/` of the checkout the script sits in.
+unpaired, and 0 otherwise: values that moved are reported, not failed.  A
+file that cannot be read as a trace ends it with an `error:` line and exit
+code 2.  The package is imported from `src/` of the checkout the script sits
+in.
 """
 
 import argparse
@@ -26,7 +28,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from bittide_sim.cli import read_trace_csv  # noqa: E402
+from bittide_sim.cli import TraceError, read_trace_csv  # noqa: E402
 
 COLUMNS = ("t", "omega", "c", "beta")
 
@@ -93,7 +95,11 @@ def main(argv=None) -> int:
         if a is None or b is None:
             line, bad = f"only in {args.a if b is None else args.b}", True
         else:
-            line, bad = compare(a, b)
+            try:
+                line, bad = compare(a, b)
+            except (TraceError, OSError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         differs |= bad
         print(f"{name}: {line}")
     return int(differs)

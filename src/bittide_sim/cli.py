@@ -104,21 +104,42 @@ def trace_csv(trace) -> bytearray:
     return out
 
 
+class TraceError(ValueError):
+    """A trace file that `read_trace_csv` cannot read: the message names the
+    file and the line."""
+
+
 def read_trace_csv(path):
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """(times, modes, omega, correction, occupancy) of a `trace.csv` file.
+    A file that is not UTF-8 or has no header, or a row whose cell count is
+    not the header's or whose number does not parse, raises TraceError."""
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise TraceError(f"{path}, line {line}: not UTF-8") from None
+    if not lines:
+        raise TraceError(f"{path}: no header")
     header = lines[0].split(",")
     n = sum(c.startswith("omega_") for c in header)
     m = sum(c.startswith("beta_") for c in header)
     times, modes, omega, corr, beta = [], [], [], [], []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], 2):
         if not line:
             continue
         cells = line.split(",")
-        times.append(float(cells[0]))
+        if len(cells) != len(header):
+            raise TraceError(f"{path}, line {number}: {len(cells)} cells, "
+                             f"the header has {len(header)}")
+        try:
+            times.append(float(cells[0]))
+            omega.append([float(x) for x in cells[2:2 + n]])
+            corr.append([float(x) for x in cells[2 + n:2 + 2 * n]])
+            beta.append([float(x) for x in cells[2 + 2 * n:2 + 2 * n + m]])
+        except ValueError as exc:
+            raise TraceError(f"{path}, line {number}: {exc}") from None
         modes.append(cells[1])
-        omega.append([float(x) for x in cells[2:2 + n]])
-        corr.append([float(x) for x in cells[2 + n:2 + 2 * n]])
-        beta.append([float(x) for x in cells[2 + 2 * n:2 + 2 * n + m]])
     shape = (len(times), n) if times else (0, n)
     bshape = (len(times), m) if times else (0, m)
     return (np.array(times), modes, np.array(omega).reshape(shape),
@@ -364,7 +385,8 @@ def main(argv=None) -> int:
             return cmd_run(cfg, Path(args.out))
         if args.command == "analyze":
             return cmd_analyze(cfg, Path(args.out))
-    except (ConfigError, TopologyError, SpectralError, FileNotFoundError) as exc:
+    except (ConfigError, TopologyError, SpectralError, TraceError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     raise AssertionError(f"unhandled command {args.command}")

@@ -4,7 +4,7 @@ Between controller mode switches the system is linear time-invariant, so the
 default integrator advances the affine flow exactly: one n x n matrix
 exponential, with the drift's integral in closed form from the group inverse.
 Fixed-step rk4/euler are kept to mimic discrete controller hardware; they
-carry an explicit stability bound on dt.
+are Taylor polynomials of the exact flow, and carry a stability bound on dt.
 """
 
 import copy
@@ -166,6 +166,12 @@ class IntegratorSettings:
                         else horizon)
         return horizon, post_horizon, self.sample_interval or horizon / 200.0
 
+    def substep(self, system) -> float | None:
+        """The rk4 or euler substep of a run of `system`: dt, or 1/8 of the
+        stability bound; None under the exact method."""
+        return None if self.method == "exact" else (
+            self.dt or stability_bound(system.inc, system.params.k) / 8.0)
+
 
 def feasible_offsets(src: np.ndarray, dst: np.ndarray, theta0: np.ndarray,
                      lam: np.ndarray) -> np.ndarray:
@@ -281,7 +287,7 @@ def _sample_clock(times: list, base: float, j: int, t_end: float,
                   sub: float | None = None, one: bool = False) -> list:
     """Append to `times` the sample times a run steps through after sample
     j of a phase that starts at base, and return each step's (substep
-    count, substep): every sample through t_end, or through the first that
+    count, span): every sample through t_end, or through the first that
     reaches `event`.  Sample j is stamped base + j sample_dt, correctly
     rounded where a sum of j steps would drift; a grid sample within tol of
     t_end is t_end, and a sample that reaches `event` is `event`.  With
@@ -310,17 +316,11 @@ def _sample_clock(times: list, base: float, j: int, t_end: float,
             count = max(1, int(np.ceil(span / sub - 1e-12)))
             count += (span / count > sub)
         times.append(t_next)
-        substeps.append((count, span / count))
+        substeps.append((count, span))
         s = t_next
         if at_event:
             break
     return substeps
-
-
-def _apply_A(A: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # A annihilates constants; removing the mean phase avoids catastrophic
-    # cancellation once theta has grown to t * consensus frequency
-    return A @ (theta - theta.mean(axis=0))
 
 
 def observe(theta: np.ndarray, params: SystemParams,
@@ -362,16 +362,29 @@ def _drift_integral(sd: SpectralData, phi: np.ndarray, dt: float,
     return dt * (sd.z @ v) + sd.group_inverse @ (phi @ v - v)
 
 
+def taylor_action(A, theta, v, h: float, degree: int, substeps: int = 1):
+    """theta advanced by `substeps` substeps of h under theta' = A theta + v,
+    each the degree-p Taylor polynomial of e^{hM}, M = [[A, v], [0, 0]], on
+    [theta; 1] by Horner's rule: euler at p = 1, rk4 at p = 4.  The first
+    product drops the mean phase, which A annihilates but which grows as t."""
+    for _ in range(substeps):
+        y = u = A @ (theta - theta.mean(axis=0)) + v
+        for j in range(degree, 1, -1):
+            y = u + (h / j) * (A @ y)
+        theta = theta + h * y
+    return theta
+
+
 def step(theta: np.ndarray, params: SystemParams, clm: ClosedLoopMatrix,
          dt: float, method: str = "exact", sd: SpectralData | None = None,
-         _flow: tuple | None = None) -> np.ndarray:
+         _flow: tuple | None = None, substeps: int = 1) -> np.ndarray:
     """The phases theta advanced by dt under theta' = A theta + v,
     v = omega_u + q + r; for a (K, n) q, theta is an (n, K) block, one
     column per offset.
 
-    The exact method maps theta to Phi theta + w, with Phi = e^{A dt} and
-    w the drift's integral over dt: _flow gives (Phi, w), or sd builds them
-    as `run` does.
+    The exact method maps theta to Phi theta + w, Phi = e^{A dt} and w the
+    drift's integral over dt (from _flow, or from sd as `run` builds them);
+    euler and rk4 split dt into `substeps` substeps by `taylor_action`.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -383,21 +396,14 @@ def step(theta: np.ndarray, params: SystemParams, clm: ClosedLoopMatrix,
             _flow = phi, _drift_integral(sd, phi, dt, _drift(clm, params))
         phi, w = _flow
         return phi @ theta + w
-    elif method in ("rk4", "euler"):
-        bound = stability_bound(clm.inc, clm.k)
-        if dt > bound:
-            raise ValueError(
-                f"dt = {dt} violates the explicit-method stability bound "
-                f"1/(k * max in-degree) = {bound}")
-        A, v = clm.A, _drift(clm, params)
-        if method == "euler":
-            return theta + dt * (_apply_A(A, theta) + v)
-        k1 = _apply_A(A, theta) + v
-        k2 = _apply_A(A, theta + 0.5 * dt * k1) + v
-        k3 = _apply_A(A, theta + 0.5 * dt * k2) + v
-        k4 = _apply_A(A, theta + dt * k3) + v
-        return theta + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    raise ValueError(f"unknown integration method {method!r}")
+    if method not in ("euler", "rk4"):
+        raise ValueError(f"unknown integration method {method!r}")
+    h, bound = dt / substeps, stability_bound(clm.inc, clm.k)
+    if h > bound:
+        raise ValueError(f"dt = {h} violates the explicit-method stability "
+                         f"bound 1/(k * max in-degree) = {bound}")
+    return taylor_action(clm.A, theta, _drift(clm, params), h,
+                         1 if method == "euler" else 4, substeps)
 
 
 def run(system: System, *, schedule: ReframeSchedule | None = None,
@@ -441,8 +447,7 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
                          width=params.q.shape,
                          samples=math.ceil(t_end / sample_dt) + 1)
     method = settings.method
-    sub = (None if method == "exact"
-           else settings.dt or stability_bound(clm.inc, clm.k) / 8.0)
+    sub = settings.substep(system)
     # Phi per span, built once for every run of this closed loop or of this
     # run alone; (Phi, w) per span while q, so the drift v, holds
     ops = {} if system.flow_ops is None else system.flow_ops
@@ -479,14 +484,14 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
                       or len(times):]
         rows = np.empty((len(times), *theta.shape))
         rows[:lead] = theta
-        for i, (count, h) in enumerate(substeps[:len(times) - lead], lead):
-            if method == "exact" and h not in held:
-                if h not in ops:
-                    ops[h], = exact_flow_operators([clm], [h])
-                held[h] = ops[h], _drift_integral(system.sd, ops[h], h,
-                                                  _drift(clm, params))
-            for _ in range(count):
-                theta = step(theta, params, clm, h, method, _flow=held.get(h))
+        for i, (count, span) in enumerate(substeps[:len(times) - lead], lead):
+            if method == "exact" and span not in held:
+                if span not in ops:
+                    ops[span], = exact_flow_operators([clm], [span])
+                held[span] = ops[span], _drift_integral(
+                    system.sd, ops[span], span, _drift(clm, params))
+            theta = step(theta, params, clm, span, method,
+                         _flow=held.get(span), substeps=count)
             rows[i] = theta
         t, j = times[-1], j + len(times) - lead
         # a row's phases are an (n, K) block, K = 1 for a 1-D q

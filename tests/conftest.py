@@ -8,6 +8,22 @@ from bittide_sim.dynamics import horizon_sample_interval
 from bittide_sim.verify import make_random_scenario
 
 
+# trace files `read_trace_csv` refuses, each with the end of its error: the
+# text after the file's name
+_HEADER = b"t,mode,omega_1,c_1,beta_1\n"
+BAD_TRACES = {
+    "non-numeric": (_HEADER + b"0,pre-reframe,1,x,10\n",
+                    ", line 2: could not convert string to float: 'x'"),
+    "short-row": (_HEADER + b"0,pre-reframe,1,0\n",
+                  ", line 2: 4 cells, the header has 5"),
+    "wide-row": (_HEADER + b"0,pre-reframe,1,0,10,7\n",
+                 ", line 2: 6 cells, the header has 5"),
+    "non-utf-8": (_HEADER + b"0,pre-reframe,1,0,10\n2.5,pre-\xff,1,0,10\n",
+                  ", line 3: not UTF-8"),
+    "empty": (b"", ": no header"),
+}
+
+
 @pytest.fixture
 def two_cycle():
     return Topology(n=2, edges=[(1, 2), (2, 1)])

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -20,10 +21,10 @@ from hypothesis import strategies as st
 from bittide_sim import (ReframeSchedule, cli, generate_topology,
                          make_system_params, prepare, run, spectral)
 from bittide_sim import config as config_mod
-from bittide_sim import controller
+from bittide_sim import controller, dynamics
 from bittide_sim.cli import _fmt, main, read_trace_csv, trace_csv
 from bittide_sim.graph import MAX_EDGES, MAX_NODES
-from conftest import count_calls
+from conftest import BAD_TRACES, count_calls
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -675,6 +676,28 @@ def test_fixed_step_dt_above_the_stability_bound_exits_2(tmp_path, capsys,
                    "the stability bound 1/(k * max in-degree) = 10\n")
 
 
+@pytest.mark.parametrize("method, dt, substeps", [
+    ("rk4", 1e-300, "2.6e+302"), ("euler", 1e-9, "2.6e+11")])
+def test_fixed_step_substeps_over_the_sample_bound_exit_2_at_once(
+        tmp_path, capsys, monkeypatch, method, dt, substeps):
+    # only the samples were bounded: 104 samples of e1 in substeps of dt
+    # ran on for as long as the substeps took.  The rule ends the run before
+    # its first substep, so a kernel call fails the test and cannot hang it
+    config = _e1_integrator(tmp_path, method=method, dt=dt, horizon=10.0,
+                            sample_interval=2.5)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the run reached the Taylor kernel")
+
+    monkeypatch.setattr(dynamics, "taylor_action", refused)
+    start = time.perf_counter()
+    err = _rejected(tmp_path, capsys, config)
+    assert time.perf_counter() - start < 1.0
+    assert err == (f"error: config.integrator.dt: horizon 10 and post_horizon "
+                   f"250 in {method} substeps of {dt:.6g} make {substeps} "
+                   f"substeps; a run takes at most {config_mod.MAX_SAMPLES}\n")
+
+
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 def test_fixed_step_span_a_hair_over_dt_takes_two_substeps(tmp_path, method):
     # dt = 10 is e1's stability bound; a sample interval one ulp over it
@@ -746,6 +769,36 @@ def test_plotdata_empty_trace(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("t,mode,omega_1,c_1,beta_1\n")
     assert run_cli("plotdata", empty) == 0
+
+
+@pytest.mark.parametrize("case", BAD_TRACES)
+def test_plotdata_on_a_malformed_trace_exits_2_naming_the_line(
+        tmp_path, capsys, case):
+    # each ended in a traceback with exit 1, and a wide row passed
+    data, error = BAD_TRACES[case]
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(data)
+    assert run_cli("plotdata", trace) == 2
+    assert capsys.readouterr().err == f"error: {trace}{error}\n"
+
+
+@pytest.mark.parametrize("argv", [["run", "--config", CONFIG_DIR / "e1.json"],
+                                  ["verify", "--count", 1]],
+                         ids=["run", "verify"])
+def test_an_out_folder_that_is_a_file_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert run_cli(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 17] File exists:")
+    assert len(err.splitlines()) == 1
+
+
+def test_a_config_that_is_a_folder_exits_2(tmp_path, capsys):
+    assert run_cli("run", "--config", tmp_path, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] Is a directory:")
+    assert len(err.splitlines()) == 1
 
 
 def test_gen_topology_stdout(capsys):

@@ -137,6 +137,61 @@ def test_explicit_methods_enforce_stability_bound(e1):
     step(theta, params, clm, dt=bound, method="euler")  # at the bound is fine
 
 
+def _euler(A, theta, v, dt):
+    """euler's step written out: theta + dt (A (theta - mean theta) + v)."""
+    return theta + dt * (A @ (theta - theta.mean(axis=0)) + v)
+
+
+def _rk4(A, theta, v, dt):
+    """rk4's four stages written out, each product on mean-removed phases."""
+    def f(x):
+        return A @ (x - x.mean(axis=0)) + v
+
+    k1 = f(theta)
+    k2 = f(theta + 0.5 * dt * k1)
+    k3 = f(theta + 0.5 * dt * k2)
+    k4 = f(theta + dt * k3)
+    return theta + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), frac=st.floats(1e-6, 1.0),
+       grown=st.sampled_from([0.0, 1e2, 1e6]), K=st.sampled_from([None, 3]),
+       substeps=st.integers(1, 5))
+def test_taylor_kernel_is_euler_and_rk4(seed, frac, grown, K, substeps):
+    # the battery's scenario distribution (random-strong, n from 2 to 8),
+    # phases grown by up to 1e6 and a step up to the stability bound.  On
+    # theta' = A theta + v an explicit Runge-Kutta step of order p <= 4 in p
+    # stages is the degree-p Taylor polynomial of e^{hM}, M = [[A, v],
+    # [0, 0]] (Hairer, Norsett & Wanner, Solving ODEs I, II.1): the kernel
+    # at degree 1 is euler bit for bit, and at degree 4 it is rk4 to
+    # rounding, 8 eps of the scale max(|theta|, h |v|)
+    system = make_random_scenario(seed).system
+    clm, params = system.clm, system.params
+    h = frac * stability_bound(system.inc, params.k)
+    theta = system.theta0 + grown
+    if K is not None:
+        params = params.with_q(np.random.default_rng(seed).normal(
+            scale=0.01, size=(K, system.inc.n)))
+        theta = np.repeat(theta[:, None], K, axis=1)
+    A, v = clm.A, dynamics._drift(clm, params)
+    np.testing.assert_array_equal(dynamics.taylor_action(A, theta, v, h, 1),
+                                  _euler(A, theta, v, h))
+    gap = np.abs(dynamics.taylor_action(A, theta, v, h, 4)
+                 - _rk4(A, theta, v, h)).max()
+    scale = max(np.abs(theta).max(), h * np.abs(v).max())
+    assert gap <= 8 * np.finfo(float).eps * scale
+    # a step of s substeps of dt / s is s steps of dt / s, as the written-out
+    # reference run takes them, bit for bit
+    dt = substeps * h
+    for method in ("euler", "rk4"):
+        one = theta
+        for _ in range(substeps):
+            one = step(one, params, clm, dt / substeps, method)
+        np.testing.assert_array_equal(
+            step(theta, params, clm, dt, method, substeps=substeps), one)
+
+
 def test_single_exact_step_to_steady_state(e1):
     _, inc, params, clm, sd = e1
     new = step(np.array([0.4, -0.3]), params, clm, dt=1e6, method="exact",
@@ -332,14 +387,15 @@ def test_unclipped_samples_share_one_flow_operator(monkeypatch, e1):
 def test_substep_samples_sit_on_the_grid(monkeypatch, e1, method):
     # a sample interval of 0.1 in substeps of at most 0.04 takes three of
     # h = 0.1 / 3, which is inexact: three additions of h drift from the
-    # grid, and the samples are still stamped j 0.1
+    # grid, and the samples are still stamped j 0.1.  Each sample reaches
+    # the Taylor kernel once, for its three substeps
     topology, _, params, _, _ = e1
-    steps = count_calls(monkeypatch, dynamics.step)
+    kernel = count_calls(monkeypatch, dynamics.taylor_action)
     trace = run(prepare(topology, params),
                 settings=IntegratorSettings(method=method, dt=0.04,
                                             sample_interval=0.1, horizon=1.0))
-    h = 0.1 / 3
-    assert [args[3] for args in steps] == [h] * 30
+    h, degree = 0.1 / 3, {"euler": 1, "rk4": 4}[method]
+    assert [args[3:] for args in kernel] == [(h, degree, 3)] * 10
     np.testing.assert_array_equal(trace.times, [j * 0.1 for j in range(11)])
     assert any(after != before + h + h + h
                for before, after in zip(trace.times, trace.times[1:]))

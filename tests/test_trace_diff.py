@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import BAD_TRACES
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "trace_diff.py"
 HEADER = "t,mode,omega_1,omega_2,c_1,c_2,beta_1\n"
 ROWS = ["0,pre-reframe,1,1.02,0,0,10\n",
@@ -68,3 +70,21 @@ def test_folders_pair_their_traces_by_relative_path(trace_diff, tmp_path,
     assert trace_diff.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     assert capsys.readouterr().out.splitlines()[1] == (
         f"{Path('ring', 'trace.csv')}: only in {tmp_path / 'b'}")
+
+
+@pytest.mark.parametrize("case", BAD_TRACES)
+def test_a_malformed_trace_exits_2_naming_the_line(trace_diff, tmp_path,
+                                                   capsys, case):
+    data, error = BAD_TRACES[case]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    good = _trace(tmp_path / "good.csv", ROWS)
+    assert trace_diff.main([str(good), str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}{error}\n"
+
+
+def test_a_missing_trace_exits_2(trace_diff, tmp_path, capsys):
+    good = _trace(tmp_path / "good.csv", ROWS)
+    assert trace_diff.main([str(good), str(tmp_path / "missing.csv")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: [Errno 2] No such file or directory:")
