@@ -17,17 +17,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .controller import ReframeSchedule
-from .dynamics import (IntegratorSettings, System, SystemParams,
+from .dynamics import (MAX_SAMPLES, IntegratorSettings, System, SystemParams,
                        make_system_params, prepare, stability_bound)
 from .framesim import DiscreteScenario
 from .graph import (TOPOLOGY_KINDS, Topology, TopologyError, check_generated_n,
                     generate_topology, stranded_node)
 
 FEASIBLE = "feasible"
-# the most sample intervals (continuous) or steps (discrete) of one run: the
-# recorder holds a row of n + m values for each; and the most rk4 or euler
-# substeps of a continuous run, which takes each in turn
-MAX_SAMPLES = 2**24
 
 
 class ConfigError(ValueError):
@@ -94,9 +90,9 @@ class ScenarioConfig:
 
     def continuous_settings(self, system: System) -> IntegratorSettings:
         """The continuous run's settings for `system`, this config's prepared
-        system, once its sample count, and an rk4 or euler run's substep
-        count, is within MAX_SAMPLES and an rk4 or euler dt is within the
-        explicit-method stability bound."""
+        system, once its sample count is within MAX_SAMPLES, an rk4 or euler
+        run's substep count passes the settings' `check_substeps` and an rk4
+        or euler dt is within the explicit-method stability bound."""
         dt, method = self.integrator.dt, self.integrator.method
         if method != "exact":
             bound = stability_bound(system.inc, system.params.k)
@@ -113,15 +109,10 @@ class ScenarioConfig:
                 f"config.integrator: horizon {horizon:.6g} and post_horizon "
                 f"{post_horizon:.6g} over sample_interval {interval:.6g} make "
                 f"{samples:.3g} samples; a run records at most {MAX_SAMPLES}")
-        if method != "exact":
-            sub = self.integrator.substep(system)
-            substeps = (horizon + post_horizon) / sub
-            if not substeps <= MAX_SAMPLES:
-                raise ConfigError(
-                    f"config.integrator.dt: horizon {horizon:.6g} and "
-                    f"post_horizon {post_horizon:.6g} in {method} substeps of "
-                    f"{sub:.6g} make {substeps:.3g} substeps; a run takes at "
-                    f"most {MAX_SAMPLES}")
+        try:
+            self.integrator.check_substeps(system, self.schedule() is not None)
+        except ValueError as exc:
+            raise ConfigError(f"config.integrator.dt: {exc}") from exc
         return self.integrator
 
     def discrete_scenario(self, system: System) -> DiscreteScenario:

@@ -22,6 +22,11 @@ from .spectral import (ClosedLoopMatrix, SpectralData, SpectralError,
                        build_closed_loop, matrix_exponentials,
                        metzler_eigenvector, metzler_eigenvectors)
 
+# the most sample intervals (continuous) or steps (discrete) of one run: the
+# recorder holds a row of n + m values for each; and the most rk4 or euler
+# substeps of a continuous run, which takes each in turn
+MAX_SAMPLES = 2**24
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -172,12 +177,20 @@ class IntegratorSettings:
         return None if self.method == "exact" else (
             self.dt or stability_bound(system.inc, system.params.k) / 8.0)
 
-
-def feasible_offsets(src: np.ndarray, dst: np.ndarray, theta0: np.ndarray,
-                     lam: np.ndarray) -> np.ndarray:
-    """B^T theta0 + lambda, the offsets that are feasible at t = 0, from the
-    0-indexed edge endpoints."""
-    return theta0[src] - theta0[dst] + lam
+    def check_substeps(self, system, reframes: bool):
+        """Raise ValueError where an rk4 or euler run of `system` takes over
+        MAX_SAMPLES substeps, (horizon + post_horizon, if it `reframes`) /
+        substep; the run checks it before its first substep."""
+        if self.method == "exact":
+            return
+        horizon, post_horizon, _ = self.spans(system)
+        post_horizon = post_horizon if reframes else 0.0
+        sub = self.substep(system)
+        if not (substeps := (horizon + post_horizon) / sub) <= MAX_SAMPLES:
+            raise ValueError(
+                f"horizon {horizon:.6g} and post_horizon {post_horizon:.6g} "
+                f"in {self.method} substeps of {sub:.6g} make "
+                f"{substeps:.3g} substeps; a run takes at most {MAX_SAMPLES}")
 
 
 def init_state(inc: IncidenceSet, params: SystemParams,
@@ -189,8 +202,7 @@ def init_state(inc: IncidenceSet, params: SystemParams,
     """
     theta0 = _filled(theta0, inc.n)
     if params.beta_off is None:
-        beta_off = feasible_offsets(inc.src, inc.dst, theta0, params.lam)
-        params = params.with_beta_off(beta_off)
+        params = params.with_beta_off(inc.edge_diff(theta0) + params.lam)
     elif np.any(params.beta_off < 0):
         warnings.warn("explicit beta_off has negative entries; physically suspect",
                       stacklevel=2)
@@ -204,11 +216,6 @@ class System:
     params carries the materialized beta_off and theta0 is broadcast to n
     nodes.  clm and sd are None for k == 0, a disabled controller that only
     the discrete mode can run.
-
-    flow_ops, when set, keeps the exact flow operator e^{A dt} of clm.A per
-    span dt for every run of this closed loop.  A does not read q, so a
-    system made by `replace(system, params=...)` shares them.  None gives
-    each run its own operators, freed when the run returns.
     """
 
     topology: Topology
@@ -217,7 +224,6 @@ class System:
     theta0: np.ndarray
     clm: ClosedLoopMatrix | None
     sd: SpectralData | None
-    flow_ops: dict | None = field(default=None, compare=False, repr=False)
 
 
 def prepare_all(cases) -> list:
@@ -439,6 +445,7 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     if schedule is not None and schedule.mode == "auto" and params.q.ndim > 1:
         raise ValueError("an auto reframe needs one offset per node, "
                          f"not a block of {len(params.q)}")
+    settings.check_substeps(system, schedule is not None)
 
     horizon, post_horizon, sample_dt = settings.spans(system)
     tol = 1e-9 * sample_dt
@@ -448,10 +455,9 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
                          samples=math.ceil(t_end / sample_dt) + 1)
     method = settings.method
     sub = settings.substep(system)
-    # Phi per span, built once for every run of this closed loop or of this
-    # run alone; (Phi, w) per span while q, so the drift v, holds
-    ops = {} if system.flow_ops is None else system.flow_ops
-    held = {}
+    # Phi per span, built once in the run; (Phi, w) per span while q, so
+    # the drift v, holds
+    ops, held = {}, {}
     A, r, n = clm.A, clm.r, inc.n
     # the last row is sample j of the phase from base: the run's start or
     # the last freeze
@@ -534,34 +540,27 @@ def horizon_sample_interval(system: System) -> float:
     return system.sd.horizon() / 8
 
 
-def run_horizon_reframes(systems) -> list:
+def run_horizon_reframes(systems, phis) -> list:
     """The trace of each of `systems`, all of one size n and each with a
     (K, n) block of offsets q, bit for bit the one `run` gives with one
     fixed-time reframe at the horizon h, h after it, and a sample every
     dt = h/8: 8 spans of dt from theta0, the freeze of each offset's own
     correction at T1 = h, the post row, and 8 more spans.
 
-    The systems step at once: one (S, n, n) stack of their sample
-    operators e^{A dt}, from each system's flow_ops where it holds one,
-    advances an (S, n, K) block of phases; each system's drift integral w
-    is its own `_drift_integral`, before and after the freeze, and each
-    phase's rows take their corrections from `run`'s product.  The sample
-    times are `run`'s grid, j dt before the freeze and h + j dt after it
-    for j = 0..8: 8 dt = h exactly, so sample 8 is T1 and the last is the
-    end, 2h, and every system keeps the 8 + 8 schedule (where dt exceeds
-    the 1e-12 slack of the T1 test, so that sample 7 stays short of T1).
+    The systems step at once: one (S, n, n) stack of their sample operators,
+    `phis`, advances an (S, n, K) block of phases; each system's drift
+    integral w is its own `_drift_integral`, before and after the freeze,
+    and each phase's rows take their corrections from `run`'s product.  The
+    sample times are `run`'s grid, j dt before the freeze and h + j dt after
+    it for j = 0..8: 8 dt = h exactly, so sample 8 is T1 and the last is the
+    end, 2h, and every system keeps the 8 + 8 schedule (where dt exceeds the
+    1e-12 slack of the T1 test, so that sample 7 stays short of T1).
     """
     for system in systems:
         if system.sd is None:
             raise ValueError(f"gain k must be positive for the closed loop, "
                              f"got {system.params.k}")
     dts = [horizon_sample_interval(system) for system in systems]
-    phis = [(system.flow_ops or {}).get(dt) for system, dt in zip(systems, dts)]
-    missing = [i for i, phi in enumerate(phis) if phi is None]
-    if missing:
-        for i, phi in zip(missing, exact_flow_operators(
-                [systems[i].clm for i in missing], [dts[i] for i in missing])):
-            phis[i] = phi
     phi = np.stack(phis)
     A = np.stack([system.clm.A for system in systems])[:, None]
     r = np.stack([system.clm.r for system in systems])[:, None, None]

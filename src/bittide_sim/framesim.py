@@ -105,14 +105,9 @@ class DiscreteScenario:
                 - np.floor(theta0[src])).astype(np.int64)[None]
 
     @cached_property
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """(index, lead), each (2, m): a phase row's `take` at the index
-        gives each edge's source phase over its destination phase, and
-        adding the lead, lambda over 0, then flooring, its write pointer
-        over its read pointer, as `_counters` forms them."""
-        inc, lam = self.system.inc, self.system.params.lam
-        return (np.stack([inc.src, inc.dst]),
-                np.stack([lam, np.zeros_like(lam)]))
+    def pointer_lead(self) -> np.ndarray:
+        """(2, m): lambda over 0, which `_counters` adds before the floor."""
+        return np.stack([self.system.params.lam, np.zeros(self.system.inc.m)])
 
     @cached_property
     def check_arrays(self) -> tuple[np.ndarray, ...]:
@@ -192,12 +187,20 @@ class DiscreteTrace:
         return self.omega_u + c, c, self.occupancy[rows]
 
 
-def _counters(params, theta_src, theta_dst):
-    # the write pointer leads the read pointer by the frames in flight on the
-    # link, so occupancy = floor(theta_src + lambda) - floor(theta_dst)
-    write = np.floor(theta_src + params.lam).astype(np.int64)
-    read = np.floor(theta_dst).astype(np.int64)
-    return write, read
+def _counters(inc, phases: np.ndarray, lead: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Every edge's write over read pointer, floor(theta_src + lambda) over
+    floor(theta_dst), from one `take` at `inc.ends`: (2, m) int64 for one
+    phase row, which takes the lead in place; (2, rows, m) for a block of
+    rows, whose gathered (rows, 2, m) phases the take keeps in out."""
+    # positional, for the fire rows; mode "raise" would fill out by a copy
+    counts = phases.take(inc.ends, -1, out, "clip")
+    if out is None:
+        counts += lead
+    else:   # each pointer's rows C-contiguous, as the checks read them
+        counts = np.add(counts, lead).swapaxes(0, 1)
+    np.floor(counts, out=counts)
+    return counts.astype(np.int64, order="C")
 
 
 def _row_faults(state: DiscreteState, scenario, backward: np.ndarray,
@@ -231,17 +234,6 @@ def _quantize(occ: np.ndarray, unit: int) -> np.ndarray:
     return occ.astype(float)
 
 
-def _measured(row: np.ndarray, ends, unit: int) -> np.ndarray:
-    """The quantized occupancy of one phase row from the scenario's `ends`:
-    one take, one floor and one subtraction, and bit for bit
-    `_quantize(write - read, unit)` of `_counters`."""
-    index, lead = ends
-    counts = row.take(index)
-    counts += lead
-    counts = np.floor(counts, out=counts).astype(np.int64)
-    return _quantize(counts[0] - counts[1], unit)
-
-
 def _fire_controllers(state: DiscreteState, scenario: DiscreteScenario,
                       params, which: np.ndarray):
     proportional_corrections(scenario.system.inc.in_blocks, state.measured,
@@ -252,7 +244,7 @@ def _fire_controllers(state: DiscreteState, scenario: DiscreteScenario,
 def init_discrete(scenario: DiscreteScenario) -> DiscreteState:
     system = scenario.system
     theta0, inc = system.theta0, system.inc
-    write, read = _counters(system.params, theta0[inc.src], theta0[inc.dst])
+    write, read = _counters(inc, theta0, scenario.pointer_lead)
     next_fire = theta0 + scenario.control_period
     state = DiscreteState(t=0.0, theta=theta0,
                           correction=np.zeros(system.inc.n),
@@ -289,7 +281,7 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     last row, or accumulates it across the steps up to the next fire phase
     (row j of that gap equals j single steps bit for bit), and tests which
     nodes are due; on a row where some are, that row's quantized occupancy
-    (`_measured`) feeds the batched law and the increment changes.  The
+    (from `_counters`) feeds the batched law and the increment changes.  The
     advance runs through these fires for at most `scenario.block_steps`
     steps, and ends on a fire that leaves a clock not advancing.  A pending
     `reset` may end it sooner, at the first row where its schedule fires.
@@ -307,7 +299,7 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
     been taken one at a time; a bound fault under continue_on_fault is
     recorded and the row still fires.  `times`, `correction_rows` and
     `measured_rows` give the rows."""
-    inc, ends = scenario.system.inc, scenario.ends
+    inc, lead = scenario.system.inc, scenario.pointer_lead
     n, omega_u = inc.n, params.omega_u
     c, due_at, next_fire = state.correction, state.due_at, state.next_fire
     # a fire's scalars as rows, which a ufunc takes faster than a float
@@ -370,7 +362,9 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
                 break
             asked = rows - 1
         c, held = corrections[rows - 1], rows
-        proportional_corrections(in_blocks, _measured(row, ends, unit),
+        counts = _counters(inc, row, lead)
+        proportional_corrections(in_blocks,
+                                 _quantize(counts[0] - counts[1], unit),
                                  beta_off, q, k, due, c)
         if not fired:   # the state's own phases stay for a rollback
             next_fire, due_at = next_fire.copy(), due_at.copy()
@@ -391,10 +385,8 @@ def discrete_step(state: DiscreteState, scenario: DiscreteScenario,
 
     # row 0 gives the state's own counters again, to compare the first step
     phases, occ, masks = scenario.check_arrays
-    # the indices are in range; mode "raise" would fill out through a copy
-    phases = np.take(theta[:rows + 1], ends[0], axis=1, mode="clip",
-                     out=phases[:rows + 1])
-    write, read = _counters(params, phases[:, 0], phases[:, 1])
+    phases = phases[:rows + 1]
+    write, read = _counters(inc, theta[:rows + 1], lead, out=phases)
     occ = np.subtract(write, read, out=occ[:rows + 1])
     # no frame is created or lost: pointers only advance, in lockstep with
     # whole cycles of the source and destination clocks
@@ -517,7 +509,7 @@ def _sampled_loop_advisory(scenario: DiscreteScenario):
     """Warn if a one-quantum swing on every in-edge can stop a clock, or the
     control period exceeds the zero-order-hold limit."""
     inc, params = scenario.system.inc, scenario.system.params
-    swing = params.k * np.bincount(inc.dst, minlength=inc.n) * scenario.quantization
+    swing = params.k * inc.in_degrees * scenario.quantization
     for i in np.flatnonzero(swing >= params.omega_u)[:1]:
         warnings.warn(f"node {i + 1}: k * in-degree * quantization = {swing[i]:.3g}"
                       f" >= omega_u = {params.omega_u[i]:.3g}; its clock can stop",

@@ -93,8 +93,22 @@ class IncidenceSet:
         np.add.at(M, (self.dst, self.dst), -1.0)
         return M
 
+    @cached_property
+    def in_degrees(self) -> np.ndarray:
+        """Each node's in-degree, its count in dst."""
+        return np.bincount(self.dst, minlength=self.n)
+
     def max_in_degree(self) -> int:
-        return int(np.bincount(self.dst).max()) if self.m else 0
+        return int(self.in_degrees.max(initial=0))
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """(2, m): src over dst; a `take` at it gives both ends of an edge."""
+        return np.stack([self.src, self.dst])
+
+    def topology(self) -> Topology:
+        """The edges as a 1-indexed Topology, in edge order."""
+        return Topology(self.n, tuple(zip(*(self.ends + 1).tolist())))
 
     @cached_property
     def in_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -102,7 +116,7 @@ class IncidenceSet:
         their incoming edge indices in edge order; built once per incidence.
         One stable sort of dst lists every node's in-edges, node after node,
         each node's in edge order."""
-        deg = np.bincount(self.dst, minlength=self.n)
+        deg = self.in_degrees
         order = np.argsort(self.dst, kind="stable")
         starts = np.cumsum(deg) - deg
         blocks = []

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import IncidenceSet, Topology, is_strongly_connected
+from .graph import IncidenceSet, is_strongly_connected
 
 # zero-eigenvalue detection and positivity checks, relative to matrix scale
 _NULL_TOL = 1e-9
@@ -173,8 +173,7 @@ def by_size(clms) -> dict:
 def _not_simple(clm: ClosedLoopMatrix) -> str:
     """The error of a closed loop whose zero eigenvalue the tests do not
     find simple: it names the gain where the graph is strongly connected."""
-    edges = zip(clm.inc.src + 1, clm.inc.dst + 1)
-    if not is_strongly_connected(Topology(n=clm.n, edges=tuple(edges))):
+    if not is_strongly_connected(clm.inc.topology()):
         return "graph not strongly connected"
     return (f"gain k = {clm.k:g} is too small: the closed loop's nonzero "
             f"eigenvalues are within the zero tolerance {_NULL_TOL:g} * "

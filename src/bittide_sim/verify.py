@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import (SimTrace, System, SystemParams, exact_flow_operators,
-                       feasible_offsets, horizon_sample_interval,
-                       make_system_params, prepare_all, run_horizon_reframes)
-from .graph import (Topology, edge_endpoints, generate_topology,
+                       horizon_sample_interval, make_system_params,
+                       prepare_all, run_horizon_reframes)
+from .graph import (IncidenceSet, Topology, edge_endpoints, generate_topology,
                     joined_incidence)
 from .spectral import (by_size, consensus, correction_limits,
                        matrix_exponentials, occupancy_limits)
@@ -70,12 +70,17 @@ class Scenario:
 
     @property
     def system(self) -> System:
-        """Prepared on first use and shared by every check of this scenario,
-        with one flow-operator cache for all of its runs; a scenario that
-        `prepare` rejects raises the same error on every use."""
+        """Prepared on first use and shared by every check of this scenario; a
+        scenario that `prepare` rejects raises the same error on every use."""
         if isinstance(self._prepared, Exception):
             raise self._prepared
         return self._prepared
+
+    @cached_property
+    def sample_operator(self) -> np.ndarray:
+        """e^{A h/8}: the run steps with it, the projector check squares it."""
+        self.system     # preparing fills this cache, or raises its error
+        return vars(self)["sample_operator"]
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -106,29 +111,27 @@ class Scenario:
 
 def _prepare(scenarios):
     """Fills the `_prepared` cache of each scenario from one stacked
-    `prepare_all`, each system with its own flow-operator cache, and puts in
-    each cache the operator of its runs' one span from one stacked
-    `exact_flow_operators` call."""
-    systems = []
+    `prepare_all`, and the `sample_operator` cache of each one it accepts
+    from one stacked `exact_flow_operators` call."""
     for sc, system in zip(scenarios, prepare_all(
             [(sc.topology, sc.params, sc.theta0) for sc in scenarios])):
-        if not isinstance(system, Exception):
-            system = replace(system, flow_ops={})
-            systems.append(system)
         vars(sc)["_prepared"] = system
-    spans = [horizon_sample_interval(system) for system in systems]
-    for system, span, phi in zip(systems, spans, exact_flow_operators(
-            [system.clm for system in systems], spans)):
-        system.flow_ops[span] = phi
+    accepted = [sc for sc in scenarios
+                if not isinstance(sc._prepared, Exception)]
+    for sc, phi in zip(accepted, exact_flow_operators(
+            [sc.system.clm for sc in accepted],
+            [horizon_sample_interval(sc.system) for sc in accepted])):
+        vars(sc)["sample_operator"] = phi
 
 
 def _traces(scenarios) -> list:
     """The trace of each of the prepared `scenarios`, all of one size n,
     from one `run_horizon_reframes` call over their systems with the
-    offsets in q."""
-    return run_horizon_reframes([
-        replace(sc.system, params=sc.system.params.with_q(sc.offsets))
-        for sc in scenarios])
+    offsets in q, on their sample operators."""
+    return run_horizon_reframes(
+        [replace(sc.system, params=sc.system.params.with_q(sc.offsets))
+         for sc in scenarios],
+        [sc.sample_operator for sc in scenarios])
 
 
 def _fill(name: str, make, scenarios):
@@ -205,7 +208,7 @@ def _residuals(scenarios) -> list:
     # feasibility: r's misfit |z.r| max z / z.z out of range(A)
     misfit = np.abs(consensus(z, r)) * z.max(axis=1) / consensus(z, z)
     # projector: the runs' sample operator e^{Ah/8}, squared three times
-    E = stack(lambda s: s.flow_ops[horizon_sample_interval(s)])
+    E = np.array([sc.sample_operator for sc in scenarios])
     for _ in range(3):
         E = np.matmul(E, E)
     # the corrections of the last pre-reframe row, the post row and the
@@ -302,8 +305,8 @@ def check_feasible_residual(res: Residuals) -> tuple:
 def check_projector_limit(res: Residuals) -> tuple:
     """e^{At} approaches the rank-one projector 1 z^T.
 
-    e^{Ah} is the runs' sample operator e^{Ah/8}, from the system's flow
-    operators, where preparing put it, squared three times: the same bits
+    e^{Ah} is the run's sample operator e^{Ah/8}, which preparing built,
+    squared three times: the same bits
     as matrix_exponential(clm, h), which squares the same Pade approximant
     of A h 2^-s, s >= 3 times, since h = 50 / |Re lambda_2| makes
     ||Ah||_1 >= 50 > 8 theta_13."""
@@ -381,8 +384,8 @@ def make_infeasible_scenario(seed: int, n_range=(2, 8)) -> Scenario:
     value on the first edge, so r leaves the range of A; below, so that the
     edge's destination clock starts faster, never at omega <= 0."""
     base = make_random_scenario(seed, n_range)
-    feasible = feasible_offsets(*edge_endpoints(base.topology), base.theta0,
-                                base.params.lam)
+    inc = IncidenceSet(base.topology.n, *edge_endpoints(base.topology))
+    feasible = inc.edge_diff(base.theta0) + base.params.lam
     bump = np.zeros(base.topology.m)
     bump[0] = -1.0
     params = base.params.with_beta_off(feasible + bump)
@@ -445,8 +448,8 @@ def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
     _fill_residuals(scenarios + controls)
     non_diag = _last_non_diagonalizable(
         [sc for sc in scenarios if not isinstance(sc._prepared, Exception)])
-    # popped in seed order, so that each scenario's cached system, traces
-    # and flow operators are freed once its checks have run
+    # popped in seed order, so that each scenario's cached system, sample
+    # operator and trace are freed once its checks have run
     scenarios.reverse()
     controls.reverse()
 

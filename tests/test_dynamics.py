@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -135,6 +136,36 @@ def test_explicit_methods_enforce_stability_bound(e1):
     with pytest.raises(ValueError, match="stability bound"):
         step(theta, params, clm, dt=bound * 1.01, method="rk4")
     step(theta, params, clm, dt=bound, method="euler")  # at the bound is fine
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("T1, post, substeps", [(None, "0", "1e+301"),
+                                                 (10.0, "10", "2e+301")])
+def test_run_refuses_too_many_substeps_before_the_first(e1, monkeypatch,
+                                                        method, T1, post,
+                                                        substeps):
+    # 10 / 1e-300 substeps of e1 ran on for as long as they took; the run
+    # ends before its first substep, so a kernel call fails the test and
+    # cannot hang it
+    topology, _, params, _, _ = e1
+    system = prepare(topology, params)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the run reached the Taylor kernel")
+
+    monkeypatch.setattr(dynamics, "taylor_action", refused)
+    schedule = None if T1 is None else ReframeSchedule(mode="fixed-time",
+                                                       T1=T1)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as caught:
+        run(system, schedule=schedule,
+            settings=IntegratorSettings(method=method, dt=1e-300,
+                                        horizon=10.0, sample_interval=2.5))
+    assert time.perf_counter() - start < 1.0
+    assert str(caught.value) == (
+        f"horizon 10 and post_horizon {post} in {method} substeps of 1e-300 "
+        f"make {substeps} substeps; a run takes at most "
+        f"{dynamics.MAX_SAMPLES}")
 
 
 def _euler(A, theta, v, dt):
@@ -329,22 +360,17 @@ def test_disabled_controller_has_no_closed_loop(two_cycle):
         run(system)
 
 
-def test_flow_operators_are_shared_by_runs_of_one_closed_loop(monkeypatch,
-                                                              two_cycle):
-    flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
+def test_a_replaced_q_runs_as_a_system_prepared_with_it(two_cycle):
+    # the closed loop does not read q, so a prepared system takes another q
+    # by `replace`, as the battery's runs take their offsets
     params = make_system_params(two_cycle, k=0.1, omega_u=[1.00, 1.02])
     settings = IntegratorSettings(horizon=10.0, sample_interval=1.0)
-    # prepare keeps no operators: each run builds and frees its own
-    own = prepare(two_cycle, replace(params, q=np.array([0.01, -0.01])))
-    reference = run(own, settings=settings)
-    assert own.flow_ops is None and len(flows) > 0
-    shared = replace(prepare(two_cycle, params), flow_ops={})
-    run(shared, settings=settings)
-    built = len(flows)
-    # another q is another drift, not another A: no new operator is built
-    moved = replace(shared, params=replace(shared.params, q=own.params.q))
-    trace = run(moved, settings=settings)
-    assert len(flows) == built
+    q = np.array([0.01, -0.01])
+    reference = run(prepare(two_cycle, replace(params, q=q)),
+                    settings=settings)
+    system = prepare(two_cycle, params)
+    trace = run(replace(system, params=replace(system.params, q=q)),
+                settings=settings)
     np.testing.assert_array_equal(trace.theta, reference.theta)
     np.testing.assert_array_equal(trace.occupancy, reference.occupancy)
 
@@ -681,17 +707,19 @@ def test_prepare_all_gives_each_case_its_system_or_error(two_cycle):
     assert first.params.beta_off.tobytes() == alone.params.beta_off.tobytes()
 
 
-def test_fixed_time_T1_on_the_grid_takes_the_sample_operator(e1):
+def test_fixed_time_T1_on_the_grid_takes_the_sample_operator(e1,
+                                                             monkeypatch):
     # three steps of 0.1 add up to 0.30000000000000004, so the step onto
     # T1 = 0.3 spans 0.09999999999999998: it takes the one 0.1 operator and
     # lands on T1, as a step clipped to the end does
     topology, _, params, _, _ = e1
-    system = replace(prepare(topology, params), flow_ops={})
+    system = prepare(topology, params)
     assert 0.1 + 0.1 + 0.1 != 0.3
+    flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
     trace = run(system, schedule=ReframeSchedule(mode="fixed-time", T1=0.3),
                 settings=IntegratorSettings(horizon=0.3, post_horizon=0.3,
                                             sample_interval=0.1))
-    assert list(system.flow_ops) == [0.1]
+    assert [dts for _, dts in flows] == [[0.1]]
     assert trace.reframe_time == 0.3
     assert list(trace.times[3:5]) == [0.3, 0.3]
     assert trace.mode[3:5] == [PRE_REFRAME, POST_REFRAME]

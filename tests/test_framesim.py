@@ -54,10 +54,11 @@ def test_initial_counters_match_feasible_offsets():
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), unit=st.integers(1, 3))
 def test_fire_row_occupancy_is_the_quantized_counters_bit_for_bit(data, unit):
-    # a fire row gathers both ends of every edge in one take of the
-    # scenario's ends; its occupancy is _counters' write minus read,
-    # quantized, for phases and lambda up to the 2**52 bound and for the
-    # negative counts of virtual buffers
+    # a fire row gathers both ends of every edge in one take at the
+    # incidence's ends; its occupancy is floor(theta[src] + lambda) -
+    # floor(theta[dst]), quantized, for phases and lambda up to the 2**52
+    # bound and for the negative counts of virtual buffers, and the check
+    # pass's counters, taken into its own array, are the same
     n = data.draw(st.integers(2, 6))
     topology = generate_topology("random-strong", n,
                                  seed=data.draw(st.integers(0, 1000)),
@@ -73,10 +74,19 @@ def test_fire_row_occupancy_is_the_quantized_counters_bit_for_bit(data, unit):
                                 capacity=1, quantization=unit)
     row = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
     inc = scenario.system.inc
-    write, read = framesim._counters(params, row[inc.src], row[inc.dst])
-    expected = framesim._quantize(write - read, unit)
-    assert (framesim._measured(row, scenario.ends, unit).tobytes()
+    occupancy = (np.floor(row[inc.src] + params.lam).astype(np.int64)
+                 - np.floor(row[inc.dst]).astype(np.int64))
+    expected = (unit * np.floor_divide(occupancy, unit)).astype(float)
+    lead = scenario.pointer_lead
+    counts = framesim._counters(inc, row, lead)
+    assert (framesim._quantize(counts[0] - counts[1], unit).tobytes()
             == expected.tobytes())
+    gathered = np.empty((1, 2, topology.m))
+    checked = framesim._counters(inc, row[None], lead, out=gathered)
+    assert checked.flags.c_contiguous
+    assert checked.tobytes() == counts.tobytes()
+    assert (gathered.tobytes()
+            == np.array([row[inc.src], row[inc.dst]]).tobytes())
 
 
 def _discrete_fixed_config(seed=7):
@@ -378,9 +388,10 @@ def test_created_frames_are_an_invariant_fault(monkeypatch):
     # write pointers 3 frames ahead of their source clocks' whole cycles
     counters = framesim._counters
 
-    def ahead(params, theta_src, theta_dst):
-        write, read = counters(params, theta_src, theta_dst)
-        return write + 3, read
+    def ahead(*args, **kwargs):
+        counts = counters(*args, **kwargs)
+        counts[0] += 3
+        return counts
 
     monkeypatch.setattr(framesim, "_counters", ahead)
     trace = run_discrete(e1_discrete(T1=None, horizon=10.0,
@@ -430,9 +441,10 @@ def test_a_step_that_raises_leaves_the_state_unmoved(direction, monkeypatch):
     if direction == "frame-conservation":
         counters = framesim._counters
 
-        def ahead(params, theta_src, theta_dst):    # write pointers 3 frames early
-            write, read = counters(params, theta_src, theta_dst)
-            return write + 3, read
+        def ahead(*args, **kwargs):     # write pointers 3 frames early
+            counts = counters(*args, **kwargs)
+            counts[0] += 3
+            return counts
 
         monkeypatch.setattr(framesim, "_counters", ahead)
     fields = ("t", "theta", "correction", "next_fire", "measured")

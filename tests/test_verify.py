@@ -101,13 +101,16 @@ def test_projector_squares_the_sample_operator_to_the_horizons_bits(seed):
         E = E @ E
     expm_h = matrix_exponential(system.clm, h)
     assert E.tobytes() == expm_h.tobytes()
-    # the check builds the sample operator, and the run reuses it
+    # preparing built the sample operator e^{Ah/8}, the check squares it,
+    # and the run reuses it: it builds no operator of its own
+    assert (scenario.sample_operator.tobytes()
+            == matrix_exponential(system.clm, h / 8).tobytes())
     v = check_projector_limit(scenario)
     assert v.residual == float(np.abs(expm_h - system.sd.W).max())
-    assert list(system.flow_ops) == [h / 8]
-    sample_ops = system.flow_ops[h / 8]
-    assert len(scenario.trace) > 8
-    assert system.flow_ops[h / 8] is sample_ops
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
+        assert len(scenario.trace) > 8
+    assert not flows
 
 
 def test_reducible_scenario_reported_invalid(reducible_scenario):
@@ -284,8 +287,8 @@ def test_battery_simulates_each_trajectory_once(monkeypatch):
              + report["negative_controls"]}
     assert len(stacked) == len(sizes)
     assert all(len({system.inc.n for system in systems}) == 1
-               for systems, in stacked)
-    assert sum(len(systems) for systems, in stacked) == 4 + 2
+               and len(phis) == len(systems) for systems, phis in stacked)
+    assert sum(len(systems) for systems, _ in stacked) == 4 + 2
     # one closed loop per scenario, and its one span's operator, from
     # preparing's one stacked call
     assert len(flows) == 1
@@ -372,14 +375,12 @@ def test_a_far_horizon_stacks_and_equals_run_bit_for_bit(monkeypatch):
     # at k = 6e-5 a two-node loop's horizon is 416666.67, where 8 additions
     # of h/8 land one ulp (5.8e-11) short of T1; sample 8 sits at 8 (h/8),
     # which is h exactly, so `run` keeps the 8 + 8 schedule and both systems
-    # are stacked: the k = 0.1 one too, on a sample operator built for it,
-    # since `prepare` caches none
+    # are stacked: the k = 0.1 one too, each on its own sample operator
     topology = Topology(n=2, edges=[(1, 2), (2, 1)])
     offsets = np.array([[0.0, 0.0], [0.01, -0.02], [-0.03, 0.0], [0.02, 0.01]])
     far, near = (replace(system, params=system.params.with_q(offsets))
                  for system in (prepare(topology, make_system_params(
                      topology, k=k, omega_u=[1.0, 1.02])) for k in (6e-5, 0.1)))
-    assert far.flow_ops is None and near.flow_ops is None
     horizon = far.sd.horizon()
     assert sum([horizon / 8] * 8) != horizon
     oracles = [run(system, **horizon_reframe(system))
@@ -387,16 +388,18 @@ def test_a_far_horizon_stacks_and_equals_run_bit_for_bit(monkeypatch):
     assert [len(trace) for trace in oracles] == [18, 18]
     assert oracles[0].times[8] == oracles[0].reframe_time == horizon
     runs = count_calls(monkeypatch, dynamics.run)
-    for trace, oracle in zip(dynamics.run_horizon_reframes([far, near]),
+    phis = dynamics.exact_flow_operators(
+        [far.clm, near.clm], [horizon / 8, near.sd.horizon() / 8])
+    for trace, oracle in zip(dynamics.run_horizon_reframes([far, near], phis),
                              oracles):
         _assert_traces_equal(trace, oracle)
     assert not runs
 
 
 def test_battery_runs_on_the_operators_preparing_built(monkeypatch):
-    # every scenario is prepared before the checks, with its runs' one
-    # sample operator from one stacked call; the steps onto the on-grid T1 = h
-    # and onto the end reuse it, so each cache holds h/8 alone
+    # every scenario is prepared before the checks, with its run's one
+    # sample operator e^{Ah/8} from one stacked call; the steps onto the
+    # on-grid T1 = h and onto the end reuse it, so no other is built
     flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
     prepared = []
     fill = verify._prepare
@@ -410,10 +413,13 @@ def test_battery_runs_on_the_operators_preparing_built(monkeypatch):
     assert report["all_pass"]
     assert len(flows) == 1
     assert len(prepared) == 13 + 4
-    for sc in prepared:
+    (clms, spans), = flows
+    assert spans == [sc.system.sd.horizon() / 8 for sc in prepared]
+    for sc, clm, span in zip(prepared, clms, spans):
         system = sc.system
-        assert "trace" in vars(sc)
-        assert list(system.flow_ops) == [system.sd.horizon() / 8]
+        assert "trace" in vars(sc) and clm is system.clm
+        assert (vars(sc)["sample_operator"].tobytes()
+                == matrix_exponential(clm, span).tobytes())
 
 
 @pytest.mark.parametrize("fill, check, shared", [
