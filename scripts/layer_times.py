@@ -29,13 +29,14 @@ are
 
 With `--verify COUNT SEED` each repeat calls `cli.cmd_verify` as
 `bittide-sim verify --count COUNT --seed SEED` does, and the layers are the
-battery's phases:
+battery's stages, each timed at the name `verify` binds it by:
 
 - `generation`, the random scenarios, the defective one and the controls;
-- `prepare`, every system and its runs' sample operator;
-- `traces`, the runs, one stack per size n;
-- `residuals`, every check's residuals, one pass per size n;
-- `probes`, the diagonalizability probe;
+- `prepare`, every system (`prepare_all`);
+- `operators`, every run's sample operator (`exact_flow_operators`);
+- `traces`, the runs, one stack per size n (`run_horizon_reframes`);
+- `residuals`, every check's residuals, one pass per size n (`_residuals`);
+- `probes`, the diagonalizability probe (`_last_non_diagonalizable`);
 - `verdict_rows`, the rest of `run_battery`: each check's verdict from the
   residuals, the report's rows and its summary;
 - `report_json`, the report's JSON text;
@@ -163,9 +164,10 @@ def battery_pass(count: int, seed: int, out_dir: Path) -> dict:
     layers = (("generation", verify, "make_random_scenario"),
               ("generation", verify, "make_infeasible_scenario"),
               ("generation", verify, "_defective_scenario"),
-              ("prepare", verify, "_prepare"),
-              ("traces", verify, "_fill_traces"),
-              ("residuals", verify, "_fill_residuals"),
+              ("prepare", verify, "prepare_all"),
+              ("operators", verify, "exact_flow_operators"),
+              ("traces", verify, "run_horizon_reframes"),
+              ("residuals", verify, "_residuals"),
               ("probes", verify, "_last_non_diagonalizable"),
               ("report_json", cli, "_json_text"),
               ("run_battery", verify, "run_battery"),
@@ -173,7 +175,8 @@ def battery_pass(count: int, seed: int, out_dir: Path) -> dict:
     args = argparse.Namespace(count=count, seed=seed, n_min=2, n_max=8,
                               infeasible=None)
     seconds = timed_pass(layers, lambda: cli.cmd_verify(args, out_dir))
-    phases = ("generation", "prepare", "traces", "residuals", "probes")
+    phases = ("generation", "prepare", "operators", "traces", "residuals",
+              "probes")
     rest = seconds["run_battery"] - sum(seconds[label] for label in phases)
     return {**{label: seconds[label] for label in phases},
             "verdict_rows": rest, **{label: seconds[label] for label in

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .controller import ReframeSchedule
-from .dynamics import (MAX_SAMPLES, IntegratorSettings, System, SystemParams,
+from .dynamics import (IntegratorSettings, System, SystemParams,
                        make_system_params, prepare, stability_bound)
 from .framesim import DiscreteScenario
 from .graph import (TOPOLOGY_KINDS, Topology, TopologyError, check_generated_n,
@@ -90,9 +90,9 @@ class ScenarioConfig:
 
     def continuous_settings(self, system: System) -> IntegratorSettings:
         """The continuous run's settings for `system`, this config's prepared
-        system, once its sample count is within MAX_SAMPLES, an rk4 or euler
-        run's substep count passes the settings' `check_substeps` and an rk4
-        or euler dt is within the explicit-method stability bound."""
+        system, once an rk4 or euler dt is within the explicit-method
+        stability bound and the run's counts pass the settings'
+        `check_samples` and `check_substeps`."""
         dt, method = self.integrator.dt, self.integrator.method
         if method != "exact":
             bound = stability_bound(system.inc, system.params.k)
@@ -100,19 +100,13 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"config.integrator.dt: {method} substep {dt:.6g} exceeds "
                     f"the stability bound 1/(k * max in-degree) = {bound:.6g}")
-        horizon, post_horizon, interval = self.integrator.spans(system)
-        if self.schedule() is None:
-            post_horizon = 0.0
-        samples = (horizon + post_horizon) / interval
-        if not samples <= MAX_SAMPLES:
-            raise ConfigError(
-                f"config.integrator: horizon {horizon:.6g} and post_horizon "
-                f"{post_horizon:.6g} over sample_interval {interval:.6g} make "
-                f"{samples:.3g} samples; a run records at most {MAX_SAMPLES}")
-        try:
-            self.integrator.check_substeps(system, self.schedule() is not None)
-        except ValueError as exc:
-            raise ConfigError(f"config.integrator.dt: {exc}") from exc
+        reframes = self.schedule() is not None
+        for key, check in (("integrator", self.integrator.check_samples),
+                           ("integrator.dt", self.integrator.check_substeps)):
+            try:
+                check(system, reframes)
+            except ValueError as exc:
+                raise ConfigError(f"config.{key}: {exc}") from exc
         return self.integrator
 
     def discrete_scenario(self, system: System) -> DiscreteScenario:
@@ -141,12 +135,10 @@ class ScenarioConfig:
                                         continue_on_fault=d.continue_on_fault)
         except ValueError as exc:   # DiscreteScenario's range rules
             raise ConfigError(f"config.discrete: {exc}") from exc
-        dt = scenario.step_size()
-        if not scenario.step_count <= MAX_SAMPLES:
-            raise ConfigError(
-                f"config.{key}: a discrete horizon of {horizon:.6g} in steps "
-                f"of dt = {dt:.6g} is {horizon / dt:.3g} steps; a run takes "
-                f"at most {MAX_SAMPLES}")
+        try:
+            scenario.check_steps()
+        except ValueError as exc:
+            raise ConfigError(f"config.{key}: {exc}") from exc
         return scenario
 
 

@@ -161,14 +161,16 @@ class IntegratorSettings:
     horizon: float | None = None       # pre-reframe horizon; None = 50 e-folds
     post_horizon: float | None = None  # time simulated after the reframe; None = horizon
 
-    def spans(self, system) -> tuple[float, float, float]:
+    def spans(self, system, reframes: bool) -> tuple[float, float, float]:
         """(horizon, post_horizon, sample_interval) of a run of the prepared
         `system`, the unset ones from their defaults: 50 e-folds of its
-        slowest stable eigenvalue, the horizon, and 1/200 of the horizon."""
+        slowest stable eigenvalue, the horizon, and 1/200 of the horizon;
+        post_horizon is 0 unless the run `reframes`, so the run lasts
+        horizon + post_horizon."""
         horizon = (self.horizon if self.horizon is not None
                    else system.sd.horizon())
-        post_horizon = (self.post_horizon if self.post_horizon is not None
-                        else horizon)
+        post_horizon = (0.0 if not reframes else self.post_horizon
+                        if self.post_horizon is not None else horizon)
         return horizon, post_horizon, self.sample_interval or horizon / 200.0
 
     def substep(self, system) -> float | None:
@@ -177,14 +179,24 @@ class IntegratorSettings:
         return None if self.method == "exact" else (
             self.dt or stability_bound(system.inc, system.params.k) / 8.0)
 
+    def check_samples(self, system, reframes: bool):
+        """Raise ValueError where a run of `system` records over MAX_SAMPLES
+        sample intervals, (horizon + post_horizon) / sample_interval; the
+        run checks it before it sizes its history."""
+        horizon, post_horizon, interval = self.spans(system, reframes)
+        if not (samples := (horizon + post_horizon) / interval) <= MAX_SAMPLES:
+            raise ValueError(
+                f"horizon {horizon:.6g} and post_horizon {post_horizon:.6g} "
+                f"over sample_interval {interval:.6g} make {samples:.3g} "
+                f"samples; a run records at most {MAX_SAMPLES}")
+
     def check_substeps(self, system, reframes: bool):
         """Raise ValueError where an rk4 or euler run of `system` takes over
-        MAX_SAMPLES substeps, (horizon + post_horizon, if it `reframes`) /
-        substep; the run checks it before its first substep."""
+        MAX_SAMPLES substeps, (horizon + post_horizon) / substep; the run
+        checks it before its first substep."""
         if self.method == "exact":
             return
-        horizon, post_horizon, _ = self.spans(system)
-        post_horizon = post_horizon if reframes else 0.0
+        horizon, post_horizon, _ = self.spans(system, reframes)
         sub = self.substep(system)
         if not (substeps := (horizon + post_horizon) / sub) <= MAX_SAMPLES:
             raise ValueError(
@@ -251,7 +263,9 @@ def prepare_all(cases) -> list:
         try:
             sd = None if clm is None else metzler_eigenvector(clm, next(solved))
         except SpectralError as exc:
-            out[i] = exc
+            # without its traceback, whose frame holds `out`, the error
+            # keeps no other case's system alive
+            out[i] = exc.with_traceback(None)
             continue
         out[i] = System(topology=topology, inc=inc, params=params,
                         theta0=theta0, clm=clm, sd=sd)
@@ -382,25 +396,23 @@ def taylor_action(A, theta, v, h: float, degree: int, substeps: int = 1):
 
 
 def step(theta: np.ndarray, params: SystemParams, clm: ClosedLoopMatrix,
-         dt: float, method: str = "exact", sd: SpectralData | None = None,
-         _flow: tuple | None = None, substeps: int = 1) -> np.ndarray:
+         dt: float, method: str = "exact", flow: tuple | None = None,
+         substeps: int = 1) -> np.ndarray:
     """The phases theta advanced by dt under theta' = A theta + v,
     v = omega_u + q + r; for a (K, n) q, theta is an (n, K) block, one
     column per offset.
 
-    The exact method maps theta to Phi theta + w, Phi = e^{A dt} and w the
-    drift's integral over dt (from _flow, or from sd as `run` builds them);
-    euler and rk4 split dt into `substeps` substeps by `taylor_action`.
+    The exact method maps theta to Phi theta + w by the span's `flow`
+    (Phi, w): Phi = e^{A dt} from `exact_flow_operators` and w the drift's
+    integral over dt from `_drift_integral`, as `run` builds them; euler
+    and rk4 split dt into `substeps` substeps by `taylor_action`.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if method == "exact":
-        if _flow is None:
-            if sd is None:
-                raise ValueError("the exact method needs the spectral data sd")
-            phi, = exact_flow_operators([clm], [dt])
-            _flow = phi, _drift_integral(sd, phi, dt, _drift(clm, params))
-        phi, w = _flow
+        if flow is None:
+            raise ValueError("the exact method needs the span's flow (Phi, w)")
+        phi, w = flow
         return phi @ theta + w
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown integration method {method!r}")
@@ -445,11 +457,13 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
     if schedule is not None and schedule.mode == "auto" and params.q.ndim > 1:
         raise ValueError("an auto reframe needs one offset per node, "
                          f"not a block of {len(params.q)}")
+    settings.check_samples(system, schedule is not None)
     settings.check_substeps(system, schedule is not None)
 
-    horizon, post_horizon, sample_dt = settings.spans(system)
+    horizon, post_horizon, sample_dt = settings.spans(
+        system, schedule is not None)
     tol = 1e-9 * sample_dt
-    t_end = horizon + (post_horizon if schedule is not None else 0.0)
+    t_end = horizon + post_horizon
     reset = OneShotReset(schedule, params, inc, default_T1=horizon,
                          width=params.q.shape,
                          samples=math.ceil(t_end / sample_dt) + 1)
@@ -497,7 +511,7 @@ def run(system: System, *, schedule: ReframeSchedule | None = None,
                 held[span] = ops[span], _drift_integral(
                     system.sd, ops[span], span, _drift(clm, params))
             theta = step(theta, params, clm, span, method,
-                         _flow=held.get(span), substeps=count)
+                         flow=held.get(span), substeps=count)
             rows[i] = theta
         t, j = times[-1], j + len(times) - lead
         # a row's phases are an (n, K) block, K = 1 for a 1-D q

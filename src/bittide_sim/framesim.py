@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .controller import OneShotReset, ReframeSchedule, proportional_corrections
-from .dynamics import System, stability_bound
+from .dynamics import MAX_SAMPLES, System, stability_bound
 from .spectral import predict_beta_ss
 
 
@@ -132,6 +132,16 @@ class DiscreteScenario:
         """horizon / dt - 1e-9, whose ceiling is a run's step count; it is
         inf when the quotient overflows, so bound it before the ceiling."""
         return self.horizon / self.step_size() - 1e-9
+
+    def check_steps(self):
+        """Raise ValueError where a run takes over MAX_SAMPLES steps; the
+        run checks it before it sizes its history."""
+        if not self.step_count <= MAX_SAMPLES:
+            dt = self.step_size()
+            raise ValueError(
+                f"a discrete horizon of {self.horizon:.6g} in steps of dt = "
+                f"{dt:.6g} is {self.horizon / dt:.3g} steps; a run takes at "
+                f"most {MAX_SAMPLES}")
 
     @property
     def _dt_bound(self) -> float:
@@ -446,6 +456,7 @@ def run_discrete(scenario: DiscreteScenario) -> DiscreteTrace:
     The reset's `drive` runs the loop, and each advance is one
     `discrete_step`: a block of steps through controller fires, cut short
     where the reset's schedule fires."""
+    scenario.check_steps()
     inc, params = scenario.system.inc, scenario.system.params
     _capacity_advisory(scenario)
     _sampled_loop_advisory(scenario)

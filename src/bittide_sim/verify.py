@@ -17,12 +17,12 @@ from them.
 
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property, partial, wraps
+from functools import cached_property, wraps
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (SimTrace, System, SystemParams, exact_flow_operators,
+from .dynamics import (SystemParams, exact_flow_operators,
                        horizon_sample_interval, make_system_params,
                        prepare_all, run_horizon_reframes)
 from .graph import (IncidenceSet, Topology, edge_endpoints, generate_topology,
@@ -49,8 +49,7 @@ INVALID = "invalid-scenario"
 
 @dataclass(frozen=True)
 class Scenario:
-    """One battery scenario.  It prepares its system once, on first use,
-    and keeps it, its one `trace` and the `residuals` its checks read."""
+    """One battery scenario.  Its checks read its one `outcome`."""
 
     topology: Topology
     params: SystemParams
@@ -62,27 +61,6 @@ class Scenario:
         return {"seed": self.seed, "n": self.topology.n, "m": self.topology.m,
                 "k": self.params.k, "label": self.label}
 
-    @cached_property
-    def _prepared(self) -> System | Exception:
-        # prepare's error is kept too: a cached_property caches no exception
-        _prepare([self])
-        return vars(self)["_prepared"]
-
-    @property
-    def system(self) -> System:
-        """Prepared on first use and shared by every check of this scenario; a
-        scenario that `prepare` rejects raises the same error on every use."""
-        if isinstance(self._prepared, Exception):
-            raise self._prepared
-        return self._prepared
-
-    @cached_property
-    def sample_operator(self) -> np.ndarray:
-        """e^{A h/8}: the run steps with it, the projector check squares it."""
-        self.system     # preparing fills this cache, or raises its error
-        return vars(self)["sample_operator"]
-
-    @cached_property
     def offsets(self) -> np.ndarray:
         """The (4, n) offsets of the scenario's run: its own q (zero in the
         battery) and three random ones, seeded by the scenario."""
@@ -91,61 +69,12 @@ class Scenario:
             rng.normal(scale=0.01, size=self.topology.n) for _ in range(3)])
 
     @cached_property
-    def trace(self) -> SimTrace:
-        """The scenario's one run, which its residuals read: every offset at
-        once, with one fixed-time reframe at the horizon that freezes each
-        offset's own correction (`run_horizon_reframes` on a stack of one).
-        Row 0 of each sample is the own q's.  Neither the closed loop nor
-        its spectral data read q, so one solve and one sample operator
-        serve every offset; `run_battery` fills this for all of its
-        scenarios, one stack per size n."""
-        return _traces([self])[0]
-
-    @cached_property
-    def residuals(self) -> "Residuals":
-        """What every check of the scenario decides on, from its own stack
-        of one; `run_battery` fills this for all of its scenarios, one stack
-        per size n."""
-        return _residuals([self])[0]
-
-
-def _prepare(scenarios):
-    """Fills the `_prepared` cache of each scenario from one stacked
-    `prepare_all`, and the `sample_operator` cache of each one it accepts
-    from one stacked `exact_flow_operators` call."""
-    for sc, system in zip(scenarios, prepare_all(
-            [(sc.topology, sc.params, sc.theta0) for sc in scenarios])):
-        vars(sc)["_prepared"] = system
-    accepted = [sc for sc in scenarios
-                if not isinstance(sc._prepared, Exception)]
-    for sc, phi in zip(accepted, exact_flow_operators(
-            [sc.system.clm for sc in accepted],
-            [horizon_sample_interval(sc.system) for sc in accepted])):
-        vars(sc)["sample_operator"] = phi
-
-
-def _traces(scenarios) -> list:
-    """The trace of each of the prepared `scenarios`, all of one size n,
-    from one `run_horizon_reframes` call over their systems with the
-    offsets in q, on their sample operators."""
-    return run_horizon_reframes(
-        [replace(sc.system, params=sc.system.params.with_q(sc.offsets))
-         for sc in scenarios],
-        [sc.sample_operator for sc in scenarios])
-
-
-def _fill(name: str, make, scenarios):
-    """Fills the `name` cache of each of the `scenarios` that `prepare`
-    accepted with `make` of its size's group: one call per size n."""
-    scenarios = [sc for sc in scenarios
-                 if not isinstance(sc._prepared, Exception)]
-    for members in by_size([sc.system.clm for sc in scenarios]).values():
-        group = [scenarios[i] for i in members]
-        for sc, value in zip(group, make(group)):
-            vars(sc)[name] = value
-
-
-_fill_traces = partial(_fill, "trace", _traces)
+    def outcome(self) -> "Residuals | Exception":
+        """What every check of the scenario decides on: its Residuals, or
+        the error `prepare` raised for it, from `_evaluate` of a stack of
+        one; `run_battery` fills this for all of its scenarios at once."""
+        outcome, = _evaluate([self])
+        return outcome
 
 
 class Residuals(NamedTuple):
@@ -177,16 +106,15 @@ def _peak(x: np.ndarray) -> np.ndarray:
     return np.abs(x).reshape(len(x), -1).max(axis=1)
 
 
-def _residuals(scenarios) -> list:
-    """The Residuals of each of the prepared `scenarios`, all of one size n,
-    from one pass over (S, n, n) stacks of A, W and the group inverse and
-    the stacked rows of their traces.  Every product is a stacked matmul,
-    one BLAS call per member as its own product makes, and the rest is
-    elementwise or a reduction over one member's entries, so each member
-    gets the bits of its own stack of one.  The occupancies of every member
-    are one `edge_diff` over their joined incidence."""
-    systems = [sc.system for sc in scenarios]
-    traces = [sc.trace for sc in scenarios]
+def _residuals(scenarios, systems, phis, traces, offsets) -> list:
+    """The Residuals of each of `scenarios`, all of one size n, from one
+    pass over (S, n, n) stacks of A, W, the group inverse and the sample
+    operators `phis` of their prepared `systems`, and the stacked rows of
+    their `traces`, the runs of their `offsets`.  Every product is a
+    stacked matmul, one BLAS call per member as its own product makes, and
+    the rest is elementwise or a reduction over one member's entries, so
+    each member gets the bits of its own stack of one.  The occupancies of
+    every member are one `edge_diff` over their joined incidence."""
     S, n = len(systems), systems[0].inc.n
     # e^{At} at each of IDENTITY_SPANS over the decay rate, from one stacked
     # call: the pass's largest stacks, so they are checked and freed first
@@ -208,15 +136,14 @@ def _residuals(scenarios) -> list:
     # feasibility: r's misfit |z.r| max z / z.z out of range(A)
     misfit = np.abs(consensus(z, r)) * z.max(axis=1) / consensus(z, z)
     # projector: the runs' sample operator e^{Ah/8}, squared three times
-    E = np.array([sc.sample_operator for sc in scenarios])
+    E = np.array(phis)
     for _ in range(3):
         E = np.matmul(E, E)
     # the corrections of the last pre-reframe row, the post row and the
     # end, each a block of every offset's; row 0 of a block is the own q
     c = np.array([trace.correction[[_PRE, _POST, _END]] for trace in traces])
     tol = TOL_LIMIT * np.abs(omega_u).max(axis=1)
-    predicted = correction_limits(W, omega_u, r, np.array(
-        [sc.offsets for sc in scenarios]))
+    predicted = correction_limits(W, omega_u, r, np.array(offsets))
     # the pre-reframe terminal, the first post-reframe and the
     # post-reframe terminal frequencies
     pre, first, end = np.moveaxis(omega_u[:, None] + c[:, :, 0], 1, 0)
@@ -257,7 +184,49 @@ def _residuals(scenarios) -> list:
         identity_gap.tolist(), stochastic.tolist())]
 
 
-_fill_residuals = partial(_fill, "residuals", _residuals)
+def _sizes(systems) -> list:
+    """The places of the prepared ones of `systems`, one list per size n,
+    in order; every other place holds the error `prepare` raised."""
+    places = [i for i, system in enumerate(systems)
+              if not isinstance(system, Exception)]
+    return [[places[j] for j in members] for members in
+            by_size([systems[i].clm for i in places]).values()]
+
+
+def _evaluate(scenarios, probe=None) -> list:
+    """The outcome of each of `scenarios`: its Residuals, or the
+    TopologyError or SpectralError `prepare` raised for it.  One
+    `prepare_all` and one `exact_flow_operators` call, for every accepted
+    system's sample operator e^{A h/8}, serve them all; then each size n
+    takes one `run_horizon_reframes` call, which runs every offset of a
+    scenario at once with a fixed-time reframe at the horizon, and one
+    `_residuals` pass.  Neither the closed loop nor its spectral data read
+    q, so one solve and one sample operator serve every offset.  A
+    `probe`, if given, is called once with the prepared systems, each
+    rejected one's error in its place, and their places per size n
+    (`_sizes`), before the first run; no system outlives the pass."""
+    systems = prepare_all([(sc.topology, sc.params, sc.theta0)
+                           for sc in scenarios])
+    outcomes = list(systems)
+    sizes = _sizes(systems)
+    if probe is not None:
+        probe(systems, sizes)
+    placed = [i for group in sizes for i in group]
+    phis = dict(zip(placed, exact_flow_operators(
+        [systems[i].clm for i in placed],
+        [horizon_sample_interval(systems[i]) for i in placed])))
+    for group in sizes:
+        sized = [systems[i] for i in group]
+        sized_phis = [phis[i] for i in group]
+        offsets = [scenarios[i].offsets() for i in group]
+        traces = run_horizon_reframes(
+            [replace(system, params=system.params.with_q(q))
+             for system, q in zip(sized, offsets)], sized_phis)
+        for i, residuals in zip(group, _residuals(
+                [scenarios[i] for i in group], sized, sized_phis, traces,
+                offsets)):
+            outcomes[i] = residuals
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -276,14 +245,15 @@ class Verdict:
 
 def _check(name: str):
     """Makes `check(scenario)` of `body(residuals)`, which gives the rest
-    of the Verdict's fields from the scenario's residuals; a scenario that
+    of the Verdict's fields from the scenario's outcome; a scenario that
     `prepare` rejected gets the invalid-scenario verdict."""
     def wrap(body):
         @wraps(body)
         def check(scenario: Scenario) -> Verdict:
-            if isinstance(scenario._prepared, Exception):
-                return Verdict(name, INVALID, detail=str(scenario._prepared))
-            return Verdict(name, *body(scenario.residuals))
+            outcome = scenario.outcome
+            if isinstance(outcome, Exception):
+                return Verdict(name, INVALID, detail=str(outcome))
+            return Verdict(name, *body(outcome))
         return check
     return wrap
 
@@ -305,11 +275,10 @@ def check_feasible_residual(res: Residuals) -> tuple:
 def check_projector_limit(res: Residuals) -> tuple:
     """e^{At} approaches the rank-one projector 1 z^T.
 
-    e^{Ah} is the run's sample operator e^{Ah/8}, which preparing built,
-    squared three times: the same bits
-    as matrix_exponential(clm, h), which squares the same Pade approximant
-    of A h 2^-s, s >= 3 times, since h = 50 / |Re lambda_2| makes
-    ||Ah||_1 >= 50 > 8 theta_13."""
+    e^{Ah} is the run's sample operator e^{Ah/8} squared three times: the
+    same bits as matrix_exponential(clm, h), which squares the same Pade
+    approximant of A h 2^-s, s >= 3 times, since h = 50 / |Re lambda_2|
+    makes ||Ah||_1 >= 50 > 8 theta_13."""
     gap = res.projector_gap
     return (PASS if gap <= TOL_LIMIT else FAIL, gap, TOL_LIMIT,
             f"horizon {res.horizon:.6g}")
@@ -410,16 +379,20 @@ def _is_diagonalizable(A: np.ndarray, tol: float = 1e8):
     return np.linalg.cond(vecs) < tol
 
 
-def _last_non_diagonalizable(scenarios) -> dict | None:
-    """The fingerprint of the last of the prepared `scenarios` whose closed
-    loop is not diagonalizable, or None: one probe per size n."""
+def _last_non_diagonalizable(scenarios, systems, sizes) -> dict | None:
+    """The fingerprint of the last of `scenarios` whose prepared system, in
+    its place in `systems` (which may run on past them; `sizes` holds the
+    places per size n, as `_sizes` gives them), has a closed loop that is
+    not diagonalizable, or None: one probe per size n."""
     last = -1
-    for members in by_size([sc.system.clm for sc in scenarios]).values():
-        flags = _is_diagonalizable(
-            np.stack([scenarios[i].system.clm.A for i in members]))
+    for group in sizes:
+        group = [i for i in group if i < len(scenarios)]
+        if not group:
+            continue
+        flags = _is_diagonalizable(np.stack([systems[i].clm.A for i in group]))
         defective = np.flatnonzero(~flags)
         if defective.size:
-            last = max(last, members[defective[-1]])
+            last = max(last, group[defective[-1]])
     return scenarios[last].fingerprint() if last >= 0 else None
 
 
@@ -442,22 +415,21 @@ def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
                 for i in range(infeasible_count)]
     # every scenario is prepared, its run's operator built, its run stepped
     # and its residuals worked out, stacked by n; so is the diagonalizability
-    # probe of the checked scenarios
-    _prepare(scenarios + controls)
-    _fill_traces(scenarios + controls)
-    _fill_residuals(scenarios + controls)
-    non_diag = _last_non_diagonalizable(
-        [sc for sc in scenarios if not isinstance(sc._prepared, Exception)])
-    # popped in seed order, so that each scenario's cached system, sample
-    # operator and trace are freed once its checks have run
-    scenarios.reverse()
-    controls.reverse()
+    # probe of the checked scenarios, on the prepared systems
+    found = []
+
+    def probe(systems, sizes):
+        found.append(_last_non_diagonalizable(scenarios, systems, sizes))
+
+    outcomes = _evaluate(scenarios + controls, probe)
+    for sc, outcome in zip(scenarios + controls, outcomes):
+        vars(sc)["outcome"] = outcome
+    non_diag, = found
 
     rows = []
     worst: dict[str, float] = {}
     counts: dict[str, dict[str, int]] = {}
-    while scenarios:
-        sc = scenarios.pop()
+    for sc in scenarios:
         verdicts = [chk(sc) for chk in ALL_CHECKS]
         rows.append({"scenario": sc.fingerprint(),
                      "verdicts": [v.row() for v in verdicts]})
@@ -469,8 +441,7 @@ def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
 
     negative_rows = []
     uncentered = 0
-    while controls:
-        sc = controls.pop()
+    for sc in controls:
         feas = check_feasible_residual(sc)
         centering = check_reframe_centering(sc)
         # the negative control passes when centering fails measurably

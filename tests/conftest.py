@@ -64,6 +64,11 @@ def random_scenario(seed):
     return sc.topology, sc.params, sc.theta0
 
 
+def prepared(scenario):
+    """The prepared system of a battery `Scenario`."""
+    return prepare(scenario.topology, scenario.params, scenario.theta0)
+
+
 def horizon_reframe(system) -> dict:
     """The arguments with which `run` runs `system` as
     `run_horizon_reframes` does: one fixed-time reframe at the horizon h,

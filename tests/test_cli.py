@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from bittide_sim import (ReframeSchedule, cli, generate_topology,
                          make_system_params, prepare, run, spectral)
 from bittide_sim import config as config_mod
-from bittide_sim import controller, dynamics
+from bittide_sim import controller, dynamics, framesim
 from bittide_sim.cli import _fmt, main, read_trace_csv, trace_csv
 from bittide_sim.graph import MAX_EDGES, MAX_NODES
 from conftest import BAD_TRACES, count_calls
@@ -695,7 +695,7 @@ def test_fixed_step_substeps_over_the_sample_bound_exit_2_at_once(
     assert time.perf_counter() - start < 1.0
     assert err == (f"error: config.integrator.dt: horizon 10 and post_horizon "
                    f"250 in {method} substeps of {dt:.6g} make {substeps} "
-                   f"substeps; a run takes at most {config_mod.MAX_SAMPLES}\n")
+                   f"substeps; a run takes at most {dynamics.MAX_SAMPLES}\n")
 
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
@@ -709,17 +709,20 @@ def test_fixed_step_span_a_hair_over_dt_takes_two_substeps(tmp_path, method):
     assert (tmp_path / "out" / "trace.csv").exists()
 
 
-@pytest.mark.parametrize("mode, limit", [([], 200), (["--discrete"], 2040)],
+@pytest.mark.parametrize("mode, owner, limit",
+                         [([], dynamics, 200),
+                          (["--discrete"], framesim, 2040)],
                          ids=["continuous", "discrete"])
 def test_sample_bound_admits_a_run_at_the_bound(tmp_path, capsys, monkeypatch,
-                                                mode, limit):
+                                                mode, owner, limit):
     # e1 samples 500 / 2.5 = 200 intervals, and its discrete run takes 2040
     # steps of dt = 1/(4 max omega_u) to T1 + post_horizon = 500; one fewer
-    # allowed rejects it
-    monkeypatch.setattr(config_mod, "MAX_SAMPLES", limit)
+    # allowed rejects it.  The bound is read where its rule is: by
+    # `IntegratorSettings` in dynamics, by `DiscreteScenario` in framesim
+    monkeypatch.setattr(owner, "MAX_SAMPLES", limit)
     assert run_cli("run", "--config", CONFIG_DIR / "e1.json",
                    "--out", tmp_path / "a", *mode) == 0
-    monkeypatch.setattr(config_mod, "MAX_SAMPLES", limit - 1)
+    monkeypatch.setattr(owner, "MAX_SAMPLES", limit - 1)
     _rejected(tmp_path, capsys, CONFIG_DIR / "e1.json", *mode)
 
 

@@ -1,6 +1,7 @@
 import json
 import time
 import warnings
+import weakref
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bittide_sim import (IntegratorSettings, OneShotReset, ReframeSchedule,
-                         Topology, TopologyError, floatfmt, build_closed_loop, build_incidence, dynamics,
+                         Topology, TopologyError, floatfmt, build_closed_loop, build_incidence, controller, dynamics,
                          generate_topology, init_state, make_system_params,
                          observe, predict_beta_ss, predict_omega_ss, prepare,
                          run, spectral, step)
@@ -20,9 +21,17 @@ from bittide_sim.config import parse_config, parse_config_dict
 from bittide_sim.controller import POST_REFRAME, PRE_REFRAME
 from bittide_sim.dynamics import stability_bound
 from bittide_sim.verify import make_random_scenario
-from conftest import count_calls, random_scenario, spectral_setup
+from conftest import count_calls, prepared, random_scenario, spectral_setup
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def exact_flow(params, clm, sd, dt) -> tuple:
+    """The (Phi, w) of an exact step of dt, built as `run` builds them:
+    Phi = e^{A dt} from `exact_flow_operators`, w from `_drift_integral`."""
+    phi, = dynamics.exact_flow_operators([clm], [dt])
+    return phi, dynamics._drift_integral(sd, phi, dt,
+                                         dynamics._drift(clm, params))
 
 
 def test_init_feasible_offsets_at_zero_phase(two_cycle):
@@ -97,7 +106,8 @@ def test_consensus_equilibrium_is_fixed(two_cycle):
     inc, params, clm, sd = spectral_setup(two_cycle, k=0.5, omega_u=1.0,
                                           theta0=[2.0, 2.0])
     theta = np.array([2.0, 2.0])
-    new = step(theta, params, clm, dt=3.0, method="exact", sd=sd)
+    new = step(theta, params, clm, dt=3.0, method="exact",
+               flow=exact_flow(params, clm, sd, 3.0))
     np.testing.assert_allclose(new - theta, 3.0 * np.ones(2),
                                atol=1e-12)
     _, c, beta = observe(new, params, clm)
@@ -110,8 +120,9 @@ def test_exact_vs_rk4_agreement(e1):
     se = np.zeros(2)
     sr = np.zeros(2)
     dt = 0.01
+    flow = exact_flow(params, clm, sd, dt)
     for _ in range(10000):  # horizon 100
-        se = step(se, params, clm, dt, "exact", sd=sd)
+        se = step(se, params, clm, dt, "exact", flow)
         sr = step(sr, params, clm, dt, "rk4")
     assert np.abs(se - sr).max() <= 1e-8
 
@@ -120,8 +131,9 @@ def test_euler_approaches_exact(e1):
     _, inc, params, clm, sd = e1
     se = np.zeros(2)
     su = np.zeros(2)
+    flow = exact_flow(params, clm, sd, 0.01)
     for _ in range(1000):
-        se = step(se, params, clm, 0.01, "exact", sd=sd)
+        se = step(se, params, clm, 0.01, "exact", flow)
         su = step(su, params, clm, 0.01, "euler")
     assert np.abs(se - su).max() <= 1e-3
 
@@ -168,6 +180,30 @@ def test_run_refuses_too_many_substeps_before_the_first(e1, monkeypatch,
         f"{dynamics.MAX_SAMPLES}")
 
 
+@pytest.mark.parametrize("T1, post, samples", [(None, "0", "1.67e+14"),
+                                               (1.0, "166.667", "3.33e+14")])
+def test_run_refuses_too_many_samples_before_sizing_its_history(
+        ring3, monkeypatch, T1, post, samples):
+    # 1e-12 sample intervals of a 3-node ring's horizon asked numpy for
+    # 1.18 PiB of history and ended in a MemoryError; the run refuses them
+    # before it sizes its history, so a history fails the test
+    system = prepare(ring3, make_system_params(ring3, k=0.2, omega_u=1.0))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the run sized its history")
+
+    monkeypatch.setattr(controller.CorrectionHistory, "__init__", refused)
+    schedule = None if T1 is None else ReframeSchedule(mode="fixed-time",
+                                                       T1=T1)
+    with pytest.raises(ValueError) as caught:
+        run(system, schedule=schedule,
+            settings=IntegratorSettings(sample_interval=1e-12))
+    assert str(caught.value) == (
+        f"horizon 166.667 and post_horizon {post} over sample_interval "
+        f"1e-12 make {samples} samples; a run records at most "
+        f"{dynamics.MAX_SAMPLES}")
+
+
 def _euler(A, theta, v, dt):
     """euler's step written out: theta + dt (A (theta - mean theta) + v)."""
     return theta + dt * (A @ (theta - theta.mean(axis=0)) + v)
@@ -197,7 +233,7 @@ def test_taylor_kernel_is_euler_and_rk4(seed, frac, grown, K, substeps):
     # [0, 0]] (Hairer, Norsett & Wanner, Solving ODEs I, II.1): the kernel
     # at degree 1 is euler bit for bit, and at degree 4 it is rk4 to
     # rounding, 8 eps of the scale max(|theta|, h |v|)
-    system = make_random_scenario(seed).system
+    system = prepared(make_random_scenario(seed))
     clm, params = system.clm, system.params
     h = frac * stability_bound(system.inc, params.k)
     theta = system.theta0 + grown
@@ -226,7 +262,7 @@ def test_taylor_kernel_is_euler_and_rk4(seed, frac, grown, K, substeps):
 def test_single_exact_step_to_steady_state(e1):
     _, inc, params, clm, sd = e1
     new = step(np.array([0.4, -0.3]), params, clm, dt=1e6, method="exact",
-               sd=sd)
+               flow=exact_flow(params, clm, sd, 1e6))
     omega, _, _ = observe(new, params, clm)
     np.testing.assert_allclose(omega, predict_omega_ss(sd, params), atol=1e-9)
 
@@ -450,7 +486,8 @@ def test_step_clipped_to_the_end_by_a_hair_reuses_the_sample_operator(
                 settings=IntegratorSettings(horizon=0.3, sample_interval=0.1))
     assert [t for _, t in exponentials] == [0.1]
     np.testing.assert_array_equal(trace.times, [0.0, 0.1, 0.2, 0.3])
-    last = step(trace.theta[-2], system.params, system.clm, 0.1, sd=system.sd)
+    last = step(trace.theta[-2], system.params, system.clm, 0.1,
+                flow=exact_flow(system.params, system.clm, system.sd, 0.1))
     np.testing.assert_array_equal(trace.theta[-1], last)
 
 
@@ -493,7 +530,8 @@ def test_each_sample_is_one_step_from_the_last(post_horizon):
             off_grid.append(times[i + 1])
         if on_grid or abs(gap - sample_dt) <= 1e-9 * sample_dt:
             gap = sample_dt
-        new = step(theta[i], row_params, system.clm, gap, sd=system.sd)
+        new = step(theta[i], row_params, system.clm, gap,
+                   flow=exact_flow(row_params, system.clm, system.sd, gap))
         np.testing.assert_array_equal(theta[i + 1], new)
     assert off_grid == [T1] + [T1 + post_horizon] * (post_horizon == 2.05)
 
@@ -666,7 +704,7 @@ def test_stacked_flow_operators_equal_one_item_calls_bit_for_bit(seeds, data):
     # battery closed loops of mixed sizes, a closed loop more than once, each
     # at its own span: every operator has the bits of the loop's one-item
     # call
-    systems = [make_random_scenario(seed).system for seed in seeds]
+    systems = [prepared(make_random_scenario(seed)) for seed in seeds]
     systems += systems[:data.draw(st.integers(0, len(systems)))]
     dts = [data.draw(st.sampled_from(FLOW_DTS)) for _ in systems]
     phis = dynamics.exact_flow_operators([s.clm for s in systems], dts)
@@ -707,6 +745,20 @@ def test_prepare_all_gives_each_case_its_system_or_error(two_cycle):
     assert first.params.beta_off.tobytes() == alone.params.beta_off.tobytes()
 
 
+def test_a_rejected_case_keeps_no_other_cases_system(two_cycle):
+    # a SpectralError's traceback held prepare_all's frame, and through it
+    # every system of the batch, until the cyclic collector ran; a battery
+    # scenario keeps its error as its outcome
+    cases = [(two_cycle, make_system_params(two_cycle, k=k, omega_u=1.0), 0.0)
+             for k in (0.1, 1e-300)]
+    system, error = dynamics.prepare_all(cases)
+    assert isinstance(error, spectral.SpectralError)
+    assert "too small" in str(error)
+    ref = weakref.ref(system)
+    del system
+    assert ref() is None
+
+
 def test_fixed_time_T1_on_the_grid_takes_the_sample_operator(e1,
                                                              monkeypatch):
     # three steps of 0.1 add up to 0.30000000000000004, so the step onto
@@ -723,7 +775,8 @@ def test_fixed_time_T1_on_the_grid_takes_the_sample_operator(e1,
     assert trace.reframe_time == 0.3
     assert list(trace.times[3:5]) == [0.3, 0.3]
     assert trace.mode[3:5] == [PRE_REFRAME, POST_REFRAME]
-    last = step(trace.theta[2], system.params, system.clm, 0.1, sd=system.sd)
+    last = step(trace.theta[2], system.params, system.clm, 0.1,
+                flow=exact_flow(system.params, system.clm, system.sd, 0.1))
     np.testing.assert_array_equal(trace.theta[3], last)
 
 
@@ -834,7 +887,7 @@ def _offset_runs(system, qs, settings, schedule=None):
 @given(seed=st.integers(0, 10**6), K=st.integers(1, 5))
 def test_offset_block_run_matches_one_run_per_offset(seed, K):
     # the battery's scenario distribution: random-strong, n from 2 to 8
-    system = make_random_scenario(seed).system
+    system = prepared(make_random_scenario(seed))
     n = system.inc.n
     qs = np.random.default_rng(seed).normal(scale=0.01, size=(K, n))
     horizon = system.sd.horizon()
@@ -850,7 +903,7 @@ def test_offset_block_run_matches_one_run_per_offset(seed, K):
 def test_offset_block_reframe_matches_one_reframe_per_offset(seed, K):
     # the battery's run: a fixed-time reframe at the horizon freezes each
     # offset's own correction
-    system = make_random_scenario(seed).system
+    system = prepared(make_random_scenario(seed))
     n = system.inc.n
     qs = np.random.default_rng(seed).normal(scale=0.01, size=(K, n))
     horizon = system.sd.horizon()
@@ -936,7 +989,8 @@ def _per_sample_run(system, schedule, settings):
     advances from one decision to the next at once.  Returns the reset and
     the last params."""
     inc, params, clm = system.inc, system.params, system.clm
-    horizon, post_horizon, sample_dt = settings.spans(system)
+    horizon, post_horizon, sample_dt = settings.spans(
+        system, schedule is not None)
     t_end = horizon + (post_horizon if schedule is not None else 0.0)
     reset = OneShotReset(schedule, params, inc, default_T1=horizon,
                          width=params.q.shape)
@@ -990,7 +1044,7 @@ def _per_sample_run(system, schedule, settings):
                     ops[span], = dynamics.exact_flow_operators([clm], [span])
                 held[span] = ops[span], dynamics._drift_integral(
                     system.sd, ops[span], span, dynamics._drift(clm, params))
-            theta = step(theta, params, clm, span, "exact", _flow=held[span])
+            theta = step(theta, params, clm, span, "exact", flow=held[span])
         else:
             sub = settings.dt or stability_bound(inc, clm.k) / 8.0
             steps = max(1, int(np.ceil(span / sub - 1e-12)))

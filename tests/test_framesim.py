@@ -218,6 +218,27 @@ def test_dt_bound_enforced():
         e1_discrete(dt=0.5).step_size()
 
 
+@pytest.mark.parametrize("horizon, steps", [(1e12, "4e+12"),
+                                            (1e300, "4e+300")])
+def test_run_discrete_refuses_too_many_steps_before_sizing_its_history(
+        ring3, monkeypatch, horizon, steps):
+    # a 3-node ring's 4e12 steps asked numpy for 29.4 TiB of history, a
+    # MemoryError, and 4e300 for more than an array's largest dimension;
+    # the run refuses them before it sizes its history
+    system = prepare(ring3, make_system_params(ring3, k=0.2, omega_u=1.0))
+    scenario = DiscreteScenario(system=system, capacity=100, horizon=horizon)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the run sized its history")
+
+    monkeypatch.setattr(controller.CorrectionHistory, "__init__", refused)
+    with pytest.raises(ValueError) as caught:
+        run_discrete(scenario)
+    assert str(caught.value) == (
+        f"a discrete horizon of {horizon:.6g} in steps of dt = 0.25 is "
+        f"{steps} steps; a run takes at most {framesim.MAX_SAMPLES}")
+
+
 def test_quantization_unit_coarsens_measurement():
     trace1 = run_discrete(e1_discrete())
     scenario4 = DiscreteScenario(system=e1_discrete().system,

@@ -17,7 +17,7 @@ from bittide_sim import (SpectralError, Topology, build_closed_loop,
 from bittide_sim.config import parse_config
 from bittide_sim.graph import joined_incidence
 from bittide_sim.verify import make_random_scenario
-from conftest import random_scenario, spectral_setup
+from conftest import prepared, random_scenario, spectral_setup
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -146,7 +146,8 @@ def closed_loops(draw):
     """A closed loop of the battery's distribution, or of a random digraph
     on 2-6 nodes that need not be strongly connected."""
     if draw(st.booleans(), label="battery"):
-        return make_random_scenario(draw(st.integers(0, 10**6))).system.clm
+        return prepared(make_random_scenario(
+            draw(st.integers(0, 10**6)))).clm
     n = draw(st.integers(2, 6))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     edges = draw(st.lists(st.sampled_from(pairs), min_size=1,
@@ -427,7 +428,7 @@ def test_stacked_exponentials_equal_single_calls_bit_for_bit(data):
     if data.draw(st.booleans(), label="one closed loop"):
         seeds = seeds[:1] * K
     shared = data.draw(st.sampled_from([None] + PADE_BANDS), label="band")
-    clms = [make_random_scenario(seed).system.clm for seed in seeds]
+    clms = [prepared(make_random_scenario(seed)).clm for seed in seeds]
     times = []
     for clm in clms:
         low, high = shared or data.draw(st.sampled_from(PADE_BANDS))
@@ -447,7 +448,7 @@ def test_stacked_exponentials_cover_every_band_in_one_call():
     scenarios = [make_random_scenario(seed) for seed in range(40)]
     by_n = {}
     for sc in scenarios:
-        by_n.setdefault(sc.topology.n, []).append(sc.system)
+        by_n.setdefault(sc.topology.n, []).append(prepared(sc))
     systems = [s for group in by_n.values() if len(group) > 1
                for s in group[:2]]
     assert len({s.clm.n for s in systems}) >= 5
@@ -525,7 +526,8 @@ def test_stacked_predictions_equal_each_matrix_alone(seeds, n):
     # the predictions' kernels take a matrix or a stack; each member of a
     # stack gets the bits of the `predict_*` call on its own, and those get
     # the bits of the products written out
-    systems = [make_random_scenario(seed, (n, n)).system for seed in seeds]
+    systems = [prepared(make_random_scenario(seed, (n, n)))
+               for seed in seeds]
     rng = np.random.default_rng(seeds[0])
     q = rng.normal(scale=0.01, size=(len(systems), 4, n))
     z, W, G, r, omega_u, u = (np.array([get(s) for s in systems]) for get in (

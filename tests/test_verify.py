@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -22,7 +23,7 @@ from bittide_sim.verify import (ALL_CHECKS, Scenario, check_correction_limit,
                                 check_spectral_identities,
                                 make_infeasible_scenario, make_random_scenario,
                                 run_battery)
-from conftest import count_calls, horizon_reframe
+from conftest import count_calls, horizon_reframe, prepared
 
 
 @pytest.fixture
@@ -64,7 +65,7 @@ def test_feasible_residual_misfit_is_the_least_squares_one(seed, infeasible,
     make = make_infeasible_scenario if infeasible else make_random_scenario
     scenario = make(seed, n_range=(2, n_max))
     v = check_feasible_residual(scenario)
-    clm = scenario.system.clm
+    clm = prepared(scenario).clm
     x, *_ = np.linalg.lstsq(clm.A, -clm.r, rcond=None)
     misfit = float(np.abs(clm.A @ x + clm.r).max())
     scale = max(1.0, float(np.abs(clm.r).max()))
@@ -73,6 +74,19 @@ def test_feasible_residual_misfit_is_the_least_squares_one(seed, infeasible,
     assert v.tolerance == verify.TOL_RANGE * scale
     assert v.status == ("pass" if misfit <= v.tolerance
                         else "not-applicable" if infeasible else "fail")
+
+
+def test_only_given_offsets_excuse_a_misfit_as_infeasible():
+    # a random scenario derives its offsets at t = 0 and an infeasible
+    # control gives its own; stacked, as the battery evaluates them, a
+    # misfit forced over the tolerance fails the first and excuses the other
+    scenarios = [make_random_scenario(3), make_infeasible_scenario(3)]
+    outcomes = verify._evaluate(scenarios)
+    assert [outcome.explicit_offsets for outcome in outcomes] == [False, True]
+    for sc, outcome, status in zip(scenarios, outcomes,
+                                   ("fail", "not-applicable")):
+        vars(sc)["outcome"] = outcome._replace(range_misfit=1.0)
+        assert check_feasible_residual(sc).status == status
 
 
 def test_projector_limit_two_node(e1_scenario):
@@ -94,23 +108,24 @@ def test_projector_squares_the_sample_operator_to_the_horizons_bits(seed):
     # exponential at h scales A h by 2^-s with s >= 3 and squares the same
     # Pade approximant as the exponential at h/8, three more times
     scenario = make_random_scenario(seed)
-    system = scenario.system
+    system = prepared(scenario)
     h = system.sd.horizon()
     E = matrix_exponential(system.clm, h / 8)
     for _ in range(3):
         E = E @ E
     expm_h = matrix_exponential(system.clm, h)
     assert E.tobytes() == expm_h.tobytes()
-    # preparing built the sample operator e^{Ah/8}, the check squares it,
-    # and the run reuses it: it builds no operator of its own
-    assert (scenario.sample_operator.tobytes()
-            == matrix_exponential(system.clm, h / 8).tobytes())
-    v = check_projector_limit(scenario)
-    assert v.residual == float(np.abs(expm_h - system.sd.W).max())
+    # the one flow-operator call builds the sample operator e^{Ah/8}, the
+    # check squares it, and the run steps with it: it builds none of its own
     with pytest.MonkeyPatch.context() as monkeypatch:
         flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
-        assert len(scenario.trace) > 8
-    assert not flows
+        stacked = count_calls(monkeypatch, dynamics.run_horizon_reframes)
+        v = check_projector_limit(scenario)
+    (_, spans), = flows
+    assert spans == [h / 8]
+    (_, (phi,)), = stacked
+    assert phi.tobytes() == matrix_exponential(system.clm, h / 8).tobytes()
+    assert v.residual == float(np.abs(expm_h - system.sd.W).max())
 
 
 def test_reducible_scenario_reported_invalid(reducible_scenario):
@@ -201,7 +216,7 @@ def test_battery_exercises_non_diagonalizable_matrix():
     fp = report["summary"]["non_diagonalizable"]
     assert fp != "not exercised"
     # the pinned scenario guarantees the case even if no random draw hits one
-    clm = _defective_scenario().system.clm
+    clm = prepared(_defective_scenario()).clm
     assert not _is_diagonalizable(clm.A)
     labels = [row["scenario"]["label"] for row in report["scenarios"]]
     assert "defective-stable-part" in labels
@@ -211,9 +226,10 @@ def test_stacked_probe_matches_per_matrix_and_each_trace_is_freed(
         monkeypatch):
     # the battery probes diagonalizability once per n, before its checks:
     # every scenario gets its per-matrix answer, and the report names the
-    # last non-diagonalizable one in seed order.  Each scenario's trace is
-    # freed once its checks have run, so the battery's memory stays one
-    # scenario's
+    # last non-diagonalizable one in seed order.  Every system and trace
+    # the battery makes is freed before its first check, and once it has
+    # run each scenario holds its fields and its outcome alone, so the
+    # battery's memory stays one size's runs
     probe = verify._is_diagonalizable
     stacked = []
 
@@ -225,32 +241,57 @@ def test_stacked_probe_matches_per_matrix_and_each_trace_is_freed(
         stacked.append(len(A))
         return flags
 
-    seen = []       # (seed, per-matrix flag, weakref of the trace)
+    evaluated, refs = [], []
+    evaluate = verify._evaluate
+
+    def keep(scenarios, *args):
+        evaluated.extend(scenarios)
+        return evaluate(scenarios, *args)
+
+    def weakly(fn):
+        # weakrefs to the systems passed in and to what comes out
+        def spy(cases, *args):
+            out = fn(cases, *args)
+            refs.extend(weakref.ref(x) for x in [*cases, *out]
+                        if not isinstance(x, (tuple, Exception)))
+            return out
+        return spy
+
+    seen = []       # (seed, per-matrix flag)
     first, last = ALL_CHECKS[0], ALL_CHECKS[-1]
 
     def first_check(scenario):
-        assert all(trace() is None for _, _, trace in seen)
+        assert all(ref() is None for ref in refs)
         return first(scenario)
 
     def last_check(scenario):
-        verdict = last(scenario)
-        seen.append((scenario.seed, bool(probe(scenario.system.clm.A)),
-                     weakref.ref(scenario.trace)))
-        return verdict
+        seen.append((scenario.seed, bool(probe(prepared(scenario).clm.A))))
+        return last(scenario)
 
     monkeypatch.setattr(verify, "_is_diagonalizable", stacked_probe)
+    monkeypatch.setattr(verify, "_evaluate", keep)
+    for name in ("prepare_all", "run_horizon_reframes"):
+        monkeypatch.setattr(verify, name, weakly(getattr(verify, name)))
     monkeypatch.setattr(verify, "ALL_CHECKS",
                         (first_check, *ALL_CHECKS[1:-1], last_check))
-    report = run_battery(count=30, seed=7, infeasible_count=0)
+    report = run_battery(count=30, seed=7, infeasible_count=5)
     assert report["all_pass"]
     assert len(seen) == len(report["scenarios"]) == 31
     assert sum(stacked) == 31 and len(stacked) == len(
         {row["scenario"]["n"] for row in report["scenarios"]})
-    assert all(trace() is None for _, _, trace in seen)
-    seeds = [seed for seed, _, _ in seen]
+    seeds = [seed for seed, _ in seen]
     assert seeds == sorted(seeds)
-    defective = [seed for seed, flag, _ in seen if not flag]
+    defective = [seed for seed, flag in seen if not flag]
     assert report["summary"]["non_diagonalizable"]["seed"] == defective[-1]
+    # the prepared systems, the systems run with their offsets, the traces
+    assert len(evaluated) == 31 + 5
+    assert len(refs) == 3 * len(evaluated)
+    assert all(ref() is None for ref in refs)
+    fields = {field.name for field in dataclasses.fields(Scenario)}
+    assert all(set(vars(sc)) == fields | {"outcome"} for sc in evaluated)
+    # only the controls' offsets are given; the rest derive theirs at t = 0
+    assert [sc.outcome.explicit_offsets for sc in evaluated] == (
+        [False] * 31 + [True] * 5)
 
 
 def test_battery_empty_run():
@@ -305,13 +346,28 @@ def _assert_traces_equal(trace, oracle):
 
 
 def _assert_stacked_traces_equal_run(scenarios):
-    # the battery's traces, stacked by n, against `run` of each system
-    verify._prepare(scenarios)
-    verify._fill_traces(scenarios)
-    for sc in scenarios:
-        system = replace(sc.system, params=sc.system.params.with_q(sc.offsets))
-        _assert_traces_equal(vars(sc)["trace"],
-                             run(system, **horizon_reframe(system)))
+    # the battery's traces, stacked by n, against `run` of each prepared
+    # system with its scenario's offsets
+    stacked, runner = [], dynamics.run_horizon_reframes
+
+    def spy(systems, phis):
+        traces = runner(systems, phis)
+        stacked.extend(zip(systems, traces))
+        return traces
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(verify, "run_horizon_reframes", spy)
+        systems = []
+        verify._evaluate(scenarios,
+                         lambda prepared, _: systems.extend(prepared))
+    own = {id(system.clm): (sc, system)
+           for sc, system in zip(scenarios, systems)}
+    for system, trace in stacked:
+        sc, bare = own.pop(id(system.clm))
+        assert system == replace(bare, params=system.params)
+        assert system.params.q.tobytes() == sc.offsets().tobytes()
+        _assert_traces_equal(trace, run(system, **horizon_reframe(system)))
+    assert not own
 
 
 @settings(max_examples=30, deadline=None)
@@ -332,19 +388,17 @@ def test_stacked_traces_equal_run_at_n_16_to_64():
 
 
 def _assert_stacked_residuals_equal_alone(scenarios):
-    # the battery's residuals, one pass per size n, against each scenario
-    # checked alone as a group of one: every residual to the bit, and every
+    # the battery's outcomes, one pass per size n, against each scenario
+    # checked alone as a stack of one: every residual to the bit, and every
     # field of every verdict
-    verify._prepare(scenarios)
-    verify._fill_traces(scenarios)
-    verify._fill_residuals(scenarios)
+    outcomes = verify._evaluate(scenarios)
     assert len({sc.topology.n for sc in scenarios}) < len(scenarios)
-    for sc in scenarios:
-        alone = replace(sc)     # nothing prepared, run or cached yet
-        assert not {"_prepared", "trace", "residuals"} & set(vars(alone))
-        stacked = vars(sc)["residuals"]
-        assert repr(stacked) == repr(alone.residuals)
-        assert stacked._asdict() == alone.residuals._asdict()
+    for sc, stacked in zip(scenarios, outcomes):
+        alone = replace(sc)     # nothing evaluated or cached yet
+        assert "outcome" not in vars(alone)
+        assert repr(stacked) == repr(alone.outcome)
+        assert stacked._asdict() == alone.outcome._asdict()
+        vars(sc)["outcome"] = stacked     # as run_battery fills it
         for check in ALL_CHECKS:
             assert repr(check(sc)) == repr(check(alone))
             assert check(sc).row() == check(alone).row()
@@ -397,42 +451,47 @@ def test_a_far_horizon_stacks_and_equals_run_bit_for_bit(monkeypatch):
 
 
 def test_battery_runs_on_the_operators_preparing_built(monkeypatch):
-    # every scenario is prepared before the checks, with its run's one
-    # sample operator e^{Ah/8} from one stacked call; the steps onto the
-    # on-grid T1 = h and onto the end reuse it, so no other is built
+    # every scenario is prepared before the checks, and its run's one
+    # sample operator e^{Ah/8} comes from one stacked call; the steps onto
+    # the on-grid T1 = h and onto the end reuse it, so no other is built
     flows = count_calls(monkeypatch, dynamics.exact_flow_operators)
-    prepared = []
-    fill = verify._prepare
+    stacked = count_calls(monkeypatch, dynamics.run_horizon_reframes)
+    evaluated, evaluate = [], verify._evaluate
 
-    def keep(scenarios):
-        prepared.extend(scenarios)
-        fill(scenarios)
+    def keep(scenarios, *args):
+        evaluated.extend(scenarios)
+        return evaluate(scenarios, *args)
 
-    monkeypatch.setattr(verify, "_prepare", keep)
+    monkeypatch.setattr(verify, "_evaluate", keep)
     report = run_battery(count=12, seed=3, infeasible_count=4)
     assert report["all_pass"]
     assert len(flows) == 1
-    assert len(prepared) == 13 + 4
+    assert len(evaluated) == 13 + 4
     (clms, spans), = flows
-    assert spans == [sc.system.sd.horizon() / 8 for sc in prepared]
-    for sc, clm, span in zip(prepared, clms, spans):
-        system = sc.system
-        assert "trace" in vars(sc) and clm is system.clm
-        assert (vars(sc)["sample_operator"].tobytes()
-                == matrix_exponential(clm, span).tobytes())
+    built = {id(clm): (clm, span) for clm, span in zip(clms, spans)}
+    assert len(built) == 13 + 4
+    for systems, phis in stacked:
+        for system, phi in zip(systems, phis):
+            clm, span = built.pop(id(system.clm))
+            assert span == system.sd.horizon() / 8
+            assert phi.tobytes() == matrix_exponential(clm, span).tobytes()
+    assert not built
 
 
-@pytest.mark.parametrize("fill, check, shared", [
-    (check_reframe_centering, check_reframe_frequency, "trace"),
-    (check_reframe_frequency, check_reframe_centering, "trace"),
-    (check_occupancy_limit, check_correction_limit, "trace"),
-    (check_correction_limit, check_occupancy_limit, "trace"),
-])
-def test_checks_agree_on_a_shared_trace(fill, check, shared):
+@pytest.mark.parametrize("fill, check", [
+    pytest.param(fill, check, id=f"{fill.__name__}-{check.__name__}-outcome")
+    for fill, check in [(check_reframe_centering, check_reframe_frequency),
+                        (check_reframe_frequency, check_reframe_centering),
+                        (check_occupancy_limit, check_correction_limit),
+                        (check_correction_limit, check_occupancy_limit)]])
+def test_checks_agree_on_a_shared_trace(monkeypatch, fill, check):
+    # both checks read the one outcome of the scenario's one trace
     warm = make_random_scenario(5)
     fill(warm)
-    assert shared in vars(warm)   # cached by the first check
+    assert "outcome" in vars(warm)   # cached by the first check
+    evaluations = count_calls(monkeypatch, verify._evaluate)
     assert check(warm) == check(make_random_scenario(5))
+    assert len(evaluations) == 1     # the cold scenario's
 
 
 def test_invalid_scenario_is_prepared_once(monkeypatch, reducible_scenario):
@@ -451,8 +510,9 @@ def test_invalid_scenario_is_prepared_once(monkeypatch, reducible_scenario):
         "check_correction_limit", "check_occupancy_limit",
         "check_reframe_frequency", "check_reframe_centering",
         "check_spectral_identities"]
-    with pytest.raises(TopologyError, match="not strongly connected"):
-        reducible_scenario.system
+    assert isinstance(reducible_scenario.outcome, TopologyError)
+    assert str(reducible_scenario.outcome) == (
+        "topology is not strongly connected")
     assert len(reach) == 1
 
 
