@@ -35,8 +35,8 @@ battery's stages, each timed at the name `verify` binds it by:
 - `prepare`, every system (`prepare_all`);
 - `operators`, every run's sample operator (`exact_flow_operators`);
 - `traces`, the runs, one stack per size n (`run_horizon_reframes`);
-- `residuals`, every check's residuals, one pass per size n (`_residuals`);
-- `probes`, the diagonalizability probe (`_last_non_diagonalizable`);
+- `residuals`, every check's residuals and whether each closed loop is
+  diagonalizable, one pass per size n (`_residuals`);
 - `verdict_rows`, the rest of `run_battery`: each check's verdict from the
   residuals, the report's rows and its summary;
 - `report_json`, the report's JSON text;
@@ -168,15 +168,13 @@ def battery_pass(count: int, seed: int, out_dir: Path) -> dict:
               ("operators", verify, "exact_flow_operators"),
               ("traces", verify, "run_horizon_reframes"),
               ("residuals", verify, "_residuals"),
-              ("probes", verify, "_last_non_diagonalizable"),
               ("report_json", cli, "_json_text"),
               ("run_battery", verify, "run_battery"),
               ("cmd_verify", cli, "cmd_verify"))
     args = argparse.Namespace(count=count, seed=seed, n_min=2, n_max=8,
                               infeasible=None)
     seconds = timed_pass(layers, lambda: cli.cmd_verify(args, out_dir))
-    phases = ("generation", "prepare", "operators", "traces", "residuals",
-              "probes")
+    phases = ("generation", "prepare", "operators", "traces", "residuals")
     rest = seconds["run_battery"] - sum(seconds[label] for label in phases)
     return {**{label: seconds[label] for label in phases},
             "verdict_rows": rest, **{label: seconds[label] for label in

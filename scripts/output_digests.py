@@ -10,7 +10,9 @@ temporary copy of the config, with `discrete.enabled` off), and
 inside a discrete run of e1.  One line per
 written file gives the config (its folder and name), the mode, the exit
 code, the file name and its digest, so a `diff` of this script's output at
-two commits shows whether their outputs are byte-identical.  Without config
+two commits shows whether their outputs are byte-identical.  A last line
+per config, of mode `analyze`, digests the `analysis.json` that
+`bittide-sim analyze` writes for it.  Without config
 arguments two more lines follow: the digests of a continuous and a discrete
 run of `configs/eight_node.json` with a per-node (staggered) fixed-time
 reframe, run through the API because no config can give each node its own
@@ -22,7 +24,9 @@ T1:
 `--workloads SEED` runs instead the `run` workloads of the benchmark,
 `large-continuous`, `discrete-fixed` and `discrete-auto`, each on the
 config and flags that `perfbench/workloads.py` generates for SEED, and
-prints one line per written file:
+prints one line per written file, and one more for the `analysis.json` of
+`bittide-sim analyze` on the `large-continuous` config, whose n is above
+the crossover `ARNOLDI_MIN_N` to the lambda_2 iteration:
 
     python3 scripts/output_digests.py --workloads 7
 
@@ -91,11 +95,12 @@ def _quiet_main(argv) -> int:
         return main(argv)
 
 
-def _run_digests(config: Path, flags):
-    """(exit code, file name, sha256) of each file one run writes."""
+def _run_digests(config: Path, flags, command="run"):
+    """(exit code, file name, sha256) of each file one run, or one call of
+    another config `command`, writes."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        rc = _quiet_main(["run", "--config", str(config), "--out", str(out),
+        rc = _quiet_main([command, "--config", str(config), "--out", str(out),
                           *flags])
         for path in sorted(out.iterdir()):
             yield rc, path.name, hashlib.sha256(path.read_bytes()).hexdigest()
@@ -119,6 +124,8 @@ def digests(config: Path):
             copy.write_text(json.dumps({**raw, **changes}), encoding="utf-8")
             for row in _run_digests(copy, flags):
                 yield (mode, *row)
+    for row in _run_digests(config, [], "analyze"):
+        yield ("analyze", *row)
 
 
 def _benchmark_workloads():
@@ -141,6 +148,11 @@ def workload_digests(seed: int):
             for path in sorted(workload.out.iterdir()):
                 yield (name, rc, path.name,
                        hashlib.sha256(path.read_bytes()).hexdigest())
+            if name == "large-continuous":
+                config = Path(workload.argv[workload.argv.index("--config")
+                                            + 1])
+                for row in _run_digests(config, [], "analyze"):
+                    yield (f"{name}-analyze", *row)
 
 
 def _trace_digest(trace, names) -> str:

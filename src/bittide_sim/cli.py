@@ -16,9 +16,10 @@ import numpy as np
 
 from . import floatfmt, verify as verify_mod
 from .config import ConfigError, config_to_dict, parse_config
-from .dynamics import run
+from .dynamics import init_state, run
 from .framesim import fault_report, run_discrete
-from .graph import MAX_NODES, TopologyError, generate_topology
+from .graph import (MAX_NODES, TopologyError, build_incidence,
+                    generate_topology)
 from .spectral import SpectralError, predict_beta_ss, predict_omega_ss
 
 EXIT_OK = 0
@@ -195,7 +196,7 @@ def cmd_run(cfg, out_dir: Path) -> int:
 def cmd_analyze(cfg, out_dir: Path) -> int:
     system = cfg.system()
     params, clm, sd = system.params, system.clm, system.sd
-    eigs = sorted(sd.eigenvalues, key=lambda v: (v.real, v.imag))
+    eigs = sorted(np.linalg.eigvals(clm.A), key=lambda v: (v.real, v.imag))
     report = {
         "n": system.topology.n,
         "m": system.topology.m,
@@ -260,7 +261,11 @@ def cmd_plotdata(trace_path, quantity: str, cfg, out_path: Path | None) -> int:
             print("error: beta-rel needs --config to recover beta_off",
                   file=sys.stderr)
             return EXIT_BAD_INPUT
-        beta_off = cfg.system().params.beta_off
+        # beta_off needs the incidence and initial offsets, no closed loop
+        topology = cfg.topology()
+        beta_off = init_state(build_incidence(topology),
+                              cfg.system_params(topology),
+                              np.array(cfg.theta0))[1].beta_off
         if occupancy.shape[1] != len(beta_off):
             print("error: trace and config disagree on edge count",
                   file=sys.stderr)

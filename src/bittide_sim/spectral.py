@@ -14,8 +14,7 @@ span(1).  This module computes those objects and the predictions.
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,31 +53,6 @@ class ClosedLoopMatrix:
         return self.A.shape[0]
 
 
-def _spectrum(eigenvalues: np.ndarray) -> np.ndarray:
-    """One matrix's row of a stacked eigvals: a real array where every
-    eigenvalue is real, as eigvals gives for a matrix alone."""
-    if eigenvalues.imag.any():
-        return eigenvalues
-    return eigenvalues.real.copy()
-
-
-class _FirstRead:
-    """SpectralData's `eigenvalues`, a descriptor-typed dataclass field: an
-    array given to the constructor is kept as given, and None, the default,
-    stands for the spectrum of the instance's A, formed by eigvals on the
-    first read."""
-
-    def __get__(self, sd, owner=None):
-        if sd is None:
-            return None     # the field's default
-        if sd.__dict__.get("eigenvalues") is None:
-            sd.__dict__["eigenvalues"] = _spectrum(np.linalg.eigvals(sd.A))
-        return sd.__dict__["eigenvalues"]
-
-    def __set__(self, sd, value):
-        sd.__dict__["eigenvalues"] = value
-
-
 @dataclass(frozen=True)
 class SpectralData:
     """Metzler eigenstructure of an irreducible rate matrix.
@@ -87,20 +61,18 @@ class SpectralData:
     W            spectral projector 1 z^T (W^2 = W, WA = AW = 0)
     group_inverse
                  the unique G with GA = AG = I - W and GW = WG = 0
-    eigenvalues  full spectrum of A (zero plus the stable part): eigvals'
-                 where the test counted them, else formed from A on the
-                 first read
+    decay        |Re lambda_2|, of the slowest stable eigenvalue that the
+                 simplicity test accepted, or None where A has none (one
+                 node)
     lambda2      the rightmost eigenvalue of A other than zero where the
                  iteration found it, else None
-    A            the closed loop's matrix
     """
 
     z: np.ndarray
     W: np.ndarray
     group_inverse: np.ndarray
-    eigenvalues: np.ndarray | None = _FirstRead()
+    decay: float | None
     lambda2: complex | None = None
-    A: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -108,19 +80,9 @@ class SpectralData:
 
     def decay_rate(self) -> float:
         """|Re lambda_2| of the slowest stable eigenvalue."""
-        return self._decay_rate
-
-    @cached_property
-    def _decay_rate(self) -> float:
-        # lambda_2 where the iteration found it, else the eigenvalues scanned
-        # once: they never change; a raise caches nothing
-        if self.lambda2 is not None:
-            return float(-self.lambda2.real)
-        stable = self.eigenvalues[self.eigenvalues.real < -_NULL_TOL * max(
-            1.0, float(np.abs(self.eigenvalues).max()))]
-        if stable.size == 0:
+        if self.decay is None:
             raise SpectralError("no stable eigenvalues; graph has a single node?")
-        return float(-stable.real.max())
+        return self.decay
 
     def horizon(self) -> float:
         """Time by which transients have shrunk by exp(-50): 50 e-folds."""
@@ -304,7 +266,10 @@ def metzler_eigenvectors(clms) -> list:
     A.  From ARNOLDI_MIN_N on, z comes first, and the test reads lambda_2
     of `rightmost_eigenvalue` against the same tolerance; a z that is not
     positive, or an iteration that gives up, leaves the closed loop to the
-    count.  z solves the bordered system [[A^T, 1],
+    count.  The decay rate is decided with simplicity, from the same data:
+    -Re lambda_2 of the iteration, or minus the slowest of the eigenvalues
+    the count found stable, or None where it found none (a single node).
+    z solves the bordered system [[A^T, 1],
     [1^T, 0]] [z; mu] = [0; 1] (A 1 = 0 forces mu = 0), and the group
     inverse the bordered system [[A, 1], [z^T, 0]]; both are nonsingular
     exactly when the zero eigenvalue is simple.
@@ -336,14 +301,13 @@ def metzler_eigenvectors(clms) -> list:
                     lambda2[j] = found
         dense = np.isnan(lambda2)
         simple = lambda2.real < -_NULL_TOL * scale
-        spectra = {}
+        decay = (-lambda2.real).tolist()
         if dense.any():
-            eigenvalues = np.linalg.eigvals(A[dense])
-            simple[dense] = np.count_nonzero(
-                eigenvalues.real < -_NULL_TOL * scale[dense, None],
-                axis=1) == n - 1
-            spectra = dict(zip(np.flatnonzero(dense).tolist(),
-                               map(_spectrum, eigenvalues)))
+            real = np.linalg.eigvals(A[dense]).real
+            stable = real < -_NULL_TOL * scale[dense, None]
+            simple[dense] = np.count_nonzero(stable, axis=1) == n - 1
+            for j, values, mask in zip(np.flatnonzero(dense), real, stable):
+                decay[j] = -float(values[mask].max()) if mask.any() else None
         unsolved = simple & ~solved
         z[unsolved] = _null_vectors(A[unsolved])
         positive, resid, small = _trusted(z, A, scale)
@@ -363,10 +327,8 @@ def metzler_eigenvectors(clms) -> list:
                                        f"{resid[j]:.3e} exceeds tolerance")
             else:
                 out[i] = SpectralData(
-                    z=z[j], W=W[j], group_inverse=G[j],
-                    eigenvalues=spectra.get(j),
-                    lambda2=None if dense[j] else complex(lambda2[j]),
-                    A=clms[i].A)
+                    z=z[j], W=W[j], group_inverse=G[j], decay=decay[j],
+                    lambda2=None if dense[j] else complex(lambda2[j]))
     return out
 
 

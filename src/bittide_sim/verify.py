@@ -94,6 +94,7 @@ class Residuals(NamedTuple):
     centering_gap: float
     identity_gap: float
     stochastic: bool          # each identity exponential row-stochastic
+    diagonalizable: bool      # A has a well-conditioned eigenbasis
 
 
 # the rows of a `run_horizon_reframes` trace that the checks read: the last
@@ -111,9 +112,10 @@ def _residuals(scenarios, systems, phis, traces, offsets) -> list:
     pass over (S, n, n) stacks of A, W, the group inverse and the sample
     operators `phis` of their prepared `systems`, and the stacked rows of
     their `traces`, the runs of their `offsets`.  Every product is a
-    stacked matmul, one BLAS call per member as its own product makes, and
-    the rest is elementwise or a reduction over one member's entries, so
-    each member gets the bits of its own stack of one.  The occupancies of
+    stacked matmul, one BLAS call per member as its own product makes,
+    `_is_diagonalizable` one `eig` and one `cond` per member, and the rest
+    is elementwise or a reduction over one member's entries, so each member
+    gets the bits of its own stack of one.  The occupancies of
     every member are one `edge_diff` over their joined incidence."""
     S, n = len(systems), systems[0].inc.n
     # e^{At} at each of IDENTITY_SPANS over the decay rate, from one stacked
@@ -181,7 +183,8 @@ def _residuals(scenarios, systems, phis, traces, offsets) -> list:
         _peak(E - W).tolist(), tol.tolist(),
         _peak(c[:, 0] - predicted).tolist(), occupancy_gap.tolist(),
         frequency_gap.tolist(), settles.tolist(), centering_gap.tolist(),
-        identity_gap.tolist(), stochastic.tolist())]
+        identity_gap.tolist(), stochastic.tolist(),
+        _is_diagonalizable(A).tolist())]
 
 
 def _sizes(systems) -> list:
@@ -193,7 +196,7 @@ def _sizes(systems) -> list:
             by_size([systems[i].clm for i in places]).values()]
 
 
-def _evaluate(scenarios, probe=None) -> list:
+def _evaluate(scenarios) -> list:
     """The outcome of each of `scenarios`: its Residuals, or the
     TopologyError or SpectralError `prepare` raised for it.  One
     `prepare_all` and one `exact_flow_operators` call, for every accepted
@@ -201,16 +204,12 @@ def _evaluate(scenarios, probe=None) -> list:
     takes one `run_horizon_reframes` call, which runs every offset of a
     scenario at once with a fixed-time reframe at the horizon, and one
     `_residuals` pass.  Neither the closed loop nor its spectral data read
-    q, so one solve and one sample operator serve every offset.  A
-    `probe`, if given, is called once with the prepared systems, each
-    rejected one's error in its place, and their places per size n
-    (`_sizes`), before the first run; no system outlives the pass."""
+    q, so one solve and one sample operator serve every offset.  No
+    system outlives the pass."""
     systems = prepare_all([(sc.topology, sc.params, sc.theta0)
                            for sc in scenarios])
     outcomes = list(systems)
     sizes = _sizes(systems)
-    if probe is not None:
-        probe(systems, sizes)
     placed = [i for group in sizes for i in group]
     phis = dict(zip(placed, exact_flow_operators(
         [systems[i].clm for i in placed],
@@ -379,21 +378,13 @@ def _is_diagonalizable(A: np.ndarray, tol: float = 1e8):
     return np.linalg.cond(vecs) < tol
 
 
-def _last_non_diagonalizable(scenarios, systems, sizes) -> dict | None:
-    """The fingerprint of the last of `scenarios` whose prepared system, in
-    its place in `systems` (which may run on past them; `sizes` holds the
-    places per size n, as `_sizes` gives them), has a closed loop that is
-    not diagonalizable, or None: one probe per size n."""
-    last = -1
-    for group in sizes:
-        group = [i for i in group if i < len(scenarios)]
-        if not group:
-            continue
-        flags = _is_diagonalizable(np.stack([systems[i].clm.A for i in group]))
-        defective = np.flatnonzero(~flags)
-        if defective.size:
-            last = max(last, group[defective[-1]])
-    return scenarios[last].fingerprint() if last >= 0 else None
+def _last_non_diagonalizable(scenarios) -> dict | None:
+    """The fingerprint of the last of `scenarios` whose outcome has a
+    closed loop that is not diagonalizable, or None."""
+    for sc in reversed(scenarios):
+        if isinstance(sc.outcome, Residuals) and not sc.outcome.diagonalizable:
+            return sc.fingerprint()
+    return None
 
 
 def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
@@ -414,17 +405,11 @@ def run_battery(count: int = 100, seed: int = 0, n_range=(2, 8),
     controls = [make_infeasible_scenario(seed + 10_000 + i, n_range=n_range)
                 for i in range(infeasible_count)]
     # every scenario is prepared, its run's operator built, its run stepped
-    # and its residuals worked out, stacked by n; so is the diagonalizability
-    # probe of the checked scenarios, on the prepared systems
-    found = []
-
-    def probe(systems, sizes):
-        found.append(_last_non_diagonalizable(scenarios, systems, sizes))
-
-    outcomes = _evaluate(scenarios + controls, probe)
+    # and its residuals worked out, stacked by n
+    outcomes = _evaluate(scenarios + controls)
     for sc, outcome in zip(scenarios + controls, outcomes):
         vars(sc)["outcome"] = outcome
-    non_diag, = found
+    non_diag = _last_non_diagonalizable(scenarios)
 
     rows = []
     worst: dict[str, float] = {}

@@ -768,6 +768,28 @@ def test_plotdata_beta_rel_needs_config(tmp_path, capsys):
     assert max(abs(v) for v in tail) <= 1e-6
 
 
+@pytest.mark.parametrize("name", ["e1.json", "eight_node.json"])
+def test_plotdata_beta_rel_prepares_no_closed_loop(tmp_path, capsys,
+                                                   monkeypatch, name):
+    # beta_off needs the incidence and the initial offsets alone: with the
+    # spectral solve refused, the series are the same bytes
+    config = CONFIG_DIR / name
+    run_cli("run", "--config", config, "--out", tmp_path)
+    argv = ("plotdata", tmp_path / "trace.csv", "--quantity", "beta-rel",
+            "--config", config)
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    text = capsys.readouterr().out
+
+    def refused(clms):
+        raise AssertionError("plotdata prepared a closed loop")
+
+    monkeypatch.setattr(dynamics, "metzler_eigenvectors", refused)
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == text
+    assert text.startswith("# beta-rel edge=1\n")
+
+
 def test_plotdata_empty_trace(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("t,mode,omega_1,c_1,beta_1\n")

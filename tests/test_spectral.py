@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,20 +39,45 @@ def integrate_raw_loop(inc, params, theta0, horizon):
     return sol.y[:, -1]
 
 
-def test_decay_rate_is_scanned_once_and_keeps_its_error(e1):
-    # e1's spectrum is {0, -2k}; the rate is kept, so a later write to the
-    # eigenvalues does not reach it
+def test_a_single_node_prepares_and_only_its_decay_rate_raises(e1):
+    # e1's spectrum is {0, -2k}, so its rate is 2k; a single node has no
+    # stable eigenvalue: `prepare` accepts it, and only the horizon fails
     sd = e1[4]
-    eigenvalues = sd.eigenvalues.copy()
-    kept = replace(sd, eigenvalues=eigenvalues)
-    assert kept.decay_rate() == pytest.approx(0.2, rel=1e-12)
-    eigenvalues[:] = -1.0
-    assert kept.decay_rate() == pytest.approx(0.2, rel=1e-12)
-    assert kept.horizon() == 50.0 / kept.decay_rate()
-    single = replace(sd, eigenvalues=np.zeros(1))
-    for _ in range(2):
+    assert sd.decay_rate() == sd.decay == pytest.approx(0.2, rel=1e-12)
+    assert sd.horizon() == 50.0 / sd.decay_rate()
+    topology = Topology(n=1, edges=[])
+    single = prepare(topology, make_system_params(topology, k=0.5,
+                                                  omega_u=1.0)).sd
+    assert single.decay is None
+    for read in (single.decay_rate, single.horizon, single.decay_rate):
         with pytest.raises(SpectralError, match="no stable eigenvalues"):
-            single.decay_rate()
+            read()
+
+
+def _two_blocks(eps):
+    """Two pairs of nodes, each coupled at rate 1, joined by edges of rate
+    eps: lambda_2 is about -eps."""
+    topology = Topology(n=4, edges=[(1, 2), (2, 1), (3, 4), (4, 3), (4, 1),
+                                    (2, 3)])
+    A = np.array([[-(1 + eps), 1, 0, eps], [1, -1, 0, 0],
+                  [0, eps, -(1 + eps), 1], [0, 0, 1, -1]])
+    return spectral.ClosedLoopMatrix(A=A, r=np.zeros(4), k=1.0,
+                                     inc=build_incidence(topology))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1.5e-9])
+def test_the_decay_rate_is_the_eigenvalue_the_count_accepted(eps):
+    # the count accepts lambda_2 ~ -eps below -1e-9 max(|A|, 1); a second
+    # scan against -1e-9 max |lambda| = -2e-9 took -2 for lambda_2, and the
+    # horizon came out 25 in place of about 50 / eps
+    clm = _two_blocks(eps)
+    eigenvalues = np.linalg.eigvals(clm.A).real
+    accepted = eigenvalues[eigenvalues < -1e-9 * max(np.abs(clm.A).max(), 1)]
+    assert accepted.size == 3
+    sd = metzler_eigenvector(clm)
+    assert sd.decay_rate() == -accepted.max()
+    assert sd.decay_rate() == pytest.approx(eps, rel=1e-6)
+    assert sd.horizon() == pytest.approx(50.0 / eps, rel=1e-6)
 
 
 def test_two_cycle_closed_loop(e1):
@@ -175,10 +199,12 @@ def test_stacked_solve_gives_each_closed_loop_its_one_item_call(clms):
                 metzler_eigenvector(clm, entry)
             continue
         assert metzler_eigenvector(clm, entry) is entry
-        for name in ("z", "W", "eigenvalues", "group_inverse"):
+        for name in ("z", "W", "group_inverse"):
             mine, own = getattr(entry, name), getattr(alone, name)
             assert mine.dtype == own.dtype and mine.shape == own.shape
             assert mine.tobytes() == own.tobytes(), name
+        assert np.float64(entry.decay).tobytes() == np.float64(
+            alone.decay).tobytes()
 
 
 def test_disconnected_components_rejected():
@@ -603,9 +629,6 @@ def test_lambda2_by_iteration_matches_eigvals_and_eigs(kind, n, seed):
     assert sd.decay_rate() == pytest.approx(-dense, rel=1e-10, abs=0)
     assert sd.decay_rate() == pytest.approx(-_eigs_lambda2(clm), rel=1e-10,
                                             abs=0)
-    # the spectrum is formed on the first read, as the dense path gives it
-    assert sd.eigenvalues.shape == (n,)
-    assert sd.eigenvalues is sd.eigenvalues
 
 
 @pytest.mark.parametrize("kind", ["random-strong", "complete", "ring",
@@ -627,10 +650,13 @@ def test_a_spent_budget_gives_the_dense_path_bit_for_bit(monkeypatch, kind):
     fallback = metzler_eigenvector(clm)
     assert results == [(None, 0)]
     assert fallback.lambda2 is None is dense.lambda2
-    for name in ("z", "W", "eigenvalues", "group_inverse"):
+    for name in ("z", "W", "group_inverse"):
         mine, own = getattr(fallback, name), getattr(dense, name)
         assert mine.dtype == own.dtype and mine.shape == own.shape
         assert mine.tobytes() == own.tobytes(), name
+    assert type(fallback.decay) is type(dense.decay) is float
+    assert np.float64(fallback.decay).tobytes() == np.float64(
+        dense.decay).tobytes()
     assert fallback.decay_rate() == dense.decay_rate()
 
 

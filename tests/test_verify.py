@@ -224,9 +224,10 @@ def test_battery_exercises_non_diagonalizable_matrix():
 
 def test_stacked_probe_matches_per_matrix_and_each_trace_is_freed(
         monkeypatch):
-    # the battery probes diagonalizability once per n, before its checks:
-    # every scenario gets its per-matrix answer, and the report names the
-    # last non-diagonalizable one in seed order.  Every system and trace
+    # the battery probes diagonalizability once per n, in the residual
+    # pass, before its checks: every scenario's outcome, the controls' too,
+    # has its per-matrix answer, and the report names the last
+    # non-diagonalizable checked one in seed order.  Every system and trace
     # the battery makes is freed before its first check, and once it has
     # run each scenario holds its fields and its outcome alone, so the
     # battery's memory stays one size's runs
@@ -244,9 +245,9 @@ def test_stacked_probe_matches_per_matrix_and_each_trace_is_freed(
     evaluated, refs = [], []
     evaluate = verify._evaluate
 
-    def keep(scenarios, *args):
+    def keep(scenarios):
         evaluated.extend(scenarios)
-        return evaluate(scenarios, *args)
+        return evaluate(scenarios)
 
     def weakly(fn):
         # weakrefs to the systems passed in and to what comes out
@@ -277,14 +278,17 @@ def test_stacked_probe_matches_per_matrix_and_each_trace_is_freed(
     report = run_battery(count=30, seed=7, infeasible_count=5)
     assert report["all_pass"]
     assert len(seen) == len(report["scenarios"]) == 31
-    assert sum(stacked) == 31 and len(stacked) == len(
-        {row["scenario"]["n"] for row in report["scenarios"]})
+    assert sum(stacked) == 31 + 5 and len(stacked) == len(
+        {row["scenario"]["n"] for row in report["scenarios"]
+         + report["negative_controls"]})
     seeds = [seed for seed, _ in seen]
     assert seeds == sorted(seeds)
     defective = [seed for seed, flag in seen if not flag]
     assert report["summary"]["non_diagonalizable"]["seed"] == defective[-1]
     # the prepared systems, the systems run with their offsets, the traces
     assert len(evaluated) == 31 + 5
+    assert [sc.outcome.diagonalizable for sc in evaluated] == [
+        bool(probe(prepared(sc).clm.A)) for sc in evaluated]
     assert len(refs) == 3 * len(evaluated)
     assert all(ref() is None for ref in refs)
     fields = {field.name for field in dataclasses.fields(Scenario)}
@@ -355,11 +359,17 @@ def _assert_stacked_traces_equal_run(scenarios):
         stacked.extend(zip(systems, traces))
         return traces
 
+    systems, preparer = [], verify.prepare_all
+
+    def prepare_spy(cases):
+        out = preparer(cases)
+        systems.extend(out)
+        return out
+
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(verify, "run_horizon_reframes", spy)
-        systems = []
-        verify._evaluate(scenarios,
-                         lambda prepared, _: systems.extend(prepared))
+        monkeypatch.setattr(verify, "prepare_all", prepare_spy)
+        verify._evaluate(scenarios)
     own = {id(system.clm): (sc, system)
            for sc, system in zip(scenarios, systems)}
     for system, trace in stacked:
@@ -458,9 +468,9 @@ def test_battery_runs_on_the_operators_preparing_built(monkeypatch):
     stacked = count_calls(monkeypatch, dynamics.run_horizon_reframes)
     evaluated, evaluate = [], verify._evaluate
 
-    def keep(scenarios, *args):
+    def keep(scenarios):
         evaluated.extend(scenarios)
-        return evaluate(scenarios, *args)
+        return evaluate(scenarios)
 
     monkeypatch.setattr(verify, "_evaluate", keep)
     report = run_battery(count=12, seed=3, infeasible_count=4)
